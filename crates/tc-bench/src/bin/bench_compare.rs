@@ -26,8 +26,8 @@
 //!   **only when both reports record the same `host`/`parallelism`**: a
 //!   parallel speedup measured on an 8-core baseline host is meaningless
 //!   on a 1-core PR runner, so on a core-count mismatch these downgrade
-//!   to informational (with a printed note). Other ratios
-//!   (`ws_vs_barrier_*`) and counts are always trajectory-only.
+//!   to informational (with a printed note). Counts are always
+//!   trajectory-only.
 //! * a tracked baseline metric *missing* from the current run fails —
 //!   silently dropping a bench section must not pass the gate.
 //!
@@ -141,7 +141,7 @@ fn policy(metric: &str, baseline: f64, hosts_match: bool) -> Policy {
             Policy::Informational
         }
     } else {
-        // Other ratios (ws_vs_barrier) and counts: trajectory only.
+        // Counts: trajectory only.
         Policy::Informational
     }
 }

@@ -12,9 +12,8 @@
 //! * **file size** — bytes on disk per format.
 //!
 //! A final `coldset` section measures the byte-budgeted node cache under
-//! memory pressure (budget = segment/10) across both page sources
-//! (buffered vs mmap); its deterministic `*_bytes` ledger metrics are
-//! gated ±10% in CI.
+//! memory pressure (budget = segment/10); its deterministic `*_bytes`
+//! ledger metrics are gated ±10% in CI.
 //!
 //! With `--json <path>` the numbers are also written as a
 //! machine-readable report — CI uploads it as the `BENCH_pr.json`
@@ -23,7 +22,7 @@
 use tc_bench::report::JsonReport;
 use tc_bench::{build_dataset, fmt_count, fmt_secs, BenchArgs, Dataset, Table};
 use tc_index::{TcTree, TcTreeBuilder};
-use tc_store::{SegmentTcTree, SourceKind, StoreOptions};
+use tc_store::{SegmentTcTree, StoreOptions};
 use tc_txdb::Pattern;
 use tc_util::Stopwatch;
 
@@ -196,9 +195,8 @@ fn main() {
 
 /// Cold-set serving: the byte-budgeted node cache under memory pressure,
 /// with a budget a tenth of the segment file — so every full sweep churns
-/// ~90% of the working set through eviction — compared across the two
-/// page sources (buffered `read(2)` vs `mmap(2)`) and against the
-/// unbounded warm path.
+/// ~90% of the working set through eviction — against the unbounded warm
+/// path.
 ///
 /// Always runs on the BK dataset regardless of `--dataset`, so the
 /// telemetry group (`storage:coldset`) is one fixed, deterministic shape:
@@ -224,83 +222,61 @@ fn coldset(scratch: &std::path::Path, args: &BenchArgs, runs: usize, json: &mut 
         fmt_count(budget as usize),
     );
 
+    let opts = StoreOptions {
+        cache_bytes: Some(budget),
+    };
+    let seg = SegmentTcTree::open_with(&seg_path, opts).expect("open budgeted");
+
+    // Cold start: the first full sweep materialises every node once.
+    let sw = Stopwatch::start();
+    let first = seg.query_by_alpha(0.0).expect("cold sweep");
+    let cold_secs = sw.elapsed_secs();
+    assert_eq!(first.retrieved_nodes, full.retrieved_nodes);
+
+    // Churn: repeated full sweeps against a cache that holds a tenth of
+    // the working set — steady-state eviction pressure.
+    let sw = Stopwatch::start();
+    let mut peak = seg.cache_stats().bytes_used;
+    for _ in 0..runs {
+        std::hint::black_box(seg.query_by_alpha(0.0).expect("churn sweep"));
+        peak = peak.max(seg.cache_stats().bytes_used);
+    }
+    let churn_qps = runs as f64 / sw.elapsed_secs();
+
+    // Warm reference: the unbounded twin, already swept once above.
+    let sw = Stopwatch::start();
+    for _ in 0..runs {
+        std::hint::black_box(unbounded.query_by_alpha(0.0).expect("warm sweep"));
+    }
+    let warm_qps = runs as f64 / sw.elapsed_secs();
+
+    let stats = seg.cache_stats();
+    assert!(
+        stats.evictions > 0,
+        "a tenth-of-segment budget must evict during full sweeps"
+    );
+    json.push("coldset", "cold_sweep_buffered_secs", cold_secs);
+    json.push("coldset", "churn_qba_buffered_qps", churn_qps);
+    json.push("coldset", "warm_qba_buffered_qps", warm_qps);
+    json.push("coldset", "segment_bytes", segment_bytes as f64);
+    json.push("coldset", "cache_budget_bytes", budget as f64);
+    json.push("coldset", "working_set_bytes", working_set_bytes as f64);
+    json.push("coldset", "cache_peak_bytes", peak as f64);
+    json.push("coldset", "evictions", stats.evictions as f64);
+
     let mut table = Table::new(
         "Cold-set serving (BK, cache = segment/10)",
-        &["Metric", "Buffered", "Mmap"],
+        &["Metric", "Value"],
     );
-    let mut cells: Vec<Vec<String>> = vec![Vec::new(); 3];
-    for kind in [SourceKind::Buffered, SourceKind::Mmap] {
-        let opts = StoreOptions {
-            source: kind,
-            cache_bytes: Some(budget),
-        };
-        let seg = SegmentTcTree::open_with(&seg_path, opts).expect("open budgeted");
-
-        // Cold start: the first full sweep materialises every node once.
-        let sw = Stopwatch::start();
-        let first = seg.query_by_alpha(0.0).expect("cold sweep");
-        let cold_secs = sw.elapsed_secs();
-        assert_eq!(first.retrieved_nodes, full.retrieved_nodes);
-
-        // Churn: repeated full sweeps against a cache that holds a tenth
-        // of the working set — steady-state eviction pressure.
-        let sw = Stopwatch::start();
-        let mut peak = seg.cache_stats().bytes_used;
-        for _ in 0..runs {
-            std::hint::black_box(seg.query_by_alpha(0.0).expect("churn sweep"));
-            peak = peak.max(seg.cache_stats().bytes_used);
-        }
-        let churn_qps = runs as f64 / sw.elapsed_secs();
-
-        // Warm reference: the same source kind with no budget.
-        let warm_seg = SegmentTcTree::open_with(
-            &seg_path,
-            StoreOptions {
-                source: kind,
-                cache_bytes: None,
-            },
-        )
-        .expect("open unbounded");
-        warm_seg.query_by_alpha(0.0).expect("prewarm");
-        let sw = Stopwatch::start();
-        for _ in 0..runs {
-            std::hint::black_box(warm_seg.query_by_alpha(0.0).expect("warm sweep"));
-        }
-        let warm_qps = runs as f64 / sw.elapsed_secs();
-
-        let stats = seg.cache_stats();
-        let k = kind.name();
-        cells[0].push(fmt_secs(cold_secs));
-        cells[1].push(format!("{churn_qps:.0}"));
-        cells[2].push(format!("{warm_qps:.0}"));
-        json.push("coldset", format!("cold_sweep_{k}_secs"), cold_secs);
-        json.push("coldset", format!("churn_qba_{k}_qps"), churn_qps);
-        json.push("coldset", format!("warm_qba_{k}_qps"), warm_qps);
-        if kind == SourceKind::Buffered {
-            // The byte ledger is a deterministic function of the access
-            // pattern, identical across page sources: record it once.
-            json.push("coldset", "segment_bytes", segment_bytes as f64);
-            json.push("coldset", "cache_budget_bytes", budget as f64);
-            json.push("coldset", "working_set_bytes", working_set_bytes as f64);
-            json.push("coldset", "cache_peak_bytes", peak as f64);
-            json.push("coldset", "evictions", stats.evictions as f64);
-            assert!(
-                stats.evictions > 0,
-                "a tenth-of-segment budget must evict during full sweeps"
-            );
-        }
-    }
-    for (row, label) in [
-        "cold sweep (open + first full QBA)",
-        "churn QBA/s (budgeted, full sweeps)",
-        "warm QBA/s (unbounded)",
-    ]
-    .iter()
-    .enumerate()
-    {
-        let mut r = vec![label.to_string()];
-        r.extend(cells[row].clone());
-        table.push_row(r);
+    for (label, value) in [
+        ("cold sweep (open + first full QBA)", fmt_secs(cold_secs)),
+        (
+            "churn QBA/s (budgeted, full sweeps)",
+            format!("{churn_qps:.0}"),
+        ),
+        ("warm QBA/s (unbounded)", format!("{warm_qps:.0}")),
+    ] {
+        table.push_row(vec![label.to_string(), value]);
     }
     table.print();
 }

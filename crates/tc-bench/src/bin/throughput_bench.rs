@@ -5,11 +5,9 @@
 //!
 //! Three sections:
 //!
-//! * **mining** — serial `TcfiMiner` vs the level-barrier pool
-//!   (`LevelBarrierTcfiMiner`) vs the work-stealing miner
+//! * **mining** — serial `TcfiMiner` vs the work-stealing miner
 //!   (`ParallelTcfiMiner`) at every thread count, with result equality
-//!   asserted against the serial reference on every cell; the headline
-//!   ratio `ws_vs_barrier_t<T>` records how much the barrier costs;
+//!   asserted against the serial reference on every cell;
 //! * **indexing** — `TcTreeBuilder` wall-clock per thread count (node
 //!   arenas are byte-identical by construction, asserted here);
 //! * **serving** — concurrent QBA/QBP clients hammering one shared
@@ -23,7 +21,7 @@
 
 use tc_bench::report::JsonReport;
 use tc_bench::{build_dataset, fmt_count, fmt_secs, percentile, BenchArgs, Dataset, Table};
-use tc_core::{LevelBarrierTcfiMiner, Miner, MiningResult, ParallelTcfiMiner, TcfiMiner};
+use tc_core::{Miner, MiningResult, ParallelTcfiMiner, TcfiMiner};
 use tc_index::{TcTree, TcTreeBuilder};
 use tc_store::SegmentTcTree;
 use tc_txdb::Pattern;
@@ -86,31 +84,23 @@ fn main() {
                 "TCFI mining ({name}, α={ALPHA}, serial {})",
                 fmt_secs(serial_secs)
             ),
-            &["Threads", "Barrier", "WS", "WS speedup", "WS vs barrier"],
+            &["Threads", "WS", "WS speedup"],
         );
         for &t in &grid {
-            let (barrier_secs, barrier) = timed(&LevelBarrierTcfiMiner {
-                max_len: usize::MAX,
-                threads: t,
-            });
             let (ws_secs, ws) = timed(&ParallelTcfiMiner {
                 max_len: usize::MAX,
                 threads: t,
             });
             assert!(
-                reference.same_trusses(&barrier) && reference.same_trusses(&ws),
-                "{name}: parallel miners diverged from serial TCFI at {t} threads"
+                reference.same_trusses(&ws),
+                "{name}: parallel miner diverged from serial TCFI at {t} threads"
             );
-            json.push(name, format!("mine_barrier_t{t}_secs"), barrier_secs);
             json.push(name, format!("mine_ws_t{t}_secs"), ws_secs);
             json.push(name, format!("mine_ws_speedup_t{t}"), serial_secs / ws_secs);
-            json.push(name, format!("ws_vs_barrier_t{t}"), barrier_secs / ws_secs);
             table.push_row(vec![
                 t.to_string(),
-                fmt_secs(barrier_secs),
                 fmt_secs(ws_secs),
                 format!("{:.2}x", serial_secs / ws_secs),
-                format!("{:.2}x", barrier_secs / ws_secs),
             ]);
         }
         table.print();

@@ -4,8 +4,6 @@
 //! * [`alloc`] — counting global allocator (Table 3's "Memory" column);
 //! * [`report`] — markdown table/series printers and the `tc-bench/v1`
 //!   JSON telemetry report (write + parse);
-//! * [`jsonin`] — the minimal JSON reader behind `bench_compare`
-//!   (re-exported from [`tc_util::json`]);
 //! * [`stats`] — shared nearest-rank percentile helper for the latency
 //!   sections;
 //! * [`workloads`] — the four standard datasets (BK/GW/AMINER/SYN analogs)
@@ -33,11 +31,6 @@ pub mod alloc;
 pub mod report;
 pub mod stats;
 pub mod workloads;
-
-/// The minimal JSON reader behind `bench_compare`, now shared from
-/// `tc_util::json` (the `tc-serve` HTTP front-end reads batch bodies with
-/// the same parser).
-pub use tc_util::json as jsonin;
 
 pub use report::{fmt_count, fmt_f64, fmt_secs, JsonReport, Table};
 pub use stats::percentile;

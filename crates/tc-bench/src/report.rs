@@ -7,6 +7,8 @@
 //! emit a machine-readable [`JsonReport`] (the `BENCH_pr.json` artifact),
 //! so the perf trajectory accumulates one datapoint per PR.
 
+use tc_util::json::JsonValue;
+
 /// A fixed-schema table accumulated row by row.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -180,31 +182,31 @@ impl JsonReport {
     /// Parses a rendered `tc-bench/v1` report (the inverse of
     /// [`JsonReport::render`]); `null` values come back as NaN.
     pub fn parse(text: &str) -> Result<JsonReport, String> {
-        let doc = crate::jsonin::parse(text)?;
-        match doc.get("schema").and_then(crate::jsonin::JsonValue::as_str) {
+        let doc = tc_util::json::parse(text)?;
+        match doc.get("schema").and_then(JsonValue::as_str) {
             Some("tc-bench/v1") => {}
             other => return Err(format!("unsupported schema {other:?}")),
         }
         let bench = doc
             .get("bench")
-            .and_then(crate::jsonin::JsonValue::as_str)
+            .and_then(JsonValue::as_str)
             .ok_or("missing 'bench' field")?
             .to_string();
         let rows = doc
             .get("metrics")
-            .and_then(crate::jsonin::JsonValue::as_arr)
+            .and_then(JsonValue::as_arr)
             .ok_or("missing 'metrics' array")?;
         let mut metrics = Vec::with_capacity(rows.len());
         for row in rows {
             let field = |key: &str| {
                 row.get(key)
-                    .and_then(crate::jsonin::JsonValue::as_str)
+                    .and_then(JsonValue::as_str)
                     .map(str::to_string)
                     .ok_or_else(|| format!("metric row missing '{key}'"))
             };
             let value = row
                 .get("value")
-                .and_then(crate::jsonin::JsonValue::as_num)
+                .and_then(JsonValue::as_num)
                 .ok_or("metric row missing numeric 'value'")?;
             metrics.push((field("group")?, field("metric")?, value));
         }
@@ -316,7 +318,7 @@ mod tests {
 
     #[test]
     fn json_reader_round_trips_own_report_format() {
-        use crate::jsonin::{parse, JsonValue};
+        use tc_util::json::parse;
         let mut r = JsonReport::new("storage");
         r.push("BK", "tree_seg_bytes", 4096.0);
         r.push("BK", "warm_qba_secs", 1.5e-5);

@@ -490,7 +490,9 @@ fn metric_names(text: &str, prefix: &str) -> std::collections::BTreeSet<String> 
     names
 }
 
-/// Rule 4: exposition metric names and `docs/OPERATIONS.md` agree.
+/// Rule 4: exposition metric names and `docs/OPERATIONS.md` agree. The
+/// names live in each daemon's metric table (both render through
+/// tc-serve's one `Exposition` writer, which names nothing itself).
 fn metrics_rule(root: &Path, findings: &mut Vec<Finding>) -> std::io::Result<()> {
     let docs_path = root.join("docs/OPERATIONS.md");
     let docs = std::fs::read_to_string(&docs_path)?;

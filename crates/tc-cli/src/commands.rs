@@ -671,9 +671,8 @@ fn query_remote(
 /// disables) are closed to free their admission slot.
 ///
 /// Memory envelope: `--cache-bytes N[K|M|G]` bounds the bytes of
-/// materialised truss decompositions (0, the default, is unbounded), and
-/// `--page-source buffered|mmap` picks the page-read backing. Both apply
-/// to `SIGHUP` reloads as well.
+/// materialised truss decompositions (0, the default, is unbounded); it
+/// applies to `SIGHUP` reloads as well.
 pub fn serve(args: &[String]) -> i32 {
     let flags = match Flags::parse(
         args,
@@ -685,7 +684,6 @@ pub fn serve(args: &[String]) -> i32 {
             "session-timeout",
             "rate-limit",
             "cache-bytes",
-            "page-source",
         ],
     ) {
         Ok(f) => f,
@@ -695,7 +693,7 @@ pub fn serve(args: &[String]) -> i32 {
         return fail(
             "usage: tc serve <tree.seg> [--addr host:port] [--http-addr host:port] \
              [--workers N] [--max-inflight N] [--session-timeout secs] [--rate-limit per-sec] \
-             [--cache-bytes N[K|M|G]] [--page-source buffered|mmap]",
+             [--cache-bytes N[K|M|G]]",
         );
     };
     let addr = flags.get("addr").unwrap_or("127.0.0.1:7641");
@@ -723,17 +721,7 @@ pub fn serve(args: &[String]) -> i32 {
         Some(Ok(n)) => Some(n),
         Some(Err(e)) => return fail(e),
     };
-    let source = match flags.get("page-source") {
-        None => tc_store::SourceKind::default(),
-        Some(s) => match tc_store::SourceKind::parse(s) {
-            Some(k) => k,
-            None => return fail(format!("--page-source {s}: expected buffered or mmap")),
-        },
-    };
-    let store = tc_store::StoreOptions {
-        source,
-        cache_bytes,
-    };
+    let store = tc_store::StoreOptions { cache_bytes };
 
     // The daemon serves the lazy segment reader only: a text tree would
     // mean re-parsing the whole index up front — convert it once instead.
@@ -780,8 +768,7 @@ pub fn serve(args: &[String]) -> i32 {
     };
     println!(
         "tc-serve listening on {local} ({path}, workers={workers}, max-inflight={max_inflight}, \
-         page-source={}, cache-bytes={})",
-        source.name(),
+         cache-bytes={})",
         cache_bytes.map_or_else(|| "unbounded".to_string(), |n| n.to_string())
     );
     if let Some(http) = server.local_http_addr() {

@@ -44,7 +44,7 @@ pub use network::{BuildError, DatabaseNetwork, DatabaseNetworkBuilder, NetworkSt
 pub use result::{MinerStats, MiningResult};
 pub use search::{community_of_vertex, theme_profile};
 pub use tcfa::TcfaMiner;
-pub use tcfi::{LevelBarrierTcfiMiner, ParallelTcfiMiner, TcfiMiner};
+pub use tcfi::{ParallelTcfiMiner, TcfiMiner};
 pub use tcs::TcsMiner;
 pub use theme::ThemeNetwork;
 pub use truss::PatternTruss;

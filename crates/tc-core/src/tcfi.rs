@@ -19,6 +19,7 @@ use crate::truss::PatternTruss;
 use std::sync::Arc;
 use tc_txdb::{apriori, Item, Pattern};
 use tc_util::steal::{Executor, Worker};
+use tc_util::sync::Mutex;
 use tc_util::{FxHashMap, Stopwatch};
 
 /// The intersection-pruned miner.
@@ -39,9 +40,8 @@ impl Default for TcfiMiner {
 impl TcfiMiner {
     /// The work-stealing parallel variant of this miner: candidates are
     /// independent once both of their join parents' trusses are known, so
-    /// they can be processed concurrently — and, unlike the per-level pool
-    /// of [`LevelBarrierTcfiMiner`], without waiting for the rest of the
-    /// level to finish.
+    /// they can be processed concurrently, without waiting for the rest of
+    /// their Apriori level to finish.
     pub fn parallel(self, threads: usize) -> ParallelTcfiMiner {
         ParallelTcfiMiner {
             max_len: self.max_len,
@@ -163,7 +163,7 @@ struct WsState {
 /// `k-1` items of a length-`k` pattern); level-1 singletons all share the
 /// empty prefix. Guarded by one mutex: it is touched once per *qualified*
 /// pattern, which is rare next to candidate processing.
-type SiblingGroups = parking_lot::Mutex<FxHashMap<Box<[Item]>, Vec<Arc<PatternTruss>>>>;
+type SiblingGroups = Mutex<FxHashMap<Box<[Item]>, Vec<Arc<PatternTruss>>>>;
 
 /// Records a qualified truss and spawns the join candidates it unlocks:
 /// one per already-qualified sibling sharing its Apriori prefix. Spawning
@@ -197,7 +197,7 @@ impl Miner for ParallelTcfiMiner {
     fn mine(&self, network: &DatabaseNetwork, alpha: f64) -> MiningResult {
         let sw = Stopwatch::start();
         let max_len = self.max_len;
-        let groups: SiblingGroups = parking_lot::Mutex::new(FxHashMap::default());
+        let groups: SiblingGroups = Mutex::new(FxHashMap::default());
 
         // Level-1 seeds are always mined (like `mine_level_one`); `max_len`
         // only caps how deep qualified patterns are joined further.
@@ -266,123 +266,6 @@ impl Miner for ParallelTcfiMiner {
 
         stats.elapsed_secs = sw.elapsed_secs();
         MiningResult::new(alpha, trusses, stats)
-    }
-}
-
-/// The pre-executor parallel TCFI: a per-level thread pool with a hard
-/// barrier between Apriori levels, kept as the measured baseline that
-/// [`ParallelTcfiMiner`] is benchmarked against (`throughput_bench`).
-///
-/// Produces exactly the same [`MiningResult`] trusses **and counters** as
-/// [`TcfiMiner`] (the level barrier keeps the Apriori frontier identical);
-/// only wall-clock and scheduling differ. Each worker collects
-/// `(candidate_index, truss)` pairs privately; the merge joins workers in
-/// spawn order and then sorts by candidate index, so the level handed to
-/// the next round is in candidate order — identical to the serial miner's —
-/// regardless of thread interleaving.
-#[derive(Debug, Clone)]
-pub struct LevelBarrierTcfiMiner {
-    /// Safety cap on pattern length.
-    pub max_len: usize,
-    /// Worker threads per level (clamped to ≥ 1).
-    pub threads: usize,
-}
-
-impl Default for LevelBarrierTcfiMiner {
-    fn default() -> Self {
-        LevelBarrierTcfiMiner {
-            max_len: usize::MAX,
-            threads: 4,
-        }
-    }
-}
-
-impl Miner for LevelBarrierTcfiMiner {
-    fn name(&self) -> &'static str {
-        "TCFI-barrier"
-    }
-
-    fn mine(&self, network: &DatabaseNetwork, alpha: f64) -> MiningResult {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
-        let sw = Stopwatch::start();
-        let mut stats = MinerStats::default();
-        let mut all: Vec<PatternTruss> = Vec::new();
-        let threads = self.threads.max(1);
-
-        let mut level = mine_level_one(network, alpha, &mut stats);
-
-        let mut k = 2usize;
-        while !level.is_empty() && k <= self.max_len {
-            let mut prev_patterns: Vec<Pattern> = level.iter().map(|t| t.pattern.clone()).collect();
-            let by_pattern: FxHashMap<Pattern, PatternTruss> =
-                level.drain(..).map(|t| (t.pattern.clone(), t)).collect();
-            let candidates = apriori::generate_candidates(&mut prev_patterns);
-            stats.candidates_generated += candidates.len();
-
-            let next_idx = AtomicUsize::new(0);
-            let (found, mptd_calls, pruned) = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads.min(candidates.len().max(1)))
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut local: Vec<(usize, PatternTruss)> = Vec::new();
-                            let (mut calls, mut pruned) = (0usize, 0usize);
-                            loop {
-                                let i = next_idx.fetch_add(1, Ordering::Relaxed);
-                                if i >= candidates.len() {
-                                    break;
-                                }
-                                let cand = &candidates[i];
-                                let left = &by_pattern[&prev_patterns[cand.left]];
-                                let right = &by_pattern[&prev_patterns[cand.right]];
-                                let intersection = left.intersect_edges(right);
-                                if intersection.is_empty() {
-                                    pruned += 1;
-                                    continue;
-                                }
-                                let theme = ThemeNetwork::induce_from_edges(
-                                    network,
-                                    &cand.pattern,
-                                    &intersection,
-                                );
-                                if theme.is_trivial() {
-                                    continue;
-                                }
-                                calls += 1;
-                                let truss = maximal_pattern_truss(&theme, alpha);
-                                if !truss.is_empty() {
-                                    local.push((i, truss));
-                                }
-                            }
-                            (local, calls, pruned)
-                        })
-                    })
-                    .collect();
-                // Deterministic merge: workers join in spawn order, then the
-                // level is sorted by candidate index — the order the serial
-                // miner would have produced.
-                let mut found: Vec<(usize, PatternTruss)> = Vec::new();
-                let (mut calls, mut pruned) = (0usize, 0usize);
-                for handle in handles {
-                    let (local, c, p) = handle.join().expect("level worker panicked");
-                    found.extend(local);
-                    calls += c;
-                    pruned += p;
-                }
-                found.sort_unstable_by_key(|&(i, _)| i);
-                (found, calls, pruned)
-            });
-
-            stats.mptd_calls += mptd_calls;
-            stats.pruned_by_intersection += pruned;
-            all.extend(by_pattern.into_values());
-            level = found.into_iter().map(|(_, t)| t).collect();
-            k += 1;
-        }
-        all.append(&mut level);
-
-        stats.elapsed_secs = sw.elapsed_secs();
-        MiningResult::new(alpha, all, stats)
     }
 }
 
@@ -608,83 +491,11 @@ mod tests {
     }
 
     #[test]
-    fn level_barrier_identical_results_and_counters() {
-        // The barrier pool keeps the serial Apriori frontier, so trusses
-        // AND counters must match the serial miner exactly.
-        for net in [overlapping_net(), lcg_net(0xF00D)] {
-            for alpha in [0.0, 0.3, 0.5] {
-                let serial = TcfiMiner::default().mine(&net, alpha);
-                for threads in [1, 2, 4, 8] {
-                    let par = LevelBarrierTcfiMiner {
-                        max_len: usize::MAX,
-                        threads,
-                    }
-                    .mine(&net, alpha);
-                    assert!(
-                        serial.same_trusses(&par),
-                        "serial vs {threads}-thread barrier TCFI at alpha = {alpha}"
-                    );
-                    assert_eq!(serial.stats.mptd_calls, par.stats.mptd_calls);
-                    assert_eq!(
-                        serial.stats.candidates_generated,
-                        par.stats.candidates_generated
-                    );
-                    assert_eq!(
-                        serial.stats.pruned_by_intersection,
-                        par.stats.pruned_by_intersection
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn level_barrier_merge_is_deterministic() {
-        // Regression test for the old `Mutex<Vec<_>>` collection whose
-        // ordering depended on thread interleaving: per-worker collection
-        // plus the candidate-index merge must make repeated
-        // multi-threaded runs bit-for-bit reproducible.
-        let net = lcg_net(0xDEAD);
-        let reference = LevelBarrierTcfiMiner {
-            max_len: usize::MAX,
-            threads: 1,
-        }
-        .mine(&net, 0.2);
-        for threads in [2, 8] {
-            for _ in 0..4 {
-                let r = LevelBarrierTcfiMiner {
-                    max_len: usize::MAX,
-                    threads,
-                }
-                .mine(&net, 0.2);
-                assert_eq!(reference.trusses.len(), r.trusses.len());
-                for (a, b) in reference.trusses.iter().zip(&r.trusses) {
-                    assert_eq!(a.pattern, b.pattern);
-                    assert_eq!(a.edges, b.edges);
-                    assert_eq!(a.vertices, b.vertices);
-                }
-                assert_eq!(reference.stats.mptd_calls, r.stats.mptd_calls);
-                assert_eq!(
-                    reference.stats.candidates_generated,
-                    r.stats.candidates_generated
-                );
-                assert_eq!(
-                    reference.stats.pruned_by_intersection,
-                    r.stats.pruned_by_intersection
-                );
-            }
-        }
-    }
-
-    #[test]
     fn parallel_empty_network() {
         let mut b = DatabaseNetworkBuilder::new();
         b.ensure_vertex(1);
         let net = b.build().unwrap();
         let r = ParallelTcfiMiner::default().mine(&net, 0.0);
-        assert_eq!(r.np(), 0);
-        assert_eq!(r.stats.mptd_calls, 0);
-        let r = LevelBarrierTcfiMiner::default().mine(&net, 0.0);
         assert_eq!(r.np(), 0);
         assert_eq!(r.stats.mptd_calls, 0);
     }

@@ -106,25 +106,20 @@
 
 mod metrics;
 mod pool;
-mod session;
 
-use metrics::RouterMetrics;
+use metrics::ScatterMetrics;
 use pool::ShardPool;
-use std::io::ErrorKind;
-use std::net::{IpAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
-use tc_serve::{ClientError, QueryResponse, QuerySpec, RateLimit, RateLimiter};
+use tc_serve::{
+    Admission, Answer, Backend, ClientError, FrontEnd, Handle, Metrics, QueryResponse, QuerySpec,
+    RateLimit, Wire,
+};
 use tc_store::ShardMap;
 use tc_util::sync::Mutex;
 use tc_util::LoadError;
-
-/// Accept-loop poll interval while the listener is idle.
-const ACCEPT_TICK: Duration = Duration::from_millis(20);
-/// How long shutdown waits for admitted sessions to drain.
-const DRAIN_LIMIT: Duration = Duration::from_secs(5);
 
 /// Gateway tuning knobs.
 #[derive(Debug, Clone)]
@@ -177,116 +172,132 @@ impl Shards {
     }
 }
 
-/// Shared router state.
-pub(crate) struct Inner {
-    pub cfg: RouterConfig,
+/// The scatter backend: every query fans out to all shard daemons and
+/// the answers merge into the unsharded one.
+pub(crate) struct Scatter {
     shards: Mutex<Arc<Shards>>,
-    pub metrics: RouterMetrics,
-    pub inflight: AtomicUsize,
-    pub shutdown: AtomicBool,
-    limiter: Option<RateLimiter>,
+    partial: bool,
+    map_path: Option<PathBuf>,
+    metrics: ScatterMetrics,
 }
 
-impl Inner {
-    /// The current shard layout; requests hold one snapshot end-to-end.
-    pub fn snapshot(&self) -> Arc<Shards> {
+impl Backend for Scatter {
+    const NAME: &'static str = "tc-router";
+
+    /// One shard layout per request: a map reload landing mid-batch never
+    /// mixes layouts inside one response.
+    type Snapshot = Arc<Shards>;
+
+    /// `(shard_count, universe_len)` of the map swapped in.
+    type Reloaded = (usize, usize);
+
+    fn snapshot(&self) -> Arc<Shards> {
         self.shards.lock().clone()
     }
 
-    /// Admits under the per-client rate limit, counting refusals.
-    pub fn within_rate(&self, ip: IpAddr) -> bool {
-        match &self.limiter {
-            Some(limiter) => {
-                let ok = limiter.allow(ip);
-                if !ok {
-                    self.metrics.rate_limited.fetch_add(1, Ordering::Relaxed);
-                }
-                ok
-            }
-            None => true,
-        }
+    fn answer(&self, shards: &Arc<Shards>, spec: &QuerySpec) -> Answer {
+        self.scatter_query(shards, spec)
+    }
+
+    fn healthz(&self, shards: &Arc<Shards>) -> String {
+        format!(
+            "{{\"status\":\"ok\",\"shards\":{},\"items\":{},\"partial\":{},\"shards_down\":{}}}\n",
+            shards.pools.len(),
+            shards.map.items.len(),
+            self.partial,
+            self.metrics.shards_down.load(Ordering::Relaxed)
+        )
+    }
+
+    fn render_metrics(&self, shards: &Arc<Shards>, front: &Metrics, inflight: u64) -> String {
+        self.metrics.render_prometheus(front, inflight, shards)
+    }
+
+    /// Validation happens before the swap: a corrupt or unreadable map
+    /// leaves the old layout serving.
+    fn reload(&self) -> Result<(usize, usize), LoadError> {
+        let Some(path) = &self.map_path else {
+            return Err(LoadError::Corrupt(
+                "router: no shard-map path configured for reload".into(),
+            ));
+        };
+        let map = ShardMap::load_from_path(path)?;
+        let counts = (map.shards.len(), map.items.len());
+        *self.shards.lock() = Arc::new(Shards::new(map));
+        Ok(counts)
     }
 }
 
-/// The outcome of one scatter-gather round.
-pub(crate) enum Gathered {
-    /// Every shard answered; the merge equals the unsharded answer.
-    Complete(QueryResponse),
-    /// Some shards were down and `--partial` is on: the live shards'
-    /// union, plus the down shard ids.
-    Partial(QueryResponse, Vec<u32>),
-    /// Some shards were down and `--partial` is off: the down shard ids
-    /// and the first transport error.
-    Unavailable(Vec<u32>, String),
-    /// A shard answered with a query-level error (the request's fault).
-    Failed(String),
-}
-
-/// Scatters `spec` to every shard in `shards` concurrently and gathers
-/// the merged outcome. `QBA(α)` is rewritten to `QUERY(universe, α)` —
-/// see the crate docs for why that keeps per-shard pruning exact.
-pub(crate) fn scatter_query(inner: &Inner, shards: &Shards, spec: &QuerySpec) -> Gathered {
-    let results: Vec<Result<QueryResponse, ClientError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .pools
-            .iter()
-            .map(|p| {
-                scope.spawn(move || {
-                    p.run(|client| match spec {
-                        QuerySpec::Qba(alpha) => client.query(&shards.map.items, *alpha),
-                        QuerySpec::Qbp(items) => client.qbp(items),
-                        QuerySpec::Query(items, alpha) => client.query(items, *alpha),
+impl Scatter {
+    /// Scatters `spec` to every shard in `shards` concurrently and gathers
+    /// the merged outcome. `QBA(α)` is rewritten to `QUERY(universe, α)` —
+    /// see the crate docs for why that keeps per-shard pruning exact.
+    fn scatter_query(&self, shards: &Shards, spec: &QuerySpec) -> Answer {
+        let results: Vec<Result<QueryResponse, ClientError>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = shards
+                .pools
+                .iter()
+                .map(|p| {
+                    scope.spawn(move || {
+                        p.run(|client| match spec {
+                            QuerySpec::Qba(alpha) => client.query(&shards.map.items, *alpha),
+                            QuerySpec::Qbp(items) => client.qbp(items),
+                            QuerySpec::Query(items, alpha) => client.query(items, *alpha),
+                        })
                     })
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                // A panicking scatter worker must not take the whole
-                // gateway session down with it: treat its shard exactly
-                // like a transport failure (503 or a partial answer,
-                // depending on `--partial`).
-                h.join().unwrap_or_else(|_| {
-                    Err(ClientError::Io(std::io::Error::other(
-                        "scatter worker panicked",
-                    )))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    // A panicking scatter worker must not take the whole
+                    // gateway session down with it: treat its shard exactly
+                    // like a transport failure (503 or a partial answer,
+                    // depending on `--partial`).
+                    h.join().unwrap_or_else(|_| {
+                        Err(ClientError::Io(std::io::Error::other(
+                            "scatter worker panicked",
+                        )))
+                    })
                 })
-            })
-            .collect()
-    });
-    let mut answered = Vec::new();
-    let mut down = Vec::new();
-    let mut first_err = String::new();
-    for (id, result) in results.into_iter().enumerate() {
-        match result {
-            Ok(resp) => answered.push(resp),
-            // A query-level error means the shard is healthy but the
-            // request is bad; every shard ran the same request, so
-            // surface it as the request's failure.
-            Err(ClientError::Remote(msg)) => return Gathered::Failed(msg),
-            Err(e) => {
-                if down.is_empty() {
-                    first_err = e.to_string();
+                .collect()
+        });
+        let mut answered = Vec::new();
+        let mut down = Vec::new();
+        let mut first_err = String::new();
+        for (id, result) in results.into_iter().enumerate() {
+            match result {
+                Ok(resp) => answered.push(resp),
+                // A query-level error means the shard is healthy but the
+                // request is bad; every shard ran the same request, so
+                // surface it as the request's failure.
+                Err(ClientError::Remote(msg)) => return Answer::Err(500, msg),
+                Err(e) => {
+                    if down.is_empty() {
+                        first_err = e.to_string();
+                    }
+                    down.push(id as u32);
                 }
-                down.push(id as u32);
             }
         }
-    }
-    inner
-        .metrics
-        .shards_down
-        .store(down.len() as u64, Ordering::Relaxed);
-    if down.is_empty() {
-        Gathered::Complete(merge_responses(answered))
-    } else if inner.cfg.partial {
-        inner
-            .metrics
+        self.metrics
+            .shards_down
+            .store(down.len() as u64, Ordering::Relaxed);
+        if down.is_empty() {
+            // Every shard answered: the merge equals the unsharded answer.
+            return Answer::Ok(merge_responses(answered), down);
+        }
+        if !self.partial {
+            let ids: Vec<String> = down.iter().map(u32::to_string).collect();
+            return Answer::Err(
+                503,
+                format!("shard(s) {} unavailable: {first_err}", ids.join(",")),
+            );
+        }
+        self.metrics
             .partial_responses
             .fetch_add(1, Ordering::Relaxed);
-        Gathered::Partial(merge_responses(answered), down)
-    } else {
-        Gathered::Unavailable(down, first_err)
+        Answer::Ok(merge_responses(answered), down)
     }
 }
 
@@ -330,16 +341,11 @@ pub struct RouterStats {
 }
 
 /// A bound scatter-gather gateway; [`Router::run`] starts serving.
-pub struct Router {
-    listener: TcpListener,
-    inner: Arc<Inner>,
-}
+pub struct Router(FrontEnd<Scatter>);
 
 /// A cloneable driver for a running router: shutdown, reload, stats.
 #[derive(Clone)]
-pub struct RouterHandle {
-    inner: Arc<Inner>,
-}
+pub struct RouterHandle(Handle<Scatter>);
 
 impl Router {
     /// Binds `http_addr` (port `0` picks an ephemeral port — read it
@@ -347,103 +353,51 @@ impl Router {
     /// Shard connections open lazily on first use, so daemons may boot
     /// after the router.
     pub fn bind(map: ShardMap, http_addr: &str, cfg: RouterConfig) -> std::io::Result<Router> {
-        let listener = TcpListener::bind(http_addr)?;
-        listener.set_nonblocking(true)?;
-        let limiter = cfg.rate_limit.map(RateLimiter::new);
-        let inner = Arc::new(Inner {
-            cfg,
+        let backend = Scatter {
             shards: Mutex::new(Arc::new(Shards::new(map))),
-            metrics: RouterMetrics::default(),
-            inflight: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            limiter,
-        });
-        Ok(Router { listener, inner })
+            partial: cfg.partial,
+            map_path: cfg.map_path,
+            metrics: ScatterMetrics::default(),
+        };
+        // A worker per admissible session: an admitted connection never
+        // waits in the queue behind another's slow shard.
+        let admission = Admission {
+            workers: cfg.max_inflight,
+            max_inflight: cfg.max_inflight,
+            idle_timeout: cfg.idle_timeout,
+            rate_limit: cfg.rate_limit,
+        };
+        let mut front = FrontEnd::new(backend, admission)?;
+        front.listen(http_addr, Wire::HTTP)?;
+        Ok(Router(front))
     }
 
     /// The bound HTTP address.
     pub fn local_addr(&self) -> std::io::Result<std::net::SocketAddr> {
-        self.listener.local_addr()
+        self.0
+            .port_addr(0)
+            .unwrap_or_else(|| Err(std::io::Error::other("no listener bound")))
     }
 
     /// A driver handle, usable from any thread while `run` serves.
     pub fn handle(&self) -> RouterHandle {
-        RouterHandle {
-            inner: Arc::clone(&self.inner),
-        }
+        RouterHandle(self.0.handle())
     }
 
     /// Serves until shutdown (handle, SIGTERM/SIGINT via
     /// [`tc_serve::install_signal_handlers`]), then drains admitted
     /// sessions and returns the counter totals.
     pub fn run(self) -> std::io::Result<RouterStats> {
-        while !self.inner.shutdown.load(Ordering::SeqCst) && !tc_serve::shutdown_signal_pending() {
-            if tc_serve::take_reload_signal() {
-                // Keep serving the old map on failure; the metrics and
-                // exit stats record the refused swap.
-                let _ = self.handle().reload();
-            }
-            match self.listener.accept() {
-                Ok((stream, _)) => admit(&self.inner, stream),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_TICK),
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        // Sessions poll the flag every READ_TICK; give them a bounded
-        // window to finish the response they are writing.
-        let deadline = std::time::Instant::now() + DRAIN_LIMIT;
-        while self.inner.inflight.load(Ordering::SeqCst) > 0 && std::time::Instant::now() < deadline
-        {
-            std::thread::sleep(ACCEPT_TICK);
-        }
-        Ok(self.handle().stats())
-    }
-}
-
-/// Admission control: spawn a session thread within the inflight budget,
-/// refuse with an immediate 503 beyond it.
-fn admit(inner: &Arc<Inner>, stream: TcpStream) {
-    let admitted = inner
-        .inflight
-        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-            (n < inner.cfg.max_inflight).then_some(n + 1)
-        })
-        .is_ok();
-    if !admitted {
-        let mut stream = stream;
-        let _ = session::write_busy_503(
-            inner,
-            &mut stream,
-            &format!("router at max inflight ({})", inner.cfg.max_inflight),
-        );
-        return;
-    }
-    let session_inner = Arc::clone(inner);
-    let spawned = std::thread::Builder::new()
-        .name("tc-router-session".into())
-        .spawn(move || {
-            let inner = session_inner;
-            struct Deflight<'a>(&'a Inner);
-            impl Drop for Deflight<'_> {
-                fn drop(&mut self) {
-                    self.0.inflight.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-            let _guard = Deflight(&inner);
-            let _ = session::serve_session(&inner, stream);
-        });
-    if spawned.is_err() {
-        // Could not spawn: release the slot we reserved.
-        inner.inflight.fetch_sub(1, Ordering::SeqCst);
+        let handle = self.handle();
+        self.0.run()?;
+        Ok(handle.stats())
     }
 }
 
 impl RouterHandle {
     /// Asks the accept loop to stop; `run` then drains and returns.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        self.0.shutdown();
     }
 
     /// Re-reads the shard map from [`RouterConfig::map_path`] and swaps
@@ -451,51 +405,26 @@ impl RouterHandle {
     /// or unreadable map leaves the old layout serving and counts a
     /// failed reload. Returns `(shard_count, universe_len)` on success.
     pub fn reload(&self) -> Result<(usize, usize), LoadError> {
-        let Some(path) = self.inner.cfg.map_path.clone() else {
-            self.inner
-                .metrics
-                .reload_failures
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(LoadError::Corrupt(
-                "router: no shard-map path configured for reload".into(),
-            ));
-        };
-        match ShardMap::load_from_path(&path) {
-            Ok(map) => {
-                let counts = (map.shards.len(), map.items.len());
-                *self.inner.shards.lock() = Arc::new(Shards::new(map));
-                self.inner.metrics.reloads.fetch_add(1, Ordering::Relaxed);
-                Ok(counts)
-            }
-            Err(e) => {
-                self.inner
-                    .metrics
-                    .reload_failures
-                    .fetch_add(1, Ordering::Relaxed);
-                Err(e)
-            }
-        }
+        self.0.reload()
     }
 
     /// The Prometheus exposition, as served by `GET /metrics`.
     pub fn prometheus(&self) -> String {
-        let shards = self.inner.snapshot();
-        self.inner
-            .metrics
-            .render_prometheus(self.inner.inflight.load(Ordering::SeqCst) as u64, &shards)
+        self.0.prometheus()
     }
 
     /// Counter totals so far.
     pub fn stats(&self) -> RouterStats {
-        let m = &self.inner.metrics;
-        let shards = self.inner.snapshot();
+        let front = self.0.stats();
+        let backend = self.0.backend();
+        let shards = backend.snapshot();
         let load = |a: &std::sync::atomic::AtomicU64| a.load(Ordering::Relaxed);
         RouterStats {
-            requests: load(&m.qba) + load(&m.qbp) + load(&m.query) + load(&m.batch),
+            requests: front.queries_served() + front.batch,
             fanout: shards.pools.iter().map(|p| load(&p.fanout)).sum(),
             shard_errors: shards.pools.iter().map(|p| load(&p.errors)).sum(),
-            partial_responses: load(&m.partial_responses),
-            reloads: load(&m.reloads),
+            partial_responses: load(&backend.metrics.partial_responses),
+            reloads: front.reloads,
         }
     }
 }

@@ -1,207 +1,124 @@
-//! Router-side counters and the `tcrouter_*` Prometheus exposition.
+//! The scatter backend's own counters and the `tcrouter_*` metric table.
 //!
-//! The router reuses tc-serve's [`Histogram`] and bucket grid so shard
-//! daemons and the gateway can be graphed on one axis; only the metric
-//! names differ (`tcrouter_` prefix, plus per-shard labels the daemons
-//! cannot know).
+//! Request, response, rejection and reload counters are the shared front
+//! end's ([`tc_serve::Metrics`]); this module adds what only a router
+//! knows (degraded-mode gauges, per-shard fan-out) and names the whole
+//! table. It goes through tc-serve's [`Exposition`] writer and bucket
+//! grid, so shard daemons and the gateway can be graphed on one axis.
 
 use crate::Shards;
 use std::sync::atomic::{AtomicU64, Ordering};
-use tc_serve::metrics::{HTTP_CODES, LATENCY_BUCKETS_SECS};
-use tc_serve::Histogram;
+use tc_serve::{Exposition, Metrics};
 
-/// Counters, gauges, and per-verb latency histograms for one router.
+/// What the scatter tracks beyond the front end's counters.
 #[derive(Default)]
-pub(crate) struct RouterMetrics {
-    /// Scatter-gather requests, by verb.
-    pub qba: AtomicU64,
-    pub qbp: AtomicU64,
-    pub query: AtomicU64,
-    pub batch: AtomicU64,
-    /// `/healthz` hits (`/metrics` is deliberately uncounted: scraping
-    /// must not move what it measures).
-    pub healthz: AtomicU64,
-    /// Malformed requests (bad params, bad JSON, oversized frames).
-    pub protocol_errors: AtomicU64,
-    /// Requests refused by the per-client token bucket.
-    pub rate_limited: AtomicU64,
+pub(crate) struct ScatterMetrics {
     /// 200-responses served with shards missing (`--partial`).
     pub partial_responses: AtomicU64,
-    /// Successful / failed shard-map reloads (SIGHUP or handle).
-    pub reloads: AtomicU64,
-    pub reload_failures: AtomicU64,
     /// Gauge: shards that failed in the most recent scatter.
     pub shards_down: AtomicU64,
-    /// Responses by status code, positionally matching [`HTTP_CODES`].
-    pub http_responses: [AtomicU64; HTTP_CODES.len()],
-    /// End-to-end router latency (scatter + merge), by verb.
-    pub qba_latency: Histogram,
-    pub qbp_latency: Histogram,
-    pub query_latency: Histogram,
-    pub batch_latency: Histogram,
 }
 
-impl RouterMetrics {
-    /// Counts one response under its status code (unknown codes land in
-    /// the 500 bucket, mirroring tc-serve).
-    pub fn count_http_response(&self, code: u16) {
-        // Fold unknown codes onto 500; if 500 itself ever left the list,
-        // fold onto the last slot rather than panic in a request path.
-        let fold = HTTP_CODES
-            .iter()
-            .position(|&c| c == 500)
-            .unwrap_or(HTTP_CODES.len() - 1);
-        let idx = HTTP_CODES.iter().position(|&c| c == code).unwrap_or(fold);
-        self.http_responses[idx].fetch_add(1, Ordering::Relaxed);
-    }
-
+impl ScatterMetrics {
     /// Renders the Prometheus text exposition (`GET /metrics`).
-    pub fn render_prometheus(&self, inflight: u64, shards: &Shards) -> String {
+    /// (`/metrics` itself is deliberately uncounted: scraping must not
+    /// move what it measures.)
+    pub fn render_prometheus(&self, front: &Metrics, inflight: u64, shards: &Shards) -> String {
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let mut out = String::with_capacity(4096);
-        let family =
-            |out: &mut String, name: &str, kind: &str, help: &str, series: &[(String, u64)]| {
-                out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-                for (labels, value) in series {
-                    out.push_str(&format!("{name}{labels} {value}\n"));
-                }
-            };
-
-        family(
-            &mut out,
+        let per_shard = |value: fn(&crate::pool::ShardPool) -> &AtomicU64| -> Vec<(String, u64)> {
+            shards
+                .pools
+                .iter()
+                .map(|p| (format!("{{shard=\"{}\"}}", p.id), load(value(p))))
+                .collect()
+        };
+        let mut out = Exposition::default();
+        out.family(
             "tcrouter_requests_total",
             "counter",
             "Scatter-gather requests accepted, by verb.",
             &[
-                ("{verb=\"qba\"}".into(), load(&self.qba)),
-                ("{verb=\"qbp\"}".into(), load(&self.qbp)),
-                ("{verb=\"query\"}".into(), load(&self.query)),
-                ("{verb=\"batch\"}".into(), load(&self.batch)),
-                ("{verb=\"healthz\"}".into(), load(&self.healthz)),
+                ("{verb=\"qba\"}", load(&front.qba)),
+                ("{verb=\"qbp\"}", load(&front.qbp)),
+                ("{verb=\"query\"}", load(&front.query)),
+                ("{verb=\"batch\"}", load(&front.batch)),
+                ("{verb=\"healthz\"}", load(&front.stats)),
             ],
         );
-        family(
-            &mut out,
+        out.family(
             "tcrouter_http_responses_total",
             "counter",
             "Responses written, by status code.",
-            &HTTP_CODES
-                .iter()
-                .zip(&self.http_responses)
-                .map(|(code, n)| (format!("{{code=\"{code}\"}}"), load(n)))
-                .collect::<Vec<_>>(),
+            &front.http_response_series(),
         );
-        family(
-            &mut out,
+        out.family(
             "tcrouter_requests_rejected_total",
             "counter",
             "Requests refused before fan-out, by reason.",
             &[
-                ("{reason=\"rate_limited\"}".into(), load(&self.rate_limited)),
-                ("{reason=\"protocol\"}".into(), load(&self.protocol_errors)),
+                ("{reason=\"rate_limited\"}", load(&front.rate_limited)),
+                ("{reason=\"protocol\"}", load(&front.protocol_errors)),
             ],
         );
-        family(
-            &mut out,
+        out.family(
             "tcrouter_partial_responses_total",
             "counter",
             "Responses served with one or more shards missing (--partial).",
-            &[(String::new(), load(&self.partial_responses))],
+            &[("", load(&self.partial_responses))],
         );
-        family(
-            &mut out,
+        out.family(
             "tcrouter_reloads_total",
             "counter",
             "Shard-map reloads, by outcome.",
             &[
-                ("{outcome=\"ok\"}".into(), load(&self.reloads)),
-                ("{outcome=\"error\"}".into(), load(&self.reload_failures)),
+                ("{outcome=\"ok\"}", load(&front.reloads)),
+                ("{outcome=\"error\"}", load(&front.reload_failures)),
             ],
         );
-        family(
-            &mut out,
+        out.family(
             "tcrouter_shards",
             "gauge",
             "Shards in the active map.",
-            &[(String::new(), shards.pools.len() as u64)],
+            &[("", shards.pools.len() as u64)],
         );
-        family(
-            &mut out,
+        out.family(
             "tcrouter_shards_down",
             "gauge",
             "Shards that failed in the most recent scatter (degraded mode when > 0).",
-            &[(String::new(), load(&self.shards_down))],
+            &[("", load(&self.shards_down))],
         );
-        family(
-            &mut out,
+        out.family(
             "tcrouter_inflight_sessions",
             "gauge",
             "HTTP sessions currently admitted.",
-            &[(String::new(), inflight)],
+            &[("", inflight)],
         );
-        family(
-            &mut out,
+        out.family(
             "tcrouter_fanout_total",
             "counter",
             "Shard RPCs attempted, by shard.",
-            &shards
-                .pools
-                .iter()
-                .map(|p| (format!("{{shard=\"{}\"}}", p.id), load(&p.fanout)))
-                .collect::<Vec<_>>(),
+            &per_shard(|p| &p.fanout),
         );
-        family(
-            &mut out,
+        out.family(
             "tcrouter_shard_errors_total",
             "counter",
             "Shard RPCs that failed at the transport layer, by shard.",
+            &per_shard(|p| &p.errors),
+        );
+        out.histograms(
+            "tcrouter_shard_latency_seconds",
+            "Shard RPC round-trip latency, by shard.",
             &shards
                 .pools
                 .iter()
-                .map(|p| (format!("{{shard=\"{}\"}}", p.id), load(&p.errors)))
+                .map(|p| (format!("shard=\"{}\"", p.id), &p.latency))
                 .collect::<Vec<_>>(),
         );
-        for pool in &shards.pools {
-            render_histogram(
-                &mut out,
-                "tcrouter_shard_latency_seconds",
-                "Shard RPC round-trip latency, by shard.",
-                &format!("shard=\"{}\"", pool.id),
-                &pool.latency,
-            );
-        }
-        for (verb, hist) in [
-            ("qba", &self.qba_latency),
-            ("qbp", &self.qbp_latency),
-            ("query", &self.query_latency),
-            ("batch", &self.batch_latency),
-        ] {
-            render_histogram(
-                &mut out,
-                "tcrouter_request_latency_seconds",
-                "End-to-end router latency (scatter + merge), by verb.",
-                &format!("verb=\"{verb}\""),
-                hist,
-            );
-        }
-        out
+        out.histograms(
+            "tcrouter_request_latency_seconds",
+            "End-to-end router latency (scatter + merge), by verb.",
+            &front.verb_latency_series(),
+        );
+        out.finish()
     }
-}
-
-/// Renders one labelled series of a histogram family, emitting the
-/// HELP/TYPE header before the family's first series only.
-fn render_histogram(out: &mut String, name: &str, help: &str, label: &str, h: &Histogram) {
-    if !out.contains(&format!("# TYPE {name} ")) {
-        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
-    }
-    let cumulative = h.cumulative_buckets();
-    for (bound, cum) in LATENCY_BUCKETS_SECS.iter().zip(&cumulative) {
-        out.push_str(&format!("{name}_bucket{{{label},le=\"{bound}\"}} {cum}\n"));
-    }
-    out.push_str(&format!(
-        "{name}_bucket{{{label},le=\"+Inf\"}} {}\n",
-        cumulative.last().copied().unwrap_or(0)
-    ));
-    out.push_str(&format!("{name}_sum{{{label}}} {}\n", h.sum_secs()));
-    out.push_str(&format!("{name}_count{{{label}}} {}\n", h.count()));
 }

@@ -1,10 +1,15 @@
 //! End-to-end router tests over real sockets: N shard daemons + the
 //! gateway, answers compared against the unsharded segment, degraded
-//! mode with a killed daemon (503 vs `--partial`), and shard-map
-//! hot-reload through the handle.
+//! mode with a killed daemon (503 vs `--partial`), shard-map hot-reload
+//! through the handle, pooled shard connections that went stale, and a
+//! raw-bytes differential against a plain daemon.
+
+#[path = "../../tc-serve/tests/common/mod.rs"]
+mod common;
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 use tc_core::DatabaseNetworkBuilder;
 use tc_index::{TcTree, TcTreeBuilder};
 use tc_router::{Router, RouterConfig};
@@ -55,10 +60,14 @@ struct Daemon {
 
 /// Boots one daemon per shard and returns (map, daemons).
 fn boot_shards(tree: &TcTree, shard_count: u32) -> (ShardMap, Vec<Daemon>) {
+    boot_shards_with(tree, shard_count, ServeConfig::default())
+}
+
+fn boot_shards_with(tree: &TcTree, shard_count: u32, cfg: ServeConfig) -> (ShardMap, Vec<Daemon>) {
     let mut entries = Vec::new();
     let mut daemons = Vec::new();
     for shard in split_tree(tree, HashScheme::Crc32Item, shard_count) {
-        let server = Server::bind(segment(&shard), "127.0.0.1:0", ServeConfig::default()).unwrap();
+        let server = Server::bind(segment(&shard), "127.0.0.1:0", cfg.clone()).unwrap();
         entries.push(ShardEntry {
             addr: server.local_addr().unwrap().to_string(),
             path: String::new(),
@@ -211,6 +220,14 @@ fn router_answers_match_unsharded_and_degrade_as_configured() {
         "tcrouter_shard_latency_seconds_bucket{shard=\"2\",le=\"+Inf\"}",
         "tcrouter_shards 3",
         "tcrouter_shards_down 0",
+        // Batch entries count under their own verbs, exactly as on the
+        // daemon: the four GETs above (2 QBA, 1 QBP, 1 QUERY) plus the
+        // batch's QBA and QBP entries, and the batch itself once.
+        "tcrouter_requests_total{verb=\"qba\"} 3\n",
+        "tcrouter_requests_total{verb=\"qbp\"} 2\n",
+        "tcrouter_requests_total{verb=\"query\"} 1\n",
+        "tcrouter_requests_total{verb=\"batch\"} 1\n",
+        "tcrouter_request_latency_seconds_count{verb=\"qbp\"} 2\n",
     ] {
         assert!(text.contains(needle), "missing {needle} in:\n{text}");
     }
@@ -300,4 +317,185 @@ fn reload_swaps_the_map_and_survives_a_corrupt_one() {
         d.thread.join().unwrap();
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A pooled shard connection the daemon has idled out must not surface:
+/// the daemon's parting `ERR session idle timeout` line used to be read
+/// as the next request's answer (a `500`), and the dead socket, checked
+/// back in, broke the request after it (a `503`) — from healthy shards.
+#[test]
+fn stale_pooled_connections_are_retried_not_surfaced() {
+    let tree = sample_tree();
+    let (map, daemons) = boot_shards_with(
+        &tree,
+        2,
+        ServeConfig {
+            idle_timeout: Some(Duration::from_millis(400)),
+            ..ServeConfig::default()
+        },
+    );
+    let gateway = boot_router(map, RouterConfig::default());
+
+    // Pool one connection per shard, then let both daemons idle them out.
+    let (status, _, body) = raw_get(&gateway.addr, "/qbp?items=-");
+    assert_eq!(status, 200, "{body}");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while daemons.iter().any(|d| d.handle.stats().timeouts == 0) {
+        assert!(Instant::now() < deadline, "shards never idled the pool out");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    for i in 0..4 {
+        let (status, _, body) = raw_get(&gateway.addr, "/qbp?items=-");
+        assert_eq!(status, 200, "request {i} after the idle-out: {body}");
+    }
+    // The shards were healthy throughout: nothing counts as a shard error.
+    let metrics = gateway.handle.prometheus();
+    for shard in 0..2 {
+        let needle = format!("tcrouter_shard_errors_total{{shard=\"{shard}\"}} 0\n");
+        assert!(metrics.contains(&needle), "{metrics}");
+    }
+    assert!(metrics.contains("tcrouter_shards_down 0\n"), "{metrics}");
+
+    gateway.handle.shutdown();
+    gateway.thread.join().unwrap();
+    for d in daemons {
+        d.handle.shutdown();
+        d.thread.join().unwrap();
+    }
+}
+
+/// One HTTP response off a raw byte stream.
+#[derive(Debug, PartialEq)]
+struct RawResponse {
+    status_line: String,
+    /// Every header but `Content-Length` (checked against the body
+    /// instead: `secs` renders at different widths).
+    headers: Vec<String>,
+    body: String,
+}
+
+/// Writes `payload`, reads to EOF, and splits what came back into
+/// responses, with each body's `secs` value blanked.
+fn raw_exchange(addr: &str, payload: &[u8]) -> Vec<RawResponse> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(payload).unwrap();
+    let mut bytes = Vec::new();
+    // A `400` closes with request bytes unread, which may reset the
+    // connection after the response arrived: keep what was read.
+    let _ = stream.read_to_end(&mut bytes);
+    let mut rest = String::from_utf8(bytes).unwrap();
+    let mut responses = Vec::new();
+    while !rest.is_empty() {
+        let (head, tail) = rest.split_once("\r\n\r\n").expect("complete response head");
+        let mut lines = head.split("\r\n").map(str::to_string);
+        let status_line = lines.next().unwrap();
+        let (length, headers): (Vec<String>, Vec<String>) =
+            lines.partition(|l| l.starts_with("Content-Length: "));
+        let length: usize = length[0]["Content-Length: ".len()..].parse().unwrap();
+        let (body, tail) = tail.split_at(length);
+        // Blank every timing (a batch body has one per entry).
+        let body = body
+            .split("\"secs\":")
+            .enumerate()
+            .map(|(i, part)| match (i, part.split_once(',')) {
+                (0, _) | (_, None) => part.to_string(),
+                (_, Some((_, after))) => format!("\"secs\":_,{after}"),
+            })
+            .collect();
+        responses.push(RawResponse {
+            status_line,
+            headers,
+            body,
+        });
+        rest = tail.to_string();
+    }
+    responses
+}
+
+/// The router's front end *is* the daemon's: the same raw request bytes —
+/// every malformed-input case of tc-serve's gateway tests included — draw
+/// byte-identical status lines, headers and bodies (modulo `secs`) from a
+/// daemon and from a router over a 1-way split of the same tree.
+#[test]
+fn daemon_and_one_shard_router_answer_raw_bytes_identically() {
+    let tree = sample_tree();
+    let daemon_over = |cfg: ServeConfig| {
+        let server = Server::bind(segment(&tree), "127.0.0.1:0", cfg).unwrap();
+        let addr = server.local_http_addr().unwrap().unwrap().to_string();
+        let handle = server.handle();
+        let thread = std::thread::spawn(move || {
+            server.run().unwrap();
+        });
+        (addr, Daemon { handle, thread })
+    };
+    let with_http = ServeConfig {
+        http_addr: Some("127.0.0.1:0".to_string()),
+        ..ServeConfig::default()
+    };
+    let (map, shards) = boot_shards(&tree, 1);
+    let (daemon_addr, daemon) = daemon_over(with_http.clone());
+    let gateway = boot_router(map.clone(), RouterConfig::default());
+
+    for case in common::raw_cases() {
+        let from_daemon = raw_exchange(&daemon_addr, &case.payload);
+        let from_router = raw_exchange(&gateway.addr, &case.payload);
+        let statuses: Vec<u16> = from_daemon
+            .iter()
+            .map(|r| r.status_line.split(' ').nth(1).unwrap().parse().unwrap())
+            .collect();
+        assert_eq!(statuses, case.statuses, "{}", case.name);
+        assert_eq!(from_daemon, from_router, "{}", case.name);
+    }
+
+    // Rate limiting: a burst of two, the third request refused, the
+    // introspection endpoints exempt (their bodies are each daemon's own,
+    // so only their status lines and headers compare).
+    let limit = Some(tc_serve::RateLimit {
+        per_sec: 0.001, // effectively no refill within the test
+        burst: 2.0,
+    });
+    let (limited_addr, limited_daemon) = daemon_over(ServeConfig {
+        rate_limit: limit,
+        ..with_http
+    });
+    let limited_gateway = boot_router(
+        map,
+        RouterConfig {
+            rate_limit: limit,
+            ..RouterConfig::default()
+        },
+    );
+    let burst = b"GET /qba?alpha=0 HTTP/1.1\r\n\r\nGET /qbp?items=0 HTTP/1.1\r\n\r\n\
+                  GET /qba?alpha=0 HTTP/1.1\r\n\r\nGET /healthz HTTP/1.1\r\n\r\n\
+                  GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n";
+    let mut from_daemon = raw_exchange(&limited_addr, burst);
+    let mut from_router = raw_exchange(&limited_gateway.addr, burst);
+    let lines: Vec<&str> = from_daemon.iter().map(|r| r.status_line.as_str()).collect();
+    assert_eq!(
+        lines,
+        [
+            "HTTP/1.1 200 OK",
+            "HTTP/1.1 200 OK",
+            "HTTP/1.1 429 Too Many Requests",
+            "HTTP/1.1 200 OK",
+            "HTTP/1.1 200 OK"
+        ]
+    );
+    for r in from_daemon[3..].iter_mut().chain(&mut from_router[3..]) {
+        r.body.clear();
+    }
+    assert_eq!(from_daemon, from_router);
+
+    for g in [gateway, limited_gateway] {
+        g.handle.shutdown();
+        g.thread.join().unwrap();
+    }
+    for d in shards.into_iter().chain([daemon, limited_daemon]) {
+        d.handle.shutdown();
+        d.thread.join().unwrap();
+    }
 }

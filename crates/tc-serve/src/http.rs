@@ -45,13 +45,13 @@
 //! worker: all reads are capped and tick against the shutdown flag and
 //! idle timeout, exactly like the line protocol.
 
-use crate::protocol::{encode_error, parse_alpha, parse_items, QueryResponse};
-use crate::server::{pattern_of, Inner, READ_TICK};
+use crate::backend::{Answer, Backend, QuerySpec};
+use crate::protocol::{encode_error, parse_alpha, parse_items};
+use crate::server::{idle_timeout_error, Core, ReadStop, TickReader, Wire};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
-use std::time::Duration;
-use tc_store::SegmentTcTree;
+use std::time::{Duration, Instant};
 use tc_util::json::{parse as parse_json, JsonValue};
 
 /// Longest accepted request or header line, in bytes.
@@ -68,9 +68,11 @@ const CT_JSON: &str = "application/json";
 /// The Prometheus text exposition content type.
 const CT_METRICS: &str = "text/plain; version=0.0.4";
 
-/// Reason phrase for every status code the gateway (and the tc-router
-/// fan-out tier, which reuses this exposition surface) can emit.
-pub fn reason_phrase(code: u16) -> &'static str {
+/// The header naming the shards a partial answer is missing.
+const PARTIAL_HEADER: &str = "X-TC-Partial-Shards";
+
+/// Reason phrase for every status code the gateway can emit.
+fn reason_phrase(code: u16) -> &'static str {
     match code {
         200 => "OK",
         400 => "Bad Request",
@@ -83,200 +85,99 @@ pub fn reason_phrase(code: u16) -> &'static str {
     }
 }
 
+/// One routed response: status, body, and — for an answer served around
+/// down shards — their ids, surfaced in [`PARTIAL_HEADER`].
+struct Reply {
+    code: u16,
+    content_type: &'static str,
+    body: String,
+    missing: Vec<u32>,
+}
+
+impl Reply {
+    fn new(code: u16, content_type: &'static str, body: String) -> Reply {
+        Reply {
+            code,
+            content_type,
+            body,
+            missing: Vec::new(),
+        }
+    }
+
+    /// A JSON error body (the trailing newline is cosmetic for `curl`;
+    /// bodies are length-delimited).
+    fn error(code: u16, msg: &str) -> Reply {
+        Reply::new(code, CT_JSON, encode_error(msg, true))
+    }
+}
+
 /// Writes one complete response and counts it. `close` adds
 /// `Connection: close`; the caller must then end the session.
-fn respond(
-    inner: &Inner,
+fn respond<B: Backend>(
+    core: &Core<B>,
     stream: &mut TcpStream,
-    code: u16,
-    content_type: &str,
-    body: &str,
+    reply: &Reply,
     close: bool,
 ) -> std::io::Result<()> {
     let mut head = format!(
-        "HTTP/1.1 {code} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n",
-        reason_phrase(code),
-        body.len()
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
+        reply.code,
+        reason_phrase(reply.code),
+        reply.content_type,
+        reply.body.len()
     );
-    if code == 429 || code == 503 {
+    if reply.code == 429 || reply.code == 503 {
         head.push_str("Retry-After: 1\r\n");
+    }
+    if !reply.missing.is_empty() {
+        let ids: Vec<String> = reply.missing.iter().map(u32::to_string).collect();
+        head.push_str(&format!("{PARTIAL_HEADER}: {}\r\n", ids.join(",")));
     }
     if close {
         head.push_str("Connection: close\r\n");
     }
     head.push_str("\r\n");
-    inner.metrics.count_http_response(code);
+    core.metrics.count_http_response(reply.code);
     stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())
+    stream.write_all(reply.body.as_bytes())
 }
 
-/// The admission-control rejection, written straight from the accept
-/// loop (the session was never queued, so no worker is involved).
-pub(crate) fn write_busy_503(
-    inner: &Inner,
+impl<B: Backend> Wire<B> {
+    /// The HTTP/JSON gateway: the rate limit is charged per request, and
+    /// an admission refusal is a `503` written straight from the accept
+    /// loop (the session was never queued, so no worker is involved).
+    pub const HTTP: Wire<B> = Wire {
+        serve: serve_session,
+        refuse: |core, stream, reason| respond(core, stream, &Reply::error(503, reason), true),
+        rate_per_connection: false,
+    };
+}
+
+/// Answers a malformed request with [`param_error`] and closes the
+/// connection (framing may be lost).
+fn bad_request<B: Backend>(
+    core: &Core<B>,
     stream: &mut TcpStream,
-    reason: &str,
+    msg: &str,
 ) -> std::io::Result<()> {
-    respond(inner, stream, 503, CT_JSON, &json_err(reason), true)
-}
-
-/// One-line JSON error body (no trailing newline lost — bodies are
-/// length-delimited, the newline is cosmetic for `curl`).
-fn json_err(msg: &str) -> String {
-    encode_error(msg, true)
-}
-
-/// A socket reader that ticks: blocked reads wake every [`READ_TICK`] to
-/// re-check the shutdown flag and the idle clock, so a byte-trickling or
-/// half-dead client can neither hang a worker nor survive shutdown.
-struct TickReader<'a> {
-    reader: BufReader<TcpStream>,
-    inner: &'a Inner,
-    idle: Duration,
-}
-
-/// Why a ticked read stopped short of data.
-enum ReadStop {
-    /// Clean end of stream before any byte of the current read.
-    Eof,
-    /// The daemon is shutting down; end the session quietly.
-    Shutdown,
-    /// The session idled past the configured timeout.
-    IdleTimeout,
-    /// The line outgrew [`MAX_LINE`].
-    TooLong,
-}
-
-impl TickReader<'_> {
-    /// Reads one `\n`-terminated line (CRLF tolerated), stripped. Every
-    /// read goes through a `take` bounded by the remaining line budget,
-    /// so a client streaming bytes with no newline can never buffer more
-    /// than `MAX_LINE + 2` bytes before the line is cut off as
-    /// [`ReadStop::TooLong`].
-    fn read_line(&mut self, line: &mut String) -> std::io::Result<Result<(), ReadStop>> {
-        line.clear();
-        let mut buf = Vec::new();
-        loop {
-            // Budget for the raw line including its CRLF terminator; the
-            // stripped line may be at most MAX_LINE bytes.
-            let budget = (MAX_LINE + 2).saturating_sub(buf.len()) as u64;
-            if budget == 0 {
-                return Ok(Err(ReadStop::TooLong));
-            }
-            match (&mut self.reader).take(budget).read_until(b'\n', &mut buf) {
-                Ok(0) => {
-                    return Ok(Err(if buf.is_empty() {
-                        ReadStop::Eof
-                    } else {
-                        ReadStop::Shutdown // mid-line EOF: nothing to answer
-                    }));
-                }
-                Ok(_) => {
-                    if buf.last() != Some(&b'\n') {
-                        continue; // budget spent mid-line → TooLong above
-                    }
-                    self.idle = Duration::ZERO;
-                    while matches!(buf.last(), Some(b'\n' | b'\r')) {
-                        buf.pop();
-                    }
-                    if buf.len() > MAX_LINE {
-                        return Ok(Err(ReadStop::TooLong));
-                    }
-                    let text = std::str::from_utf8(&buf)
-                        .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e))?;
-                    line.push_str(text);
-                    return Ok(Ok(()));
-                }
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    if let Some(stop) = self.tick()? {
-                        return Ok(Err(stop));
-                    }
-                    // Partial bytes already in `buf` survive the retry,
-                    // but only a complete line resets the idle clock.
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Reads exactly `len` body bytes.
-    fn read_exact(&mut self, buf: &mut [u8]) -> std::io::Result<Result<(), ReadStop>> {
-        let mut filled = 0;
-        while filled < buf.len() {
-            match self.reader.read(&mut buf[filled..]) {
-                Ok(0) => return Ok(Err(ReadStop::Eof)),
-                Ok(n) => {
-                    filled += n;
-                    self.idle = Duration::ZERO;
-                }
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    if let Some(stop) = self.tick()? {
-                        return Ok(Err(stop));
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(Ok(()))
-    }
-
-    /// One timeout tick: advances the idle clock, reports shutdown or
-    /// idle expiry.
-    fn tick(&mut self) -> std::io::Result<Option<ReadStop>> {
-        if self.inner.shutdown.load(Ordering::SeqCst) {
-            return Ok(Some(ReadStop::Shutdown));
-        }
-        self.idle += READ_TICK;
-        if let Some(limit) = self.inner.cfg.idle_timeout {
-            if self.idle >= limit {
-                return Ok(Some(ReadStop::IdleTimeout));
-            }
-        }
-        Ok(None)
-    }
+    respond(core, stream, &param_error(core, msg), true)
 }
 
 /// Serves one admitted HTTP connection (keep-alive: many requests) until
 /// the client closes, an error closes it, or shutdown drains it.
-pub(crate) fn serve_http_session(inner: &Inner, stream: TcpStream) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(READ_TICK))?;
-    stream.set_write_timeout(Some(Duration::from_secs(10)))?;
-    stream.set_nodelay(true)?;
-    let mut reader = TickReader {
-        reader: BufReader::new(stream.try_clone()?),
-        inner,
-        idle: Duration::ZERO,
-    };
-    let mut stream = stream;
+fn serve_session<B: Backend>(core: &Core<B>, mut stream: TcpStream) -> std::io::Result<()> {
+    let mut reader = TickReader::new(core, &stream)?;
     let client_ip = stream.peer_addr().ok().map(|a| a.ip());
 
     let mut line = String::new();
+    let mut header = String::new();
     loop {
-        match reader.read_line(&mut line)? {
+        match reader.read_line(&mut line, MAX_LINE)? {
             Ok(()) => {}
-            Err(ReadStop::Eof | ReadStop::Shutdown) => return Ok(()),
-            Err(ReadStop::IdleTimeout) => {
-                return Err(std::io::Error::new(
-                    ErrorKind::TimedOut,
-                    "session idle timeout",
-                ));
-            }
+            Err(ReadStop::Closed) => return Ok(()),
+            Err(ReadStop::IdleTimeout) => return Err(idle_timeout_error()),
             Err(ReadStop::TooLong) => {
-                inner
-                    .metrics
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                respond(
-                    inner,
-                    &mut stream,
-                    400,
-                    CT_JSON,
-                    &json_err("request line too long"),
-                    true,
-                )?;
-                return Ok(());
+                return bad_request(core, &mut stream, "request line too long")
             }
         }
         if line.is_empty() {
@@ -284,73 +185,51 @@ pub(crate) fn serve_http_session(inner: &Inner, stream: TcpStream) -> std::io::R
         }
 
         // ---- request line -------------------------------------------------
-        let bad_request = |inner: &Inner, stream: &mut TcpStream, msg: &str| {
-            inner
-                .metrics
-                .protocol_errors
-                .fetch_add(1, Ordering::Relaxed);
-            respond(inner, stream, 400, CT_JSON, &json_err(msg), true)
-        };
         let parts: Vec<&str> = line.split(' ').filter(|t| !t.is_empty()).collect();
         let [method, target, version] = parts.as_slice() else {
-            bad_request(inner, &mut stream, "malformed request line")?;
-            return Ok(());
+            return bad_request(core, &mut stream, "malformed request line");
         };
         if !version.starts_with("HTTP/1.") {
-            bad_request(inner, &mut stream, "only HTTP/1.0 and HTTP/1.1 are spoken")?;
-            return Ok(());
+            return bad_request(core, &mut stream, "only HTTP/1.0 and HTTP/1.1 are spoken");
         }
-        let (method, target, version) = (method.to_string(), target.to_string(), *version);
-        let http10 = version == "HTTP/1.0";
+        let http10 = *version == "HTTP/1.0";
 
         // ---- headers ------------------------------------------------------
         let mut content_length: usize = 0;
         let mut connection = String::new();
         let mut header_count = 0usize;
-        let mut header = String::new();
         loop {
-            match reader.read_line(&mut header)? {
+            match reader.read_line(&mut header, MAX_LINE)? {
                 Ok(()) => {}
                 Err(ReadStop::TooLong) => {
-                    bad_request(inner, &mut stream, "header line too long")?;
-                    return Ok(());
+                    return bad_request(core, &mut stream, "header line too long")
                 }
-                Err(ReadStop::IdleTimeout) => {
-                    return Err(std::io::Error::new(
-                        ErrorKind::TimedOut,
-                        "session idle timeout",
-                    ));
-                }
-                Err(_) => return Ok(()), // EOF/shutdown mid-headers
+                Err(ReadStop::IdleTimeout) => return Err(idle_timeout_error()),
+                Err(ReadStop::Closed) => return Ok(()), // mid-headers
             }
             if header.is_empty() {
                 break;
             }
             header_count += 1;
             if header_count > MAX_HEADERS {
-                bad_request(inner, &mut stream, "too many headers")?;
-                return Ok(());
+                return bad_request(core, &mut stream, "too many headers");
             }
             let Some((name, value)) = header.split_once(':') else {
-                bad_request(inner, &mut stream, "malformed header line")?;
-                return Ok(());
+                return bad_request(core, &mut stream, "malformed header line");
             };
-            let name = name.trim().to_ascii_lowercase();
             let value = value.trim();
-            match name.as_str() {
+            match name.trim().to_ascii_lowercase().as_str() {
                 "content-length" => {
                     let Ok(n) = value.parse::<usize>() else {
-                        bad_request(inner, &mut stream, "bad Content-Length")?;
-                        return Ok(());
+                        return bad_request(core, &mut stream, "bad Content-Length");
                     };
                     content_length = n;
                 }
                 "connection" => connection = value.to_ascii_lowercase(),
+                // Chunked bodies are out of grammar; refuse rather than
+                // desynchronise on framing we don't implement.
                 "transfer-encoding" => {
-                    // Chunked bodies are out of grammar; refuse rather
-                    // than desynchronise on framing we don't implement.
-                    bad_request(inner, &mut stream, "Transfer-Encoding is not supported")?;
-                    return Ok(());
+                    return bad_request(core, &mut stream, "Transfer-Encoding is not supported")
                 }
                 _ => {}
             }
@@ -358,31 +237,16 @@ pub(crate) fn serve_http_session(inner: &Inner, stream: TcpStream) -> std::io::R
 
         // ---- body ---------------------------------------------------------
         if content_length > MAX_BODY {
-            inner
-                .metrics
-                .protocol_errors
-                .fetch_add(1, Ordering::Relaxed);
-            respond(
-                inner,
-                &mut stream,
-                413,
-                CT_JSON,
-                &json_err(&format!("body exceeds {MAX_BODY} bytes")),
-                true,
-            )?;
-            return Ok(());
+            core.protocol_error();
+            let reply = Reply::error(413, &format!("body exceeds {MAX_BODY} bytes"));
+            return respond(core, &mut stream, &reply, true);
         }
-        let mut body_bytes = vec![0u8; content_length];
+        let mut body = vec![0u8; content_length];
         if content_length > 0 {
-            match reader.read_exact(&mut body_bytes)? {
+            match reader.read_exact(&mut body)? {
                 Ok(()) => {}
-                Err(ReadStop::IdleTimeout) => {
-                    return Err(std::io::Error::new(
-                        ErrorKind::TimedOut,
-                        "session idle timeout",
-                    ));
-                }
-                Err(_) => return Ok(()), // EOF/shutdown mid-body
+                Err(ReadStop::IdleTimeout) => return Err(idle_timeout_error()),
+                Err(_) => return Ok(()), // closed mid-body
             }
         }
 
@@ -392,98 +256,45 @@ pub(crate) fn serve_http_session(inner: &Inner, stream: TcpStream) -> std::io::R
         // Introspection endpoints are exempt: a throttled client must
         // still be observable, and scrapers must never be starved by a
         // noisy co-tenant behind the same IP.
-        let introspection = {
-            let path = target.split('?').next().unwrap_or("");
-            path == "/healthz" || path == "/metrics"
-        };
-        if !introspection {
-            if let Some(ip) = client_ip {
-                if !inner.within_rate(ip) {
-                    respond(
-                        inner,
-                        &mut stream,
-                        429,
-                        CT_JSON,
-                        &json_err("per-client rate limit exceeded"),
-                        close_after,
-                    )?;
-                    if close_after {
-                        return Ok(());
-                    }
-                    continue;
-                }
+        let path = target.split('?').next().unwrap_or("");
+        let introspection = path == "/healthz" || path == "/metrics";
+        let reply = match client_ip {
+            Some(ip) if !introspection && !core.within_rate(ip) => {
+                Reply::error(429, "per-client rate limit exceeded")
             }
-        }
-
-        // ---- route --------------------------------------------------------
-        let (code, content_type, response_body) = route(inner, &method, &target, &body_bytes);
-        let close = close_after || code == 400;
-        respond(
-            inner,
-            &mut stream,
-            code,
-            content_type,
-            &response_body,
-            close,
-        )?;
-        if close {
-            return Ok(());
-        }
-        if inner.shutdown.load(Ordering::SeqCst) {
+            _ => route(core, method, target, &body),
+        };
+        let close = close_after || reply.code == 400;
+        respond(core, &mut stream, &reply, close)?;
+        if close || core.is_shutting_down() {
             return Ok(());
         }
     }
 }
 
-/// Dispatches one parsed request to its handler. Returns
-/// `(status, content type, body)`.
-fn route(inner: &Inner, method: &str, target: &str, body: &[u8]) -> (u16, &'static str, String) {
+/// Dispatches one parsed request to its handler.
+fn route<B: Backend>(core: &Core<B>, method: &str, target: &str, body: &[u8]) -> Reply {
     let (path, query_string) = match target.split_once('?') {
         Some((p, q)) => (p, q),
         None => (target, ""),
     };
     if target.contains('%') {
-        inner
-            .metrics
-            .protocol_errors
-            .fetch_add(1, Ordering::Relaxed);
-        return (
-            400,
-            CT_JSON,
-            json_err("percent-encoding is not used by this API"),
-        );
+        return param_error(core, "percent-encoding is not used by this API");
     }
     match (method, path) {
         ("GET", "/healthz") => {
-            inner.metrics.stats.fetch_add(1, Ordering::Relaxed);
-            let tree = inner.tree.load();
-            (
-                200,
-                CT_JSON,
-                format!(
-                    "{{\"status\":\"ok\",\"nodes\":{},\"materialized\":{},\"cache_bytes_used\":{},\"alpha_star\":{}}}\n",
-                    tree.num_nodes(),
-                    tree.materialized_nodes(),
-                    tree.cache_stats().bytes_used,
-                    tree.alpha_upper_bound()
-                ),
-            )
+            core.metrics.stats.fetch_add(1, Ordering::Relaxed);
+            let body = core.backend.healthz(&core.backend.snapshot());
+            Reply::new(200, CT_JSON, body)
         }
-        ("GET", "/metrics") => {
-            let tree = inner.tree.load();
-            let text = inner.metrics.render_prometheus(
-                inner.inflight.load(Ordering::SeqCst) as u64,
-                crate::metrics::TreeGauges::of(&tree),
-            );
-            (200, CT_METRICS, text)
-        }
+        ("GET", "/metrics") => Reply::new(200, CT_METRICS, core.render_metrics()),
         ("GET", "/qba") => match require_param(query_string, "alpha").and_then(parse_alpha) {
-            Ok(alpha) => run_query(inner, QuerySpec::Qba(alpha)),
-            Err(msg) => param_error(inner, &msg),
+            Ok(alpha) => run_query(core, QuerySpec::Qba(alpha)),
+            Err(msg) => param_error(core, &msg),
         },
         ("GET", "/qbp") => match require_param(query_string, "items").and_then(parse_items_qs) {
-            Ok(items) => run_query(inner, QuerySpec::Qbp(items)),
-            Err(msg) => param_error(inner, &msg),
+            Ok(items) => run_query(core, QuerySpec::Qbp(items)),
+            Err(msg) => param_error(core, &msg),
         },
         ("GET", "/query") => {
             let parsed = require_param(query_string, "items")
@@ -494,30 +305,26 @@ fn route(inner: &Inner, method: &str, target: &str, body: &[u8]) -> (u16, &'stat
                         .map(|alpha| (items, alpha))
                 });
             match parsed {
-                Ok((items, alpha)) => run_query(inner, QuerySpec::Query(items, alpha)),
-                Err(msg) => param_error(inner, &msg),
+                Ok((items, alpha)) => run_query(core, QuerySpec::Query(items, alpha)),
+                Err(msg) => param_error(core, &msg),
             }
         }
-        ("POST", "/query") => handle_batch(inner, body),
-        (_, "/healthz" | "/metrics" | "/qba" | "/qbp" | "/query") => (
-            405,
-            CT_JSON,
-            json_err(&format!("{method} not allowed here")),
-        ),
-        _ => (404, CT_JSON, json_err(&format!("no such endpoint {path}"))),
+        ("POST", "/query") => handle_batch(core, body),
+        (_, "/healthz" | "/metrics" | "/qba" | "/qbp" | "/query") => {
+            Reply::error(405, &format!("{method} not allowed here"))
+        }
+        _ => Reply::error(404, &format!("no such endpoint {path}")),
     }
 }
 
-fn param_error(inner: &Inner, msg: &str) -> (u16, &'static str, String) {
-    inner
-        .metrics
-        .protocol_errors
-        .fetch_add(1, Ordering::Relaxed);
-    (400, CT_JSON, json_err(msg))
+/// Counts a malformed request and words its `400`.
+fn param_error<B: Backend>(core: &Core<B>, msg: &str) -> Reply {
+    core.protocol_error();
+    Reply::error(400, msg)
 }
 
 /// Finds `name` in a raw query string (`k=v&k=v`, no decoding).
-pub fn require_param<'a>(query_string: &'a str, name: &str) -> Result<&'a str, String> {
+fn require_param<'a>(query_string: &'a str, name: &str) -> Result<&'a str, String> {
     query_string
         .split('&')
         .find_map(|pair| match pair.split_once('=') {
@@ -529,107 +336,73 @@ pub fn require_param<'a>(query_string: &'a str, name: &str) -> Result<&'a str, S
 
 /// `items=` accepts the same grammar as the line protocol, plus the bare
 /// empty value as a second spelling of the empty pattern.
-pub fn parse_items_qs(raw: &str) -> Result<Vec<u32>, String> {
+fn parse_items_qs(raw: &str) -> Result<Vec<u32>, String> {
     if raw.is_empty() {
         return Ok(Vec::new());
     }
     parse_items(raw)
 }
 
-/// One query, after parameter validation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum QuerySpec {
-    /// Query-by-alpha: every theme community with cohesion > alpha.
-    Qba(f64),
-    /// Query-by-pattern: every theme community whose pattern covers
-    /// the given items.
-    Qbp(Vec<u32>),
-    /// The combined form: pattern plus alpha threshold.
-    Query(Vec<u32>, f64),
-}
-
-/// Runs one query against the current snapshot, counting verb, latency,
-/// and failure exactly like the line protocol does.
-fn run_query(inner: &Inner, spec: QuerySpec) -> (u16, &'static str, String) {
-    let tree = inner.tree.load();
-    match execute(inner, &tree, &spec) {
-        Ok(obj) => (200, CT_JSON, obj + "\n"),
-        Err(msg) => (500, CT_JSON, json_err(&msg)),
-    }
-}
-
-/// Executes `spec` against `tree`; `Ok` is the response JSON object
-/// (no trailing newline), `Err` the server-side failure message.
-fn execute(inner: &Inner, tree: &SegmentTcTree, spec: &QuerySpec) -> Result<String, String> {
-    let m = &inner.metrics;
-    let (result, hist) = match spec {
-        QuerySpec::Qba(alpha) => {
-            m.qba.fetch_add(1, Ordering::Relaxed);
-            (tree.query_by_alpha(*alpha), &m.qba_latency)
-        }
-        QuerySpec::Qbp(items) => {
-            m.qbp.fetch_add(1, Ordering::Relaxed);
-            (tree.query_by_pattern(&pattern_of(items)), &m.qbp_latency)
-        }
-        QuerySpec::Query(items, alpha) => {
-            m.query.fetch_add(1, Ordering::Relaxed);
-            (tree.query(&pattern_of(items), *alpha), &m.query_latency)
-        }
-    };
-    match result {
-        Ok(r) => {
-            hist.observe(r.elapsed_secs);
-            Ok(QueryResponse::from_result(&r).json_object())
-        }
-        Err(e) => {
-            m.query_failures.fetch_add(1, Ordering::Relaxed);
-            Err(e.to_string())
-        }
+/// Runs one query against the current snapshot.
+fn run_query<B: Backend>(core: &Core<B>, spec: QuerySpec) -> Reply {
+    match core.execute(&core.backend.snapshot(), &spec) {
+        Answer::Ok(resp, missing) => Reply {
+            missing,
+            ..Reply::new(200, CT_JSON, resp.encode_json())
+        },
+        Answer::Err(code, msg) => Reply::error(code, &msg),
     }
 }
 
 /// `POST /query`: parse the whole batch up front (reject it atomically on
-/// any malformed entry), then execute in order against one snapshot.
-fn handle_batch(inner: &Inner, body: &[u8]) -> (u16, &'static str, String) {
-    let started = std::time::Instant::now();
+/// any malformed entry), then execute in order against one snapshot. A
+/// failed entry — or, on a strict router, one whose shard is down — fails
+/// inline without voiding the rest of the batch the client pipelined with
+/// it; entries answered around down shards put the union of those shards
+/// in [`PARTIAL_HEADER`].
+fn handle_batch<B: Backend>(core: &Core<B>, body: &[u8]) -> Reply {
+    let started = Instant::now();
     let Ok(text) = std::str::from_utf8(body) else {
-        return param_error(inner, "body is not UTF-8");
+        return param_error(core, "body is not UTF-8");
     };
     let specs = match parse_batch_specs(text) {
         Ok(specs) => specs,
-        Err(msg) => return param_error(inner, &msg),
+        Err(msg) => return param_error(core, &msg),
     };
-    inner.metrics.batch.fetch_add(1, Ordering::Relaxed);
+    core.metrics.batch.fetch_add(1, Ordering::Relaxed);
     // One snapshot for the whole batch: a hot reload landing mid-batch
-    // never mixes segments inside one response.
-    let tree = inner.tree.load();
+    // never mixes segments (or shard layouts) inside one response.
+    let snapshot = core.backend.snapshot();
     let mut results = String::new();
+    let mut all_missing: Vec<u32> = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
         if i > 0 {
             results.push(',');
         }
-        match execute(inner, &tree, spec) {
-            Ok(obj) => results.push_str(&obj),
-            Err(msg) => {
-                // Inline error object: one bad query must not void the
-                // rest of the batch the client pipelined with it.
-                let err = json_err(&msg);
-                results.push_str(err.trim_end());
+        match core.execute(&snapshot, spec) {
+            Answer::Ok(resp, missing) => {
+                results.push_str(&resp.json_object());
+                all_missing.extend(missing);
             }
+            Answer::Err(_, msg) => results.push_str(encode_error(&msg, true).trim_end()),
         }
     }
-    inner
-        .metrics
+    core.metrics
         .batch_latency
         .observe(started.elapsed().as_secs_f64());
-    (
-        200,
-        CT_JSON,
-        format!(
-            "{{\"status\":\"ok\",\"count\":{},\"results\":[{results}]}}\n",
-            specs.len()
-        ),
-    )
+    all_missing.sort_unstable();
+    all_missing.dedup();
+    Reply {
+        missing: all_missing,
+        ..Reply::new(
+            200,
+            CT_JSON,
+            format!(
+                "{{\"status\":\"ok\",\"count\":{},\"results\":[{results}]}}\n",
+                specs.len()
+            ),
+        )
+    }
 }
 
 /// Parses a batch body into query specs: a bare array or

@@ -9,17 +9,23 @@
 //! * [`protocol`] — the wire grammar: versioned greeting, the
 //!   `QBA`/`QBP`/`QUERY`/`STATS`/`QUIT`/`SHUTDOWN` verbs, tab-separated
 //!   and JSON response encodings, parsers for both directions;
-//! * [`server`] — the daemon: a worker pool with **bounded admission**
-//!   (`max_inflight` sessions; overload is answered with an explicit
-//!   `BUSY` greeting, never unbounded queueing), per-verb counters, and
-//!   graceful shutdown on SIGTERM / the `SHUTDOWN` verb;
+//! * [`server`] — the front end every daemon shares: listeners, a worker
+//!   pool with **bounded admission** (`max_inflight` sessions; overload
+//!   is answered with an explicit `BUSY` greeting / `503`, never
+//!   unbounded queueing), the ticked socket reader, and graceful
+//!   shutdown on SIGTERM / the `SHUTDOWN` verb;
+//! * [`backend`] — the [`Backend`] trait the front end answers from,
+//!   implemented by [`local::LocalTree`] here and by `tc-router`'s
+//!   scatter/merge;
+//! * [`local`] — `tc serve` itself: the local-tree backend, its
+//!   configuration, and the line-protocol session;
 //! * [`client`] — a blocking session client, reused by
 //!   `tc query --remote`, `tc-bench`'s `serve_bench` sweep, and CI;
 //! * [`http`] — the HTTP/1.1 + JSON gateway (`GET /qba`, `GET /qbp`,
 //!   `POST /query` batches, `GET /healthz`, `GET /metrics`), sharing the
 //!   same pool, admission bound, and counters;
 //! * [`metrics`] — the shared counters, per-verb latency histograms, and
-//!   the Prometheus text exposition behind `GET /metrics`;
+//!   the Prometheus text writer behind `GET /metrics`;
 //! * [`limit`] — per-client token-bucket rate limiting layered on the
 //!   global inflight bound;
 //! * [`reload`] — `SIGHUP` / handle-driven segment hot-reload: open and
@@ -61,21 +67,22 @@
 //! daemon.join().unwrap();
 //! ```
 
+pub mod backend;
 pub mod client;
 pub mod http;
 pub mod limit;
+pub mod local;
 pub mod metrics;
 pub mod protocol;
 pub mod reload;
 pub mod server;
 
+pub use backend::{Answer, Backend, QuerySpec};
 pub use client::{ClientError, RemoteResult, RetryPolicy, ServeClient};
-pub use http::{HttpClient, HttpResponse, QuerySpec};
+pub use http::{HttpClient, HttpResponse};
 pub use limit::{RateLimit, RateLimiter};
-pub use metrics::{Histogram, Metrics};
+pub use local::{LocalTree, ServeConfig, Server, ServerHandle};
+pub use metrics::{Exposition, Histogram, Metrics};
 pub use protocol::{Greeting, QueryResponse, Request, TrussSummary, PROTOCOL_VERSION};
 pub use reload::TreeSlot;
-pub use server::{
-    install_signal_handlers, shutdown_signal_pending, take_reload_signal, ServeConfig, Server,
-    ServerHandle, StatsSnapshot,
-};
+pub use server::{install_signal_handlers, Admission, FrontEnd, Handle, StatsSnapshot, Wire};

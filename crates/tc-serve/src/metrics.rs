@@ -1,7 +1,8 @@
-//! Serving telemetry: the daemon's monotonic counters, per-verb latency
-//! histograms, and the Prometheus text exposition behind `GET /metrics`.
+//! Serving telemetry: the front end's monotonic counters, per-verb latency
+//! histograms, the [`Exposition`] writer behind every `GET /metrics`, and
+//! `tc serve`'s own `tcserve_*` metric table.
 //!
-//! One [`Metrics`] instance is shared by both front-ends (the TCP line
+//! One [`Metrics`] instance is shared by every listener (the TCP line
 //! protocol and the HTTP/JSON gateway), so `STATS`, `/metrics`, and
 //! `serve_bench` all read the same numbers — there is exactly one source
 //! of serving truth per daemon.
@@ -194,23 +195,36 @@ impl Metrics {
         self.http_responses[idx].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Renders the Prometheus text exposition (format version 0.0.4).
+    /// The `{code="…"}` series of an HTTP-responses counter family.
+    pub fn http_response_series(&self) -> Vec<(String, u64)> {
+        HTTP_CODES
+            .iter()
+            .zip(&self.http_responses)
+            .map(|(code, n)| (format!("{{code=\"{code}\"}}"), n.load(Ordering::Relaxed)))
+            .collect()
+    }
+
+    /// The `verb="…"` series of a request-latency histogram family.
+    pub fn verb_latency_series(&self) -> [(&'static str, &Histogram); 4] {
+        [
+            ("verb=\"qba\"", &self.qba_latency),
+            ("verb=\"qbp\"", &self.qbp_latency),
+            ("verb=\"query\"", &self.query_latency),
+            ("verb=\"batch\"", &self.batch_latency),
+        ]
+    }
+
+    /// Renders the `tcserve_*` Prometheus text exposition.
     ///
     /// Gauges that live outside the counter set (inflight sessions, tree
     /// geometry, node-cache state) are passed in by the caller holding
     /// the current tree snapshot.
     pub fn render_prometheus(&self, inflight: u64, tree: TreeGauges) -> String {
-        let mut out = String::with_capacity(4096);
-        let c = |out: &mut String, name: &str, help: &str, rows: &[(&str, u64)]| {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
-            for (labels, v) in rows {
-                out.push_str(&format!("{name}{labels} {v}\n"));
-            }
-        };
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        c(
-            &mut out,
+        let mut out = Exposition::default();
+        out.family(
             "tcserve_connections_total",
+            "counter",
             "Connections accepted, by admission outcome.",
             &[
                 ("{outcome=\"admitted\"}", load(&self.admitted)),
@@ -218,9 +232,9 @@ impl Metrics {
                 ("{outcome=\"rate_limited\"}", load(&self.rate_limited)),
             ],
         );
-        c(
-            &mut out,
+        out.family(
             "tcserve_requests_total",
+            "counter",
             "Requests served, by verb (both front-ends).",
             &[
                 ("{verb=\"qba\"}", load(&self.qba)),
@@ -230,9 +244,9 @@ impl Metrics {
                 ("{verb=\"batch\"}", load(&self.batch)),
             ],
         );
-        c(
-            &mut out,
+        out.family(
             "tcserve_errors_total",
+            "counter",
             "Failed requests, by failure kind.",
             &[
                 ("{kind=\"protocol\"}", load(&self.protocol_errors)),
@@ -240,125 +254,142 @@ impl Metrics {
                 ("{kind=\"timeout\"}", load(&self.timeouts)),
             ],
         );
-        let http_rows: Vec<(String, u64)> = HTTP_CODES
-            .iter()
-            .zip(&self.http_responses)
-            .map(|(code, n)| (format!("{{code=\"{code}\"}}"), n.load(Ordering::Relaxed)))
-            .collect();
-        let http_rows: Vec<(&str, u64)> = http_rows.iter().map(|(l, v)| (l.as_str(), *v)).collect();
-        c(
-            &mut out,
+        out.family(
             "tcserve_http_responses_total",
+            "counter",
             "HTTP responses sent, by status code.",
-            &http_rows,
+            &self.http_response_series(),
         );
-        c(
-            &mut out,
+        out.family(
             "tcserve_reloads_total",
+            "counter",
             "Segment hot-reloads completed without dropping sessions.",
             &[("", load(&self.reloads))],
         );
-        c(
-            &mut out,
+        out.family(
             "tcserve_reload_failures_total",
+            "counter",
             "Hot-reload attempts rejected at validation (old segment kept).",
             &[("", load(&self.reload_failures))],
         );
-        let g = |out: &mut String, name: &str, help: &str, v: u64| {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {v}\n"
-            ));
-        };
-        g(
-            &mut out,
+        out.family(
             "tcserve_inflight_sessions",
+            "gauge",
             "Sessions admitted but not yet finished.",
-            inflight,
+            &[("", inflight)],
         );
-        g(
-            &mut out,
+        out.family(
             "tcserve_tree_nodes",
+            "gauge",
             "TC-Tree nodes in the currently served segment.",
-            tree.nodes,
+            &[("", tree.nodes)],
         );
-        g(
-            &mut out,
+        out.family(
             "tcserve_tree_materialized_nodes",
+            "gauge",
             "TC-Tree nodes currently resident in the node cache (falls on eviction).",
-            tree.materialized,
+            &[("", tree.materialized)],
         );
-        c(
-            &mut out,
+        out.family(
             "tcserve_tree_materialized_total",
+            "counter",
             "Node materialisations since open (re-parses after eviction count again).",
             &[("", tree.materialized_total)],
         );
-        g(
-            &mut out,
+        out.family(
             "tcserve_cache_bytes_used",
+            "gauge",
             "Accounted bytes of resident truss decompositions.",
-            tree.cache_bytes_used,
+            &[("", tree.cache_bytes_used)],
         );
-        g(
-            &mut out,
+        out.family(
             "tcserve_cache_bytes_budget",
+            "gauge",
             "Configured node-cache byte budget (0 = unbounded).",
-            tree.cache_budget,
+            &[("", tree.cache_budget)],
         );
-        c(
-            &mut out,
+        out.family(
             "tcserve_cache_evictions_total",
+            "counter",
             "Nodes evicted by the cache's clock sweep.",
             &[("", tree.cache_evictions)],
         );
-        c(
-            &mut out,
+        out.family(
             "tcserve_cache_lookups_total",
+            "counter",
             "Node-cache lookups, by outcome.",
             &[
                 ("{outcome=\"hit\"}", tree.cache_hits),
                 ("{outcome=\"miss\"}", tree.cache_misses),
             ],
         );
-        out.push_str(&format!(
-            "# HELP tcserve_cache_hit_ratio Node-cache hit fraction in [0, 1] (1 before any lookup).\n\
-             # TYPE tcserve_cache_hit_ratio gauge\n\
-             tcserve_cache_hit_ratio {}\n",
-            tree.cache_hit_ratio()
-        ));
-        for (verb, h) in [
-            ("qba", &self.qba_latency),
-            ("qbp", &self.qbp_latency),
-            ("query", &self.query_latency),
-            ("batch", &self.batch_latency),
-        ] {
-            render_histogram(&mut out, verb, h);
-        }
-        out
+        out.family(
+            "tcserve_cache_hit_ratio",
+            "gauge",
+            "Node-cache hit fraction in [0, 1] (1 before any lookup).",
+            &[("", tree.cache_hit_ratio())],
+        );
+        out.histograms(
+            "tcserve_request_latency_seconds",
+            "Server-side request latency, by verb.",
+            &self.verb_latency_series(),
+        );
+        out.finish()
     }
 }
 
-/// Renders one labelled series of the shared latency histogram family.
-fn render_histogram(out: &mut String, verb: &str, h: &Histogram) {
-    const NAME: &str = "tcserve_request_latency_seconds";
-    // The HELP/TYPE header precedes the family's first series only.
-    if !out.contains(&format!("# TYPE {NAME} ")) {
-        out.push_str(&format!(
-            "# HELP {NAME} Server-side request latency, by verb.\n# TYPE {NAME} histogram\n"
-        ));
+/// A Prometheus text exposition (format version 0.0.4) under
+/// construction — the one writer both daemons' metric tables go through.
+#[derive(Debug, Default)]
+pub struct Exposition(String);
+
+impl Exposition {
+    /// Appends one counter or gauge family: its `HELP`/`TYPE` header, then
+    /// one sample per `(labels, value)` — `labels` is the braced label set
+    /// (`{verb="qba"}`) or empty.
+    pub fn family<L: std::fmt::Display, V: std::fmt::Display>(
+        &mut self,
+        name: &str,
+        kind: &str,
+        help: &str,
+        series: &[(L, V)],
+    ) {
+        let out = &mut self.0;
+        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+        for (labels, value) in series {
+            out.push_str(&format!("{name}{labels} {value}\n"));
+        }
     }
-    let cumulative = h.cumulative_buckets();
-    for (bound, cum) in LATENCY_BUCKETS_SECS.iter().zip(&cumulative) {
-        out.push_str(&format!(
-            "{NAME}_bucket{{verb=\"{verb}\",le=\"{bound}\"}} {cum}\n"
-        ));
+
+    /// Appends one histogram family: its header, then for each
+    /// `(label, histogram)` the cumulative `le` buckets, sum, and count —
+    /// `label` is one bare pair (`verb="qba"`).
+    pub fn histograms<L: std::fmt::Display>(
+        &mut self,
+        name: &str,
+        help: &str,
+        series: &[(L, &Histogram)],
+    ) {
+        let out = &mut self.0;
+        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
+        for (label, h) in series {
+            let cumulative = h.cumulative_buckets();
+            for (bound, cum) in LATENCY_BUCKETS_SECS.iter().zip(&cumulative) {
+                out.push_str(&format!("{name}_bucket{{{label},le=\"{bound}\"}} {cum}\n"));
+            }
+            out.push_str(&format!(
+                "{name}_bucket{{{label},le=\"+Inf\"}} {}\n",
+                cumulative.last().copied().unwrap_or(0)
+            ));
+            out.push_str(&format!("{name}_sum{{{label}}} {}\n", h.sum_secs()));
+            out.push_str(&format!("{name}_count{{{label}}} {}\n", h.count()));
+        }
     }
-    out.push_str(&format!(
-        "{NAME}_bucket{{verb=\"{verb}\",le=\"+Inf\"}} {}\n",
-        cumulative.last().copied().unwrap_or(0)
-    ));
-    out.push_str(&format!("{NAME}_sum{{verb=\"{verb}\"}} {}\n", h.sum_secs()));
-    out.push_str(&format!("{NAME}_count{{verb=\"{verb}\"}} {}\n", h.count()));
+
+    /// The finished exposition text.
+    pub fn finish(self) -> String {
+        self.0
+    }
 }
 
 #[cfg(test)]

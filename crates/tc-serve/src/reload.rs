@@ -15,7 +15,7 @@
 //! ## Trigger paths
 //!
 //! * `SIGHUP` → the accept loop notices the flag and calls
-//!   [`crate::server::ServerHandle::reload`] on a detached thread;
+//!   [`crate::server::Handle::reload`] on a detached thread;
 //! * embedders and tests call `ServerHandle::reload` /
 //!   `ServerHandle::swap_tree` directly.
 //!
@@ -25,11 +25,9 @@
 //! validation leaves the old one serving and only bumps
 //! `tcserve_reload_failures_total`.
 //!
-//! Reloads reopen with the daemon's configured [`StoreOptions`], so an
-//! mmap-backed daemon stays mmap-backed and a cache budget survives the
-//! swap. Dropping the old `Arc<SegmentTcTree>` (once its last in-flight
-//! request finishes) unmaps the old source — repeated `SIGHUP`s never
-//! accumulate mappings.
+//! Reloads reopen with the daemon's configured [`StoreOptions`], so a
+//! cache budget survives the swap. The old `Arc<SegmentTcTree>` (and its
+//! file handle) is dropped once its last in-flight request finishes.
 //!
 //! The slot's lock and `Arc` come through the [`tc_util::sync`] facade,
 //! so `tc-check` model-checks the snapshot guarantee (readers observe
@@ -80,8 +78,8 @@ impl TreeSlot {
 
 /// Opens and validates `path` as a replacement segment, off the serving
 /// path, and swaps it into `slot` only on success. The segment is opened
-/// with `opts` — the daemon's page source and cache budget apply to the
-/// replacement exactly as they did to the original.
+/// with `opts` — the daemon's cache budget applies to the replacement
+/// exactly as it did to the original.
 ///
 /// Returns the new segment's node count for the reload log line.
 pub fn reload_from_path(
@@ -172,14 +170,11 @@ mod tests {
         let path = dir.join("next.seg");
         std::fs::write(&path, segment_bytes_with_vertices(6)).unwrap();
         let opts = StoreOptions {
-            source: tc_store::SourceKind::Mmap,
             cache_bytes: Some(1 << 20),
         };
         reload_from_path(&slot, &path, opts).unwrap();
         let tree = slot.load();
         assert_eq!(tree.cache_stats().budget, Some(1 << 20));
-        #[cfg(unix)]
-        assert_eq!(tree.source_kind(), tc_store::SourceKind::Mmap);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

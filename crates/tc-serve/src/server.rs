@@ -1,12 +1,13 @@
-//! The serving daemon: a bounded-admission worker pool answering the
-//! [`crate::protocol`] over TCP and the [`crate::http`] JSON gateway,
-//! straight off a hot-swappable [`SegmentTcTree`].
+//! The serving front end: listeners, bounded admission, the worker pool,
+//! the ticked socket reader, signal and reload plumbing — everything both
+//! daemons (`tc serve`, `tc router`) share, written against
+//! [`Backend`].
 //!
 //! ## Admission control
 //!
-//! The accept loops are the *only* place connections queue, and the queue
+//! The accept loop is the *only* place connections queue, and the queue
 //! is bounded by `max_inflight` — the number of sessions admitted but not
-//! yet finished (queued + being served) across **both** front-ends. A
+//! yet finished (queued + being served) across **every** listener. A
 //! connection arriving over the limit is answered with a one-line `BUSY`
 //! greeting (TCP) or a `503` (HTTP) and closed immediately: overload
 //! degrades into explicit, cheap rejections the client can retry, never
@@ -16,96 +17,64 @@
 //!
 //! ## Hot reload
 //!
-//! `SIGHUP` (or [`ServerHandle::reload`]) swaps in a freshly opened and
-//! validated segment without dropping a single session — see
+//! `SIGHUP` (or [`Handle::reload`]) asks the backend to re-read what it
+//! serves and swap it in without dropping a single session — see
 //! [`crate::reload`] for the consistency model.
 //!
 //! ## Shutdown
 //!
-//! Shutdown is requested by the `SHUTDOWN` verb, by
-//! [`ServerHandle::shutdown`], or — in the `tc serve` binary — by
-//! SIGTERM/SIGINT via [`install_signal_handlers`]. The accept loop stops
-//! admitting, in-flight sessions notice the flag at their next request
-//! boundary (socket reads time out every [`READ_TICK`]), queued-but-
-//! unserved sessions are drained the same way, and [`Server::run`]
-//! returns once every worker has parked. No connection is ever answered
-//! partially: a response line is written whole or not at all.
+//! Shutdown is requested by the `SHUTDOWN` verb, by [`Handle::shutdown`],
+//! or — in the `tc` binary — by SIGTERM/SIGINT via
+//! [`install_signal_handlers`]. The accept loop stops admitting,
+//! in-flight sessions notice the flag at their next request boundary
+//! (socket reads time out every 200 ms), queued-but-unserved
+//! sessions are drained the same way, and [`FrontEnd::run`] returns once
+//! every worker has parked — or after five seconds, so a session wedged
+//! on a dead peer or shard cannot hold the process past it.
 
+use crate::backend::{Answer, Backend, QuerySpec};
 use crate::limit::{RateLimit, RateLimiter};
 use crate::metrics::Metrics;
-use crate::protocol::{
-    encode_error, encode_greeting_busy, encode_greeting_ok, encode_stats, QueryResponse, Request,
-};
-use crate::reload::TreeSlot;
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::io::{BufRead, BufReader, ErrorKind, Read};
+use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
-use tc_store::{SegmentTcTree, StoreOptions};
-use tc_txdb::{Item, Pattern};
+use std::time::{Duration, Instant};
 use tc_util::sync::{Condvar, Mutex};
 use tc_util::LoadError;
 
-/// How often blocked socket reads and queue waits wake to re-check the
-/// shutdown flag — the upper bound on shutdown latency per session.
-pub const READ_TICK: Duration = Duration::from_millis(200);
+/// How often blocked socket reads wake to re-check the shutdown flag —
+/// the upper bound on shutdown latency per session.
+const READ_TICK: Duration = Duration::from_millis(200);
 
 /// Accept-loop poll interval while the listeners are idle.
 const ACCEPT_TICK: Duration = Duration::from_millis(20);
 
-/// Server configuration. `Default` matches the `tc serve` CLI defaults.
+/// How long shutdown waits for admitted sessions to drain.
+const DRAIN_LIMIT: Duration = Duration::from_secs(5);
+
+/// The front end's admission bounds.
 #[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// Worker threads serving admitted sessions (both front-ends share
+pub struct Admission {
+    /// Worker threads serving admitted sessions (every listener shares
     /// the pool).
     pub workers: usize,
     /// Maximum admitted-but-unfinished sessions (queued + in service);
     /// connections beyond it are greeted `BUSY` / `503` and closed.
     pub max_inflight: usize,
     /// How long a session may sit without completing a request line
-    /// before it is closed and its admission slot freed. A hung or
-    /// half-dead client would otherwise hold one of `max_inflight` slots
-    /// forever. `None` disables the timeout.
+    /// before it is closed and its admission slot freed. `None` disables
+    /// the timeout.
     pub idle_timeout: Option<Duration>,
-    /// Also serve the HTTP/JSON gateway on this address (e.g.
-    /// `127.0.0.1:8080`; port `0` picks an ephemeral port — read it back
-    /// with [`Server::local_http_addr`]). `None` serves TCP only.
-    pub http_addr: Option<String>,
-    /// Per-client token-bucket rate limit, layered on the global
-    /// inflight bound: one token per TCP connection or HTTP request,
-    /// keyed by peer IP. `None` disables the limiter.
+    /// Per-client token bucket, keyed by peer IP. `None` disables it.
     pub rate_limit: Option<RateLimit>,
-    /// Where `SIGHUP` / [`ServerHandle::reload`] re-open the segment
-    /// from. `None` disables path-based reloads (handle-driven
-    /// [`ServerHandle::swap_tree`] still works).
-    pub reload_path: Option<PathBuf>,
-    /// How the segment is opened — page-source backing and node-cache
-    /// byte budget. Applied on every reload too, so a `--cache-bytes`
-    /// envelope and an mmap backing survive `SIGHUP` swaps.
-    pub store: StoreOptions,
 }
 
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            workers: 4,
-            max_inflight: 64,
-            idle_timeout: Some(Duration::from_secs(300)),
-            http_addr: None,
-            rate_limit: None,
-            reload_path: None,
-            store: StoreOptions::default(),
-        }
-    }
-}
-
-/// A point-in-time copy of the server's counters.
+/// A point-in-time copy of the front end's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// Connections accepted (admitted + rejected), both front-ends.
+    /// Connections accepted (admitted + rejected), every listener.
     pub accepted: u64,
     /// Sessions admitted past admission control.
     pub admitted: u64,
@@ -125,11 +94,11 @@ pub struct StatsSnapshot {
     pub batch: u64,
     /// Requests rejected as malformed (`ERR` / `400` responses).
     pub protocol_errors: u64,
-    /// Queries that failed server-side (e.g. segment corruption).
+    /// Queries that failed server-side (segment corruption, shard down).
     pub query_failures: u64,
     /// Sessions closed for sitting idle past the configured timeout.
     pub timeouts: u64,
-    /// Segment hot-reloads completed.
+    /// Hot-reloads completed.
     pub reloads: u64,
     /// Hot-reload attempts that failed validation.
     pub reload_failures: u64,
@@ -144,150 +113,62 @@ impl StatsSnapshot {
     }
 }
 
-/// Shared server state: the swappable tree, the bounded session queue,
+/// How one listener speaks: how an admitted connection is served, and how
+/// one is refused at the door.
+pub struct Wire<B: Backend> {
+    /// Serves one admitted connection until it closes.
+    pub(crate) serve: fn(&Core<B>, TcpStream) -> std::io::Result<()>,
+    /// Writes the admission refusal (a `BUSY` greeting, a `503`).
+    pub(crate) refuse: fn(&Core<B>, &mut TcpStream, &str) -> std::io::Result<()>,
+    /// Whether the per-client rate limit is charged once per connection,
+    /// at the door. (HTTP charges per request inside the session instead,
+    /// so a keep-alive connection cannot amortise the limit away.)
+    pub(crate) rate_per_connection: bool,
+}
+
+/// Shared front-end state: the backend, the bounded session queue,
 /// telemetry, and the optional rate limiter.
-pub(crate) struct Inner {
-    pub(crate) tree: TreeSlot,
-    pub(crate) cfg: ServeConfig,
+pub(crate) struct Core<B: Backend> {
+    pub(crate) backend: B,
     pub(crate) metrics: Metrics,
+    pub(crate) workers: usize,
+    pub(crate) max_inflight: usize,
+    idle_timeout: Option<Duration>,
+    limiter: Option<RateLimiter>,
     /// Admitted-but-unfinished session count — the admission gauge.
-    pub(crate) inflight: AtomicUsize,
-    pub(crate) shutdown: AtomicBool,
-    pub(crate) limiter: Option<RateLimiter>,
+    inflight: AtomicUsize,
+    shutdown: AtomicBool,
     reload_in_progress: AtomicBool,
-    queue: Mutex<VecDeque<Session>>,
+    queue: Mutex<VecDeque<Session<B>>>,
     queue_cv: Condvar,
 }
 
-/// Which front-end a queued session arrived on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FrontEnd {
-    /// The line-oriented TCP protocol.
-    Line,
-    /// The HTTP/JSON gateway.
-    Http,
-}
-
-struct Session {
+struct Session<B: Backend> {
     stream: TcpStream,
-    front: FrontEnd,
+    serve: fn(&Core<B>, TcpStream) -> std::io::Result<()>,
 }
 
-/// A clonable remote control for a running [`Server`] — lets tests and
-/// embedding binaries request shutdown, trigger hot reloads, and read
-/// telemetry from outside the accept loop.
-#[derive(Clone)]
-pub struct ServerHandle {
-    inner: Arc<Inner>,
-}
-
-impl ServerHandle {
-    /// Requests a graceful shutdown; [`Server::run`] returns once
-    /// in-flight sessions finish.
-    pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        self.inner.queue_cv.notify_all();
+impl<B: Backend> Core<B> {
+    pub(crate) fn inflight(&self) -> u64 {
+        self.inflight.load(Ordering::SeqCst) as u64
     }
 
-    /// Whether shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.inner.shutdown.load(Ordering::SeqCst)
+    pub(crate) fn is_shutting_down(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// A point-in-time copy of the counters.
-    pub fn stats(&self) -> StatsSnapshot {
-        self.inner.snapshot()
+    pub(crate) fn request_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        // Notify under the queue lock: a worker reads the flag and parks
+        // under the same lock, so it cannot miss this wake-up in between
+        // — which is what lets idle workers park without a timeout.
+        let _queue = self.queue.lock();
+        self.queue_cv.notify_all();
     }
 
-    /// The Prometheus text exposition, exactly as `GET /metrics` serves
-    /// it.
-    pub fn prometheus(&self) -> String {
-        let tree = self.inner.tree.load();
-        self.inner.metrics.render_prometheus(
-            self.inner.inflight.load(Ordering::SeqCst) as u64,
-            crate::metrics::TreeGauges::of(&tree),
-        )
-    }
-
-    /// Atomically swaps `tree` in as the served segment and counts a
-    /// completed reload. In-flight requests keep their snapshot; no
-    /// session is dropped.
-    pub fn swap_tree(&self, tree: SegmentTcTree) {
-        self.inner.tree.store_tree(tree);
-        self.inner.metrics.reloads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Re-opens the configured `reload_path` and swaps the fresh segment
-    /// in (the `SIGHUP` path, callable directly by embedders). Returns
-    /// the new segment's node count; on failure the old segment keeps
-    /// serving and only `reload_failures` moves.
-    pub fn reload(&self) -> Result<usize, LoadError> {
-        let inner = &self.inner;
-        let Some(path) = inner.cfg.reload_path.clone() else {
-            inner
-                .metrics
-                .reload_failures
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(LoadError::corrupt("no reload path configured"));
-        };
-        match crate::reload::reload_from_path(&inner.tree, &path, inner.cfg.store) {
-            Ok(nodes) => {
-                inner.metrics.reloads.fetch_add(1, Ordering::Relaxed);
-                Ok(nodes)
-            }
-            Err(e) => {
-                inner
-                    .metrics
-                    .reload_failures
-                    .fetch_add(1, Ordering::Relaxed);
-                Err(e)
-            }
-        }
-    }
-
-    /// Runs [`ServerHandle::reload`] on a detached thread, coalescing
-    /// concurrent requests — the accept loop calls this on `SIGHUP` so a
-    /// slow segment open never stalls admission.
-    fn spawn_reload(&self) {
-        let inner = &self.inner;
-        if inner
-            .reload_in_progress
-            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-            .is_err()
-        {
-            return; // a reload is already running; SIGHUP storms coalesce
-        }
-        let handle = self.clone();
-        let spawned = std::thread::Builder::new()
-            .name("tc-serve-reload".to_string())
-            .spawn(move || {
-                match handle.reload() {
-                    Ok(nodes) => eprintln!("tc-serve: segment reloaded ({nodes} nodes)"),
-                    Err(e) => eprintln!("tc-serve: reload failed, old segment kept: {e}"),
-                }
-                handle
-                    .inner
-                    .reload_in_progress
-                    .store(false, Ordering::SeqCst);
-            });
-        if let Err(e) = spawned {
-            // Spawn failure (thread exhaustion) must not take the accept
-            // loop down — the old segment keeps serving, the latch clears
-            // so a later SIGHUP can retry, and the failure is counted.
-            eprintln!("tc-serve: could not spawn reload thread: {e}");
-            inner
-                .metrics
-                .reload_failures
-                .fetch_add(1, Ordering::Relaxed);
-            inner.reload_in_progress.store(false, Ordering::SeqCst);
-        }
-    }
-}
-
-impl Inner {
     pub(crate) fn snapshot(&self) -> StatsSnapshot {
         let m = &self.metrics;
-        let load = |a: &std::sync::atomic::AtomicU64| a.load(Ordering::Relaxed);
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         StatsSnapshot {
             accepted: load(&m.accepted),
             admitted: load(&m.admitted),
@@ -303,13 +184,13 @@ impl Inner {
             timeouts: load(&m.timeouts),
             reloads: load(&m.reloads),
             reload_failures: load(&m.reload_failures),
-            inflight: self.inflight.load(Ordering::SeqCst) as u64,
+            inflight: self.inflight(),
         }
     }
 
     /// Whether `client` is within its per-client rate budget (always
     /// true when no limiter is configured).
-    pub(crate) fn within_rate(&self, client: std::net::IpAddr) -> bool {
+    pub(crate) fn within_rate(&self, client: IpAddr) -> bool {
         match &self.limiter {
             Some(l) => {
                 let ok = l.allow(client);
@@ -321,29 +202,157 @@ impl Inner {
             None => true,
         }
     }
+
+    /// The `GET /metrics` body.
+    pub(crate) fn render_metrics(&self) -> String {
+        self.backend
+            .render_metrics(&self.backend.snapshot(), &self.metrics, self.inflight())
+    }
+
+    /// Counts a malformed request.
+    pub(crate) fn protocol_error(&self) {
+        self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Answers one query against `snapshot`, counting it. This is the one
+    /// place a query verb is accounted: every `QBA`/`QBP`/`QUERY` —
+    /// a line-protocol request, an HTTP `GET`, or one entry of a
+    /// `POST /query` batch — bumps its verb counter and its latency
+    /// histogram here, and a failed one `query_failures`.
+    pub(crate) fn execute(&self, snapshot: &B::Snapshot, spec: &QuerySpec) -> Answer {
+        let m = &self.metrics;
+        let (count, latency) = match spec {
+            QuerySpec::Qba(_) => (&m.qba, &m.qba_latency),
+            QuerySpec::Qbp(_) => (&m.qbp, &m.qbp_latency),
+            QuerySpec::Query(..) => (&m.query, &m.query_latency),
+        };
+        count.fetch_add(1, Ordering::Relaxed);
+        let started = Instant::now();
+        let answer = self.backend.answer(snapshot, spec);
+        latency.observe(started.elapsed().as_secs_f64());
+        if matches!(answer, Answer::Err(..)) {
+            m.query_failures.fetch_add(1, Ordering::Relaxed);
+        }
+        answer
+    }
+
+    /// [`Backend::reload`], counted.
+    fn reload(&self) -> Result<B::Reloaded, LoadError> {
+        let result = self.backend.reload();
+        let counter = match result {
+            Ok(_) => &self.metrics.reloads,
+            Err(_) => &self.metrics.reload_failures,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        result
+    }
 }
 
-/// The query-serving daemon over one hot-swappable [`SegmentTcTree`]:
-/// the TCP line protocol, plus the HTTP/JSON gateway when configured.
-pub struct Server {
-    listener: TcpListener,
-    http_listener: Option<TcpListener>,
-    inner: Arc<Inner>,
+/// A clonable remote control for a running [`FrontEnd`] — lets tests and
+/// embedding binaries request shutdown, trigger hot reloads, and read
+/// telemetry from outside the accept loop.
+pub struct Handle<B: Backend> {
+    pub(crate) core: Arc<Core<B>>,
 }
 
-impl Server {
-    /// Binds `addr` (e.g. `127.0.0.1:7641`; port `0` picks an ephemeral
-    /// port — read it back with [`Server::local_addr`]) and, when
-    /// `cfg.http_addr` is set, the HTTP gateway address too. Serving
-    /// starts when [`Server::run`] is called.
-    pub fn bind(tree: SegmentTcTree, addr: &str, cfg: ServeConfig) -> std::io::Result<Server> {
-        if cfg.workers == 0 || cfg.max_inflight == 0 {
+impl<B: Backend> Clone for Handle<B> {
+    fn clone(&self) -> Self {
+        Handle {
+            core: Arc::clone(&self.core),
+        }
+    }
+}
+
+impl<B: Backend> Handle<B> {
+    /// Requests a graceful shutdown; [`FrontEnd::run`] returns once
+    /// in-flight sessions finish.
+    pub fn shutdown(&self) {
+        self.core.request_shutdown();
+    }
+
+    /// Whether shutdown has been requested.
+    pub fn is_shutting_down(&self) -> bool {
+        self.core.is_shutting_down()
+    }
+
+    /// A point-in-time copy of the counters.
+    pub fn stats(&self) -> StatsSnapshot {
+        self.core.snapshot()
+    }
+
+    /// The backend being served.
+    pub fn backend(&self) -> &B {
+        &self.core.backend
+    }
+
+    /// The Prometheus text exposition, exactly as `GET /metrics` serves
+    /// it.
+    pub fn prometheus(&self) -> String {
+        self.core.render_metrics()
+    }
+
+    /// Re-reads what the backend serves and swaps it in (the `SIGHUP`
+    /// path, callable directly by embedders). On failure the previous
+    /// state keeps serving and only `reload_failures` moves.
+    pub fn reload(&self) -> Result<B::Reloaded, LoadError> {
+        self.core.reload()
+    }
+
+    /// Runs [`Handle::reload`] on a detached thread, coalescing
+    /// concurrent requests — the accept loop calls this on `SIGHUP` so a
+    /// slow open never stalls admission.
+    fn spawn_reload(&self) {
+        let core = &self.core;
+        if core
+            .reload_in_progress
+            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+            .is_err()
+        {
+            return; // a reload is already running; SIGHUP storms coalesce
+        }
+        let handle = self.clone();
+        let spawned = std::thread::Builder::new()
+            .name(format!("{}-reload", B::NAME))
+            .spawn(move || {
+                let core = &handle.core;
+                match core.reload() {
+                    Ok(_) => eprintln!(
+                        "{}: reloaded, now serving {}",
+                        B::NAME,
+                        core.backend.healthz(&core.backend.snapshot()).trim_end()
+                    ),
+                    Err(e) => eprintln!("{}: reload failed, previous state kept: {e}", B::NAME),
+                }
+                core.reload_in_progress.store(false, Ordering::SeqCst);
+            });
+        if let Err(e) = spawned {
+            // Spawn failure (thread exhaustion) must not take the accept
+            // loop down — the old state keeps serving, the latch clears so
+            // a later SIGHUP can retry, and the failure is counted.
+            eprintln!("{}: could not spawn reload thread: {e}", B::NAME);
+            core.metrics.reload_failures.fetch_add(1, Ordering::Relaxed);
+            core.reload_in_progress.store(false, Ordering::SeqCst);
+        }
+    }
+}
+
+/// A bound serving daemon over one [`Backend`]; [`FrontEnd::run`] starts
+/// serving.
+pub struct FrontEnd<B: Backend> {
+    ports: Vec<(TcpListener, Wire<B>)>,
+    core: Arc<Core<B>>,
+}
+
+impl<B: Backend> FrontEnd<B> {
+    /// A front end over `backend` with no listeners yet.
+    pub fn new(backend: B, admission: Admission) -> std::io::Result<FrontEnd<B>> {
+        if admission.workers == 0 || admission.max_inflight == 0 {
             return Err(std::io::Error::new(
                 ErrorKind::InvalidInput,
                 "workers and max-inflight must be at least 1",
             ));
         }
-        if let Some(rl) = &cfg.rate_limit {
+        if let Some(rl) = &admission.rate_limit {
             if !(rl.per_sec > 0.0 && rl.burst >= 1.0) {
                 return Err(std::io::Error::new(
                     ErrorKind::InvalidInput,
@@ -351,27 +360,17 @@ impl Server {
                 ));
             }
         }
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let http_listener = match &cfg.http_addr {
-            Some(http_addr) => {
-                let l = TcpListener::bind(http_addr)?;
-                l.set_nonblocking(true)?;
-                Some(l)
-            }
-            None => None,
-        };
-        let limiter = cfg.rate_limit.map(RateLimiter::new);
-        Ok(Server {
-            listener,
-            http_listener,
-            inner: Arc::new(Inner {
-                tree: TreeSlot::new(tree),
-                cfg,
+        Ok(FrontEnd {
+            ports: Vec::new(),
+            core: Arc::new(Core {
+                backend,
                 metrics: Metrics::default(),
+                workers: admission.workers,
+                max_inflight: admission.max_inflight,
+                idle_timeout: admission.idle_timeout,
+                limiter: admission.rate_limit.map(RateLimiter::new),
                 inflight: AtomicUsize::new(0),
                 shutdown: AtomicBool::new(false),
-                limiter,
                 reload_in_progress: AtomicBool::new(false),
                 queue: Mutex::new(VecDeque::new()),
                 queue_cv: Condvar::new(),
@@ -379,82 +378,69 @@ impl Server {
         })
     }
 
-    /// The bound TCP-protocol socket address (resolves port `0`
-    /// bindings).
-    pub fn local_addr(&self) -> std::io::Result<std::net::SocketAddr> {
-        self.listener.local_addr()
+    /// Binds `addr` (port `0` picks an ephemeral port — read it back with
+    /// [`FrontEnd::port_addr`]) to speak `wire`. Serving starts when
+    /// [`FrontEnd::run`] is called.
+    pub fn listen(&mut self, addr: &str, wire: Wire<B>) -> std::io::Result<()> {
+        let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
+        self.ports.push((listener, wire));
+        Ok(())
     }
 
-    /// The bound HTTP gateway address, when one was configured.
-    pub fn local_http_addr(&self) -> Option<std::io::Result<std::net::SocketAddr>> {
-        self.http_listener.as_ref().map(TcpListener::local_addr)
+    /// The bound address of the `index`-th listener, in
+    /// [`FrontEnd::listen`] order (resolves port `0` bindings).
+    pub fn port_addr(&self, index: usize) -> Option<std::io::Result<SocketAddr>> {
+        self.ports.get(index).map(|(l, _)| l.local_addr())
     }
 
     /// A remote control valid for the lifetime of the daemon.
-    pub fn handle(&self) -> ServerHandle {
-        ServerHandle {
-            inner: Arc::clone(&self.inner),
+    pub fn handle(&self) -> Handle<B> {
+        Handle {
+            core: Arc::clone(&self.core),
         }
     }
 
     /// Runs the accept loop on the calling thread until shutdown is
-    /// requested, then drains in-flight sessions and returns the final
-    /// counter snapshot.
+    /// requested, then drains in-flight sessions (for at most five
+    /// seconds) and returns the final counter snapshot.
     pub fn run(self) -> std::io::Result<StatsSnapshot> {
-        let teardown = |inner: &Arc<Inner>, workers: Vec<std::thread::JoinHandle<()>>| {
-            inner.shutdown.store(true, Ordering::SeqCst);
-            inner.queue_cv.notify_all();
-            for w in workers {
-                let _ = w.join();
-            }
-        };
-
-        let mut workers = Vec::with_capacity(self.inner.cfg.workers);
-        for i in 0..self.inner.cfg.workers {
-            let inner = Arc::clone(&self.inner);
+        let core = &self.core;
+        let mut workers = Vec::with_capacity(core.workers);
+        let mut failed = None;
+        for i in 0..core.workers {
+            let core = Arc::clone(core);
             let spawned = std::thread::Builder::new()
-                .name(format!("tc-serve-worker-{i}"))
-                .spawn(move || worker_loop(&inner));
+                .name(format!("{}-worker-{i}", B::NAME))
+                .spawn(move || worker_loop(&core));
             match spawned {
                 Ok(h) => workers.push(h),
                 Err(e) => {
                     // A short pool can't serve the configured parallelism;
                     // fail startup cleanly instead of panicking.
-                    teardown(&self.inner, workers);
-                    return Err(e);
+                    failed = Some(e);
+                    break;
                 }
             }
         }
 
-        while !self.inner.shutdown.load(Ordering::SeqCst) && !signal_received() {
+        while failed.is_none() && !core.is_shutting_down() && !signal_received() {
             if take_reload_signal() {
                 self.handle().spawn_reload();
             }
             let mut idle = true;
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    self.admit(stream, FrontEnd::Line);
-                    idle = false;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {}
-                Err(e) if e.kind() == ErrorKind::Interrupted => idle = false,
-                Err(e) => {
-                    // Tear the pool down before surfacing the error.
-                    teardown(&self.inner, workers);
-                    return Err(e);
-                }
-            }
-            if let Some(http) = &self.http_listener {
-                match http.accept() {
+            for (listener, wire) in &self.ports {
+                match listener.accept() {
                     Ok((stream, _)) => {
-                        self.admit(stream, FrontEnd::Http);
+                        self.admit(stream, wire);
                         idle = false;
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => {}
                     Err(e) if e.kind() == ErrorKind::Interrupted => idle = false,
                     Err(e) => {
-                        teardown(&self.inner, workers);
-                        return Err(e);
+                        // Tear the pool down before surfacing the error.
+                        failed = Some(e);
+                        break;
                     }
                 }
             }
@@ -463,48 +449,55 @@ impl Server {
             }
         }
 
-        teardown(&self.inner, workers);
-        Ok(self.inner.snapshot())
+        core.request_shutdown();
+        let deadline = Instant::now() + DRAIN_LIMIT;
+        for worker in workers {
+            while !worker.is_finished() && Instant::now() < deadline {
+                std::thread::sleep(ACCEPT_TICK);
+            }
+            if worker.is_finished() {
+                let _ = worker.join();
+            }
+            // else: wedged past the drain limit (a dead peer, a hung
+            // shard) — leave it detached rather than hang the shutdown.
+        }
+        match failed {
+            Some(e) => Err(e),
+            None => Ok(core.snapshot()),
+        }
     }
 
     /// Admission control: enqueue within the rate and inflight budgets,
-    /// reject with a `BUSY` greeting / `503` beyond them.
-    fn admit(&self, mut stream: TcpStream, front: FrontEnd) {
-        let inner = &self.inner;
-        inner.metrics.accepted.fetch_add(1, Ordering::Relaxed);
-        // Per-client rate limiting applies to TCP at connection grain
-        // (one token per session); the HTTP front-end charges per
-        // request instead, inside the session loop, so a keep-alive
-        // connection cannot amortise the limit away.
-        if front == FrontEnd::Line {
-            let client_ip = stream.peer_addr().map(|a| a.ip());
-            if let Ok(ip) = client_ip {
-                if !inner.within_rate(ip) {
-                    let _ = stream.write_all(
-                        encode_greeting_busy("per-client rate limit exceeded, retry later")
-                            .as_bytes(),
+    /// refuse beyond them.
+    fn admit(&self, mut stream: TcpStream, wire: &Wire<B>) {
+        let core = &self.core;
+        core.metrics.accepted.fetch_add(1, Ordering::Relaxed);
+        if wire.rate_per_connection {
+            if let Ok(peer) = stream.peer_addr() {
+                if !core.within_rate(peer.ip()) {
+                    let _ = (wire.refuse)(
+                        core,
+                        &mut stream,
+                        "per-client rate limit exceeded, retry later",
                     );
                     return;
                 }
             }
         }
-        let admitted = inner
+        let admitted = core
             .inflight
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                (n < inner.cfg.max_inflight).then_some(n + 1)
+                (n < core.max_inflight).then_some(n + 1)
             })
             .is_ok();
         if !admitted {
-            inner.metrics.rejected_busy.fetch_add(1, Ordering::Relaxed);
+            core.metrics.rejected_busy.fetch_add(1, Ordering::Relaxed);
             let reason = format!(
                 "inflight limit ({}) reached, retry later",
-                inner.cfg.max_inflight
+                core.max_inflight
             );
             // Best effort: the client may already be gone.
-            let _ = match front {
-                FrontEnd::Line => stream.write_all(encode_greeting_busy(&reason).as_bytes()),
-                FrontEnd::Http => crate::http::write_busy_503(inner, &mut stream, &reason),
-            };
+            let _ = (wire.refuse)(core, &mut stream, &reason);
             return; // dropping the stream closes it
         }
         // Re-check the shutdown flag *under the queue lock*: workers decide
@@ -513,50 +506,45 @@ impl Server {
         // — without this, a SHUTDOWN landing between the accept-loop check
         // and the push could orphan the connection and leak the inflight
         // gauge.
-        let mut queue = self.inner.queue.lock();
-        if inner.shutdown.load(Ordering::SeqCst) {
+        let mut queue = core.queue.lock();
+        if core.is_shutting_down() {
             drop(queue);
-            inner.inflight.fetch_sub(1, Ordering::SeqCst);
-            inner.metrics.rejected_busy.fetch_add(1, Ordering::Relaxed);
-            let _ = match front {
-                FrontEnd::Line => {
-                    stream.write_all(encode_greeting_busy("server shutting down").as_bytes())
-                }
-                FrontEnd::Http => {
-                    crate::http::write_busy_503(inner, &mut stream, "server shutting down")
-                }
-            };
+            core.inflight.fetch_sub(1, Ordering::SeqCst);
+            core.metrics.rejected_busy.fetch_add(1, Ordering::Relaxed);
+            let _ = (wire.refuse)(core, &mut stream, "server shutting down");
             return;
         }
-        inner.metrics.admitted.fetch_add(1, Ordering::Relaxed);
-        queue.push_back(Session { stream, front });
+        core.metrics.admitted.fetch_add(1, Ordering::Relaxed);
+        queue.push_back(Session {
+            stream,
+            serve: wire.serve,
+        });
         drop(queue);
-        inner.queue_cv.notify_one();
+        core.queue_cv.notify_one();
     }
 }
 
 /// Decrements the inflight gauge when a session ends, panic-safe.
-struct InflightGuard<'a>(&'a Inner);
+struct InflightGuard<'a>(&'a AtomicUsize);
 
 impl Drop for InflightGuard<'_> {
     fn drop(&mut self) {
-        self.0.inflight.fetch_sub(1, Ordering::SeqCst);
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-fn worker_loop(inner: &Inner) {
+fn worker_loop<B: Backend>(core: &Core<B>) {
     loop {
         let session = {
-            let mut queue = inner.queue.lock();
+            let mut queue = core.queue.lock();
             loop {
                 if let Some(s) = queue.pop_front() {
                     break Some(s);
                 }
-                if inner.shutdown.load(Ordering::SeqCst) {
+                if core.is_shutting_down() {
                     break None;
                 }
-                let (q, _) = inner.queue_cv.wait_timeout(queue, READ_TICK);
-                queue = q;
+                queue = core.queue_cv.wait(queue);
             }
         };
         let Some(session) = session else {
@@ -565,271 +553,151 @@ fn worker_loop(inner: &Inner) {
             // under the same lock the acceptor pushes under).
             return;
         };
-        let _guard = InflightGuard(inner);
+        let _guard = InflightGuard(&core.inflight);
         // Socket errors end the session; the next connection is unaffected.
-        let result = match session.front {
-            FrontEnd::Line => serve_session(inner, session.stream),
-            FrontEnd::Http => crate::http::serve_http_session(inner, session.stream),
-        };
-        if let Err(e) = result {
+        if let Err(e) = (session.serve)(core, session.stream) {
             if matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock) {
-                inner.metrics.timeouts.fetch_add(1, Ordering::Relaxed);
+                core.metrics.timeouts.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 }
 
-/// What a request handler asks the session loop to do next.
-enum SessionFlow {
-    Continue,
-    Close,
+/// A socket reader that ticks: blocked reads wake every [`READ_TICK`] to
+/// re-check the shutdown flag and the idle clock, so a byte-trickling or
+/// half-dead client can neither hang a worker nor survive shutdown.
+pub(crate) struct TickReader<'a> {
+    reader: BufReader<TcpStream>,
+    shutdown: &'a AtomicBool,
+    idle_timeout: Option<Duration>,
+    idle: Duration,
 }
 
-/// Longest accepted request line on the TCP protocol, in bytes. Generous
-/// (a pattern of tens of thousands of items fits) but it bounds what a
-/// client streaming bytes with no newline can make a session buffer.
-const MAX_TCP_LINE: usize = 1024 * 1024;
-
-/// Why [`read_request_line`] returned without a line.
-enum LineStop {
-    /// Client closed the connection.
-    Eof,
-    /// The daemon is shutting down.
-    Shutdown,
+/// Why a ticked read stopped short of data.
+pub(crate) enum ReadStop {
+    /// The peer closed, or the daemon is shutting down: end the session
+    /// quietly.
+    Closed,
     /// The session idled past the configured timeout.
     IdleTimeout,
-    /// The line outgrew [`MAX_TCP_LINE`].
+    /// The line outgrew its cap.
     TooLong,
 }
 
-/// Reads one `\n`-terminated request line into `line` (terminator kept,
-/// matching `BufRead::read_line`). Every read goes through a `take`
-/// bounded by the remaining line budget, so an endless unterminated line
-/// is cut off as [`LineStop::TooLong`] instead of growing without bound.
-/// Blocked reads tick every [`READ_TICK`] against the shutdown flag and
-/// `idle`; only a complete line resets the idle clock.
-fn read_request_line(
-    inner: &Inner,
-    reader: &mut BufReader<TcpStream>,
-    idle: &mut Duration,
-    line: &mut String,
-) -> std::io::Result<Result<(), LineStop>> {
-    line.clear();
-    let mut buf = Vec::new();
-    loop {
-        let budget = (MAX_TCP_LINE + 2).saturating_sub(buf.len()) as u64;
-        if budget == 0 {
-            return Ok(Err(LineStop::TooLong));
-        }
-        match reader.by_ref().take(budget).read_until(b'\n', &mut buf) {
-            Ok(0) => return Ok(Err(LineStop::Eof)), // client closed (even mid-line)
-            Ok(_) => {
-                if buf.last() != Some(&b'\n') {
-                    continue; // budget spent mid-line → TooLong above
-                }
-                *idle = Duration::ZERO;
-                let text = std::str::from_utf8(&buf)
-                    .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e))?;
-                line.push_str(text);
-                return Ok(Ok(()));
+/// The `Err` a session returns on [`ReadStop::IdleTimeout`]; the worker
+/// loop counts it as a timeout.
+pub(crate) fn idle_timeout_error() -> std::io::Error {
+    std::io::Error::new(ErrorKind::TimedOut, "session idle timeout")
+}
+
+impl<'a> TickReader<'a> {
+    /// Arms `stream`'s timeouts for ticked reads and wraps a clone of it.
+    pub(crate) fn new<B: Backend>(
+        core: &'a Core<B>,
+        stream: &TcpStream,
+    ) -> std::io::Result<TickReader<'a>> {
+        stream.set_read_timeout(Some(READ_TICK))?;
+        stream.set_write_timeout(Some(Duration::from_secs(10)))?;
+        stream.set_nodelay(true)?;
+        Ok(TickReader {
+            reader: BufReader::new(stream.try_clone()?),
+            shutdown: &core.shutdown,
+            idle_timeout: core.idle_timeout,
+            idle: Duration::ZERO,
+        })
+    }
+
+    /// Reads one `\n`-terminated line (CRLF tolerated) of at most `max`
+    /// bytes, stripped of its terminator. Every read goes through a `take`
+    /// bounded by the remaining line budget, so a client streaming bytes
+    /// with no newline can never buffer more than `max + 2` bytes before
+    /// the line is cut off as [`ReadStop::TooLong`].
+    pub(crate) fn read_line(
+        &mut self,
+        line: &mut String,
+        max: usize,
+    ) -> std::io::Result<Result<(), ReadStop>> {
+        line.clear();
+        let mut buf = Vec::new();
+        loop {
+            // Budget for the raw line including its CRLF terminator.
+            let budget = (max + 2).saturating_sub(buf.len()) as u64;
+            if budget == 0 {
+                return Ok(Err(ReadStop::TooLong));
             }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    return Ok(Err(LineStop::Shutdown));
+            match (&mut self.reader).take(budget).read_until(b'\n', &mut buf) {
+                // Closed, even mid-line: nothing to answer.
+                Ok(0) => return Ok(Err(ReadStop::Closed)),
+                Ok(_) => {
+                    if buf.last() != Some(&b'\n') {
+                        continue; // budget spent mid-line → TooLong above
+                    }
+                    self.idle = Duration::ZERO;
+                    while matches!(buf.last(), Some(b'\n' | b'\r')) {
+                        buf.pop();
+                    }
+                    if buf.len() > max {
+                        return Ok(Err(ReadStop::TooLong));
+                    }
+                    let text = std::str::from_utf8(&buf)
+                        .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e))?;
+                    line.push_str(text);
+                    return Ok(Ok(()));
                 }
-                *idle += READ_TICK;
-                if let Some(limit) = inner.cfg.idle_timeout {
-                    if *idle >= limit {
-                        return Ok(Err(LineStop::IdleTimeout));
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    if let Some(stop) = self.tick() {
+                        return Ok(Err(stop));
+                    }
+                    // Partial bytes already in `buf` survive the retry,
+                    // but only a complete line resets the idle clock.
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Reads exactly `buf.len()` body bytes.
+    pub(crate) fn read_exact(&mut self, buf: &mut [u8]) -> std::io::Result<Result<(), ReadStop>> {
+        let mut filled = 0;
+        while filled < buf.len() {
+            match self.reader.read(&mut buf[filled..]) {
+                Ok(0) => return Ok(Err(ReadStop::Closed)),
+                Ok(n) => {
+                    filled += n;
+                    self.idle = Duration::ZERO;
+                }
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    if let Some(stop) = self.tick() {
+                        return Ok(Err(stop));
                     }
                 }
-                // Partial bytes already in `buf` survive the retry (a
-                // byte-trickling client still counts as idle).
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
         }
-    }
-}
-
-fn serve_session(inner: &Inner, stream: TcpStream) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(READ_TICK))?;
-    stream.set_write_timeout(Some(Duration::from_secs(10)))?;
-    stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut stream = stream;
-    {
-        // The greeting advertises the directory facts of the segment
-        // serving *right now*; a session outliving a hot reload keeps its
-        // connection and simply sees post-swap answers on later requests.
-        let tree = inner.tree.load();
-        stream
-            .write_all(encode_greeting_ok(tree.num_nodes(), tree.alpha_upper_bound()).as_bytes())?;
+        Ok(Ok(()))
     }
 
-    let mut line = String::new();
-    let mut idle = Duration::ZERO;
-    loop {
-        match read_request_line(inner, &mut reader, &mut idle, &mut line)? {
-            Ok(()) => {}
-            Err(LineStop::Eof | LineStop::Shutdown) => return Ok(()),
-            Err(LineStop::IdleTimeout) => {
-                // Best effort: the client may be past listening.
-                let _ = stream.write_all(encode_error("session idle timeout", false).as_bytes());
-                return Err(std::io::Error::new(
-                    ErrorKind::TimedOut,
-                    "session idle timeout",
-                ));
-            }
-            Err(LineStop::TooLong) => {
-                inner
-                    .metrics
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                // Framing is lost mid-line; answer and close.
-                let _ = stream.write_all(encode_error("request line too long", false).as_bytes());
-                return Ok(());
-            }
+    /// One timeout tick: advances the idle clock, reports shutdown or
+    /// idle expiry.
+    fn tick(&mut self) -> Option<ReadStop> {
+        if self.shutdown.load(Ordering::SeqCst) {
+            return Some(ReadStop::Closed);
         }
-        if line.trim().is_empty() {
-            line.clear();
-            continue; // blank keep-alive lines are not a protocol error
-        }
-        let flow = match Request::parse(&line) {
-            Ok(req) => {
-                // One snapshot per request: a hot reload landing mid-
-                // request never mixes old and new segments in one answer.
-                let tree = inner.tree.load();
-                handle_request(inner, &tree, &req, &mut stream)?
-            }
-            Err(msg) => {
-                inner
-                    .metrics
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                stream.write_all(encode_error(&msg, false).as_bytes())?;
-                SessionFlow::Continue
-            }
-        };
-        line.clear();
-        if matches!(flow, SessionFlow::Close) {
-            return Ok(());
-        }
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return Ok(());
+        self.idle += READ_TICK;
+        match self.idle_timeout {
+            Some(limit) if self.idle >= limit => Some(ReadStop::IdleTimeout),
+            _ => None,
         }
     }
-}
-
-fn handle_request(
-    inner: &Inner,
-    tree: &SegmentTcTree,
-    req: &Request,
-    stream: &mut TcpStream,
-) -> std::io::Result<SessionFlow> {
-    let m = &inner.metrics;
-    let (result, hist, json) = match req {
-        Request::Qba { alpha, json } => {
-            m.qba.fetch_add(1, Ordering::Relaxed);
-            (tree.query_by_alpha(*alpha), &m.qba_latency, *json)
-        }
-        Request::Qbp { items, json } => {
-            m.qbp.fetch_add(1, Ordering::Relaxed);
-            (
-                tree.query_by_pattern(&pattern_of(items)),
-                &m.qbp_latency,
-                *json,
-            )
-        }
-        Request::Query { items, alpha, json } => {
-            m.query.fetch_add(1, Ordering::Relaxed);
-            (
-                tree.query(&pattern_of(items), *alpha),
-                &m.query_latency,
-                *json,
-            )
-        }
-        Request::Stats { json } => {
-            m.stats.fetch_add(1, Ordering::Relaxed);
-            let s = inner.snapshot();
-            let cache = tree.cache_stats();
-            // The STATS table is integer-valued; the hit *ratio* is
-            // reported as a percentage (floor), exact ratio in /metrics.
-            let hit_total = cache.hits + cache.misses;
-            let hit_pct = (cache.hits * 100).checked_div(hit_total).unwrap_or(100);
-            let rows = [
-                ("protocol_version", u64::from(crate::PROTOCOL_VERSION)),
-                ("nodes", tree.num_nodes() as u64),
-                ("materialized_nodes", tree.materialized_nodes() as u64),
-                ("materialized_total", cache.materialized_total),
-                ("cache_bytes_used", cache.bytes_used),
-                ("cache_bytes_budget", cache.budget.unwrap_or(0)),
-                ("cache_evictions", cache.evictions),
-                ("cache_hits", cache.hits),
-                ("cache_misses", cache.misses),
-                ("cache_hit_ratio_pct", hit_pct),
-                ("workers", inner.cfg.workers as u64),
-                ("max_inflight", inner.cfg.max_inflight as u64),
-                ("inflight", s.inflight),
-                ("accepted", s.accepted),
-                ("admitted", s.admitted),
-                ("rejected_busy", s.rejected_busy),
-                ("rate_limited", s.rate_limited),
-                ("qba", s.qba),
-                ("qbp", s.qbp),
-                ("query", s.query),
-                ("stats", s.stats),
-                ("batch", s.batch),
-                ("protocol_errors", s.protocol_errors),
-                ("query_failures", s.query_failures),
-                ("timeouts", s.timeouts),
-                ("reloads", s.reloads),
-                ("reload_failures", s.reload_failures),
-            ];
-            stream.write_all(encode_stats(&rows, *json).as_bytes())?;
-            return Ok(SessionFlow::Continue);
-        }
-        Request::Quit => {
-            stream.write_all(b"BYE\n")?;
-            return Ok(SessionFlow::Close);
-        }
-        Request::Shutdown => {
-            stream.write_all(b"BYE\n")?;
-            inner.shutdown.store(true, Ordering::SeqCst);
-            inner.queue_cv.notify_all();
-            return Ok(SessionFlow::Close);
-        }
-    };
-    match result {
-        Ok(r) => {
-            hist.observe(r.elapsed_secs);
-            let resp = QueryResponse::from_result(&r);
-            let frame = if json {
-                resp.encode_json()
-            } else {
-                resp.encode_tab()
-            };
-            stream.write_all(frame.as_bytes())?;
-        }
-        Err(e) => {
-            // A failed query (segment corruption discovered lazily) is an
-            // ERR to this client, not a daemon crash.
-            m.query_failures.fetch_add(1, Ordering::Relaxed);
-            stream.write_all(encode_error(&e.to_string(), json).as_bytes())?;
-        }
-    }
-    Ok(SessionFlow::Continue)
-}
-
-pub(crate) fn pattern_of(items: &[u32]) -> Pattern {
-    Pattern::new(items.iter().map(|&i| Item(i)).collect())
 }
 
 // ---------------------------------------------------------------------------
 // Signal plumbing: SIGTERM/SIGINT flip a shutdown flag, SIGHUP a reload
-// flag; the accept loop polls both. Only the `tc serve` binary installs
-// the handlers; library users and tests drive shutdown and reload via
-// ServerHandle / the SHUTDOWN verb.
+// flag; the accept loop polls both. Only the `tc` binary installs the
+// handlers; library users and tests drive shutdown and reload via Handle /
+// the SHUTDOWN verb.
 // ---------------------------------------------------------------------------
 
 static SIGNAL_SHUTDOWN: AtomicBool = AtomicBool::new(false);
@@ -839,21 +707,14 @@ fn signal_received() -> bool {
     SIGNAL_SHUTDOWN.load(Ordering::SeqCst)
 }
 
-/// Whether a SIGTERM/SIGINT arrived since [`install_signal_handlers`].
-/// The flag is process-wide: every accept loop (tc-serve daemons and the
-/// tc-router gateway alike) polls it and drains on the same signal.
-pub fn shutdown_signal_pending() -> bool {
-    signal_received()
-}
-
 /// Consumes a pending SIGHUP, if one arrived since the last check.
-pub fn take_reload_signal() -> bool {
+fn take_reload_signal() -> bool {
     SIGNAL_RELOAD.swap(false, Ordering::SeqCst)
 }
 
 /// Routes SIGTERM and SIGINT into a graceful shutdown — and SIGHUP into
-/// a segment hot-reload — of every [`Server::run`] loop in the process.
-/// Call once, before `run`.
+/// a hot-reload — of every [`FrontEnd::run`] loop in the process. Call
+/// once, before `run`.
 ///
 /// Uses the C `signal(2)` entry point directly — the workspace vendors
 /// its dependencies and has no `libc` crate, but every supported target

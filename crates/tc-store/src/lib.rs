@@ -10,9 +10,8 @@
 //! * [`page`] — the substrate: fixed-size pages, per-page CRC-32, a
 //!   magic/version header, and section-addressed byte streams
 //!   (byte-level spec: `docs/SEGMENT_FORMAT.md` in the repository);
-//! * [`source`] — pluggable [`PageSource`] backings for page reads:
-//!   buffered `read(2)` or `mmap(2)` (direct syscall binding, no new
-//!   dependencies);
+//! * [`source`] — the [`PageSource`] page reads go through: a buffered
+//!   file, or an in-memory image;
 //! * [`cache`] — the byte-budgeted node cache with clock/second-chance
 //!   eviction that bounds a serving daemon's memory envelope;
 //! * [`network`] — segment save/load for [`tc_core::DatabaseNetwork`];
@@ -80,7 +79,7 @@ pub use network::{
 pub use page::{SegmentKind, PAGE_SIZE};
 pub use shardmap::{level1_items, split_tree, HashScheme, ShardEntry, ShardMap};
 pub use sniff::{detect_format, DetectedFormat};
-pub use source::{PageSource, SourceKind};
+pub use source::PageSource;
 pub use tc_util::LoadError;
 pub use tree::{
     load_tree_segment_from_path, save_tree_segment, save_tree_segment_to_path, SegmentTcTree,

@@ -35,7 +35,7 @@
 //! sub-ranges of a section without touching the rest of the file — the
 //! basis of the lazy TC-Tree reader in [`crate::tree`].
 
-use crate::source::{open_source, MemSource, PageSource, SourceKind};
+use crate::source::{BufferedFileSource, MemSource, PageSource};
 use std::io::Write;
 use std::path::Path;
 use tc_util::bytes::{checked_len_u32, put_u16, put_u32, put_u64, ByteReader};
@@ -196,25 +196,15 @@ pub struct PageFile {
 }
 
 impl PageFile {
-    /// Opens `path` with the default buffered reader, validating the
-    /// header page, section geometry, and the total file length.
+    /// Opens `path`, validating the header page, section geometry, and
+    /// the total file length.
     pub fn open(path: &Path) -> Result<PageFile, LoadError> {
-        Self::open_with(path, SourceKind::default())
-    }
-
-    /// Opens `path` through the requested [`SourceKind`].
-    pub fn open_with(path: &Path, kind: SourceKind) -> Result<PageFile, LoadError> {
-        Self::with_source(open_source(path, kind)?)
+        Self::with_source(Box::new(BufferedFileSource::open(path)?))
     }
 
     /// Opens an in-memory segment image (tests, conversions).
     pub fn from_bytes(bytes: Vec<u8>) -> Result<PageFile, LoadError> {
         Self::with_source(Box::new(MemSource(bytes)))
-    }
-
-    /// The backing this file reads through (for diagnostics).
-    pub fn source_kind(&self) -> SourceKind {
-        self.source.kind()
     }
 
     fn with_source(source: Box<dyn PageSource>) -> Result<PageFile, LoadError> {

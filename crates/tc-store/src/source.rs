@@ -1,62 +1,22 @@
-//! Pluggable byte sources for segment page reads.
+//! Byte sources for segment page reads.
 //!
 //! A [`PageSource`] hands [`crate::page::PageFile`] the raw bytes of a
 //! page; everything above it — CRC verification, header decoding, section
-//! arithmetic — is backing-agnostic. Three implementations:
+//! arithmetic — is backing-agnostic. Two implementations:
 //!
 //! - [`BufferedFileSource`]: `seek` + `read_exact` on an owned
 //!   [`std::fs::File`] behind a mutex. Every read copies through the
 //!   kernel; memory use is exactly the caller's buffers.
-//! - [`MmapSource`] (unix): the whole file mapped read-only with
-//!   `mmap(2)`, reads are `memcpy` from the mapping. The page cache
-//!   backs the mapping, so cold pages fault in on first touch and the
-//!   kernel reclaims them under pressure — a segment much larger than
-//!   RAM stays servable. The mapping is released by `munmap(2)` on drop,
-//!   so swapping an `Arc<SegmentTcTree>` (hot reload) cannot leak maps.
 //! - [`MemSource`]: an in-memory image (tests, conversions).
-//!
-//! The mmap calls use the same direct `extern "C"` syscall-binding
-//! pattern `tc-serve` uses for `signal(2)` — no new dependencies. On
-//! non-unix targets [`SourceKind::Mmap`] silently falls back to the
-//! buffered reader, preserving behaviour.
 //!
 //! Integrity is unaffected by the backing: [`crate::page::PageFile::read_page`]
 //! re-verifies each page's CRC-32 on every read, so a bit flip surfaces
-//! as [`LoadError::Checksum`] whether the bytes arrived via `read(2)` or
-//! a mapped load. See `docs/SEGMENT_FORMAT.md` for the on-disk layout.
+//! as [`LoadError::Checksum`] whichever source the bytes arrived from.
+//! See `docs/SEGMENT_FORMAT.md` for the on-disk layout.
 
 use std::path::Path;
+use tc_util::sync::Mutex;
 use tc_util::LoadError;
-
-/// Which backing [`crate::page::PageFile::open_with`] should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SourceKind {
-    /// `seek`/`read` on a file handle (the default; works everywhere).
-    #[default]
-    Buffered,
-    /// `mmap(2)` the whole file read-only (unix; falls back to
-    /// [`SourceKind::Buffered`] elsewhere).
-    Mmap,
-}
-
-impl SourceKind {
-    /// Parses a user-facing name (`buffered` / `mmap`).
-    pub fn parse(s: &str) -> Option<SourceKind> {
-        match s {
-            "buffered" => Some(SourceKind::Buffered),
-            "mmap" => Some(SourceKind::Mmap),
-            _ => None,
-        }
-    }
-
-    /// The user-facing name (`buffered` / `mmap`).
-    pub fn name(self) -> &'static str {
-        match self {
-            SourceKind::Buffered => "buffered",
-            SourceKind::Mmap => "mmap",
-        }
-    }
-}
 
 /// Random-access byte source a [`crate::page::PageFile`] reads pages from.
 ///
@@ -74,24 +34,6 @@ pub trait PageSource: Send + Sync + std::fmt::Debug {
 
     /// Fills `buf` with the bytes at `off..off + buf.len()`.
     fn read_at(&self, off: u64, buf: &mut [u8]) -> Result<(), LoadError>;
-
-    /// The [`SourceKind`] this source implements (for diagnostics).
-    fn kind(&self) -> SourceKind;
-}
-
-/// Opens `path` with the requested backing.
-///
-/// On non-unix targets [`SourceKind::Mmap`] degrades to the buffered
-/// reader rather than failing: the choice of backing is a performance
-/// hint, never a correctness switch.
-pub fn open_source(path: &Path, kind: SourceKind) -> Result<Box<dyn PageSource>, LoadError> {
-    match kind {
-        SourceKind::Buffered => Ok(Box::new(BufferedFileSource::open(path)?)),
-        #[cfg(unix)]
-        SourceKind::Mmap => Ok(Box::new(mmap::MmapSource::open(path)?)),
-        #[cfg(not(unix))]
-        SourceKind::Mmap => Ok(Box::new(BufferedFileSource::open(path)?)),
-    }
 }
 
 /// `seek` + `read_exact` on an owned file handle.
@@ -99,7 +41,7 @@ pub fn open_source(path: &Path, kind: SourceKind) -> Result<Box<dyn PageSource>,
 /// The mutex serialises the seek/read pair; the handle is the only state.
 #[derive(Debug)]
 pub struct BufferedFileSource {
-    file: parking_lot::Mutex<std::fs::File>,
+    file: Mutex<std::fs::File>,
     len: u64,
 }
 
@@ -109,7 +51,7 @@ impl BufferedFileSource {
         let file = std::fs::File::open(path)?;
         let len = file.metadata()?.len();
         Ok(BufferedFileSource {
-            file: parking_lot::Mutex::new(file),
+            file: Mutex::new(file),
             len,
         })
     }
@@ -126,10 +68,6 @@ impl PageSource for BufferedFileSource {
         f.seek(SeekFrom::Start(off))?;
         f.read_exact(buf)?;
         Ok(())
-    }
-
-    fn kind(&self) -> SourceKind {
-        SourceKind::Buffered
     }
 }
 
@@ -151,156 +89,7 @@ impl PageSource for MemSource {
         buf.copy_from_slice(&self.0[start..end]);
         Ok(())
     }
-
-    fn kind(&self) -> SourceKind {
-        SourceKind::Buffered
-    }
 }
-
-#[cfg(unix)]
-mod mmap {
-    use super::{PageSource, SourceKind};
-    use std::ffi::c_void;
-    use std::path::Path;
-    use tc_util::LoadError;
-
-    // Direct bindings, the same pattern tc-serve uses for signal(2).
-    // The constants are identical on Linux and macOS for this usage.
-    const PROT_READ: i32 = 1;
-    const MAP_PRIVATE: i32 = 2;
-
-    extern "C" {
-        fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            off: i64,
-        ) -> *mut c_void;
-        fn munmap(addr: *mut c_void, len: usize) -> i32;
-    }
-
-    /// The whole file mapped read-only; unmapped on drop.
-    pub struct MmapSource {
-        ptr: *const u8,
-        len: usize,
-    }
-
-    // SAFETY: the mapping is PROT_READ and never remapped or written
-    // after construction, so concurrent reads from any thread observe
-    // immutable memory; the raw pointer is only dereferenced inside
-    // `read_at`'s bounds-checked copy and freed exactly once in `Drop`.
-    unsafe impl Send for MmapSource {}
-    // SAFETY: same argument — `&MmapSource` only permits reads of
-    // immutable, page-aligned memory owned by the mapping.
-    unsafe impl Sync for MmapSource {}
-
-    impl std::fmt::Debug for MmapSource {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("MmapSource")
-                .field("len", &self.len)
-                .finish()
-        }
-    }
-
-    impl MmapSource {
-        /// Opens and maps `path` read-only. The file descriptor is closed
-        /// before returning — the mapping keeps the file alive.
-        pub fn open(path: &Path) -> Result<MmapSource, LoadError> {
-            use std::os::unix::io::AsRawFd;
-            let file = std::fs::File::open(path)?;
-            let len = file.metadata()?.len();
-            let len = usize::try_from(len)
-                .map_err(|_| LoadError::corrupt("segment: file too large to map"))?;
-            if len == 0 {
-                // mmap(2) rejects zero-length maps; an empty file needs no
-                // mapping at all.
-                return Ok(MmapSource {
-                    ptr: std::ptr::null(),
-                    len: 0,
-                });
-            }
-            // SAFETY: `file` is a freshly opened, readable descriptor that
-            // stays open across the call; `len` is its exact non-zero size;
-            // a null hint with PROT_READ|MAP_PRIVATE asks the kernel for a
-            // new private read-only mapping and cannot clobber existing
-            // memory. The result is validated below before use.
-            let ptr = unsafe {
-                mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    PROT_READ,
-                    MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            // MAP_FAILED is (void *)-1; null is never returned for a
-            // non-zero request but is equally unusable.
-            if ptr == usize::MAX as *mut c_void || ptr.is_null() {
-                return Err(LoadError::Io(std::io::Error::other(format!(
-                    "mmap of {} failed",
-                    path.display()
-                ))));
-            }
-            Ok(MmapSource {
-                ptr: ptr as *const u8,
-                len,
-            })
-        }
-    }
-
-    impl Drop for MmapSource {
-        fn drop(&mut self) {
-            if self.len > 0 {
-                // SAFETY: `ptr`/`len` are exactly what mmap returned for
-                // this object, the mapping is still live (only Drop ever
-                // unmaps), and Drop runs at most once.
-                let rc = unsafe { munmap(self.ptr as *mut c_void, self.len) };
-                // munmap failing here means the arguments were corrupted
-                // (EINVAL is its only realistic errno for a valid mapping):
-                // loud in debug builds, logged-but-not-fatal in release —
-                // panicking in a destructor would abort the process.
-                debug_assert_eq!(rc, 0, "munmap({:p}, {}) failed", self.ptr, self.len);
-                if rc != 0 {
-                    eprintln!(
-                        "tc-store: munmap({:p}, {}) failed; leaking the mapping",
-                        self.ptr, self.len
-                    );
-                }
-            }
-        }
-    }
-
-    impl PageSource for MmapSource {
-        fn len(&self) -> u64 {
-            self.len as u64
-        }
-
-        fn read_at(&self, off: u64, buf: &mut [u8]) -> Result<(), LoadError> {
-            let start = usize::try_from(off)
-                .ok()
-                .filter(|&s| s.checked_add(buf.len()).is_some_and(|e| e <= self.len))
-                .ok_or_else(|| LoadError::corrupt("segment: read past end of mapping"))?;
-            // SAFETY: the check above guarantees `start + buf.len() <=
-            // self.len`, the mapping is immutable and outlives `&self`,
-            // and `buf` is a distinct, writable slice — the ranges cannot
-            // overlap because one side is foreign mapped memory.
-            unsafe {
-                std::ptr::copy_nonoverlapping(self.ptr.add(start), buf.as_mut_ptr(), buf.len());
-            }
-            Ok(())
-        }
-
-        fn kind(&self) -> SourceKind {
-            SourceKind::Mmap
-        }
-    }
-}
-
-#[cfg(unix)]
-pub use mmap::MmapSource;
 
 #[cfg(test)]
 mod tests {
@@ -320,48 +109,34 @@ mod tests {
     }
 
     #[test]
-    fn buffered_and_mmap_read_identical_bytes() {
+    fn buffered_source_reads_exact_bytes() {
         let data: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
         let path = tmp_file(&data);
-        for kind in [SourceKind::Buffered, SourceKind::Mmap] {
-            let src = open_source(&path, kind).unwrap();
-            assert_eq!(src.len(), data.len() as u64);
-            let mut buf = vec![0u8; 1000];
-            for off in [0u64, 1, 4095, 4096, 8999] {
-                src.read_at(off, &mut buf).unwrap();
-                assert_eq!(
-                    buf,
-                    &data[off as usize..off as usize + 1000],
-                    "{} read at {off}",
-                    kind.name()
-                );
-            }
-            // Past-end reads fail rather than over-read.
-            assert!(src.read_at(data.len() as u64 - 10, &mut buf).is_err());
+        let src = BufferedFileSource::open(&path).unwrap();
+        assert_eq!(src.len(), data.len() as u64);
+        let mut buf = vec![0u8; 1000];
+        for off in [0u64, 1, 4095, 4096, 8999] {
+            src.read_at(off, &mut buf).unwrap();
+            assert_eq!(
+                buf,
+                &data[off as usize..off as usize + 1000],
+                "read at {off}"
+            );
         }
+        // Past-end reads fail rather than over-read.
+        assert!(src.read_at(data.len() as u64 - 10, &mut buf).is_err());
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn empty_file_maps_and_rejects_reads() {
         let path = tmp_file(&[]);
-        for kind in [SourceKind::Buffered, SourceKind::Mmap] {
-            let src = open_source(&path, kind).unwrap();
-            assert_eq!(src.len(), 0);
-            assert!(src.is_empty());
-            let mut one = [0u8; 1];
-            assert!(src.read_at(0, &mut one).is_err());
-        }
+        let src = BufferedFileSource::open(&path).unwrap();
+        assert_eq!(src.len(), 0);
+        assert!(src.is_empty());
+        let mut one = [0u8; 1];
+        assert!(src.read_at(0, &mut one).is_err());
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn source_kind_parses_names() {
-        assert_eq!(SourceKind::parse("buffered"), Some(SourceKind::Buffered));
-        assert_eq!(SourceKind::parse("mmap"), Some(SourceKind::Mmap));
-        assert_eq!(SourceKind::parse("lmdb"), None);
-        assert_eq!(SourceKind::Mmap.name(), "mmap");
-        assert_eq!(SourceKind::default(), SourceKind::Buffered);
     }
 
     #[test]

@@ -19,13 +19,11 @@
 //! default (every touched node stays resident, the original behaviour),
 //! or byte-budgeted via [`StoreOptions::cache_bytes`] so a daemon can
 //! serve a segment much larger than its memory envelope. Page reads go
-//! through a pluggable [`crate::source::PageSource`]
-//! ([`StoreOptions::source`]): buffered `read(2)` or `mmap(2)`.
+//! through a [`crate::source::PageSource`] (a file, or an in-memory image).
 //! See `docs/SEGMENT_FORMAT.md` for the byte-level format specification.
 
 use crate::cache::{CacheStats, NodeCache};
 use crate::page::{write_segment, PageFile, SectionInfo, SegmentKind};
-use crate::source::SourceKind;
 use std::io::Write;
 use std::path::Path;
 use tc_core::{TrussDecomposition, TrussLevel};
@@ -97,17 +95,11 @@ struct NodeSkel {
     blob_len: u64,
 }
 
-/// How to open a [`SegmentTcTree`]: which [`PageSource`] backs page
-/// reads, and whether materialised nodes are byte-budgeted.
-///
-/// The default (`buffered` source, unbounded cache) is exactly the
-/// pre-cache behaviour.
-///
-/// [`PageSource`]: crate::source::PageSource
+/// How to open a [`SegmentTcTree`]: whether materialised nodes are
+/// byte-budgeted. The default (unbounded cache) is exactly the pre-cache
+/// behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreOptions {
-    /// Page-read backing (buffered `read(2)` or `mmap(2)`).
-    pub source: SourceKind,
     /// Byte budget for resident truss decompositions; `None` = unbounded.
     pub cache_bytes: Option<u64>,
 }
@@ -133,10 +125,9 @@ impl SegmentTcTree {
         Self::open_with(path, StoreOptions::default())
     }
 
-    /// Opens a tree segment at `path` with an explicit source and cache
-    /// budget.
+    /// Opens a tree segment at `path` with an explicit cache budget.
     pub fn open_with(path: &Path, opts: StoreOptions) -> Result<SegmentTcTree, LoadError> {
-        Self::from_pages(PageFile::open_with(path, opts.source)?, opts)
+        Self::from_pages(PageFile::open(path)?, opts)
     }
 
     /// Opens an in-memory segment image (tests, conversions).
@@ -144,8 +135,7 @@ impl SegmentTcTree {
         Self::from_bytes_with(bytes, StoreOptions::default())
     }
 
-    /// Opens an in-memory segment image with an explicit cache budget
-    /// (the source option is moot — the image is already in memory).
+    /// Opens an in-memory segment image with an explicit cache budget.
     pub fn from_bytes_with(bytes: Vec<u8>, opts: StoreOptions) -> Result<SegmentTcTree, LoadError> {
         Self::from_pages(PageFile::from_bytes(bytes)?, opts)
     }
@@ -252,11 +242,6 @@ impl SegmentTcTree {
     /// evictions).
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-
-    /// The [`SourceKind`] backing page reads.
-    pub fn source_kind(&self) -> SourceKind {
-        self.pages.source_kind()
     }
 
     /// The decomposition of node `id`, reading it from the file on first

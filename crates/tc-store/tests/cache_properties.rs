@@ -106,7 +106,7 @@ proptest! {
         let unbounded = SegmentTcTree::from_bytes(bytes.clone()).unwrap();
         let budgeted = SegmentTcTree::from_bytes_with(
             bytes,
-            StoreOptions { cache_bytes: Some(budget), ..StoreOptions::default() },
+            StoreOptions { cache_bytes: Some(budget) },
         ).unwrap();
 
         for &(sel, alpha) in &queries {
@@ -161,7 +161,7 @@ proptest! {
         // evicts the previous one, so the second pass re-materialises.
         let seg = SegmentTcTree::from_bytes_with(
             bytes,
-            StoreOptions { cache_bytes: Some(max_entry), ..StoreOptions::default() },
+            StoreOptions { cache_bytes: Some(max_entry) },
         ).unwrap();
         let first: Vec<TrussDecomposition> = (1..=nodes as u32)
             .map(|id| seg.truss(id).unwrap().as_ref().clone())

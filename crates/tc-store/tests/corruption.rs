@@ -127,15 +127,14 @@ fn segment_truncations_fail_at_open() {
     }
 }
 
-/// The mmap read path is checksum-verified exactly like the buffered
-/// path: a bit flip in a lazily-read page surfaces as the **same** typed
-/// `LoadError::Checksum` (same message, even) whether the bytes arrived
-/// via `read(2)` or a mapped load.
+/// Page reads are checksum-verified above the `PageSource`: a bit flip in
+/// a lazily-read page surfaces as the **same** typed
+/// `LoadError::Checksum` (same message, even) whether the bytes came from
+/// a file or from an in-memory image.
 #[test]
-fn mmap_bit_flip_reports_the_same_checksum_error_as_buffered() {
-    use tc_store::{SourceKind, StoreOptions};
+fn lazy_bit_flip_reports_the_same_checksum_error_from_file_and_image() {
     let clean = tree_segment_bytes();
-    let dir = std::env::temp_dir().join("tc_store_mmap_corruption");
+    let dir = std::env::temp_dir().join("tc_store_lazy_corruption");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("tree.seg");
     // Flip a payload byte in the file's last page: that page belongs to
@@ -147,12 +146,11 @@ fn mmap_bit_flip_reports_the_same_checksum_error_as_buffered() {
     std::fs::write(&path, &bad).unwrap();
 
     let mut messages = Vec::new();
-    for kind in [SourceKind::Buffered, SourceKind::Mmap] {
-        let opts = StoreOptions {
-            source: kind,
-            cache_bytes: None,
-        };
-        let seg = SegmentTcTree::open_with(&path, opts).expect("damage sits in a lazy region");
+    for (source, seg) in [
+        ("file", SegmentTcTree::open(&path)),
+        ("image", SegmentTcTree::from_bytes(bad)),
+    ] {
+        let seg = seg.expect("damage sits in a lazy region");
         let err = (|| {
             seg.query_by_alpha(0.0)?;
             seg.to_tree()?;
@@ -161,8 +159,7 @@ fn mmap_bit_flip_reports_the_same_checksum_error_as_buffered() {
         .expect_err("flip undetected");
         assert!(
             matches!(err, LoadError::Checksum(_)),
-            "{} path: wrong error type {err}",
-            kind.name()
+            "{source} path: wrong error type {err}"
         );
         messages.push(err.to_string());
     }

@@ -155,7 +155,6 @@ fn concurrent_budgeted_queries_match_and_the_ledger_balances() {
         bytes,
         StoreOptions {
             cache_bytes: Some(budget),
-            ..StoreOptions::default()
         },
     )
     .unwrap();

@@ -1,10 +1,8 @@
 //! A shared work-stealing executor for the offline phases (TCFI mining,
 //! TC-Tree construction).
 //!
-//! The miners' fan-out used to be a hand-rolled `std::thread::scope` +
-//! atomic-cursor pool that re-spawned its workers at every Apriori level
-//! and met a hard barrier between levels. This module replaces it with a
-//! reusable executor:
+//! One reusable executor for every offline fan-out, with no barrier
+//! between Apriori levels:
 //!
 //! * **per-worker deques** — each worker owns a deque; it pushes spawned
 //!   tasks to the back and pops from the back (LIFO keeps the working set
