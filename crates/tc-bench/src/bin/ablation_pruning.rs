@@ -12,8 +12,6 @@ use tc_graph::bfs_edge_sample;
 
 fn main() {
     let args = BenchArgs::from_env();
-    args.warn_unused_json();
-    args.warn_unused_threads();
     let full = build_dataset(Dataset::Aminer, args.scale);
     let target = ((5_000.0 * args.scale) as usize).max(200);
     let sample = bfs_edge_sample(full.graph(), 0, target);

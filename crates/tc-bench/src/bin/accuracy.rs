@@ -12,8 +12,6 @@ use tc_data::{generate_planted, PlantedConfig};
 
 fn main() {
     let args = BenchArgs::from_env();
-    args.warn_unused_json();
-    args.warn_unused_threads();
     // Two tiers of planted communities: strong themes (f = 0.9) and weak
     // themes (f = 0.25) that the ε-prefilter endangers.
     let strong = generate_planted(&PlantedConfig {

@@ -14,8 +14,6 @@ use tc_data::{generate_coauthor, CoauthorConfig};
 
 fn main() {
     let args = BenchArgs::from_env();
-    args.warn_unused_json();
-    args.warn_unused_threads();
     let out = generate_coauthor(&CoauthorConfig {
         groups: 6,
         authors_per_group: (12.0 * args.scale).round().max(6.0) as usize,

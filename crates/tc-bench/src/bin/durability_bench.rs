@@ -1,5 +1,10 @@
-//! Durability telemetry: WAL append throughput per fsync policy, group
+//! Durability experiment: WAL append throughput per fsync policy, group
 //! commit under concurrent appenders, and recovery/checkpoint latency.
+//!
+//! This is the only timing of the write path in the repository: the
+//! whole-chain benchmark under `bench/` leaves the WAL out because it is
+//! fsync-bound. Nothing gates these numbers — the tables are printed for
+//! a human to read, on the storage they were run on.
 //!
 //! All sections run against real files in a scratch directory — the point
 //! is the actual `write + fsync` path `tc ingest` rides, not an in-memory
@@ -10,22 +15,17 @@
 //!   (group commit at a record/delay threshold), and `end` (no syncs
 //!   until a final `flush`). Reported per policy: records/s and syncs
 //!   issued. Throughput is fsync-bound and varies ~100× across storage
-//!   hardware, so these are trajectory metrics (`_per_sec`), not gated.
+//!   hardware.
 //! * **group commit** — 4 threads share one `always`-mode log; the
 //!   leader/follower protocol must coalesce their acks into far fewer
 //!   than N fsyncs.
 //! * **recovery** — scan + replay time for logs of increasing length,
 //!   plus the `checkpoint` fold (open, fold into a fresh segment, reset
 //!   the log) on the longest one.
-//!
-//! `wal_bytes` is deterministic for a fixed record count and is gated at
-//! ±10% like the other artifact sizes: an accidental frame-format
-//! inflation fails the telemetry gate.
 
 use std::path::Path;
 use std::time::Duration;
 
-use tc_bench::report::JsonReport;
 use tc_bench::{fmt_count, fmt_secs, BenchArgs, Table};
 use tc_store::wal::{checkpoint, WalStore};
 use tc_store::{Durability, WalRecord};
@@ -51,7 +51,6 @@ fn open_fresh(dir: &Path, name: &str, durability: Durability) -> (WalStore, std:
 
 fn main() {
     let args = BenchArgs::from_env();
-    args.warn_unused_threads();
     let n = if args.quick { 400 } else { 2000 };
     let recovery_lens: &[usize] = if args.quick {
         &[200, 1000]
@@ -61,7 +60,6 @@ fn main() {
 
     let scratch = std::env::temp_dir().join(format!("tc_durability_bench_{}", std::process::id()));
     std::fs::create_dir_all(&scratch).expect("create scratch dir");
-    let mut json = JsonReport::new("durability");
 
     println!("# durability_bench — WAL append/fsync policies and crash recovery ({n} records)");
 
@@ -110,13 +108,6 @@ fn main() {
         assert_eq!(store.wal().durable_seqno(), n as u64, "all records durable");
         drop(store);
 
-        json.push("wal", format!("append_{name}_per_sec"), per_sec);
-        json.push("wal", format!("append_{name}_syncs"), syncs as f64);
-        if name == "always" {
-            // One policy's file stands in for all: the frame bytes are
-            // identical, only the fsync cadence differs.
-            json.push("wal", "wal_bytes", bytes as f64);
-        }
         table.push_row(vec![
             name.into(),
             format!("{per_sec:.0}"),
@@ -158,16 +149,6 @@ fn main() {
         fmt_count(group_syncs as usize),
         fmt_count(total as usize)
     );
-    json.push(
-        "wal",
-        format!("append_group{GROUP_THREADS}_per_sec"),
-        group_per_sec,
-    );
-    json.push(
-        "wal",
-        format!("append_group{GROUP_THREADS}_syncs"),
-        group_syncs as f64,
-    );
 
     // ---- Recovery time vs log length, and the checkpoint fold ----------
     let mut table = Table::new(
@@ -195,7 +176,6 @@ fn main() {
         assert_eq!(store.recovered_records(), len);
         assert_eq!(store.truncated_bytes(), 0);
         drop(store);
-        json.push("recovery", format!("recovery_{len}_secs"), recover_secs);
 
         // Checkpoint the longest log only — one fold datapoint is enough.
         let checkpoint_cell = if pos == recovery_lens.len() - 1 {
@@ -209,7 +189,6 @@ fn main() {
             assert_eq!(reopened.recovered_records(), 1, "marker-only log");
             drop(reopened);
             std::fs::remove_file(&out).ok();
-            json.push("recovery", "checkpoint_secs", fold_secs);
             fmt_secs(fold_secs)
         } else {
             "—".into()
@@ -224,13 +203,4 @@ fn main() {
     table.print();
 
     std::fs::remove_dir_all(&scratch).ok();
-
-    if let Some(path) = &args.json {
-        json.write_to_path(path).expect("write json report");
-        println!(
-            "\nwrote {} telemetry datapoints to {}",
-            json.len(),
-            path.display()
-        );
-    }
 }

@@ -11,8 +11,6 @@ use tc_graph::bfs_edge_sample;
 
 fn main() {
     let args = BenchArgs::from_env();
-    args.warn_unused_json();
-    args.warn_unused_threads();
     let alphas: Vec<f64> = if args.quick {
         vec![0.0, 0.2, 0.5, 1.0, 2.0]
     } else {

@@ -16,8 +16,6 @@ const TIME_BUDGET_SECS: f64 = 30.0;
 
 fn main() {
     let args = BenchArgs::from_env();
-    args.warn_unused_json();
-    args.warn_unused_threads();
     let datasets: Vec<Dataset> = args
         .datasets()
         .into_iter()

@@ -17,8 +17,6 @@ use tc_util::Stopwatch;
 
 fn main() {
     let args = BenchArgs::from_env();
-    args.warn_unused_json();
-    args.warn_unused_threads();
     let runs = if args.quick { 50 } else { 1000 };
 
     for dataset in args.datasets() {

@@ -7,8 +7,6 @@ use tc_bench::{build_dataset, fmt_count, BenchArgs, Table};
 
 fn main() {
     let args = BenchArgs::from_env();
-    args.warn_unused_json();
-    args.warn_unused_threads();
     let mut table = Table::new(
         format!("Table 2 — dataset statistics (scale {})", args.scale),
         &[

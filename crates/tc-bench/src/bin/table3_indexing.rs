@@ -11,8 +11,6 @@ static ALLOC: tc_bench::alloc::CountingAlloc = tc_bench::alloc::CountingAlloc;
 
 fn main() {
     let args = BenchArgs::from_env();
-    args.warn_unused_json();
-    args.warn_unused_threads();
     let mut table = Table::new(
         format!("Table 3 — TC-Tree indexing (scale {})", args.scale),
         &[

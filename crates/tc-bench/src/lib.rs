@@ -1,11 +1,10 @@
 //! The experiment harness: everything needed to regenerate the paper's
-//! tables and figures on the generated dataset analogs.
+//! tables and figures on the generated dataset analogs. Performance is
+//! measured elsewhere — by the whole-chain benchmark under `bench/`
+//! (`BENCHMARK.json`); nothing here is gated.
 //!
 //! * [`alloc`] — counting global allocator (Table 3's "Memory" column);
-//! * [`report`] — markdown table/series printers and the `tc-bench/v1`
-//!   JSON telemetry report (write + parse);
-//! * [`stats`] — shared nearest-rank percentile helper for the latency
-//!   sections;
+//! * [`report`] — markdown table/series printers;
 //! * [`workloads`] — the four standard datasets (BK/GW/AMINER/SYN analogs)
 //!   at a configurable `--scale`, plus shared CLI argument parsing.
 //!
@@ -21,17 +20,12 @@
 //! | `case_study` | §7.4 / Table 4 / Figure 6 (co-author case study) |
 //! | `accuracy` | extra: planted-community precision/recall |
 //! | `ablation_pruning` | extra: §7.1 MPTD-call-count ablation |
-//! | `storage_bench` | extra: text-load vs `tc-store` segment-open query latency (CI telemetry source) |
-//! | `throughput_bench` | extra: parallel mining/indexing grid + sustained-load serving baseline (CI telemetry source) |
-//! | `serve_bench` | extra: QPS-vs-client-count sweep against a real `tc-serve` daemon over loopback (CI telemetry source) |
-//! | `bench_compare` | the CI bench-telemetry gate: merges reports, compares against `BENCH_main.json` |
+//! | `durability_bench` | extra: WAL append/fsync policies, group commit, recovery (printed only, ungated) |
 //! | `run_all` | drives every experiment in sequence |
 
 pub mod alloc;
 pub mod report;
-pub mod stats;
 pub mod workloads;
 
-pub use report::{fmt_count, fmt_f64, fmt_secs, JsonReport, Table};
-pub use stats::percentile;
+pub use report::{fmt_count, fmt_f64, fmt_secs, Table};
 pub use workloads::{build_dataset, BenchArgs, Dataset};

@@ -125,12 +125,6 @@ pub struct BenchArgs {
     pub quick: bool,
     /// Restrict to one dataset, if given.
     pub only: Option<Dataset>,
-    /// Where to write the machine-readable telemetry report
-    /// (`--json <path>`), for binaries that support it.
-    pub json: Option<std::path::PathBuf>,
-    /// Worker-thread counts (`--threads 1,2,8`): a grid for the
-    /// throughput binaries, a single count for the builders.
-    pub threads: Option<Vec<usize>>,
 }
 
 impl Default for BenchArgs {
@@ -139,8 +133,6 @@ impl Default for BenchArgs {
             scale: 1.0,
             quick: false,
             only: None,
-            json: None,
-            threads: None,
         }
     }
 }
@@ -164,23 +156,6 @@ impl BenchArgs {
                         .unwrap_or_else(|| usage("--dataset needs a value"));
                     out.only = Some(Dataset::parse(&v).unwrap_or_else(|| usage("unknown dataset")));
                 }
-                "--json" => {
-                    let v = it.next().unwrap_or_else(|| usage("--json needs a path"));
-                    out.json = Some(std::path::PathBuf::from(v));
-                }
-                "--threads" => {
-                    let v = it
-                        .next()
-                        .unwrap_or_else(|| usage("--threads needs a value"));
-                    let parsed: Result<Vec<usize>, _> =
-                        v.split(',').map(|t| t.trim().parse::<usize>()).collect();
-                    match parsed {
-                        Ok(list) if !list.is_empty() && list.iter().all(|&t| t > 0) => {
-                            out.threads = Some(list);
-                        }
-                        _ => usage("bad --threads value (expect e.g. 1,2,8)"),
-                    }
-                }
                 "--help" | "-h" => usage(""),
                 other => usage(&format!("unknown flag '{other}'")),
             }
@@ -200,45 +175,13 @@ impl BenchArgs {
             None => Dataset::ALL.to_vec(),
         }
     }
-
-    /// The `--threads` grid, or `default` when the flag was not given.
-    pub fn thread_grid(&self, default: &[usize]) -> Vec<usize> {
-        self.threads.clone().unwrap_or_else(|| default.to_vec())
-    }
-
-    /// Called by binaries that do not emit telemetry: warns when the user
-    /// passed `--json` so the flag is never silently dropped.
-    pub fn warn_unused_json(&self) {
-        if let Some(path) = &self.json {
-            eprintln!(
-                "warning: this binary does not emit telemetry; --json {} is ignored \
-                 (use storage_bench or throughput_bench)",
-                path.display()
-            );
-        }
-    }
-
-    /// Called by binaries that run single-threaded: warns when the user
-    /// passed `--threads` so the flag is never silently dropped.
-    pub fn warn_unused_threads(&self) {
-        if let Some(threads) = &self.threads {
-            eprintln!(
-                "warning: this binary does not take a thread grid; --threads {threads:?} \
-                 is ignored (use throughput_bench)"
-            );
-        }
-    }
 }
 
 fn usage(msg: &str) -> ! {
     if !msg.is_empty() {
         eprintln!("error: {msg}");
     }
-    eprintln!(
-        "usage: <bin> [--scale <f64>] [--quick] [--dataset bk|gw|aminer|syn] [--json <path>] [--threads 1,2,8]\n\
-         (--json is consumed by telemetry-emitting binaries: storage_bench, throughput_bench;\n\
-          --threads sets the worker grid of throughput_bench)"
-    );
+    eprintln!("usage: <bin> [--scale <f64>] [--quick] [--dataset bk|gw|aminer|syn]");
     std::process::exit(2);
 }
 
@@ -258,28 +201,14 @@ mod tests {
     #[test]
     fn args_parse() {
         let a = BenchArgs::parse(
-            [
-                "--scale",
-                "0.5",
-                "--quick",
-                "--dataset",
-                "bk",
-                "--json",
-                "out.json",
-                "--threads",
-                "1,2,8",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
+            ["--scale", "0.5", "--quick", "--dataset", "bk"]
+                .iter()
+                .map(|s| s.to_string()),
         );
         assert_eq!(a.scale, 0.5);
         assert!(a.quick);
         assert_eq!(a.only, Some(Dataset::Bk));
         assert_eq!(a.datasets(), vec![Dataset::Bk]);
-        assert_eq!(a.json.as_deref(), Some(std::path::Path::new("out.json")));
-        assert_eq!(a.threads, Some(vec![1, 2, 8]));
-        assert_eq!(a.thread_grid(&[4]), vec![1, 2, 8]);
-        assert_eq!(BenchArgs::default().thread_grid(&[4]), vec![4]);
     }
 
     #[test]

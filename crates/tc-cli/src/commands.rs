@@ -13,10 +13,10 @@ use tc_txdb::Pattern;
 
 /// Minimal flag parser: `--key value` pairs plus positional arguments.
 ///
-/// Every subcommand declares its known flags via [`Flags::parse`]'s
-/// `known` list; an unrecognised `--flag` is rejected up front (with a
-/// "did you mean" suggestion when a known flag is close) instead of
-/// being silently swallowed as an unread key.
+/// Every subcommand declares its known flags in its [`Command`]; an
+/// unrecognised `--flag` is rejected up front (with a "did you mean"
+/// suggestion when a known flag is close) instead of being silently
+/// swallowed as an unread key.
 #[derive(Debug)]
 struct Flags {
     positional: Vec<String>,
@@ -39,19 +39,10 @@ fn edit_distance(a: &str, b: &str) -> usize {
 }
 
 impl Flags {
-    /// Parses `args` against the subcommand's `known` flag names.
-    fn parse(args: &[String], known: &[&str]) -> Result<Flags, String> {
-        Flags::parse_with_switches(args, known, &[])
-    }
-
-    /// Like [`Flags::parse`], but flags named in `switches` take no
-    /// value — their presence alone is the signal (read with
-    /// [`Flags::has`]).
-    fn parse_with_switches(
-        args: &[String],
-        known: &[&str],
-        switches: &[&str],
-    ) -> Result<Flags, String> {
+    /// Parses `args` against the subcommand's `known` flag names. Flags
+    /// named in `switches` take no value — their presence alone is the
+    /// signal (read with [`Flags::has`]).
+    fn parse(args: &[String], known: &[&str], switches: &[&str]) -> Result<Flags, String> {
         let mut positional = Vec::new();
         let mut options = Vec::new();
         let mut it = args.iter();
@@ -130,6 +121,40 @@ fn fail(msg: impl std::fmt::Display) -> i32 {
     2
 }
 
+/// One subcommand's command line, declared once: the usage lines that
+/// both `tc --help` and the command's own usage error print, the flags
+/// that take a value, and the switches that take none.
+pub struct Command {
+    pub usage: &'static str,
+    flags: &'static [&'static str],
+    switches: &'static [&'static str],
+}
+
+impl Command {
+    fn parse(&self, args: &[String]) -> Result<Flags, String> {
+        Flags::parse(args, self.flags, self.switches)
+    }
+
+    fn usage_error(&self) -> i32 {
+        fail(format!("usage: {}", self.usage.replace('\n', "\n       ")))
+    }
+}
+
+/// Every subcommand, in `tc --help` order.
+pub const COMMANDS: [&Command; 11] = [
+    &GENERATE,
+    &STATS,
+    &MINE,
+    &INDEX,
+    &QUERY,
+    &SERVE,
+    &SHARD,
+    &ROUTER,
+    &INGEST,
+    &CHECKPOINT,
+    &CONVERT,
+];
+
 /// Parses a byte-size flag value: a plain integer with an optional
 /// `K`/`M`/`G` (or `KB`/`MB`/`GB`, case-insensitive) binary suffix, e.g.
 /// `4096`, `64M`, `1G`. `0` means "unbounded" to the callers.
@@ -171,9 +196,16 @@ fn wants_segment(format: Option<&str>, out: &str) -> Result<bool, String> {
     }
 }
 
-/// `tc generate --kind K --out PATH [--scale F] [--seed N] [--format auto|text|seg]`
+const GENERATE: Command = Command {
+    usage: "tc generate --kind <checkin|coauthor|syn|planted> --out <net> [--scale F] [--seed N] \
+            [--format auto|text|seg]",
+    flags: &["kind", "out", "scale", "seed", "format"],
+    switches: &[],
+};
+
+/// `tc generate`: writes one of the generated dataset analogs.
 pub fn generate(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args, &["kind", "out", "scale", "seed", "format"]) {
+    let flags = match GENERATE.parse(args) {
         Ok(f) => f,
         Err(e) => return fail(e),
     };
@@ -263,14 +295,20 @@ fn load_net(path: &str) -> Result<DatabaseNetwork, String> {
     }
 }
 
-/// `tc stats <net.dbnet>`
+const STATS: Command = Command {
+    usage: "tc stats <net>",
+    flags: &[],
+    switches: &[],
+};
+
+/// `tc stats`: prints a network's size and clustering statistics.
 pub fn stats(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args, &[]) {
+    let flags = match STATS.parse(args) {
         Ok(f) => f,
         Err(e) => return fail(e),
     };
     let Some(path) = flags.positional.first() else {
-        return fail("usage: tc stats <net.dbnet>");
+        return STATS.usage_error();
     };
     let net = match load_net(path) {
         Ok(n) => n,
@@ -293,14 +331,21 @@ pub fn stats(args: &[String]) -> i32 {
     0
 }
 
-/// `tc mine <net.dbnet> --alpha F [--miner tcfi|tcfa|tcs] [--threads N] [--epsilon F] [--top N]`
+const MINE: Command = Command {
+    usage:
+        "tc mine <net> --alpha <F> [--miner tcfi|tcfa|tcs] [--threads N] [--epsilon F] [--top N]",
+    flags: &["alpha", "miner", "threads", "epsilon", "top"],
+    switches: &[],
+};
+
+/// `tc mine`: finds the theme communities of a network at one `α`.
 pub fn mine(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args, &["alpha", "miner", "threads", "epsilon", "top"]) {
+    let flags = match MINE.parse(args) {
         Ok(f) => f,
         Err(e) => return fail(e),
     };
     let Some(path) = flags.positional.first() else {
-        return fail("usage: tc mine <net.dbnet> --alpha <F>");
+        return MINE.usage_error();
     };
     let alpha = match flags.get_f64("alpha", 0.1) {
         Ok(a) => a,
@@ -363,14 +408,20 @@ pub fn mine(args: &[String]) -> i32 {
     0
 }
 
-/// `tc index <net> --out tree.tct|tree.seg [--threads N] [--format auto|text|seg]`
+const INDEX: Command = Command {
+    usage: "tc index <net> --out <tree.tct|tree.seg> [--threads N] [--format auto|text|seg]",
+    flags: &["out", "threads", "format"],
+    switches: &[],
+};
+
+/// `tc index`: builds the TC-Tree of a network and writes it out.
 pub fn index(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args, &["out", "threads", "format"]) {
+    let flags = match INDEX.parse(args) {
         Ok(f) => f,
         Err(e) => return fail(e),
     };
     let Some(path) = flags.positional.first() else {
-        return fail("usage: tc index <net> --out <tree.tct|tree.seg>");
+        return INDEX.usage_error();
     };
     let Some(out) = flags.get("out") else {
         return fail("--out is required");
@@ -485,27 +536,30 @@ fn print_trusses<'a>(
     }
 }
 
-/// `tc query <tree.tct|tree.seg> [--alpha F] [--pattern a,b,c] [--network net.dbnet] [--json]`
-/// `tc query --remote HOST:PORT [--alpha F] [--pattern a,b,c] [--network net.dbnet]
-///  [--retries N] [--retry-max-delay MS] [--json]`
+const QUERY: Command = Command {
+    usage: "tc query <tree> [--alpha F] [--pattern items] [--network net] [--json]\n\
+            tc query --remote <host:port> [--alpha F] [--pattern items] [--network net] [--json]\n         \
+            [--retries N] [--retry-max-delay MS]",
+    flags: &[
+        "alpha",
+        "pattern",
+        "network",
+        "remote",
+        "retries",
+        "retry-max-delay",
+    ],
+    switches: &["json"],
+};
+
+/// `tc query`: answers QBA/QBP from a local tree file or, with
+/// `--remote`, from a running daemon.
 ///
 /// With `--json` the answer is printed as the serving wire object —
 /// one line, identical to what the daemon's `JSON` frames and HTTP
 /// bodies carry — so local and remote answers are byte-comparable
 /// (CI's `http-smoke` job diffs exactly this against `curl`).
 pub fn query(args: &[String]) -> i32 {
-    let flags = match Flags::parse_with_switches(
-        args,
-        &[
-            "alpha",
-            "pattern",
-            "network",
-            "remote",
-            "retries",
-            "retry-max-delay",
-        ],
-        &["json"],
-    ) {
+    let flags = match QUERY.parse(args) {
         Ok(f) => f,
         Err(e) => return fail(e),
     };
@@ -563,10 +617,7 @@ pub fn query(args: &[String]) -> i32 {
     }
 
     let Some(path) = flags.positional.first() else {
-        return fail(
-            "usage: tc query <tree.tct|tree.seg> [--alpha F] [--pattern items]\n       \
-             tc query --remote <host:port> [--alpha F] [--pattern items]",
-        );
+        return QUERY.usage_error();
     };
     let tree = match LoadedTree::open(path) {
         Ok(t) => t,
@@ -656,8 +707,23 @@ fn query_remote(
     0
 }
 
-/// `tc serve <tree.seg> [--addr HOST:PORT] [--http-addr HOST:PORT] [--workers N]
-///  [--max-inflight N] [--session-timeout SECS] [--rate-limit N]`
+const SERVE: Command = Command {
+    usage: "tc serve <tree.seg> [--addr host:port] [--http-addr host:port] [--workers N] \
+            [--max-inflight N]\n         \
+            [--session-timeout secs] [--rate-limit per-sec] [--cache-bytes N[K|M|G]]",
+    flags: &[
+        "addr",
+        "http-addr",
+        "workers",
+        "max-inflight",
+        "session-timeout",
+        "rate-limit",
+        "cache-bytes",
+    ],
+    switches: &[],
+};
+
+/// `tc serve`: the query daemon.
 ///
 /// Opens a TC-Tree segment once and serves QBA/QBP/QUERY over TCP — and,
 /// with `--http-addr`, over the HTTP/JSON gateway too — until
@@ -674,27 +740,12 @@ fn query_remote(
 /// materialised truss decompositions (0, the default, is unbounded); it
 /// applies to `SIGHUP` reloads as well.
 pub fn serve(args: &[String]) -> i32 {
-    let flags = match Flags::parse(
-        args,
-        &[
-            "addr",
-            "http-addr",
-            "workers",
-            "max-inflight",
-            "session-timeout",
-            "rate-limit",
-            "cache-bytes",
-        ],
-    ) {
+    let flags = match SERVE.parse(args) {
         Ok(f) => f,
         Err(e) => return fail(e),
     };
     let Some(path) = flags.positional.first() else {
-        return fail(
-            "usage: tc serve <tree.seg> [--addr host:port] [--http-addr host:port] \
-             [--workers N] [--max-inflight N] [--session-timeout secs] [--rate-limit per-sec] \
-             [--cache-bytes N[K|M|G]]",
-        );
+        return SERVE.usage_error();
     };
     let addr = flags.get("addr").unwrap_or("127.0.0.1:7641");
     let workers = match flags.get_usize("workers", default_threads()) {
@@ -799,6 +850,13 @@ pub fn serve(args: &[String]) -> i32 {
     }
 }
 
+const SHARD: Command = Command {
+    usage: "tc shard <tree> --shards N [--out-dir DIR] [--addrs a1,a2,…] [--host HOST] \
+            [--port-base PORT]",
+    flags: &["shards", "out-dir", "host", "port-base", "addrs"],
+    switches: &[],
+};
+
 /// `tc shard`: hash-partitions a TC-Tree into N self-contained segment
 /// files plus a `TCMAP01` shard map wiring them to daemon addresses.
 ///
@@ -807,15 +865,12 @@ pub fn serve(args: &[String]) -> i32 {
 /// queries across them and merges. Addresses come from `--addrs a,b,…`
 /// verbatim, or are synthesised as `HOST:PORT_BASE+i`.
 pub fn shard(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args, &["shards", "out-dir", "host", "port-base", "addrs"]) {
+    let flags = match SHARD.parse(args) {
         Ok(f) => f,
         Err(e) => return fail(e),
     };
     let Some(path) = flags.positional.first() else {
-        return fail(
-            "usage: tc shard <tree> --shards N [--out-dir DIR] [--addrs a1,a2,…] \
-             [--host HOST] [--port-base PORT]",
-        );
+        return SHARD.usage_error();
     };
     let shard_count = match flags.get_usize("shards", 2) {
         Ok(n) if (1..=tc_store::shardmap::MAX_SHARDS).contains(&n) => n,
@@ -908,6 +963,14 @@ pub fn shard(args: &[String]) -> i32 {
     0
 }
 
+const ROUTER: Command = Command {
+    usage: "tc router <shards.tcmap> [--http-addr host:port] [--max-inflight N] \
+            [--session-timeout secs]\n          \
+            [--rate-limit per-sec] [--partial]",
+    flags: &["http-addr", "max-inflight", "session-timeout", "rate-limit"],
+    switches: &["partial"],
+};
+
 /// `tc router`: the scatter-gather HTTP gateway over a `tc shard` layout.
 ///
 /// Loads a `TCMAP01` map, pools one HTTP client set per shard daemon,
@@ -916,19 +979,12 @@ pub fn shard(args: &[String]) -> i32 {
 /// to be byte-identical to the unsharded segment (modulo `secs`).
 /// SIGHUP re-reads the map; SIGTERM drains and exits.
 pub fn router(args: &[String]) -> i32 {
-    let flags = match Flags::parse_with_switches(
-        args,
-        &["http-addr", "max-inflight", "session-timeout", "rate-limit"],
-        &["partial"],
-    ) {
+    let flags = match ROUTER.parse(args) {
         Ok(f) => f,
         Err(e) => return fail(e),
     };
     let Some(path) = flags.positional.first() else {
-        return fail(
-            "usage: tc router <shards.tcmap> [--http-addr host:port] [--max-inflight N] \
-             [--session-timeout secs] [--rate-limit per-sec] [--partial]",
-        );
+        return ROUTER.usage_error();
     };
     let http_addr = flags.get("http-addr").unwrap_or("127.0.0.1:7642");
     let max_inflight = match flags.get_usize("max-inflight", 64) {
@@ -998,18 +1054,22 @@ pub fn router(args: &[String]) -> i32 {
     }
 }
 
-/// `tc convert <in> <out> [--to auto|text|seg]`
-///
-/// Converts networks and TC-Trees between the text and segment formats.
+const CONVERT: Command = Command {
+    usage: "tc convert <in> <out> [--to auto|text|seg]",
+    flags: &["to"],
+    switches: &[],
+};
+
+/// `tc convert`: converts networks and TC-Trees between the text and segment formats.
 /// The input kind is auto-detected; `--to auto` (the default) targets the
 /// `.seg` extension or, absent that, the opposite of the input's format.
 pub fn convert(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args, &["to"]) {
+    let flags = match CONVERT.parse(args) {
         Ok(f) => f,
         Err(e) => return fail(e),
     };
     let (Some(input), Some(output)) = (flags.positional.first(), flags.positional.get(1)) else {
-        return fail("usage: tc convert <in> <out> [--to auto|text|seg]");
+        return CONVERT.usage_error();
     };
     let detected = match tc_store::detect_format(Path::new(input)) {
         Ok(DetectedFormat::Unknown) => {
@@ -1146,8 +1206,20 @@ fn parse_ingest_op(
     }
 }
 
-/// `tc ingest <net.wal> --ops <file|-> [--base base.seg] [--durability always|batch]
-///  [--batch-records N] [--batch-delay-ms N]`
+const INGEST: Command = Command {
+    usage: "tc ingest <net.wal> --ops <file|-> [--base base.seg] [--durability always|batch]\n          \
+            [--batch-records N] [--batch-delay-ms N]",
+    flags: &[
+        "base",
+        "ops",
+        "durability",
+        "batch-records",
+        "batch-delay-ms",
+    ],
+    switches: &[],
+};
+
+/// `tc ingest`: appends mutations to a write-ahead log.
 ///
 /// Opens (or creates) the write-ahead log, replays whatever survived a
 /// previous run, then appends one mutation per ops line. Lines stream:
@@ -1155,24 +1227,12 @@ fn parse_ingest_op(
 /// killing the process mid-stream loses at most the line in flight.
 pub fn ingest(args: &[String]) -> i32 {
     use std::io::BufRead;
-    let flags = match Flags::parse(
-        args,
-        &[
-            "base",
-            "ops",
-            "durability",
-            "batch-records",
-            "batch-delay-ms",
-        ],
-    ) {
+    let flags = match INGEST.parse(args) {
         Ok(f) => f,
         Err(e) => return fail(e),
     };
     let Some(wal_path) = flags.positional.first() else {
-        return fail(
-            "usage: tc ingest <net.wal> --ops <file|-> [--base base.seg] \
-             [--durability always|batch]",
-        );
+        return INGEST.usage_error();
     };
     let Some(ops_path) = flags.get("ops") else {
         return fail("--ops is required (a file of mutation lines, or - for stdin)");
@@ -1250,19 +1310,23 @@ pub fn ingest(args: &[String]) -> i32 {
     0
 }
 
-/// `tc checkpoint <net.wal> --out <net.seg> [--base base.seg]`
-///
-/// Folds the base segment plus the log into a fresh segment at `--out`,
+const CHECKPOINT: Command = Command {
+    usage: "tc checkpoint <net.wal> --out <net.seg> [--base base.seg]",
+    flags: &["base", "out"],
+    switches: &[],
+};
+
+/// `tc checkpoint`: folds the base segment plus the log into a fresh segment at `--out`,
 /// then resets the log to a single checkpoint marker. Crash-safe by
 /// write ordering: the segment is fsynced and renamed into place before
 /// the log is touched.
 pub fn checkpoint(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args, &["base", "out"]) {
+    let flags = match CHECKPOINT.parse(args) {
         Ok(f) => f,
         Err(e) => return fail(e),
     };
     let Some(wal_path) = flags.positional.first() else {
-        return fail("usage: tc checkpoint <net.wal> --out <net.seg> [--base base.seg]");
+        return CHECKPOINT.usage_error();
     };
     let Some(out) = flags.get("out") else {
         return fail("--out is required");
@@ -1302,6 +1366,7 @@ mod tests {
         let f = Flags::parse(
             &strs(&["net.dbnet", "--alpha", "0.5", "--top", "3"]),
             &["alpha", "top"],
+            &[],
         )
         .unwrap();
         assert_eq!(f.positional, vec!["net.dbnet"]);
@@ -1313,7 +1378,7 @@ mod tests {
 
     #[test]
     fn flags_missing_value_is_error() {
-        assert!(Flags::parse(&strs(&["--alpha"]), &["alpha"]).is_err());
+        assert!(Flags::parse(&strs(&["--alpha"]), &["alpha"], &[]).is_err());
     }
 
     #[test]
@@ -1338,14 +1403,19 @@ mod tests {
 
     #[test]
     fn flags_bad_numeric_is_error() {
-        let f = Flags::parse(&strs(&["--alpha", "abc"]), &["alpha"]).unwrap();
+        let f = Flags::parse(&strs(&["--alpha", "abc"]), &["alpha"], &[]).unwrap();
         assert!(f.get_f64("alpha", 0.0).is_err());
         assert!(f.get_usize("alpha", 0).is_err());
     }
 
     #[test]
     fn flags_last_occurrence_wins() {
-        let f = Flags::parse(&strs(&["--alpha", "0.1", "--alpha", "0.9"]), &["alpha"]).unwrap();
+        let f = Flags::parse(
+            &strs(&["--alpha", "0.1", "--alpha", "0.9"]),
+            &["alpha"],
+            &[],
+        )
+        .unwrap();
         assert_eq!(f.get("alpha"), Some("0.9"));
     }
 
@@ -1516,12 +1586,12 @@ mod tests {
     #[test]
     fn unknown_flags_are_rejected_with_suggestions() {
         // Typo'd flags must fail loudly, not be silently ignored.
-        let err = Flags::parse(&strs(&["--thread", "8"]), &["alpha", "threads"]).unwrap_err();
+        let err = Flags::parse(&strs(&["--thread", "8"]), &["alpha", "threads"], &[]).unwrap_err();
         assert!(err.contains("did you mean --threads"), "{err}");
-        let err = Flags::parse(&strs(&["--frobnicate", "1"]), &["alpha", "top"]).unwrap_err();
+        let err = Flags::parse(&strs(&["--frobnicate", "1"]), &["alpha", "top"], &[]).unwrap_err();
         assert!(err.contains("unknown flag --frobnicate"), "{err}");
         assert!(!err.contains("did you mean"), "{err}");
-        let err = Flags::parse(&strs(&["--x", "1"]), &[]).unwrap_err();
+        let err = Flags::parse(&strs(&["--x", "1"]), &[], &[]).unwrap_err();
         assert!(err.contains("takes no flags"), "{err}");
 
         // End to end through the subcommands (exit code 2, file untouched).
@@ -1535,6 +1605,24 @@ mod tests {
     }
 
     #[test]
+    fn help_names_exactly_the_flags_each_command_accepts() {
+        let help = crate::help_text();
+        for cmd in COMMANDS {
+            assert!(cmd.usage.lines().all(|l| help.contains(l)), "{}", cmd.usage);
+            let mut named: Vec<&str> = cmd
+                .usage
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter_map(|word| word.strip_prefix("--"))
+                .collect();
+            let mut accepted: Vec<&str> = cmd.flags.iter().chain(cmd.switches).copied().collect();
+            named.sort_unstable();
+            named.dedup();
+            accepted.sort_unstable();
+            assert_eq!(named, accepted, "{}", cmd.usage);
+        }
+    }
+
+    #[test]
     fn edit_distance_basics() {
         assert_eq!(edit_distance("threads", "threads"), 0);
         assert_eq!(edit_distance("thread", "threads"), 1);
@@ -1545,7 +1633,7 @@ mod tests {
 
     #[test]
     fn switch_flags_take_no_value_and_get_suggestions() {
-        let f = Flags::parse_with_switches(
+        let f = Flags::parse(
             &strs(&["tree.seg", "--json", "--alpha", "0.2"]),
             &["alpha"],
             &["json"],
@@ -1554,7 +1642,7 @@ mod tests {
         assert!(f.has("json"));
         assert_eq!(f.get("alpha"), Some("0.2"));
         assert_eq!(f.positional, vec!["tree.seg".to_string()]);
-        let err = Flags::parse_with_switches(&strs(&["--jsno"]), &[], &["json"]).unwrap_err();
+        let err = Flags::parse(&strs(&["--jsno"]), &[], &["json"]).unwrap_err();
         assert!(err.contains("--json"), "{err}");
     }
 

@@ -1,20 +1,7 @@
 //! `tc` — the theme-communities command line tool.
 //!
-//! ```text
-//! tc generate --kind checkin|coauthor|syn|planted --out net.dbnet [--scale F] [--seed N]
-//! tc stats   <net>
-//! tc mine    <net> --alpha F [--miner tcfi|tcfa|tcs] [--threads N] [--epsilon F] [--top N]
-//! tc index   <net> --out tree.tct|tree.seg [--threads N] [--format auto|text|seg]
-//! tc query   <tree> [--alpha F] [--pattern i1,i2,…] [--network net] [--json]
-//! tc query   --remote host:port [--alpha F] [--pattern i1,i2,…] [--network net] [--json]
-//! tc serve   <tree.seg> [--addr host:port] [--http-addr host:port] [--workers N]
-//!            [--max-inflight N] [--rate-limit per-sec]
-//! tc shard   <tree> --shards N [--out-dir DIR] [--addrs a1,a2,…] [--host H] [--port-base P]
-//! tc router  <shards.tcmap> [--http-addr host:port] [--max-inflight N] [--partial]
-//! tc ingest  <net.wal> --ops <file|-> [--base base.seg] [--durability always|batch]
-//! tc checkpoint <net.wal> --out <net.seg> [--base base.seg]
-//! tc convert <in> <out> [--to auto|text|seg]
-//! ```
+//! `tc --help` lists every subcommand with the flags it accepts (each
+//! usage line is declared once, beside the command, in `commands.rs`).
 //!
 //! Network and tree arguments accept both the text formats and the binary
 //! segment format; readers auto-detect by magic bytes. `tc serve` opens a
@@ -52,25 +39,16 @@ fn main() {
     std::process::exit(code);
 }
 
-fn print_usage() {
-    eprintln!(
+fn help_text() -> String {
+    let usage: Vec<String> = commands::COMMANDS
+        .iter()
+        .map(|c| format!("  {}", c.usage.replace('\n', "\n  ")))
+        .collect();
+    format!(
         "tc — theme communities from database networks (VLDB 2019)
 
 USAGE:
-  tc generate --kind <checkin|coauthor|syn|planted> --out <net> [--scale F] [--seed N] [--format auto|text|seg]
-  tc stats    <net>
-  tc mine     <net> --alpha <F> [--miner tcfi|tcfa|tcs] [--threads N] [--epsilon F] [--top N]
-  tc index    <net> --out <tree.tct|tree.seg> [--threads N] [--format auto|text|seg]
-  tc query    <tree> [--alpha F] [--pattern items] [--network net] [--json]
-  tc query    --remote <host:port> [--alpha F] [--pattern items] [--network net] [--json]
-  tc serve    <tree.seg> [--addr host:port] [--http-addr host:port] [--workers N] [--max-inflight N]
-              [--session-timeout secs] [--rate-limit per-sec]
-  tc shard    <tree> --shards N [--out-dir DIR] [--addrs a1,a2,…] [--host HOST] [--port-base PORT]
-  tc router   <shards.tcmap> [--http-addr host:port] [--max-inflight N] [--session-timeout secs]
-              [--rate-limit per-sec] [--partial]
-  tc ingest   <net.wal> --ops <file|-> [--base base.seg] [--durability always|batch]
-  tc checkpoint <net.wal> --out <net.seg> [--base base.seg]
-  tc convert  <in> <out> [--to auto|text|seg]
+{}
 
 Readers auto-detect the text formats (dbnet/tctree) and the binary
 segment format (.seg) by magic bytes; --format auto writes a segment
@@ -109,6 +87,11 @@ EXAMPLES:
   curl 'http://127.0.0.1:8080/qba?alpha=0.2'
   tc ingest net.wal --ops mutations.txt --base net.seg
   tc checkpoint net.wal --base net.seg --out net2.seg
-  tc convert aminer.dbnet aminer.seg"
-    );
+  tc convert aminer.dbnet aminer.seg",
+        usage.join("\n")
+    )
+}
+
+fn print_usage() {
+    eprintln!("{}", help_text());
 }

@@ -9,19 +9,14 @@
 //! * [`query`] — Algorithm 5, answering `(q, α_q)` queries by a pruned
 //!   breadth-first walk; includes the paper's QBA and QBP query modes;
 //! * [`serialize`] — a versioned text format for persisting and reloading
-//!   trees;
-//! * [`materialize`] — the [`Materialization`] trait: residency
-//!   accounting shared by eager trees and the lazy, cache-bounded
-//!   segment reader in `tc-store`.
+//!   trees.
 
 pub mod edge_tree;
-pub mod materialize;
 pub mod query;
 pub mod serialize;
 pub mod tree;
 
 pub use edge_tree::EdgeTcTreeBuilder;
-pub use materialize::Materialization;
 pub use query::QueryResult;
 pub use serialize::LoadError;
 pub use tree::{BuildStats, TcNode, TcTree, TcTreeBuilder};

@@ -1,5 +1,6 @@
 //! A blocking client for the [`crate::protocol`] — the library behind
-//! `tc query --remote`, the `serve_bench` sweep, and the CI smoke driver.
+//! `tc query --remote`, `tc-router`'s shard pools, and the `bench/` load
+//! generator.
 //!
 //! One [`ServeClient`] owns one TCP session: requests are issued
 //! sequentially, responses are parsed into the same shapes the server

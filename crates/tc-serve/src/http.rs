@@ -476,7 +476,7 @@ impl HttpResponse {
 }
 
 /// A minimal blocking keep-alive HTTP/1.1 client — just enough for
-/// `tc-serve`'s own tests, `serve_bench`'s HTTP sweep, and embedders who
+/// `tc-serve`'s own tests, the `bench/` load generator, and embedders who
 /// already link this crate. Speaks only what the gateway serves:
 /// `Content-Length`-delimited bodies over one reused connection.
 pub struct HttpClient {

@@ -1,9 +1,7 @@
 //! `tc-serve` — the TCP query-serving daemon for TC-Tree segments.
 //!
-//! The ROADMAP's query-serving item graduates here from an in-process
-//! simulation (`throughput_bench`'s serving section) to a real network
-//! service: a daemon opens a [`tc_store::SegmentTcTree`] once and answers
-//! the paper's QBA / QBP / general `(q, α)` queries (Algorithm 5) over a
+//! A daemon opens a [`tc_store::SegmentTcTree`] once and answers the
+//! paper's QBA / QBP / general `(q, α)` queries (Algorithm 5) over a
 //! line-oriented TCP protocol, `std::net` only.
 //!
 //! * [`protocol`] — the wire grammar: versioned greeting, the
@@ -20,7 +18,7 @@
 //! * [`local`] — `tc serve` itself: the local-tree backend, its
 //!   configuration, and the line-protocol session;
 //! * [`client`] — a blocking session client, reused by
-//!   `tc query --remote`, `tc-bench`'s `serve_bench` sweep, and CI;
+//!   `tc query --remote`, `tc-router`'s shard pools, and `bench/`;
 //! * [`http`] — the HTTP/1.1 + JSON gateway (`GET /qba`, `GET /qbp`,
 //!   `POST /query` batches, `GET /healthz`, `GET /metrics`), sharing the
 //!   same pool, admission bound, and counters;

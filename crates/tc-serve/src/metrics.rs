@@ -3,9 +3,9 @@
 //! `tc serve`'s own `tcserve_*` metric table.
 //!
 //! One [`Metrics`] instance is shared by every listener (the TCP line
-//! protocol and the HTTP/JSON gateway), so `STATS`, `/metrics`, and
-//! `serve_bench` all read the same numbers — there is exactly one source
-//! of serving truth per daemon.
+//! protocol and the HTTP/JSON gateway), so `STATS` and `/metrics` read
+//! the same numbers — there is exactly one source of serving truth per
+//! daemon.
 //!
 //! Everything here is lock-free: counters are `AtomicU64`, histogram
 //! buckets are `AtomicU64`, and the latency sum is accumulated in

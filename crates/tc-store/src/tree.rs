@@ -373,18 +373,6 @@ impl SegmentTcTree {
     }
 }
 
-/// The lazy reader's residency comes straight from its node cache: the
-/// gauge falls on eviction, the total keeps counting re-parses.
-impl tc_index::Materialization for SegmentTcTree {
-    fn materialized_nodes(&self) -> usize {
-        SegmentTcTree::materialized_nodes(self)
-    }
-
-    fn materialized_total(&self) -> u64 {
-        SegmentTcTree::materialized_total(self)
-    }
-}
-
 /// Reads a tree segment fully into memory.
 pub fn load_tree_segment_from_path(path: &Path) -> Result<TcTree, LoadError> {
     SegmentTcTree::open(path)?.to_tree()

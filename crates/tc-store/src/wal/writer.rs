@@ -315,6 +315,7 @@ impl Drop for Wal {
 mod tests {
     use super::*;
     use crate::wal::faults::{FaultPlan, FaultWalStorage, MemWalStorage};
+    use crate::wal::{FRAME_HEADER_LEN, WAL_HEADER_LEN};
 
     fn edge(i: u32) -> WalRecord {
         WalRecord::AddEdge { u: i, v: i + 1 }
@@ -370,6 +371,11 @@ mod tests {
         wal.flush().unwrap();
         assert_eq!(wal.durable_seqno(), 20);
         assert_eq!(storage.sync_count() - open_syncs, 3);
+        // File-level size: the header plus one 9-byte AddEdge frame each.
+        assert_eq!(
+            wal.len_bytes().unwrap(),
+            (WAL_HEADER_LEN + 20 * (FRAME_HEADER_LEN + 9)) as u64
+        );
     }
 
     #[test]

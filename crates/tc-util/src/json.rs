@@ -1,13 +1,13 @@
 //! A minimal JSON reader shared by the workspace's JSON consumers.
 //!
 //! The workspace carries no serde; the only JSON it ever reads is JSON it
-//! (or a well-behaved HTTP client) writes itself — `tc-bench`'s telemetry
-//! reports and `tc-serve`'s `POST /query` batch bodies — so a small
-//! recursive-descent parser over the full JSON grammar is plenty.
-//! Keeping it total (no panics on malformed input, nesting capped at
-//! `MAX_DEPTH` (128) so recursion is bounded) lets `bench_compare`
-//! give a real diagnostic on a damaged baseline file and lets the HTTP
-//! front-end answer a malformed body with a `400` instead of a crash.
+//! (or a well-behaved HTTP client) writes itself — `tc-serve`'s
+//! `POST /query` batch bodies and the serving wire objects the
+//! benchmark under `bench/` reads back — so a small recursive-descent
+//! parser over the full JSON grammar is plenty. Keeping it total (no
+//! panics on malformed input, nesting capped at `MAX_DEPTH` (128) so
+//! recursion is bounded) lets the HTTP front-end answer a malformed
+//! body with a `400` instead of a crash.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
