@@ -35,20 +35,7 @@ impl ThemeCommunity {
     /// Vertex-set overlap with another community (shared vertex count).
     /// Communities of different themes may overlap arbitrarily (§7.4).
     pub fn vertex_overlap(&self, other: &ThemeCommunity) -> usize {
-        let (a, b) = (&self.vertices, &other.vertices);
-        let (mut i, mut j, mut n) = (0, 0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    n += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        n
+        tc_util::sorted::common_count(&self.vertices, &other.vertices)
     }
 }
 

@@ -20,15 +20,21 @@
 //! intersection property all carry over, because `f_e` is anti-monotone in
 //! `p` exactly like vertex frequencies; the proofs of Theorems 5.1/6.1
 //! rewrite verbatim with edge frequencies in place of vertex frequencies.
-//! The miner below is the TCFI of this setting.
+//!
+//! The extension is therefore a **network type, not a second engine**:
+//! [`EdgeDatabaseNetwork`] is a [`ThemeSource`] whose theme networks carry
+//! [`crate::theme::Frequencies::Edge`], and everything downstream —
+//! [`crate::maximal_pattern_truss`], [`crate::TrussDecomposition`],
+//! [`crate::TcfiMiner`], [`crate::ParallelTcfiMiner`] and `tc-index`'s
+//! `TcTreeBuilder` — is the code that serves vertex database networks.
 
+use crate::theme::{ThemeNetwork, ThemeSource};
 use crate::truss::PatternTruss;
-use std::collections::VecDeque;
 use std::sync::Arc;
 use tc_graph::{EdgeKey, VertexId};
 use tc_txdb::database::TransactionDbBuilder;
 use tc_txdb::{Item, ItemSpace, Pattern, TransactionDb};
-use tc_util::{float, FxHashMap, Stopwatch};
+use tc_util::FxHashMap;
 
 /// Errors raised while assembling an [`EdgeDatabaseNetwork`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -188,305 +194,66 @@ impl EdgeDatabaseNetwork {
         self.item_index.get(&item).map_or(&[], Vec::as_slice)
     }
 
-    /// The edge theme network of `pattern`: surviving edges and their
-    /// frequencies, restricted to `within` when given (the TCFI
-    /// intersection path).
-    fn theme_edges(&self, pattern: &Pattern, within: Option<&[EdgeKey]>) -> Vec<(EdgeKey, f64)> {
-        let candidates: Vec<EdgeKey> = match within {
-            Some(w) => w.to_vec(),
-            None => {
-                // Intersect per-item edge lists, then verify frequency.
-                let mut lists: Vec<&[EdgeKey]> = Vec::with_capacity(pattern.len());
-                for item in pattern.iter() {
-                    let l = self.edges_with_item(item);
-                    if l.is_empty() {
-                        return Vec::new();
-                    }
-                    lists.push(l);
-                }
-                if lists.is_empty() {
-                    return Vec::new();
-                }
-                lists.sort_by_key(|l| l.len());
-                let mut acc: Vec<EdgeKey> = lists[0].to_vec();
-                for l in &lists[1..] {
-                    let mut out = Vec::with_capacity(acc.len().min(l.len()));
-                    let (mut i, mut j) = (0, 0);
-                    while i < acc.len() && j < l.len() {
-                        match acc[i].cmp(&l[j]) {
-                            std::cmp::Ordering::Less => i += 1,
-                            std::cmp::Ordering::Greater => j += 1,
-                            std::cmp::Ordering::Equal => {
-                                out.push(acc[i]);
-                                i += 1;
-                                j += 1;
-                            }
-                        }
-                    }
-                    acc = out;
-                }
-                acc
-            }
+    /// The edges that carry every item of `pattern` (sorted); frequency may
+    /// still be zero when the items never share a transaction.
+    fn candidate_edges(&self, pattern: &Pattern) -> Vec<EdgeKey> {
+        let mut lists: Vec<&[EdgeKey]> = pattern.iter().map(|i| self.edges_with_item(i)).collect();
+        lists.sort_by_key(|l| l.len());
+        let Some((first, rest)) = lists.split_first() else {
+            return Vec::new();
         };
-        candidates
-            .into_iter()
-            .filter_map(|(u, v)| {
+        rest.iter()
+            .fold(first.to_vec(), |acc, l| tc_util::sorted::intersect(&acc, l))
+    }
+
+    /// `G_p` over `candidates` (sorted): the edges among them with
+    /// `f_e(p) > 0`, carrying those frequencies.
+    fn theme_over(&self, pattern: &Pattern, candidates: &[EdgeKey]) -> ThemeNetwork {
+        let (edges, freqs): (Vec<EdgeKey>, Vec<f64>) = candidates
+            .iter()
+            .filter_map(|&(u, v)| {
                 let f = self.frequency(u, v, pattern);
                 (f > 0.0).then_some(((u, v), f))
             })
-            .collect()
+            .unzip();
+        ThemeNetwork::from_themed_edges(pattern, &edges, freqs)
     }
 
-    /// Maximal **edge-pattern truss** at threshold `alpha`: peels edges with
-    /// `eco ≤ α`, where cohesion sums `min(f_ij, f_ik, f_jk)` over the
-    /// triangles whose three edges all remain.
+    /// Maximal **edge-pattern truss** at threshold `alpha`, over the whole
+    /// network or restricted to `within` (sorted) — shorthand for
+    /// [`crate::maximal_pattern_truss`] on this network's theme network.
     pub fn maximal_edge_pattern_truss(
         &self,
         pattern: &Pattern,
         alpha: f64,
         within: Option<&[EdgeKey]>,
     ) -> PatternTruss {
-        let themed = self.theme_edges(pattern, within);
-        if themed.is_empty() {
-            return PatternTruss::empty(pattern.clone(), alpha);
-        }
-        let mut state = EdgePeelState::new(&themed);
-        state.peel(alpha, |_| {});
-        PatternTruss::from_edges(pattern.clone(), alpha, state.alive_keys())
-    }
-
-    /// Decomposes the maximal edge-pattern truss at `α = 0` into the §6.1
-    /// level list `L_p` — the payload that lets a TC-Tree index edge
-    /// database networks, completing the paper's §8 program ("extend TCFI
-    /// *and TC-Tree*"). Theorem 6.1 and Equation 1 lift verbatim because
-    /// the peeling semantics are identical.
-    pub fn decompose_edge_truss(
-        &self,
-        pattern: &Pattern,
-        within: Option<&[EdgeKey]>,
-    ) -> crate::TrussDecomposition {
-        let themed = self.theme_edges(pattern, within);
-        let mut levels = Vec::new();
-        if !themed.is_empty() {
-            let mut state = EdgePeelState::new(&themed);
-            // Edge ids are stable; copy the id → key table once so the peel
-            // closure needs no access to `state`.
-            let keys = state.keys.clone();
-            state.peel(0.0, |_| {});
-            while state.alive_count > 0 {
-                let beta = state
-                    .min_alive_cohesion()
-                    .expect("alive edges have cohesions");
-                let mut removed = Vec::new();
-                state.peel(beta, |id| removed.push(keys[id as usize]));
-                removed.sort_unstable();
-                levels.push(crate::TrussLevel {
-                    alpha: beta,
-                    edges: removed,
-                });
-            }
-        }
-        crate::TrussDecomposition {
-            pattern: pattern.clone(),
-            levels,
-        }
+        let theme = match within {
+            Some(edges) => self.theme_within(pattern, edges),
+            None => self.theme(pattern),
+        };
+        crate::maximal_pattern_truss(&theme, alpha)
     }
 }
 
-/// Resumable peeling state over one edge theme network — the edge-setting
-/// analog of `peel::PeelState`, with the same pop-time removal semantics.
-struct EdgePeelState {
-    /// Edge id → canonical key.
-    keys: Vec<EdgeKey>,
-    /// Edge id → `f_e(p)`.
-    freqs: Vec<f64>,
-    /// Vertex → sorted `(neighbor, edge id)`.
-    adj: FxHashMap<VertexId, Vec<(VertexId, u32)>>,
-    cohesion: Vec<f64>,
-    removed: Vec<bool>,
-    queued: Vec<bool>,
-    alive_count: usize,
-}
-
-impl EdgePeelState {
-    fn new(themed: &[(EdgeKey, f64)]) -> Self {
-        let m = themed.len();
-        let mut keys = Vec::with_capacity(m);
-        let mut freqs = Vec::with_capacity(m);
-        let mut adj: FxHashMap<VertexId, Vec<(VertexId, u32)>> = FxHashMap::default();
-        for (i, &((u, v), f)) in themed.iter().enumerate() {
-            keys.push((u, v));
-            freqs.push(f);
-            adj.entry(u).or_default().push((v, i as u32));
-            adj.entry(v).or_default().push((u, i as u32));
-        }
-        for list in adj.values_mut() {
-            list.sort_unstable();
-        }
-        // Initial cohesions: a common neighbor closes a triangle iff both
-        // closing edges are themed — guaranteed by `adj`'s construction.
-        let mut cohesion = vec![0.0f64; m];
-        for (i, &(u, v)) in keys.iter().enumerate() {
-            let mut eco = 0.0;
-            merge_adj(&adj[&u], &adj[&v], |e_uw, e_vw| {
-                eco += freqs[i].min(freqs[e_uw as usize]).min(freqs[e_vw as usize]);
-            });
-            cohesion[i] = eco;
-        }
-        EdgePeelState {
-            keys,
-            freqs,
-            adj,
-            cohesion,
-            removed: vec![false; m],
-            queued: vec![false; m],
-            alive_count: m,
-        }
+impl ThemeSource for EdgeDatabaseNetwork {
+    fn items_in_use(&self) -> Vec<Item> {
+        EdgeDatabaseNetwork::items_in_use(self)
     }
 
-    fn min_alive_cohesion(&self) -> Option<f64> {
-        (0..self.keys.len())
-            .filter(|&i| !self.removed[i])
-            .map(|i| self.cohesion[i])
-            .min_by(f64::total_cmp)
+    fn theme(&self, pattern: &Pattern) -> ThemeNetwork {
+        self.theme_over(pattern, &self.candidate_edges(pattern))
     }
 
-    fn alive_keys(&self) -> Vec<EdgeKey> {
-        (0..self.keys.len())
-            .filter(|&i| !self.removed[i])
-            .map(|i| self.keys[i])
-            .collect()
-    }
-
-    fn peel(&mut self, alpha: f64, mut on_remove: impl FnMut(u32)) {
-        let mut queue: VecDeque<u32> = VecDeque::new();
-        for i in 0..self.keys.len() {
-            if !self.removed[i] && !self.queued[i] && float::leq_eps(self.cohesion[i], alpha) {
-                self.queued[i] = true;
-                queue.push_back(i as u32);
-            }
-        }
-        while let Some(id) = queue.pop_front() {
-            self.removed[id as usize] = true;
-            self.alive_count -= 1;
-            on_remove(id);
-            let (u, v) = self.keys[id as usize];
-            let f_id = self.freqs[id as usize];
-            let (removed, queued, cohesion, freqs) = (
-                &mut self.removed,
-                &mut self.queued,
-                &mut self.cohesion,
-                &self.freqs,
-            );
-            let mut newly = Vec::new();
-            merge_adj(&self.adj[&u], &self.adj[&v], |e_uw, e_vw| {
-                if removed[e_uw as usize] || removed[e_vw as usize] {
-                    return;
-                }
-                let t = f_id.min(freqs[e_uw as usize]).min(freqs[e_vw as usize]);
-                for other in [e_uw, e_vw] {
-                    cohesion[other as usize] -= t;
-                    if float::leq_eps(cohesion[other as usize], alpha) && !queued[other as usize] {
-                        queued[other as usize] = true;
-                        newly.push(other);
-                    }
-                }
-            });
-            queue.extend(newly);
-        }
-    }
-}
-
-/// Merge two sorted `(neighbor, edge_id)` lists, calling `f(e1, e2)` per
-/// common neighbor.
-fn merge_adj(a: &[(VertexId, u32)], b: &[(VertexId, u32)], mut f: impl FnMut(u32, u32)) {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                f(a[i].1, b[j].1);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-}
-
-/// The TCFI of edge database networks: level-wise Apriori join with
-/// intersection-restricted truss computation.
-#[derive(Debug, Clone)]
-pub struct EdgeTcfiMiner {
-    /// Safety cap on pattern length.
-    pub max_len: usize,
-}
-
-impl Default for EdgeTcfiMiner {
-    fn default() -> Self {
-        EdgeTcfiMiner {
-            max_len: usize::MAX,
-        }
-    }
-}
-
-impl EdgeTcfiMiner {
-    /// Mines every non-empty maximal edge-pattern truss at `alpha`.
-    pub fn mine(&self, network: &EdgeDatabaseNetwork, alpha: f64) -> crate::MiningResult {
-        let sw = Stopwatch::start();
-        let mut stats = crate::MinerStats::default();
-        let mut all: Vec<PatternTruss> = Vec::new();
-
-        // Level 1.
-        let mut level: Vec<PatternTruss> = Vec::new();
-        for item in network.items_in_use() {
-            let pattern = Pattern::singleton(item);
-            stats.candidates_generated += 1;
-            stats.mptd_calls += 1;
-            let truss = network.maximal_edge_pattern_truss(&pattern, alpha, None);
-            if !truss.is_empty() {
-                level.push(truss);
-            }
-        }
-
-        let mut k = 2usize;
-        while !level.is_empty() && k <= self.max_len {
-            let mut prev_patterns: Vec<Pattern> = level.iter().map(|t| t.pattern.clone()).collect();
-            let by_pattern: FxHashMap<Pattern, PatternTruss> =
-                level.drain(..).map(|t| (t.pattern.clone(), t)).collect();
-            let candidates = tc_txdb::apriori::generate_candidates(&mut prev_patterns);
-            stats.candidates_generated += candidates.len();
-
-            let mut next = Vec::new();
-            for cand in candidates {
-                let left = &by_pattern[&prev_patterns[cand.left]];
-                let right = &by_pattern[&prev_patterns[cand.right]];
-                let intersection = left.intersect_edges(right);
-                if intersection.is_empty() {
-                    stats.pruned_by_intersection += 1;
-                    continue;
-                }
-                stats.mptd_calls += 1;
-                let truss =
-                    network.maximal_edge_pattern_truss(&cand.pattern, alpha, Some(&intersection));
-                if !truss.is_empty() {
-                    next.push(truss);
-                }
-            }
-            all.extend(by_pattern.into_values());
-            level = next;
-            k += 1;
-        }
-        all.append(&mut level);
-
-        stats.elapsed_secs = sw.elapsed_secs();
-        crate::MiningResult::new(alpha, all, stats)
+    fn theme_within(&self, pattern: &Pattern, edges: &[EdgeKey]) -> ThemeNetwork {
+        self.theme_over(pattern, edges)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Miner, TcfiMiner};
 
     /// Triangle 0-1-2 whose edges all frequently discuss "rust" (plus some
     /// low-frequency "noise"); edge (2,3) discusses "cooking" only; triangle
@@ -563,7 +330,7 @@ mod tests {
         let net = network();
         // At α = 0.3: the rust triangle survives (eco = 0.8); the noise
         // triangle (eco = 0.2) and everything else die.
-        let result = EdgeTcfiMiner::default().mine(&net, 0.3);
+        let result = TcfiMiner::default().mine(&net, 0.3);
         assert_eq!(result.np(), 1);
         let rust = Pattern::singleton(net.item_space().get("rust").unwrap());
         assert_eq!(result.truss_of(&rust).unwrap().vertices, vec![0, 1, 2]);
@@ -571,7 +338,7 @@ mod tests {
         assert_eq!(communities.len(), 1);
 
         // At α = 0.1 the low-frequency noise theme also qualifies.
-        let result_low = EdgeTcfiMiner::default().mine(&net, 0.1);
+        let result_low = TcfiMiner::default().mine(&net, 0.1);
         assert_eq!(result_low.np(), 2);
     }
 
@@ -587,7 +354,7 @@ mod tests {
             }
         }
         let net = b.build().unwrap();
-        let result = EdgeTcfiMiner::default().mine(&net, 0.5);
+        let result = TcfiMiner::default().mine(&net, 0.5);
         let pair = Pattern::new(vec![chat, code]);
         let t = result.truss_of(&pair).expect("pair theme");
         assert_eq!(t.num_edges(), 6, "both triangles fully themed");
@@ -647,7 +414,7 @@ mod tests {
     fn empty_network() {
         let net = EdgeDatabaseNetworkBuilder::new().build().unwrap();
         assert_eq!(net.num_edges(), 0);
-        let r = EdgeTcfiMiner::default().mine(&net, 0.0);
+        let r = TcfiMiner::default().mine(&net, 0.0);
         assert_eq!(r.np(), 0);
     }
 }

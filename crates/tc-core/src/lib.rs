@@ -2,9 +2,11 @@
 //! database networks.
 //!
 //! * [`network`] — the database network `G = (V, E, D, S)` (§3.1);
-//! * [`theme`] — theme networks `G_p` induced by patterns;
+//! * [`theme`] — theme networks `G_p` induced by patterns, and
+//!   [`ThemeSource`], what the enumeration code asks of a network;
 //! * [`peel`] / [`mptd`] — the Maximal Pattern Truss Detector
-//!   (Algorithm 1) and its shared edge-peeling engine;
+//!   (Algorithm 1) and its shared edge-peeling engine, generic over what a
+//!   triangle weighs;
 //! * [`truss`] — maximal pattern trusses (Definitions 3.3-3.4);
 //! * [`community`] — theme communities (Definition 3.5) as connected
 //!   components of trusses;
@@ -15,8 +17,9 @@
 //!   TC-Tree index in `tc-index`;
 //! * [`search`] — online theme-community search by query vertex (the
 //!   §2.1 community-search operation, lifted to themes);
-//! * [`edge`] — the §8 future-work extension: edge database networks,
-//!   edge-pattern trusses and their TCFI;
+//! * [`edge`] — the §8 future-work extension: edge database networks. A
+//!   network type, not a second engine — MPTD, decomposition, TCFI and the
+//!   TC-Tree builder above serve it through [`ThemeSource`];
 //! * [`oracle`] — brute-force reference implementations for testing.
 
 pub mod community;
@@ -37,14 +40,14 @@ pub mod truss;
 
 pub use community::{extract_communities, ThemeCommunity};
 pub use decompose::{TrussDecomposition, TrussLevel};
-pub use edge::{EdgeDatabaseNetwork, EdgeDatabaseNetworkBuilder, EdgeTcfiMiner};
+pub use edge::{EdgeDatabaseNetwork, EdgeDatabaseNetworkBuilder};
 pub use miner::Miner;
-pub use mptd::{maximal_pattern_truss, maximal_pattern_truss_with_cohesions};
+pub use mptd::maximal_pattern_truss;
 pub use network::{BuildError, DatabaseNetwork, DatabaseNetworkBuilder, NetworkStats};
 pub use result::{MinerStats, MiningResult};
 pub use search::{community_of_vertex, theme_profile};
 pub use tcfa::TcfaMiner;
 pub use tcfi::{ParallelTcfiMiner, TcfiMiner};
 pub use tcs::TcsMiner;
-pub use theme::ThemeNetwork;
+pub use theme::{Frequencies, ThemeNetwork, ThemeSource};
 pub use truss::PatternTruss;

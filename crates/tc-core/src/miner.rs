@@ -3,15 +3,19 @@
 use crate::network::DatabaseNetwork;
 use crate::result::MiningResult;
 
-/// A theme-community finding algorithm: given a database network and a
+/// A theme-community finding algorithm: given a network of kind `N` and a
 /// minimum cohesion threshold `α`, produce every non-empty maximal pattern
 /// truss (Definition 3.7).
-pub trait Miner {
+///
+/// The TCS and TCFA baselines take the paper's vertex database networks
+/// only; TCFI takes any [`crate::ThemeSource`], edge database networks (§8)
+/// included.
+pub trait Miner<N: ?Sized = DatabaseNetwork> {
     /// Short display name ("TCS", "TCFA", "TCFI").
     fn name(&self) -> &'static str;
 
     /// Mines all maximal pattern trusses of `network` at threshold `alpha`.
-    fn mine(&self, network: &DatabaseNetwork, alpha: f64) -> MiningResult;
+    fn mine(&self, network: &N, alpha: f64) -> MiningResult;
 }
 
 #[cfg(test)]
@@ -21,9 +25,12 @@ mod tests {
 
     #[test]
     fn names() {
-        assert_eq!(TcsMiner::default().name(), "TCS");
-        assert_eq!(TcfaMiner::default().name(), "TCFA");
-        assert_eq!(TcfiMiner::default().name(), "TCFI");
+        // Through `dyn Miner`: TCFI mines any `ThemeSource`, so on the bare
+        // type `name()` would not know which network kind is meant.
+        let name = |miner: &dyn Miner| miner.name();
+        assert_eq!(name(&TcsMiner::default()), "TCS");
+        assert_eq!(name(&TcfaMiner::default()), "TCFA");
+        assert_eq!(name(&TcfiMiner::default()), "TCFI");
     }
 
     #[test]

@@ -7,43 +7,33 @@
 //! `O(Σ_{v ∈ V_p} d²(v))`.
 
 use crate::peel::PeelState;
+use crate::result::MinerStats;
 use crate::theme::ThemeNetwork;
 use crate::truss::PatternTruss;
-use tc_graph::EdgeKey;
 
 /// Runs MPTD on a theme network, returning `C*_p(α)` (possibly empty).
 pub fn maximal_pattern_truss(theme: &ThemeNetwork, alpha: f64) -> PatternTruss {
-    let (truss, _) = maximal_pattern_truss_with_cohesions(theme, alpha);
-    truss
-}
-
-/// MPTD variant that also reports the final cohesion of every surviving
-/// edge (global keys). Used by tests and by ablation benches; the
-/// decomposition (§6.1) uses [`PeelState`] directly instead.
-pub fn maximal_pattern_truss_with_cohesions(
-    theme: &ThemeNetwork,
-    alpha: f64,
-) -> (PatternTruss, Vec<(EdgeKey, f64)>) {
     if theme.is_trivial() {
-        return (
-            PatternTruss::empty(theme.pattern().clone(), alpha),
-            Vec::new(),
-        );
+        return PatternTruss::empty(theme.pattern().clone(), alpha);
     }
     let mut state = PeelState::new(theme);
     state.peel(alpha, |_| {});
-    let edges = state.alive_global_edges();
-    let cohesions: Vec<(EdgeKey, f64)> = state
-        .alive_edge_ids()
-        .map(|id| {
-            let e = theme.global_edge(state.endpoints(id));
-            (e, state.cohesion(id))
-        })
-        .collect();
-    (
-        PatternTruss::from_edges(theme.pattern().clone(), alpha, edges),
-        cohesions,
-    )
+    PatternTruss::from_edges(theme.pattern().clone(), alpha, state.alive_global_edges())
+}
+
+/// Runs MPTD on a candidate's theme network and counts it, unless the
+/// network has no edge to peel; `None` when the pattern is unqualified.
+pub(crate) fn qualified_truss(
+    theme: &ThemeNetwork,
+    alpha: f64,
+    stats: &mut MinerStats,
+) -> Option<PatternTruss> {
+    if theme.is_trivial() {
+        return None;
+    }
+    stats.mptd_calls += 1;
+    let truss = maximal_pattern_truss(theme, alpha);
+    (!truss.is_empty()).then_some(truss)
 }
 
 #[cfg(test)]
@@ -51,6 +41,7 @@ mod tests {
     use super::*;
     use crate::network::{DatabaseNetwork, DatabaseNetworkBuilder};
     use crate::oracle;
+    use tc_graph::EdgeKey;
     use tc_txdb::Pattern;
 
     /// Build a network where item "p" has chosen per-vertex frequencies
@@ -134,7 +125,14 @@ mod tests {
         let (net, pat) = figure1b();
         let theme = ThemeNetwork::induce(&net, &pat);
         for alpha in [0.0, 0.05, 0.1, 0.2, 0.25] {
-            let (truss, cohesions) = maximal_pattern_truss_with_cohesions(&theme, alpha);
+            let truss = maximal_pattern_truss(&theme, alpha);
+            let mut state = PeelState::new(&theme);
+            state.peel(alpha, |_| {});
+            let cohesions: Vec<(EdgeKey, f64)> = state
+                .alive_edge_ids()
+                .map(|id| (theme.global_edge(state.endpoints(id)), state.cohesion(id)))
+                .collect();
+            assert_eq!(cohesions.len(), truss.num_edges());
             for &(e, eco) in &cohesions {
                 assert!(
                     tc_util::float::gt_eps(eco, alpha),

@@ -231,21 +231,10 @@ impl DatabaseNetwork {
         }
         lists.sort_by_key(|l| l.len());
         let mut acc: Vec<VertexId> = lists[0].iter().map(|&(v, _)| v).collect();
+        // The lists carry a frequency per entry, so `acc` (born from the
+        // shortest) probes them instead of merging through `tc_util::sorted`.
         for list in &lists[1..] {
-            let mut out = Vec::with_capacity(acc.len().min(list.len()));
-            let (mut i, mut j) = (0, 0);
-            while i < acc.len() && j < list.len() {
-                match acc[i].cmp(&list[j].0) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        out.push(acc[i]);
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-            acc = out;
+            acc.retain(|v| list.binary_search_by_key(v, |&(w, _)| w).is_ok());
             if acc.is_empty() {
                 break;
             }

@@ -6,14 +6,65 @@
 //! two edges of every destroyed triangle. [`PeelState`] owns that machinery:
 //! initial cohesions, the FIFO queue, and pop-time removal semantics (a
 //! triangle is destroyed exactly once, by the first of its edges popped).
+//!
+//! What a triangle weighs is the engine's single point of variation:
+//! `min(f_i, f_j, f_k)` when the databases sit on vertices, `min(f_ij, f_ik,
+//! f_jk)` when they sit on edges (§8). The two loops that weigh triangles
+//! are generic over a `TriangleWeight` and monomorphised once per kind, so
+//! neither pays a per-triangle branch for the other.
 
-use crate::theme::ThemeNetwork;
+use crate::theme::{Frequencies, ThemeNetwork};
 use tc_util::float;
+
+/// The weight of a triangle, split so the part fixed by the edge being
+/// scanned is computed once per scan rather than once per triangle.
+trait TriangleWeight: Copy {
+    /// The share of the weight fixed by edge `id = (u, v)` alone.
+    fn of_edge(self, id: u32, ends: (u32, u32)) -> f64;
+
+    /// The weight of the triangle that closes that edge (`edge` is its
+    /// [`TriangleWeight::of_edge`]) through vertex `w` over edges `e_uw`
+    /// and `e_vw`.
+    fn of_triangle(self, edge: f64, w: u32, e_uw: u32, e_vw: u32) -> f64;
+}
+
+/// `min(f_i, f_j, f_k)` over per-vertex frequencies.
+#[derive(Clone, Copy)]
+struct VertexHeld<'a>(&'a [f64]);
+
+impl TriangleWeight for VertexHeld<'_> {
+    #[inline]
+    fn of_edge(self, _: u32, (u, v): (u32, u32)) -> f64 {
+        self.0[u as usize].min(self.0[v as usize])
+    }
+
+    #[inline]
+    fn of_triangle(self, edge: f64, w: u32, _: u32, _: u32) -> f64 {
+        edge.min(self.0[w as usize])
+    }
+}
+
+/// `min(f_ij, f_ik, f_jk)` over per-edge frequencies.
+#[derive(Clone, Copy)]
+struct EdgeHeld<'a>(&'a [f64]);
+
+impl TriangleWeight for EdgeHeld<'_> {
+    #[inline]
+    fn of_edge(self, id: u32, _: (u32, u32)) -> f64 {
+        self.0[id as usize]
+    }
+
+    #[inline]
+    fn of_triangle(self, edge: f64, _: u32, e_uw: u32, e_vw: u32) -> f64 {
+        edge.min(self.0[e_uw as usize]).min(self.0[e_vw as usize])
+    }
+}
 
 /// Mutable peeling state over one theme network.
 pub struct PeelState<'a> {
     theme: &'a ThemeNetwork,
-    /// Edge endpoints by edge id (local vertex ids, `u < v`).
+    /// Edge endpoints by edge id (local vertex ids, `u < v`), in
+    /// `graph.edges()` order — the order [`Frequencies::Edge`] is held in.
     edge_ends: Vec<(u32, u32)>,
     /// Per-vertex `(neighbor, edge_id)`, sorted by neighbor — lets a merge
     /// over two adjacency lists yield both "other edge" ids of a triangle.
@@ -27,8 +78,9 @@ pub struct PeelState<'a> {
 
 impl<'a> PeelState<'a> {
     /// Builds the edge structure and computes initial cohesions
-    /// (Algorithm 1, lines 1-8): for each edge `(i, j)`,
-    /// `eco_ij = Σ_{△ijk} min(f_i, f_j, f_k)`.
+    /// (Algorithm 1, lines 1-8): for each edge `(i, j)`, `eco_ij` is the
+    /// summed weight of its triangles `△ijk` — `min(f_i, f_j, f_k)`, or
+    /// `min(f_ij, f_ik, f_jk)` when the theme's frequencies sit on edges.
     pub fn new(theme: &'a ThemeNetwork) -> Self {
         let g = theme.graph();
         let n = g.num_vertices();
@@ -48,17 +100,10 @@ impl<'a> PeelState<'a> {
             list.sort_unstable_by_key(|&(w, _)| w);
         }
 
-        let mut cohesion = vec![0.0f64; m];
-        for (id, &(u, v)) in edge_ends.iter().enumerate() {
-            let fu = theme.frequency(u);
-            let fv = theme.frequency(v);
-            let fuv = fu.min(fv);
-            let mut eco = 0.0;
-            merge_triangles(&adj[u as usize], &adj[v as usize], |_, _, w| {
-                eco += fuv.min(theme.frequency(w));
-            });
-            cohesion[id] = eco;
-        }
+        let cohesion = match theme.frequencies() {
+            Frequencies::Vertex(f) => initial_cohesions(&edge_ends, &adj, VertexHeld(f)),
+            Frequencies::Edge(f) => initial_cohesions(&edge_ends, &adj, EdgeHeld(f)),
+        };
 
         PeelState {
             theme,
@@ -69,11 +114,6 @@ impl<'a> PeelState<'a> {
             queued: vec![false; m],
             alive: m,
         }
-    }
-
-    /// The theme network being peeled.
-    pub fn theme(&self) -> &ThemeNetwork {
-        self.theme
     }
 
     /// Total number of edges (alive or removed). Edge ids are `0..num_edges`
@@ -113,7 +153,20 @@ impl<'a> PeelState<'a> {
     /// [`float::COHESION_EPS`] tolerance), cascading updates — Algorithm 1,
     /// lines 9-18. Calls `on_remove(edge_id)` for each removal, in removal
     /// order.
-    pub fn peel(&mut self, alpha: f64, mut on_remove: impl FnMut(u32)) {
+    pub fn peel(&mut self, alpha: f64, on_remove: impl FnMut(u32)) {
+        let theme = self.theme;
+        match theme.frequencies() {
+            Frequencies::Vertex(f) => self.cascade(VertexHeld(f), alpha, on_remove),
+            Frequencies::Edge(f) => self.cascade(EdgeHeld(f), alpha, on_remove),
+        }
+    }
+
+    fn cascade<W: TriangleWeight>(
+        &mut self,
+        weight: W,
+        alpha: f64,
+        mut on_remove: impl FnMut(u32),
+    ) {
         let mut queue = std::collections::VecDeque::new();
         for id in 0..self.edge_ends.len() as u32 {
             if !self.removed[id as usize]
@@ -131,13 +184,10 @@ impl<'a> PeelState<'a> {
             on_remove(id);
 
             let (u, v) = self.edge_ends[id as usize];
-            let fu = self.theme.frequency(u);
-            let fv = self.theme.frequency(v);
-            let fuv = fu.min(fv);
+            let w_uv = weight.of_edge(id, (u, v));
             // Split borrows: adjacency is immutable during the scan while
             // cohesion/removed/queued mutate.
             let (adj_u, adj_v) = (&self.adj[u as usize], &self.adj[v as usize]);
-            let theme = self.theme;
             let removed = &mut self.removed;
             let queued = &mut self.queued;
             let cohesion = &mut self.cohesion;
@@ -148,7 +198,7 @@ impl<'a> PeelState<'a> {
                 if removed[e_uw as usize] || removed[e_vw as usize] {
                     return;
                 }
-                let t = fuv.min(theme.frequency(w));
+                let t = weight.of_triangle(w_uv, w, e_uw, e_vw);
                 for other in [e_uw, e_vw] {
                     cohesion[other as usize] -= t;
                     if float::leq_eps(cohesion[other as usize], alpha) && !queued[other as usize] {
@@ -170,6 +220,25 @@ impl<'a> PeelState<'a> {
         out.sort_unstable();
         out
     }
+}
+
+/// The cohesion of every edge with all edges alive: the summed weight of
+/// the triangles it closes.
+fn initial_cohesions<W: TriangleWeight>(
+    edge_ends: &[(u32, u32)],
+    adj: &[Vec<(u32, u32)>],
+    weight: W,
+) -> Vec<f64> {
+    let mut cohesion = Vec::with_capacity(edge_ends.len());
+    for (id, &(u, v)) in edge_ends.iter().enumerate() {
+        let w_uv = weight.of_edge(id as u32, (u, v));
+        let mut eco = 0.0;
+        merge_triangles(&adj[u as usize], &adj[v as usize], |e_uw, e_vw, w| {
+            eco += weight.of_triangle(w_uv, w, e_uw, e_vw);
+        });
+        cohesion.push(eco);
+    }
+    cohesion
 }
 
 /// Merges two `(neighbor, edge_id)` adjacency lists sorted by neighbor,

@@ -8,10 +8,10 @@
 //! network, which is TCFA's bottleneck that TCFI later removes.
 
 use crate::miner::Miner;
-use crate::mptd::maximal_pattern_truss;
+use crate::mptd::qualified_truss;
 use crate::network::DatabaseNetwork;
 use crate::result::{MinerStats, MiningResult};
-use crate::theme::ThemeNetwork;
+use crate::theme::{ThemeNetwork, ThemeSource};
 use crate::truss::PatternTruss;
 use tc_txdb::{apriori, Pattern};
 use tc_util::Stopwatch;
@@ -33,24 +33,16 @@ impl Default for TcfaMiner {
 }
 
 /// Mines level 1: one MPTD per occurring item. Shared by TCFA and TCFI.
-pub(crate) fn mine_level_one(
-    network: &DatabaseNetwork,
+pub(crate) fn mine_level_one<N: ThemeSource + ?Sized>(
+    network: &N,
     alpha: f64,
     stats: &mut MinerStats,
 ) -> Vec<PatternTruss> {
     let mut level = Vec::new();
     for item in network.items_in_use() {
-        let pattern = Pattern::singleton(item);
         stats.candidates_generated += 1;
-        let theme = ThemeNetwork::induce(network, &pattern);
-        if theme.is_trivial() {
-            continue;
-        }
-        stats.mptd_calls += 1;
-        let truss = maximal_pattern_truss(&theme, alpha);
-        if !truss.is_empty() {
-            level.push(truss);
-        }
+        let theme = network.theme(&Pattern::singleton(item));
+        level.extend(qualified_truss(&theme, alpha, stats));
     }
     level
 }
@@ -85,14 +77,7 @@ impl Miner for TcfaMiner {
                 // index-accelerated induction, or the baseline comparison
                 // stops measuring what the paper measures.
                 let theme = ThemeNetwork::induce_scan(network, &cand.pattern);
-                if theme.is_trivial() {
-                    continue;
-                }
-                stats.mptd_calls += 1;
-                let truss = maximal_pattern_truss(&theme, alpha);
-                if !truss.is_empty() {
-                    next.push(truss);
-                }
+                next.extend(qualified_truss(&theme, alpha, &mut stats));
             }
             level = next;
             k += 1;

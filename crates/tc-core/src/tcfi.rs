@@ -8,13 +8,16 @@
 //! at all — and because maximal pattern trusses are typically small local
 //! subgraphs scattered across a sparse network (§7.2), this eliminates most
 //! of the work.
+//!
+//! Both miners here take any [`ThemeSource`]: the paper's vertex database
+//! networks, and the §8 edge database networks, whose only difference — the
+//! weight of a triangle — is settled inside the theme networks they induce.
 
 use crate::miner::Miner;
-use crate::mptd::maximal_pattern_truss;
-use crate::network::DatabaseNetwork;
+use crate::mptd::qualified_truss;
 use crate::result::{MinerStats, MiningResult};
 use crate::tcfa::mine_level_one;
-use crate::theme::ThemeNetwork;
+use crate::theme::ThemeSource;
 use crate::truss::PatternTruss;
 use std::sync::Arc;
 use tc_txdb::{apriori, Item, Pattern};
@@ -50,12 +53,32 @@ impl TcfiMiner {
     }
 }
 
-impl Miner for TcfiMiner {
+/// MPTD for a join candidate inside the intersection of its parents'
+/// trusses (Proposition 5.3): `C*_{p∪q}(α) ⊆ C*_p(α) ∩ C*_q(α)`, so an empty
+/// intersection prunes the candidate before anything is induced — or its
+/// `pattern` even spelled.
+fn join_truss<N: ThemeSource + ?Sized>(
+    network: &N,
+    (left, right): (&PatternTruss, &PatternTruss),
+    pattern: impl FnOnce() -> Pattern,
+    alpha: f64,
+    stats: &mut MinerStats,
+) -> Option<PatternTruss> {
+    let intersection = left.intersect_edges(right);
+    if intersection.is_empty() {
+        stats.pruned_by_intersection += 1;
+        return None;
+    }
+    let theme = network.theme_within(&pattern(), &intersection);
+    qualified_truss(&theme, alpha, stats)
+}
+
+impl<N: ThemeSource + ?Sized> Miner<N> for TcfiMiner {
     fn name(&self) -> &'static str {
         "TCFI"
     }
 
-    fn mine(&self, network: &DatabaseNetwork, alpha: f64) -> MiningResult {
+    fn mine(&self, network: &N, alpha: f64) -> MiningResult {
         let sw = Stopwatch::start();
         let mut stats = MinerStats::default();
         let mut all: Vec<PatternTruss> = Vec::new();
@@ -75,23 +98,12 @@ impl Miner for TcfiMiner {
 
             let mut next = Vec::new();
             for cand in candidates {
-                let left = &by_pattern[&prev_patterns[cand.left]];
-                let right = &by_pattern[&prev_patterns[cand.right]];
-                let intersection = left.intersect_edges(right);
-                if intersection.is_empty() {
-                    // Proposition 5.3: C*_{p∪q}(α) ⊆ C*_p(α) ∩ C*_q(α) = ∅.
-                    stats.pruned_by_intersection += 1;
-                    continue;
-                }
-                let theme = ThemeNetwork::induce_from_edges(network, &cand.pattern, &intersection);
-                if theme.is_trivial() {
-                    continue;
-                }
-                stats.mptd_calls += 1;
-                let truss = maximal_pattern_truss(&theme, alpha);
-                if !truss.is_empty() {
-                    next.push(truss);
-                }
+                let parents = (
+                    &by_pattern[&prev_patterns[cand.left]],
+                    &by_pattern[&prev_patterns[cand.right]],
+                );
+                let truss = join_truss(network, parents, || cand.pattern, alpha, &mut stats);
+                next.extend(truss);
             }
             all.extend(by_pattern.into_values());
             level = next;
@@ -189,12 +201,12 @@ fn ws_qualify(
     siblings.push(truss);
 }
 
-impl Miner for ParallelTcfiMiner {
+impl<N: ThemeSource + ?Sized> Miner<N> for ParallelTcfiMiner {
     fn name(&self) -> &'static str {
         "TCFI-WS"
     }
 
-    fn mine(&self, network: &DatabaseNetwork, alpha: f64) -> MiningResult {
+    fn mine(&self, network: &N, alpha: f64) -> MiningResult {
         let sw = Stopwatch::start();
         let max_len = self.max_len;
         let groups: SiblingGroups = Mutex::new(FxHashMap::default());
@@ -209,38 +221,20 @@ impl Miner for ParallelTcfiMiner {
         let states = Executor::new(self.threads).run(
             seeds,
             |_| WsState::default(),
-            |state, task, worker| match task {
-                WsTask::Seed(item) => {
-                    state.stats.candidates_generated += 1;
-                    let pattern = Pattern::singleton(item);
-                    let theme = ThemeNetwork::induce(network, &pattern);
-                    if theme.is_trivial() {
-                        return;
+            |state, task, worker| {
+                state.stats.candidates_generated += 1;
+                let truss = match task {
+                    WsTask::Seed(item) => {
+                        let theme = network.theme(&Pattern::singleton(item));
+                        qualified_truss(&theme, alpha, &mut state.stats)
                     }
-                    state.stats.mptd_calls += 1;
-                    let truss = maximal_pattern_truss(&theme, alpha);
-                    if !truss.is_empty() {
-                        ws_qualify(&groups, max_len, Arc::new(truss), state, worker);
+                    WsTask::Join(left, right) => {
+                        let pattern = || left.pattern.union(&right.pattern);
+                        join_truss(network, (&left, &right), pattern, alpha, &mut state.stats)
                     }
-                }
-                WsTask::Join(left, right) => {
-                    state.stats.candidates_generated += 1;
-                    let intersection = left.intersect_edges(&right);
-                    if intersection.is_empty() {
-                        // Proposition 5.3, exactly as the serial miner.
-                        state.stats.pruned_by_intersection += 1;
-                        return;
-                    }
-                    let pattern = left.pattern.union(&right.pattern);
-                    let theme = ThemeNetwork::induce_from_edges(network, &pattern, &intersection);
-                    if theme.is_trivial() {
-                        return;
-                    }
-                    state.stats.mptd_calls += 1;
-                    let truss = maximal_pattern_truss(&theme, alpha);
-                    if !truss.is_empty() {
-                        ws_qualify(&groups, max_len, Arc::new(truss), state, worker);
-                    }
+                };
+                if let Some(truss) = truss {
+                    ws_qualify(&groups, max_len, Arc::new(truss), state, worker);
                 }
             },
         );

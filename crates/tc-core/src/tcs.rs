@@ -8,7 +8,7 @@
 //! with `ε = 0` it is exact but enumerates every occurring pattern.
 
 use crate::miner::Miner;
-use crate::mptd::maximal_pattern_truss;
+use crate::mptd::qualified_truss;
 use crate::network::DatabaseNetwork;
 use crate::result::{MinerStats, MiningResult};
 use crate::theme::ThemeNetwork;
@@ -77,14 +77,7 @@ impl Miner for TcsMiner {
             // §4.2: "for each candidate pattern p ∈ P, we induce theme
             // network G_p" — from the full network, like TCFA.
             let theme = ThemeNetwork::induce_scan(network, &pattern);
-            if theme.is_trivial() {
-                continue;
-            }
-            stats.mptd_calls += 1;
-            let truss = maximal_pattern_truss(&theme, alpha);
-            if !truss.is_empty() {
-                trusses.push(truss);
-            }
+            trusses.extend(qualified_truss(&theme, alpha, &mut stats));
         }
         stats.elapsed_secs = sw.elapsed_secs();
         MiningResult::new(alpha, trusses, stats)

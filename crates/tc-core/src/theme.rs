@@ -5,11 +5,57 @@
 //! miners materialise theme networks as compact local structures (dense
 //! `u32` ids, sorted adjacency, parallel frequency array) ready for the
 //! peeling engine.
+//!
+//! The §8 extension — databases on the *edges* — changes one thing about a
+//! theme network: what carries `f(p)`, and so what a triangle weighs. A
+//! [`ThemeNetwork`] therefore holds either kind of [`Frequencies`], and
+//! [`ThemeSource`] is all the enumeration code (TCFI, the TC-Tree builder)
+//! asks of a network of either kind.
 
 use crate::network::DatabaseNetwork;
 use tc_graph::{EdgeKey, GraphBuilder, UGraph, VertexId};
-use tc_txdb::Pattern;
+use tc_txdb::{Item, Pattern};
 use tc_util::FxHashMap;
+
+/// The pattern frequencies of a theme network, by what holds the
+/// transaction databases.
+#[derive(Debug, Clone)]
+pub enum Frequencies {
+    /// `f_i(p)` per local vertex id (strictly positive) — the paper's
+    /// setting: a triangle weighs `min(f_i, f_j, f_k)`.
+    Vertex(Vec<f64>),
+    /// `f_ij(p)` per edge (strictly positive), in [`UGraph::edges`] order —
+    /// the §8 setting: a triangle weighs `min(f_ij, f_ik, f_jk)`.
+    Edge(Vec<f64>),
+}
+
+/// What set enumeration over patterns needs from a network: the level-1
+/// items, and the theme network of a candidate pattern — over the whole
+/// network, or inside the intersection of its parents' trusses (§5.3).
+pub trait ThemeSource: Sync {
+    /// The items occurring in at least one database, ascending.
+    fn items_in_use(&self) -> Vec<Item>;
+
+    /// `G_p` over the whole network.
+    fn theme(&self, pattern: &Pattern) -> ThemeNetwork;
+
+    /// `G_p` restricted to `edges` (canonical global keys, sorted).
+    fn theme_within(&self, pattern: &Pattern, edges: &[EdgeKey]) -> ThemeNetwork;
+}
+
+impl ThemeSource for DatabaseNetwork {
+    fn items_in_use(&self) -> Vec<Item> {
+        DatabaseNetwork::items_in_use(self)
+    }
+
+    fn theme(&self, pattern: &Pattern) -> ThemeNetwork {
+        ThemeNetwork::induce(self, pattern)
+    }
+
+    fn theme_within(&self, pattern: &Pattern, edges: &[EdgeKey]) -> ThemeNetwork {
+        ThemeNetwork::induce_from_edges(self, pattern, edges)
+    }
+}
 
 /// A materialised theme network with local vertex ids.
 #[derive(Debug, Clone)]
@@ -19,8 +65,7 @@ pub struct ThemeNetwork {
     graph: UGraph,
     /// Local id → global vertex id (sorted ascending).
     vertices: Vec<VertexId>,
-    /// Local id → `f_i(p)` (strictly positive).
-    freqs: Vec<f64>,
+    freqs: Frequencies,
 }
 
 impl ThemeNetwork {
@@ -30,26 +75,25 @@ impl ThemeNetwork {
     /// exact frequency is computed from its vertex database and zero-frequency
     /// candidates (items present but never co-occurring) are dropped.
     pub fn induce(network: &DatabaseNetwork, pattern: &Pattern) -> ThemeNetwork {
-        let candidates = network.candidate_vertices(pattern);
-        let mut vertices = Vec::with_capacity(candidates.len());
-        let mut freqs = Vec::with_capacity(candidates.len());
-        if pattern.len() == 1 {
+        let (vertices, freqs): (Vec<VertexId>, Vec<f64>) = if pattern.len() == 1 {
             // Fast path: frequencies are already in the index.
-            for &(v, f) in network.vertices_with_item(pattern.items()[0]) {
-                vertices.push(v);
-                freqs.push(f);
-            }
+            network
+                .vertices_with_item(pattern.items()[0])
+                .iter()
+                .copied()
+                .unzip()
         } else {
-            for v in candidates {
-                let f = network.frequency(v, pattern);
-                if f > 0.0 {
-                    vertices.push(v);
-                    freqs.push(f);
-                }
-            }
-        }
+            network
+                .candidate_vertices(pattern)
+                .into_iter()
+                .filter_map(|v| {
+                    let f = network.frequency(v, pattern);
+                    (f > 0.0).then_some((v, f))
+                })
+                .unzip()
+        };
         let edges = induce_edges(network, &vertices);
-        Self::from_parts(pattern.clone(), vertices, freqs, &edges)
+        Self::from_parts(pattern, vertices, Frequencies::Vertex(freqs), &edges)
     }
 
     /// Induces `G_p` by scanning **every** vertex database — the literal
@@ -71,7 +115,7 @@ impl ThemeNetwork {
             }
         }
         let edges = induce_edges(network, &vertices);
-        Self::from_parts(pattern.clone(), vertices, freqs, &edges)
+        Self::from_parts(pattern, vertices, Frequencies::Vertex(freqs), &edges)
     }
 
     /// Induces `G_p` restricted to a subgraph given as an explicit edge set
@@ -100,13 +144,29 @@ impl ThemeNetwork {
             })
             .copied()
             .collect();
-        Self::from_parts(pattern.clone(), vertices, freqs, &kept)
+        Self::from_parts(pattern, vertices, Frequencies::Vertex(freqs), &kept)
+    }
+
+    /// The theme network of an edge database network (§8): `edges` are its
+    /// edges with `f_e(p) > 0` as sorted canonical global keys, `freqs`
+    /// those frequencies in the same order.
+    pub(crate) fn from_themed_edges(
+        pattern: &Pattern,
+        edges: &[EdgeKey],
+        freqs: Vec<f64>,
+    ) -> ThemeNetwork {
+        debug_assert!(edges.windows(2).all(|w| w[0] < w[1]), "sorted edges");
+        debug_assert_eq!(edges.len(), freqs.len());
+        let vertices = tc_graph::ktruss::edge_set_vertices(edges);
+        // Local ids ascend with global ids, so `graph.edges()` enumerates
+        // `edges` in the order given and `freqs` lines up with it.
+        Self::from_parts(pattern, vertices, Frequencies::Edge(freqs), edges)
     }
 
     fn from_parts(
-        pattern: Pattern,
+        pattern: &Pattern,
         vertices: Vec<VertexId>,
-        freqs: Vec<f64>,
+        freqs: Frequencies,
         global_edges: &[EdgeKey],
     ) -> ThemeNetwork {
         debug_assert!(vertices.windows(2).all(|w| w[0] < w[1]), "sorted vertices");
@@ -124,7 +184,7 @@ impl ThemeNetwork {
             gb.ensure_vertex(last as u32);
         }
         ThemeNetwork {
-            pattern,
+            pattern: pattern.clone(),
             graph: gb.build(),
             vertices,
             freqs,
@@ -141,7 +201,7 @@ impl ThemeNetwork {
         &self.graph
     }
 
-    /// Number of vertices with `f_i(p) > 0`.
+    /// Number of vertices of `G_p`.
     pub fn num_vertices(&self) -> usize {
         self.vertices.len()
     }
@@ -167,14 +227,8 @@ impl ThemeNetwork {
         &self.vertices
     }
 
-    /// `f_i(p)` of local vertex `local`.
-    #[inline]
-    pub fn frequency(&self, local: u32) -> f64 {
-        self.freqs[local as usize]
-    }
-
-    /// The frequency array, indexed by local id.
-    pub fn frequencies(&self) -> &[f64] {
+    /// The pattern frequencies, on vertices or on edges.
+    pub fn frequencies(&self) -> &Frequencies {
         &self.freqs
     }
 
@@ -184,13 +238,13 @@ impl ThemeNetwork {
         tc_graph::edge_key(self.global_id(e.0), self.global_id(e.1))
     }
 
-    /// Frequencies keyed by global vertex id (for reporting).
+    /// Vertex frequencies keyed by global vertex id (for reporting); empty
+    /// when the frequencies sit on edges.
     pub fn global_frequency_map(&self) -> FxHashMap<VertexId, f64> {
-        self.vertices
-            .iter()
-            .zip(&self.freqs)
-            .map(|(&v, &f)| (v, f))
-            .collect()
+        match &self.freqs {
+            Frequencies::Vertex(f) => self.vertices.iter().zip(f).map(|(&v, &f)| (v, f)).collect(),
+            Frequencies::Edge(_) => FxHashMap::default(),
+        }
     }
 }
 
@@ -259,9 +313,16 @@ mod tests {
     fn frequencies_carried() {
         let (net, pat) = toy();
         let t = ThemeNetwork::induce(&net, &pat);
-        for local in 0..t.num_vertices() as u32 {
-            let expected = if t.global_id(local) <= 4 { 0.5 } else { 1.0 };
-            assert!((t.frequency(local) - expected).abs() < 1e-12);
+        let Frequencies::Vertex(freqs) = t.frequencies() else {
+            panic!("a vertex network's theme carries vertex frequencies");
+        };
+        for (local, f) in freqs.iter().enumerate() {
+            let expected = if t.global_id(local as u32) <= 4 {
+                0.5
+            } else {
+                1.0
+            };
+            assert!((f - expected).abs() < 1e-12);
         }
     }
 

@@ -81,21 +81,7 @@ impl PatternTruss {
     /// Edge-set intersection with another truss — the TCFI pruning space
     /// (Proposition 5.3). Linear merge over the sorted edge lists.
     pub fn intersect_edges(&self, other: &PatternTruss) -> Vec<EdgeKey> {
-        let (a, b) = (&self.edges, &other.edges);
-        let mut out = Vec::with_capacity(a.len().min(b.len()));
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out
+        tc_util::sorted::intersect(&self.edges, &other.edges)
     }
 }
 

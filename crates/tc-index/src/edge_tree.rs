@@ -1,64 +1,15 @@
-//! TC-Tree construction over **edge database networks** — the second half
-//! of the paper's §8 future work ("extend TCFI *and TC-Tree* …").
+//! TC-Trees over **edge database networks** — the second half of the
+//! paper's §8 future work ("extend TCFI *and TC-Tree* …"), as tests.
 //!
-//! The TC-Tree structure is representation-agnostic: a node stores a
-//! pattern (via its branching item) and a decomposed truss `L_p`, which is
-//! just a level list of `(α_k, edge set)` — identical for vertex- and
-//! edge-held databases because Theorem 6.1 only relies on the peeling
-//! semantics. This module therefore only supplies a *builder*; the
-//! resulting [`TcTree`] answers QBA/QBP queries and round-trips through
-//! the persistence format unchanged.
+//! There is nothing to build here: [`TcTreeBuilder`] takes any
+//! `ThemeSource`, and a node's decomposed truss `L_p` is a level list of
+//! `(α_k, edge set)` whichever element holds the databases, so the tree an
+//! edge network yields answers QBA/QBP queries and round-trips through the
+//! persistence format unchanged. These tests hold it to that.
 
-use crate::tree::{build_nodes_parallel, CandidateOutcome, TcTree};
-use tc_core::EdgeDatabaseNetwork;
-use tc_txdb::Pattern;
-
-/// Configuration for building an edge-network TC-Tree.
-#[derive(Debug, Clone)]
-pub struct EdgeTcTreeBuilder {
-    /// Worker threads for every construction phase (layer 1 and the
-    /// per-level candidate fan-out).
-    pub threads: usize,
-    /// Maximum pattern length to index.
-    pub max_len: usize,
-}
-
-impl Default for EdgeTcTreeBuilder {
-    fn default() -> Self {
-        EdgeTcTreeBuilder {
-            threads: 4,
-            max_len: usize::MAX,
-        }
-    }
-}
-
-impl EdgeTcTreeBuilder {
-    /// Builds the TC-Tree of an edge database network (Algorithm 4 with
-    /// edge-pattern trusses), on the shared parallel set-enumeration
-    /// engine of [`crate::tree`]. Unlike the vertex builder there is no
-    /// trivial-theme short-circuit: every candidate surviving the
-    /// intersection prune is decomposed, preserving this builder's
-    /// historical counter semantics.
-    pub fn build(&self, network: &EdgeDatabaseNetwork) -> TcTree {
-        let layer1 = |item| network.decompose_edge_truss(&Pattern::singleton(item), None);
-        let join = |pattern: &Pattern, intersection: &[tc_graph::EdgeKey]| {
-            CandidateOutcome::Decomposed(network.decompose_edge_truss(pattern, Some(intersection)))
-        };
-        let (nodes, stats) = build_nodes_parallel(
-            self.threads,
-            self.max_len,
-            network.items_in_use(),
-            &layer1,
-            &join,
-        );
-        TcTree::from_parts(nodes, stats)
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use tc_core::{EdgeDatabaseNetworkBuilder, EdgeTcfiMiner};
+    use crate::{TcTree, TcTreeBuilder};
+    use tc_core::{EdgeDatabaseNetwork, EdgeDatabaseNetworkBuilder, Miner, TcfiMiner};
 
     /// Two triangles: one whose conversations are about {a, b}, one about
     /// {b, c}, bridged by a theme-less edge.
@@ -84,8 +35,8 @@ mod tests {
     #[test]
     fn tree_indexes_every_qualified_edge_pattern() {
         let net = network();
-        let tree = EdgeTcTreeBuilder::default().build(&net);
-        let mined = EdgeTcfiMiner::default().mine(&net, 0.0);
+        let tree = TcTreeBuilder::default().build(&net);
+        let mined = TcfiMiner::default().mine(&net, 0.0);
         assert_eq!(tree.num_nodes(), mined.np());
         // {a}, {b}, {c}, {a,b}, {b,c} — never {a,c} or {a,b,c}.
         assert_eq!(tree.num_nodes(), 5);
@@ -94,9 +45,9 @@ mod tests {
     #[test]
     fn queries_match_fresh_edge_mining() {
         let net = network();
-        let tree = EdgeTcTreeBuilder::default().build(&net);
+        let tree = TcTreeBuilder::default().build(&net);
         for alpha in [0.0, 0.5, 0.9, 1.5] {
-            let mined = EdgeTcfiMiner::default().mine(&net, alpha);
+            let mined = TcfiMiner::default().mine(&net, alpha);
             let answered = tree.query_by_alpha(alpha);
             assert_eq!(answered.retrieved_nodes, mined.np(), "alpha = {alpha}");
             let mut got: Vec<_> = answered
@@ -118,7 +69,7 @@ mod tests {
     #[test]
     fn persistence_roundtrip() {
         let net = network();
-        let tree = EdgeTcTreeBuilder::default().build(&net);
+        let tree = TcTreeBuilder::default().build(&net);
         let mut buf = Vec::new();
         tree.save(&mut buf).unwrap();
         let loaded = TcTree::load(std::io::Cursor::new(&buf)).unwrap();
@@ -134,12 +85,12 @@ mod tests {
     #[test]
     fn single_vs_multi_thread_builds_agree() {
         let net = network();
-        let t1 = EdgeTcTreeBuilder {
+        let t1 = TcTreeBuilder {
             threads: 1,
             max_len: usize::MAX,
         }
         .build(&net);
-        let t4 = EdgeTcTreeBuilder {
+        let t4 = TcTreeBuilder {
             threads: 4,
             max_len: usize::MAX,
         }
@@ -148,12 +99,18 @@ mod tests {
         let p1: Vec<_> = t1.nodes().iter().map(|n| n.pattern.clone()).collect();
         let p4: Vec<_> = t4.nodes().iter().map(|n| n.pattern.clone()).collect();
         assert_eq!(p1, p4);
+        let saved = |tree: &TcTree| {
+            let mut buf = Vec::new();
+            tree.save(&mut buf).unwrap();
+            buf
+        };
+        assert_eq!(saved(&t1), saved(&t4), "byte-identical at any thread count");
     }
 
     #[test]
     fn decomposition_levels_reconstruct_edge_trusses() {
         let net = network();
-        let tree = EdgeTcTreeBuilder::default().build(&net);
+        let tree = TcTreeBuilder::default().build(&net);
         for node in tree.nodes().iter().skip(1) {
             for alpha in [0.0, 0.3, 0.8, 1.2] {
                 let reconstructed = node.truss.edges_at(alpha);
@@ -166,7 +123,7 @@ mod tests {
     #[test]
     fn empty_network_builds_root_only() {
         let net = EdgeDatabaseNetworkBuilder::new().build().unwrap();
-        let tree = EdgeTcTreeBuilder::default().build(&net);
+        let tree = TcTreeBuilder::default().build(&net);
         assert_eq!(tree.num_nodes(), 0);
     }
 }

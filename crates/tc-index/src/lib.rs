@@ -11,12 +11,12 @@
 //! * [`serialize`] — a versioned text format for persisting and reloading
 //!   trees.
 
-pub mod edge_tree;
+#[cfg(test)]
+mod edge_tree;
 pub mod query;
 pub mod serialize;
 pub mod tree;
 
-pub use edge_tree::EdgeTcTreeBuilder;
 pub use query::QueryResult;
 pub use serialize::LoadError;
 pub use tree::{BuildStats, TcNode, TcTree, TcTreeBuilder};

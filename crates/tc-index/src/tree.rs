@@ -6,7 +6,10 @@
 //! root has `L_p = ∅` are pruned entirely (Proposition 5.2). Children are
 //! generated by joining a node with its right siblings; the candidate's
 //! truss is computed inside the *intersection* of the two parents' trusses
-//! (Proposition 5.3), exactly as TCFI does.
+//! (Proposition 5.3), exactly as TCFI does. The network may hold its
+//! databases on vertices or on edges (§8): the builder sees it only through
+//! [`ThemeSource`], and a node's `L_p` is a level list of edge sets either
+//! way.
 //!
 //! Construction is parallel end to end on the shared work-stealing
 //! executor ([`tc_util::steal`]): layer 1 (one decomposition per item) fans
@@ -17,7 +20,7 @@
 //! every serialized form of the tree) is byte-identical at any thread
 //! count.
 
-use tc_core::{DatabaseNetwork, ThemeNetwork, TrussDecomposition};
+use tc_core::{ThemeSource, TrussDecomposition};
 use tc_txdb::{Item, Pattern};
 use tc_util::steal::Executor;
 use tc_util::{HeapSize, Stopwatch};
@@ -46,7 +49,9 @@ pub struct BuildStats {
     pub candidates: usize,
     /// Candidates pruned because the parents' trusses did not intersect.
     pub pruned_by_intersection: usize,
-    /// MPTD/decomposition invocations.
+    /// Decompositions run: one per candidate that survived the
+    /// intersection prune (a theme network left without edges decomposes
+    /// to nothing, but counts).
     pub decompositions: usize,
 }
 
@@ -71,49 +76,12 @@ impl Default for TcTreeBuilder {
     }
 }
 
-impl TcTreeBuilder {
-    /// Builds the TC-Tree of `network` (Algorithm 4).
-    pub fn build(&self, network: &DatabaseNetwork) -> TcTree {
-        let layer1 = |item: Item| {
-            let theme = ThemeNetwork::induce(network, &Pattern::singleton(item));
-            TrussDecomposition::decompose(&theme)
-        };
-        let join = |pattern: &Pattern, intersection: &[tc_graph::EdgeKey]| {
-            let theme = ThemeNetwork::induce_from_edges(network, pattern, intersection);
-            if theme.is_trivial() {
-                CandidateOutcome::Trivial
-            } else {
-                CandidateOutcome::Decomposed(TrussDecomposition::decompose(&theme))
-            }
-        };
-        let (nodes, stats) = build_nodes_parallel(
-            self.threads,
-            self.max_len,
-            network.items_in_use(),
-            &layer1,
-            &join,
-        );
-        TcTree { nodes, stats }
-    }
-}
-
-/// How a join candidate fared — lets the shared engine keep the builders'
-/// historical counter semantics: the vertex builder skips trivial theme
-/// networks without counting a decomposition, the edge builder decomposes
-/// every intersection-surviving candidate.
-pub(crate) enum CandidateOutcome {
-    /// The candidate's theme network was trivial — no decomposition ran.
-    Trivial,
-    /// A decomposition ran (counted even when its result is empty).
-    Decomposed(TrussDecomposition),
-}
-
 /// Per-candidate evaluation result, tagged for the deterministic merge.
 enum Eval {
+    /// The parents' trusses do not intersect (Proposition 5.3).
     Pruned,
-    Trivial,
-    Dead,
-    Qualified(Pattern, TrussDecomposition),
+    /// `L_p` of the candidate; empty when the pattern is unqualified.
+    Decomposed(Pattern, TrussDecomposition),
 }
 
 /// Maps `tasks` through `f`, returning results in task order. Batches too
@@ -143,161 +111,133 @@ fn map_indexed<T: Send, R: Send>(
     results.into_iter().map(|(_, r)| r).collect()
 }
 
-/// The shared set-enumeration engine behind [`TcTreeBuilder`] and the
-/// edge-network builder: Algorithm 4 with every layer fanned out across
-/// the work-stealing executor.
-///
-/// Construction is level-synchronous — candidates of depth `d + 1` are
-/// evaluated concurrently once all depth-`d` nodes exist — and every merge
-/// is deterministic: results are tagged with their candidate index and
-/// appended in that order, which is exactly the serial breadth-first
-/// discovery order. The returned arena is therefore **byte-identical**
-/// (through any serializer) at every thread count.
-pub(crate) fn build_nodes_parallel<L, J>(
-    threads: usize,
-    max_len: usize,
-    items: Vec<Item>,
-    layer1: &L,
-    join: &J,
-) -> (Vec<TcNode>, BuildStats)
-where
-    L: Fn(Item) -> TrussDecomposition + Sync,
-    J: Fn(&Pattern, &[tc_graph::EdgeKey]) -> CandidateOutcome + Sync,
-{
-    let sw = Stopwatch::start();
-    let ex = Executor::new(threads.max(1));
-    let mut stats = BuildStats::default();
-    let mut nodes = vec![TcNode {
-        item: Item(0),
-        pattern: Pattern::empty(),
-        parent: 0,
-        children: Vec::new(),
-        truss: TrussDecomposition::default(),
-    }];
-
-    // ---- Layer 1 (lines 2-5), parallel across items. ------------------
-    stats.candidates += items.len();
-    stats.decompositions += items.len();
-    let layer1_results = map_indexed(&ex, items.clone(), layer1);
-
-    let mut frontier: Vec<u32> = Vec::new();
-    for (i, truss) in layer1_results.into_iter().enumerate() {
-        if truss.is_empty() {
-            continue;
-        }
-        let id = nodes.len() as u32;
-        nodes.push(TcNode {
-            item: items[i],
-            pattern: Pattern::singleton(items[i]),
+impl TcTreeBuilder {
+    /// Builds the TC-Tree of `network` — a vertex or an edge (§8) database
+    /// network — by Algorithm 4, every layer fanned out across the
+    /// work-stealing executor.
+    ///
+    /// Construction is level-synchronous — candidates of depth `d + 1` are
+    /// evaluated concurrently once all depth-`d` nodes exist — and every
+    /// merge is deterministic: results are tagged with their candidate index
+    /// and appended in that order, which is exactly the serial breadth-first
+    /// discovery order. The arena is therefore **byte-identical** (through
+    /// any serializer) at every thread count.
+    pub fn build<N: ThemeSource + ?Sized>(&self, network: &N) -> TcTree {
+        let items = network.items_in_use();
+        let sw = Stopwatch::start();
+        let ex = Executor::new(self.threads.max(1));
+        let mut stats = BuildStats::default();
+        let mut nodes = vec![TcNode {
+            item: Item(0),
+            pattern: Pattern::empty(),
             parent: 0,
             children: Vec::new(),
-            truss,
-        });
-        nodes[0].children.push(id);
-        frontier.push(id);
-    }
+            truss: TrussDecomposition::default(),
+        }];
 
-    // ---- Level-synchronous expansion (lines 6-12). --------------------
-    while !frontier.is_empty() {
-        if nodes[frontier[0] as usize].pattern.len() >= max_len {
-            break;
+        // ---- Layer 1 (lines 2-5), parallel across items. ------------------
+        stats.candidates += items.len();
+        stats.decompositions += items.len();
+        let layer1_results = map_indexed(&ex, items.clone(), |item| {
+            TrussDecomposition::decompose(&network.theme(&Pattern::singleton(item)))
+        });
+
+        let mut frontier: Vec<u32> = Vec::new();
+        for (i, truss) in layer1_results.into_iter().enumerate() {
+            if truss.is_empty() {
+                continue;
+            }
+            let id = nodes.len() as u32;
+            nodes.push(TcNode {
+                item: items[i],
+                pattern: Pattern::singleton(items[i]),
+                parent: 0,
+                children: Vec::new(),
+                truss,
+            });
+            nodes[0].children.push(id);
+            frontier.push(id);
         }
 
-        // Candidates in serial BFS order: frontier nodes ascend the arena,
-        // right siblings ascend by item.
-        let mut cands: Vec<(u32, u32)> = Vec::new();
-        for &nf in &frontier {
-            let parent = nodes[nf as usize].parent;
-            let f_item = nodes[nf as usize].item;
-            for &nb in &nodes[parent as usize].children {
-                if nodes[nb as usize].item > f_item {
-                    cands.push((nf, nb));
+        // ---- Level-synchronous expansion (lines 6-12). --------------------
+        while !frontier.is_empty() {
+            if nodes[frontier[0] as usize].pattern.len() >= self.max_len {
+                break;
+            }
+
+            // Candidates in serial BFS order: frontier nodes ascend the arena,
+            // right siblings ascend by item.
+            let mut cands: Vec<(u32, u32)> = Vec::new();
+            for &nf in &frontier {
+                let parent = nodes[nf as usize].parent;
+                let f_item = nodes[nf as usize].item;
+                for &nb in &nodes[parent as usize].children {
+                    if nodes[nb as usize].item > f_item {
+                        cands.push((nf, nb));
+                    }
                 }
             }
-        }
-        if cands.is_empty() {
-            break;
-        }
-        stats.candidates += cands.len();
-
-        // The α=0 truss edges of every frontier node, reconstructed once
-        // per level (the serial walk rebuilt them once per pop and once
-        // per sibling visit), in parallel.
-        let frontier_pos: tc_util::FxHashMap<u32, usize> = frontier
-            .iter()
-            .enumerate()
-            .map(|(pos, &id)| (id, pos))
-            .collect();
-        let edge_lists = map_indexed(&ex, frontier.clone(), |id| {
-            nodes[id as usize].truss.edges_at(0.0)
-        });
-
-        let evals = map_indexed(&ex, cands.clone(), |(nf, nb)| {
-            let f_edges = &edge_lists[frontier_pos[&nf]];
-            let b_edges = &edge_lists[frontier_pos[&nb]];
-            let intersection = intersect_sorted(f_edges, b_edges);
-            if intersection.is_empty() {
-                return Eval::Pruned;
+            if cands.is_empty() {
+                break;
             }
-            let pattern = nodes[nf as usize]
-                .pattern
-                .with_item(nodes[nb as usize].item);
-            match join(&pattern, &intersection) {
-                CandidateOutcome::Trivial => Eval::Trivial,
-                CandidateOutcome::Decomposed(truss) if truss.is_empty() => Eval::Dead,
-                CandidateOutcome::Decomposed(truss) => Eval::Qualified(pattern, truss),
-            }
-        });
+            stats.candidates += cands.len();
 
-        // Deterministic attach: candidate order is discovery order.
-        let mut next_frontier: Vec<u32> = Vec::new();
-        for (i, eval) in evals.into_iter().enumerate() {
-            match eval {
-                Eval::Pruned => stats.pruned_by_intersection += 1,
-                Eval::Trivial => {}
-                Eval::Dead => stats.decompositions += 1,
-                Eval::Qualified(pattern, truss) => {
-                    stats.decompositions += 1;
-                    let (nf, nb) = cands[i];
-                    let id = nodes.len() as u32;
-                    nodes.push(TcNode {
-                        item: nodes[nb as usize].item,
-                        pattern,
-                        parent: nf,
-                        children: Vec::new(),
-                        truss,
-                    });
-                    nodes[nf as usize].children.push(id);
-                    next_frontier.push(id);
+            // The α=0 truss edges of every frontier node, reconstructed once
+            // per level (the serial walk rebuilt them once per pop and once
+            // per sibling visit), in parallel.
+            let frontier_pos: tc_util::FxHashMap<u32, usize> = frontier
+                .iter()
+                .enumerate()
+                .map(|(pos, &id)| (id, pos))
+                .collect();
+            let edge_lists = map_indexed(&ex, frontier.clone(), |id| {
+                nodes[id as usize].truss.edges_at(0.0)
+            });
+
+            let evals = map_indexed(&ex, cands.clone(), |(nf, nb)| {
+                let f_edges = &edge_lists[frontier_pos[&nf]];
+                let b_edges = &edge_lists[frontier_pos[&nb]];
+                let intersection = tc_util::sorted::intersect(f_edges, b_edges);
+                if intersection.is_empty() {
+                    return Eval::Pruned;
+                }
+                let pattern = nodes[nf as usize]
+                    .pattern
+                    .with_item(nodes[nb as usize].item);
+                let theme = network.theme_within(&pattern, &intersection);
+                Eval::Decomposed(pattern, TrussDecomposition::decompose(&theme))
+            });
+
+            // Deterministic attach: candidate order is discovery order.
+            let mut next_frontier: Vec<u32> = Vec::new();
+            for (i, eval) in evals.into_iter().enumerate() {
+                match eval {
+                    Eval::Pruned => stats.pruned_by_intersection += 1,
+                    Eval::Decomposed(pattern, truss) => {
+                        stats.decompositions += 1;
+                        if truss.is_empty() {
+                            continue;
+                        }
+                        let (nf, nb) = cands[i];
+                        let id = nodes.len() as u32;
+                        nodes.push(TcNode {
+                            item: nodes[nb as usize].item,
+                            pattern,
+                            parent: nf,
+                            children: Vec::new(),
+                            truss,
+                        });
+                        nodes[nf as usize].children.push(id);
+                        next_frontier.push(id);
+                    }
                 }
             }
+            frontier = next_frontier;
         }
-        frontier = next_frontier;
-    }
 
-    stats.build_secs = sw.elapsed_secs();
-    (nodes, stats)
-}
-
-/// Linear merge intersection of two sorted edge lists.
-pub(crate) fn intersect_sorted(
-    a: &[tc_graph::EdgeKey],
-    b: &[tc_graph::EdgeKey],
-) -> Vec<tc_graph::EdgeKey> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
+        stats.build_secs = sw.elapsed_secs();
+        TcTree { nodes, stats }
     }
-    out
 }
 
 /// The built index.
@@ -309,7 +249,7 @@ pub struct TcTree {
 
 impl TcTree {
     /// Builds with default settings (4 threads, unbounded length).
-    pub fn build(network: &DatabaseNetwork) -> TcTree {
+    pub fn build<N: ThemeSource + ?Sized>(network: &N) -> TcTree {
         TcTreeBuilder::default().build(network)
     }
 
@@ -319,14 +259,11 @@ impl TcTree {
     /// The first node must be the root; parents must precede children, and
     /// each node's `children` list must mirror the `parent` links.
     pub fn from_nodes(nodes: Vec<TcNode>) -> TcTree {
-        Self::from_parts(nodes, BuildStats::default())
-    }
-
-    /// Assembles a tree from nodes plus build statistics (used by the
-    /// edge-network builder, which shares this node representation).
-    pub(crate) fn from_parts(nodes: Vec<TcNode>, stats: BuildStats) -> TcTree {
         debug_assert!(!nodes.is_empty());
-        TcTree { nodes, stats }
+        TcTree {
+            nodes,
+            stats: BuildStats::default(),
+        }
     }
 
     /// Build-time counters.
@@ -399,7 +336,7 @@ impl HeapSize for TcTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tc_core::{DatabaseNetworkBuilder, Miner, TcfiMiner};
+    use tc_core::{DatabaseNetwork, DatabaseNetworkBuilder, Miner, TcfiMiner, ThemeNetwork};
 
     /// Triangles with themes {a,b}, {b,c} (sharing a vertex), {a,c} (far).
     fn network() -> DatabaseNetwork {

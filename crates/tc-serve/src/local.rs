@@ -5,7 +5,7 @@
 
 use crate::backend::{Answer, Backend, QuerySpec};
 use crate::limit::RateLimit;
-use crate::metrics::{Metrics, TreeGauges};
+use crate::metrics::Metrics;
 use crate::protocol::{
     encode_error, encode_greeting_busy, encode_greeting_ok, encode_stats, QueryResponse, Request,
 };
@@ -116,7 +116,7 @@ impl Backend for LocalTree {
     }
 
     fn render_metrics(&self, tree: &Arc<SegmentTcTree>, front: &Metrics, inflight: u64) -> String {
-        front.render_prometheus(inflight, TreeGauges::of(tree))
+        front.render_prometheus(inflight, tree.num_nodes() as u64, tree.cache_stats())
     }
 
     fn reload(&self) -> Result<usize, LoadError> {

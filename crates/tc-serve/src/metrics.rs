@@ -14,6 +14,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+use tc_store::CacheStats;
 
 /// Histogram bucket upper bounds in seconds, chosen to straddle the
 /// observed serving range: warm directory-pruned queries sit in the tens
@@ -85,56 +86,6 @@ impl Histogram {
 /// HTTP response status codes the gateway can produce, in exposition
 /// order. Indexes into [`Metrics::http_responses`].
 pub const HTTP_CODES: [u16; 8] = [200, 400, 404, 405, 413, 429, 500, 503];
-
-/// Point-in-time tree and node-cache gauges, sampled from the served
-/// segment by the caller of [`Metrics::render_prometheus`] (the tree is
-/// swappable via hot-reload, so [`Metrics`] never holds it).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TreeGauges {
-    /// TC-Tree nodes in the served segment (excluding the root).
-    pub nodes: u64,
-    /// Nodes currently resident in the cache (falls on eviction).
-    pub materialized: u64,
-    /// Materialisations since open, cumulative across evictions.
-    pub materialized_total: u64,
-    /// Accounted bytes of resident truss decompositions.
-    pub cache_bytes_used: u64,
-    /// Configured cache budget in bytes; `0` = unbounded.
-    pub cache_budget: u64,
-    /// Nodes evicted by the cache's clock sweep.
-    pub cache_evictions: u64,
-    /// Cache lookups that found a resident node.
-    pub cache_hits: u64,
-    /// Cache lookups that had to materialise.
-    pub cache_misses: u64,
-}
-
-impl TreeGauges {
-    /// Samples every gauge from a served segment tree.
-    pub fn of(tree: &tc_store::SegmentTcTree) -> TreeGauges {
-        let s = tree.cache_stats();
-        TreeGauges {
-            nodes: tree.num_nodes() as u64,
-            materialized: s.resident as u64,
-            materialized_total: s.materialized_total,
-            cache_bytes_used: s.bytes_used,
-            cache_budget: s.budget.unwrap_or(0),
-            cache_evictions: s.evictions,
-            cache_hits: s.hits,
-            cache_misses: s.misses,
-        }
-    }
-
-    /// Cache hit fraction in `[0, 1]`; `1.0` before any lookup.
-    pub fn cache_hit_ratio(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-}
 
 /// The daemon's shared telemetry: admission, per-verb, error, reload, and
 /// HTTP-response counters plus per-verb latency histograms.
@@ -216,10 +167,11 @@ impl Metrics {
 
     /// Renders the `tcserve_*` Prometheus text exposition.
     ///
-    /// Gauges that live outside the counter set (inflight sessions, tree
-    /// geometry, node-cache state) are passed in by the caller holding
-    /// the current tree snapshot.
-    pub fn render_prometheus(&self, inflight: u64, tree: TreeGauges) -> String {
+    /// Gauges that live outside the counter set — inflight sessions, the
+    /// served segment's node count (excluding the root) and its node-cache
+    /// snapshot — are passed in by the caller holding the current tree (it
+    /// is swappable via hot-reload, so [`Metrics`] never holds it).
+    pub fn render_prometheus(&self, inflight: u64, tree_nodes: u64, cache: CacheStats) -> String {
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let mut out = Exposition::default();
         out.family(
@@ -282,52 +234,52 @@ impl Metrics {
             "tcserve_tree_nodes",
             "gauge",
             "TC-Tree nodes in the currently served segment.",
-            &[("", tree.nodes)],
+            &[("", tree_nodes)],
         );
         out.family(
             "tcserve_tree_materialized_nodes",
             "gauge",
             "TC-Tree nodes currently resident in the node cache (falls on eviction).",
-            &[("", tree.materialized)],
+            &[("", cache.resident as u64)],
         );
         out.family(
             "tcserve_tree_materialized_total",
             "counter",
             "Node materialisations since open (re-parses after eviction count again).",
-            &[("", tree.materialized_total)],
+            &[("", cache.materialized_total)],
         );
         out.family(
             "tcserve_cache_bytes_used",
             "gauge",
             "Accounted bytes of resident truss decompositions.",
-            &[("", tree.cache_bytes_used)],
+            &[("", cache.bytes_used)],
         );
         out.family(
             "tcserve_cache_bytes_budget",
             "gauge",
             "Configured node-cache byte budget (0 = unbounded).",
-            &[("", tree.cache_budget)],
+            &[("", cache.budget.unwrap_or(0))],
         );
         out.family(
             "tcserve_cache_evictions_total",
             "counter",
             "Nodes evicted by the cache's clock sweep.",
-            &[("", tree.cache_evictions)],
+            &[("", cache.evictions)],
         );
         out.family(
             "tcserve_cache_lookups_total",
             "counter",
             "Node-cache lookups, by outcome.",
             &[
-                ("{outcome=\"hit\"}", tree.cache_hits),
-                ("{outcome=\"miss\"}", tree.cache_misses),
+                ("{outcome=\"hit\"}", cache.hits),
+                ("{outcome=\"miss\"}", cache.misses),
             ],
         );
         out.family(
             "tcserve_cache_hit_ratio",
             "gauge",
             "Node-cache hit fraction in [0, 1] (1 before any lookup).",
-            &[("", tree.cache_hit_ratio())],
+            &[("", cache.hit_ratio())],
         );
         out.histograms(
             "tcserve_request_latency_seconds",
@@ -424,15 +376,15 @@ mod tests {
         m.count_http_response(418); // unknown → folds into 500
         let text = m.render_prometheus(
             2,
-            TreeGauges {
-                nodes: 1469,
-                materialized: 17,
+            1469,
+            CacheStats {
+                bytes_used: 4096,
+                budget: Some(65536),
+                resident: 17,
                 materialized_total: 23,
-                cache_bytes_used: 4096,
-                cache_budget: 65536,
-                cache_evictions: 6,
-                cache_hits: 40,
-                cache_misses: 10,
+                evictions: 6,
+                hits: 40,
+                misses: 10,
             },
         );
         assert!(text.contains("tcserve_requests_total{verb=\"qba\"} 3\n"));
@@ -482,7 +434,7 @@ mod tests {
     fn histogram_family_counts_every_verb_series() {
         let m = Metrics::default();
         m.qbp_latency.observe(0.002);
-        let text = m.render_prometheus(0, TreeGauges::default());
+        let text = m.render_prometheus(0, 0, CacheStats::default());
         for verb in ["qba", "qbp", "query", "batch"] {
             assert!(
                 text.contains(&format!(

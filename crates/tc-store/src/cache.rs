@@ -40,7 +40,7 @@ use tc_util::HeapSize;
 /// A point-in-time snapshot of the cache counters, as exposed by
 /// [`crate::tree::SegmentTcTree::cache_stats`] and surfaced in the serve
 /// layer's STATS / Prometheus output.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CacheStats {
     /// Accounted bytes of all resident entries.
     pub bytes_used: u64,

@@ -118,22 +118,8 @@ impl Pattern {
 
     /// `self ∩ other` (linear merge).
     pub fn intersection(&self, other: &Pattern) -> Pattern {
-        let mut out = Vec::new();
-        let (a, b) = (&self.items, &other.items);
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
         Pattern {
-            items: out.into_boxed_slice(),
+            items: tc_util::sorted::intersect(&self.items, &other.items).into_boxed_slice(),
         }
     }
 

@@ -33,8 +33,11 @@
 //!   on: non-poisoning `Mutex`/`Condvar`, `Arc`, atomics and thread
 //!   shims that swap to the `tc-model` deterministic scheduler under
 //!   `--cfg tc_check_model` (see `docs/CONCURRENCY.md`).
-//! * [`timer`] — a tiny stopwatch and simple descriptive statistics used by
-//!   the benchmark harness.
+//! * [`sorted`] — intersection and common-count of ascending slices, the
+//!   one linear merge behind truss intersection (Proposition 5.3), item-list
+//!   joins and community overlap.
+//! * [`timer`] — a tiny stopwatch behind the miners' and builders'
+//!   elapsed-time counters.
 
 pub mod bitset;
 pub mod bytes;
@@ -44,6 +47,7 @@ pub mod float;
 pub mod hash;
 pub mod heapsize;
 pub mod json;
+pub mod sorted;
 pub mod steal;
 pub mod sync;
 pub mod timer;
@@ -56,4 +60,4 @@ pub use float::{approx_eq, OrdF64, COHESION_EPS};
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use heapsize::HeapSize;
 pub use steal::{Executor, Worker};
-pub use timer::{SeriesStats, Stopwatch};
+pub use timer::Stopwatch;

@@ -1,4 +1,4 @@
-//! Timing and descriptive statistics for the experiment harness.
+//! A restartable stopwatch for the miners' and builders' elapsed-time counters.
 
 use std::time::{Duration, Instant};
 
@@ -40,83 +40,6 @@ impl Default for Stopwatch {
     }
 }
 
-/// Descriptive statistics over a series of `f64` observations.
-#[derive(Debug, Clone, Default)]
-pub struct SeriesStats {
-    values: Vec<f64>,
-}
-
-impl SeriesStats {
-    /// Empty series.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds an observation.
-    pub fn push(&mut self, v: f64) {
-        self.values.push(v);
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// `true` if no observations recorded.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Arithmetic mean; `0.0` when empty.
-    pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        self.values.iter().sum::<f64>() / self.values.len() as f64
-    }
-
-    /// Minimum; `0.0` when empty.
-    pub fn min(&self) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        self.values.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
-    /// Maximum; `0.0` when empty.
-    pub fn max(&self) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        self.values
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Population standard deviation; `0.0` when fewer than two values.
-    pub fn stddev(&self) -> f64 {
-        if self.values.len() < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        let var =
-            self.values.iter().map(|v| (v - m).powi(2)).sum::<f64>() / self.values.len() as f64;
-        var.sqrt()
-    }
-
-    /// Percentile by nearest-rank (`p` in `[0, 100]`); `0.0` when empty.
-    pub fn percentile(&self, p: f64) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.values.clone();
-        sorted.sort_by(f64::total_cmp);
-        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-        sorted[rank.clamp(1, sorted.len()) - 1]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,49 +58,5 @@ mod tests {
         let first = sw.lap();
         assert!(first.as_secs_f64() > 0.0);
         assert!(sw.elapsed() <= first + Duration::from_millis(50));
-    }
-
-    #[test]
-    fn stats_basics() {
-        let mut s = SeriesStats::new();
-        for v in [1.0, 2.0, 3.0, 4.0] {
-            s.push(v);
-        }
-        assert_eq!(s.len(), 4);
-        assert!((s.mean() - 2.5).abs() < 1e-12);
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 4.0);
-        assert!(s.stddev() > 0.0);
-    }
-
-    #[test]
-    fn stats_empty_are_zero() {
-        let s = SeriesStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
-        assert_eq!(s.stddev(), 0.0);
-        assert_eq!(s.percentile(50.0), 0.0);
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let mut s = SeriesStats::new();
-        for v in 1..=100 {
-            s.push(v as f64);
-        }
-        assert_eq!(s.percentile(50.0), 50.0);
-        assert_eq!(s.percentile(99.0), 99.0);
-        assert_eq!(s.percentile(100.0), 100.0);
-        assert_eq!(s.percentile(0.0), 1.0);
-    }
-
-    #[test]
-    fn single_value_stddev_zero() {
-        let mut s = SeriesStats::new();
-        s.push(5.0);
-        assert_eq!(s.stddev(), 0.0);
-        assert_eq!(s.mean(), 5.0);
     }
 }

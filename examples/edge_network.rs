@@ -7,6 +7,9 @@
 //! community is a cohesive group whose *pairwise conversations* share a
 //! dominant topic pattern — stronger evidence than vertex-level interests.
 //!
+//! The network type is the whole extension: the miners and the TC-Tree
+//! builder below are the ones that serve vertex database networks.
+//!
 //! ```sh
 //! cargo run --release --example edge_network
 //! ```
@@ -14,7 +17,8 @@
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use theme_communities::core::{EdgeDatabaseNetworkBuilder, EdgeTcfiMiner};
+use theme_communities::core::{EdgeDatabaseNetworkBuilder, Miner, TcfiMiner};
+use theme_communities::index::TcTreeBuilder;
 
 fn main() {
     let mut rng = SmallRng::seed_from_u64(88);
@@ -73,7 +77,7 @@ fn main() {
         network.num_edges()
     );
 
-    let result = EdgeTcfiMiner::default().mine(&network, 0.5);
+    let result = TcfiMiner::default().mine(&network, 0.5);
     println!(
         "found {} edge-pattern trusses at α = 0.5 ({} truss computations)\n",
         result.np(),
@@ -100,4 +104,22 @@ fn main() {
         .filter(|c| c.pattern.len() >= 2 && c.vertices.contains(&4))
         .count();
     println!("\nuser 4 appears in {in_two} multi-topic conversation communities");
+
+    // An edge network is served by the same engine as a vertex network, so
+    // the rest of the chain comes with it: the work-stealing miner finds the
+    // same trusses, and one TC-Tree answers every threshold without mining.
+    let parallel = TcfiMiner::default().parallel(4).mine(&network, 0.5);
+    assert!(
+        result.same_trusses(&parallel),
+        "serial ≡ work-stealing TCFI"
+    );
+    let tree = TcTreeBuilder::default().build(&network);
+    let answer = tree.query_by_alpha(0.5);
+    assert_eq!(answer.retrieved_nodes, result.np(), "TC-Tree QBA ≡ mining");
+    println!(
+        "TC-Tree over the conversations: {} nodes, depth {}; QBA(0.5) retrieves {} trusses",
+        tree.num_nodes(),
+        tree.max_depth(),
+        answer.retrieved_nodes
+    );
 }

@@ -2,7 +2,10 @@
 //! against a definitional fixpoint oracle written independently here.
 
 use proptest::prelude::*;
-use theme_communities::core::{EdgeDatabaseNetwork, EdgeDatabaseNetworkBuilder, EdgeTcfiMiner};
+use theme_communities::core::{
+    maximal_pattern_truss, DatabaseNetworkBuilder, EdgeDatabaseNetwork, EdgeDatabaseNetworkBuilder,
+    Miner, ParallelTcfiMiner, TcfiMiner, ThemeSource,
+};
 use theme_communities::graph::EdgeKey;
 use theme_communities::txdb::{Item, Pattern};
 
@@ -91,7 +94,7 @@ proptest! {
 
     #[test]
     fn edge_miner_matches_oracle_per_pattern(net in arb_edge_network(), alpha in 0.0f64..0.8) {
-        let result = EdgeTcfiMiner::default().mine(&net, alpha);
+        let result = TcfiMiner::default().mine(&net, alpha);
         // Every reported truss equals the oracle.
         for truss in &result.trusses {
             let mut brute = oracle_truss(&net, &truss.pattern, alpha);
@@ -111,6 +114,62 @@ proptest! {
                 brute.len(),
                 "pattern {} alpha {}", &p, alpha
             );
+        }
+    }
+
+    #[test]
+    fn edge_parallel_miner_matches_serial_and_oracle(
+        net in arb_edge_network(),
+        alpha in 0.0f64..0.8,
+    ) {
+        let serial = TcfiMiner::default().mine(&net, alpha);
+        for threads in [1, 2, 4] {
+            let parallel = ParallelTcfiMiner { max_len: usize::MAX, threads }.mine(&net, alpha);
+            prop_assert!(serial.same_trusses(&parallel), "threads {}", threads);
+            // Sound and complete against the oracle over all 2^3 - 1 patterns.
+            for mask in 1u32..8 {
+                let p: Pattern = (0..3u32)
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(Item)
+                    .collect();
+                let mut brute = oracle_truss(&net, &p, alpha);
+                brute.sort_unstable();
+                let reported = parallel.truss_of(&p).map(|t| t.edges.clone()).unwrap_or_default();
+                prop_assert_eq!(reported, brute, "pattern {} threads {}", &p, threads);
+            }
+        }
+    }
+
+    /// With every frequency 1 a triangle weighs 1 whichever element holds
+    /// the databases, so an edge network and a vertex network over one graph
+    /// must agree at every α — on the k-truss (α = k - 3), the twin of
+    /// `paper_theorems.rs::pattern_truss_degenerates_to_ktruss_and_kcore`.
+    /// Fails if the two triangle weights of the peeling engine drift apart.
+    #[test]
+    fn unit_frequencies_make_both_networks_the_ktruss(
+        edges in prop::collection::vec((0u32..8, 0u32..8), 1..28),
+    ) {
+        let mut on_vertices = DatabaseNetworkBuilder::new();
+        let mut on_edges = EdgeDatabaseNetworkBuilder::new();
+        let x = on_vertices.intern_item("x");
+        on_edges.intern_item("x");
+        for v in 0..8 {
+            on_vertices.add_transaction(v, &[x]);
+        }
+        for (u, v) in edges.into_iter().filter(|(u, v)| u != v) {
+            on_vertices.add_edge(u, v);
+            on_edges.add_transaction(u, v, &[x]);
+        }
+        let (on_vertices, on_edges) = (on_vertices.build().unwrap(), on_edges.build().unwrap());
+        let p = Pattern::singleton(x);
+        for k in 3..=7usize {
+            for alpha in [k as f64 - 3.0, k as f64 - 2.5] {
+                let by_vertex = maximal_pattern_truss(&on_vertices.theme(&p), alpha);
+                let by_edge = maximal_pattern_truss(&on_edges.theme(&p), alpha);
+                prop_assert_eq!(&by_vertex.edges, &by_edge.edges, "alpha {}", alpha);
+                let classic = theme_communities::graph::k_truss(on_vertices.graph(), k);
+                prop_assert_eq!(&by_edge.edges, &classic, "k {} alpha {}", k, alpha);
+            }
         }
     }
 
