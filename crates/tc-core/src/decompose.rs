@@ -12,7 +12,7 @@
 use crate::peel::PeelState;
 use crate::theme::ThemeNetwork;
 use crate::truss::PatternTruss;
-use tc_graph::EdgeKey;
+use tc_graph::{EdgeKey, VertexId};
 use tc_txdb::Pattern;
 use tc_util::{float, HeapSize};
 
@@ -101,13 +101,18 @@ impl TrussDecomposition {
         self.levels.last().map(|l| l.alpha)
     }
 
+    /// The levels Equation 1 unions at `alpha`: those with `α_k > α`.
+    fn levels_above(&self, alpha: f64) -> impl Iterator<Item = &TrussLevel> {
+        self.levels
+            .iter()
+            .filter(move |l| float::gt_eps(l.alpha, alpha))
+    }
+
     /// Equation 1: reconstructs `E*_p(α) = ∪_{α_k > α} R_p(α_k)`, sorted.
     pub fn edges_at(&self, alpha: f64) -> Vec<EdgeKey> {
         let mut out = Vec::new();
-        for level in &self.levels {
-            if float::gt_eps(level.alpha, alpha) {
-                out.extend_from_slice(&level.edges);
-            }
+        for level in self.levels_above(alpha) {
+            out.extend_from_slice(&level.edges);
         }
         out.sort_unstable();
         out
@@ -115,7 +120,86 @@ impl TrussDecomposition {
 
     /// Reconstructs the full [`PatternTruss`] at `alpha` (possibly empty).
     pub fn truss_at(&self, alpha: f64) -> PatternTruss {
-        PatternTruss::from_edges(self.pattern.clone(), alpha, self.edges_at(alpha))
+        // `edges_at` is already canonical: the levels are disjoint
+        // (Theorem 6.1) and it sorts their concatenation.
+        PatternTruss::from_canonical_edges(self.pattern.clone(), alpha, self.edges_at(alpha))
+    }
+}
+
+/// Counts `(|V*_p(α)|, |E*_p(α)|)` straight off a decomposition — what
+/// [`TrussDecomposition::truss_at`] would report as `num_vertices` /
+/// `num_edges`, without building the truss.
+///
+/// Equation 1's union is disjoint (Theorem 6.1), so `|E*_p(α)|` is the sum
+/// of the surviving levels' lengths and `|V*_p(α)|` the number of distinct
+/// endpoints in them: no edge is copied and no edge list sorted. One
+/// counter serves a whole query walk. Endpoints below
+/// [`TrussCounter::TABLE_IDS`] are marked in a table indexed by vertex id
+/// and stamped with the current count's epoch, so starting the next count
+/// costs nothing; the table grows to the largest such id seen and no
+/// further. Endpoints at or past the bound are listed, and the list is
+/// sorted and deduplicated when the count is taken — so what a counter
+/// holds follows the vertices it counted, never the size of a vertex id.
+#[derive(Debug, Default)]
+pub struct TrussCounter {
+    /// `stamps[v] == epoch` iff `v` is already counted for this truss.
+    stamps: Vec<u32>,
+    epoch: u32,
+    overflow: Vec<VertexId>,
+}
+
+impl TrussCounter {
+    /// Vertex ids the table may cover: 4 MiB of stamps at most.
+    pub const TABLE_IDS: usize = 1 << 20;
+
+    /// An empty counter; allocates on first use.
+    pub fn new() -> Self {
+        TrussCounter::default()
+    }
+
+    /// `(|V*_p(α)|, |E*_p(α)|)` of `truss`; `(0, 0)` exactly when
+    /// `truss.truss_at(alpha)` is empty.
+    pub fn count(&mut self, truss: &TrussDecomposition, alpha: f64) -> (usize, usize) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Stamps of 2^32 counts ago would read as current.
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+        self.overflow.clear();
+        let (mut vertices, mut edges) = (0, 0);
+        for level in truss.levels_above(alpha) {
+            edges += level.edges.len();
+            for &(u, v) in &level.edges {
+                vertices += usize::from(self.mark(u)) + usize::from(self.mark(v));
+            }
+        }
+        self.overflow.sort_unstable();
+        self.overflow.dedup();
+        (vertices + self.overflow.len(), edges)
+    }
+
+    /// Marks `v` for the current epoch; `true` when the table saw it for
+    /// the first time. Ids the table may not cover go to the overflow
+    /// list and are counted from there.
+    #[inline]
+    fn mark(&mut self, v: VertexId) -> bool {
+        let i = v as usize;
+        if i >= self.stamps.len() {
+            if i >= Self::TABLE_IDS {
+                self.overflow.push(v);
+                return false;
+            }
+            // A fresh zeroed allocation, not `resize`: the allocator hands
+            // out large zeroed blocks without touching them, so a high id
+            // costs the pages it lands on, not the whole table.
+            let mut grown = vec![0u32; (i + 1).next_power_of_two()];
+            grown[..self.stamps.len()].copy_from_slice(&self.stamps);
+            self.stamps = grown;
+        }
+        let first = self.stamps[i] != self.epoch;
+        self.stamps[i] = self.epoch;
+        first
     }
 }
 
@@ -267,6 +351,83 @@ mod tests {
         let t1 = d.truss_at(beta);
         assert!(t1.num_edges() < t0.num_edges(), "strict shrink at β");
         assert!(t1.is_subgraph_of(&t0));
+    }
+
+    #[test]
+    fn counter_equals_truss_at_around_every_level_boundary() {
+        let (net, pat) = tiered();
+        let theme = ThemeNetwork::induce(&net, &pat);
+        let d = TrussDecomposition::decompose(&theme);
+        assert!(d.num_levels() >= 3, "the fixture has three cohesion tiers");
+        let mut probes = vec![0.0, d.max_alpha().unwrap() + 1.0];
+        for level in &d.levels {
+            probes.extend([level.alpha - 1e-4, level.alpha, level.alpha + 1e-4]);
+        }
+        // One counter for all probes, descending and ascending, so a count
+        // never depends on what the counter held before.
+        let mut counter = TrussCounter::new();
+        let reversed: Vec<f64> = probes.iter().rev().copied().collect();
+        for alpha in probes.into_iter().chain(reversed) {
+            let truss = d.truss_at(alpha);
+            let got = counter.count(&d, alpha);
+            assert_eq!(
+                got,
+                (truss.num_vertices(), truss.num_edges()),
+                "alpha = {alpha}"
+            );
+            assert_eq!(got == (0, 0), truss.is_empty(), "alpha = {alpha}");
+        }
+        assert_eq!(counter.count(&TrussDecomposition::default(), 0.0), (0, 0));
+    }
+
+    fn one_level(edges: Vec<EdgeKey>) -> TrussDecomposition {
+        TrussDecomposition {
+            pattern: Pattern::empty(),
+            levels: vec![TrussLevel { alpha: 1.0, edges }],
+        }
+    }
+
+    #[test]
+    fn counter_table_is_bounded_and_ids_past_it_are_counted_once() {
+        let bound = TrussCounter::TABLE_IDS as u32;
+        let mut counter = TrussCounter::new();
+        // The largest ids there are: listed, not indexed.
+        assert_eq!(
+            counter.count(&one_level(vec![(0, u32::MAX - 1)]), 0.0),
+            (2, 1)
+        );
+        assert!(counter.stamps.len() <= 1, "{}", counter.stamps.len());
+        // Either side of the bound, with every endpoint repeated: the last
+        // id the table covers, the first it does not, and far past it.
+        let straddling = one_level(vec![
+            (3, bound - 1),
+            (3, bound),
+            (bound - 1, bound),
+            (bound - 1, u32::MAX),
+            (bound, bound + 7),
+            (bound, u32::MAX),
+            (bound + 7, u32::MAX),
+        ]);
+        let want = straddling.truss_at(0.0);
+        assert_eq!(want.num_vertices(), 5);
+        for _ in 0..2 {
+            assert_eq!(counter.count(&straddling, 0.0), (5, 7));
+        }
+        assert_eq!(counter.stamps.len(), TrussCounter::TABLE_IDS);
+        // A thin truss after a wide one is not counted into its leftovers.
+        assert_eq!(counter.count(&one_level(vec![(3, 4)]), 0.0), (2, 1));
+    }
+
+    #[test]
+    fn counter_survives_its_epoch_wrapping() {
+        let d = one_level(vec![(0, 1), (1, 2)]);
+        let mut counter = TrussCounter::new();
+        assert_eq!(counter.count(&d, 0.0), (3, 2));
+        // Stamps written at epoch 1 must not read as current when the
+        // epoch comes round to 1 again.
+        counter.epoch = u32::MAX;
+        assert_eq!(counter.count(&d, 0.0), (3, 2));
+        assert_eq!(counter.epoch, 1);
     }
 
     #[test]

@@ -28,6 +28,13 @@ impl PatternTruss {
     pub fn from_edges(pattern: Pattern, alpha: f64, mut edges: Vec<EdgeKey>) -> Self {
         edges.sort_unstable();
         edges.dedup();
+        Self::from_canonical_edges(pattern, alpha, edges)
+    }
+
+    /// [`PatternTruss::from_edges`] for an edge list the caller already
+    /// holds sorted and duplicate-free — Equation 1's reconstruction is
+    /// one: it would only be sorted and scanned a second time.
+    pub(crate) fn from_canonical_edges(pattern: Pattern, alpha: f64, edges: Vec<EdgeKey>) -> Self {
         let vertices = tc_graph::ktruss::edge_set_vertices(&edges);
         PatternTruss {
             pattern,

@@ -136,7 +136,7 @@ impl TcTree {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| corrupt("bad edge count"))?;
-                let mut edges = Vec::with_capacity(m);
+                let mut edges: Vec<(u32, u32)> = Vec::with_capacity(m);
                 for _ in 0..m {
                     let u: u32 = p
                         .next()
@@ -148,6 +148,12 @@ impl TcTree {
                         .ok_or_else(|| corrupt("missing edge endpoint"))?;
                     if u >= v {
                         return Err(corrupt("edges must be canonical (u < v)"));
+                    }
+                    // Equation 1 is answered by concatenating and by
+                    // counting levels; both take a level as sorted and
+                    // duplicate-free, as every writer emits it.
+                    if edges.last().is_some_and(|&prev| prev >= (u, v)) {
+                        return Err(corrupt("level edges must strictly ascend"));
                     }
                     edges.push((u, v));
                 }
@@ -280,6 +286,22 @@ mod tests {
         let text = "tctree v1\nnodes 2\nnode 0 0 0\nlevels 0\nnode 1 0 5\nlevels 1\nlevel 0.5 1 3 2\nend\n";
         let err = TcTree::load(std::io::Cursor::new(text.as_bytes())).unwrap_err();
         assert!(matches!(err, LoadError::Corrupt(_)));
+    }
+
+    #[test]
+    fn rejects_unsorted_or_repeated_level_edges() {
+        for edges in ["2 1 2 0 3", "2 0 3 0 2", "2 0 1 0 1"] {
+            let text = format!(
+                "tctree v1\nnodes 2\nnode 0 0 0\nlevels 0\nnode 1 0 5\nlevels 1\nlevel 0.5 {edges}\nend\n"
+            );
+            let err = TcTree::load(std::io::Cursor::new(text.as_bytes())).unwrap_err();
+            assert!(matches!(err, LoadError::Corrupt(_)), "{edges}: {err}");
+            assert!(err.to_string().contains("strictly ascend"), "{err}");
+        }
+        // Each level is its own list: a later level may start lower.
+        let text = "tctree v1\nnodes 2\nnode 0 0 0\nlevels 0\nnode 1 0 5\nlevels 2\nlevel 0.25 1 4 5\nlevel 0.5 2 0 1 0 2\nend\n";
+        let tree = TcTree::load(std::io::Cursor::new(text.as_bytes())).unwrap();
+        assert_eq!(tree.node(1).truss.num_edges(), 3);
     }
 
     #[test]

@@ -8,6 +8,7 @@ use crate::limit::RateLimit;
 use crate::metrics::Metrics;
 use crate::protocol::{
     encode_error, encode_greeting_busy, encode_greeting_ok, encode_stats, QueryResponse, Request,
+    TrussSummary,
 };
 use crate::reload::TreeSlot;
 use crate::server::{
@@ -90,15 +91,34 @@ impl Backend for LocalTree {
         self.tree.load()
     }
 
+    /// Answers through [`SegmentTcTree::summarize`]: a response carries a
+    /// truss's pattern and sizes, so the walk counts them and no truss is
+    /// rebuilt to be measured and dropped.
     fn answer(&self, tree: &Arc<SegmentTcTree>, spec: &QuerySpec) -> Answer {
         let pattern_of = |items: &[u32]| Pattern::new(items.iter().map(|&i| Item(i)).collect());
-        let result = match spec {
-            QuerySpec::Qba(alpha) => tree.query_by_alpha(*alpha),
-            QuerySpec::Qbp(items) => tree.query_by_pattern(&pattern_of(items)),
-            QuerySpec::Query(items, alpha) => tree.query(&pattern_of(items), *alpha),
+        let summary = match spec {
+            QuerySpec::Qba(alpha) => tree.summarize(tree.all_items(), *alpha),
+            QuerySpec::Qbp(items) => tree.summarize(&pattern_of(items), 0.0),
+            QuerySpec::Query(items, alpha) => tree.summarize(&pattern_of(items), *alpha),
         };
-        match result {
-            Ok(r) => Answer::Ok(QueryResponse::from_result(&r), Vec::new()),
+        match summary {
+            Ok(s) => Answer::Ok(
+                QueryResponse {
+                    retrieved: s.trusses.len(),
+                    visited: s.visited_nodes,
+                    elapsed_secs: s.elapsed_secs,
+                    trusses: s
+                        .trusses
+                        .iter()
+                        .map(|t| TrussSummary {
+                            items: tree.pattern(t.node).iter().map(|i| i.0).collect(),
+                            vertices: t.vertices,
+                            edges: t.edges,
+                        })
+                        .collect(),
+                },
+                Vec::new(),
+            ),
             // A failed query (segment corruption discovered lazily) is an
             // error to this client, not a daemon crash.
             Err(e) => Answer::Err(500, e.to_string()),

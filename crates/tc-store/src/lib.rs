@@ -17,7 +17,9 @@
 //! * [`network`] — segment save/load for [`tc_core::DatabaseNetwork`];
 //! * [`tree`] — segment save for [`tc_index::TcTree`] and
 //!   [`SegmentTcTree`], which serves QBA / QBP queries by materialising
-//!   truss decompositions on demand from page offsets;
+//!   truss decompositions on demand from page offsets — as full trusses
+//!   ([`SegmentTcTree::query`]) or, for the daemon, as their sizes
+//!   ([`SegmentTcTree::summarize`]);
 //! * [`shardmap`] — the `TCMAP01` shard map: how `tc shard` partitions a
 //!   TC-Tree across N self-contained segment shards and how the
 //!   `tc-router` gateway finds them (byte-level spec: `docs/SHARDING.md`);
@@ -82,7 +84,7 @@ pub use sniff::{detect_format, DetectedFormat};
 pub use source::PageSource;
 pub use tc_util::LoadError;
 pub use tree::{
-    load_tree_segment_from_path, save_tree_segment, save_tree_segment_to_path, SegmentTcTree,
-    StoreOptions,
+    load_tree_segment_from_path, save_tree_segment, save_tree_segment_to_path, QuerySummary,
+    SegmentTcTree, StoreOptions, TrussCount,
 };
 pub use wal::{Durability, Wal, WalRecord, WalStore};

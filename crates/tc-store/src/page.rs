@@ -182,6 +182,25 @@ pub fn write_segment<W: Write>(
     w.flush()
 }
 
+/// Checks the raw bytes of page `index` — checksum, then length field —
+/// and returns the payload within them.
+fn verified_payload(index: u64, page: &[u8; PAGE_SIZE]) -> Result<&[u8], LoadError> {
+    let stored = u32::from_le_bytes([page[4], page[5], page[6], page[7]]);
+    let mut crc = Crc32::new();
+    crc.update(&page[..4]);
+    crc.update(&page[PAGE_HEADER..]);
+    if crc.finish() != stored {
+        return Err(LoadError::checksum(format!("segment: page {index}")));
+    }
+    let len = u32::from_le_bytes([page[0], page[1], page[2], page[3]]) as usize;
+    if len > PAGE_CAP {
+        return Err(LoadError::corrupt(format!(
+            "segment: page {index} claims {len} payload bytes"
+        )));
+    }
+    Ok(&page[PAGE_HEADER..PAGE_HEADER + len])
+}
+
 /// Random-access page reader over a segment file (or an in-memory copy).
 ///
 /// Every page read re-verifies that page's CRC, so damage in regions that
@@ -250,8 +269,8 @@ impl PageFile {
         &self.header
     }
 
-    fn read_raw_page(&self, index: u64) -> Result<[u8; PAGE_SIZE], LoadError> {
-        let mut page = [0u8; PAGE_SIZE];
+    /// Fills `page` with the raw bytes of page `index`, unverified.
+    fn read_raw_page(&self, index: u64, page: &mut [u8; PAGE_SIZE]) -> Result<(), LoadError> {
         let off = index * PAGE_SIZE as u64;
         if off
             .checked_add(PAGE_SIZE as u64)
@@ -261,43 +280,42 @@ impl PageFile {
                 "segment: page {index} truncated"
             )));
         }
-        self.source.read_at(off, &mut page).map_err(|e| match e {
+        self.source.read_at(off, page).map_err(|e| match e {
             LoadError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
                 LoadError::corrupt(format!("segment: page {index} truncated"))
             }
             other => other,
-        })?;
-        Ok(page)
+        })
+    }
+
+    /// Reads page `index` into `page` and returns its verified payload — a
+    /// borrow of `page`, so a caller reading many pages reuses one buffer
+    /// and copies only what it keeps.
+    fn read_verified<'a>(
+        &self,
+        index: u64,
+        page: &'a mut [u8; PAGE_SIZE],
+    ) -> Result<&'a [u8], LoadError> {
+        self.read_raw_page(index, page)?;
+        verified_payload(index, page)
     }
 
     /// Reads and checksum-verifies page `index`, returning its payload.
     pub fn read_page(&self, index: u64) -> Result<Vec<u8>, LoadError> {
-        let page = self.read_raw_page(index)?;
-        let stored = u32::from_le_bytes([page[4], page[5], page[6], page[7]]);
-        let mut crc = Crc32::new();
-        crc.update(&page[..4]);
-        crc.update(&page[PAGE_HEADER..]);
-        if crc.finish() != stored {
-            return Err(LoadError::checksum(format!("segment: page {index}")));
-        }
-        let len = u32::from_le_bytes([page[0], page[1], page[2], page[3]]) as usize;
-        if len > PAGE_CAP {
-            return Err(LoadError::corrupt(format!(
-                "segment: page {index} claims {len} payload bytes"
-            )));
-        }
-        Ok(page[PAGE_HEADER..PAGE_HEADER + len].to_vec())
+        let mut page = [0u8; PAGE_SIZE];
+        Ok(self.read_verified(index, &mut page)?.to_vec())
     }
 
     fn read_header(&self) -> Result<Header, LoadError> {
         // Sniff the magic before trusting the page checksum, so a non-
         // segment file reports "not a segment" instead of a CRC error.
-        let raw = self.read_raw_page(0)?;
-        if raw[PAGE_HEADER..PAGE_HEADER + MAGIC.len()] != MAGIC {
+        let mut page = [0u8; PAGE_SIZE];
+        self.read_raw_page(0, &mut page)?;
+        if page[PAGE_HEADER..PAGE_HEADER + MAGIC.len()] != MAGIC {
             return Err(LoadError::corrupt("segment: bad magic (not a tcseg file)"));
         }
-        let payload = self.read_page(0)?;
-        let mut r = ByteReader::new(&payload);
+        let payload = verified_payload(0, &page)?;
+        let mut r = ByteReader::new(payload);
         let eof = || LoadError::corrupt("segment: header page too short");
         r.take(MAGIC.len()).ok_or_else(eof)?;
         let version = r.u16().ok_or_else(eof)?;
@@ -356,11 +374,12 @@ impl PageFile {
                 ))
             })?;
         let mut out = Vec::with_capacity(len as usize);
+        let mut page = [0u8; PAGE_SIZE];
         let cap = PAGE_CAP as u64;
         let mut off = start;
         while off < end {
             let page_idx = off / cap;
-            let payload = self.read_page(s.first_page + page_idx)?;
+            let payload = self.read_verified(s.first_page + page_idx, &mut page)?;
             let in_page = (off % cap) as usize;
             let want = ((end - off) as usize).min(PAGE_CAP - in_page);
             if payload.len() < in_page + want {
@@ -390,8 +409,9 @@ impl PageFile {
             .iter()
             .map(|s| s.page_count)
             .sum::<u64>();
+        let mut page = [0u8; PAGE_SIZE];
         for i in 0..pages {
-            self.read_page(i)?;
+            self.read_verified(i, &mut page)?;
         }
         Ok(())
     }

@@ -15,6 +15,12 @@
 //! node on first touch, from exactly the pages that overlap the node's
 //! byte range. A query that prunes a subtree never reads its pages.
 //!
+//! The walk is written once and reduced two ways:
+//! [`SegmentTcTree::query`] rebuilds every retrieved truss (the library
+//! answer), [`SegmentTcTree::summarize`] counts its vertices and edges
+//! off the decomposition — all a served response carries — without
+//! copying an edge.
+//!
 //! Materialised nodes live in a byte-budgeted node cache: unbounded by
 //! default (every touched node stays resident, the original behaviour),
 //! or byte-budgeted via [`StoreOptions::cache_bytes`] so a daemon can
@@ -26,7 +32,7 @@ use crate::cache::{CacheStats, NodeCache};
 use crate::page::{write_segment, PageFile, SectionInfo, SegmentKind};
 use std::io::Write;
 use std::path::Path;
-use tc_core::{TrussDecomposition, TrussLevel};
+use tc_core::{TrussCounter, TrussDecomposition, TrussLevel};
 use tc_index::{QueryResult, TcNode, TcTree};
 use tc_txdb::{Item, Pattern};
 use tc_util::bytes::{checked_len_u32, put_f64, put_u32, put_u64, ByteReader};
@@ -116,7 +122,34 @@ pub struct SegmentTcTree {
     pages: PageFile,
     levels: SectionInfo,
     skel: Vec<NodeSkel>,
+    /// The root's children's items: the `q = S` of a QBA.
+    all_items: Pattern,
     cache: NodeCache,
+}
+
+/// One retrieved node of a [`QuerySummary`]: the sizes of `C*_p(α_q)`,
+/// with `p` = [`SegmentTcTree::pattern`]`(node)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TrussCount {
+    /// The node's id in the segment's directory.
+    pub node: u32,
+    /// `|V*_p(α_q)|`.
+    pub vertices: usize,
+    /// `|E*_p(α_q)|`, never zero.
+    pub edges: usize,
+}
+
+/// What [`SegmentTcTree::summarize`] answers: a [`QueryResult`] with each
+/// truss reduced to its sizes — all a served response carries of it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QuerySummary {
+    /// Every node with `C*_p(α_q) ≠ ∅` and `p ⊆ q`, in tree BFS order; its
+    /// length is the paper's "Retrieved Nodes".
+    pub trusses: Vec<TrussCount>,
+    /// Total nodes visited during the walk (including pruned frontier).
+    pub visited_nodes: usize,
+    /// Wall-clock query time in seconds.
+    pub elapsed_secs: f64,
 }
 
 impl SegmentTcTree {
@@ -199,11 +232,17 @@ impl SegmentTcTree {
         if !r.is_empty() {
             return Err(corrupt("trailing bytes in NODES directory"));
         }
+        let all_items = skel[0]
+            .children
+            .iter()
+            .map(|&c| skel[c as usize].item)
+            .collect();
         let cache = NodeCache::new(skel.len(), opts.cache_bytes);
         Ok(SegmentTcTree {
             pages,
             levels,
             skel,
+            all_items,
             cache,
         })
     }
@@ -217,6 +256,12 @@ impl SegmentTcTree {
     /// The pattern spelled by node `id`'s root path.
     pub fn pattern(&self, id: u32) -> &Pattern {
         &self.skel[id as usize].pattern
+    }
+
+    /// Every item with a level-1 node — the query pattern of a QBA, built
+    /// once at open.
+    pub fn all_items(&self) -> &Pattern {
+        &self.all_items
     }
 
     /// `max_p α*_p` over all nodes, from the directory alone — no truss
@@ -276,14 +321,28 @@ impl SegmentTcTree {
                 return Err(corrupt(format!("node {id} level alphas must ascend")));
             }
             prev_alpha = alpha;
-            let m = r.u32().ok_or_else(eof)?;
-            let mut edges = Vec::with_capacity((m as usize).min(r.remaining() / 8));
-            for _ in 0..m {
-                let u = r.u32().ok_or_else(eof)?;
-                let v = r.u32().ok_or_else(eof)?;
+            // The level's edges as one checked slice: a crafted count hits
+            // EOF here, before anything is reserved for it.
+            let m = r.u32().ok_or_else(eof)? as usize;
+            let bytes = m.checked_mul(8).and_then(|n| r.take(n)).ok_or_else(eof)?;
+            let mut edges = Vec::with_capacity(m);
+            // `u < v` makes every edge's key non-zero, so zero stands for
+            // "no predecessor".
+            let mut prev = 0u64;
+            for e in bytes.chunks_exact(8) {
+                let u = u32::from_le_bytes([e[0], e[1], e[2], e[3]]);
+                let v = u32::from_le_bytes([e[4], e[5], e[6], e[7]]);
                 if u >= v {
                     return Err(corrupt(format!("node {id} edge not canonical (u < v)")));
                 }
+                // Equation 1 is answered by concatenating levels and by
+                // counting them; both take a level as sorted and
+                // duplicate-free.
+                let key = u64::from(u) << 32 | u64::from(v);
+                if key <= prev {
+                    return Err(corrupt(format!("node {id} level edges must ascend")));
+                }
+                prev = key;
                 edges.push((u, v));
             }
             levels.push(TrussLevel { alpha, edges });
@@ -302,11 +361,19 @@ impl SegmentTcTree {
         })
     }
 
-    /// Algorithm 5 over the segment: answers `(q, α_q)` materialising only
-    /// the nodes the pruned walk actually retrieves.
-    pub fn query(&self, q: &Pattern, alpha_q: f64) -> Result<QueryResult, LoadError> {
-        let sw = Stopwatch::start();
-        let mut trusses = Vec::new();
+    /// Algorithm 5 over the segment, written once for both answers: walks
+    /// the directory skeleton for `(q, α_q)`, materialising only the nodes
+    /// the pruned walk retrieves, and collects what `keep` makes of each
+    /// node's `L_p` — `None` meaning `C*_p(α_q) = ∅`, which prunes the
+    /// subtree (Proposition 5.2). Returns the kept values in BFS order and
+    /// the number of nodes visited.
+    fn walk<T>(
+        &self,
+        q: &Pattern,
+        alpha_q: f64,
+        mut keep: impl FnMut(u32, &TrussDecomposition) -> Option<T>,
+    ) -> Result<(Vec<T>, usize), LoadError> {
+        let mut kept = Vec::new();
         let mut visited = 0usize;
         let mut queue = std::collections::VecDeque::from([0u32]);
         while let Some(nf) = queue.pop_front() {
@@ -322,14 +389,24 @@ impl SegmentTcTree {
                 if !float::gt_eps(node.max_alpha, alpha_q) {
                     continue;
                 }
-                let truss = self.truss(nc)?.truss_at(alpha_q);
-                if truss.is_empty() {
+                // The pin lasts for this one reduction only.
+                let Some(k) = keep(nc, &*self.truss(nc)?) else {
                     continue;
-                }
-                trusses.push(truss);
+                };
+                kept.push(k);
                 queue.push_back(nc);
             }
         }
+        Ok((kept, visited))
+    }
+
+    /// Answers `(q, α_q)` with every retrieved truss rebuilt in full
+    /// (Equation 1, [`TrussDecomposition::truss_at`]).
+    pub fn query(&self, q: &Pattern, alpha_q: f64) -> Result<QueryResult, LoadError> {
+        let sw = Stopwatch::start();
+        let (trusses, visited) = self.walk(q, alpha_q, |_, levels| {
+            Some(levels.truss_at(alpha_q)).filter(|t| !t.is_empty())
+        })?;
         Ok(QueryResult {
             query: q.clone(),
             alpha: alpha_q,
@@ -340,14 +417,33 @@ impl SegmentTcTree {
         })
     }
 
+    /// Answers `(q, α_q)` with every retrieved truss *counted* instead of
+    /// rebuilt: the same walk, nodes and order as [`SegmentTcTree::query`],
+    /// but `(|V|, |E|)` are read off `L_p` by a [`TrussCounter`] — no edge
+    /// is copied or sorted, and the request holds no truss. This is what
+    /// the daemon answers with; a QBA passes [`SegmentTcTree::all_items`]
+    /// as `q`, a QBP `α_q = 0`.
+    pub fn summarize(&self, q: &Pattern, alpha_q: f64) -> Result<QuerySummary, LoadError> {
+        let sw = Stopwatch::start();
+        let mut counter = TrussCounter::new();
+        let (trusses, visited_nodes) = self.walk(q, alpha_q, |node, levels| {
+            let (vertices, edges) = counter.count(levels, alpha_q);
+            (edges > 0).then_some(TrussCount {
+                node,
+                vertices,
+                edges,
+            })
+        })?;
+        Ok(QuerySummary {
+            trusses,
+            visited_nodes,
+            elapsed_secs: sw.elapsed_secs(),
+        })
+    }
+
     /// Query-by-alpha (QBA): `q = S`, only `α_q` filters.
     pub fn query_by_alpha(&self, alpha_q: f64) -> Result<QueryResult, LoadError> {
-        let all_items: Pattern = self.skel[0]
-            .children
-            .iter()
-            .map(|&c| self.skel[c as usize].item)
-            .collect();
-        self.query(&all_items, alpha_q)
+        self.query(&self.all_items, alpha_q)
     }
 
     /// Query-by-pattern (QBP): `α_q = 0`.
@@ -551,6 +647,76 @@ mod tests {
         let seg = SegmentTcTree::from_bytes(buf).unwrap();
         let err = seg.truss(1).unwrap_err();
         assert!(err.is_corruption(), "{err}");
+    }
+
+    /// A two-node segment (root plus one child on item 7) whose child
+    /// holds `levels` verbatim — valid checksums around crafted content.
+    fn crafted_one_node_segment(levels: &[(f64, &[(u32, u32)])]) -> SegmentTcTree {
+        let mut blob = Vec::new();
+        for (alpha, edges) in levels {
+            put_f64(&mut blob, *alpha);
+            put_u32(&mut blob, edges.len() as u32);
+            for &(u, v) in *edges {
+                put_u32(&mut blob, u);
+                put_u32(&mut blob, v);
+            }
+        }
+        let max_alpha = levels.last().map_or(0.0, |l| l.0);
+        let mut nodes = Vec::new();
+        put_u64(&mut nodes, 2);
+        for (item, level_count, max_alpha, len) in [
+            (0u32, 0u32, 0.0f64, 0u64),
+            (7, levels.len() as u32, max_alpha, blob.len() as u64),
+        ] {
+            put_u32(&mut nodes, 0);
+            put_u32(&mut nodes, item);
+            put_u32(&mut nodes, level_count);
+            put_f64(&mut nodes, max_alpha);
+            put_u64(&mut nodes, 0);
+            put_u64(&mut nodes, len);
+        }
+        let mut buf = Vec::new();
+        write_segment(&mut buf, SegmentKind::TcTree, &[(1, nodes), (2, blob)]).unwrap();
+        SegmentTcTree::from_bytes(buf).unwrap()
+    }
+
+    #[test]
+    fn crafted_vertex_ids_count_without_huge_allocations() {
+        // The twin of `crafted_counts_error_without_huge_allocations` for
+        // the counting walk: what it holds must follow the vertices it
+        // counts, so an edge reaching the top of the id range counts as
+        // any other instead of sizing a table by its endpoint.
+        let seg = crafted_one_node_segment(&[(0.5, &[(0, u32::MAX - 1)])]);
+        let s = seg.summarize(seg.all_items(), 0.0).unwrap();
+        assert_eq!(
+            s.trusses,
+            [TrussCount {
+                node: 1,
+                vertices: 2,
+                edges: 1
+            }]
+        );
+        let full = seg.query_by_alpha(0.0).unwrap();
+        assert_eq!(full.trusses[0].num_vertices(), 2);
+        assert_eq!(full.trusses[0].num_edges(), 1);
+    }
+
+    #[test]
+    fn unsorted_or_repeated_level_edges_are_corrupt() {
+        // Every writer emits a level sorted; a reader that counted or
+        // concatenated an unsorted or repeating one would answer wrongly
+        // without noticing, so the decoder refuses it.
+        for edges in [&[(1, 2), (0, 3)][..], &[(0, 3), (0, 2)], &[(0, 1), (0, 1)]] {
+            let err = crafted_one_node_segment(&[(0.5, edges)])
+                .truss(1)
+                .unwrap_err();
+            assert!(matches!(err, LoadError::Corrupt(_)), "{edges:?}: {err}");
+            assert!(err.to_string().contains("must ascend"), "{err}");
+        }
+        // Ascending within each level is all that is asked: levels are
+        // independent lists.
+        let ok = crafted_one_node_segment(&[(0.25, &[(4, 5)]), (0.5, &[(0, 1), (0, 2)])]);
+        assert_eq!(ok.truss(1).unwrap().num_edges(), 3);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! * a re-materialised (previously evicted) node equals its first
 //!   materialisation field-for-field — and the segment format is
 //!   canonical, so value equality is byte identity;
-//! * the ledger balances: `materialized_total - resident == evictions`.
+//! * the ledger balances: `materialized_total - resident == evictions`;
+//! * the counting walk the daemon answers with (`summarize`) reports what
+//!   the full-truss walk (`query`) reduces to on the wire, node for node.
 
 use proptest::prelude::*;
 use tc_core::{DatabaseNetwork, DatabaseNetworkBuilder, TrussDecomposition};
@@ -88,8 +90,86 @@ fn assert_same_answer(a: &tc_index::QueryResult, b: &tc_index::QueryResult) {
     }
 }
 
+/// What a response carries of an answer: the walk's two counters and, per
+/// truss in order, `(items, |V|, |E|)` — the reduction
+/// `tc_serve::QueryResponse::from_result` applies to a full answer.
+type Wire = (usize, usize, Vec<(Vec<u32>, usize, usize)>);
+
+fn wire_of_result(r: &tc_index::QueryResult) -> Wire {
+    let trusses = r
+        .trusses
+        .iter()
+        .map(|t| {
+            (
+                t.pattern.iter().map(|i| i.0).collect(),
+                t.num_vertices(),
+                t.num_edges(),
+            )
+        })
+        .collect();
+    (r.retrieved_nodes, r.visited_nodes, trusses)
+}
+
+fn wire_of_summary(seg: &SegmentTcTree, s: &tc_store::QuerySummary) -> Wire {
+    let trusses = s
+        .trusses
+        .iter()
+        .map(|t| {
+            (
+                seg.pattern(t.node).iter().map(|i| i.0).collect(),
+                t.vertices,
+                t.edges,
+            )
+        })
+        .collect();
+    (s.trusses.len(), s.visited_nodes, trusses)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn summary_equals_the_full_answer_reduced_at_every_level_boundary(
+        n in 3u32..MAX_V,
+        raw_edges in prop::collection::vec((0u32..64, 0u32..64), 4..28),
+        raw_txs in prop::collection::vec((0u32..64, prop::collection::vec(0u32..64, 1..4)), 4..40),
+    ) {
+        let (tree, bytes) = tree_and_segment(n, &raw_edges, &raw_txs);
+        let (max_entry, total) = probe_entry_sizes(&bytes);
+        // Zero, every α_k of every node with a step to either side of it
+        // (inside and outside `gt_eps`'s tolerance), and past every α*.
+        let mut grid = vec![0.0];
+        for node in tree.nodes() {
+            for level in &node.truss.levels {
+                for step in [-1e-4, -1e-12, 0.0, 1e-12, 1e-4] {
+                    grid.push((level.alpha + step).max(0.0));
+                }
+            }
+        }
+        grid.push(grid.iter().fold(0.0, |a: f64, &b| a.max(b)) + 1.0);
+        let reference = SegmentTcTree::from_bytes(bytes.clone()).unwrap();
+        for budget in [None, Some(max_entry), Some(total / 10)] {
+            let seg = SegmentTcTree::from_bytes_with(
+                bytes.clone(),
+                StoreOptions { cache_bytes: budget },
+            ).unwrap();
+            for &alpha in &grid {
+                prop_assert_eq!(
+                    wire_of_summary(&seg, &seg.summarize(seg.all_items(), alpha).unwrap()),
+                    wire_of_result(&reference.query_by_alpha(alpha).unwrap()),
+                    "QBA {} under budget {:?}", alpha, budget
+                );
+                for id in 1..=tree.num_nodes() as u32 {
+                    let q = &tree.node(id).pattern;
+                    prop_assert_eq!(
+                        wire_of_summary(&seg, &seg.summarize(q, alpha).unwrap()),
+                        wire_of_result(&reference.query(q, alpha).unwrap()),
+                        "QUERY {} {} under budget {:?}", q, alpha, budget
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn budgeted_answers_equal_unbounded_within_budget(

@@ -167,6 +167,28 @@ fn lazy_bit_flip_reports_the_same_checksum_error_from_file_and_image() {
     std::fs::remove_file(&path).ok();
 }
 
+/// The daemon's counting walk reads pages through the same verified read
+/// as the full-truss walk: the same flipped bit in a lazily-read LEVELS
+/// page is the same `LoadError::Checksum` from either.
+#[test]
+fn lazy_bit_flip_reports_the_same_checksum_error_from_the_summary_walk() {
+    let mut bad = tree_segment_bytes();
+    let pos = bad.len() - tc_store::PAGE_SIZE + 12;
+    bad[pos] ^= 0x40;
+    // A fresh tree per walk, so neither answers from what the other cached.
+    let open = || SegmentTcTree::from_bytes(bad.clone()).expect("damage sits in a lazy region");
+    let from_query = open().query_by_alpha(0.0).expect_err("flip undetected");
+    let seg = open();
+    let from_summary = seg
+        .summarize(seg.all_items(), 0.0)
+        .expect_err("flip undetected");
+    assert!(
+        matches!(from_summary, LoadError::Checksum(_)),
+        "wrong error type {from_summary}"
+    );
+    assert_eq!(from_summary.to_string(), from_query.to_string());
+}
+
 #[test]
 fn segment_extension_fails_at_open() {
     // Appended garbage breaks the header's length promise.
