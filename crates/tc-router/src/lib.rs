@@ -108,11 +108,13 @@ mod metrics;
 mod pool;
 
 use metrics::ScatterMetrics;
-use pool::ShardPool;
+use pool::{Sent, ShardPool};
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
+use tc_serve::protocol::{push_items, push_qbp, push_query};
 use tc_serve::{
     Admission, Answer, Backend, ClientError, FrontEnd, Handle, Metrics, QueryResponse, QuerySpec,
     RateLimit, Wire,
@@ -158,6 +160,8 @@ impl Default for RouterConfig {
 pub(crate) struct Shards {
     pub map: ShardMap,
     pub pools: Vec<ShardPool>,
+    /// `map.items` as a wire token — what every rewritten QBA carries.
+    universe: String,
 }
 
 impl Shards {
@@ -168,7 +172,28 @@ impl Shards {
             .enumerate()
             .map(|(id, s)| ShardPool::new(id as u32, s.addr.clone()))
             .collect();
-        Shards { map, pools }
+        let mut universe = String::new();
+        push_items(&mut universe, &map.items);
+        Shards {
+            map,
+            pools,
+            universe,
+        }
+    }
+
+    /// The one line every shard is sent for `spec`: a `QBA(α)` rewritten to
+    /// `QUERY(universe, α)`, which keeps per-shard pruning exact (crate docs).
+    fn request_line(&self, spec: &QuerySpec) -> String {
+        let mut line = String::with_capacity(self.universe.len() + 32);
+        match spec {
+            QuerySpec::Qba(alpha) => {
+                let _ = write!(line, "QUERY {} {alpha}", self.universe);
+            }
+            QuerySpec::Qbp(items) => push_qbp(&mut line, items),
+            QuerySpec::Query(items, alpha) => push_query(&mut line, items, *alpha),
+        }
+        line.push('\n');
+        line
     }
 }
 
@@ -229,74 +254,50 @@ impl Backend for Scatter {
 }
 
 impl Scatter {
-    /// Scatters `spec` to every shard in `shards` concurrently and gathers
-    /// the merged outcome. `QBA(α)` is rewritten to `QUERY(universe, α)` —
-    /// see the crate docs for why that keeps per-shard pruning exact.
+    /// Scatters `spec` and gathers the merged outcome on the calling
+    /// session's thread: every shard has the request before the first
+    /// answer is waited on, so the daemons work concurrently while their
+    /// answers are read back in shard order — all of them, before any
+    /// outcome (the 500 and 503 included) is decided: [`pool`]'s I1.
     fn scatter_query(&self, shards: &Shards, spec: &QuerySpec) -> Answer {
-        let results: Vec<Result<QueryResponse, ClientError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .pools
-                .iter()
-                .map(|p| {
-                    scope.spawn(move || {
-                        p.run(|client| match spec {
-                            QuerySpec::Qba(alpha) => client.query(&shards.map.items, *alpha),
-                            QuerySpec::Qbp(items) => client.qbp(items),
-                            QuerySpec::Query(items, alpha) => client.query(items, *alpha),
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    // A panicking scatter worker must not take the whole
-                    // gateway session down with it: treat its shard exactly
-                    // like a transport failure (503 or a partial answer,
-                    // depending on `--partial`).
-                    h.join().unwrap_or_else(|_| {
-                        Err(ClientError::Io(std::io::Error::other(
-                            "scatter worker panicked",
-                        )))
-                    })
-                })
-                .collect()
-        });
+        let line = shards.request_line(spec);
+        let sent: Vec<Sent> = shards.pools.iter().map(|p| p.send(&line)).collect();
         let mut answered = Vec::new();
         let mut down = Vec::new();
         let mut first_err = String::new();
-        for (id, result) in results.into_iter().enumerate() {
-            match result {
+        let mut refused = None;
+        for (pool, sent) in shards.pools.iter().zip(sent) {
+            match pool.receive(sent, &line) {
                 Ok(resp) => answered.push(resp),
                 // A query-level error means the shard is healthy but the
                 // request is bad; every shard ran the same request, so
                 // surface it as the request's failure.
-                Err(ClientError::Remote(msg)) => return Answer::Err(500, msg),
+                Err(ClientError::Remote(msg)) => refused = refused.or(Some(msg)),
                 Err(e) => {
                     if down.is_empty() {
                         first_err = e.to_string();
                     }
-                    down.push(id as u32);
+                    down.push(pool.id);
                 }
             }
+        }
+        if let Some(msg) = refused {
+            return Answer::Err(500, msg);
         }
         self.metrics
             .shards_down
             .store(down.len() as u64, Ordering::Relaxed);
-        if down.is_empty() {
-            // Every shard answered: the merge equals the unsharded answer.
-            return Answer::Ok(merge_responses(answered), down);
+        if !down.is_empty() {
+            if !self.partial {
+                let ids: Vec<String> = down.iter().map(u32::to_string).collect();
+                let ids = ids.join(",");
+                return Answer::Err(503, format!("shard(s) {ids} unavailable: {first_err}"));
+            }
+            self.metrics
+                .partial_responses
+                .fetch_add(1, Ordering::Relaxed);
         }
-        if !self.partial {
-            let ids: Vec<String> = down.iter().map(u32::to_string).collect();
-            return Answer::Err(
-                503,
-                format!("shard(s) {} unavailable: {first_err}", ids.join(",")),
-            );
-        }
-        self.metrics
-            .partial_responses
-            .fetch_add(1, Ordering::Relaxed);
+        // With `down` empty the merge equals the unsharded answer.
         Answer::Ok(merge_responses(answered), down)
     }
 }
@@ -425,6 +426,61 @@ impl RouterHandle {
             shard_errors: shards.pools.iter().map(|p| load(&p.errors)).sum(),
             partial_responses: load(&backend.metrics.partial_responses),
             reloads: front.reloads,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tc_serve::Request;
+    use tc_store::shardmap::{HashScheme, ShardEntry};
+
+    /// The line a scatter writes is `Request::encode`'s, byte for byte —
+    /// the cached universe token and the QBA rewrite included.
+    #[test]
+    fn request_lines_are_the_protocols_own_encoding() {
+        for items in [vec![], vec![7], vec![0, 3, 41, 500]] {
+            let shards = Shards::new(ShardMap {
+                scheme: HashScheme::Crc32Item,
+                items: items.clone(),
+                shards: vec![ShardEntry {
+                    addr: "127.0.0.1:1".into(),
+                    path: String::new(),
+                }],
+            });
+            let json = false;
+            for alpha in [0.0, 0.25, 1e-7, 3.0] {
+                let cases = [
+                    (
+                        QuerySpec::Qba(alpha),
+                        Request::Query {
+                            items: items.clone(),
+                            alpha,
+                            json,
+                        },
+                    ),
+                    (
+                        QuerySpec::Qbp(items.clone()),
+                        Request::Qbp {
+                            items: items.clone(),
+                            json,
+                        },
+                    ),
+                    (
+                        QuerySpec::Query(vec![2, 9], alpha),
+                        Request::Query {
+                            items: vec![2, 9],
+                            alpha,
+                            json,
+                        },
+                    ),
+                ];
+                for (spec, request) in cases {
+                    let want = format!("{}\n", request.encode());
+                    assert_eq!(shards.request_line(&spec), want);
+                }
+            }
         }
     }
 }

@@ -1,19 +1,22 @@
 //! End-to-end router tests over real sockets: N shard daemons + the
 //! gateway, answers compared against the unsharded segment, degraded
 //! mode with a killed daemon (503 vs `--partial`), shard-map hot-reload
-//! through the handle, pooled shard connections that went stale, and a
+//! through the handle, pooled shard connections that went stale, a
+//! scripted fake shard that fails mid-scatter (the pool's I1 / I2), and a
 //! raw-bytes differential against a plain daemon.
 
 #[path = "../../tc-serve/tests/common/mod.rs"]
 mod common;
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tc_core::DatabaseNetworkBuilder;
 use tc_index::{TcTree, TcTreeBuilder};
 use tc_router::{Router, RouterConfig};
-use tc_serve::{QueryResponse, ServeConfig, Server, ServerHandle};
+use tc_serve::{QueryResponse, Request, ServeConfig, Server, ServerHandle};
 use tc_store::shardmap::{level1_items, split_tree, HashScheme, ShardEntry, ShardMap};
 use tc_store::SegmentTcTree;
 
@@ -63,20 +66,27 @@ fn boot_shards(tree: &TcTree, shard_count: u32) -> (ShardMap, Vec<Daemon>) {
     boot_shards_with(tree, shard_count, ServeConfig::default())
 }
 
+/// Boots one line-protocol daemon over `seg`; returns its map entry too.
+fn boot_daemon(seg: SegmentTcTree, cfg: ServeConfig) -> (ShardEntry, Daemon) {
+    let server = Server::bind(seg, "127.0.0.1:0", cfg).unwrap();
+    let entry = ShardEntry {
+        addr: server.local_addr().unwrap().to_string(),
+        path: String::new(),
+    };
+    let handle = server.handle();
+    let thread = std::thread::spawn(move || {
+        server.run().unwrap();
+    });
+    (entry, Daemon { handle, thread })
+}
+
 fn boot_shards_with(tree: &TcTree, shard_count: u32, cfg: ServeConfig) -> (ShardMap, Vec<Daemon>) {
     let mut entries = Vec::new();
     let mut daemons = Vec::new();
     for shard in split_tree(tree, HashScheme::Crc32Item, shard_count) {
-        let server = Server::bind(segment(&shard), "127.0.0.1:0", cfg.clone()).unwrap();
-        entries.push(ShardEntry {
-            addr: server.local_addr().unwrap().to_string(),
-            path: String::new(),
-        });
-        let handle = server.handle();
-        let thread = std::thread::spawn(move || {
-            server.run().unwrap();
-        });
-        daemons.push(Daemon { handle, thread });
+        let (entry, daemon) = boot_daemon(segment(&shard), cfg.clone());
+        entries.push(entry);
+        daemons.push(daemon);
     }
     let map = ShardMap {
         scheme: HashScheme::Crc32Item,
@@ -363,6 +373,310 @@ fn stale_pooled_connections_are_retried_not_surfaced() {
         d.handle.shutdown();
         d.thread.join().unwrap();
     }
+}
+
+/// What the scripted shard does with each request line it reads.
+#[derive(Clone, Copy)]
+enum Script {
+    /// Answer correctly and keep the session.
+    Answer,
+    /// Answer correctly, then close: every *pooled* session is dead on
+    /// reuse, every fresh one works.
+    AnswerOnce,
+    /// Answer `ERR` and keep the session.
+    Err,
+    /// Write an `OK` header promising two trusses, then close.
+    CloseMidAnswer,
+    /// Close without a byte of answer.
+    CloseUnanswered,
+}
+
+/// A shard daemon's stand-in: a valid `TCSERVE` greeting over a real
+/// shard segment, then whatever the current [`Script`] says.
+struct FakeShard {
+    addr: String,
+    script: Arc<Mutex<Script>>,
+    stop: Arc<AtomicBool>,
+    thread: std::thread::JoinHandle<()>,
+}
+
+impl FakeShard {
+    fn boot(seg: SegmentTcTree, script: Script) -> FakeShard {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let seg = Arc::new(seg);
+        let script = Arc::new(Mutex::new(script));
+        let stop = Arc::new(AtomicBool::new(false));
+        let (shared_script, stopping) = (script.clone(), stop.clone());
+        let thread = std::thread::spawn(move || {
+            let mut sessions = Vec::new();
+            for stream in listener.incoming() {
+                if stopping.load(Ordering::SeqCst) {
+                    break;
+                }
+                let (seg, script) = (seg.clone(), shared_script.clone());
+                sessions.push(std::thread::spawn(move || {
+                    fake_session(stream.unwrap(), &seg, &script)
+                }));
+            }
+            for s in sessions {
+                s.join().unwrap();
+            }
+        });
+        FakeShard {
+            addr,
+            script,
+            stop,
+            thread,
+        }
+    }
+
+    fn set(&self, script: Script) {
+        *self.script.lock().unwrap() = script;
+    }
+
+    /// Call after every router that pooled a session here has shut down:
+    /// the sessions end at their peer's EOF.
+    fn stop(self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(&self.addr); // wake the accept loop
+        self.thread.join().unwrap();
+    }
+}
+
+fn fake_session(stream: TcpStream, seg: &SegmentTcTree, script: &Mutex<Script>) {
+    let mut out = stream.try_clone().unwrap();
+    let greeting = tc_serve::protocol::encode_greeting_ok(seg.num_nodes(), seg.alpha_upper_bound());
+    if out.write_all(greeting.as_bytes()).is_err() {
+        return;
+    }
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    loop {
+        line.clear();
+        if reader.read_line(&mut line).unwrap_or(0) == 0 {
+            return;
+        }
+        let (items, alpha) = match Request::parse(line.trim_end()).unwrap() {
+            Request::Qbp { items, .. } => (items, 0.0),
+            Request::Query { items, alpha, .. } => (items, alpha),
+            other => panic!("the router never sends {other:?}"),
+        };
+        let q: tc_txdb::Pattern = items.into_iter().map(tc_txdb::Item).collect();
+        let frame = QueryResponse::from_result(&seg.query(&q, alpha).unwrap()).encode_tab();
+        let script = *script.lock().unwrap();
+        let (reply, keep): (&[u8], bool) = match script {
+            Script::Answer => (frame.as_bytes(), true),
+            Script::AnswerOnce => (frame.as_bytes(), false),
+            Script::Err => (b"ERR\tscripted failure\n", true),
+            Script::CloseMidAnswer => (b"OK\t2\t2\t0\n", false),
+            Script::CloseUnanswered => (b"", false),
+        };
+        if out.write_all(reply).is_err() || !keep {
+            return;
+        }
+    }
+}
+
+/// A 2-way split with the scripted fake as shard 0 and a real daemon as
+/// shard 1 — the fake is read first, so whatever it does, the real
+/// shard's answer is still in flight behind it.
+struct FakeAndReal {
+    map: ShardMap,
+    fake: FakeShard,
+    real: Daemon,
+    unsharded: SegmentTcTree,
+    /// The real shard's own segment, for what `--partial` must answer.
+    real_seg: SegmentTcTree,
+}
+
+fn boot_fake_and_real(script: Script) -> FakeAndReal {
+    let tree = sample_tree();
+    let parts = split_tree(&tree, HashScheme::Crc32Item, 2);
+    let fake = FakeShard::boot(segment(&parts[0]), script);
+    let (real_entry, real) = boot_daemon(segment(&parts[1]), ServeConfig::default());
+    let fake_entry = ShardEntry {
+        addr: fake.addr.clone(),
+        path: String::new(),
+    };
+    let map = ShardMap {
+        scheme: HashScheme::Crc32Item,
+        items: level1_items(&tree),
+        shards: vec![fake_entry, real_entry],
+    };
+    FakeAndReal {
+        map,
+        fake,
+        real,
+        unsharded: segment(&tree),
+        real_seg: segment(&parts[1]),
+    }
+}
+
+impl FakeAndReal {
+    fn teardown(self, gateways: Vec<Gateway>) {
+        for g in gateways {
+            g.handle.shutdown();
+            g.thread.join().unwrap();
+        }
+        self.fake.stop();
+        self.real.handle.shutdown();
+        self.real.thread.join().unwrap();
+    }
+}
+
+fn pattern(ids: &[u32]) -> tc_txdb::Pattern {
+    ids.iter().map(|&i| tc_txdb::Item(i)).collect()
+}
+
+/// Requires `GET path` to answer 200, whole, and byte-identical (modulo
+/// `secs`) to `want`'s wire form.
+fn assert_answers(addr: &str, path: &str, want: &tc_index::QueryResult) {
+    let (status, headers, body) = raw_get(addr, path);
+    assert_eq!(status, 200, "{path}: {body}");
+    assert!(header(&headers, "X-TC-Partial-Shards").is_none(), "{path}");
+    let want = QueryResponse::from_result(want).encode_json();
+    assert_eq!(split_secs(&body), split_secs(&want), "{path}");
+}
+
+/// The value of one un-labelled or fully spelled series in a scrape.
+fn series(metrics: &str, name: &str) -> u64 {
+    let line = metrics
+        .lines()
+        .find(|l| l.strip_prefix(name).is_some_and(|r| r.starts_with(' ')))
+        .unwrap_or_else(|| panic!("no series {name} in:\n{metrics}"));
+    line[name.len() + 1..].parse().unwrap()
+}
+
+/// I1 under transport failure: a shard that dies mid-answer costs that
+/// request (503, or a partial 200) and nothing else — the real shard's
+/// answer to the failed request is never left on its pooled connection
+/// for the next, different query to read.
+#[test]
+fn a_shard_closing_mid_answer_never_poisons_the_next_query() {
+    let t = boot_fake_and_real(Script::Answer);
+    let strict = boot_router(t.map.clone(), RouterConfig::default());
+    let partial = boot_router(
+        t.map.clone(),
+        RouterConfig {
+            partial: true,
+            ..RouterConfig::default()
+        },
+    );
+    let qba = t.unsharded.query_by_alpha(0.0).unwrap();
+    let qbp = t.unsharded.query(&pattern(&[0, 1]), 0.0).unwrap();
+    let real_qba = t.real_seg.query(&pattern(&t.map.items), 0.0).unwrap();
+    let real_qbp = t.real_seg.query(&pattern(&[0, 1]), 0.0).unwrap();
+    assert_ne!(
+        QueryResponse::from_result(&real_qba).trusses,
+        QueryResponse::from_result(&real_qbp).trusses,
+        "a left-over QBA answer must be tellable from the QBP's"
+    );
+
+    // Pool a session per shard on both routers: the failures below hit
+    // reused connections first, then the fresh retry.
+    for g in [&strict, &partial] {
+        assert_answers(&g.addr, "/query?items=0&alpha=0.1", {
+            &t.unsharded.query(&pattern(&[0]), 0.1).unwrap()
+        });
+    }
+
+    for failure in [Script::CloseMidAnswer, Script::CloseUnanswered] {
+        t.fake.set(failure);
+        let (status, _, body) = raw_get(&strict.addr, "/qba?alpha=0.0");
+        assert_eq!(status, 503, "{body}");
+        assert!(body.contains("shard(s) 0 unavailable"), "{body}");
+        let metrics = strict.handle.prometheus();
+        assert_eq!(series(&metrics, "tcrouter_shards_down"), 1, "{metrics}");
+
+        // `--partial`: exactly the real shard's own answer, the fake named.
+        let (status, headers, body) = raw_get(&partial.addr, "/qba?alpha=0.0");
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(header(&headers, "X-TC-Partial-Shards"), Some("0"), "{body}");
+        let want = QueryResponse::from_result(&real_qba).encode_json();
+        assert_eq!(split_secs(&body), split_secs(&want));
+
+        // The fake behaves again: the next, different query is whole and
+        // is its own answer, on both routers.
+        t.fake.set(Script::Answer);
+        assert_answers(&strict.addr, "/qbp?items=0,1", &qbp);
+        assert_answers(&partial.addr, "/qbp?items=0,1", &qbp);
+        assert_answers(&strict.addr, "/qba?alpha=0.0", &qba);
+    }
+
+    // Seven scatters on the strict router, one RPC per shard each (a retry
+    // is not a second RPC); only the two fresh-connection failures count.
+    let metrics = strict.handle.prometheus();
+    for shard in 0..2 {
+        let fanout = format!("tcrouter_fanout_total{{shard=\"{shard}\"}}");
+        assert_eq!(series(&metrics, &fanout), 7, "{metrics}");
+    }
+    let errors = |shard: u32| format!("tcrouter_shard_errors_total{{shard=\"{shard}\"}}");
+    assert_eq!(series(&metrics, &errors(0)), 2, "{metrics}");
+    assert_eq!(series(&metrics, &errors(1)), 0, "{metrics}");
+    assert_eq!(series(&metrics, "tcrouter_shards_down"), 0, "{metrics}");
+
+    t.teardown(vec![strict, partial]);
+}
+
+/// I1 on the early `Remote` → 500 return: the shard that answered `ERR`
+/// is healthy, the request is refused, and the real shard's answer to it
+/// is drained, not left for the next query — on fresh connections and on
+/// pooled ones.
+#[test]
+fn a_shard_answering_err_never_poisons_the_next_query() {
+    let t = boot_fake_and_real(Script::Err);
+    let gateway = boot_router(t.map.clone(), RouterConfig::default());
+    let qbp = t.unsharded.query(&pattern(&[0, 1]), 0.0).unwrap();
+
+    for round in 0..2 {
+        t.fake.set(Script::Err);
+        let (status, _, body) = raw_get(&gateway.addr, "/qba?alpha=0.0");
+        assert_eq!(status, 500, "round {round}: {body}");
+        assert!(body.contains("scripted failure"), "round {round}: {body}");
+        t.fake.set(Script::Answer);
+        assert_answers(&gateway.addr, "/qbp?items=0,1", &qbp);
+    }
+
+    // An `ERR` is the request's fault, never the shard's.
+    let metrics = gateway.handle.prometheus();
+    for shard in 0..2 {
+        let errors = format!("tcrouter_shard_errors_total{{shard=\"{shard}\"}}");
+        assert_eq!(series(&metrics, &errors), 0, "{metrics}");
+    }
+    assert_eq!(series(&metrics, "tcrouter_shards_down"), 0, "{metrics}");
+
+    t.teardown(vec![gateway]);
+}
+
+/// I2, the scripted twin of `stale_pooled_connections_are_retried_not_surfaced`:
+/// a shard that closes every session after one answer kills each pooled
+/// connection and no fresh one, so every request is still whole and
+/// nothing counts against the shard.
+#[test]
+fn a_shard_killing_pooled_sessions_is_retried_not_surfaced() {
+    let t = boot_fake_and_real(Script::AnswerOnce);
+    let gateway = boot_router(t.map.clone(), RouterConfig::default());
+    let qba = t.unsharded.query_by_alpha(0.0).unwrap();
+    let qbp = t.unsharded.query(&pattern(&[0, 1]), 0.0).unwrap();
+
+    for i in 0..6 {
+        if i % 2 == 0 {
+            assert_answers(&gateway.addr, "/qba?alpha=0.0", &qba);
+        } else {
+            assert_answers(&gateway.addr, "/qbp?items=0,1", &qbp);
+        }
+    }
+    let metrics = gateway.handle.prometheus();
+    for shard in 0..2 {
+        let errors = format!("tcrouter_shard_errors_total{{shard=\"{shard}\"}}");
+        assert_eq!(series(&metrics, &errors), 0, "{metrics}");
+        let fanout = format!("tcrouter_fanout_total{{shard=\"{shard}\"}}");
+        assert_eq!(series(&metrics, &fanout), 6, "{metrics}");
+    }
+    assert_eq!(series(&metrics, "tcrouter_shards_down"), 0, "{metrics}");
+
+    t.teardown(vec![gateway]);
 }
 
 /// One HTTP response off a raw byte stream.

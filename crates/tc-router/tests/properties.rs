@@ -6,14 +6,16 @@
 //!
 //! This is the socket-free core of what CI's `router-smoke` job asserts
 //! with real daemons and curl: the fan-out tier adds throughput, never
-//! approximation.
+//! approximation. The second test holds the same contract over sockets
+//! for what the in-process form cannot see: that over *reused* pooled
+//! shard connections every answer is paired with its own request.
 
 use proptest::prelude::*;
 use tc_core::{DatabaseNetwork, DatabaseNetworkBuilder};
 use tc_index::TcTreeBuilder;
-use tc_router::merge_responses;
-use tc_serve::QueryResponse;
-use tc_store::shardmap::{level1_items, split_tree, HashScheme};
+use tc_router::{merge_responses, Router, RouterConfig};
+use tc_serve::{HttpClient, QueryResponse, ServeConfig, Server};
+use tc_store::shardmap::{level1_items, split_tree, HashScheme, ShardEntry, ShardMap};
 use tc_store::SegmentTcTree;
 use tc_txdb::{Item, Pattern};
 
@@ -110,5 +112,107 @@ proptest! {
         let want = timeless(QueryResponse::from_result(&unsharded.query(&q, alpha).unwrap()));
         let got = timeless(sharded_answer(&shards, &q, alpha));
         prop_assert_eq!(&got, &want, "QUERY diverged at {} shards", shard_count);
+    }
+}
+
+/// `body` around its `secs` value, the one field the contract excludes.
+fn around_secs(body: &str) -> (&str, &str) {
+    let (head, rest) = body.split_once("\"secs\":").expect("body has secs");
+    let (_, tail) = rest.split_once(",\"trusses\":").expect("body has trusses");
+    (head, tail)
+}
+
+/// For 1–5 shards: 60 interleaved, pairwise distinct QBA / QBP / QUERY
+/// requests down ONE keep-alive router session — so from the second
+/// request on every shard RPC rides a pooled connection that just carried
+/// a different query — each byte-identical (modulo `secs`) to the
+/// unsharded answer to *that* request.
+#[test]
+fn interleaved_requests_pair_with_their_own_answers_over_pooled_connections() {
+    // Five items over a 6-clique, twenty mixed transactions a vertex:
+    // cohesions spread out, so answers differ from request to request.
+    let raw_edges: Vec<(u32, u32)> = (0..6).flat_map(|u| (0..u).map(move |v| (u, v))).collect();
+    let raw_txs: Vec<(u32, Vec<u32>)> = (0..6u32)
+        .flat_map(|v| (0..20u32).map(move |k| (v, vec![k, k / 2 + v, k / 5])))
+        .collect();
+    let tree = TcTreeBuilder::default().build(&build_network(6, &raw_edges, &raw_txs));
+    let unsharded = segment(&tree);
+    let step = unsharded.alpha_upper_bound() / 40.0;
+
+    for shard_count in 1..=5u32 {
+        let mut daemons = Vec::new();
+        let mut shards = Vec::new();
+        for shard in split_tree(&tree, HashScheme::Crc32Item, shard_count) {
+            let server = Server::bind(segment(&shard), "127.0.0.1:0", ServeConfig::default());
+            let server = server.unwrap();
+            shards.push(ShardEntry {
+                addr: server.local_addr().unwrap().to_string(),
+                path: String::new(),
+            });
+            let handle = server.handle();
+            daemons.push((handle, std::thread::spawn(move || server.run().unwrap())));
+        }
+        let map = ShardMap {
+            scheme: HashScheme::Crc32Item,
+            items: level1_items(&tree),
+            shards,
+        };
+        let router = Router::bind(map, "127.0.0.1:0", RouterConfig::default()).unwrap();
+        let addr = router.local_addr().unwrap().to_string();
+        let gateway = router.handle();
+        let serving = std::thread::spawn(move || router.run().unwrap());
+
+        let mut session = HttpClient::connect(&addr).unwrap();
+        let mut answers = std::collections::HashSet::new();
+        for i in 0..60u32 {
+            // Request i's pattern: the set bits of i / 3 over the 5 items.
+            let ids: Vec<u32> = (0..MAX_ITEMS).filter(|b| (i / 3) >> b & 1 == 1).collect();
+            let q: Pattern = ids.iter().map(|&id| Item(id)).collect();
+            let items = match ids.iter().map(u32::to_string).collect::<Vec<_>>() {
+                empty if empty.is_empty() => "-".to_string(),
+                ids => ids.join(","),
+            };
+            let alpha = step * i as f64;
+            let (target, want) = match i % 3 {
+                0 => (
+                    format!("/qba?alpha={alpha}"),
+                    unsharded.query_by_alpha(alpha),
+                ),
+                1 => (
+                    format!("/qbp?items={items}"),
+                    unsharded.query_by_pattern(&q),
+                ),
+                _ => (
+                    format!("/query?items={items}&alpha={alpha}"),
+                    unsharded.query(&q, alpha),
+                ),
+            };
+            let got = session.get(&target).unwrap();
+            assert!(
+                got.is_ok(),
+                "{target} at {shard_count} shards: {}",
+                got.body
+            );
+            let want = QueryResponse::from_result(&want.unwrap()).encode_json();
+            assert_eq!(
+                around_secs(&got.body),
+                around_secs(&want),
+                "{target} at {shard_count} shards"
+            );
+            answers.insert(around_secs(&got.body).1.to_string());
+        }
+        // The run tells answers apart: a swapped pair would have shown.
+        assert!(
+            answers.len() >= 30,
+            "only {} distinct answers",
+            answers.len()
+        );
+
+        gateway.shutdown();
+        serving.join().unwrap();
+        for (handle, thread) in daemons {
+            handle.shutdown();
+            thread.join().unwrap();
+        }
     }
 }

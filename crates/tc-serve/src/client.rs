@@ -2,12 +2,17 @@
 //! `tc query --remote`, `tc-router`'s shard pools, and the `bench/` load
 //! generator.
 //!
-//! One [`ServeClient`] owns one TCP session: requests are issued
-//! sequentially, responses are parsed into the same shapes the server
-//! encodes, and a `BUSY` greeting surfaces as [`ClientError::Busy`] so
-//! callers can implement retry/backoff without string matching.
+//! One [`ServeClient`] owns one TCP session: responses are parsed into
+//! the same shapes the server encodes, and a `BUSY` greeting surfaces as
+//! [`ClientError::Busy`] so callers can implement retry/backoff without
+//! string matching. A query is two steps — [`ServeClient::send_line`],
+//! then [`ServeClient::recv_query`] — which [`ServeClient::qba`] and its
+//! siblings run back to back; a caller with several sessions (the
+//! router's scatter) sends on all of them before it waits on any.
 
-use crate::protocol::{parse_greeting, Greeting, QueryResponse, Request};
+use crate::protocol::{
+    parse_greeting, push_qba, push_qbp, push_query, Greeting, QueryResponse, Request,
+};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -114,6 +119,9 @@ fn jitter_fraction(attempt: u32) -> f64 {
 /// One blocking protocol session.
 pub struct ServeClient {
     reader: BufReader<TcpStream>,
+    /// The one line buffer: a request while it is encoded and written,
+    /// then each response line in turn.
+    line: String,
     nodes: usize,
     alpha_star: f64,
     version: u32,
@@ -147,6 +155,7 @@ impl ServeClient {
                 alpha_star,
             } => Ok(ServeClient {
                 reader,
+                line,
                 nodes,
                 alpha_star,
                 version,
@@ -193,29 +202,39 @@ impl ServeClient {
     fn send(&mut self, req: &Request) -> Result<(), ClientError> {
         let mut line = req.encode();
         line.push('\n');
+        self.send_line(&line)
+    }
+
+    /// Writes one encoded, `\n`-terminated request line and returns
+    /// without waiting for the answer. The server answers in request
+    /// order, so several lines may be written before the first
+    /// [`ServeClient::recv_query`]; a session with a line written and its
+    /// answer not read to the end must be dropped, never reused.
+    pub fn send_line(&mut self, line: &str) -> Result<(), ClientError> {
         self.reader.get_ref().write_all(line.as_bytes())?;
         Ok(())
     }
 
-    fn read_line(&mut self) -> Result<String, ClientError> {
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
+    fn read_line(&mut self) -> Result<&str, ClientError> {
+        self.line.clear();
+        if self.reader.read_line(&mut self.line)? == 0 {
             return Err(ClientError::Protocol(
                 "server closed the connection mid-response".into(),
             ));
         }
-        Ok(line)
+        Ok(&self.line)
     }
 
-    fn roundtrip_query(&mut self, req: &Request) -> Result<RemoteResult, ClientError> {
-        self.send(req)?;
+    /// Reads the answer to the oldest `QBA` / `QBP` / `QUERY` line sent
+    /// and not yet answered, to its last line.
+    pub fn recv_query(&mut self) -> Result<RemoteResult, ClientError> {
         let header = self.read_line()?;
-        let (count, visited, elapsed_secs) = QueryResponse::parse_tab_header(&header)
-            .map_err(|m| classify_header_error(&header, m))?;
+        let (count, visited, elapsed_secs) = QueryResponse::parse_tab_header(header)
+            .map_err(|m| classify_header_error(header, m))?;
         let mut trusses = Vec::with_capacity(count);
         for _ in 0..count {
             let line = self.read_line()?;
-            trusses.push(QueryResponse::parse_tab_truss(&line).map_err(ClientError::Protocol)?);
+            trusses.push(QueryResponse::parse_tab_truss(line).map_err(ClientError::Protocol)?);
         }
         Ok(QueryResponse {
             retrieved: count,
@@ -225,26 +244,32 @@ impl ServeClient {
         })
     }
 
+    /// Sends the request `encode` appends to the line buffer, then
+    /// receives its answer.
+    fn roundtrip_query(
+        &mut self,
+        encode: impl FnOnce(&mut String),
+    ) -> Result<RemoteResult, ClientError> {
+        self.line.clear();
+        encode(&mut self.line);
+        self.line.push('\n');
+        self.reader.get_ref().write_all(self.line.as_bytes())?;
+        self.recv_query()
+    }
+
     /// Query-by-alpha: `QBA <alpha>`.
     pub fn qba(&mut self, alpha: f64) -> Result<RemoteResult, ClientError> {
-        self.roundtrip_query(&Request::Qba { alpha, json: false })
+        self.roundtrip_query(|line| push_qba(line, alpha))
     }
 
     /// Query-by-pattern: `QBP <items>`.
     pub fn qbp(&mut self, items: &[u32]) -> Result<RemoteResult, ClientError> {
-        self.roundtrip_query(&Request::Qbp {
-            items: items.to_vec(),
-            json: false,
-        })
+        self.roundtrip_query(|line| push_qbp(line, items))
     }
 
     /// The general query: `QUERY <items> <alpha>`.
     pub fn query(&mut self, items: &[u32], alpha: f64) -> Result<RemoteResult, ClientError> {
-        self.roundtrip_query(&Request::Query {
-            items: items.to_vec(),
-            alpha,
-            json: false,
-        })
+        self.roundtrip_query(|line| push_query(line, items, alpha))
     }
 
     /// Server counters: `STATS`, as ordered `(key, value)` rows.
@@ -256,7 +281,7 @@ impl ServeClient {
             ["OK", n] => n
                 .parse()
                 .map_err(|_| ClientError::Protocol(format!("bad stats count '{n}'")))?,
-            _ => return Err(classify_header_error(&header, String::new())),
+            _ => return Err(classify_header_error(header, String::new())),
         };
         let mut rows = Vec::with_capacity(count);
         for _ in 0..count {

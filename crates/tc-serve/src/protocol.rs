@@ -55,6 +55,7 @@
 //! Floats use Rust's shortest round-trip `Display`, so a value parsed
 //! back compares bit-equal to what the server measured.
 
+use std::fmt::Write as _;
 use tc_txdb::{Item, Pattern};
 
 /// Protocol version, sent in the greeting. Bump on any wire change.
@@ -163,20 +164,52 @@ impl Request {
     /// Renders the request as its wire line (no trailing newline) — the
     /// exact inverse of [`Request::parse`].
     pub fn encode(&self) -> String {
-        let json = |j: bool| if j { " JSON" } else { "" };
-        match self {
-            Request::Qba { alpha, json: j } => format!("QBA {alpha}{}", json(*j)),
-            Request::Qbp { items, json: j } => format!("QBP {}{}", encode_items(items), json(*j)),
-            Request::Query {
-                items,
-                alpha,
-                json: j,
-            } => format!("QUERY {} {alpha}{}", encode_items(items), json(*j)),
-            Request::Stats { json: j } => format!("STATS{}", json(*j)),
-            Request::Quit => "QUIT".to_string(),
-            Request::Shutdown => "SHUTDOWN".to_string(),
+        let mut out = String::new();
+        let json = match self {
+            Request::Qba { alpha, json } => {
+                push_qba(&mut out, *alpha);
+                *json
+            }
+            Request::Qbp { items, json } => {
+                push_qbp(&mut out, items);
+                *json
+            }
+            Request::Query { items, alpha, json } => {
+                push_query(&mut out, items, *alpha);
+                *json
+            }
+            Request::Stats { json } => {
+                out.push_str("STATS");
+                *json
+            }
+            Request::Quit => return "QUIT".to_string(),
+            Request::Shutdown => return "SHUTDOWN".to_string(),
+        };
+        if json {
+            out.push_str(" JSON");
         }
+        out
     }
+}
+
+/// Appends `QBA <alpha>` to `out` — the query verbs' wire lines (no
+/// newline) from borrowed parts, for callers that encode into a buffer
+/// they keep ([`crate::ServeClient`], `tc-router`'s scatter).
+pub fn push_qba(out: &mut String, alpha: f64) {
+    let _ = write!(out, "QBA {alpha}");
+}
+
+/// Appends `QBP <items>` to `out`.
+pub fn push_qbp(out: &mut String, items: &[u32]) {
+    out.push_str("QBP ");
+    push_items(out, items);
+}
+
+/// Appends `QUERY <items> <alpha>` to `out`.
+pub fn push_query(out: &mut String, items: &[u32], alpha: f64) {
+    out.push_str("QUERY ");
+    push_items(out, items);
+    let _ = write!(out, " {alpha}");
 }
 
 /// Parses and validates an `alpha` token: finite, non-negative.
@@ -203,15 +236,18 @@ pub fn parse_items(token: &str) -> Result<Vec<u32>, String> {
         .collect()
 }
 
-fn encode_items(items: &[u32]) -> String {
+/// Appends an items token to `out`: `-` for the empty pattern, else the
+/// ids joined by commas — the inverse of [`parse_items`].
+pub fn push_items(out: &mut String, items: &[u32]) {
     if items.is_empty() {
-        return "-".to_string();
+        out.push('-');
     }
-    items
-        .iter()
-        .map(u32::to_string)
-        .collect::<Vec<_>>()
-        .join(",")
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{item}");
+    }
 }
 
 /// One retrieved truss, reduced to what the wire carries.
@@ -274,12 +310,8 @@ impl QueryResponse {
             self.elapsed_secs
         );
         for t in &self.trusses {
-            out.push_str(&format!(
-                "{}\t{}\t{}\n",
-                encode_items(&t.items),
-                t.vertices,
-                t.edges
-            ));
+            push_items(&mut out, &t.items);
+            let _ = writeln!(out, "\t{}\t{}", t.vertices, t.edges);
         }
         out
     }
@@ -498,6 +530,18 @@ mod tests {
             let line = req.encode();
             assert_eq!(Request::parse(&line).unwrap(), req, "line: {line}");
         }
+        // The bytes themselves, as the module docs spell them.
+        let query = Request::Query {
+            items: vec![1, 20, 300],
+            alpha: 0.5,
+            json: true,
+        };
+        assert_eq!(query.encode(), "QUERY 1,20,300 0.5 JSON");
+        let qbp = Request::Qbp {
+            items: Vec::new(),
+            json: false,
+        };
+        assert_eq!(qbp.encode(), "QBP -");
     }
 
     #[test]
@@ -594,6 +638,7 @@ mod tests {
             ],
         };
         let frame = resp.encode_tab();
+        assert_eq!(frame, "OK\t2\t5\t0.000125\n3\t4\t6\n3,7\t3\t3\n");
         let mut lines = frame.lines();
         let (count, visited, secs) =
             QueryResponse::parse_tab_header(lines.next().unwrap()).unwrap();

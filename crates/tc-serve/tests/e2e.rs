@@ -107,6 +107,40 @@ fn remote_answers_equal_local_queries() {
     assert!(stats.qba >= 6 && stats.qbp >= 1 && stats.query >= 1);
 }
 
+/// The split the router's scatter rests on: two different queries written
+/// back to back before either is read come back in send order, each equal
+/// (timing aside) to its own round trip on the same session.
+#[test]
+fn pipelined_queries_are_answered_in_order() {
+    let tree = sample_tree();
+    let (addr, handle, join) = spawn_server(&tree, ServeConfig::default());
+    let mut client = ServeClient::connect(&addr).unwrap();
+    let timeless = |mut r: tc_serve::QueryResponse| {
+        r.elapsed_secs = 0.0;
+        r
+    };
+    let ids: Vec<u32> = tree.node(1).pattern.iter().map(|i| i.0).collect();
+    let qba = timeless(client.qba(0.0).unwrap());
+    let qbp = timeless(client.qbp(&ids).unwrap());
+    assert_ne!(qba, qbp, "the two answers must be tellable apart");
+
+    let qbp_line = tc_serve::Request::Qbp {
+        items: ids,
+        json: false,
+    }
+    .encode();
+    client.send_line("QBA 0\n").unwrap();
+    client.send_line(&format!("{qbp_line}\n")).unwrap();
+    assert_eq!(timeless(client.recv_query().unwrap()), qba);
+    assert_eq!(timeless(client.recv_query().unwrap()), qbp);
+    // The session is clean afterwards: a plain round trip still pairs up.
+    assert_eq!(timeless(client.qba(0.0).unwrap()), qba);
+
+    client.quit().unwrap();
+    handle.shutdown();
+    join.join().unwrap();
+}
+
 #[test]
 fn overload_yields_busy_and_slot_frees_on_disconnect() {
     let tree = sample_tree();
