@@ -30,6 +30,11 @@ fn corrupt(msg: impl Into<String>) -> LoadError {
     LoadError::Corrupt(format!("tctree: {}", msg.into()))
 }
 
+/// The most any node or level count read from a file reserves up front:
+/// a count is only a claim about lines that may not follow, so vectors
+/// sized by one grow by `push` past this.
+const RESERVE_CAP: usize = 1 << 12;
+
 impl TcTree {
     /// Writes the tree to `w` in the v1 text format.
     pub fn save<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
@@ -81,7 +86,7 @@ impl TcTree {
             return Err(corrupt("a tree has at least the root node"));
         }
 
-        let mut raw: Vec<(u32, Item, Vec<TrussLevel>)> = Vec::with_capacity(count);
+        let mut raw: Vec<(u32, Item, Vec<TrussLevel>)> = Vec::with_capacity(count.min(RESERVE_CAP));
         for expect_id in 0..count {
             let header = next_line()?;
             let mut parts = header.split_whitespace();
@@ -116,7 +121,7 @@ impl TcTree {
                 .trim()
                 .parse()
                 .map_err(|_| corrupt("bad level count"))?;
-            let mut levels = Vec::with_capacity(h);
+            let mut levels = Vec::with_capacity(h.min(RESERVE_CAP));
             let mut prev_alpha = f64::NEG_INFINITY;
             for _ in 0..h {
                 let line = next_line()?;
@@ -136,7 +141,8 @@ impl TcTree {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| corrupt("bad edge count"))?;
-                let mut edges: Vec<(u32, u32)> = Vec::with_capacity(m);
+                // An edge takes at least four bytes of its line (" u v").
+                let mut edges: Vec<(u32, u32)> = Vec::with_capacity(m.min(line.len() / 4));
                 for _ in 0..m {
                     let u: u32 = p
                         .next()
@@ -169,7 +175,7 @@ impl TcTree {
         }
 
         // Reassemble: patterns from root paths, children from parents.
-        let mut nodes: Vec<TcNode> = Vec::with_capacity(count);
+        let mut nodes: Vec<TcNode> = Vec::with_capacity(raw.len());
         for (id, (parent, item, levels)) in raw.into_iter().enumerate() {
             let pattern = if id == 0 {
                 Pattern::empty()
@@ -302,6 +308,20 @@ mod tests {
         let text = "tctree v1\nnodes 2\nnode 0 0 0\nlevels 0\nnode 1 0 5\nlevels 2\nlevel 0.25 1 4 5\nlevel 0.5 2 0 1 0 2\nend\n";
         let tree = TcTree::load(std::io::Cursor::new(text.as_bytes())).unwrap();
         assert_eq!(tree.node(1).truss.num_edges(), 3);
+    }
+
+    #[test]
+    fn crafted_counts_error_without_huge_reservations() {
+        // Each count promises far more than the file holds; the loader must
+        // run out of lines into a typed error, not abort reserving for them.
+        for text in [
+            "tctree v1\nnodes 18446744073709551615\nnode 0 0 0\nlevels 0\nend\n",
+            "tctree v1\nnodes 2\nnode 0 0 0\nlevels 4294967295\nend\n",
+            "tctree v1\nnodes 2\nnode 0 0 0\nlevels 0\nnode 1 0 5\nlevels 1\nlevel 0.5 1000000000000 0 1\nend\n",
+        ] {
+            let err = TcTree::load(std::io::Cursor::new(text.as_bytes())).unwrap_err();
+            assert!(matches!(err, LoadError::Corrupt(_)), "{text:?}: {err}");
+        }
     }
 
     #[test]

@@ -64,6 +64,10 @@ impl ClientError {
     }
 }
 
+/// The most a row count in a response header reserves up front: the count
+/// is the peer's claim, so rows past this grow the vector by `push`.
+const RESERVE_CAP: usize = 1 << 10;
+
 /// A remote query answer (the wire form plus nothing else — item-name
 /// rendering is the caller's job, exactly as with a local query).
 pub type RemoteResult = QueryResponse;
@@ -231,7 +235,7 @@ impl ServeClient {
         let header = self.read_line()?;
         let (count, visited, elapsed_secs) = QueryResponse::parse_tab_header(header)
             .map_err(|m| classify_header_error(header, m))?;
-        let mut trusses = Vec::with_capacity(count);
+        let mut trusses = Vec::with_capacity(count.min(RESERVE_CAP));
         for _ in 0..count {
             let line = self.read_line()?;
             trusses.push(QueryResponse::parse_tab_truss(line).map_err(ClientError::Protocol)?);
@@ -283,7 +287,7 @@ impl ServeClient {
                 .map_err(|_| ClientError::Protocol(format!("bad stats count '{n}'")))?,
             _ => return Err(classify_header_error(header, String::new())),
         };
-        let mut rows = Vec::with_capacity(count);
+        let mut rows = Vec::with_capacity(count.min(RESERVE_CAP));
         for _ in 0..count {
             let line = self.read_line()?;
             let (k, v) = line

@@ -6,7 +6,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use tc_data::{generate_coauthor, CoauthorConfig};
 use tc_index::{TcTree, TcTreeBuilder};
-use tc_serve::{ServeClient, ServeConfig, Server, ServerHandle};
+use tc_serve::{ClientError, ServeClient, ServeConfig, Server, ServerHandle};
 use tc_store::SegmentTcTree;
 use tc_txdb::Pattern;
 
@@ -451,6 +451,41 @@ fn busy_retry_succeeds_once_the_slot_frees() {
     let stats = join.join().unwrap();
     assert!(stats.rejected_busy >= 2, "retries were never rejected");
     assert_eq!(stats.admitted, 2);
+}
+
+/// A peer that greets, answers the first request line with `header`, and
+/// hangs up; returns its address.
+fn one_answer_peer(header: &'static str) -> (String, std::thread::JoinHandle<()>) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let peer = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut out = stream.try_clone().unwrap();
+        out.write_all(tc_serve::protocol::encode_greeting_ok(3, 0.5).as_bytes())
+            .unwrap();
+        BufReader::new(stream)
+            .read_line(&mut String::new())
+            .unwrap();
+        out.write_all(header.as_bytes()).unwrap();
+    });
+    (addr, peer)
+}
+
+#[test]
+fn huge_row_counts_from_a_peer_are_typed_errors() {
+    // The count is the peer's claim: the client must run into the closed
+    // connection, not abort reserving room for four billion rows.
+    let (addr, peer) = one_answer_peer("OK\t4294967295\t0\t0\n");
+    let mut client = ServeClient::connect(&addr).unwrap();
+    assert_eq!(client.nodes(), 3);
+    let err = client.qba(0.5).unwrap_err();
+    assert!(matches!(err, ClientError::Protocol(_)), "{err}");
+    peer.join().unwrap();
+
+    let (addr, peer) = one_answer_peer("OK\t4294967295\n");
+    let err = ServeClient::connect(&addr).unwrap().stats().unwrap_err();
+    assert!(matches!(err, ClientError::Protocol(_)), "{err}");
+    peer.join().unwrap();
 }
 
 #[test]

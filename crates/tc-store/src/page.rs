@@ -356,14 +356,15 @@ impl PageFile {
         Ok(Header { kind, sections })
     }
 
-    /// Reads `len` bytes of section `s` starting at logical offset `start`,
-    /// touching (and verifying) only the pages that overlap the range.
-    pub fn read_section_range(
+    /// A front-to-back stream over `len` bytes of section `s` from logical
+    /// offset `start`: one page buffer, each page read and verified only
+    /// when the stream reaches it.
+    pub(crate) fn section_stream(
         &self,
         s: &SectionInfo,
         start: u64,
         len: u64,
-    ) -> Result<Vec<u8>, LoadError> {
+    ) -> Result<SectionStream<'_>, LoadError> {
         let end = start
             .checked_add(len)
             .filter(|&e| e <= s.byte_len)
@@ -373,24 +374,29 @@ impl PageFile {
                     s.id, s.byte_len
                 ))
             })?;
+        Ok(SectionStream {
+            file: self,
+            section: *s,
+            page: [0u8; PAGE_SIZE],
+            off: start,
+            end,
+            lo: 0,
+            hi: 0,
+        })
+    }
+
+    /// Reads `len` bytes of section `s` starting at logical offset `start`,
+    /// touching (and verifying) only the pages that overlap the range.
+    pub fn read_section_range(
+        &self,
+        s: &SectionInfo,
+        start: u64,
+        len: u64,
+    ) -> Result<Vec<u8>, LoadError> {
+        let mut stream = self.section_stream(s, start, len)?;
         let mut out = Vec::with_capacity(len as usize);
-        let mut page = [0u8; PAGE_SIZE];
-        let cap = PAGE_CAP as u64;
-        let mut off = start;
-        while off < end {
-            let page_idx = off / cap;
-            let payload = self.read_verified(s.first_page + page_idx, &mut page)?;
-            let in_page = (off % cap) as usize;
-            let want = ((end - off) as usize).min(PAGE_CAP - in_page);
-            if payload.len() < in_page + want {
-                return Err(LoadError::corrupt(format!(
-                    "segment: page {} short for section {} range",
-                    s.first_page + page_idx,
-                    s.id
-                )));
-            }
-            out.extend_from_slice(&payload[in_page..in_page + want]);
-            off += want as u64;
+        while let chunk @ [_, ..] = stream.chunk(usize::MAX)? {
+            out.extend_from_slice(chunk);
         }
         Ok(out)
     }
@@ -399,21 +405,62 @@ impl PageFile {
     pub fn read_section(&self, s: &SectionInfo) -> Result<Vec<u8>, LoadError> {
         self.read_section_range(s, 0, s.byte_len)
     }
+}
 
-    /// Verifies every page checksum in the file (header included) without
-    /// decoding any content — a full integrity scan.
-    pub fn verify_all(&self) -> Result<(), LoadError> {
-        let pages = 1 + self
-            .header
-            .sections
-            .iter()
-            .map(|s| s.page_count)
-            .sum::<u64>();
-        let mut page = [0u8; PAGE_SIZE];
-        for i in 0..pages {
-            self.read_verified(i, &mut page)?;
+/// A front-to-back reader over a byte range of one section (see
+/// [`PageFile::section_stream`]), holding one page at a time.
+pub(crate) struct SectionStream<'a> {
+    file: &'a PageFile,
+    section: SectionInfo,
+    page: [u8; PAGE_SIZE],
+    /// Section offset of the first byte not yet loaded into `page`.
+    off: u64,
+    end: u64,
+    /// The loaded bytes not yet handed out: `page[lo..hi]`.
+    lo: usize,
+    hi: usize,
+}
+
+impl SectionStream<'_> {
+    /// The next at most `max` bytes of the range, all from one page; the
+    /// next page is read and verified once the current one is used up.
+    /// Empty only at the end of the range.
+    pub(crate) fn chunk(&mut self, max: usize) -> Result<&[u8], LoadError> {
+        if self.lo == self.hi && self.off < self.end {
+            let cap = PAGE_CAP as u64;
+            let index = self.section.first_page + self.off / cap;
+            let in_page = (self.off % cap) as usize;
+            let want = (self.end - self.off).min((PAGE_CAP - in_page) as u64) as usize;
+            let payload = self.file.read_verified(index, &mut self.page)?;
+            if payload.len() < in_page + want {
+                return Err(LoadError::corrupt(format!(
+                    "segment: page {index} short for section {} range",
+                    self.section.id
+                )));
+            }
+            self.lo = PAGE_HEADER + in_page;
+            self.hi = self.lo + want;
+            self.off += want as u64;
         }
-        Ok(())
+        let n = max.min(self.hi - self.lo);
+        self.lo += n;
+        Ok(&self.page[self.lo - n..self.lo])
+    }
+
+    /// The next `N` bytes of the range, across a page boundary if they
+    /// straddle one; `None` if the range ends first.
+    pub(crate) fn take<const N: usize>(&mut self) -> Result<Option<[u8; N]>, LoadError> {
+        let mut out = [0u8; N];
+        let mut filled = 0;
+        while filled < N {
+            let chunk = self.chunk(N - filled)?;
+            if chunk.is_empty() {
+                return Ok(None);
+            }
+            out[filled..filled + chunk.len()].copy_from_slice(chunk);
+            filled += chunk.len();
+        }
+        Ok(Some(out))
     }
 }
 
@@ -437,7 +484,6 @@ mod tests {
         assert_eq!(pf.read_section(&s1).unwrap(), Vec::<u8>::new());
         let s3 = pf.header().section(3).unwrap();
         assert_eq!(pf.read_section(&s3).unwrap(), big);
-        pf.verify_all().unwrap();
     }
 
     #[test]

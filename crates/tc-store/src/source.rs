@@ -4,9 +4,10 @@
 //! page; everything above it — CRC verification, header decoding, section
 //! arithmetic — is backing-agnostic. Two implementations:
 //!
-//! - [`BufferedFileSource`]: `seek` + `read_exact` on an owned
-//!   [`std::fs::File`] behind a mutex. Every read copies through the
-//!   kernel; memory use is exactly the caller's buffers.
+//! - [`BufferedFileSource`]: positioned reads (`pread`) on an owned
+//!   [`std::fs::File`], one syscall per read and no lock. Every read
+//!   copies through the kernel; memory use is exactly the caller's
+//!   buffers.
 //! - [`MemSource`]: an in-memory image (tests, conversions).
 //!
 //! Integrity is unaffected by the backing: [`crate::page::PageFile::read_page`]
@@ -15,7 +16,6 @@
 //! See `docs/SEGMENT_FORMAT.md` for the on-disk layout.
 
 use std::path::Path;
-use tc_util::sync::Mutex;
 use tc_util::LoadError;
 
 /// Random-access byte source a [`crate::page::PageFile`] reads pages from.
@@ -36,12 +36,13 @@ pub trait PageSource: Send + Sync + std::fmt::Debug {
     fn read_at(&self, off: u64, buf: &mut [u8]) -> Result<(), LoadError>;
 }
 
-/// `seek` + `read_exact` on an owned file handle.
+/// Positioned reads (`pread`) on an owned file handle.
 ///
-/// The mutex serialises the seek/read pair; the handle is the only state.
+/// A read carries its own offset, so the handle has no cursor to guard:
+/// concurrent reads neither lock nor wait on each other.
 #[derive(Debug)]
 pub struct BufferedFileSource {
-    file: Mutex<std::fs::File>,
+    file: std::fs::File,
     len: u64,
 }
 
@@ -50,10 +51,7 @@ impl BufferedFileSource {
     pub fn open(path: &Path) -> Result<BufferedFileSource, LoadError> {
         let file = std::fs::File::open(path)?;
         let len = file.metadata()?.len();
-        Ok(BufferedFileSource {
-            file: Mutex::new(file),
-            len,
-        })
+        Ok(BufferedFileSource { file, len })
     }
 }
 
@@ -63,10 +61,8 @@ impl PageSource for BufferedFileSource {
     }
 
     fn read_at(&self, off: u64, buf: &mut [u8]) -> Result<(), LoadError> {
-        use std::io::{Read, Seek, SeekFrom};
-        let mut f = self.file.lock();
-        f.seek(SeekFrom::Start(off))?;
-        f.read_exact(buf)?;
+        use std::os::unix::fs::FileExt;
+        self.file.read_exact_at(buf, off)?;
         Ok(())
     }
 }

@@ -8,9 +8,10 @@
 //! | 1  | NODES  | `count u64`, then per node (root first) `parent u32 · item u32 · level_count u32 · max_alpha f64 · blob_off u64 · blob_len u64` |
 //! | 2  | LEVELS | per node, at its `blob_off`: per level `alpha f64 · edge_count u32 · (u u32 · v u32) …` |
 //!
-//! [`SegmentTcTree::open`] reads only the NODES directory — parents,
-//! items, per-node `α*` bounds, and byte ranges into the LEVELS blob.
-//! That skeleton is enough to run Algorithm 5's pruning walk; the truss
+//! [`SegmentTcTree::open`] streams only the NODES directory — parents,
+//! items, per-node `α*` bounds, and byte ranges into the LEVELS blob —
+//! into flat records plus CSR children; patterns come from the parent
+//! chain. That is enough to run Algorithm 5's pruning walk; the truss
 //! decompositions themselves (the bulk of the data) are materialised per
 //! node on first touch, from exactly the pages that overlap the node's
 //! byte range. A query that prunes a subtree never reads its pages.
@@ -87,14 +88,12 @@ pub fn save_tree_segment_to_path(tree: &TcTree, path: &Path) -> std::io::Result<
     save_tree_segment(tree, &mut f)
 }
 
-/// The eagerly-read per-node skeleton: everything Algorithm 5 needs to
-/// walk and prune, but no truss edges.
-#[derive(Debug)]
-struct NodeSkel {
+/// One NODES directory record as stored: everything Algorithm 5 needs to
+/// walk and prune a node, but no truss edges and nothing on the heap.
+#[derive(Debug, Clone, Copy)]
+struct NodeRec {
     parent: u32,
     item: Item,
-    pattern: Pattern,
-    children: Vec<u32>,
     level_count: u32,
     max_alpha: f64,
     blob_off: u64,
@@ -116,14 +115,21 @@ pub struct StoreOptions {
 /// truss decompositions are parsed on demand (checksum-verified per page)
 /// and held in the node cache, so repeated queries touch the file once
 /// per node — until the cache's byte budget (if any) evicts cold nodes,
-/// after which a re-touch re-parses the identical bytes.
+/// after which a re-touch re-parses the identical bytes. Per node, an open
+/// tree holds its directory record, its CSR children entries and its
+/// cache slot — a fixed size, and no allocation of its own.
 #[derive(Debug)]
 pub struct SegmentTcTree {
     pages: PageFile,
     levels: SectionInfo,
-    skel: Vec<NodeSkel>,
+    nodes: Box<[NodeRec]>,
+    /// Node `id`'s children: `child_ids[first_child[id]..first_child[id + 1]]`.
+    first_child: Box<[u32]>,
+    child_ids: Box<[u32]>,
     /// The root's children's items: the `q = S` of a QBA.
     all_items: Pattern,
+    /// `max_p α*_p` over the directory.
+    alpha_bound: f64,
     cache: NodeCache,
 }
 
@@ -178,20 +184,30 @@ impl SegmentTcTree {
             return Err(corrupt("segment holds a network, not a TC-Tree"));
         }
         let levels = pages.header().section(SEC_LEVELS)?;
-        let dir = pages.read_section(&pages.header().section(SEC_NODES)?)?;
-        let mut r = ByteReader::new(&dir);
+        let dir = pages.header().section(SEC_NODES)?;
+        // Streamed through one page buffer, each page verified as the
+        // stream reaches it; each record is validated as it is read.
+        let mut stream = pages.section_stream(&dir, 0, dir.byte_len)?;
         let eof = || corrupt("NODES directory truncated");
-        let count = r.u64().ok_or_else(eof)?;
+        let count = u64::from_le_bytes(stream.take()?.ok_or_else(eof)?);
         if count == 0 {
             return Err(corrupt("a tree has at least the root node"));
         }
         // A directory record is exactly 36 bytes; a count the stream cannot
         // hold is corrupt, and bounding it here also bounds the allocation.
-        if count > (dir.len() as u64).saturating_sub(8) / 36 {
+        if count > dir.byte_len.saturating_sub(8) / 36 {
             return Err(corrupt("node count exceeds directory size"));
         }
-        let mut skel: Vec<NodeSkel> = Vec::with_capacity(count as usize);
+        let mut nodes = Vec::with_capacity(count as usize);
+        // Children as CSR by a counting pass: children are counted into
+        // their parent's slot as records arrive, prefix sums leave each slot
+        // at its range's end, and placing ids from the highest down fills
+        // every range ascending, in whatever order the directory lists them.
+        let mut first_child = vec![0u32; count as usize + 1].into_boxed_slice();
+        let mut alpha_bound = 0.0f64;
         for id in 0..count {
+            let rec: [u8; 36] = stream.take()?.ok_or_else(eof)?;
+            let mut r = ByteReader::new(&rec);
             let parent = r.u32().ok_or_else(eof)?;
             let item = Item(r.u32().ok_or_else(eof)?);
             let level_count = r.u32().ok_or_else(eof)?;
@@ -210,52 +226,72 @@ impl SegmentTcTree {
             if !max_alpha.is_finite() || max_alpha < 0.0 {
                 return Err(corrupt(format!("node {id} has invalid alpha bound")));
             }
-            let pattern = if id == 0 {
-                Pattern::empty()
-            } else {
-                skel[parent as usize].pattern.with_item(item)
-            };
-            skel.push(NodeSkel {
+            if id > 0 {
+                first_child[parent as usize] += 1;
+            }
+            alpha_bound = alpha_bound.max(max_alpha);
+            nodes.push(NodeRec {
                 parent,
                 item,
-                pattern,
-                children: Vec::new(),
                 level_count,
                 max_alpha,
                 blob_off,
                 blob_len,
             });
-            if id > 0 {
-                skel[parent as usize].children.push(id as u32);
-            }
         }
-        if !r.is_empty() {
+        if dir.byte_len > 8 + 36 * count {
             return Err(corrupt("trailing bytes in NODES directory"));
         }
-        let all_items = skel[0]
-            .children
+        let nodes = nodes.into_boxed_slice();
+        for i in 1..first_child.len() {
+            first_child[i] += first_child[i - 1];
+        }
+        let mut child_ids = vec![0u32; nodes.len() - 1].into_boxed_slice();
+        for id in (1..nodes.len()).rev() {
+            let slot = &mut first_child[nodes[id].parent as usize];
+            *slot -= 1;
+            child_ids[*slot as usize] = id as u32;
+        }
+        let all_items = child_ids[..first_child[1] as usize]
             .iter()
-            .map(|&c| skel[c as usize].item)
+            .map(|&c| nodes[c as usize].item)
             .collect();
-        let cache = NodeCache::new(skel.len(), opts.cache_bytes);
+        let cache = NodeCache::new(nodes.len(), opts.cache_bytes);
         Ok(SegmentTcTree {
             pages,
             levels,
-            skel,
+            nodes,
+            first_child,
+            child_ids,
             all_items,
+            alpha_bound,
             cache,
         })
+    }
+
+    /// Node `id`'s children, ascending.
+    fn children(&self, id: u32) -> &[u32] {
+        let id = id as usize;
+        &self.child_ids[self.first_child[id] as usize..self.first_child[id + 1] as usize]
     }
 
     /// Number of nodes **excluding** the root, matching
     /// [`TcTree::num_nodes`].
     pub fn num_nodes(&self) -> usize {
-        self.skel.len() - 1
+        self.nodes.len() - 1
     }
 
-    /// The pattern spelled by node `id`'s root path.
-    pub fn pattern(&self, id: u32) -> &Pattern {
-        &self.skel[id as usize].pattern
+    /// The pattern spelled by node `id`'s root path, rebuilt from the
+    /// parent chain (one directory lookup per item).
+    pub fn pattern(&self, id: u32) -> Pattern {
+        let trail = || {
+            std::iter::successors(Some(id), |&at| Some(self.nodes[at as usize].parent))
+                .take_while(|&at| at != 0)
+        };
+        // Sized first, so the pattern is one allocation and never a regrowth.
+        let mut items = Vec::with_capacity(trail().count());
+        items.extend(trail().map(|at| self.nodes[at as usize].item));
+        Pattern::new(items)
     }
 
     /// Every item with a level-1 node — the query pattern of a QBA, built
@@ -265,9 +301,9 @@ impl SegmentTcTree {
     }
 
     /// `max_p α*_p` over all nodes, from the directory alone — no truss
-    /// materialisation.
+    /// materialisation; computed once at open.
     pub fn alpha_upper_bound(&self) -> f64 {
-        self.skel.iter().map(|n| n.max_alpha).fold(0.0, f64::max)
+        self.alpha_bound
     }
 
     /// Nodes **currently resident** in the cache — a true gauge: it rises
@@ -304,7 +340,7 @@ impl SegmentTcTree {
     }
 
     fn parse_node(&self, id: u32) -> Result<TrussDecomposition, LoadError> {
-        let n = &self.skel[id as usize];
+        let n = &self.nodes[id as usize];
         let blob = self
             .pages
             .read_section_range(&self.levels, n.blob_off, n.blob_len)?;
@@ -356,7 +392,7 @@ impl SegmentTcTree {
             )));
         }
         Ok(TrussDecomposition {
-            pattern: n.pattern.clone(),
+            pattern: self.pattern(id),
             levels,
         })
     }
@@ -377,8 +413,8 @@ impl SegmentTcTree {
         let mut visited = 0usize;
         let mut queue = std::collections::VecDeque::from([0u32]);
         while let Some(nf) = queue.pop_front() {
-            for &nc in &self.skel[nf as usize].children {
-                let node = &self.skel[nc as usize];
+            for &nc in self.children(nf) {
+                let node = &self.nodes[nc as usize];
                 visited += 1;
                 // Prune subtrees branching on items outside q.
                 if !q.contains(node.item) {
@@ -454,14 +490,14 @@ impl SegmentTcTree {
     /// Materialises every node into an in-memory [`TcTree`] (the eager
     /// conversion path).
     pub fn to_tree(&self) -> Result<TcTree, LoadError> {
-        let mut nodes = Vec::with_capacity(self.skel.len());
-        for id in 0..self.skel.len() as u32 {
-            let n = &self.skel[id as usize];
+        let mut nodes = Vec::with_capacity(self.nodes.len());
+        for id in 0..self.nodes.len() as u32 {
+            let n = &self.nodes[id as usize];
             nodes.push(TcNode {
                 item: n.item,
-                pattern: n.pattern.clone(),
+                pattern: self.pattern(id),
                 parent: n.parent,
-                children: n.children.clone(),
+                children: self.children(id).to_vec(),
                 truss: self.truss(id)?.as_ref().clone(),
             });
         }
@@ -717,6 +753,80 @@ mod tests {
         // independent lists.
         let ok = crafted_one_node_segment(&[(0.25, &[(4, 5)]), (0.5, &[(0, 1), (0, 2)])]);
         assert_eq!(ok.truss(1).unwrap().num_edges(), 3);
+    }
+
+    #[test]
+    fn interleaved_children_open_like_the_in_memory_tree() {
+        // Siblings need not be contiguous in the directory: node 3's parent
+        // is 1, node 4's is 2, node 5's is 1. The children CSR must still
+        // list each parent's children ascending, as `TcTree` does.
+        use tc_core::TrussLevel;
+        let node = |id: u32, parent: u32, item: u32, pattern: &[u32], children: Vec<u32>| {
+            let pattern: Pattern = pattern.iter().map(|&i| Item(i)).collect();
+            let levels = if id == 0 {
+                Vec::new()
+            } else {
+                vec![
+                    TrussLevel {
+                        alpha: 0.25 * f64::from(id),
+                        edges: vec![(0, id), (1, id + 1)],
+                    },
+                    TrussLevel {
+                        alpha: 0.25 * f64::from(id) + 0.5,
+                        edges: vec![(0, 1), (0, 2), (1, 2)],
+                    },
+                ]
+            };
+            TcNode {
+                item: Item(item),
+                pattern: pattern.clone(),
+                parent,
+                children,
+                truss: TrussDecomposition { pattern, levels },
+            }
+        };
+        let tree = TcTree::from_nodes(vec![
+            node(0, 0, 0, &[], vec![1, 2]),
+            node(1, 0, 1, &[1], vec![3, 5]),
+            node(2, 0, 2, &[2], vec![4]),
+            node(3, 1, 2, &[1, 2], vec![]),
+            node(4, 2, 3, &[2, 3], vec![]),
+            node(5, 1, 3, &[1, 3], vec![]),
+        ]);
+        let seg = SegmentTcTree::from_bytes(segment_bytes(&tree)).unwrap();
+        let loaded = seg.to_tree().unwrap();
+        for id in 0..tree.nodes().len() as u32 {
+            let (want, got) = (tree.node(id), loaded.node(id));
+            assert_eq!(got.children, want.children, "node {id}");
+            assert_eq!(got.parent, want.parent, "node {id}");
+            assert_eq!(seg.pattern(id), want.pattern, "node {id}");
+            assert_eq!(got.truss, want.truss, "node {id}");
+        }
+        let key = |r: &QueryResult| {
+            let trusses: Vec<_> = r
+                .trusses
+                .iter()
+                .map(|t| (t.pattern.clone(), t.edges.clone()))
+                .collect();
+            (r.retrieved_nodes, r.visited_nodes, trusses)
+        };
+        for alpha in [0.0, 0.3, 0.6, 1.0, 1.4, 2.0] {
+            let want = tree.query_by_alpha(alpha);
+            assert_eq!(
+                key(&seg.query_by_alpha(alpha).unwrap()),
+                key(&want),
+                "α = {alpha}"
+            );
+        }
+        for id in 1..tree.nodes().len() as u32 {
+            let q = tree.node(id).pattern.clone();
+            let want = tree.query_by_pattern(&q);
+            assert_eq!(
+                key(&seg.query_by_pattern(&q).unwrap()),
+                key(&want),
+                "q = {q}"
+            );
+        }
     }
 
     #[test]

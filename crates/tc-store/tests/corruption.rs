@@ -189,6 +189,56 @@ fn lazy_bit_flip_reports_the_same_checksum_error_from_the_summary_walk() {
     assert_eq!(from_summary.to_string(), from_query.to_string());
 }
 
+/// Open streams the NODES directory page by page, and still verifies
+/// every one of its pages before it returns: a bit flipped anywhere in
+/// any of them — the last, and those a record straddles, included — fails
+/// `open` itself with `Checksum`, not some later query.
+#[test]
+fn every_directory_page_is_verified_at_open() {
+    use tc_util::bytes::{put_f64, put_u32, put_u64};
+    // 400 records of 36 bytes after the 8-byte count: four pages, with a
+    // record straddling each boundary between them.
+    let count = 400u32;
+    let mut nodes = Vec::new();
+    put_u64(&mut nodes, u64::from(count));
+    for id in 0..count {
+        put_u32(&mut nodes, id.saturating_sub(1));
+        put_u32(&mut nodes, id);
+        put_u32(&mut nodes, 0);
+        put_f64(&mut nodes, 0.0);
+        put_u64(&mut nodes, 0);
+        put_u64(&mut nodes, 0);
+    }
+    let dir_pages = nodes.len().div_ceil(tc_store::page::PAGE_CAP);
+    assert_eq!(dir_pages, 4);
+    let mut clean = Vec::new();
+    tc_store::page::write_segment(
+        &mut clean,
+        tc_store::SegmentKind::TcTree,
+        &[(1, nodes), (2, Vec::new())],
+    )
+    .unwrap();
+    assert_eq!(
+        SegmentTcTree::from_bytes(clean.clone())
+            .unwrap()
+            .num_nodes(),
+        count as usize - 1
+    );
+    let page = tc_store::PAGE_SIZE;
+    for p in 1..=dir_pages {
+        for within in [0, 5, 8, 9, page / 2, page - 1] {
+            let pos = p * page + within;
+            let mut bad = clean.clone();
+            bad[pos] ^= 0x08;
+            let err = SegmentTcTree::from_bytes(bad).expect_err("flip accepted at open");
+            assert!(
+                matches!(err, LoadError::Checksum(_)),
+                "flip in NODES page {p} at byte {pos}: {err}"
+            );
+        }
+    }
+}
+
 #[test]
 fn segment_extension_fails_at_open() {
     // Appended garbage breaks the header's length promise.

@@ -141,6 +141,10 @@ proptest! {
         let net = build_network(n, &raw_edges, &raw_txs);
         let tree = TcTreeBuilder { threads: 1, max_len: usize::MAX }.build(&net);
         let seg = SegmentTcTree::from_bytes(tree_segment(&tree)).unwrap();
+        // Patterns are spelled from the parent chain, not stored.
+        for id in 0..tree.nodes().len() as u32 {
+            prop_assert_eq!(seg.pattern(id), tree.node(id).pattern.clone());
+        }
         let a = tree.query_by_alpha(alpha);
         let b = seg.query_by_alpha(alpha).unwrap();
         prop_assert_eq!(a.retrieved_nodes, b.retrieved_nodes);
