@@ -18,7 +18,9 @@ pub fn maximal_pattern_truss(theme: &ThemeNetwork, alpha: f64) -> PatternTruss {
     }
     let mut state = PeelState::new(theme);
     state.peel(alpha, |_| {});
-    PatternTruss::from_edges(theme.pattern().clone(), alpha, state.alive_global_edges())
+    let edges = state.alive_global_edges();
+    debug_assert!(edges.windows(2).all(|w| w[0] < w[1]), "sorted, no repeats");
+    PatternTruss::from_canonical_edges(theme.pattern().clone(), alpha, edges)
 }
 
 /// Runs MPTD on a candidate's theme network and counts it, unless the

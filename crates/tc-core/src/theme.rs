@@ -15,7 +15,6 @@
 use crate::network::DatabaseNetwork;
 use tc_graph::{EdgeKey, GraphBuilder, UGraph, VertexId};
 use tc_txdb::{Item, Pattern};
-use tc_util::FxHashMap;
 
 /// The pattern frequencies of a theme network, by what holds the
 /// transaction databases.
@@ -237,15 +236,6 @@ impl ThemeNetwork {
     pub fn global_edge(&self, e: (u32, u32)) -> EdgeKey {
         tc_graph::edge_key(self.global_id(e.0), self.global_id(e.1))
     }
-
-    /// Vertex frequencies keyed by global vertex id (for reporting); empty
-    /// when the frequencies sit on edges.
-    pub fn global_frequency_map(&self) -> FxHashMap<VertexId, f64> {
-        match &self.freqs {
-            Frequencies::Vertex(f) => self.vertices.iter().zip(f).map(|(&v, &f)| (v, f)).collect(),
-            Frequencies::Edge(_) => FxHashMap::default(),
-        }
-    }
 }
 
 /// Edges of the full network whose endpoints both lie in `vertices`
@@ -379,15 +369,5 @@ mod tests {
         let t = ThemeNetwork::induce(&net, &ghost);
         assert_eq!(t.num_vertices(), 0);
         assert_eq!(t.num_edges(), 0);
-    }
-
-    #[test]
-    fn global_frequency_map_roundtrip() {
-        let (net, pat) = toy();
-        let t = ThemeNetwork::induce(&net, &pat);
-        let m = t.global_frequency_map();
-        assert_eq!(m.len(), 8);
-        assert!((m[&0] - 0.5).abs() < 1e-12);
-        assert!((m[&8] - 1.0).abs() < 1e-12);
     }
 }

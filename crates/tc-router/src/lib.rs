@@ -195,6 +195,16 @@ impl Shards {
         line.push('\n');
         line
     }
+
+    /// `(fanout, shard_errors)` summed over this layout's pools.
+    fn totals(&self) -> (u64, u64) {
+        self.pools.iter().fold((0, 0), |(fanout, errors), p| {
+            (
+                fanout + p.fanout.load(Ordering::Relaxed),
+                errors + p.errors.load(Ordering::Relaxed),
+            )
+        })
+    }
 }
 
 /// The scatter backend: every query fans out to all shard daemons and
@@ -248,7 +258,8 @@ impl Backend for Scatter {
         };
         let map = ShardMap::load_from_path(path)?;
         let counts = (map.shards.len(), map.items.len());
-        *self.shards.lock() = Arc::new(Shards::new(map));
+        let retired = std::mem::replace(&mut *self.shards.lock(), Arc::new(Shards::new(map)));
+        self.metrics.retire(&retired);
         Ok(counts)
     }
 }
@@ -414,16 +425,17 @@ impl RouterHandle {
         self.0.prometheus()
     }
 
-    /// Counter totals so far.
+    /// Counter totals so far, across every shard layout served — a reload
+    /// does not reset them.
     pub fn stats(&self) -> RouterStats {
         let front = self.0.stats();
         let backend = self.0.backend();
-        let shards = backend.snapshot();
+        let (fanout, shard_errors) = backend.snapshot().totals();
         let load = |a: &std::sync::atomic::AtomicU64| a.load(Ordering::Relaxed);
         RouterStats {
             requests: front.queries_served() + front.batch,
-            fanout: shards.pools.iter().map(|p| load(&p.fanout)).sum(),
-            shard_errors: shards.pools.iter().map(|p| load(&p.errors)).sum(),
+            fanout: fanout + load(&backend.metrics.retired_fanout),
+            shard_errors: shard_errors + load(&backend.metrics.retired_errors),
             partial_responses: load(&backend.metrics.partial_responses),
             reloads: front.reloads,
         }

@@ -17,9 +17,22 @@ pub(crate) struct ScatterMetrics {
     pub partial_responses: AtomicU64,
     /// Gauge: shards that failed in the most recent scatter.
     pub shards_down: AtomicU64,
+    /// Shard RPCs attempted through layouts a reload retired: the live
+    /// pools count only since their own layout swapped in.
+    pub retired_fanout: AtomicU64,
+    /// Shard RPCs failed through layouts a reload retired.
+    pub retired_errors: AtomicU64,
 }
 
 impl ScatterMetrics {
+    /// Folds the pools of a layout a reload swapped out into the retired
+    /// totals.
+    pub fn retire(&self, shards: &Shards) {
+        let (fanout, errors) = shards.totals();
+        self.retired_fanout.fetch_add(fanout, Ordering::Relaxed);
+        self.retired_errors.fetch_add(errors, Ordering::Relaxed);
+    }
+
     /// Renders the Prometheus text exposition (`GET /metrics`).
     /// (`/metrics` itself is deliberately uncounted: scraping must not
     /// move what it measures.)

@@ -329,6 +329,45 @@ fn reload_swaps_the_map_and_survives_a_corrupt_one() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The exit-line counters span reloads: a reload swaps in fresh shard
+/// pools, and the fan-out the retired ones counted still adds up.
+#[test]
+fn stats_survive_a_reload() {
+    let tree = sample_tree();
+    let (map, daemons) = boot_shards(&tree, 2);
+    let dir = std::env::temp_dir().join(format!("tc_router_stats_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let map_path = dir.join("shards.tcmap");
+    map.save_to_path(&map_path).unwrap();
+    let gateway = boot_router(
+        map,
+        RouterConfig {
+            map_path: Some(map_path),
+            ..RouterConfig::default()
+        },
+    );
+
+    let served = 5u64;
+    for _ in 0..served {
+        let (status, _, body) = raw_get(&gateway.addr, "/qba?alpha=0.0");
+        assert_eq!(status, 200, "{body}");
+    }
+    assert_eq!(gateway.handle.reload().unwrap().0, 2);
+    let stats = gateway.handle.stats();
+    assert!(stats.fanout >= served * 2, "{stats:?}");
+    assert_eq!(stats.shard_errors, 0, "{stats:?}");
+    assert_eq!(stats.reloads, 1, "{stats:?}");
+
+    gateway.handle.shutdown();
+    let at_exit = gateway.thread.join().unwrap();
+    assert!(at_exit.fanout >= served * 2, "{at_exit:?}");
+    for d in daemons {
+        d.handle.shutdown();
+        d.thread.join().unwrap();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A pooled shard connection the daemon has idled out must not surface:
 /// the daemon's parting `ERR session idle timeout` line used to be read
 /// as the next request's answer (a `500`), and the dead socket, checked

@@ -36,6 +36,7 @@
 //! basis of the lazy TC-Tree reader in [`crate::tree`].
 
 use crate::source::{BufferedFileSource, MemSource, PageSource};
+use std::borrow::Cow;
 use std::io::Write;
 use std::path::Path;
 use tc_util::bytes::{checked_len_u32, put_u16, put_u32, put_u64, ByteReader};
@@ -49,8 +50,6 @@ pub const PAGE_HEADER: usize = 8;
 pub const PAGE_CAP: usize = PAGE_SIZE - PAGE_HEADER;
 /// The 8-byte magic prefix of every segment file (also the sniffing key).
 pub const MAGIC: [u8; 8] = *b"TCSEG01\n";
-/// Current format version.
-pub const VERSION: u16 = 1;
 
 /// What a segment file stores, recorded in the header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,6 +62,14 @@ pub enum SegmentKind {
 
 impl SegmentKind {
     fn code(self) -> u16 {
+        match self {
+            SegmentKind::Network => 1,
+            SegmentKind::TcTree => 2,
+        }
+    }
+
+    /// The format version this build writes, and the only one it reads.
+    fn version(self) -> u16 {
         match self {
             SegmentKind::Network => 1,
             SegmentKind::TcTree => 2,
@@ -153,7 +160,7 @@ pub fn write_segment<W: Write>(
 ) -> std::io::Result<()> {
     let mut header = Vec::with_capacity(PAGE_CAP);
     header.extend_from_slice(&MAGIC);
-    put_u16(&mut header, VERSION);
+    put_u16(&mut header, kind.version());
     put_u16(&mut header, kind.code());
     put_u32(&mut header, PAGE_SIZE as u32);
     put_u32(
@@ -319,14 +326,19 @@ impl PageFile {
         let eof = || LoadError::corrupt("segment: header page too short");
         r.take(MAGIC.len()).ok_or_else(eof)?;
         let version = r.u16().ok_or_else(eof)?;
-        if version != VERSION {
-            return Err(LoadError::corrupt(format!(
-                "segment: unsupported version {version} (reader supports {VERSION})"
-            )));
-        }
         let kind_code = r.u16().ok_or_else(eof)?;
         let kind = SegmentKind::from_code(kind_code)
             .ok_or_else(|| LoadError::corrupt(format!("segment: unknown kind {kind_code}")))?;
+        let want = kind.version();
+        if version != want {
+            let (what, redo) = match kind {
+                SegmentKind::TcTree => ("TC-Tree", "re-index from text with `tc index`"),
+                SegmentKind::Network => ("network", "re-convert from text with `tc convert`"),
+            };
+            return Err(LoadError::corrupt(format!(
+                "segment: version skew: {what} segment is v{version}, this build reads v{want}; {redo}"
+            )));
+        }
         let page_size = r.u32().ok_or_else(eof)?;
         if page_size as usize != PAGE_SIZE {
             return Err(LoadError::corrupt(format!(
@@ -395,7 +407,7 @@ impl PageFile {
     ) -> Result<Vec<u8>, LoadError> {
         let mut stream = self.section_stream(s, start, len)?;
         let mut out = Vec::with_capacity(len as usize);
-        while let chunk @ [_, ..] = stream.chunk(usize::MAX)? {
+        while let chunk @ [_, ..] = stream.chunk()? {
             out.extend_from_slice(chunk);
         }
         Ok(out)
@@ -404,6 +416,55 @@ impl PageFile {
     /// Reads a whole section.
     pub fn read_section(&self, s: &SectionInfo) -> Result<Vec<u8>, LoadError> {
         self.read_section_range(s, 0, s.byte_len)
+    }
+
+    /// The `len` bytes of section `s` at `start`: borrowed from `cursor`'s
+    /// page if they lie on one — loaded and verified unless already held —
+    /// and else gathered into a copy.
+    pub(crate) fn read_range<'c>(
+        &self,
+        s: &SectionInfo,
+        start: u64,
+        len: u64,
+        cursor: &'c mut PageCursor,
+    ) -> Result<Cow<'c, [u8]>, LoadError> {
+        let cap = PAGE_CAP as u64;
+        let in_page = (start % cap) as usize;
+        if len == 0 || in_page as u64 + len > cap {
+            return self.read_section_range(s, start, len).map(Cow::Owned);
+        }
+        let index = s.first_page + start / cap;
+        if cursor.held.is_none_or(|(held, _)| held != index) {
+            cursor.held = None;
+            let payload = self.read_verified(index, &mut cursor.page)?.len();
+            cursor.held = Some((index, payload));
+        }
+        let end = in_page + len as usize;
+        if start.saturating_add(len) > s.byte_len || cursor.held.is_none_or(|(_, p)| end > p) {
+            return Err(LoadError::corrupt(format!(
+                "segment: page {index} too short"
+            )));
+        }
+        let bytes = &cursor.page[PAGE_HEADER + in_page..PAGE_HEADER + end];
+        Ok(Cow::Borrowed(bytes))
+    }
+}
+
+/// One verified page a query holds across its reads (see
+/// [`PageFile::read_range`]); never shared between queries, so each page
+/// it holds was read from disk and verified by the query reading it.
+pub(crate) struct PageCursor {
+    /// The page held and its payload length, once one has loaded.
+    held: Option<(u64, usize)>,
+    page: [u8; PAGE_SIZE],
+}
+
+impl PageCursor {
+    pub(crate) fn new() -> PageCursor {
+        PageCursor {
+            held: None,
+            page: [0; PAGE_SIZE],
+        }
     }
 }
 
@@ -422,10 +483,9 @@ pub(crate) struct SectionStream<'a> {
 }
 
 impl SectionStream<'_> {
-    /// The next at most `max` bytes of the range, all from one page; the
-    /// next page is read and verified once the current one is used up.
-    /// Empty only at the end of the range.
-    pub(crate) fn chunk(&mut self, max: usize) -> Result<&[u8], LoadError> {
+    /// The rest of the range's current page; the next page is read and
+    /// verified once the current one is used up. Empty only at the end.
+    pub(crate) fn chunk(&mut self) -> Result<&[u8], LoadError> {
         if self.lo == self.hi && self.off < self.end {
             let cap = PAGE_CAP as u64;
             let index = self.section.first_page + self.off / cap;
@@ -442,25 +502,30 @@ impl SectionStream<'_> {
             self.hi = self.lo + want;
             self.off += want as u64;
         }
-        let n = max.min(self.hi - self.lo);
-        self.lo += n;
-        Ok(&self.page[self.lo - n..self.lo])
+        let lo = std::mem::replace(&mut self.lo, self.hi);
+        Ok(&self.page[lo..self.hi])
     }
 
-    /// The next `N` bytes of the range, across a page boundary if they
-    /// straddle one; `None` if the range ends first.
-    pub(crate) fn take<const N: usize>(&mut self) -> Result<Option<[u8; N]>, LoadError> {
-        let mut out = [0u8; N];
-        let mut filled = 0;
-        while filled < N {
-            let chunk = self.chunk(N - filled)?;
-            if chunk.is_empty() {
-                return Ok(None);
+    /// Tops `window[*at..]`, what a parser has yet to consume, up to `need`
+    /// bytes (or the range's end), so a record that straddles a page
+    /// boundary reaches the parser in one piece.
+    pub(crate) fn fill(
+        &mut self,
+        window: &mut Vec<u8>,
+        at: &mut usize,
+        need: usize,
+    ) -> Result<(), LoadError> {
+        if window.len() - *at < need {
+            window.drain(..*at);
+            *at = 0;
+            while window.len() < need {
+                match self.chunk()? {
+                    [] => break,
+                    chunk => window.extend_from_slice(chunk),
+                }
             }
-            out[filled..filled + chunk.len()].copy_from_slice(chunk);
-            filled += chunk.len();
         }
-        Ok(Some(out))
+        Ok(())
     }
 }
 

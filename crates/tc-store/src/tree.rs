@@ -1,12 +1,13 @@
 //! Binary segment persistence for [`TcTree`] (segment kind 2), with a
 //! **lazy** reader that serves QBA / QBP queries straight off the file.
 //!
-//! Two sections:
+//! Format version 2 (version 1 is refused at open), two sections, every
+//! `varint` an unsigned LEB128, canonical and range-checked for its field:
 //!
 //! | id | name   | stream layout |
 //! |----|--------|---------------|
-//! | 1  | NODES  | `count u64`, then per node (root first) `parent u32 · item u32 · level_count u32 · max_alpha f64 · blob_off u64 · blob_len u64` |
-//! | 2  | LEVELS | per node, at its `blob_off`: per level `alpha f64 · edge_count u32 · (u u32 · v u32) …` |
+//! | 1  | NODES  | `count varint`, then per node (root first) `parent varint` (zigzag of the difference from the previous record's parent; the root's is 0) `· item varint · levels varint · max_alpha f64 · blob_len varint`; a blob's offset is the sum of the `blob_len`s before it |
+//! | 2  | LEVELS | per node, in directory order, per level: `alpha f64` (omitted for the last level, whose alpha is `max_alpha`) `· edge_count varint`, then the first edge as `u · v−u−1` and each next one as `du = u−u' · (du = 0 ? v−v'−1 : v−u−1)`, all varints |
 //!
 //! [`SegmentTcTree::open`] streams only the NODES directory — parents,
 //! items, per-node `α*` bounds, and byte ranges into the LEVELS blob —
@@ -14,7 +15,8 @@
 //! chain. That is enough to run Algorithm 5's pruning walk; the truss
 //! decompositions themselves (the bulk of the data) are materialised per
 //! node on first touch, from exactly the pages that overlap the node's
-//! byte range. A query that prunes a subtree never reads its pages.
+//! byte range, the last page a walk verified serving every node on it. A
+//! query that prunes a subtree never reads its pages.
 //!
 //! The walk is written once and reduced two ways:
 //! [`SegmentTcTree::query`] rebuilds every retrieved truss (the library
@@ -30,50 +32,78 @@
 //! See `docs/SEGMENT_FORMAT.md` for the byte-level format specification.
 
 use crate::cache::{CacheStats, NodeCache};
-use crate::page::{write_segment, PageFile, SectionInfo, SegmentKind};
+use crate::page::{write_segment, PageCursor, PageFile, SectionInfo, SegmentKind, PAGE_CAP};
 use std::io::Write;
 use std::path::Path;
 use tc_core::{TrussCounter, TrussDecomposition, TrussLevel};
 use tc_index::{QueryResult, TcNode, TcTree};
 use tc_txdb::{Item, Pattern};
-use tc_util::bytes::{checked_len_u32, put_f64, put_u32, put_u64, ByteReader};
+use tc_util::bytes::{checked_len_u32, put_f64, put_varint, unzigzag, zigzag, ByteReader};
 use tc_util::sync::Arc;
 use tc_util::{float, LoadError, Stopwatch};
 
 const SEC_NODES: u32 = 1;
 const SEC_LEVELS: u32 = 2;
+/// NODES record lengths: an f64 and four varints of 10, 5, 5 and 10 bytes
+/// at most, 1 byte each at least.
+const MAX_RECORD: usize = 38;
+const MIN_RECORD: u64 = 12;
 
 fn corrupt(msg: impl Into<String>) -> LoadError {
     LoadError::Corrupt(format!("treeseg: {}", msg.into()))
 }
 
-/// Writes `tree` to `w` as a segment file.
+/// The edge LEVELS codes as `(du, dv)` after `prev`, the level's previous
+/// edge (`(0, 0)` before its first); `None` if an endpoint overflows `u32`.
+#[inline]
+fn edge_from((pu, pv): (u32, u32), du: u32, dv: u32) -> Option<(u32, u32)> {
+    // A select, not a branch (`du = 0` is a coin flip); `v > u` fits u32.
+    let u = u64::from(pu) + u64::from(du);
+    let base = if du == 0 { u64::from(pv) } else { u };
+    let v = u32::try_from(base + u64::from(dv) + 1).ok()?;
+    Some((u as u32, v))
+}
+
+/// Writes `tree` to `w` as a segment file; `InvalidInput` unless level
+/// edges are canonical and ascend, as every builder emits them.
 pub fn save_tree_segment<W: Write>(tree: &TcTree, w: &mut W) -> std::io::Result<()> {
     let mut nodes = Vec::new();
     let mut levels = Vec::new();
-    put_u64(&mut nodes, tree.nodes().len() as u64);
+    put_varint(&mut nodes, tree.nodes().len() as u64);
+    let mut prev_parent = 0;
     for node in tree.nodes() {
-        let blob_off = levels.len() as u64;
-        for level in &node.truss.levels {
-            put_f64(&mut levels, level.alpha);
-            put_u32(
-                &mut levels,
-                checked_len_u32(level.edges.len(), "level edge count")?,
-            );
+        let blob_off = levels.len();
+        let truss = &node.truss.levels;
+        for (i, level) in truss.iter().enumerate() {
+            if i + 1 < truss.len() {
+                put_f64(&mut levels, level.alpha);
+            }
+            let m = checked_len_u32(level.edges.len(), "level edge count")?;
+            put_varint(&mut levels, m.into());
+            let mut prev = (0, 0);
             for &(u, v) in &level.edges {
-                put_u32(&mut levels, u);
-                put_u32(&mut levels, v);
+                // A non-ascending edge wraps a delta, and fails to decode.
+                let du = u.wrapping_sub(prev.0);
+                let base = if du == 0 { prev.1 } else { u };
+                let dv = v.wrapping_sub(base).wrapping_sub(1);
+                if edge_from(prev, du, dv) != Some((u, v)) {
+                    let msg = format!("{}: level edges must be canonical and ascend", node.pattern);
+                    return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg));
+                }
+                put_varint(&mut levels, du.into());
+                put_varint(&mut levels, dv.into());
+                prev = (u, v);
             }
         }
-        put_u32(&mut nodes, node.parent);
-        put_u32(&mut nodes, node.item.0);
-        put_u32(
+        put_varint(&mut nodes, zigzag(i64::from(node.parent) - prev_parent));
+        prev_parent = node.parent.into();
+        put_varint(&mut nodes, node.item.0.into());
+        put_varint(
             &mut nodes,
-            checked_len_u32(node.truss.levels.len(), "level count")?,
+            checked_len_u32(truss.len(), "level count")?.into(),
         );
         put_f64(&mut nodes, node.truss.max_alpha().unwrap_or(0.0));
-        put_u64(&mut nodes, blob_off);
-        put_u64(&mut nodes, levels.len() as u64 - blob_off);
+        put_varint(&mut nodes, (levels.len() - blob_off) as u64);
     }
     write_segment(
         w,
@@ -88,7 +118,7 @@ pub fn save_tree_segment_to_path(tree: &TcTree, path: &Path) -> std::io::Result<
     save_tree_segment(tree, &mut f)
 }
 
-/// One NODES directory record as stored: everything Algorithm 5 needs to
+/// One NODES directory record, decoded: everything Algorithm 5 needs to
 /// walk and prune a node, but no truss edges and nothing on the heap.
 #[derive(Debug, Clone, Copy)]
 struct NodeRec {
@@ -185,17 +215,21 @@ impl SegmentTcTree {
         }
         let levels = pages.header().section(SEC_LEVELS)?;
         let dir = pages.header().section(SEC_NODES)?;
-        // Streamed through one page buffer, each page verified as the
-        // stream reaches it; each record is validated as it is read.
+        // Streamed page by page, each verified as reached, through a window
+        // holding a whole record; each record is validated as it is read.
         let mut stream = pages.section_stream(&dir, 0, dir.byte_len)?;
-        let eof = || corrupt("NODES directory truncated");
-        let count = u64::from_le_bytes(stream.take()?.ok_or_else(eof)?);
+        let mut window = Vec::with_capacity(PAGE_CAP + MAX_RECORD);
+        let mut at = 0;
+        stream.fill(&mut window, &mut at, MAX_RECORD)?;
+        let bad = || corrupt("NODES directory truncated or malformed");
+        let mut r = ByteReader::new(&window);
+        let count = r.varint(u64::MAX).ok_or_else(bad)?;
+        at = window.len() - r.remaining();
         if count == 0 {
             return Err(corrupt("a tree has at least the root node"));
         }
-        // A directory record is exactly 36 bytes; a count the stream cannot
-        // hold is corrupt, and bounding it here also bounds the allocation.
-        if count > dir.byte_len.saturating_sub(8) / 36 {
+        // A count the directory cannot hold is corrupt; this bounds `nodes`.
+        if count > (dir.byte_len - at as u64) / MIN_RECORD {
             return Err(corrupt("node count exceeds directory size"));
         }
         let mut nodes = Vec::with_capacity(count as usize);
@@ -205,25 +239,24 @@ impl SegmentTcTree {
         // every range ascending, in whatever order the directory lists them.
         let mut first_child = vec![0u32; count as usize + 1].into_boxed_slice();
         let mut alpha_bound = 0.0f64;
+        let (mut parent, mut blob_off) = (0i64, 0u64);
         for id in 0..count {
-            let rec: [u8; 36] = stream.take()?.ok_or_else(eof)?;
-            let mut r = ByteReader::new(&rec);
-            let parent = r.u32().ok_or_else(eof)?;
-            let item = Item(r.u32().ok_or_else(eof)?);
-            let level_count = r.u32().ok_or_else(eof)?;
-            let max_alpha = r.f64().ok_or_else(eof)?;
-            let blob_off = r.u64().ok_or_else(eof)?;
-            let blob_len = r.u64().ok_or_else(eof)?;
-            if id > 0 && parent as u64 >= id {
+            stream.fill(&mut window, &mut at, MAX_RECORD)?;
+            let mut r = ByteReader::new(&window[at..]);
+            let delta = r.varint(u64::MAX).map(unzigzag).ok_or_else(bad)?;
+            let item = Item(r.varint(u32::MAX.into()).ok_or_else(bad)? as u32);
+            let level_count = r.varint(u32::MAX.into()).ok_or_else(bad)? as u32;
+            let max_alpha = r.f64().ok_or_else(bad)?;
+            let blob_len = r.varint(u64::MAX).ok_or_else(bad)?;
+            at = window.len() - r.remaining();
+            // The root's parent is 0; any other node's precedes it.
+            parent = parent.checked_add(delta).unwrap_or(-1);
+            if !(0..(id as i64).max(1)).contains(&parent) {
                 return Err(corrupt("parent must precede child"));
             }
-            if blob_off
-                .checked_add(blob_len)
-                .is_none_or(|end| end > levels.byte_len)
-            {
-                return Err(corrupt(format!("node {id} blob outside LEVELS section")));
-            }
-            if !max_alpha.is_finite() || max_alpha < 0.0 {
+            // Without levels there is no last alpha to be the bound: +0.0.
+            let unbound = level_count == 0 && max_alpha.to_bits() != 0;
+            if !max_alpha.is_finite() || max_alpha < 0.0 || unbound {
                 return Err(corrupt(format!("node {id} has invalid alpha bound")));
             }
             if id > 0 {
@@ -231,16 +264,21 @@ impl SegmentTcTree {
             }
             alpha_bound = alpha_bound.max(max_alpha);
             nodes.push(NodeRec {
-                parent,
+                parent: parent as u32,
                 item,
                 level_count,
                 max_alpha,
                 blob_off,
                 blob_len,
             });
+            blob_off = blob_off.saturating_add(blob_len);
         }
-        if dir.byte_len > 8 + 36 * count {
+        stream.fill(&mut window, &mut at, 1)?;
+        if at < window.len() {
             return Err(corrupt("trailing bytes in NODES directory"));
+        }
+        if blob_off != levels.byte_len {
+            return Err(corrupt("node blobs do not sum to the LEVELS length"));
         }
         let nodes = nodes.into_boxed_slice();
         for i in 1..first_child.len() {
@@ -329,72 +367,31 @@ impl SegmentTcTree {
     /// touch (or again after eviction). The returned `Arc` pins the data
     /// for the caller — eviction can never invalidate it mid-query.
     pub fn truss(&self, id: u32) -> Result<Arc<TrussDecomposition>, LoadError> {
+        self.truss_via(id, &mut PageCursor::new())
+    }
+
+    /// [`SegmentTcTree::truss`], reading through `cursor`'s page.
+    fn truss_via(
+        &self,
+        id: u32,
+        cursor: &mut PageCursor,
+    ) -> Result<Arc<TrussDecomposition>, LoadError> {
         if let Some(t) = self.cache.get(id) {
             return Ok(t);
         }
-        // A concurrent materialisation of the same node parses identical
-        // bytes, so losing the insert race is harmless — `insert` adopts
-        // the winner's entry.
-        let parsed = self.parse_node(id)?;
-        Ok(self.cache.insert(id, parsed))
-    }
-
-    fn parse_node(&self, id: u32) -> Result<TrussDecomposition, LoadError> {
         let n = &self.nodes[id as usize];
         let blob = self
             .pages
-            .read_section_range(&self.levels, n.blob_off, n.blob_len)?;
-        let mut r = ByteReader::new(&blob);
-        let eof = || corrupt(format!("node {id} levels truncated"));
-        // Cap pre-allocations by the bytes actually present (a level is at
-        // least 12 bytes, an edge exactly 8): crafted counts must hit EOF
-        // below, not abort on a huge reservation.
-        let mut levels = Vec::with_capacity((n.level_count as usize).min(blob.len() / 12));
-        let mut prev_alpha = f64::NEG_INFINITY;
-        for _ in 0..n.level_count {
-            let alpha = r.f64().ok_or_else(eof)?;
-            if !alpha.is_finite() || alpha <= prev_alpha {
-                return Err(corrupt(format!("node {id} level alphas must ascend")));
-            }
-            prev_alpha = alpha;
-            // The level's edges as one checked slice: a crafted count hits
-            // EOF here, before anything is reserved for it.
-            let m = r.u32().ok_or_else(eof)? as usize;
-            let bytes = m.checked_mul(8).and_then(|n| r.take(n)).ok_or_else(eof)?;
-            let mut edges = Vec::with_capacity(m);
-            // `u < v` makes every edge's key non-zero, so zero stands for
-            // "no predecessor".
-            let mut prev = 0u64;
-            for e in bytes.chunks_exact(8) {
-                let u = u32::from_le_bytes([e[0], e[1], e[2], e[3]]);
-                let v = u32::from_le_bytes([e[4], e[5], e[6], e[7]]);
-                if u >= v {
-                    return Err(corrupt(format!("node {id} edge not canonical (u < v)")));
-                }
-                // Equation 1 is answered by concatenating levels and by
-                // counting them; both take a level as sorted and
-                // duplicate-free.
-                let key = u64::from(u) << 32 | u64::from(v);
-                if key <= prev {
-                    return Err(corrupt(format!("node {id} level edges must ascend")));
-                }
-                prev = key;
-                edges.push((u, v));
-            }
-            levels.push(TrussLevel { alpha, edges });
-        }
-        if !r.is_empty() {
-            return Err(corrupt(format!("node {id} has trailing level bytes")));
-        }
-        if levels.last().map(|l| l.alpha).unwrap_or(0.0) != n.max_alpha {
-            return Err(corrupt(format!(
-                "node {id} alpha bound disagrees with levels"
-            )));
-        }
-        Ok(TrussDecomposition {
-            pattern: self.pattern(id),
-            levels,
-        })
+            .read_range(&self.levels, n.blob_off, n.blob_len, cursor)?;
+        let levels =
+            decode_levels(&blob, n).map_err(|what| corrupt(format!("node {id} {what}")))?;
+        let pattern = self.pattern(id);
+        // A concurrent materialisation of the same node parses identical
+        // bytes, so losing the insert race is harmless — `insert` adopts
+        // the winner's entry.
+        Ok(self
+            .cache
+            .insert(id, TrussDecomposition { pattern, levels }))
     }
 
     /// Algorithm 5 over the segment, written once for both answers: walks
@@ -411,6 +408,7 @@ impl SegmentTcTree {
     ) -> Result<(Vec<T>, usize), LoadError> {
         let mut kept = Vec::new();
         let mut visited = 0usize;
+        let mut cursor = PageCursor::new();
         let mut queue = std::collections::VecDeque::from([0u32]);
         while let Some(nf) = queue.pop_front() {
             for &nc in self.children(nf) {
@@ -426,7 +424,7 @@ impl SegmentTcTree {
                     continue;
                 }
                 // The pin lasts for this one reduction only.
-                let Some(k) = keep(nc, &*self.truss(nc)?) else {
+                let Some(k) = keep(nc, &*self.truss_via(nc, &mut cursor)?) else {
                     continue;
                 };
                 kept.push(k);
@@ -491,6 +489,7 @@ impl SegmentTcTree {
     /// conversion path).
     pub fn to_tree(&self) -> Result<TcTree, LoadError> {
         let mut nodes = Vec::with_capacity(self.nodes.len());
+        let mut cursor = PageCursor::new();
         for id in 0..self.nodes.len() as u32 {
             let n = &self.nodes[id as usize];
             nodes.push(TcNode {
@@ -498,11 +497,47 @@ impl SegmentTcTree {
                 pattern: self.pattern(id),
                 parent: n.parent,
                 children: self.children(id).to_vec(),
-                truss: self.truss(id)?.as_ref().clone(),
+                truss: self.truss_via(id, &mut cursor)?.as_ref().clone(),
             });
         }
         Ok(TcTree::from_nodes(nodes))
     }
+}
+
+/// Decodes node `n`'s LEVELS blob, or names what is wrong with it.
+fn decode_levels(blob: &[u8], n: &NodeRec) -> Result<Vec<TrussLevel>, &'static str> {
+    const EOF: &str = "levels truncated or malformed";
+    let mut r = ByteReader::new(blob);
+    // Reserve by the bytes present (a level takes one at least, an edge
+    // two): crafted counts hit EOF below instead of a huge reservation.
+    let mut levels = Vec::with_capacity((n.level_count as usize).min(blob.len()));
+    let mut prev_alpha = f64::NEG_INFINITY;
+    for i in 1..=n.level_count {
+        let alpha = if i < n.level_count {
+            r.f64().ok_or(EOF)?
+        } else {
+            n.max_alpha
+        };
+        if !alpha.is_finite() || alpha < 0.0 || alpha <= prev_alpha {
+            return Err("level alphas must ascend");
+        }
+        prev_alpha = alpha;
+        let m = r.varint(u32::MAX.into()).ok_or(EOF)? as usize;
+        // Each edge follows the last by construction: sorted, no repeats.
+        let mut edges = Vec::with_capacity(m.min(r.remaining() / 2));
+        let mut e = (0, 0);
+        for _ in 0..m {
+            let du = r.varint(u32::MAX.into()).ok_or(EOF)? as u32;
+            let dv = r.varint(u32::MAX.into()).ok_or(EOF)? as u32;
+            e = edge_from(e, du, dv).ok_or("edge delta overflows u32")?;
+            edges.push(e);
+        }
+        levels.push(TrussLevel { alpha, edges });
+    }
+    if !r.is_empty() {
+        return Err("has trailing level bytes");
+    }
+    Ok(levels)
 }
 
 /// Reads a tree segment fully into memory.
@@ -641,14 +676,21 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Appends one NODES record, `parent` as its difference from the
+    /// previous record's.
+    fn put_record(dir: &mut Vec<u8>, parent: i64, item: u32, levels: u32, alpha: f64, len: u64) {
+        put_varint(dir, zigzag(parent));
+        put_varint(dir, item.into());
+        put_varint(dir, levels.into());
+        put_f64(dir, alpha);
+        put_varint(dir, len);
+    }
+
     #[test]
     fn crafted_counts_error_without_huge_allocations() {
-        use crate::page::write_segment;
-        use tc_util::bytes::{put_f64, put_u32, put_u64};
-
         // A directory claiming u64::MAX nodes must be rejected up front.
         let mut nodes = Vec::new();
-        put_u64(&mut nodes, u64::MAX);
+        put_varint(&mut nodes, u64::MAX);
         let mut buf = Vec::new();
         write_segment(
             &mut buf,
@@ -663,21 +705,12 @@ mod tests {
         // edges: materialisation must report corruption, not abort trying
         // to reserve gigabytes.
         let mut blob = Vec::new();
-        put_f64(&mut blob, 0.5);
-        put_u32(&mut blob, u32::MAX);
+        put_f64(&mut blob, 0.25);
+        put_varint(&mut blob, u32::MAX.into());
         let mut nodes = Vec::new();
-        put_u64(&mut nodes, 2);
-        for (parent, item, level_count, max_alpha, off, len) in [
-            (0u32, 0u32, 0u32, 0.0f64, 0u64, 0u64),
-            (0, 7, u32::MAX, 0.5, 0, blob.len() as u64),
-        ] {
-            put_u32(&mut nodes, parent);
-            put_u32(&mut nodes, item);
-            put_u32(&mut nodes, level_count);
-            put_f64(&mut nodes, max_alpha);
-            put_u64(&mut nodes, off);
-            put_u64(&mut nodes, len);
-        }
+        put_varint(&mut nodes, 2);
+        put_record(&mut nodes, 0, 0, 0, 0.0, 0);
+        put_record(&mut nodes, 0, 7, u32::MAX, 0.5, blob.len() as u64);
         let mut buf = Vec::new();
         write_segment(&mut buf, SegmentKind::TcTree, &[(1, nodes), (2, blob)]).unwrap();
         let seg = SegmentTcTree::from_bytes(buf).unwrap();
@@ -685,35 +718,31 @@ mod tests {
         assert!(err.is_corruption(), "{err}");
     }
 
-    /// A two-node segment (root plus one child on item 7) whose child
-    /// holds `levels` verbatim — valid checksums around crafted content.
+    /// A root plus one child on item 7 whose decomposition is `levels`.
+    fn one_node_tree(levels: &[(f64, &[(u32, u32)])]) -> TcTree {
+        let node = |item, pattern: Pattern, children, levels| TcNode {
+            item: Item(item),
+            pattern: pattern.clone(),
+            parent: 0,
+            children,
+            truss: TrussDecomposition { pattern, levels },
+        };
+        let levels = levels
+            .iter()
+            .map(|&(alpha, edges)| TrussLevel {
+                alpha,
+                edges: edges.to_vec(),
+            })
+            .collect();
+        TcTree::from_nodes(vec![
+            node(0, Pattern::new(Vec::new()), vec![1], Vec::new()),
+            node(7, Pattern::singleton(Item(7)), Vec::new(), levels),
+        ])
+    }
+
+    /// [`one_node_tree`], saved and opened.
     fn crafted_one_node_segment(levels: &[(f64, &[(u32, u32)])]) -> SegmentTcTree {
-        let mut blob = Vec::new();
-        for (alpha, edges) in levels {
-            put_f64(&mut blob, *alpha);
-            put_u32(&mut blob, edges.len() as u32);
-            for &(u, v) in *edges {
-                put_u32(&mut blob, u);
-                put_u32(&mut blob, v);
-            }
-        }
-        let max_alpha = levels.last().map_or(0.0, |l| l.0);
-        let mut nodes = Vec::new();
-        put_u64(&mut nodes, 2);
-        for (item, level_count, max_alpha, len) in [
-            (0u32, 0u32, 0.0f64, 0u64),
-            (7, levels.len() as u32, max_alpha, blob.len() as u64),
-        ] {
-            put_u32(&mut nodes, 0);
-            put_u32(&mut nodes, item);
-            put_u32(&mut nodes, level_count);
-            put_f64(&mut nodes, max_alpha);
-            put_u64(&mut nodes, 0);
-            put_u64(&mut nodes, len);
-        }
-        let mut buf = Vec::new();
-        write_segment(&mut buf, SegmentKind::TcTree, &[(1, nodes), (2, blob)]).unwrap();
-        SegmentTcTree::from_bytes(buf).unwrap()
+        SegmentTcTree::from_bytes(segment_bytes(&one_node_tree(levels))).unwrap()
     }
 
     #[test]
@@ -741,13 +770,22 @@ mod tests {
     fn unsorted_or_repeated_level_edges_are_corrupt() {
         // Every writer emits a level sorted; a reader that counted or
         // concatenated an unsorted or repeating one would answer wrongly
-        // without noticing, so the decoder refuses it.
-        for edges in [&[(1, 2), (0, 3)][..], &[(0, 3), (0, 2)], &[(0, 1), (0, 1)]] {
-            let err = crafted_one_node_segment(&[(0.5, edges)])
-                .truss(1)
-                .unwrap_err();
-            assert!(matches!(err, LoadError::Corrupt(_)), "{edges:?}: {err}");
-            assert!(err.to_string().contains("must ascend"), "{err}");
+        // without noticing. The delta code cannot spell one — a decoded
+        // edge strictly follows the one before it — so such a level is
+        // refused when written, and never reaches a reader.
+        for edges in [
+            &[(1, 2), (0, 3)][..],
+            &[(0, 3), (0, 2)],
+            &[(0, 1), (0, 1)],
+            &[(2, 1)],
+        ] {
+            let err =
+                save_tree_segment(&one_node_tree(&[(0.5, edges)]), &mut Vec::new()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{edges:?}");
+            assert!(
+                err.to_string().contains("must be canonical and ascend"),
+                "{err}"
+            );
         }
         // Ascending within each level is all that is asked: levels are
         // independent lists.

@@ -195,19 +195,19 @@ fn lazy_bit_flip_reports_the_same_checksum_error_from_the_summary_walk() {
 /// `open` itself with `Checksum`, not some later query.
 #[test]
 fn every_directory_page_is_verified_at_open() {
-    use tc_util::bytes::{put_f64, put_u32, put_u64};
-    // 400 records of 36 bytes after the 8-byte count: four pages, with a
-    // record straddling each boundary between them.
-    let count = 400u32;
+    use tc_util::bytes::{put_f64, put_varint, zigzag};
+    // 1 200 records of a chain, 12 bytes each for the first 128 items and
+    // 13 after: four pages, with a record straddling each boundary between
+    // them.
+    let count = 1_200u32;
     let mut nodes = Vec::new();
-    put_u64(&mut nodes, u64::from(count));
+    put_varint(&mut nodes, u64::from(count));
     for id in 0..count {
-        put_u32(&mut nodes, id.saturating_sub(1));
-        put_u32(&mut nodes, id);
-        put_u32(&mut nodes, 0);
+        put_varint(&mut nodes, zigzag(i64::from(id > 1)));
+        put_varint(&mut nodes, id.into());
+        put_varint(&mut nodes, 0);
         put_f64(&mut nodes, 0.0);
-        put_u64(&mut nodes, 0);
-        put_u64(&mut nodes, 0);
+        put_varint(&mut nodes, 0);
     }
     let dir_pages = nodes.len().div_ceil(tc_store::page::PAGE_CAP);
     assert_eq!(dir_pages, 4);

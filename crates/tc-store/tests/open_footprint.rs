@@ -15,7 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tc_store::page::write_segment;
 use tc_store::{SegmentKind, SegmentTcTree};
-use tc_util::bytes::{put_f64, put_u32, put_u64};
+use tc_util::bytes::{put_f64, put_varint, zigzag};
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 static LIVE: AtomicUsize = AtomicUsize::new(0);
@@ -84,19 +84,20 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// under one), parents always first, every item distinct.
 fn crafted_segment(n: u32) -> Vec<u8> {
     let mut nodes = Vec::new();
-    put_u64(&mut nodes, u64::from(n));
+    put_varint(&mut nodes, u64::from(n));
+    let mut prev = 0;
     for id in 0..n {
         let parent = match id % 4 {
             0 => 0,
             1 => id - 1,
             _ => id / 2,
         };
-        put_u32(&mut nodes, parent);
-        put_u32(&mut nodes, id);
-        put_u32(&mut nodes, 0);
+        put_varint(&mut nodes, zigzag(i64::from(parent) - i64::from(prev)));
+        prev = parent;
+        put_varint(&mut nodes, id.into());
+        put_varint(&mut nodes, 0);
         put_f64(&mut nodes, 0.0);
-        put_u64(&mut nodes, 0);
-        put_u64(&mut nodes, 0);
+        put_varint(&mut nodes, 0);
     }
     let mut buf = Vec::new();
     write_segment(

@@ -25,6 +25,29 @@ pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
     put_u64(buf, v.to_bits());
 }
 
+/// Appends `v` as an unsigned LEB128 varint: seven bits a byte, low
+/// group first, the high bit set on every byte but the last — one byte
+/// below 128, at most ten. The encoding is canonical (never overlong).
+#[inline]
+pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
+/// Maps a signed value onto an unsigned one, small magnitudes to small
+/// numbers (`0, -1, 1, -2, …` → `0, 1, 2, 3, …`), so it varint-codes short.
+pub fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+/// The inverse of [`zigzag`].
+pub fn unzigzag(z: u64) -> i64 {
+    (z >> 1) as i64 ^ -((z & 1) as i64)
+}
+
 /// Narrows a length to the `u32` a binary format stores, failing with
 /// [`std::io::ErrorKind::InvalidInput`] instead of silently wrapping.
 ///
@@ -96,6 +119,41 @@ impl<'a> ByteReader<'a> {
     pub fn f64(&mut self) -> Option<f64> {
         self.u64().map(f64::from_bits)
     }
+
+    /// Reads a [`put_varint`] value no greater than `max`; `None` if it
+    /// runs past the end, is overlong (a last byte of zero after the
+    /// first), overflows 64 bits or exceeds `max`.
+    #[inline]
+    pub fn varint(&mut self, max: u64) -> Option<u64> {
+        // Most values of a delta code fit one byte: take those inline.
+        match self.buf.get(self.pos) {
+            Some(&b) if b < 0x80 && u64::from(b) <= max => {
+                self.pos += 1;
+                Some(b.into())
+            }
+            _ => self.long_varint(max),
+        }
+    }
+
+    /// [`ByteReader::varint`] for a value that does not fit one byte.
+    fn long_varint(&mut self, max: u64) -> Option<u64> {
+        let mut v = 0u64;
+        for (i, &b) in self.buf[self.pos..].iter().take(10).enumerate() {
+            // The tenth byte holds bit 63 alone, and ends the value.
+            if i == 9 && b > 1 {
+                return None;
+            }
+            v |= u64::from(b & 0x7f) << (7 * i);
+            if b < 0x80 {
+                if (b == 0 && i > 0) || v > max {
+                    return None;
+                }
+                self.pos += i + 1;
+                return Some(v);
+            }
+        }
+        None
+    }
 }
 
 #[cfg(test)]
@@ -135,6 +193,60 @@ mod tests {
         let mut buf = Vec::new();
         put_u32(&mut buf, 0x0A0B_0C0D);
         assert_eq!(buf, [0x0D, 0x0C, 0x0B, 0x0A]);
+    }
+
+    #[test]
+    fn varints_roundtrip_at_every_width() {
+        let values = [
+            0u64,
+            1,
+            127,
+            128,
+            300,
+            16_383,
+            16_384,
+            u64::from(u32::MAX),
+            u64::MAX,
+        ];
+        let mut buf = Vec::new();
+        for v in values {
+            put_varint(&mut buf, v);
+        }
+        assert_eq!(buf[..5], [0x00, 0x01, 0x7f, 0x80, 0x01]);
+        let mut r = ByteReader::new(&buf);
+        for v in values {
+            assert_eq!(r.varint(u64::MAX), Some(v));
+        }
+        assert!(r.is_empty());
+        for v in [0i64, -1, 1, -2, i64::MIN, i64::MAX] {
+            assert_eq!(unzigzag(zigzag(v)), v);
+        }
+        assert_eq!([zigzag(0), zigzag(-1), zigzag(1), zigzag(-2)], [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn malformed_varints_are_refused_without_consuming() {
+        for (bytes, max) in [
+            (&[0x80][..], u64::MAX),     // runs past the end
+            (&[0x80, 0x00], u64::MAX),   // overlong zero
+            (&[0xff, 0x00], u64::MAX),   // overlong 127
+            (&[0xff; 10][..], u64::MAX), // eleven bytes or more
+            (
+                &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02],
+                u64::MAX,
+            ), // > 64 bits
+            (&[0x80, 0x80, 0x80, 0x80, 0x10], u64::from(u32::MAX)), // 2^32
+        ] {
+            let mut r = ByteReader::new(bytes);
+            assert_eq!(r.varint(max), None, "{bytes:02x?}");
+            assert_eq!(
+                r.remaining(),
+                bytes.len(),
+                "a refused varint consumes nothing"
+            );
+        }
+        let mut r = ByteReader::new(&[0xff, 0xff, 0xff, 0xff, 0x0f]);
+        assert_eq!(r.varint(u64::from(u32::MAX)), Some(u64::from(u32::MAX)));
     }
 
     #[test]
