@@ -6,7 +6,7 @@
 //! `--format` flag (`auto` follows the `.seg` extension).
 
 use std::path::Path;
-use tc_core::{DatabaseNetwork, Miner, ParallelTcfiMiner, TcfaMiner, TcfiMiner, TcsMiner};
+use tc_core::{DatabaseNetwork, Miner, ParallelTcfiMiner, TcfaMiner, TcsMiner};
 use tc_index::{TcTree, TcTreeBuilder};
 use tc_store::{DetectedFormat, SegmentTcTree};
 use tc_txdb::Pattern;
@@ -373,15 +373,14 @@ pub fn mine(args: &[String]) -> i32 {
     if flags.get("threads").is_some() && threads > 1 && miner_name != "tcfi" {
         eprintln!("warning: --threads applies to the tcfi miner only; mining single-threaded");
     }
-    let miner: Box<dyn Miner> = match (miner_name, threads) {
-        ("tcfi", 1) => Box::new(TcfiMiner::default()),
-        ("tcfi", t) => Box::new(ParallelTcfiMiner {
+    let miner: Box<dyn Miner> = match miner_name {
+        "tcfi" => Box::new(ParallelTcfiMiner {
             max_len: usize::MAX,
-            threads: t,
+            threads,
         }),
-        ("tcfa", _) => Box::new(TcfaMiner::default()),
-        ("tcs", _) => Box::new(TcsMiner::with_epsilon(epsilon)),
-        (other, _) => return fail(format!("unknown miner '{other}'")),
+        "tcfa" => Box::new(TcfaMiner::default()),
+        "tcs" => Box::new(TcsMiner::with_epsilon(epsilon)),
+        other => return fail(format!("unknown miner '{other}'")),
     };
 
     let result = miner.mine(&net, alpha);

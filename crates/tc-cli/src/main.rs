@@ -53,8 +53,8 @@ USAGE:
 Readers auto-detect the text formats (dbnet/tctree) and the binary
 segment format (.seg) by magic bytes; --format auto writes a segment
 when the output path ends in .seg. --threads defaults to every core
-(mine with >1 thread uses the work-stealing TCFI variant, index the
-parallel layer fan-out); results are identical at every thread count.
+(mine and index run the same work-stealing walk of the pattern
+lattice, one thread or many); results are identical at every thread count.
 tc serve answers QBA/QBP over TCP with bounded admission (connections
 beyond --max-inflight get a BUSY greeting) and, with --http-addr, over
 an HTTP/JSON gateway too (GET /qba, /qbp, /query; POST /query batches;

@@ -218,20 +218,23 @@ fn thread_matrix_is_deterministic() {
         );
     }
 
-    // Index files must be byte-identical across thread counts.
-    let reference_tree = scratch.path("t1.tct");
-    let out = tc(&["index", &net, "--out", &reference_tree, "--threads", "1"]);
-    assert_success(&out, "tc index --threads 1");
-    let reference_bytes = std::fs::read(&reference_tree).expect("read tree");
-    for threads in ["2", "8"] {
-        let tree = scratch.path(&format!("t{threads}.tct"));
-        let out = tc(&["index", &net, "--out", &tree, "--threads", threads]);
-        assert_success(&out, "tc index --threads");
-        assert_eq!(
-            reference_bytes,
-            std::fs::read(&tree).expect("read tree"),
-            "index bytes differ at --threads {threads}"
-        );
+    // Index files, text and segment, must be byte-identical across thread
+    // counts.
+    for ext in ["tct", "seg"] {
+        let reference_tree = scratch.path(&format!("t1.{ext}"));
+        let out = tc(&["index", &net, "--out", &reference_tree, "--threads", "1"]);
+        assert_success(&out, "tc index --threads 1");
+        let reference_bytes = std::fs::read(&reference_tree).expect("read tree");
+        for threads in ["2", "8"] {
+            let tree = scratch.path(&format!("t{threads}.{ext}"));
+            let out = tc(&["index", &net, "--out", &tree, "--threads", threads]);
+            assert_success(&out, "tc index --threads");
+            assert_eq!(
+                reference_bytes,
+                std::fs::read(&tree).expect("read tree"),
+                "{ext} index bytes differ at --threads {threads}"
+            );
+        }
     }
 }
 

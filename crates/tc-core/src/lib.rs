@@ -13,6 +13,8 @@
 //! * [`tcs`] — the Theme Community Scanner baseline (§4.2);
 //! * [`tcfa`] — Theme Community Finder Apriori (Algorithm 3);
 //! * [`tcfi`] — Theme Community Finder Intersection (§5.3);
+//! * [`lattice`] — the pattern-lattice walk TCFI and the TC-Tree builder
+//!   share, generic over what a candidate evaluates to;
 //! * [`decompose`] — truss decomposition `L_p` (§6.1), the payload of the
 //!   TC-Tree index in `tc-index`;
 //! * [`search`] — online theme-community search by query vertex (the
@@ -25,6 +27,7 @@
 pub mod community;
 pub mod decompose;
 pub mod edge;
+pub mod lattice;
 pub mod miner;
 pub mod mptd;
 pub mod network;

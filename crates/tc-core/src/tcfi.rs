@@ -9,20 +9,22 @@
 //! subgraphs scattered across a sparse network (§7.2), this eliminates most
 //! of the work.
 //!
-//! Both miners here take any [`ThemeSource`]: the paper's vertex database
+//! [`TcfiMiner`] is the serial reference, level by level as Algorithm 3
+//! reads. [`ParallelTcfiMiner`] is the one the tools run: the
+//! [`lattice`] walk that also builds the TC-Tree, with MPTD at `α` as its
+//! evaluator. Both take any [`ThemeSource`]: the paper's vertex database
 //! networks, and the §8 edge database networks, whose only difference — the
 //! weight of a triangle — is settled inside the theme networks they induce.
 
+use crate::lattice::{self, Evaluator};
 use crate::miner::Miner;
 use crate::mptd::qualified_truss;
 use crate::result::{MinerStats, MiningResult};
 use crate::tcfa::mine_level_one;
-use crate::theme::ThemeSource;
+use crate::theme::{ThemeNetwork, ThemeSource};
 use crate::truss::PatternTruss;
-use std::sync::Arc;
-use tc_txdb::{apriori, Item, Pattern};
-use tc_util::steal::{Executor, Worker};
-use tc_util::sync::Mutex;
+use tc_graph::EdgeKey;
+use tc_txdb::{apriori, Pattern};
 use tc_util::{FxHashMap, Stopwatch};
 
 /// The intersection-pruned miner.
@@ -53,26 +55,6 @@ impl TcfiMiner {
     }
 }
 
-/// MPTD for a join candidate inside the intersection of its parents'
-/// trusses (Proposition 5.3): `C*_{p∪q}(α) ⊆ C*_p(α) ∩ C*_q(α)`, so an empty
-/// intersection prunes the candidate before anything is induced — or its
-/// `pattern` even spelled.
-fn join_truss<N: ThemeSource + ?Sized>(
-    network: &N,
-    (left, right): (&PatternTruss, &PatternTruss),
-    pattern: impl FnOnce() -> Pattern,
-    alpha: f64,
-    stats: &mut MinerStats,
-) -> Option<PatternTruss> {
-    let intersection = left.intersect_edges(right);
-    if intersection.is_empty() {
-        stats.pruned_by_intersection += 1;
-        return None;
-    }
-    let theme = network.theme_within(&pattern(), &intersection);
-    qualified_truss(&theme, alpha, stats)
-}
-
 impl<N: ThemeSource + ?Sized> Miner<N> for TcfiMiner {
     fn name(&self) -> &'static str {
         "TCFI"
@@ -98,12 +80,17 @@ impl<N: ThemeSource + ?Sized> Miner<N> for TcfiMiner {
 
             let mut next = Vec::new();
             for cand in candidates {
-                let parents = (
-                    &by_pattern[&prev_patterns[cand.left]],
-                    &by_pattern[&prev_patterns[cand.right]],
-                );
-                let truss = join_truss(network, parents, || cand.pattern, alpha, &mut stats);
-                next.extend(truss);
+                // Proposition 5.3: `C*_{p∪q}(α) ⊆ C*_p(α) ∩ C*_q(α)`, so an
+                // empty intersection prunes the candidate before anything
+                // is induced.
+                let left = &by_pattern[&prev_patterns[cand.left]];
+                let intersection = left.intersect_edges(&by_pattern[&prev_patterns[cand.right]]);
+                if intersection.is_empty() {
+                    stats.pruned_by_intersection += 1;
+                    continue;
+                }
+                let theme = network.theme_within(&cand.pattern, &intersection);
+                next.extend(qualified_truss(&theme, alpha, &mut stats));
             }
             all.extend(by_pattern.into_values());
             level = next;
@@ -116,16 +103,9 @@ impl<N: ThemeSource + ?Sized> Miner<N> for TcfiMiner {
     }
 }
 
-/// TCFI on the shared work-stealing executor ([`tc_util::steal`]), with no
-/// barrier between Apriori levels.
-///
-/// Every task is either a level-1 seed (one item) or a join candidate
-/// carrying its two parents' trusses. The moment a pattern qualifies, it is
-/// joined against the already-qualified patterns sharing its Apriori prefix
-/// and the resulting candidates are spawned immediately — a worker can be
-/// mining level `k+1` in one community while another is still on level `k`
-/// of a different one, so a straggling MPTD call no longer stalls the whole
-/// frontier.
+/// TCFI as the shared [`lattice`] walk: barrier-free on the work-stealing
+/// executor ([`tc_util::steal`]) past level 1, with MPTD at `α` as the
+/// evaluator and each truss's edges as what its children join on.
 ///
 /// **Exactness contract.** The trusses found are identical to
 /// [`TcfiMiner`]'s at any thread count ([`MiningResult::same_trusses`]):
@@ -157,48 +137,20 @@ impl Default for ParallelTcfiMiner {
     }
 }
 
-/// A work-stealing task: a level-1 seed or a join of two qualified parents.
-enum WsTask {
-    Seed(Item),
-    Join(Arc<PatternTruss>, Arc<PatternTruss>),
-}
+/// MPTD at `α`: a candidate qualifies with a non-empty `C*_p(α)`, and its
+/// children join on that truss's edges.
+struct AtAlpha(f64);
 
-/// Per-worker private state: qualified trusses found by this worker plus
-/// its share of the counters. Reduced deterministically after the run.
-#[derive(Default)]
-struct WsState {
-    found: Vec<Arc<PatternTruss>>,
-    stats: MinerStats,
-}
+impl Evaluator for AtAlpha {
+    type Value = PatternTruss;
 
-/// Qualified patterns grouped by their Apriori join prefix (the first
-/// `k-1` items of a length-`k` pattern); level-1 singletons all share the
-/// empty prefix. Guarded by one mutex: it is touched once per *qualified*
-/// pattern, which is rare next to candidate processing.
-type SiblingGroups = Mutex<FxHashMap<Box<[Item]>, Vec<Arc<PatternTruss>>>>;
-
-/// Records a qualified truss and spawns the join candidates it unlocks:
-/// one per already-qualified sibling sharing its Apriori prefix. Spawning
-/// from inside the group lock is safe (the executor queue has its own
-/// lock) and makes the pairing race-free: each unordered sibling pair is
-/// generated exactly once, by whichever of the two qualified later.
-fn ws_qualify(
-    groups: &SiblingGroups,
-    max_len: usize,
-    truss: Arc<PatternTruss>,
-    state: &mut WsState,
-    worker: &Worker<'_, WsTask>,
-) {
-    state.found.push(truss.clone());
-    if truss.pattern.len() >= max_len {
-        return;
+    fn evaluate(&self, theme: &ThemeNetwork, stats: &mut MinerStats) -> Option<PatternTruss> {
+        qualified_truss(theme, self.0, stats)
     }
-    let mut groups = groups.lock();
-    let siblings = groups.entry(truss.pattern.prefix().into()).or_default();
-    for sibling in siblings.iter() {
-        worker.spawn(WsTask::Join(sibling.clone(), truss.clone()));
+
+    fn join_edges(&self, truss: &PatternTruss) -> Vec<EdgeKey> {
+        truss.edges.clone()
     }
-    siblings.push(truss);
 }
 
 impl<N: ThemeSource + ?Sized> Miner<N> for ParallelTcfiMiner {
@@ -208,58 +160,10 @@ impl<N: ThemeSource + ?Sized> Miner<N> for ParallelTcfiMiner {
 
     fn mine(&self, network: &N, alpha: f64) -> MiningResult {
         let sw = Stopwatch::start();
-        let max_len = self.max_len;
-        let groups: SiblingGroups = Mutex::new(FxHashMap::default());
-
-        // Level-1 seeds are always mined (like `mine_level_one`); `max_len`
-        // only caps how deep qualified patterns are joined further.
-        let seeds: Vec<WsTask> = network
-            .items_in_use()
-            .into_iter()
-            .map(WsTask::Seed)
-            .collect();
-        let states = Executor::new(self.threads).run(
-            seeds,
-            |_| WsState::default(),
-            |state, task, worker| {
-                state.stats.candidates_generated += 1;
-                let truss = match task {
-                    WsTask::Seed(item) => {
-                        let theme = network.theme(&Pattern::singleton(item));
-                        qualified_truss(&theme, alpha, &mut state.stats)
-                    }
-                    WsTask::Join(left, right) => {
-                        let pattern = || left.pattern.union(&right.pattern);
-                        join_truss(network, (&left, &right), pattern, alpha, &mut state.stats)
-                    }
-                };
-                if let Some(truss) = truss {
-                    ws_qualify(&groups, max_len, Arc::new(truss), state, worker);
-                }
-            },
-        );
-
-        // Deterministic reduction: per-worker states arrive in worker-index
-        // order; the counters are order-insensitive sums and the trusses are
-        // canonically re-sorted by `MiningResult::new`.
-        let mut stats = MinerStats::default();
-        let mut found: Vec<Arc<PatternTruss>> = Vec::new();
-        for state in states {
-            stats.mptd_calls += state.stats.mptd_calls;
-            stats.candidates_generated += state.stats.candidates_generated;
-            stats.pruned_by_intersection += state.stats.pruned_by_intersection;
-            found.extend(state.found);
-        }
-        // Dropping the sibling groups releases the second Arc reference on
-        // every registered truss, so the unwrap below is almost always free.
-        drop(groups);
-        let trusses = found
-            .into_iter()
-            .map(|t| Arc::try_unwrap(t).unwrap_or_else(|shared| (*shared).clone()))
-            .collect();
-
+        let (nodes, mut stats) =
+            lattice::walk(network, &AtAlpha(alpha), self.threads, self.max_len);
         stats.elapsed_secs = sw.elapsed_secs();
-        MiningResult::new(alpha, trusses, stats)
+        MiningResult::new(alpha, nodes.into_iter().map(|n| n.value).collect(), stats)
     }
 }
 

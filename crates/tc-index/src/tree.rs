@@ -11,18 +11,19 @@
 //! [`ThemeSource`], and a node's `L_p` is a level list of edge sets either
 //! way.
 //!
-//! Construction is parallel end to end on the shared work-stealing
-//! executor ([`tc_util::steal`]): layer 1 (one decomposition per item) fans
-//! out directly, and every later layer evaluates its candidate set
-//! concurrently with a deterministic merge. The merge appends qualified
-//! nodes in candidate order — exactly the order the serial breadth-first
-//! walk of Algorithm 4 discovers them — so the node arena (and therefore
+//! Construction is the [`tc_core::lattice`] walk TCFI runs too, with the
+//! decomposition as its evaluator: barrier-free on the work-stealing
+//! executor past level 1, each node's `E*_p(0)` computed once as what its
+//! children join on. The walk finds nodes in scheduling order; the builder
+//! then numbers them level by level by `(parent's id, item)`, which is the
+//! breadth-first order of Algorithm 4 — so the node arena (and therefore
 //! every serialized form of the tree) is byte-identical at any thread
 //! count.
 
-use tc_core::{ThemeSource, TrussDecomposition};
+use tc_core::lattice::{self, Evaluator};
+use tc_core::{MinerStats, ThemeNetwork, ThemeSource, TrussDecomposition};
+use tc_graph::EdgeKey;
 use tc_txdb::{Item, Pattern};
-use tc_util::steal::Executor;
 use tc_util::{HeapSize, Stopwatch};
 
 /// One TC-Tree node.
@@ -58,10 +59,10 @@ pub struct BuildStats {
 /// Configuration for [`TcTree::build`].
 #[derive(Debug, Clone)]
 pub struct TcTreeBuilder {
-    /// Worker threads for every construction phase — layer-1
-    /// decompositions and per-level candidate evaluation alike (the paper
-    /// parallelises layer 1 with 4 OpenMP threads; we fan out all layers
-    /// on the work-stealing executor).
+    /// Worker threads for the whole lattice walk — layer-1 decompositions
+    /// and every sibling join below them alike (the paper parallelises
+    /// layer 1 with 4 OpenMP threads; we run the whole walk on the
+    /// work-stealing executor).
     pub threads: usize,
     /// Maximum pattern length to index (`usize::MAX` = unbounded).
     pub max_len: usize,
@@ -76,166 +77,75 @@ impl Default for TcTreeBuilder {
     }
 }
 
-/// Per-candidate evaluation result, tagged for the deterministic merge.
-enum Eval {
-    /// The parents' trusses do not intersect (Proposition 5.3).
-    Pruned,
-    /// `L_p` of the candidate; empty when the pattern is unqualified.
-    Decomposed(Pattern, TrussDecomposition),
-}
+/// The decomposition `L_p`: a candidate qualifies iff it is non-empty, and
+/// its children join on `E*_p(0)`.
+struct Decompose;
 
-/// Maps `tasks` through `f`, returning results in task order. Batches too
-/// small to amortise spawning the executor's workers run inline on the
-/// caller — deep trees often taper to a handful of candidates per level,
-/// and paying a scope of thread spawns twice per level to do microseconds
-/// of work would invert the speedup.
-fn map_indexed<T: Send, R: Send>(
-    ex: &Executor,
-    tasks: Vec<T>,
-    f: impl Fn(T) -> R + Sync,
-) -> Vec<R> {
-    if tasks.len() <= ex.threads() * 4 {
-        return tasks.into_iter().map(f).collect();
+impl Evaluator for Decompose {
+    type Value = TrussDecomposition;
+
+    fn evaluate(&self, theme: &ThemeNetwork, _: &mut MinerStats) -> Option<TrussDecomposition> {
+        let truss = TrussDecomposition::decompose(theme);
+        (!truss.is_empty()).then_some(truss)
     }
-    let indexed: Vec<(usize, T)> = tasks.into_iter().enumerate().collect();
-    let mut results: Vec<(usize, R)> = ex
-        .run(
-            indexed,
-            |_| Vec::new(),
-            |out: &mut Vec<(usize, R)>, (i, task), _| out.push((i, f(task))),
-        )
-        .into_iter()
-        .flatten()
-        .collect();
-    results.sort_unstable_by_key(|&(i, _)| i);
-    results.into_iter().map(|(_, r)| r).collect()
+
+    fn join_edges(&self, truss: &TrussDecomposition) -> Vec<EdgeKey> {
+        truss.edges_at(0.0)
+    }
 }
 
 impl TcTreeBuilder {
     /// Builds the TC-Tree of `network` — a vertex or an edge (§8) database
-    /// network — by Algorithm 4, every layer fanned out across the
-    /// work-stealing executor.
+    /// network — by Algorithm 4, as the lattice walk on `threads` workers.
     ///
-    /// Construction is level-synchronous — candidates of depth `d + 1` are
-    /// evaluated concurrently once all depth-`d` nodes exist — and every
-    /// merge is deterministic: results are tagged with their candidate index
-    /// and appended in that order, which is exactly the serial breadth-first
-    /// discovery order. The arena is therefore **byte-identical** (through
-    /// any serializer) at every thread count.
+    /// The arena is numbered level by level, each level sorted by
+    /// `(parent's id, item)`: the order in which the serial breadth-first
+    /// walk discovers the nodes, so the arena is **byte-identical**
+    /// (through any serializer) at every thread count.
     pub fn build<N: ThemeSource + ?Sized>(&self, network: &N) -> TcTree {
-        let items = network.items_in_use();
         let sw = Stopwatch::start();
-        let ex = Executor::new(self.threads.max(1));
-        let mut stats = BuildStats::default();
-        let mut nodes = vec![TcNode {
+        let (mut found, walked) = lattice::walk(network, &Decompose, self.threads, self.max_len);
+
+        // Arena ids, level by level: a level is sorted by its parents' arena
+        // ids, which the level above was given first. Walk ids are `1..=n`.
+        let mut arena_id = vec![0u32; found.len() + 1];
+        found.sort_unstable_by_key(|n| n.value.pattern.len());
+        let mut next = 1;
+        for level in found.chunk_by_mut(|a, b| a.value.pattern.len() == b.value.pattern.len()) {
+            level.sort_unstable_by_key(|n| (arena_id[n.parent as usize], n.item));
+            for n in level.iter() {
+                arena_id[n.id as usize] = next;
+                next += 1;
+            }
+        }
+
+        let mut nodes = Vec::with_capacity(found.len() + 1);
+        nodes.push(TcNode {
             item: Item(0),
             pattern: Pattern::empty(),
             parent: 0,
             children: Vec::new(),
             truss: TrussDecomposition::default(),
-        }];
-
-        // ---- Layer 1 (lines 2-5), parallel across items. ------------------
-        stats.candidates += items.len();
-        stats.decompositions += items.len();
-        let layer1_results = map_indexed(&ex, items.clone(), |item| {
-            TrussDecomposition::decompose(&network.theme(&Pattern::singleton(item)))
         });
-
-        let mut frontier: Vec<u32> = Vec::new();
-        for (i, truss) in layer1_results.into_iter().enumerate() {
-            if truss.is_empty() {
-                continue;
-            }
+        for n in found {
             let id = nodes.len() as u32;
+            let parent = arena_id[n.parent as usize];
+            nodes[parent as usize].children.push(id);
             nodes.push(TcNode {
-                item: items[i],
-                pattern: Pattern::singleton(items[i]),
-                parent: 0,
+                item: n.item,
+                pattern: n.value.pattern.clone(),
+                parent,
                 children: Vec::new(),
-                truss,
+                truss: n.value,
             });
-            nodes[0].children.push(id);
-            frontier.push(id);
         }
 
-        // ---- Level-synchronous expansion (lines 6-12). --------------------
-        while !frontier.is_empty() {
-            if nodes[frontier[0] as usize].pattern.len() >= self.max_len {
-                break;
-            }
-
-            // Candidates in serial BFS order: frontier nodes ascend the arena,
-            // right siblings ascend by item.
-            let mut cands: Vec<(u32, u32)> = Vec::new();
-            for &nf in &frontier {
-                let parent = nodes[nf as usize].parent;
-                let f_item = nodes[nf as usize].item;
-                for &nb in &nodes[parent as usize].children {
-                    if nodes[nb as usize].item > f_item {
-                        cands.push((nf, nb));
-                    }
-                }
-            }
-            if cands.is_empty() {
-                break;
-            }
-            stats.candidates += cands.len();
-
-            // The α=0 truss edges of every frontier node, reconstructed once
-            // per level (the serial walk rebuilt them once per pop and once
-            // per sibling visit), in parallel.
-            let frontier_pos: tc_util::FxHashMap<u32, usize> = frontier
-                .iter()
-                .enumerate()
-                .map(|(pos, &id)| (id, pos))
-                .collect();
-            let edge_lists = map_indexed(&ex, frontier.clone(), |id| {
-                nodes[id as usize].truss.edges_at(0.0)
-            });
-
-            let evals = map_indexed(&ex, cands.clone(), |(nf, nb)| {
-                let f_edges = &edge_lists[frontier_pos[&nf]];
-                let b_edges = &edge_lists[frontier_pos[&nb]];
-                let intersection = tc_util::sorted::intersect(f_edges, b_edges);
-                if intersection.is_empty() {
-                    return Eval::Pruned;
-                }
-                let pattern = nodes[nf as usize]
-                    .pattern
-                    .with_item(nodes[nb as usize].item);
-                let theme = network.theme_within(&pattern, &intersection);
-                Eval::Decomposed(pattern, TrussDecomposition::decompose(&theme))
-            });
-
-            // Deterministic attach: candidate order is discovery order.
-            let mut next_frontier: Vec<u32> = Vec::new();
-            for (i, eval) in evals.into_iter().enumerate() {
-                match eval {
-                    Eval::Pruned => stats.pruned_by_intersection += 1,
-                    Eval::Decomposed(pattern, truss) => {
-                        stats.decompositions += 1;
-                        if truss.is_empty() {
-                            continue;
-                        }
-                        let (nf, nb) = cands[i];
-                        let id = nodes.len() as u32;
-                        nodes.push(TcNode {
-                            item: nodes[nb as usize].item,
-                            pattern,
-                            parent: nf,
-                            children: Vec::new(),
-                            truss,
-                        });
-                        nodes[nf as usize].children.push(id);
-                        next_frontier.push(id);
-                    }
-                }
-            }
-            frontier = next_frontier;
-        }
-
-        stats.build_secs = sw.elapsed_secs();
+        let stats = BuildStats {
+            build_secs: sw.elapsed_secs(),
+            candidates: walked.candidates_generated,
+            pruned_by_intersection: walked.pruned_by_intersection,
+            decompositions: walked.candidates_generated - walked.pruned_by_intersection,
+        };
         TcTree { nodes, stats }
     }
 }

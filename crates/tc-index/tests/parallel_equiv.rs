@@ -8,11 +8,20 @@
 //! `tc-store` segment writer and the text writer are canonical functions
 //! of the arena, so comparing their output compares the whole structure
 //! at once.
+//!
+//! Every build runs the same lattice walk, so thread counts agreeing with
+//! each other is not enough: the serial tree is also held to what a
+//! TC-Tree is, independently of how it was built — breadth-first arena,
+//! prefix-closed parents, ascending children, exactly the patterns TCFI
+//! finds at `α = 0`, and each `L_p` the decomposition of its full theme
+//! network.
 
 use proptest::prelude::*;
-use tc_core::{DatabaseNetwork, DatabaseNetworkBuilder};
-use tc_index::TcTreeBuilder;
-use tc_txdb::Item;
+use tc_core::{
+    DatabaseNetwork, DatabaseNetworkBuilder, Miner, TcfiMiner, ThemeSource, TrussDecomposition,
+};
+use tc_index::{TcTree, TcTreeBuilder};
+use tc_txdb::{Item, Pattern};
 
 const MAX_V: u32 = 9;
 const MAX_ITEMS: u32 = 6;
@@ -39,6 +48,50 @@ fn build_network(n: u32, raw_edges: &[(u32, u32)], raw_txs: &[(u32, Vec<u32>)]) 
     }
     b.ensure_vertex(n - 1);
     b.build().unwrap()
+}
+
+/// Checks `tree`, built from `net` with `max_len`, against the TC-Tree's
+/// definition rather than against another build.
+fn check_characterisation(net: &DatabaseNetwork, tree: &TcTree, max_len: usize) {
+    let nodes = tree.nodes();
+    let key = |id: usize| (nodes[id].pattern.len(), &nodes[id].pattern);
+    for id in 1..nodes.len() {
+        prop_assert!(
+            key(id - 1) < key(id),
+            "arena not in (len, pattern) order at {}",
+            id
+        );
+        let node = &nodes[id];
+        prop_assert_eq!(
+            nodes[node.parent as usize].pattern.items(),
+            node.pattern.prefix()
+        );
+    }
+    for node in nodes {
+        for w in node.children.windows(2) {
+            prop_assert!(nodes[w[0] as usize].item < nodes[w[1] as usize].item);
+        }
+    }
+
+    let indexed: Vec<&Pattern> = nodes[1..].iter().map(|n| &n.pattern).collect();
+    let mined = TcfiMiner { max_len }.mine(net, 0.0);
+    let mut mined: Vec<&Pattern> = mined.trusses.iter().map(|t| &t.pattern).collect();
+    mined.sort_by_key(|p| (p.len(), *p));
+    prop_assert_eq!(indexed, mined);
+
+    for node in &nodes[1..] {
+        let direct = TrussDecomposition::decompose(&net.theme(&node.pattern));
+        prop_assert_eq!(
+            node.truss.num_levels(),
+            direct.num_levels(),
+            "{}",
+            node.pattern
+        );
+        for (stored, want) in node.truss.levels.iter().zip(&direct.levels) {
+            prop_assert_eq!(&stored.edges, &want.edges, "{}", node.pattern);
+            prop_assert!((stored.alpha - want.alpha).abs() < 1e-9, "{}", node.pattern);
+        }
+    }
 }
 
 fn segment_bytes(tree: &tc_index::TcTree) -> Vec<u8> {
@@ -68,6 +121,7 @@ proptest! {
         let serial = TcTreeBuilder { threads: 1, max_len }.build(&net);
         let serial_seg = segment_bytes(&serial);
         let serial_txt = text_bytes(&serial);
+        check_characterisation(&net, &serial, max_len);
         for threads in [2, 3, 8] {
             let parallel = TcTreeBuilder { threads, max_len }.build(&net);
             prop_assert_eq!(

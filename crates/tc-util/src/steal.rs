@@ -81,11 +81,6 @@ impl Executor {
         }
     }
 
-    /// Worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Runs `seeds` (and everything they spawn) to completion and returns
     /// the per-worker states in worker-index order.
     ///
@@ -122,20 +117,14 @@ impl Executor {
     }
 }
 
-/// Handle passed to every task: identifies the running worker and accepts
-/// spawned follow-up tasks.
+/// Handle passed to every task: accepts spawned follow-up tasks onto the
+/// running worker's own deque.
 pub struct Worker<'a, T> {
     index: usize,
     shared: &'a Shared<T>,
 }
 
 impl<T> Worker<'_, T> {
-    /// Index of the worker executing the current task (0-based, stable
-    /// across the run — the key for per-worker telemetry).
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
     /// Enqueues a follow-up task on this worker's own deque (thieves will
     /// balance it if this worker is saturated).
     pub fn spawn(&self, t: T) {
@@ -347,20 +336,8 @@ mod tests {
     #[test]
     fn zero_threads_clamped_to_one() {
         let ex = Executor::new(0);
-        assert_eq!(ex.threads(), 1);
         let states = ex.run(vec![1, 2, 3], |_| 0i32, |acc, t, _| *acc += t);
         assert_eq!(states, vec![6]);
-    }
-
-    #[test]
-    fn worker_index_is_in_range() {
-        let ex = Executor::new(3);
-        let states = ex.run(
-            (0..100).collect::<Vec<i32>>(),
-            |w| (w, true),
-            |(w, ok), _, worker| *ok &= worker.index() == *w,
-        );
-        assert!(states.iter().all(|&(_, ok)| ok));
     }
 
     #[test]

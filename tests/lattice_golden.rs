@@ -1,0 +1,155 @@
+//! Golden pins for the pattern-lattice walk behind `TcTreeBuilder` and
+//! `ParallelTcfiMiner`: the segment bytes of two fixed TC-Trees, and the
+//! counters of building and mining them.
+//!
+//! `crates/tc-index/tests/parallel_equiv.rs` compares one build with
+//! another at a different thread count; both run the same engine, so an
+//! arena numbered the same wrong way at every thread count passes there.
+//! These values were recorded from the level-synchronous builder and the
+//! registry-based miner the walk replaced, and hold the walk to them.
+
+use theme_communities::core::{
+    DatabaseNetwork, EdgeDatabaseNetwork, EdgeDatabaseNetworkBuilder, Miner, ParallelTcfiMiner,
+    ThemeSource,
+};
+use theme_communities::data::{generate_planted, PlantedConfig};
+use theme_communities::index::{TcTree, TcTreeBuilder};
+use theme_communities::store::save_tree_segment;
+use theme_communities::util::crc32::crc32;
+
+/// Planted 3-item themes over overlapping communities: a vertex network
+/// whose tree is deeper than two.
+fn vertex_network() -> DatabaseNetwork {
+    generate_planted(&PlantedConfig {
+        pattern_len: 3,
+        overlap: 2,
+        ..PlantedConfig::default()
+    })
+    .network
+}
+
+/// Five 4-cliques whose edges talk about a sliding window of three of
+/// seven items, with noise items and bridges from a fixed LCG.
+fn edge_network() -> EdgeDatabaseNetwork {
+    let mut state = 0x5EED_u64;
+    let mut next = move |m: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % m
+    };
+    let mut b = EdgeDatabaseNetworkBuilder::new();
+    let items: Vec<_> = (0..7).map(|i| b.intern_item(&format!("e{i}"))).collect();
+    for c in 0..5u32 {
+        let members: Vec<u32> = (0..4).map(|k| 4 * c + k).collect();
+        let theme: Vec<_> = (0..3).map(|j| items[(2 * c as usize + j) % 7]).collect();
+        for (x, &u) in members.iter().enumerate() {
+            for &v in &members[x + 1..] {
+                for _ in 0..3 {
+                    b.add_transaction(u, v, &theme);
+                }
+                b.add_transaction(u, v, &[items[next(7) as usize]]);
+            }
+        }
+    }
+    for _ in 0..8 {
+        let (u, v) = (next(20) as u32, next(20) as u32);
+        if u != v {
+            b.add_transaction(u, v, &[items[next(7) as usize]]);
+        }
+    }
+    b.build().unwrap()
+}
+
+/// `(segment length, segment CRC-32, candidates, decompositions,
+/// pruned_by_intersection)` of a build.
+fn tree_pin(tree: &TcTree) -> (usize, u32, usize, usize, usize) {
+    let mut seg = Vec::new();
+    save_tree_segment(tree, &mut seg).unwrap();
+    let s = tree.stats();
+    (
+        seg.len(),
+        crc32(&seg),
+        s.candidates,
+        s.decompositions,
+        s.pruned_by_intersection,
+    )
+}
+
+/// `(mptd_calls, candidates_generated, pruned_by_intersection, trusses)`
+/// of `ParallelTcfiMiner` at 1, 2 and 8 threads — one value, or the test
+/// fails naming the thread count.
+fn miner_pin<N: ThemeSource>(net: &N, alpha: f64) -> (usize, usize, usize, usize) {
+    let pins: Vec<_> = [1, 2, 8]
+        .into_iter()
+        .map(|threads| {
+            let r = ParallelTcfiMiner {
+                max_len: usize::MAX,
+                threads,
+            }
+            .mine(net, alpha);
+            let s = r.stats;
+            (
+                s.mptd_calls,
+                s.candidates_generated,
+                s.pruned_by_intersection,
+                r.np(),
+            )
+        })
+        .collect();
+    assert!(
+        pins.iter().all(|p| *p == pins[0]),
+        "miner counters by thread count: {pins:?}"
+    );
+    pins[0]
+}
+
+fn build<N: ThemeSource>(net: &N, threads: usize) -> TcTree {
+    TcTreeBuilder {
+        threads,
+        max_len: usize::MAX,
+    }
+    .build(net)
+}
+
+#[test]
+fn vertex_network_tree_is_pinned() {
+    let net = vertex_network();
+    for threads in [1, 2, 8] {
+        let tree = build(&net, threads);
+        assert!(tree.max_depth() >= 3, "depth {}", tree.max_depth());
+        assert_eq!(
+            tree_pin(&tree),
+            (28672, 360651931, 11364, 5512, 5852),
+            "threads = {threads}"
+        );
+    }
+}
+
+#[test]
+fn edge_network_tree_is_pinned() {
+    let net = edge_network();
+    for threads in [1, 2, 8] {
+        let tree = build(&net, threads);
+        assert!(tree.max_depth() >= 3, "depth {}", tree.max_depth());
+        assert_eq!(
+            tree_pin(&tree),
+            (12288, 2728479953, 37, 24, 13),
+            "threads = {threads}"
+        );
+    }
+}
+
+#[test]
+fn vertex_network_mining_counters_are_pinned() {
+    let net = vertex_network();
+    assert_eq!(miner_pin(&net, 0.1), (146, 219, 36, 37));
+    assert_eq!(miner_pin(&net, 0.0), (946, 11364, 5852, 682));
+}
+
+#[test]
+fn edge_network_mining_counters_are_pinned() {
+    let net = edge_network();
+    assert_eq!(miner_pin(&net, 0.0), (24, 37, 13, 24));
+    assert_eq!(miner_pin(&net, 1.2), (21, 36, 15, 21));
+}
