@@ -165,12 +165,19 @@ pub(crate) struct Shards {
 }
 
 impl Shards {
-    fn new(map: ShardMap) -> Shards {
+    /// The layout of `map`, its pools carrying on the tallies of the
+    /// `previous` pools with the same shard ids.
+    fn new(map: ShardMap, previous: &[ShardPool]) -> Shards {
         let pools = map
             .shards
             .iter()
             .enumerate()
-            .map(|(id, s)| ShardPool::new(id as u32, s.addr.clone()))
+            .map(|(id, s)| {
+                let tally = previous
+                    .get(id)
+                    .map_or_else(Arc::default, |p| p.tally.clone());
+                ShardPool::new(id as u32, s.addr.clone(), tally)
+            })
             .collect();
         let mut universe = String::new();
         push_items(&mut universe, &map.items);
@@ -195,16 +202,16 @@ impl Shards {
         line.push('\n');
         line
     }
+}
 
-    /// `(fanout, shard_errors)` summed over this layout's pools.
-    fn totals(&self) -> (u64, u64) {
-        self.pools.iter().fold((0, 0), |(fanout, errors), p| {
-            (
-                fanout + p.fanout.load(Ordering::Relaxed),
-                errors + p.errors.load(Ordering::Relaxed),
-            )
-        })
-    }
+/// `(fanout, shard_errors)` summed over `pools`.
+fn totals(pools: &[ShardPool]) -> (u64, u64) {
+    pools.iter().fold((0, 0), |(fanout, errors), p| {
+        (
+            fanout + p.tally.fanout.load(Ordering::Relaxed),
+            errors + p.tally.errors.load(Ordering::Relaxed),
+        )
+    })
 }
 
 /// The scatter backend: every query fans out to all shard daemons and
@@ -258,8 +265,13 @@ impl Backend for Scatter {
         };
         let map = ShardMap::load_from_path(path)?;
         let counts = (map.shards.len(), map.items.len());
-        let retired = std::mem::replace(&mut *self.shards.lock(), Arc::new(Shards::new(map)));
-        self.metrics.retire(&retired);
+        let retired = {
+            let mut current = self.shards.lock();
+            let next = Arc::new(Shards::new(map, &current.pools));
+            std::mem::replace(&mut *current, next)
+        };
+        self.metrics
+            .retire(retired.pools.get(counts.0..).unwrap_or_default());
         Ok(counts)
     }
 }
@@ -366,7 +378,7 @@ impl Router {
     /// after the router.
     pub fn bind(map: ShardMap, http_addr: &str, cfg: RouterConfig) -> std::io::Result<Router> {
         let backend = Scatter {
-            shards: Mutex::new(Arc::new(Shards::new(map))),
+            shards: Mutex::new(Arc::new(Shards::new(map, &[]))),
             partial: cfg.partial,
             map_path: cfg.map_path,
             metrics: ScatterMetrics::default(),
@@ -430,7 +442,7 @@ impl RouterHandle {
     pub fn stats(&self) -> RouterStats {
         let front = self.0.stats();
         let backend = self.0.backend();
-        let (fanout, shard_errors) = backend.snapshot().totals();
+        let (fanout, shard_errors) = totals(&backend.snapshot().pools);
         let load = |a: &std::sync::atomic::AtomicU64| a.load(Ordering::Relaxed);
         RouterStats {
             requests: front.queries_served() + front.batch,
@@ -453,14 +465,17 @@ mod tests {
     #[test]
     fn request_lines_are_the_protocols_own_encoding() {
         for items in [vec![], vec![7], vec![0, 3, 41, 500]] {
-            let shards = Shards::new(ShardMap {
-                scheme: HashScheme::Crc32Item,
-                items: items.clone(),
-                shards: vec![ShardEntry {
-                    addr: "127.0.0.1:1".into(),
-                    path: String::new(),
-                }],
-            });
+            let shards = Shards::new(
+                ShardMap {
+                    scheme: HashScheme::Crc32Item,
+                    items: items.clone(),
+                    shards: vec![ShardEntry {
+                        addr: "127.0.0.1:1".into(),
+                        path: String::new(),
+                    }],
+                },
+                &[],
+            );
             let json = false;
             for alpha in [0.0, 0.25, 1e-7, 3.0] {
                 let cases = [

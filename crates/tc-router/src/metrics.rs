@@ -6,7 +6,8 @@
 //! table. It goes through tc-serve's [`Exposition`] writer and bucket
 //! grid, so shard daemons and the gateway can be graphed on one axis.
 
-use crate::Shards;
+use crate::pool::{ShardPool, ShardTally};
+use crate::{totals, Shards};
 use std::sync::atomic::{AtomicU64, Ordering};
 use tc_serve::{Exposition, Metrics};
 
@@ -17,18 +18,17 @@ pub(crate) struct ScatterMetrics {
     pub partial_responses: AtomicU64,
     /// Gauge: shards that failed in the most recent scatter.
     pub shards_down: AtomicU64,
-    /// Shard RPCs attempted through layouts a reload retired: the live
-    /// pools count only since their own layout swapped in.
+    /// Shard RPCs attempted against shards a reload dropped from the map
+    /// (a shard the new map keeps hands its tally on instead).
     pub retired_fanout: AtomicU64,
-    /// Shard RPCs failed through layouts a reload retired.
+    /// Shard RPCs failed against shards a reload dropped from the map.
     pub retired_errors: AtomicU64,
 }
 
 impl ScatterMetrics {
-    /// Folds the pools of a layout a reload swapped out into the retired
-    /// totals.
-    pub fn retire(&self, shards: &Shards) {
-        let (fanout, errors) = shards.totals();
+    /// Folds the pools of shards a reload dropped into the retired totals.
+    pub fn retire(&self, dropped: &[ShardPool]) {
+        let (fanout, errors) = totals(dropped);
         self.retired_fanout.fetch_add(fanout, Ordering::Relaxed);
         self.retired_errors.fetch_add(errors, Ordering::Relaxed);
     }
@@ -38,11 +38,11 @@ impl ScatterMetrics {
     /// move what it measures.)
     pub fn render_prometheus(&self, front: &Metrics, inflight: u64, shards: &Shards) -> String {
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let per_shard = |value: fn(&crate::pool::ShardPool) -> &AtomicU64| -> Vec<(String, u64)> {
+        let per_shard = |value: fn(&ShardTally) -> &AtomicU64| -> Vec<(String, u64)> {
             shards
                 .pools
                 .iter()
-                .map(|p| (format!("{{shard=\"{}\"}}", p.id), load(value(p))))
+                .map(|p| (format!("{{shard=\"{}\"}}", p.id), load(value(&p.tally))))
                 .collect()
         };
         let mut out = Exposition::default();
@@ -110,13 +110,13 @@ impl ScatterMetrics {
             "tcrouter_fanout_total",
             "counter",
             "Shard RPCs attempted, by shard.",
-            &per_shard(|p| &p.fanout),
+            &per_shard(|t| &t.fanout),
         );
         out.family(
             "tcrouter_shard_errors_total",
             "counter",
             "Shard RPCs that failed at the transport layer, by shard.",
-            &per_shard(|p| &p.errors),
+            &per_shard(|t| &t.errors),
         );
         out.histograms(
             "tcrouter_shard_latency_seconds",
@@ -124,7 +124,7 @@ impl ScatterMetrics {
             &shards
                 .pools
                 .iter()
-                .map(|p| (format!("shard=\"{}\"", p.id), &p.latency))
+                .map(|p| (format!("shard=\"{}\"", p.id), &p.tally.latency))
                 .collect::<Vec<_>>(),
         );
         out.histograms(

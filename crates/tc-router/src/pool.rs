@@ -1,6 +1,7 @@
 //! Per-shard connection pools over the tc-serve line protocol.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 use tc_serve::{ClientError, Histogram, QueryResponse, ServeClient};
 use tc_util::sync::Mutex;
@@ -8,9 +9,26 @@ use tc_util::sync::Mutex;
 /// Idle connections kept per shard; extras are closed on check-in.
 const MAX_IDLE: usize = 8;
 
+/// One shard's fan-out telemetry. It outlives a pool: a reload hands it
+/// to the new layout's pool for the same shard id, so the `/metrics`
+/// counters of a shard the new map keeps never go back to zero.
+#[derive(Default)]
+pub(crate) struct ShardTally {
+    /// RPCs attempted against this shard.
+    pub fanout: AtomicU64,
+    /// RPCs that failed at the transport layer (connect/read/write,
+    /// admission BUSY, protocol skew) — query-level `ERR` answers are
+    /// the *request's* fault and are not counted here.
+    pub errors: AtomicU64,
+    /// From this shard's send to its answer fully read, connect included.
+    /// A scatter reads answers in shard order, so time spent reading the
+    /// shards before this one is in here too.
+    pub latency: Histogram,
+}
+
 /// A lazy pool of line-protocol clients for one shard daemon (opened on
 /// demand: a shard that boots after the router still works), plus that
-/// shard's fan-out telemetry. An RPC is [`ShardPool::send`] then
+/// shard's [`ShardTally`]. An RPC is [`ShardPool::send`] then
 /// [`ShardPool::receive`], so a scatter can put its request on every
 /// shard before it waits on any, under two invariants:
 ///
@@ -24,23 +42,16 @@ const MAX_IDLE: usize = 8;
 ///   answer. Every verb is an idempotent read, so a *pooled* connection
 ///   failing at send or receive is dropped and the shard asked once more
 ///   on a fresh one; only that attempt's transport failure counts in
-///   `errors` and marks the shard down for this request.
+///   [`ShardTally::errors`] and marks the shard down for this request.
 pub(crate) struct ShardPool {
     /// The shard's id — its index in the shard map.
     pub id: u32,
     /// `host:port` of the shard daemon.
     pub addr: String,
     idle: Mutex<Vec<ServeClient>>,
-    /// RPCs attempted against this shard.
-    pub fanout: AtomicU64,
-    /// RPCs that failed at the transport layer (connect/read/write,
-    /// admission BUSY, protocol skew) — query-level `ERR` answers are
-    /// the *request's* fault and are not counted here.
-    pub errors: AtomicU64,
-    /// From this shard's send to its answer fully read, connect included.
-    /// A scatter reads answers in shard order, so time spent reading the
-    /// shards before this one is in here too.
-    pub latency: Histogram,
+    /// This shard's telemetry, shared with the pools reloads put in this
+    /// one's place.
+    pub tally: Arc<ShardTally>,
 }
 
 /// One request in flight to a shard: written (or failed on a fresh
@@ -53,21 +64,19 @@ pub(crate) struct Sent {
 }
 
 impl ShardPool {
-    pub fn new(id: u32, addr: String) -> ShardPool {
+    pub fn new(id: u32, addr: String, tally: Arc<ShardTally>) -> ShardPool {
         ShardPool {
             id,
             addr,
             idle: Mutex::new(Vec::new()),
-            fanout: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            latency: Histogram::default(),
+            tally,
         }
     }
 
     /// Writes `line` (one encoded, `\n`-terminated query) to a pooled
     /// connection, or to a fresh one when none is idle or the write fails.
     pub fn send(&self, line: &str) -> Sent {
-        self.fanout.fetch_add(1, Ordering::Relaxed);
+        self.tally.fanout.fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
         let pooled = self.idle.lock().pop();
         let pooled = pooled.and_then(|mut c| c.send_line(line).is_ok().then_some(c));
@@ -103,9 +112,11 @@ impl ShardPool {
             }
             result
         });
-        self.latency.observe(sent.started.elapsed().as_secs_f64());
+        self.tally
+            .latency
+            .observe(sent.started.elapsed().as_secs_f64());
         if !matches!(result, Ok(_) | Err(ClientError::Remote(_))) {
-            self.errors.fetch_add(1, Ordering::Relaxed);
+            self.tally.errors.fetch_add(1, Ordering::Relaxed);
         }
         result
     }

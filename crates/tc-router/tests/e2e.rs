@@ -339,10 +339,12 @@ fn stats_survive_a_reload() {
     std::fs::create_dir_all(&dir).unwrap();
     let map_path = dir.join("shards.tcmap");
     map.save_to_path(&map_path).unwrap();
+    let mut shrunk = map.clone();
+    shrunk.shards.truncate(1);
     let gateway = boot_router(
         map,
         RouterConfig {
-            map_path: Some(map_path),
+            map_path: Some(map_path.clone()),
             ..RouterConfig::default()
         },
     );
@@ -352,15 +354,40 @@ fn stats_survive_a_reload() {
         let (status, _, body) = raw_get(&gateway.addr, "/qba?alpha=0.0");
         assert_eq!(status, 200, "{body}");
     }
+    let scrape = || {
+        let (status, _, body) = raw_get(&gateway.addr, "/metrics");
+        assert_eq!(status, 200, "{body}");
+        per_shard_samples(&body)
+    };
+    let before = scrape();
+    assert_eq!(before["tcrouter_fanout_total{shard=\"1\"}"], served as f64);
     assert_eq!(gateway.handle.reload().unwrap().0, 2);
+    // The reloaded map keeps both shard ids, so each keeps its counters:
+    // a drop to zero would read as a counter reset mid-process.
+    let after = scrape();
+    for (sample, value) in &before {
+        let now = after.get(sample).unwrap_or_else(|| panic!("{sample} gone"));
+        assert!(now >= value, "{sample} fell from {value} to {now}");
+    }
     let stats = gateway.handle.stats();
     assert!(stats.fanout >= served * 2, "{stats:?}");
     assert_eq!(stats.shard_errors, 0, "{stats:?}");
     assert_eq!(stats.reloads, 1, "{stats:?}");
 
+    // A map without shard 1: its series leave /metrics, and its count
+    // stays in the totals exactly once.
+    shrunk.save_to_path(&map_path).unwrap();
+    assert_eq!(gateway.handle.reload().unwrap().0, 1);
+    let after = scrape();
+    assert!(
+        !after.keys().any(|k| k.contains("shard=\"1\"")),
+        "{after:?}"
+    );
+    assert_eq!(gateway.handle.stats().fanout, stats.fanout);
+
     gateway.handle.shutdown();
     let at_exit = gateway.thread.join().unwrap();
-    assert!(at_exit.fanout >= served * 2, "{at_exit:?}");
+    assert_eq!(at_exit.fanout, stats.fanout, "{at_exit:?}");
     for d in daemons {
         d.handle.shutdown();
         d.thread.join().unwrap();
@@ -576,6 +603,20 @@ fn assert_answers(addr: &str, path: &str, want: &tc_index::QueryResult) {
     assert!(header(&headers, "X-TC-Partial-Shards").is_none(), "{path}");
     let want = QueryResponse::from_result(want).encode_json();
     assert_eq!(split_secs(&body), split_secs(&want), "{path}");
+}
+
+/// Every per-shard `tcrouter_*` sample in a scrape, by its series name
+/// with labels: the fan-out and error counters and the latency histogram's
+/// buckets, sum and count.
+fn per_shard_samples(metrics: &str) -> std::collections::BTreeMap<String, f64> {
+    metrics
+        .lines()
+        .filter(|l| l.starts_with("tcrouter_") && l.contains("shard=\""))
+        .map(|l| {
+            let (series, value) = l.rsplit_once(' ').unwrap();
+            (series.to_string(), value.parse().unwrap())
+        })
+        .collect()
 }
 
 /// The value of one un-labelled or fully spelled series in a scrape.

@@ -418,9 +418,10 @@ impl PageFile {
         self.read_section_range(s, 0, s.byte_len)
     }
 
-    /// The `len` bytes of section `s` at `start`: borrowed from `cursor`'s
-    /// page if they lie on one — loaded and verified unless already held —
-    /// and else gathered into a copy.
+    /// The `len` bytes of section `s` at `start`, every page read through
+    /// `cursor`: borrowed from its page if they lie on one, and else
+    /// gathered into a copy, page by page, leaving the cursor on the
+    /// range's last page — where the next range in file order starts.
     pub(crate) fn read_range<'c>(
         &self,
         s: &SectionInfo,
@@ -428,25 +429,63 @@ impl PageFile {
         len: u64,
         cursor: &'c mut PageCursor,
     ) -> Result<Cow<'c, [u8]>, LoadError> {
+        let end = start
+            .checked_add(len)
+            .filter(|&e| e <= s.byte_len)
+            .ok_or_else(|| {
+                LoadError::corrupt(format!(
+                    "segment: range {start}+{len} outside section {} ({} bytes)",
+                    s.id, s.byte_len
+                ))
+            })?;
+        if len == 0 {
+            return Ok(Cow::Borrowed(&[]));
+        }
         let cap = PAGE_CAP as u64;
-        let in_page = (start % cap) as usize;
-        if len == 0 || in_page as u64 + len > cap {
-            return self.read_section_range(s, start, len).map(Cow::Owned);
+        let (first, last) = (start / cap, (end - 1) / cap);
+        // The slice of page `p` the range covers, as payload offsets.
+        let span = |p: u64| {
+            let lo = start.max(p * cap) - p * cap;
+            let hi = end.min((p + 1) * cap) - p * cap;
+            (lo as usize, hi as usize)
+        };
+        if first == last {
+            let (lo, hi) = span(first);
+            let page = self.hold(s.first_page + first, hi, cursor)?;
+            return Ok(Cow::Borrowed(&page[lo..hi]));
         }
-        let index = s.first_page + start / cap;
-        if cursor.held.is_none_or(|(held, _)| held != index) {
-            cursor.held = None;
-            let payload = self.read_verified(index, &mut cursor.page)?.len();
-            cursor.held = Some((index, payload));
+        let mut gathered = Vec::with_capacity(len as usize);
+        for p in first..=last {
+            let (lo, hi) = span(p);
+            gathered.extend_from_slice(&self.hold(s.first_page + p, hi, cursor)?[lo..hi]);
         }
-        let end = in_page + len as usize;
-        if start.saturating_add(len) > s.byte_len || cursor.held.is_none_or(|(_, p)| end > p) {
+        Ok(Cow::Owned(gathered))
+    }
+
+    /// Makes `cursor` hold page `index` — read and verified unless it
+    /// already does — and returns its payload, which must have at least
+    /// `need` bytes.
+    fn hold<'c>(
+        &self,
+        index: u64,
+        need: usize,
+        cursor: &'c mut PageCursor,
+    ) -> Result<&'c [u8], LoadError> {
+        let payload = match cursor.held {
+            Some((held, payload)) if held == index => payload,
+            _ => {
+                cursor.held = None;
+                let payload = self.read_verified(index, &mut cursor.page)?.len();
+                cursor.held = Some((index, payload));
+                payload
+            }
+        };
+        if need > payload {
             return Err(LoadError::corrupt(format!(
                 "segment: page {index} too short"
             )));
         }
-        let bytes = &cursor.page[PAGE_HEADER + in_page..PAGE_HEADER + end];
-        Ok(Cow::Borrowed(bytes))
+        Ok(&cursor.page[PAGE_HEADER..PAGE_HEADER + payload])
     }
 }
 
@@ -566,6 +605,89 @@ mod tests {
             assert_eq!(got, data[start as usize..(start + len) as usize]);
         }
         assert!(pf.read_section_range(&s, data.len() as u64, 1).is_err());
+    }
+
+    /// A [`MemSource`] that logs the index of every page read from it.
+    #[derive(Debug)]
+    struct CountingSource {
+        image: MemSource,
+        reads: std::sync::Arc<std::sync::Mutex<Vec<u64>>>,
+    }
+
+    impl PageSource for CountingSource {
+        fn len(&self) -> u64 {
+            self.image.len()
+        }
+
+        fn read_at(&self, off: u64, buf: &mut [u8]) -> Result<(), LoadError> {
+            self.reads.lock().unwrap().push(off / PAGE_SIZE as u64);
+            self.image.read_at(off, buf)
+        }
+    }
+
+    /// Opens `image` over a [`CountingSource`]; returns the file and its
+    /// read log.
+    fn counted(image: Vec<u8>) -> (PageFile, std::sync::Arc<std::sync::Mutex<Vec<u64>>>) {
+        let reads = std::sync::Arc::default();
+        let source = CountingSource {
+            image: MemSource(image),
+            reads: std::sync::Arc::clone(&reads),
+        };
+        (PageFile::with_source(Box::new(source)).unwrap(), reads)
+    }
+
+    /// A segment of one section tiled by blobs, most of which straddle a
+    /// page boundary and one of which spans three pages; returns its
+    /// image, the section bytes and the blob extents in file order.
+    fn straddling_blobs() -> (Vec<u8>, Vec<u8>, Vec<(u64, u64)>) {
+        let lens = [1_000u64, 3_500, 4_100, 8_999, 50, 2_600, 4_088, 7];
+        let data: Vec<u8> = (0..lens.iter().sum::<u64>())
+            .map(|i| (i * 7 % 253) as u8)
+            .collect();
+        let mut image = Vec::new();
+        write_segment(&mut image, SegmentKind::TcTree, &[(1, data.clone())]).unwrap();
+        let blobs = lens
+            .iter()
+            .scan(0, |off, &len| {
+                *off += len;
+                Some((*off - len, len))
+            })
+            .collect();
+        (image, data, blobs)
+    }
+
+    #[test]
+    fn a_walk_over_straddling_blobs_reads_each_page_once() {
+        let (image, data, blobs) = straddling_blobs();
+        let (pf, reads) = counted(image);
+        let s = pf.header().section(1).unwrap();
+        let mut cursor = PageCursor::new();
+        for &(start, len) in &blobs {
+            let got = pf.read_range(&s, start, len, &mut cursor).unwrap();
+            assert_eq!(*got, data[start as usize..(start + len) as usize]);
+        }
+        // Page 0 is the header, read at open.
+        let every_page: Vec<u64> = (0..=s.page_count).collect();
+        assert_eq!(*reads.lock().unwrap(), every_page);
+    }
+
+    #[test]
+    fn a_flip_in_a_straddling_blobs_second_page_is_a_checksum_error() {
+        let (mut image, _, blobs) = straddling_blobs();
+        // Blob 1 runs from page 1 (the section's first) into page 2.
+        let (start, len) = blobs[1];
+        assert_eq!(
+            (start / PAGE_CAP as u64, (start + len) / PAGE_CAP as u64),
+            (0, 1)
+        );
+        image[2 * PAGE_SIZE + PAGE_HEADER + 10] ^= 0x04;
+        let (pf, _) = counted(image);
+        let s = pf.header().section(1).unwrap();
+        let mut cursor = PageCursor::new();
+        pf.read_range(&s, blobs[0].0, blobs[0].1, &mut cursor)
+            .unwrap();
+        let err = pf.read_range(&s, start, len, &mut cursor).unwrap_err();
+        assert!(matches!(err, LoadError::Checksum(_)), "{err}");
     }
 
     #[test]

@@ -14,8 +14,11 @@
 //!   compute pattern frequencies.
 //! * [`bytes`] — little-endian encode helpers and a bounds-checked cursor,
 //!   the byte-layout substrate of the `tc-store` segment format.
-//! * [`mod@crc32`] — table-driven CRC-32 (IEEE polynomial), the per-page
-//!   integrity checksum of the segment format.
+//! * [`mod@crc32`] — CRC-32 (IEEE polynomial), the per-page integrity
+//!   checksum of the segment format and of the WAL and shard-map frames:
+//!   a carry-less-multiply fold on `x86_64` CPUs with PCLMULQDQ, chosen at
+//!   run time, and a slicing-by-8 table everywhere else and for short
+//!   inputs — the same value from either.
 //! * [`error`] — the [`LoadError`] shared by every persistence format
 //!   (text networks, text trees, binary segments).
 //! * [`float`] — helpers for working with cohesion values: a total-ordered
