@@ -1,6 +1,6 @@
 //! The workspace invariant linter behind `tc-check lint`.
 //!
-//! Four rules, each encoding an invariant the workspace relies on but
+//! Five rules, each encoding an invariant the workspace relies on but
 //! the compiler cannot enforce:
 //!
 //! * **`panic-free-request-paths`** — no `.unwrap()`, `.expect(…)`,
@@ -22,6 +22,11 @@
 //!   serve/router expositions appears in `docs/OPERATIONS.md` and vice
 //!   versa, so dashboards built from the docs never reference a metric
 //!   that does not exist.
+//! * **`no-sleep-polling`** — no `thread::sleep` (called or imported) in
+//!   `tc-serve`/`tc-router` non-test source: a daemon waits on the event
+//!   it needs — `poll(2)` on its sockets, a condvar, a socket timeout —
+//!   never on a clock it re-checks. `tc-serve/src/client.rs` is outside
+//!   the rule's scope: its retry backoff is a deliberate client-side wait.
 //!
 //! The scanner is line-oriented with a small state machine that strips
 //! comments, string literals and `#[cfg(test)]` modules before matching,
@@ -298,6 +303,14 @@ fn rel(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
+/// The serving crates' (`tc-serve`, `tc-router`) source files.
+fn serving_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let mut files = Vec::new();
+    rs_files(&root.join("crates/tc-serve/src"), &mut files)?;
+    rs_files(&root.join("crates/tc-router/src"), &mut files)?;
+    Ok(files)
+}
+
 /// Rule 1: no panicking calls in serve/router non-test source.
 fn panic_rule(root: &Path, findings: &mut Vec<Finding>) -> std::io::Result<()> {
     const NEEDLES: [&str; 5] = [
@@ -307,10 +320,7 @@ fn panic_rule(root: &Path, findings: &mut Vec<Finding>) -> std::io::Result<()> {
         "unreachable!(",
         "todo!(",
     ];
-    let mut files = Vec::new();
-    rs_files(&root.join("crates/tc-serve/src"), &mut files)?;
-    rs_files(&root.join("crates/tc-router/src"), &mut files)?;
-    for path in files {
+    for path in serving_files(root)? {
         let src = std::fs::read_to_string(&path)?;
         let lines = split_source(&src);
         let in_test = test_lines(&lines);
@@ -526,6 +536,38 @@ fn metrics_rule(root: &Path, findings: &mut Vec<Finding>) -> std::io::Result<()>
     Ok(())
 }
 
+/// The one serving file outside rule 5's scope: the client's retry
+/// backoff is a deliberate client-side wait, not a daemon on a clock.
+const SLEEP_SCOPE_EXEMPT: &str = "crates/tc-serve/src/client.rs";
+
+/// Rule 5: serving daemons wait on events, never on a clock.
+fn sleep_rule(root: &Path, findings: &mut Vec<Finding>) -> std::io::Result<()> {
+    for path in serving_files(root)? {
+        let file = rel(root, &path);
+        if file == SLEEP_SCOPE_EXEMPT {
+            continue;
+        }
+        let src = std::fs::read_to_string(&path)?;
+        let lines = split_source(&src);
+        let in_test = test_lines(&lines);
+        for (idx, line) in lines.iter().enumerate() {
+            let sleeps = line.code.contains("thread::") && find_word(&line.code, "sleep").is_some();
+            if sleeps && !in_test[idx] {
+                findings.push(Finding {
+                    file: file.clone(),
+                    line: idx + 1,
+                    rule: "no-sleep-polling",
+                    message: "`thread::sleep` in a serving crate; block on the event itself \
+                              (`poll(2)` on a socket, a condvar, a socket timeout) instead \
+                              of waking on a clock"
+                        .to_string(),
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Runs every rule over the workspace at `root` (the directory holding
 /// `Cargo.toml`, `crates/` and `docs/`). Returns the findings sorted by
 /// file and line; an empty vector means the workspace is clean.
@@ -541,6 +583,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     safety_rule(root, &mut findings)?;
     facade_rule(root, &mut findings)?;
     metrics_rule(root, &mut findings)?;
+    sleep_rule(root, &mut findings)?;
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(findings)
 }
@@ -599,6 +642,11 @@ mod tests {
     /// Builds a throwaway workspace with one serve file and matching
     /// docs, runs the linter, and returns the findings.
     fn lint_fixture(serve_src: &str) -> Vec<Finding> {
+        lint_serve_files(&[("server.rs", serve_src)])
+    }
+
+    /// [`lint_fixture`] over several `crates/tc-serve/src` files.
+    fn lint_serve_files(serve_files: &[(&str, &str)]) -> Vec<Finding> {
         use std::sync::atomic::{AtomicUsize, Ordering};
         static SEQ: AtomicUsize = AtomicUsize::new(0);
         let root = std::env::temp_dir().join(format!(
@@ -612,7 +660,9 @@ mod tests {
         std::fs::create_dir_all(root.join("crates/tc-util/src")).unwrap();
         std::fs::create_dir_all(root.join("crates/tc-store/src/wal")).unwrap();
         std::fs::create_dir_all(root.join("docs")).unwrap();
-        std::fs::write(serve.join("server.rs"), serve_src).unwrap();
+        for (name, src) in serve_files {
+            std::fs::write(serve.join(name), src).unwrap();
+        }
         std::fs::write(serve.join("metrics.rs"), "\"tcserve_requests_total\"").unwrap();
         std::fs::write(
             root.join("crates/tc-router/src/metrics.rs"),
@@ -670,6 +720,31 @@ mod tests {
         // discharge them — not flagged.
         let decl = lint_fixture("unsafe fn g() {}\n");
         assert!(decl.is_empty(), "{decl:?}");
+    }
+
+    #[test]
+    fn sleep_in_serve_source_is_flagged_outside_the_client() {
+        let flagged = lint_fixture("fn f() {\n    std::thread::sleep(TICK);\n}\n");
+        assert_eq!(flagged.len(), 1, "{flagged:?}");
+        assert_eq!(flagged[0].rule, "no-sleep-polling");
+        assert_eq!(flagged[0].line, 2);
+
+        // Importing it counts too; a comment or a string does not.
+        let imported = lint_fixture("use std::thread::{sleep, spawn};\n");
+        assert_eq!(imported.len(), 1, "{imported:?}");
+        let prose = lint_fixture("// no thread::sleep here\nconst S: &str = \"thread::sleep\";\n");
+        assert!(prose.is_empty(), "{prose:?}");
+
+        let in_test =
+            lint_fixture("#[cfg(test)]\nmod tests {\n fn f() { std::thread::sleep(T); }\n}\n");
+        assert!(in_test.is_empty(), "{in_test:?}");
+
+        // The client's retry backoff is out of scope — no waiver needed.
+        let client = lint_serve_files(&[
+            ("server.rs", "fn f() {}\n"),
+            ("client.rs", "fn backoff() { std::thread::sleep(d); }\n"),
+        ]);
+        assert!(client.is_empty(), "{client:?}");
     }
 
     #[test]

@@ -795,7 +795,9 @@ pub fn serve(args: &[String]) -> i32 {
         Err(e) => return fail(e),
     };
 
-    tc_serve::install_signal_handlers();
+    if let Err(e) = tc_serve::install_signal_handlers() {
+        return fail(format!("signal handlers: {e}"));
+    }
     let server = match tc_serve::Server::bind(
         tree,
         addr,
@@ -1008,7 +1010,9 @@ pub fn router(args: &[String]) -> i32 {
     };
     let (shard_count, universe) = (map.shards.len(), map.items.len());
 
-    tc_serve::install_signal_handlers();
+    if let Err(e) = tc_serve::install_signal_handlers() {
+        return fail(format!("signal handlers: {e}"));
+    }
     let router = match tc_router::Router::bind(
         map,
         http_addr,

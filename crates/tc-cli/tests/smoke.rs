@@ -238,6 +238,17 @@ fn thread_matrix_is_deterministic() {
     }
 }
 
+/// A spawned daemon, killed on drop: a failing assert must not orphan
+/// it (it would hold the test harness's output pipe open forever).
+struct KillOnDrop(std::process::Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
 #[test]
 fn serve_daemon_round_trip() {
     // The daemon path end to end, exactly as the CI serve-smoke job runs
@@ -258,16 +269,7 @@ fn serve_daemon_round_trip() {
     assert_success(&out, "tc index --format seg");
 
     // Port 0: the daemon prints the resolved address on its first line
-    // ("tc-serve listening on <addr> …"). Kill-on-drop: a failing assert
-    // below must not orphan the daemon (it would hold the test harness's
-    // output pipe open forever).
-    struct KillOnDrop(std::process::Child);
-    impl Drop for KillOnDrop {
-        fn drop(&mut self) {
-            let _ = self.0.kill();
-            let _ = self.0.wait();
-        }
-    }
+    // ("tc-serve listening on <addr> …").
     let mut daemon = KillOnDrop(
         Command::new(env!("CARGO_BIN_EXE_tc"))
             .args([
@@ -387,6 +389,103 @@ fn serve_daemon_round_trip() {
         rest.contains("busy-rejected"),
         "final counters should include admission telemetry:\n{rest}"
     );
+}
+
+#[test]
+fn daemons_wake_on_signals() {
+    // SIGHUP and SIGTERM reach an idle daemon through the signal wake
+    // socket: both `tc serve` and `tc router` answer each within a second,
+    // with no client traffic to wake them.
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+
+    let scratch = Scratch::new("signals");
+    let net = scratch.path("net.dbnet");
+    let tree_seg = scratch.path("tree.seg");
+    let shards = scratch.path("shards");
+    let out = tc(&[
+        "generate", "--kind", "planted", "--out", &net, "--seed", "7",
+    ]);
+    assert_success(&out, "tc generate");
+    let out = tc(&["index", &net, "--out", &tree_seg, "--format", "seg"]);
+    assert_success(&out, "tc index --format seg");
+    // The router never dials its shards here: no request reaches it.
+    let out = tc(&["shard", &tree_seg, "--shards", "2", "--out-dir", &shards]);
+    assert_success(&out, "tc shard");
+    let map = format!("{shards}/shards.tcmap");
+
+    let signal = |pid: u32, sig: &str| {
+        let status = Command::new("kill")
+            .args([sig, &pid.to_string()])
+            .status()
+            .expect("spawn kill");
+        assert!(status.success(), "kill {sig} {pid} failed");
+    };
+    for (args, done) in [
+        (
+            vec!["serve", &tree_seg, "--addr", "127.0.0.1:0"],
+            "shutdown complete",
+        ),
+        (
+            vec!["router", &map, "--http-addr", "127.0.0.1:0"],
+            "router shutdown complete",
+        ),
+    ] {
+        let mut daemon = KillOnDrop(
+            Command::new(env!("CARGO_BIN_EXE_tc"))
+                .args(&args)
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("spawn daemon"),
+        );
+        let pid = daemon.0.id();
+        let mut daemon_stdout = BufReader::new(daemon.0.stdout.take().expect("daemon stdout"));
+        let mut line = String::new();
+        daemon_stdout
+            .read_line(&mut line)
+            .expect("read listening line");
+        assert!(line.contains(" listening on "), "{args:?}: {line}");
+        let (tx, stderr_lines) = mpsc::channel();
+        let daemon_stderr = BufReader::new(daemon.0.stderr.take().expect("daemon stderr"));
+        std::thread::spawn(move || {
+            for line in daemon_stderr.lines().map_while(Result::ok) {
+                let _ = tx.send(line);
+            }
+        });
+
+        // Idle: every accept loop is asleep in poll.
+        std::thread::sleep(Duration::from_millis(300));
+        let hup = Instant::now();
+        signal(pid, "-HUP");
+        let reloaded = stderr_lines
+            .recv_timeout(Duration::from_secs(1))
+            .unwrap_or_else(|e| panic!("{args:?}: no reload line within 1 s ({e})"));
+        assert!(reloaded.contains("reloaded"), "{args:?}: {reloaded}");
+        println!("{}: SIGHUP -> reloaded in {:?}", args[0], hup.elapsed());
+
+        let term = Instant::now();
+        signal(pid, "-TERM");
+        let status = loop {
+            if let Some(status) = daemon.0.try_wait().expect("poll daemon") {
+                break status;
+            }
+            assert!(
+                term.elapsed() < Duration::from_secs(1),
+                "{args:?}: still running 1 s after SIGTERM"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        println!("{}: SIGTERM -> exit in {:?}", args[0], term.elapsed());
+        assert!(status.success(), "{args:?}: exit {status}");
+        let mut rest = String::new();
+        daemon_stdout
+            .read_to_string(&mut rest)
+            .expect("drain daemon stdout");
+        assert!(rest.contains(done), "{args:?}: no counter line:\n{rest}");
+    }
 }
 
 #[test]

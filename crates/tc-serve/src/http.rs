@@ -47,7 +47,7 @@
 
 use crate::backend::{Answer, Backend, QuerySpec};
 use crate::protocol::{encode_error, parse_alpha, parse_items};
-use crate::server::{idle_timeout_error, Core, ReadStop, TickReader, Wire};
+use crate::server::{idle_timeout_error, Core, ReadStop, Slot, TickReader, Wire};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
@@ -167,7 +167,11 @@ fn bad_request<B: Backend>(
 
 /// Serves one admitted HTTP connection (keep-alive: many requests) until
 /// the client closes, an error closes it, or shutdown drains it.
-fn serve_session<B: Backend>(core: &Core<B>, mut stream: TcpStream) -> std::io::Result<()> {
+fn serve_session<B: Backend>(
+    core: &Core<B>,
+    mut stream: TcpStream,
+    _slot: &mut Slot,
+) -> std::io::Result<()> {
     let mut reader = TickReader::new(core, &stream)?;
     let client_ip = stream.peer_addr().ok().map(|a| a.ip());
 

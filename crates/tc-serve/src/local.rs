@@ -12,7 +12,7 @@ use crate::protocol::{
 };
 use crate::reload::TreeSlot;
 use crate::server::{
-    idle_timeout_error, Admission, Core, FrontEnd, Handle, ReadStop, TickReader, Wire,
+    idle_timeout_error, Admission, Core, FrontEnd, Handle, ReadStop, Slot, TickReader, Wire,
 };
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -225,7 +225,11 @@ enum SessionFlow {
     Close,
 }
 
-fn serve_session(core: &Core<LocalTree>, mut stream: TcpStream) -> std::io::Result<()> {
+fn serve_session(
+    core: &Core<LocalTree>,
+    mut stream: TcpStream,
+    slot: &mut Slot,
+) -> std::io::Result<()> {
     let mut reader = TickReader::new(core, &stream)?;
     {
         // The greeting advertises the directory facts of the segment
@@ -257,7 +261,7 @@ fn serve_session(core: &Core<LocalTree>, mut stream: TcpStream) -> std::io::Resu
             continue; // blank keep-alive lines are not a protocol error
         }
         let flow = match Request::parse(&line) {
-            Ok(req) => handle_request(core, req, &mut stream)?,
+            Ok(req) => handle_request(core, req, &mut stream, slot)?,
             Err(msg) => {
                 core.protocol_error();
                 stream.write_all(encode_error(&msg, false).as_bytes())?;
@@ -274,6 +278,7 @@ fn handle_request(
     core: &Core<LocalTree>,
     req: Request,
     stream: &mut TcpStream,
+    slot: &mut Slot,
 ) -> std::io::Result<SessionFlow> {
     let tree = core.backend.snapshot();
     let (spec, json) = match req {
@@ -286,6 +291,7 @@ fn handle_request(
             return Ok(SessionFlow::Continue);
         }
         Request::Quit => {
+            slot.release();
             stream.write_all(b"BYE\n")?;
             return Ok(SessionFlow::Close);
         }

@@ -25,21 +25,25 @@
 //!
 //! Shutdown is requested by the `SHUTDOWN` verb, by [`Handle::shutdown`],
 //! or — in the `tc` binary — by SIGTERM/SIGINT via
-//! [`install_signal_handlers`]. The accept loop stops admitting,
-//! in-flight sessions notice the flag at their next request boundary
-//! (socket reads time out every 200 ms), queued-but-unserved
-//! sessions are drained the same way, and [`FrontEnd::run`] returns once
-//! every worker has parked — or after five seconds, so a session wedged
-//! on a dead peer or shard cannot hold the process past it.
+//! [`install_signal_handlers`]. The accept loop does not tick: it blocks
+//! in `poll(2)` on its listeners and a wake socket every requester writes
+//! one byte to, so it stops admitting at once. In-flight sessions notice
+//! the flag at their next request boundary (socket reads time out every
+//! 200 ms, so within 200 ms), queued-but-unserved sessions are drained the
+//! same way, and [`FrontEnd::run`] returns as soon as the last worker
+//! exits — or after five seconds, so a session wedged on a dead peer or
+//! shard cannot hold the process past it.
 
 use crate::backend::{Answer, Backend, QuerySpec};
 use crate::limit::{RateLimit, RateLimiter};
 use crate::metrics::Metrics;
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, ErrorKind, Read};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use tc_util::sync::{Condvar, Mutex};
 use tc_util::LoadError;
@@ -47,9 +51,6 @@ use tc_util::LoadError;
 /// How often blocked socket reads wake to re-check the shutdown flag —
 /// the upper bound on shutdown latency per session.
 const READ_TICK: Duration = Duration::from_millis(200);
-
-/// Accept-loop poll interval while the listeners are idle.
-const ACCEPT_TICK: Duration = Duration::from_millis(20);
 
 /// How long shutdown waits for admitted sessions to drain.
 const DRAIN_LIMIT: Duration = Duration::from_secs(5);
@@ -117,7 +118,7 @@ impl StatsSnapshot {
 /// one is refused at the door.
 pub struct Wire<B: Backend> {
     /// Serves one admitted connection until it closes.
-    pub(crate) serve: fn(&Core<B>, TcpStream) -> std::io::Result<()>,
+    pub(crate) serve: fn(&Core<B>, TcpStream, &mut Slot) -> std::io::Result<()>,
     /// Writes the admission refusal (a `BUSY` greeting, a `503`).
     pub(crate) refuse: fn(&Core<B>, &mut TcpStream, &str) -> std::io::Result<()>,
     /// Whether the per-client rate limit is charged once per connection,
@@ -139,13 +140,23 @@ pub(crate) struct Core<B: Backend> {
     inflight: AtomicUsize,
     shutdown: AtomicBool,
     reload_in_progress: AtomicBool,
-    queue: Mutex<VecDeque<Session<B>>>,
+    /// The write end of the accept loop's wake socket.
+    waker: UnixStream,
+    queue: Mutex<Queue<B>>,
     queue_cv: Condvar,
+}
+
+/// What the workers share under the queue lock.
+struct Queue<B: Backend> {
+    sessions: VecDeque<Session<B>>,
+    /// Workers spawned and not yet exited; the shutdown drain waits for
+    /// zero.
+    live_workers: usize,
 }
 
 struct Session<B: Backend> {
     stream: TcpStream,
-    serve: fn(&Core<B>, TcpStream) -> std::io::Result<()>,
+    serve: fn(&Core<B>, TcpStream, &mut Slot) -> std::io::Result<()>,
 }
 
 impl<B: Backend> Core<B> {
@@ -159,6 +170,9 @@ impl<B: Backend> Core<B> {
 
     pub(crate) fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        // Wake the accept loop out of `poll`. A full socket already holds
+        // a wake-up, so a failed write loses nothing.
+        let _ = (&self.waker).write(&[1]);
         // Notify under the queue lock: a worker reads the flag and parks
         // under the same lock, so it cannot miss this wake-up in between
         // — which is what lets idle workers park without a timeout.
@@ -341,6 +355,8 @@ impl<B: Backend> Handle<B> {
 pub struct FrontEnd<B: Backend> {
     ports: Vec<(TcpListener, Wire<B>)>,
     core: Arc<Core<B>>,
+    /// The read end of the wake socket [`Core::request_shutdown`] writes.
+    wake: UnixStream,
 }
 
 impl<B: Backend> FrontEnd<B> {
@@ -360,8 +376,12 @@ impl<B: Backend> FrontEnd<B> {
                 ));
             }
         }
+        let (wake, waker) = UnixStream::pair()?;
+        wake.set_nonblocking(true)?;
+        waker.set_nonblocking(true)?;
         Ok(FrontEnd {
             ports: Vec::new(),
+            wake,
             core: Arc::new(Core {
                 backend,
                 metrics: Metrics::default(),
@@ -372,7 +392,11 @@ impl<B: Backend> FrontEnd<B> {
                 inflight: AtomicUsize::new(0),
                 shutdown: AtomicBool::new(false),
                 reload_in_progress: AtomicBool::new(false),
-                queue: Mutex::new(VecDeque::new()),
+                waker,
+                queue: Mutex::new(Queue {
+                    sessions: VecDeque::new(),
+                    live_workers: 0,
+                }),
                 queue_cv: Condvar::new(),
             }),
         })
@@ -409,10 +433,10 @@ impl<B: Backend> FrontEnd<B> {
         let mut workers = Vec::with_capacity(core.workers);
         let mut failed = None;
         for i in 0..core.workers {
-            let core = Arc::clone(core);
+            let live = LiveWorker::enter(Arc::clone(core));
             let spawned = std::thread::Builder::new()
                 .name(format!("{}-worker-{i}", B::NAME))
-                .spawn(move || worker_loop(&core));
+                .spawn(move || worker_loop(&live.0));
             match spawned {
                 Ok(h) => workers.push(h),
                 Err(e) => {
@@ -423,47 +447,87 @@ impl<B: Backend> FrontEnd<B> {
                 }
             }
         }
-
-        while failed.is_none() && !core.is_shutting_down() && !signal_received() {
-            if take_reload_signal() {
-                self.handle().spawn_reload();
-            }
-            let mut idle = true;
-            for (listener, wire) in &self.ports {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        self.admit(stream, wire);
-                        idle = false;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {}
-                    Err(e) if e.kind() == ErrorKind::Interrupted => idle = false,
-                    Err(e) => {
-                        // Tear the pool down before surfacing the error.
-                        failed = Some(e);
-                        break;
-                    }
-                }
-            }
-            if idle {
-                std::thread::sleep(ACCEPT_TICK);
-            }
+        if failed.is_none() {
+            // Tear the pool down before surfacing a listener error.
+            failed = self.accept_loop().err();
         }
 
         core.request_shutdown();
         let deadline = Instant::now() + DRAIN_LIMIT;
-        for worker in workers {
-            while !worker.is_finished() && Instant::now() < deadline {
-                std::thread::sleep(ACCEPT_TICK);
+        let mut queue = core.queue.lock();
+        while queue.live_workers > 0 {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
             }
-            if worker.is_finished() {
+            queue = core.queue_cv.wait_timeout(queue, left).0;
+        }
+        let drained = queue.live_workers == 0;
+        drop(queue);
+        if drained {
+            for worker in workers {
                 let _ = worker.join();
             }
-            // else: wedged past the drain limit (a dead peer, a hung
-            // shard) — leave it detached rather than hang the shutdown.
         }
+        // else: a worker wedged past the drain limit (a dead peer, a hung
+        // shard) — leave the pool detached rather than hang the shutdown.
         match failed {
             Some(e) => Err(e),
             None => Ok(core.snapshot()),
+        }
+    }
+
+    /// Admits connections until shutdown is requested, blocking in
+    /// `poll(2)` while no listener has one. Returns `Err` only when a
+    /// listener fails.
+    fn accept_loop(&self) -> std::io::Result<()> {
+        let signal_wake = SIGNAL_WAKE.get().map(|(rx, _)| rx);
+        let mut fds: Vec<sys::PollFd> = self
+            .ports
+            .iter()
+            .map(|(listener, _)| listener.as_raw_fd())
+            .chain(std::iter::once(self.wake.as_raw_fd()))
+            .chain(signal_wake.map(AsRawFd::as_raw_fd))
+            .map(sys::PollFd::readable)
+            .collect();
+        loop {
+            // Drain the wake sockets, then read the flags, then poll. Every
+            // waker sets its flag before it writes its byte, so a flag set
+            // after the checks below leaves a byte that returns the poll at
+            // once (no wake-up is lost), and a drained byte cannot return
+            // it again (the loop cannot spin).
+            drain(&self.wake);
+            if let Some(rx) = signal_wake {
+                drain(rx);
+            }
+            if self.core.is_shutting_down() {
+                return Ok(());
+            }
+            if signal_received() {
+                // Pass the wake-up on to any other front end in the
+                // process, whose poll this drain may have robbed.
+                if let Some((_, tx)) = SIGNAL_WAKE.get() {
+                    let _ = (&*tx).write(&[1]);
+                }
+                return Ok(());
+            }
+            if take_reload_signal() {
+                self.handle().spawn_reload();
+            }
+            sys::wait_readable(&mut fds)?;
+            for ((listener, wire), fd) in self.ports.iter().zip(&fds) {
+                if !fd.woke() {
+                    continue;
+                }
+                loop {
+                    match listener.accept() {
+                        Ok((stream, _)) => self.admit(stream, wire),
+                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                        Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                        Err(e) => return Err(e),
+                    }
+                }
+            }
         }
     }
 
@@ -515,7 +579,7 @@ impl<B: Backend> FrontEnd<B> {
             return;
         }
         core.metrics.admitted.fetch_add(1, Ordering::Relaxed);
-        queue.push_back(Session {
+        queue.sessions.push_back(Session {
             stream,
             serve: wire.serve,
         });
@@ -524,12 +588,42 @@ impl<B: Backend> FrontEnd<B> {
     }
 }
 
-/// Decrements the inflight gauge when a session ends, panic-safe.
-struct InflightGuard<'a>(&'a AtomicUsize);
+/// An admitted session's hold on one of `max_inflight` slots: released
+/// when the session ends (panic-safe), or earlier by [`Slot::release`].
+pub(crate) struct Slot<'a>(Option<&'a AtomicUsize>);
 
-impl Drop for InflightGuard<'_> {
+impl Slot<'_> {
+    /// Frees the slot now — before a `QUIT` is acknowledged, so a client
+    /// that has read `BYE` may reconnect at once without meeting `BUSY`.
+    pub(crate) fn release(&mut self) {
+        if let Some(inflight) = self.0.take() {
+            inflight.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+}
+
+impl Drop for Slot<'_> {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
+        self.release();
+    }
+}
+
+/// One live worker, counted in [`Queue::live_workers`] from before its
+/// spawn until its thread ends (or the spawn fails) — panic-safe, since
+/// the thread's closure owns it.
+struct LiveWorker<B: Backend>(Arc<Core<B>>);
+
+impl<B: Backend> LiveWorker<B> {
+    fn enter(core: Arc<Core<B>>) -> LiveWorker<B> {
+        core.queue.lock().live_workers += 1;
+        LiveWorker(core)
+    }
+}
+
+impl<B: Backend> Drop for LiveWorker<B> {
+    fn drop(&mut self) {
+        self.0.queue.lock().live_workers -= 1;
+        self.0.queue_cv.notify_all();
     }
 }
 
@@ -538,7 +632,7 @@ fn worker_loop<B: Backend>(core: &Core<B>) {
         let session = {
             let mut queue = core.queue.lock();
             loop {
-                if let Some(s) = queue.pop_front() {
+                if let Some(s) = queue.sessions.pop_front() {
                     break Some(s);
                 }
                 if core.is_shutting_down() {
@@ -553,9 +647,9 @@ fn worker_loop<B: Backend>(core: &Core<B>) {
             // under the same lock the acceptor pushes under).
             return;
         };
-        let _guard = InflightGuard(&core.inflight);
+        let mut slot = Slot(Some(&core.inflight));
         // Socket errors end the session; the next connection is unaffected.
-        if let Err(e) = (session.serve)(core, session.stream) {
+        if let Err(e) = (session.serve)(core, session.stream, &mut slot) {
             if matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock) {
                 core.metrics.timeouts.fetch_add(1, Ordering::Relaxed);
             }
@@ -566,11 +660,15 @@ fn worker_loop<B: Backend>(core: &Core<B>) {
 /// A socket reader that ticks: blocked reads wake every [`READ_TICK`] to
 /// re-check the shutdown flag and the idle clock, so a byte-trickling or
 /// half-dead client can neither hang a worker nor survive shutdown.
+///
+/// Idle time is wall time since the session began waiting for the current
+/// request line or body. Partial bytes do not reset it, so a client that
+/// trickles a line or a `Content-Length` body without ever completing it
+/// times out like a silent one.
 pub(crate) struct TickReader<'a> {
     reader: BufReader<TcpStream>,
     shutdown: &'a AtomicBool,
     idle_timeout: Option<Duration>,
-    idle: Duration,
 }
 
 /// Why a ticked read stopped short of data.
@@ -590,6 +688,15 @@ pub(crate) fn idle_timeout_error() -> std::io::Error {
     std::io::Error::new(ErrorKind::TimedOut, "session idle timeout")
 }
 
+/// Whether a read error is a tick (the read timeout) or an interruption,
+/// after which the read is simply retried.
+fn is_retry(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+    )
+}
+
 impl<'a> TickReader<'a> {
     /// Arms `stream`'s timeouts for ticked reads and wraps a clone of it.
     pub(crate) fn new<B: Backend>(
@@ -603,105 +710,116 @@ impl<'a> TickReader<'a> {
             reader: BufReader::new(stream.try_clone()?),
             shutdown: &core.shutdown,
             idle_timeout: core.idle_timeout,
-            idle: Duration::ZERO,
         })
     }
 
     /// Reads one `\n`-terminated line (CRLF tolerated) of at most `max`
-    /// bytes, stripped of its terminator. Every read goes through a `take`
-    /// bounded by the remaining line budget, so a client streaming bytes
-    /// with no newline can never buffer more than `max + 2` bytes before
-    /// the line is cut off as [`ReadStop::TooLong`].
+    /// bytes, stripped of its terminator. No read takes more than the
+    /// remaining line budget, so a client streaming bytes with no newline
+    /// can never buffer more than `max + 2` bytes before the line is cut
+    /// off as [`ReadStop::TooLong`].
     pub(crate) fn read_line(
         &mut self,
         line: &mut String,
         max: usize,
     ) -> std::io::Result<Result<(), ReadStop>> {
         line.clear();
+        let waiting = Instant::now();
         let mut buf = Vec::new();
         loop {
             // Budget for the raw line including its CRLF terminator.
-            let budget = (max + 2).saturating_sub(buf.len()) as u64;
+            let budget = (max + 2).saturating_sub(buf.len());
             if budget == 0 {
                 return Ok(Err(ReadStop::TooLong));
             }
-            match (&mut self.reader).take(budget).read_until(b'\n', &mut buf) {
+            match self.reader.fill_buf() {
                 // Closed, even mid-line: nothing to answer.
-                Ok(0) => return Ok(Err(ReadStop::Closed)),
-                Ok(_) => {
-                    if buf.last() != Some(&b'\n') {
-                        continue; // budget spent mid-line → TooLong above
+                Ok([]) => return Ok(Err(ReadStop::Closed)),
+                Ok(chunk) => {
+                    let window = &chunk[..chunk.len().min(budget)];
+                    let end = window.iter().position(|&b| b == b'\n');
+                    let taken = end.map_or(window.len(), |i| i + 1);
+                    buf.extend_from_slice(&window[..taken]);
+                    self.reader.consume(taken);
+                    if end.is_some() {
+                        break;
                     }
-                    self.idle = Duration::ZERO;
-                    while matches!(buf.last(), Some(b'\n' | b'\r')) {
-                        buf.pop();
-                    }
-                    if buf.len() > max {
-                        return Ok(Err(ReadStop::TooLong));
-                    }
-                    let text = std::str::from_utf8(&buf)
-                        .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e))?;
-                    line.push_str(text);
-                    return Ok(Ok(()));
                 }
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    if let Some(stop) = self.tick() {
-                        return Ok(Err(stop));
-                    }
-                    // Partial bytes already in `buf` survive the retry,
-                    // but only a complete line resets the idle clock.
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if is_retry(&e) => {}
                 Err(e) => return Err(e),
             }
+            if let Some(stop) = self.stop(waiting) {
+                return Ok(Err(stop));
+            }
         }
+        while matches!(buf.last(), Some(b'\n' | b'\r')) {
+            buf.pop();
+        }
+        if buf.len() > max {
+            return Ok(Err(ReadStop::TooLong));
+        }
+        let text = std::str::from_utf8(&buf)
+            .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e))?;
+        line.push_str(text);
+        Ok(Ok(()))
     }
 
     /// Reads exactly `buf.len()` body bytes.
     pub(crate) fn read_exact(&mut self, buf: &mut [u8]) -> std::io::Result<Result<(), ReadStop>> {
+        let waiting = Instant::now();
         let mut filled = 0;
         while filled < buf.len() {
             match self.reader.read(&mut buf[filled..]) {
                 Ok(0) => return Ok(Err(ReadStop::Closed)),
-                Ok(n) => {
-                    filled += n;
-                    self.idle = Duration::ZERO;
-                }
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    if let Some(stop) = self.tick() {
-                        return Ok(Err(stop));
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Ok(n) => filled += n,
+                Err(e) if is_retry(&e) => {}
                 Err(e) => return Err(e),
+            }
+            if filled < buf.len() {
+                if let Some(stop) = self.stop(waiting) {
+                    return Ok(Err(stop));
+                }
             }
         }
         Ok(Ok(()))
     }
 
-    /// One timeout tick: advances the idle clock, reports shutdown or
-    /// idle expiry.
-    fn tick(&mut self) -> Option<ReadStop> {
+    /// Whether a read still short of its line or body, begun at
+    /// `waiting`, must stop: on shutdown, or once it has idled past the
+    /// timeout.
+    fn stop(&self, waiting: Instant) -> Option<ReadStop> {
         if self.shutdown.load(Ordering::SeqCst) {
             return Some(ReadStop::Closed);
         }
-        self.idle += READ_TICK;
         match self.idle_timeout {
-            Some(limit) if self.idle >= limit => Some(ReadStop::IdleTimeout),
+            Some(limit) if waiting.elapsed() >= limit => Some(ReadStop::IdleTimeout),
             _ => None,
         }
     }
 }
 
+/// Empties a nonblocking wake socket.
+fn drain(wake: &UnixStream) {
+    let mut buf = [0u8; 64];
+    while matches!((&*wake).read(&mut buf), Ok(n) if n > 0) {}
+}
+
 // ---------------------------------------------------------------------------
 // Signal plumbing: SIGTERM/SIGINT flip a shutdown flag, SIGHUP a reload
-// flag; the accept loop polls both. Only the `tc` binary installs the
-// handlers; library users and tests drive shutdown and reload via Handle /
-// the SHUTDOWN verb.
+// flag, and each then writes one byte to the process-wide signal wake
+// socket, which every accept loop polls beside its listeners. Only the
+// `tc` binary installs the handlers; library users and tests drive
+// shutdown and reload via Handle / the SHUTDOWN verb.
 // ---------------------------------------------------------------------------
 
 static SIGNAL_SHUTDOWN: AtomicBool = AtomicBool::new(false);
 static SIGNAL_RELOAD: AtomicBool = AtomicBool::new(false);
+
+/// The signal wake socket: `(read end, write end)`, both nonblocking.
+static SIGNAL_WAKE: OnceLock<(UnixStream, UnixStream)> = OnceLock::new();
+
+/// The write end's raw fd, for the handlers (`-1` until installed).
+static SIGNAL_WAKE_FD: AtomicI32 = AtomicI32::new(-1);
 
 fn signal_received() -> bool {
     SIGNAL_SHUTDOWN.load(Ordering::SeqCst)
@@ -714,19 +832,20 @@ fn take_reload_signal() -> bool {
 
 /// Routes SIGTERM and SIGINT into a graceful shutdown — and SIGHUP into
 /// a hot-reload — of every [`FrontEnd::run`] loop in the process. Call
-/// once, before `run`.
+/// once, before `run`; fails only if the wake socket cannot be created.
 ///
 /// Uses the C `signal(2)` entry point directly — the workspace vendors
 /// its dependencies and has no `libc` crate, but every supported target
 /// already links the C runtime through `std`.
-#[cfg(unix)]
-pub fn install_signal_handlers() {
+pub fn install_signal_handlers() -> std::io::Result<()> {
     extern "C" fn on_shutdown(_signum: i32) {
-        // Only async-signal-safe work here: one atomic store.
+        // Only async-signal-safe work here: one atomic store, one write.
         SIGNAL_SHUTDOWN.store(true, Ordering::SeqCst);
+        sys::wake(SIGNAL_WAKE_FD.load(Ordering::SeqCst));
     }
     extern "C" fn on_reload(_signum: i32) {
         SIGNAL_RELOAD.store(true, Ordering::SeqCst);
+        sys::wake(SIGNAL_WAKE_FD.load(Ordering::SeqCst));
     }
     const SIGHUP: i32 = 1;
     const SIGINT: i32 = 2;
@@ -734,18 +853,101 @@ pub fn install_signal_handlers() {
     extern "C" {
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> isize;
     }
+    if SIGNAL_WAKE.get().is_none() {
+        let (rx, tx) = UnixStream::pair()?;
+        rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
+        // A racing installer may win; its pair serves both.
+        let _ = SIGNAL_WAKE.set((rx, tx));
+    }
+    if let Some((_, tx)) = SIGNAL_WAKE.get() {
+        SIGNAL_WAKE_FD.store(tx.as_raw_fd(), Ordering::SeqCst);
+    }
     // SAFETY: `signal(2)` is async-signal-safe to install from any thread;
     // the handlers passed are `extern "C" fn(i32)` with the exact ABI the
-    // C runtime invokes them under, and each performs only a single atomic
-    // store (itself async-signal-safe). The returned previous handler is
-    // deliberately discarded — the daemon owns these three signals.
+    // C runtime invokes them under, and each performs only an atomic
+    // store and a `write(2)` (both async-signal-safe). The returned
+    // previous handler is deliberately discarded — the daemon owns these
+    // three signals.
     unsafe {
         signal(SIGTERM, on_shutdown);
         signal(SIGINT, on_shutdown);
         signal(SIGHUP, on_reload);
     }
+    Ok(())
 }
 
-/// No-op off Unix: rely on process teardown.
-#[cfg(not(unix))]
-pub fn install_signal_handlers() {}
+/// The two C calls the accept loop and the signal handlers make, declared
+/// the way `signal` is: no `libc` crate.
+mod sys {
+    use std::os::unix::io::RawFd;
+
+    /// `struct pollfd` from `<poll.h>`.
+    #[repr(C)]
+    pub(super) struct PollFd {
+        fd: RawFd,
+        events: i16,
+        revents: i16,
+    }
+
+    const POLLIN: i16 = 0x1;
+
+    #[cfg(target_os = "linux")]
+    type Nfds = std::ffi::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type Nfds = std::ffi::c_uint;
+
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: i32) -> i32;
+        fn write(fd: RawFd, buf: *const u8, count: usize) -> isize;
+    }
+
+    impl PollFd {
+        /// Waits for `fd` to become readable.
+        pub(super) fn readable(fd: RawFd) -> PollFd {
+            PollFd {
+                fd,
+                events: POLLIN,
+                revents: 0,
+            }
+        }
+
+        /// Whether the last [`wait_readable`] reported this fd (readable, or an
+        /// error a read will surface).
+        pub(super) fn woke(&self) -> bool {
+            self.revents != 0
+        }
+    }
+
+    /// Blocks until at least one of `fds` is ready; a signal cuts the
+    /// wait short with `Ok`.
+    pub(super) fn wait_readable(fds: &mut [PollFd]) -> std::io::Result<()> {
+        // SAFETY: `fds` is a live, exclusively borrowed slice of
+        // `#[repr(C)]` `struct pollfd`s and `nfds` is its length, so the
+        // kernel reads and writes only memory we own for the duration of
+        // the call; a negative timeout blocks without one.
+        let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, -1) };
+        if n < 0 {
+            let e = std::io::Error::last_os_error();
+            if e.kind() != std::io::ErrorKind::Interrupted {
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes one byte to `fd` if it is set (`>= 0`); callable from a
+    /// signal handler.
+    pub(super) fn wake(fd: RawFd) {
+        if fd >= 0 {
+            // SAFETY: `write(2)` is async-signal-safe; the buffer is a
+            // one-byte literal that outlives the call. `fd` is the signal
+            // wake socket's write end, which lives in a static for the
+            // life of the process and is nonblocking, so a full socket
+            // (which already holds a wake-up) fails fast instead of
+            // blocking the handler. A successful write leaves `errno`
+            // alone; a failed one can only be `EAGAIN` on a full socket.
+            unsafe { write(fd, [1u8].as_ptr(), 1) };
+        }
+    }
+}

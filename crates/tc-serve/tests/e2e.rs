@@ -10,6 +10,9 @@ use tc_serve::{ClientError, ServeClient, ServeConfig, Server, ServerHandle};
 use tc_store::SegmentTcTree;
 use tc_txdb::Pattern;
 
+#[path = "common/trickle.rs"]
+mod trickle;
+
 fn sample_tree() -> TcTree {
     let net = generate_coauthor(&CoauthorConfig {
         groups: 3,
@@ -408,6 +411,32 @@ fn stalled_sessions_time_out_and_free_their_slot() {
 }
 
 #[test]
+fn quit_frees_the_slot_before_bye() {
+    let tree = sample_tree();
+    let (addr, handle, join) = spawn_server(
+        &tree,
+        ServeConfig {
+            workers: 1,
+            max_inflight: 1,
+            ..ServeConfig::default()
+        },
+    );
+
+    // A client that has read `BYE` reconnects at once: the accept loop
+    // admits it without a tick's delay, so the slot must already be free.
+    for round in 0..1000 {
+        match ServeClient::connect(&addr) {
+            Ok(client) => client.quit().unwrap(),
+            Err(e) => panic!("round {round}: reconnect after BYE refused: {e}"),
+        }
+    }
+
+    handle.shutdown();
+    let stats = join.join().unwrap();
+    assert_eq!(stats.rejected_busy, 0);
+}
+
+#[test]
 fn busy_retry_succeeds_once_the_slot_frees() {
     let tree = sample_tree();
     let (addr, handle, join) = spawn_server(
@@ -502,4 +531,82 @@ fn zero_worker_config_is_rejected() {
         }
     )
     .is_err());
+}
+
+#[test]
+fn trickling_client_idles_out() {
+    let tree = sample_tree();
+    let (addr, handle, join) = spawn_server(
+        &tree,
+        ServeConfig {
+            idle_timeout: Some(std::time::Duration::from_millis(400)),
+            ..ServeConfig::default()
+        },
+    );
+
+    // Partial bytes keep arriving faster than the 200 ms read tick, but
+    // no line ever completes: the session must idle out all the same.
+    let stream = TcpStream::connect(&addr).unwrap();
+    let mut greeting = String::new();
+    BufReader::new(stream.try_clone().unwrap())
+        .read_line(&mut greeting)
+        .unwrap();
+    assert!(greeting.starts_with("TCSERVE"), "{greeting}");
+    let open_for = trickle::until_closed(stream, b"QB", b"7");
+    println!("trickling session closed after {open_for:?} (idle timeout 400 ms)");
+    assert!(
+        open_for < std::time::Duration::from_millis(1500),
+        "trickling session held for {open_for:?}"
+    );
+
+    handle.shutdown();
+    let stats = join.join().unwrap();
+    assert!(stats.timeouts >= 1, "timeout not counted: {stats:?}");
+}
+
+#[test]
+fn idle_front_end_greets_promptly() {
+    let tree = sample_tree();
+    let (addr, handle, join) = spawn_server(&tree, ServeConfig::default());
+    std::thread::sleep(std::time::Duration::from_millis(100));
+
+    // Each connection arrives at an idle accept loop: the greeting must
+    // not wait out any accept tick.
+    let mut waits = Vec::new();
+    for _ in 0..9 {
+        std::thread::sleep(std::time::Duration::from_millis(30));
+        let started = std::time::Instant::now();
+        let stream = TcpStream::connect(&addr).unwrap();
+        let mut greeting = String::new();
+        BufReader::new(stream).read_line(&mut greeting).unwrap();
+        waits.push(started.elapsed());
+        assert!(greeting.starts_with("TCSERVE"), "{greeting}");
+    }
+    waits.sort();
+    println!("connect -> greeting at an idle front end: {waits:?}");
+    assert!(
+        waits[waits.len() / 2] < std::time::Duration::from_millis(5),
+        "median connect -> greeting {:?} (all: {waits:?})",
+        waits[waits.len() / 2]
+    );
+
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+#[test]
+fn shutdown_wakes_an_idle_front_end() {
+    let tree = sample_tree();
+    let (_addr, handle, join) = spawn_server(&tree, ServeConfig::default());
+    std::thread::sleep(std::time::Duration::from_millis(200));
+
+    let started = std::time::Instant::now();
+    handle.shutdown();
+    join.join().unwrap();
+    let took = started.elapsed();
+    println!("shutdown of an idle front end took {took:?}");
+    assert!(
+        took < std::time::Duration::from_millis(50),
+        "run returned {took:?} after shutdown"
+    );
 }

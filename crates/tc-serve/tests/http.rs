@@ -4,6 +4,8 @@
 //! zero-drop hot reloads.
 
 mod common;
+#[path = "common/trickle.rs"]
+mod trickle;
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -465,4 +467,35 @@ fn metrics_exposition_counts_requests_and_parses_cleanly() {
 
     handle.shutdown();
     join.join().unwrap();
+}
+
+#[test]
+fn trickling_body_idles_out() {
+    let tree = sample_tree(3, 2);
+    let (addr, handle, join) = spawn_http_server(
+        &tree,
+        ServeConfig {
+            idle_timeout: Some(std::time::Duration::from_millis(400)),
+            ..ServeConfig::default()
+        },
+    );
+
+    // The head completes at once; the promised body then arrives one
+    // byte every 100 ms — each faster than the 200 ms read tick, the
+    // whole never. The session must idle out as if the client were
+    // silent.
+    let open_for = trickle::until_closed(
+        TcpStream::connect(&addr).unwrap(),
+        b"POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: 100\r\n\r\n[",
+        b" ",
+    );
+    println!("trickled body closed after {open_for:?} (idle timeout 400 ms)");
+    assert!(
+        open_for < std::time::Duration::from_millis(1500),
+        "trickled body held the session for {open_for:?}"
+    );
+
+    handle.shutdown();
+    let stats = join.join().unwrap();
+    assert!(stats.timeouts >= 1, "timeout not counted: {stats:?}");
 }
