@@ -2,12 +2,17 @@
 //!
 //! Networks and TC-Trees exist in two formats — the line-oriented text
 //! formats (`dbnet v1` / `tctree v1`) and the binary segment format of
-//! `tc-store`. Readers auto-detect by magic bytes; writers pick by the
-//! `--format` flag (`auto` follows the `.seg` extension).
+//! `tc-store`. Each value type has one loader (`load_net`, `load_tree`),
+//! which auto-detects the format by magic bytes, and one saver
+//! (`save_net`, `save_tree`), which picks it by the `--format` flag (`auto`
+//! follows the `.seg` extension). `tc query` opens every tree as the
+//! segment reader `tc serve` walks and answers through the daemon's own
+//! `tc_serve::answer`, so a local answer is the served one.
 
 use std::path::Path;
 use tc_core::{DatabaseNetwork, Miner, ParallelTcfiMiner, TcfaMiner, TcsMiner};
 use tc_index::{TcTree, TcTreeBuilder};
+use tc_serve::{QueryResponse, QuerySpec};
 use tc_store::{DetectedFormat, SegmentTcTree};
 use tc_txdb::Pattern;
 
@@ -196,6 +201,81 @@ fn wants_segment(format: Option<&str>, out: &str) -> Result<bool, String> {
     }
 }
 
+/// Whether `path` holds the segment (`true`) or the text (`false`) form of
+/// a `want` ("network" or "TC-Tree"), detected by magic bytes.
+fn sniff(path: &str, want: &str) -> Result<bool, String> {
+    let (segment, holds) = match tc_store::detect_format(Path::new(path))
+        .map_err(|e| e.to_string())?
+    {
+        DetectedFormat::SegmentNetwork => (true, "network"),
+        DetectedFormat::TextNetwork => (false, "network"),
+        DetectedFormat::SegmentTree => (true, "TC-Tree"),
+        DetectedFormat::TextTree => (false, "TC-Tree"),
+        DetectedFormat::Unknown => return Err(format!("{path} is not a recognised {want} format")),
+    };
+    if holds != want {
+        return Err(format!("{path} holds a {holds}, expected a {want}"));
+    }
+    Ok(segment)
+}
+
+/// Loads a network in either format.
+fn load_net(path: &str) -> Result<DatabaseNetwork, String> {
+    let p = Path::new(path);
+    if sniff(path, "network")? {
+        tc_store::load_network_segment_from_path(p)
+    } else {
+        tc_data::load_network_from_path(p)
+    }
+    .map_err(|e| e.to_string())
+}
+
+/// Writes `net` to `out` in the format `--format` picks.
+fn save_net(net: &DatabaseNetwork, out: &str, format: Option<&str>) -> Result<(), String> {
+    let p = Path::new(out);
+    if wants_segment(format, out)? {
+        tc_store::save_network_segment_to_path(net, p)
+    } else {
+        tc_data::save_network_to_path(net, p)
+    }
+    .map_err(|e| e.to_string())
+}
+
+/// Loads a TC-Tree in either format.
+fn load_tree(path: &str) -> Result<TcTree, String> {
+    let p = Path::new(path);
+    if sniff(path, "TC-Tree")? {
+        tc_store::load_tree_segment_from_path(p)
+    } else {
+        TcTree::load_from_path(p)
+    }
+    .map_err(|e| e.to_string())
+}
+
+/// Writes `tree` to `out` in the format `--format` picks.
+fn save_tree(tree: &TcTree, out: &str, format: Option<&str>) -> Result<(), String> {
+    let p = Path::new(out);
+    if wants_segment(format, out)? {
+        tc_store::save_tree_segment_to_path(tree, p)
+    } else {
+        tree.save_to_path(p)
+    }
+    .map_err(|e| e.to_string())
+}
+
+/// Opens a TC-Tree as the segment reader `tc serve` walks: a segment file
+/// lazily, a text tree through its segment image in memory.
+fn open_tree(path: &str) -> Result<SegmentTcTree, String> {
+    let tree = if sniff(path, "TC-Tree")? {
+        SegmentTcTree::open(Path::new(path))
+    } else {
+        let mut image = Vec::new();
+        tc_store::save_tree_segment(&load_tree(path)?, &mut image).map_err(|e| e.to_string())?;
+        SegmentTcTree::from_bytes(image)
+    };
+    tree.map_err(|e| e.to_string())
+}
+
 const GENERATE: Command = Command {
     usage: "tc generate --kind <checkin|coauthor|syn|planted> --out <net> [--scale F] [--seed N] \
             [--format auto|text|seg]",
@@ -262,12 +342,7 @@ pub fn generate(args: &[String]) -> i32 {
         other => return fail(format!("unknown kind '{other}'")),
     };
 
-    let save = match wants_segment(flags.get("format"), out) {
-        Ok(true) => tc_store::save_network_segment_to_path(&network, Path::new(out)),
-        Ok(false) => tc_data::save_network_to_path(&network, Path::new(out)),
-        Err(e) => return fail(e),
-    };
-    if let Err(e) = save {
+    if let Err(e) = save_net(&network, out, flags.get("format")) {
         return fail(e);
     }
     let s = network.stats();
@@ -276,23 +351,6 @@ pub fn generate(args: &[String]) -> i32 {
         s.vertices, s.edges, s.transactions, s.items_unique
     );
     0
-}
-
-/// Loads a network in either format, auto-detected by magic bytes.
-fn load_net(path: &str) -> Result<DatabaseNetwork, String> {
-    let p = Path::new(path);
-    match tc_store::detect_format(p).map_err(|e| e.to_string())? {
-        DetectedFormat::SegmentNetwork => {
-            tc_store::load_network_segment_from_path(p).map_err(|e| e.to_string())
-        }
-        DetectedFormat::TextNetwork => {
-            tc_data::load_network_from_path(p).map_err(|e| e.to_string())
-        }
-        DetectedFormat::SegmentTree | DetectedFormat::TextTree => {
-            Err(format!("{path} holds a TC-Tree, expected a network"))
-        }
-        DetectedFormat::Unknown => Err(format!("{path} is not a recognised network format")),
-    }
 }
 
 const STATS: Command = Command {
@@ -438,12 +496,7 @@ pub fn index(args: &[String]) -> i32 {
         max_len: usize::MAX,
     }
     .build(&net);
-    let save = match wants_segment(flags.get("format"), out) {
-        Ok(true) => tc_store::save_tree_segment_to_path(&tree, Path::new(out)),
-        Ok(false) => tree.save_to_path(Path::new(out)),
-        Err(e) => return fail(e),
-    };
-    if let Err(e) = save {
+    if let Err(e) = save_tree(&tree, out, flags.get("format")) {
         return fail(e);
     }
     println!(
@@ -454,44 +507,6 @@ pub fn index(args: &[String]) -> i32 {
         tree.stats().build_secs
     );
     0
-}
-
-/// A query backend: the fully-parsed text tree or the lazy segment tree.
-enum LoadedTree {
-    Mem(TcTree),
-    Seg(SegmentTcTree),
-}
-
-impl LoadedTree {
-    fn open(path: &str) -> Result<LoadedTree, String> {
-        let p = Path::new(path);
-        match tc_store::detect_format(p).map_err(|e| e.to_string())? {
-            DetectedFormat::SegmentTree => Ok(LoadedTree::Seg(
-                SegmentTcTree::open(p).map_err(|e| e.to_string())?,
-            )),
-            DetectedFormat::TextTree => Ok(LoadedTree::Mem(
-                TcTree::load_from_path(p).map_err(|e| e.to_string())?,
-            )),
-            DetectedFormat::SegmentNetwork | DetectedFormat::TextNetwork => {
-                Err(format!("{path} holds a network, expected a TC-Tree"))
-            }
-            DetectedFormat::Unknown => Err(format!("{path} is not a recognised TC-Tree format")),
-        }
-    }
-
-    fn query(&self, q: &Pattern, alpha: f64) -> Result<tc_index::QueryResult, String> {
-        match self {
-            LoadedTree::Mem(t) => Ok(t.query(q, alpha)),
-            LoadedTree::Seg(t) => t.query(q, alpha).map_err(|e| e.to_string()),
-        }
-    }
-
-    fn query_by_alpha(&self, alpha: f64) -> Result<tc_index::QueryResult, String> {
-        match self {
-            LoadedTree::Mem(t) => Ok(t.query_by_alpha(alpha)),
-            LoadedTree::Seg(t) => t.query_by_alpha(alpha).map_err(|e| e.to_string()),
-        }
-    }
 }
 
 /// Resolves a `--pattern` spec (comma-separated numeric ids or, with a
@@ -516,22 +531,28 @@ fn parse_pattern(spec: &str, net: Option<&DatabaseNetwork>) -> Result<Pattern, S
     Ok(Pattern::new(items))
 }
 
-/// Prints the shared truss listing — identical lines for local and
-/// remote backends, so the two paths diff clean in CI.
-fn print_trusses<'a>(
-    trusses: impl ExactSizeIterator<Item = (Pattern, usize, usize)> + 'a,
-    net: Option<&DatabaseNetwork>,
-) {
-    let total = trusses.len();
-    for (pattern, vertices, edges) in trusses.take(20) {
-        let rendered = match net {
-            Some(n) => n.item_space().render(&pattern),
-            None => pattern.to_string(),
-        };
-        println!("  {rendered}: {vertices} vertices, {edges} edges");
+/// Prints one answer, local or remote, the same way: the wire object
+/// with `--json`, else a summary line, the `backend` line and the truss
+/// listing — so the two paths diff clean in CI.
+fn print_answer(answer: &QueryResponse, backend: &str, net: Option<&DatabaseNetwork>, json: bool) {
+    if json {
+        print!("{}", answer.encode_json());
+        return;
     }
-    if total > 20 {
-        println!("  … and {} more", total - 20);
+    println!(
+        "retrieved {} maximal pattern trusses in {:.6}s ({} nodes visited)",
+        answer.retrieved, answer.elapsed_secs, answer.visited
+    );
+    println!("{backend}");
+    for t in answer.trusses.iter().take(20) {
+        let rendered = match net {
+            Some(n) => n.item_space().render(&t.pattern()),
+            None => t.pattern().to_string(),
+        };
+        println!("  {rendered}: {} vertices, {} edges", t.vertices, t.edges);
+    }
+    if answer.trusses.len() > 20 {
+        println!("  … and {} more", answer.trusses.len() - 20);
     }
 }
 
@@ -553,16 +574,17 @@ const QUERY: Command = Command {
 /// `tc query`: answers QBA/QBP from a local tree file or, with
 /// `--remote`, from a running daemon.
 ///
-/// With `--json` the answer is printed as the serving wire object —
-/// one line, identical to what the daemon's `JSON` frames and HTTP
-/// bodies carry — so local and remote answers are byte-comparable
-/// (CI's `http-smoke` job diffs exactly this against `curl`).
+/// A local tree of either format is answered through [`tc_serve::answer`],
+/// the daemon's own function, so with `--json` both arms print the serving
+/// wire object — one line, identical to what the daemon's `JSON` frames
+/// and HTTP bodies carry — and local and remote answers are
+/// byte-comparable (CI's `http-smoke` job diffs exactly this against
+/// `curl`).
 pub fn query(args: &[String]) -> i32 {
     let flags = match QUERY.parse(args) {
         Ok(f) => f,
         Err(e) => return fail(e),
     };
-    let as_json = flags.has("json");
     let alpha = match flags.get_f64("alpha", 0.0) {
         Ok(a) => a,
         Err(e) => return fail(e),
@@ -575,15 +597,16 @@ pub fn query(args: &[String]) -> i32 {
         },
         None => None,
     };
-    let pattern = match flags.get("pattern") {
-        Some(spec) => match parse_pattern(spec, net.as_ref()) {
-            Ok(p) => Some(p),
-            Err(e) => return fail(e),
-        },
-        None => None,
+    let spec = match flags
+        .get("pattern")
+        .map(|spec| parse_pattern(spec, net.as_ref()))
+    {
+        None => QuerySpec::Qba(alpha),
+        Some(Ok(p)) => QuerySpec::Query(p.iter().map(|i| i.0).collect(), alpha),
+        Some(Err(e)) => return fail(e),
     };
 
-    if let Some(addr) = flags.get("remote") {
+    let answer = if let Some(addr) = flags.get("remote") {
         if !flags.positional.is_empty() {
             return fail("--remote takes no tree path (the daemon already holds one)");
         }
@@ -602,108 +625,55 @@ pub fn query(args: &[String]) -> i32 {
             max_delay: retry_max_delay,
             ..tc_serve::RetryPolicy::default()
         };
-        return query_remote(
-            addr,
-            &policy,
-            pattern.as_ref(),
-            alpha,
-            net.as_ref(),
-            as_json,
-        );
-    }
-    if flags.get("retries").is_some() || flags.get("retry-max-delay").is_some() {
-        return fail("--retries/--retry-max-delay apply to --remote queries only");
-    }
-
-    let Some(path) = flags.positional.first() else {
-        return QUERY.usage_error();
+        query_remote(addr, &policy, &spec)
+    } else {
+        if flags.get("retries").is_some() || flags.get("retry-max-delay").is_some() {
+            return fail("--retries/--retry-max-delay apply to --remote queries only");
+        }
+        let Some(path) = flags.positional.first() else {
+            return QUERY.usage_error();
+        };
+        open_tree(path).and_then(|tree| {
+            let answer = tc_serve::answer(&tree, &spec).map_err(|e| e.to_string())?;
+            let backend = format!(
+                "segment backend: materialized {} of {} nodes on demand",
+                tree.materialized_nodes(),
+                tree.num_nodes()
+            );
+            Ok((answer, backend))
+        })
     };
-    let tree = match LoadedTree::open(path) {
-        Ok(t) => t,
-        Err(e) => return fail(e),
-    };
-    let result = match &pattern {
-        None => tree.query_by_alpha(alpha),
-        Some(p) => tree.query(p, alpha),
-    };
-    let result = match result {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
-
-    if as_json {
-        print!(
-            "{}",
-            tc_serve::QueryResponse::from_result(&result).encode_json()
-        );
-        return 0;
+    match answer {
+        Ok((answer, backend)) => {
+            print_answer(&answer, &backend, net.as_ref(), flags.has("json"));
+            0
+        }
+        Err(e) => fail(e),
     }
-    println!(
-        "retrieved {} maximal pattern trusses in {:.6}s ({} nodes visited)",
-        result.retrieved_nodes, result.elapsed_secs, result.visited_nodes
-    );
-    if let LoadedTree::Seg(seg) = &tree {
-        println!(
-            "segment backend: materialized {} of {} nodes on demand",
-            seg.materialized_nodes(),
-            seg.num_nodes()
-        );
-    }
-    print_trusses(
-        result
-            .trusses
-            .iter()
-            .map(|t| (t.pattern.clone(), t.num_vertices(), t.num_edges())),
-        net.as_ref(),
-    );
-    0
 }
 
-/// The `--remote` arm of `tc query`: same flags, same output lines, but
-/// the answer comes from a `tc serve` daemon over TCP.
+/// The `--remote` arm of `tc query`: the answer from a `tc serve` daemon
+/// over TCP, and the line naming that backend.
 fn query_remote(
     addr: &str,
     policy: &tc_serve::RetryPolicy,
-    pattern: Option<&Pattern>,
-    alpha: f64,
-    net: Option<&DatabaseNetwork>,
-    as_json: bool,
-) -> i32 {
-    let mut client = match tc_serve::ServeClient::connect_with_retry(addr, policy) {
-        Ok(c) => c,
-        Err(e) => return fail(format!("{addr}: {e}")),
-    };
-    let result = match pattern {
-        None => client.qba(alpha),
-        Some(p) => client.query(&p.iter().map(|i| i.0).collect::<Vec<_>>(), alpha),
-    };
-    let result = match result {
-        Ok(r) => r,
-        Err(e) => return fail(format!("{addr}: {e}")),
-    };
-    if as_json {
-        print!("{}", result.encode_json());
-        let _ = client.quit();
-        return 0;
+    spec: &QuerySpec,
+) -> Result<(QueryResponse, String), String> {
+    let mut client = tc_serve::ServeClient::connect_with_retry(addr, policy)
+        .map_err(|e| format!("{addr}: {e}"))?;
+    let answer = match spec {
+        QuerySpec::Qba(alpha) => client.qba(*alpha),
+        QuerySpec::Qbp(items) => client.qbp(items),
+        QuerySpec::Query(items, alpha) => client.query(items, *alpha),
     }
-    println!(
-        "retrieved {} maximal pattern trusses in {:.6}s ({} nodes visited)",
-        result.retrieved, result.elapsed_secs, result.visited
-    );
-    println!(
+    .map_err(|e| format!("{addr}: {e}"))?;
+    let backend = format!(
         "remote backend: {addr} ({} nodes, protocol v{})",
         client.nodes(),
         client.server_version()
     );
-    print_trusses(
-        result
-            .trusses
-            .iter()
-            .map(|t| (t.pattern(), t.vertices, t.edges)),
-        net,
-    );
     let _ = client.quit();
-    0
+    Ok((answer, backend))
 }
 
 const SERVE: Command = Command {
@@ -775,22 +745,15 @@ pub fn serve(args: &[String]) -> i32 {
 
     // The daemon serves the lazy segment reader only: a text tree would
     // mean re-parsing the whole index up front — convert it once instead.
-    let p = Path::new(path.as_str());
-    let tree = match tc_store::detect_format(p).map_err(|e| e.to_string()) {
-        Ok(DetectedFormat::SegmentTree) => match SegmentTcTree::open_with(p, store) {
+    let tree = match sniff(path, "TC-Tree") {
+        Ok(true) => match SegmentTcTree::open_with(Path::new(path), store) {
             Ok(t) => t,
             Err(e) => return fail(e),
         },
-        Ok(DetectedFormat::TextTree) => {
+        Ok(false) => {
             return fail(format!(
                 "{path} is a text tree; convert it first: tc convert {path} tree.seg"
             ))
-        }
-        Ok(DetectedFormat::SegmentNetwork | DetectedFormat::TextNetwork) => {
-            return fail(format!("{path} holds a network, expected a TC-Tree"))
-        }
-        Ok(DetectedFormat::Unknown) => {
-            return fail(format!("{path} is not a recognised TC-Tree format"))
         }
         Err(e) => return fail(e),
     };
@@ -916,12 +879,8 @@ pub fn shard(args: &[String]) -> i32 {
     };
 
     // Any tree format works as input: the shards are always segments.
-    let tree = match LoadedTree::open(path) {
-        Ok(LoadedTree::Mem(t)) => t,
-        Ok(LoadedTree::Seg(s)) => match s.to_tree() {
-            Ok(t) => t,
-            Err(e) => return fail(e),
-        },
+    let tree = match load_tree(path) {
+        Ok(t) => t,
         Err(e) => return fail(e),
     };
 
@@ -1083,44 +1042,35 @@ pub fn convert(args: &[String]) -> i32 {
         Ok(d) => d,
         Err(e) => return fail(e),
     };
+    let from_segment = matches!(
+        detected,
+        DetectedFormat::SegmentNetwork | DetectedFormat::SegmentTree
+    );
     let to_segment = match flags.get("to") {
         // `auto` with no .seg extension: flip the input's format.
         None | Some("auto") if Path::new(output).extension().is_none_or(|e| e != "seg") => {
-            matches!(
-                detected,
-                DetectedFormat::TextNetwork | DetectedFormat::TextTree
-            )
+            !from_segment
         }
         other => match wants_segment(other, output) {
             Ok(seg) => seg,
             Err(e) => return fail(e),
         },
     };
-    let (input, output) = (Path::new(input), Path::new(output));
-    let result = match (detected, to_segment) {
-        (DetectedFormat::TextNetwork, true) => {
-            tc_store::convert::network_text_to_segment(input, output)
+    if to_segment == from_segment {
+        return fail("input is already in the requested format");
+    }
+    let format = Some(if to_segment { "seg" } else { "text" });
+    let converted = match detected {
+        DetectedFormat::SegmentNetwork | DetectedFormat::TextNetwork => {
+            load_net(input).and_then(|net| save_net(&net, output, format))
         }
-        (DetectedFormat::SegmentNetwork, false) => {
-            tc_store::convert::network_segment_to_text(input, output)
-        }
-        (DetectedFormat::TextTree, true) => tc_store::convert::tree_text_to_segment(input, output),
-        (DetectedFormat::SegmentTree, false) => {
-            tc_store::convert::tree_segment_to_text(input, output)
-        }
-        (DetectedFormat::TextNetwork | DetectedFormat::TextTree, false)
-        | (DetectedFormat::SegmentNetwork | DetectedFormat::SegmentTree, true) => {
-            return fail("input is already in the requested format");
-        }
-        (DetectedFormat::Unknown, _) => unreachable!("rejected above"),
+        _ => load_tree(input).and_then(|tree| save_tree(&tree, output, format)),
     };
-    if let Err(e) = result {
+    if let Err(e) = converted {
         return fail(e);
     }
     println!(
-        "converted {} -> {} ({})",
-        input.display(),
-        output.display(),
+        "converted {input} -> {output} ({})",
         if to_segment { "segment" } else { "text" }
     );
     0

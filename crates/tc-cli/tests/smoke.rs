@@ -249,6 +249,43 @@ impl Drop for KillOnDrop {
     }
 }
 
+/// Spawns `tc serve tree` on an ephemeral port with two workers and
+/// `extra` flags; returns the daemon, the rest of its stdout, and the
+/// address it printed on its first line ("tc-serve listening on <addr> …").
+fn serve(
+    tree: &str,
+    extra: &[&str],
+) -> (
+    KillOnDrop,
+    std::io::BufReader<std::process::ChildStdout>,
+    String,
+) {
+    use std::io::BufRead;
+    let mut daemon = KillOnDrop(
+        Command::new(env!("CARGO_BIN_EXE_tc"))
+            .args(["serve", tree, "--addr", "127.0.0.1:0", "--workers", "2"])
+            .args(extra)
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn tc serve"),
+    );
+    let mut daemon_stdout = std::io::BufReader::new(daemon.0.stdout.take().expect("daemon stdout"));
+    let mut line = String::new();
+    daemon_stdout
+        .read_line(&mut line)
+        .expect("read listening line");
+    assert!(
+        line.starts_with("tc-serve listening on "),
+        "malformed listening line: {line}"
+    );
+    let addr = line
+        .split_whitespace()
+        .nth(3)
+        .unwrap_or_else(|| panic!("malformed listening line: {line}"))
+        .to_string();
+    (daemon, daemon_stdout, addr)
+}
+
 #[test]
 fn serve_daemon_round_trip() {
     // The daemon path end to end, exactly as the CI serve-smoke job runs
@@ -268,38 +305,8 @@ fn serve_daemon_round_trip() {
     let out = tc(&["index", &net, "--out", &tree_seg, "--format", "seg"]);
     assert_success(&out, "tc index --format seg");
 
-    // Port 0: the daemon prints the resolved address on its first line
-    // ("tc-serve listening on <addr> …").
-    let mut daemon = KillOnDrop(
-        Command::new(env!("CARGO_BIN_EXE_tc"))
-            .args([
-                "serve",
-                &tree_seg,
-                "--addr",
-                "127.0.0.1:0",
-                "--workers",
-                "2",
-                "--max-inflight",
-                "1",
-            ])
-            .stdout(std::process::Stdio::piped())
-            .spawn()
-            .expect("spawn tc serve"),
-    );
-    let mut daemon_stdout = BufReader::new(daemon.0.stdout.take().expect("daemon stdout"));
+    let (mut daemon, mut daemon_stdout, addr) = serve(&tree_seg, &["--max-inflight", "1"]);
     let mut line = String::new();
-    daemon_stdout
-        .read_line(&mut line)
-        .expect("read listening line");
-    assert!(
-        line.starts_with("tc-serve listening on "),
-        "malformed listening line: {line}"
-    );
-    let addr = line
-        .split_whitespace()
-        .nth(3)
-        .unwrap_or_else(|| panic!("malformed listening line: {line}"))
-        .to_string();
 
     // Remote truss listing must match the local one byte for byte.
     let trusses = |s: &str| {
@@ -389,6 +396,84 @@ fn serve_daemon_round_trip() {
         rest.contains("busy-rejected"),
         "final counters should include admission telemetry:\n{rest}"
     );
+}
+
+#[test]
+fn one_answer_from_every_reader() {
+    // A text tree, its segment, and a daemon serving the segment answer
+    // through one function: `tc query --json` prints the same object for
+    // all three, bar the wall-clock `secs`.
+    let scratch = Scratch::new("readers");
+    let net = scratch.path("net.dbnet");
+    let tree_txt = scratch.path("tree.tct");
+    let tree_seg = scratch.path("tree.seg");
+    let out = tc(&[
+        "generate", "--kind", "planted", "--out", &net, "--seed", "7",
+    ]);
+    assert_success(&out, "tc generate");
+    for tree in [&tree_txt, &tree_seg] {
+        assert_success(&tc(&["index", &net, "--out", tree]), "tc index");
+    }
+    let (_daemon, _stdout, addr) = serve(&tree_seg, &[]);
+
+    let without_secs = |json: String| {
+        let (head, rest) = json.split_once("\"secs\":").expect("a secs field");
+        let (_, tail) = rest.split_once(',').expect("fields after secs");
+        format!("{head}{tail}")
+    };
+    for query in [&["--alpha", "0.2"][..], &["--pattern", "0,1"]] {
+        let answer = |reader: &[&str]| {
+            let args: Vec<&str> = ["query"]
+                .iter()
+                .chain(reader)
+                .chain(query)
+                .copied()
+                .collect();
+            let out = tc(&[&args[..], &["--json"]].concat());
+            assert_success(&out, &format!("tc {}", args.join(" ")));
+            without_secs(stdout(&out))
+        };
+        let text = answer(&[&tree_txt]);
+        assert!(
+            text.contains("\"pattern\":["),
+            "{query:?} retrieves nothing: {text}"
+        );
+        assert_eq!(text, answer(&[&tree_seg]), "{query:?}: text vs segment");
+        assert_eq!(
+            text,
+            answer(&["--remote", &addr]),
+            "{query:?}: local vs served"
+        );
+    }
+}
+
+#[test]
+fn convert_round_trips_byte_for_byte() {
+    // Every conversion there and back reproduces its input exactly.
+    let scratch = Scratch::new("convert");
+    let net = scratch.path("net.dbnet");
+    let tree_txt = scratch.path("tree.tct");
+    let tree_seg = scratch.path("tree.seg");
+    let out = tc(&[
+        "generate", "--kind", "planted", "--out", &net, "--seed", "7",
+    ]);
+    assert_success(&out, "tc generate");
+    for tree in [&tree_txt, &tree_seg] {
+        assert_success(&tc(&["index", &net, "--out", tree]), "tc index");
+    }
+    for (input, there, back) in [
+        (&net, "net.seg", "net.back.dbnet"),
+        (&tree_txt, "tree.there.seg", "tree.back.tct"),
+        (&tree_seg, "tree.there.tct", "tree.back.seg"),
+    ] {
+        let (there, back) = (scratch.path(there), scratch.path(back));
+        assert_success(&tc(&["convert", input, &there]), "tc convert (there)");
+        assert_success(&tc(&["convert", &there, &back]), "tc convert (back)");
+        assert!(
+            std::fs::read(input).expect("read input") == std::fs::read(&back).expect("read back"),
+            "{input} -> {there} -> {back} is not byte-identical"
+        );
+    }
 }
 
 #[test]

@@ -133,6 +133,13 @@ impl TcTree {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| corrupt("bad level alpha"))?;
+                // The segment reader's rule: finite, ≥ 0, strictly ascending
+                // (a NaN would also void the check for the next level).
+                if !alpha.is_finite() || alpha < 0.0 {
+                    return Err(corrupt(format!(
+                        "level alpha {alpha} is not finite and ≥ 0"
+                    )));
+                }
                 if alpha <= prev_alpha {
                     return Err(corrupt("level alphas must strictly ascend"));
                 }
@@ -329,5 +336,19 @@ mod tests {
         let text = "tctree v1\nnodes 2\nnode 0 0 0\nlevels 0\nnode 1 0 5\nlevels 2\nlevel 0.5 1 1 2\nlevel 0.3 1 2 3\nend\n";
         let err = TcTree::load(std::io::Cursor::new(text.as_bytes())).unwrap_err();
         assert!(matches!(err, LoadError::Corrupt(_)));
+    }
+
+    #[test]
+    fn rejects_alphas_no_segment_reader_accepts() {
+        // A level alpha must be finite and ≥ 0, as the segment reader
+        // demands; a NaN would also void the ascent check of the next level.
+        for alpha in ["inf", "NaN", "-0.5"] {
+            let text = format!(
+                "tctree v1\nnodes 2\nnode 0 0 0\nlevels 0\nnode 1 0 5\nlevels 1\nlevel {alpha} 1 1 2\nend\n"
+            );
+            let err = TcTree::load(std::io::Cursor::new(text.as_bytes())).unwrap_err();
+            assert!(matches!(err, LoadError::Corrupt(_)), "{alpha}: {err}");
+            assert!(err.to_string().contains("finite"), "{alpha}: {err}");
+        }
     }
 }

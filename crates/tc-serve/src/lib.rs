@@ -16,7 +16,8 @@
 //!   implemented by [`local::LocalTree`] here and by `tc-router`'s
 //!   scatter/merge;
 //! * [`local`] — `tc serve` itself: the local-tree backend, its
-//!   configuration, and the line-protocol session;
+//!   configuration, and the line-protocol session; its [`answer`] is
+//!   also what `tc query` prints for a local tree;
 //! * [`client`] — a blocking session client, reused by
 //!   `tc query --remote`, `tc-router`'s shard pools, and `bench/`;
 //! * [`http`] — the HTTP/1.1 + JSON gateway (`GET /qba`, `GET /qbp`,
@@ -79,7 +80,7 @@ pub use backend::{Answer, Backend, QuerySpec};
 pub use client::{ClientError, RemoteResult, RetryPolicy, ServeClient};
 pub use http::{HttpClient, HttpResponse};
 pub use limit::{RateLimit, RateLimiter};
-pub use local::{LocalTree, ServeConfig, Server, ServerHandle};
+pub use local::{answer, LocalTree, ServeConfig, Server, ServerHandle};
 pub use metrics::{Exposition, Histogram, Metrics};
 pub use protocol::{Greeting, QueryResponse, Request, TrussSummary, PROTOCOL_VERSION};
 pub use reload::TreeSlot;

@@ -91,34 +91,9 @@ impl Backend for LocalTree {
         self.tree.load()
     }
 
-    /// Answers through [`SegmentTcTree::summarize`]: a response carries a
-    /// truss's pattern and sizes, so the walk counts them and no truss is
-    /// rebuilt to be measured and dropped.
     fn answer(&self, tree: &Arc<SegmentTcTree>, spec: &QuerySpec) -> Answer {
-        let pattern_of = |items: &[u32]| Pattern::new(items.iter().map(|&i| Item(i)).collect());
-        let summary = match spec {
-            QuerySpec::Qba(alpha) => tree.summarize(tree.all_items(), *alpha),
-            QuerySpec::Qbp(items) => tree.summarize(&pattern_of(items), 0.0),
-            QuerySpec::Query(items, alpha) => tree.summarize(&pattern_of(items), *alpha),
-        };
-        match summary {
-            Ok(s) => Answer::Ok(
-                QueryResponse {
-                    retrieved: s.trusses.len(),
-                    visited: s.visited_nodes,
-                    elapsed_secs: s.elapsed_secs,
-                    trusses: s
-                        .trusses
-                        .iter()
-                        .map(|t| TrussSummary {
-                            items: tree.pattern(t.node).iter().map(|i| i.0).collect(),
-                            vertices: t.vertices,
-                            edges: t.edges,
-                        })
-                        .collect(),
-                },
-                Vec::new(),
-            ),
+        match answer(tree, spec) {
+            Ok(resp) => Answer::Ok(resp, Vec::new()),
             // A failed query (segment corruption discovered lazily) is an
             // error to this client, not a daemon crash.
             Err(e) => Answer::Err(500, e.to_string()),
@@ -145,6 +120,33 @@ impl Backend for LocalTree {
         };
         crate::reload::reload_from_path(&self.tree, path, self.store)
     }
+}
+
+/// Answers `spec` from `tree` through [`SegmentTcTree::summarize`]: a
+/// response carries a truss's pattern and sizes, so the walk counts them
+/// and no truss is rebuilt to be measured and dropped. What the daemon
+/// answers each request with, and what `tc query` prints.
+pub fn answer(tree: &SegmentTcTree, spec: &QuerySpec) -> Result<QueryResponse, LoadError> {
+    let pattern_of = |items: &[u32]| Pattern::new(items.iter().map(|&i| Item(i)).collect());
+    let s = match spec {
+        QuerySpec::Qba(alpha) => tree.summarize(tree.all_items(), *alpha),
+        QuerySpec::Qbp(items) => tree.summarize(&pattern_of(items), 0.0),
+        QuerySpec::Query(items, alpha) => tree.summarize(&pattern_of(items), *alpha),
+    }?;
+    Ok(QueryResponse {
+        retrieved: s.trusses.len(),
+        visited: s.visited_nodes,
+        elapsed_secs: s.elapsed_secs,
+        trusses: s
+            .trusses
+            .iter()
+            .map(|t| TrussSummary {
+                items: tree.pattern(t.node).iter().map(|i| i.0).collect(),
+                vertices: t.vertices,
+                edges: t.edges,
+            })
+            .collect(),
+    })
 }
 
 /// The query-serving daemon over one hot-swappable [`SegmentTcTree`]:

@@ -18,15 +18,13 @@
 //! * [`tree`] — segment save for [`tc_index::TcTree`] and
 //!   [`SegmentTcTree`], which serves QBA / QBP queries by materialising
 //!   truss decompositions on demand from page offsets — as full trusses
-//!   ([`SegmentTcTree::query`]) or, for the daemon, as their sizes
-//!   ([`SegmentTcTree::summarize`]);
+//!   ([`SegmentTcTree::query`]) or, for the daemon and `tc query`, as
+//!   their sizes ([`SegmentTcTree::summarize`]);
 //! * [`shardmap`] — the `TCMAP01` shard map: how `tc shard` partitions a
 //!   TC-Tree across N self-contained segment shards and how the
 //!   `tc-router` gateway finds them (byte-level spec: `docs/SHARDING.md`);
 //! * [`sniff`] — format detection by magic bytes (segments vs. the two
 //!   text formats);
-//! * [`convert`] — text ↔ segment conversions, both directions, for both
-//!   value types;
 //! * [`wal`] — the durable write path: an append-only, CRC-framed
 //!   write-ahead log with group commit, crash recovery that truncates torn
 //!   tails and replays over a base segment, and a deterministic
@@ -64,7 +62,6 @@
 //! never a panic; see `tests/corruption.rs`.
 
 pub mod cache;
-pub mod convert;
 pub mod network;
 pub mod page;
 pub mod shardmap;

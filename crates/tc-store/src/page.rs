@@ -368,35 +368,6 @@ impl PageFile {
         Ok(Header { kind, sections })
     }
 
-    /// A front-to-back stream over `len` bytes of section `s` from logical
-    /// offset `start`: one page buffer, each page read and verified only
-    /// when the stream reaches it.
-    pub(crate) fn section_stream(
-        &self,
-        s: &SectionInfo,
-        start: u64,
-        len: u64,
-    ) -> Result<SectionStream<'_>, LoadError> {
-        let end = start
-            .checked_add(len)
-            .filter(|&e| e <= s.byte_len)
-            .ok_or_else(|| {
-                LoadError::corrupt(format!(
-                    "segment: range {start}+{len} outside section {} ({} bytes)",
-                    s.id, s.byte_len
-                ))
-            })?;
-        Ok(SectionStream {
-            file: self,
-            section: *s,
-            page: [0u8; PAGE_SIZE],
-            off: start,
-            end,
-            lo: 0,
-            hi: 0,
-        })
-    }
-
     /// Reads `len` bytes of section `s` starting at logical offset `start`,
     /// touching (and verifying) only the pages that overlap the range.
     pub fn read_section_range(
@@ -405,12 +376,9 @@ impl PageFile {
         start: u64,
         len: u64,
     ) -> Result<Vec<u8>, LoadError> {
-        let mut stream = self.section_stream(s, start, len)?;
-        let mut out = Vec::with_capacity(len as usize);
-        while let chunk @ [_, ..] = stream.chunk()? {
-            out.extend_from_slice(chunk);
-        }
-        Ok(out)
+        Ok(self
+            .read_range(s, start, len, &mut PageCursor::new())?
+            .into_owned())
     }
 
     /// Reads a whole section.
@@ -489,9 +457,9 @@ impl PageFile {
     }
 }
 
-/// One verified page a query holds across its reads (see
-/// [`PageFile::read_range`]); never shared between queries, so each page
-/// it holds was read from disk and verified by the query reading it.
+/// One verified page a query (or an open's directory read) holds across
+/// its reads (see [`PageFile::read_range`]); never shared between them,
+/// so each page it holds was read from disk and verified by its reader.
 pub(crate) struct PageCursor {
     /// The page held and its payload length, once one has loaded.
     held: Option<(u64, usize)>,
@@ -507,69 +475,8 @@ impl PageCursor {
     }
 }
 
-/// A front-to-back reader over a byte range of one section (see
-/// [`PageFile::section_stream`]), holding one page at a time.
-pub(crate) struct SectionStream<'a> {
-    file: &'a PageFile,
-    section: SectionInfo,
-    page: [u8; PAGE_SIZE],
-    /// Section offset of the first byte not yet loaded into `page`.
-    off: u64,
-    end: u64,
-    /// The loaded bytes not yet handed out: `page[lo..hi]`.
-    lo: usize,
-    hi: usize,
-}
-
-impl SectionStream<'_> {
-    /// The rest of the range's current page; the next page is read and
-    /// verified once the current one is used up. Empty only at the end.
-    pub(crate) fn chunk(&mut self) -> Result<&[u8], LoadError> {
-        if self.lo == self.hi && self.off < self.end {
-            let cap = PAGE_CAP as u64;
-            let index = self.section.first_page + self.off / cap;
-            let in_page = (self.off % cap) as usize;
-            let want = (self.end - self.off).min((PAGE_CAP - in_page) as u64) as usize;
-            let payload = self.file.read_verified(index, &mut self.page)?;
-            if payload.len() < in_page + want {
-                return Err(LoadError::corrupt(format!(
-                    "segment: page {index} short for section {} range",
-                    self.section.id
-                )));
-            }
-            self.lo = PAGE_HEADER + in_page;
-            self.hi = self.lo + want;
-            self.off += want as u64;
-        }
-        let lo = std::mem::replace(&mut self.lo, self.hi);
-        Ok(&self.page[lo..self.hi])
-    }
-
-    /// Tops `window[*at..]`, what a parser has yet to consume, up to `need`
-    /// bytes (or the range's end), so a record that straddles a page
-    /// boundary reaches the parser in one piece.
-    pub(crate) fn fill(
-        &mut self,
-        window: &mut Vec<u8>,
-        at: &mut usize,
-        need: usize,
-    ) -> Result<(), LoadError> {
-        if window.len() - *at < need {
-            window.drain(..*at);
-            *at = 0;
-            while window.len() < need {
-                match self.chunk()? {
-                    [] => break,
-                    chunk => window.extend_from_slice(chunk),
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn roundtrip(sections: &[(u32, Vec<u8>)]) -> PageFile {
@@ -627,7 +534,9 @@ mod tests {
 
     /// Opens `image` over a [`CountingSource`]; returns the file and its
     /// read log.
-    fn counted(image: Vec<u8>) -> (PageFile, std::sync::Arc<std::sync::Mutex<Vec<u64>>>) {
+    pub(crate) fn counted(
+        image: Vec<u8>,
+    ) -> (PageFile, std::sync::Arc<std::sync::Mutex<Vec<u64>>>) {
         let reads = std::sync::Arc::default();
         let source = CountingSource {
             image: MemSource(image),

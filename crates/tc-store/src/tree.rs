@@ -65,8 +65,10 @@ fn edge_from((pu, pv): (u32, u32), du: u32, dv: u32) -> Option<(u32, u32)> {
 }
 
 /// Writes `tree` to `w` as a segment file; `InvalidInput` unless level
-/// edges are canonical and ascend, as every builder emits them.
+/// alphas are finite, ≥ 0 and ascend and level edges are canonical and
+/// ascend, as every builder emits them and as the reader demands.
 pub fn save_tree_segment<W: Write>(tree: &TcTree, w: &mut W) -> std::io::Result<()> {
+    let invalid = |msg| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg);
     let mut nodes = Vec::new();
     let mut levels = Vec::new();
     put_varint(&mut nodes, tree.nodes().len() as u64);
@@ -74,7 +76,16 @@ pub fn save_tree_segment<W: Write>(tree: &TcTree, w: &mut W) -> std::io::Result<
     for node in tree.nodes() {
         let blob_off = levels.len();
         let truss = &node.truss.levels;
+        let mut prev_alpha = f64::NEG_INFINITY;
         for (i, level) in truss.iter().enumerate() {
+            if !level.alpha.is_finite() || level.alpha < 0.0 || level.alpha <= prev_alpha {
+                let msg = format!(
+                    "{}: level alphas must be finite, ≥ 0 and ascend",
+                    node.pattern
+                );
+                return Err(invalid(msg));
+            }
+            prev_alpha = level.alpha;
             if i + 1 < truss.len() {
                 put_f64(&mut levels, level.alpha);
             }
@@ -88,7 +99,7 @@ pub fn save_tree_segment<W: Write>(tree: &TcTree, w: &mut W) -> std::io::Result<
                 let dv = v.wrapping_sub(base).wrapping_sub(1);
                 if edge_from(prev, du, dv) != Some((u, v)) {
                     let msg = format!("{}: level edges must be canonical and ascend", node.pattern);
-                    return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg));
+                    return Err(invalid(msg));
                 }
                 put_varint(&mut levels, du.into());
                 put_varint(&mut levels, dv.into());
@@ -215,12 +226,28 @@ impl SegmentTcTree {
         }
         let levels = pages.header().section(SEC_LEVELS)?;
         let dir = pages.header().section(SEC_NODES)?;
-        // Streamed page by page, each verified as reached, through a window
-        // holding a whole record; each record is validated as it is read.
-        let mut stream = pages.section_stream(&dir, 0, dir.byte_len)?;
+        // Read page by page, each verified as reached, through one cursor
+        // into a window holding a whole record; each record is validated
+        // as it is read.
+        let mut cursor = PageCursor::new();
         let mut window = Vec::with_capacity(PAGE_CAP + MAX_RECORD);
-        let mut at = 0;
-        stream.fill(&mut window, &mut at, MAX_RECORD)?;
+        let (mut at, mut read) = (0, 0);
+        // Tops `window[at..]`, what the parser has yet to consume, up to
+        // `need` bytes (or the directory's end) by the rest of one page at
+        // a time, so a record that straddles pages reaches the parser whole.
+        let mut fill = |window: &mut Vec<u8>, at: &mut usize, need: usize| {
+            if window.len() - *at < need {
+                window.drain(..*at);
+                *at = 0;
+                while window.len() < need && read < dir.byte_len {
+                    let span = (dir.byte_len - read).min(PAGE_CAP as u64 - read % PAGE_CAP as u64);
+                    window.extend_from_slice(&pages.read_range(&dir, read, span, &mut cursor)?);
+                    read += span;
+                }
+            }
+            Ok::<_, LoadError>(())
+        };
+        fill(&mut window, &mut at, MAX_RECORD)?;
         let bad = || corrupt("NODES directory truncated or malformed");
         let mut r = ByteReader::new(&window);
         let count = r.varint(u64::MAX).ok_or_else(bad)?;
@@ -241,7 +268,7 @@ impl SegmentTcTree {
         let mut alpha_bound = 0.0f64;
         let (mut parent, mut blob_off) = (0i64, 0u64);
         for id in 0..count {
-            stream.fill(&mut window, &mut at, MAX_RECORD)?;
+            fill(&mut window, &mut at, MAX_RECORD)?;
             let mut r = ByteReader::new(&window[at..]);
             let delta = r.varint(u64::MAX).map(unzigzag).ok_or_else(bad)?;
             let item = Item(r.varint(u32::MAX.into()).ok_or_else(bad)? as u32);
@@ -273,7 +300,7 @@ impl SegmentTcTree {
             });
             blob_off = blob_off.saturating_add(blob_len);
         }
-        stream.fill(&mut window, &mut at, 1)?;
+        fill(&mut window, &mut at, 1)?;
         if at < window.len() {
             return Err(corrupt("trailing bytes in NODES directory"));
         }
@@ -794,6 +821,24 @@ mod tests {
     }
 
     #[test]
+    fn level_alphas_the_reader_refuses_are_refused_when_written() {
+        // The reader takes a level alpha only if it is finite, ≥ 0 and
+        // above the one before; the writer refuses anything else instead of
+        // writing a segment no reader opens.
+        for levels in [
+            &[(f64::INFINITY, &[(0, 1)][..])][..],
+            &[(f64::NAN, &[(0, 1)])],
+            &[(-0.5, &[(0, 1)])],
+            &[(0.5, &[(0, 1)]), (0.5, &[(1, 2)])],
+            &[(0.5, &[(0, 1)]), (0.25, &[(1, 2)])],
+        ] {
+            let err = save_tree_segment(&one_node_tree(levels), &mut Vec::new()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{levels:?}");
+            assert!(err.to_string().contains("finite, ≥ 0 and ascend"), "{err}");
+        }
+    }
+
+    #[test]
     fn interleaved_children_open_like_the_in_memory_tree() {
         // Siblings need not be contiguous in the directory: node 3's parent
         // is 1, node 4's is 2, node 5's is 1. The children CSR must still
@@ -865,6 +910,46 @@ mod tests {
                 "q = {q}"
             );
         }
+    }
+
+    #[test]
+    fn open_reads_the_header_and_each_directory_page_once() {
+        // 1 500 leaves under the root: a NODES directory of five pages of
+        // 12- and 13-byte records, several of which straddle a page edge.
+        let leaf = |item: u32| {
+            let pattern = Pattern::singleton(Item(item));
+            let levels = vec![TrussLevel {
+                alpha: 0.5,
+                edges: vec![(0, 1)],
+            }];
+            TcNode {
+                item: Item(item),
+                pattern: pattern.clone(),
+                parent: 0,
+                children: Vec::new(),
+                truss: TrussDecomposition { pattern, levels },
+            }
+        };
+        let root = TcNode {
+            item: Item(0),
+            pattern: Pattern::empty(),
+            parent: 0,
+            children: (1..=1500).collect(),
+            truss: TrussDecomposition {
+                pattern: Pattern::empty(),
+                levels: Vec::new(),
+            },
+        };
+        let nodes = std::iter::once(root).chain((1..=1500).map(leaf)).collect();
+        let (pages, reads) = crate::page::tests::counted(segment_bytes(&TcTree::from_nodes(nodes)));
+        let dir = pages.header().section(SEC_NODES).unwrap();
+        assert!(dir.page_count >= 3, "{} NODES pages", dir.page_count);
+        let seg = SegmentTcTree::from_pages(pages, StoreOptions::default()).unwrap();
+        assert_eq!(seg.num_nodes(), 1500);
+        // The header page, then each NODES page once, in order; LEVELS
+        // pages follow NODES, and none is read.
+        let want: Vec<u64> = (0..dir.first_page + dir.page_count).collect();
+        assert_eq!(*reads.lock().unwrap(), want);
     }
 
     #[test]
