@@ -135,3 +135,248 @@ impl ScatterMetrics {
         out.finish()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::{Scatter, Shards};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+    use tc_serve::metrics::HTTP_CODES;
+    use tc_serve::{Backend, Metrics};
+    use tc_store::shardmap::{HashScheme, ShardEntry};
+    use tc_store::ShardMap;
+    use tc_util::sync::Mutex;
+
+    /// Every front-end counter, by `STATS` key, with a distinct value.
+    const COUNTERS: [(&str, u64); 14] = [
+        ("accepted", 101),
+        ("admitted", 102),
+        ("rejected_busy", 103),
+        ("rate_limited", 104),
+        ("qba", 105),
+        ("qbp", 106),
+        ("query", 107),
+        ("stats", 108),
+        ("batch", 109),
+        ("protocol_errors", 110),
+        ("query_failures", 111),
+        ("timeouts", 112),
+        ("reloads", 113),
+        ("reload_failures", 114),
+    ];
+
+    /// Sets the front-end counter named by `STATS` key `key` to `n`.
+    fn set_counter(m: &Metrics, key: &str, n: u64) {
+        let counter: &AtomicU64 = match key {
+            "accepted" => &m.accepted,
+            "admitted" => &m.admitted,
+            "rejected_busy" => &m.rejected_busy,
+            "rate_limited" => &m.rate_limited,
+            "qba" => &m.qba,
+            "qbp" => &m.qbp,
+            "query" => &m.query,
+            "stats" => &m.stats,
+            "batch" => &m.batch,
+            "protocol_errors" => &m.protocol_errors,
+            "query_failures" => &m.query_failures,
+            "timeouts" => &m.timeouts,
+            "reloads" => &m.reloads,
+            "reload_failures" => &m.reload_failures,
+            other => panic!("no counter {other}"),
+        };
+        counter.store(n, Ordering::Relaxed);
+    }
+
+    /// The router's exposition over two shards, with a distinct value in
+    /// every counter, HTTP code, gauge and histogram: a swapped series or
+    /// a reordered family changes bytes.
+    #[test]
+    fn tcrouter_exposition_is_pinned_byte_for_byte() {
+        let front = Metrics::default();
+        for (key, n) in COUNTERS {
+            set_counter(&front, key, n);
+        }
+        for (i, code) in HTTP_CODES.into_iter().enumerate() {
+            for _ in 0..21 + 2 * i {
+                front.count_http_response(code);
+            }
+        }
+        for (i, (_, h)) in front.verb_latency_series().into_iter().enumerate() {
+            for k in 0..=i {
+                h.observe([10e-6, 0.002, 0.3, 30.0][k] * (i + 1) as f64);
+            }
+        }
+        let entry = |port: u16| ShardEntry {
+            addr: format!("127.0.0.1:{port}"),
+            path: String::new(),
+        };
+        let map = ShardMap {
+            scheme: HashScheme::Crc32Item,
+            items: vec![0, 1, 2],
+            shards: vec![entry(1), entry(2)],
+        };
+        let shards = Arc::new(Shards::new(map, &[]));
+        for (i, pool) in shards.pools.iter().enumerate() {
+            let i = i as u64;
+            pool.tally.fanout.store(41 + i, Ordering::Relaxed);
+            pool.tally.errors.store(43 + i, Ordering::Relaxed);
+            for k in 0..=i {
+                pool.tally.latency.observe(0.0004 * (k + i + 1) as f64);
+            }
+        }
+        let scatter = Scatter {
+            shards: Mutex::new(shards.clone()),
+            partial: true,
+            map_path: None,
+            metrics: Default::default(),
+        };
+        scatter
+            .metrics
+            .partial_responses
+            .store(51, Ordering::Relaxed);
+        scatter.metrics.shards_down.store(1, Ordering::Relaxed);
+        let text = scatter.render_metrics(&shards, &front, 7);
+        assert_eq!(text, TCROUTER_GOLDEN);
+    }
+
+    const TCROUTER_GOLDEN: &str = r#"# HELP tcrouter_requests_total Scatter-gather requests accepted, by verb.
+# TYPE tcrouter_requests_total counter
+tcrouter_requests_total{verb="qba"} 105
+tcrouter_requests_total{verb="qbp"} 106
+tcrouter_requests_total{verb="query"} 107
+tcrouter_requests_total{verb="batch"} 109
+tcrouter_requests_total{verb="healthz"} 108
+# HELP tcrouter_http_responses_total Responses written, by status code.
+# TYPE tcrouter_http_responses_total counter
+tcrouter_http_responses_total{code="200"} 21
+tcrouter_http_responses_total{code="400"} 23
+tcrouter_http_responses_total{code="404"} 25
+tcrouter_http_responses_total{code="405"} 27
+tcrouter_http_responses_total{code="413"} 29
+tcrouter_http_responses_total{code="429"} 31
+tcrouter_http_responses_total{code="500"} 33
+tcrouter_http_responses_total{code="503"} 35
+# HELP tcrouter_requests_rejected_total Requests refused before fan-out, by reason.
+# TYPE tcrouter_requests_rejected_total counter
+tcrouter_requests_rejected_total{reason="rate_limited"} 104
+tcrouter_requests_rejected_total{reason="protocol"} 110
+# HELP tcrouter_partial_responses_total Responses served with one or more shards missing (--partial).
+# TYPE tcrouter_partial_responses_total counter
+tcrouter_partial_responses_total 51
+# HELP tcrouter_reloads_total Shard-map reloads, by outcome.
+# TYPE tcrouter_reloads_total counter
+tcrouter_reloads_total{outcome="ok"} 113
+tcrouter_reloads_total{outcome="error"} 114
+# HELP tcrouter_shards Shards in the active map.
+# TYPE tcrouter_shards gauge
+tcrouter_shards 2
+# HELP tcrouter_shards_down Shards that failed in the most recent scatter (degraded mode when > 0).
+# TYPE tcrouter_shards_down gauge
+tcrouter_shards_down 1
+# HELP tcrouter_inflight_sessions HTTP sessions currently admitted.
+# TYPE tcrouter_inflight_sessions gauge
+tcrouter_inflight_sessions 7
+# HELP tcrouter_fanout_total Shard RPCs attempted, by shard.
+# TYPE tcrouter_fanout_total counter
+tcrouter_fanout_total{shard="0"} 41
+tcrouter_fanout_total{shard="1"} 42
+# HELP tcrouter_shard_errors_total Shard RPCs that failed at the transport layer, by shard.
+# TYPE tcrouter_shard_errors_total counter
+tcrouter_shard_errors_total{shard="0"} 43
+tcrouter_shard_errors_total{shard="1"} 44
+# HELP tcrouter_shard_latency_seconds Shard RPC round-trip latency, by shard.
+# TYPE tcrouter_shard_latency_seconds histogram
+tcrouter_shard_latency_seconds_bucket{shard="0",le="0.000025"} 0
+tcrouter_shard_latency_seconds_bucket{shard="0",le="0.00005"} 0
+tcrouter_shard_latency_seconds_bucket{shard="0",le="0.0001"} 0
+tcrouter_shard_latency_seconds_bucket{shard="0",le="0.00025"} 0
+tcrouter_shard_latency_seconds_bucket{shard="0",le="0.0005"} 1
+tcrouter_shard_latency_seconds_bucket{shard="0",le="0.001"} 1
+tcrouter_shard_latency_seconds_bucket{shard="0",le="0.0025"} 1
+tcrouter_shard_latency_seconds_bucket{shard="0",le="0.005"} 1
+tcrouter_shard_latency_seconds_bucket{shard="0",le="0.01"} 1
+tcrouter_shard_latency_seconds_bucket{shard="0",le="0.05"} 1
+tcrouter_shard_latency_seconds_bucket{shard="0",le="0.25"} 1
+tcrouter_shard_latency_seconds_bucket{shard="0",le="1"} 1
+tcrouter_shard_latency_seconds_bucket{shard="0",le="+Inf"} 1
+tcrouter_shard_latency_seconds_sum{shard="0"} 0.0004
+tcrouter_shard_latency_seconds_count{shard="0"} 1
+tcrouter_shard_latency_seconds_bucket{shard="1",le="0.000025"} 0
+tcrouter_shard_latency_seconds_bucket{shard="1",le="0.00005"} 0
+tcrouter_shard_latency_seconds_bucket{shard="1",le="0.0001"} 0
+tcrouter_shard_latency_seconds_bucket{shard="1",le="0.00025"} 0
+tcrouter_shard_latency_seconds_bucket{shard="1",le="0.0005"} 0
+tcrouter_shard_latency_seconds_bucket{shard="1",le="0.001"} 1
+tcrouter_shard_latency_seconds_bucket{shard="1",le="0.0025"} 2
+tcrouter_shard_latency_seconds_bucket{shard="1",le="0.005"} 2
+tcrouter_shard_latency_seconds_bucket{shard="1",le="0.01"} 2
+tcrouter_shard_latency_seconds_bucket{shard="1",le="0.05"} 2
+tcrouter_shard_latency_seconds_bucket{shard="1",le="0.25"} 2
+tcrouter_shard_latency_seconds_bucket{shard="1",le="1"} 2
+tcrouter_shard_latency_seconds_bucket{shard="1",le="+Inf"} 2
+tcrouter_shard_latency_seconds_sum{shard="1"} 0.002
+tcrouter_shard_latency_seconds_count{shard="1"} 2
+# HELP tcrouter_request_latency_seconds End-to-end router latency (scatter + merge), by verb.
+# TYPE tcrouter_request_latency_seconds histogram
+tcrouter_request_latency_seconds_bucket{verb="qba",le="0.000025"} 1
+tcrouter_request_latency_seconds_bucket{verb="qba",le="0.00005"} 1
+tcrouter_request_latency_seconds_bucket{verb="qba",le="0.0001"} 1
+tcrouter_request_latency_seconds_bucket{verb="qba",le="0.00025"} 1
+tcrouter_request_latency_seconds_bucket{verb="qba",le="0.0005"} 1
+tcrouter_request_latency_seconds_bucket{verb="qba",le="0.001"} 1
+tcrouter_request_latency_seconds_bucket{verb="qba",le="0.0025"} 1
+tcrouter_request_latency_seconds_bucket{verb="qba",le="0.005"} 1
+tcrouter_request_latency_seconds_bucket{verb="qba",le="0.01"} 1
+tcrouter_request_latency_seconds_bucket{verb="qba",le="0.05"} 1
+tcrouter_request_latency_seconds_bucket{verb="qba",le="0.25"} 1
+tcrouter_request_latency_seconds_bucket{verb="qba",le="1"} 1
+tcrouter_request_latency_seconds_bucket{verb="qba",le="+Inf"} 1
+tcrouter_request_latency_seconds_sum{verb="qba"} 0.00001
+tcrouter_request_latency_seconds_count{verb="qba"} 1
+tcrouter_request_latency_seconds_bucket{verb="qbp",le="0.000025"} 1
+tcrouter_request_latency_seconds_bucket{verb="qbp",le="0.00005"} 1
+tcrouter_request_latency_seconds_bucket{verb="qbp",le="0.0001"} 1
+tcrouter_request_latency_seconds_bucket{verb="qbp",le="0.00025"} 1
+tcrouter_request_latency_seconds_bucket{verb="qbp",le="0.0005"} 1
+tcrouter_request_latency_seconds_bucket{verb="qbp",le="0.001"} 1
+tcrouter_request_latency_seconds_bucket{verb="qbp",le="0.0025"} 1
+tcrouter_request_latency_seconds_bucket{verb="qbp",le="0.005"} 2
+tcrouter_request_latency_seconds_bucket{verb="qbp",le="0.01"} 2
+tcrouter_request_latency_seconds_bucket{verb="qbp",le="0.05"} 2
+tcrouter_request_latency_seconds_bucket{verb="qbp",le="0.25"} 2
+tcrouter_request_latency_seconds_bucket{verb="qbp",le="1"} 2
+tcrouter_request_latency_seconds_bucket{verb="qbp",le="+Inf"} 2
+tcrouter_request_latency_seconds_sum{verb="qbp"} 0.00402
+tcrouter_request_latency_seconds_count{verb="qbp"} 2
+tcrouter_request_latency_seconds_bucket{verb="query",le="0.000025"} 0
+tcrouter_request_latency_seconds_bucket{verb="query",le="0.00005"} 1
+tcrouter_request_latency_seconds_bucket{verb="query",le="0.0001"} 1
+tcrouter_request_latency_seconds_bucket{verb="query",le="0.00025"} 1
+tcrouter_request_latency_seconds_bucket{verb="query",le="0.0005"} 1
+tcrouter_request_latency_seconds_bucket{verb="query",le="0.001"} 1
+tcrouter_request_latency_seconds_bucket{verb="query",le="0.0025"} 1
+tcrouter_request_latency_seconds_bucket{verb="query",le="0.005"} 1
+tcrouter_request_latency_seconds_bucket{verb="query",le="0.01"} 2
+tcrouter_request_latency_seconds_bucket{verb="query",le="0.05"} 2
+tcrouter_request_latency_seconds_bucket{verb="query",le="0.25"} 2
+tcrouter_request_latency_seconds_bucket{verb="query",le="1"} 3
+tcrouter_request_latency_seconds_bucket{verb="query",le="+Inf"} 3
+tcrouter_request_latency_seconds_sum{verb="query"} 0.90603
+tcrouter_request_latency_seconds_count{verb="query"} 3
+tcrouter_request_latency_seconds_bucket{verb="batch",le="0.000025"} 0
+tcrouter_request_latency_seconds_bucket{verb="batch",le="0.00005"} 1
+tcrouter_request_latency_seconds_bucket{verb="batch",le="0.0001"} 1
+tcrouter_request_latency_seconds_bucket{verb="batch",le="0.00025"} 1
+tcrouter_request_latency_seconds_bucket{verb="batch",le="0.0005"} 1
+tcrouter_request_latency_seconds_bucket{verb="batch",le="0.001"} 1
+tcrouter_request_latency_seconds_bucket{verb="batch",le="0.0025"} 1
+tcrouter_request_latency_seconds_bucket{verb="batch",le="0.005"} 1
+tcrouter_request_latency_seconds_bucket{verb="batch",le="0.01"} 2
+tcrouter_request_latency_seconds_bucket{verb="batch",le="0.05"} 2
+tcrouter_request_latency_seconds_bucket{verb="batch",le="0.25"} 2
+tcrouter_request_latency_seconds_bucket{verb="batch",le="1"} 2
+tcrouter_request_latency_seconds_bucket{verb="batch",le="+Inf"} 4
+tcrouter_request_latency_seconds_sum{verb="batch"} 121.20804
+tcrouter_request_latency_seconds_count{verb="batch"} 4
+"#;
+}

@@ -351,3 +351,298 @@ fn stats_rows(core: &Core<LocalTree>, tree: &SegmentTcTree) -> [(&'static str, u
         ("reload_failures", s.reload_failures),
     ]
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::metrics::HTTP_CODES;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use tc_core::DatabaseNetworkBuilder;
+    use tc_index::TcTreeBuilder;
+
+    /// Every front-end counter, by `STATS` key, with a distinct value.
+    const COUNTERS: [(&str, u64); 14] = [
+        ("accepted", 101),
+        ("admitted", 102),
+        ("rejected_busy", 103),
+        ("rate_limited", 104),
+        ("qba", 105),
+        ("qbp", 106),
+        ("query", 107),
+        ("stats", 108),
+        ("batch", 109),
+        ("protocol_errors", 110),
+        ("query_failures", 111),
+        ("timeouts", 112),
+        ("reloads", 113),
+        ("reload_failures", 114),
+    ];
+
+    /// Sets the front-end counter named by `STATS` key `key` to `n`.
+    fn set_counter(m: &Metrics, key: &str, n: u64) {
+        let counter: &AtomicU64 = match key {
+            "accepted" => &m.accepted,
+            "admitted" => &m.admitted,
+            "rejected_busy" => &m.rejected_busy,
+            "rate_limited" => &m.rate_limited,
+            "qba" => &m.qba,
+            "qbp" => &m.qbp,
+            "query" => &m.query,
+            "stats" => &m.stats,
+            "batch" => &m.batch,
+            "protocol_errors" => &m.protocol_errors,
+            "query_failures" => &m.query_failures,
+            "timeouts" => &m.timeouts,
+            "reloads" => &m.reloads,
+            "reload_failures" => &m.reload_failures,
+            other => panic!("no counter {other}"),
+        };
+        counter.store(n, Ordering::Relaxed);
+    }
+
+    /// Loads `m` with a distinct value in every counter, HTTP code and
+    /// histogram, so a swapped series or a reordered row changes bytes.
+    fn load(m: &Metrics) {
+        for (key, n) in COUNTERS {
+            set_counter(m, key, n);
+        }
+        for (i, code) in HTTP_CODES.into_iter().enumerate() {
+            for _ in 0..21 + 2 * i {
+                m.count_http_response(code);
+            }
+        }
+        m.count_http_response(418); // folds into 500
+        for (i, (_, h)) in m.verb_latency_series().into_iter().enumerate() {
+            for k in 0..=i {
+                h.observe([10e-6, 0.002, 0.3, 30.0][k] * (i + 1) as f64);
+            }
+        }
+    }
+
+    /// A two-item tree behind a one-byte cache budget, after a few
+    /// queries: every cache row is non-zero.
+    fn tree() -> SegmentTcTree {
+        let mut b = DatabaseNetworkBuilder::new();
+        let x = b.intern_item("x");
+        let y = b.intern_item("y");
+        for v in 0..4u32 {
+            for _ in 0..4 {
+                b.add_transaction(v, &[x, y]);
+            }
+            b.add_transaction(v, &[x]);
+        }
+        for (u, v) in [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0)] {
+            b.add_edge(u, v);
+        }
+        let tree = TcTreeBuilder::default().build(&b.build().unwrap());
+        let mut bytes = Vec::new();
+        tc_store::save_tree_segment(&tree, &mut bytes).unwrap();
+        let opts = StoreOptions {
+            cache_bytes: Some(1),
+        };
+        let seg = SegmentTcTree::from_bytes_with(bytes, opts).unwrap();
+        for spec in [
+            QuerySpec::Qba(0.0),
+            QuerySpec::Qbp(vec![0]),
+            QuerySpec::Qba(0.1),
+        ] {
+            answer(&seg, &spec).unwrap();
+        }
+        seg
+    }
+
+    /// A front end over [`tree`] with loaded counters; not listening.
+    fn loaded_server() -> Server {
+        let backend = LocalTree {
+            tree: TreeSlot::new(tree()),
+            reload_path: None,
+            store: StoreOptions::default(),
+        };
+        let admission = Admission {
+            workers: 3,
+            max_inflight: 5,
+            idle_timeout: None,
+            rate_limit: None,
+        };
+        let server = FrontEnd::new(backend, admission).unwrap();
+        load(&server.handle().core.metrics);
+        server
+    }
+
+    #[test]
+    fn tcserve_exposition_is_pinned_byte_for_byte() {
+        let server = loaded_server();
+        let core = &server.handle().core;
+        let text = core
+            .backend
+            .render_metrics(&core.backend.snapshot(), &core.metrics, 7);
+        assert_eq!(text, TCSERVE_GOLDEN);
+    }
+
+    #[test]
+    fn stats_table_is_pinned_byte_for_byte() {
+        let server = loaded_server();
+        let core = &server.handle().core;
+        let rows = stats_rows(core, &core.backend.snapshot());
+        assert_eq!(encode_stats(&rows, false), STATS_GOLDEN);
+        assert_eq!(encode_stats(&rows, true), STATS_JSON_GOLDEN);
+    }
+
+    const TCSERVE_GOLDEN: &str = r#"# HELP tcserve_connections_total Connections accepted, by admission outcome.
+# TYPE tcserve_connections_total counter
+tcserve_connections_total{outcome="admitted"} 102
+tcserve_connections_total{outcome="busy"} 103
+tcserve_connections_total{outcome="rate_limited"} 104
+# HELP tcserve_requests_total Requests served, by verb (both front-ends).
+# TYPE tcserve_requests_total counter
+tcserve_requests_total{verb="qba"} 105
+tcserve_requests_total{verb="qbp"} 106
+tcserve_requests_total{verb="query"} 107
+tcserve_requests_total{verb="stats"} 108
+tcserve_requests_total{verb="batch"} 109
+# HELP tcserve_errors_total Failed requests, by failure kind.
+# TYPE tcserve_errors_total counter
+tcserve_errors_total{kind="protocol"} 110
+tcserve_errors_total{kind="query"} 111
+tcserve_errors_total{kind="timeout"} 112
+# HELP tcserve_http_responses_total HTTP responses sent, by status code.
+# TYPE tcserve_http_responses_total counter
+tcserve_http_responses_total{code="200"} 21
+tcserve_http_responses_total{code="400"} 23
+tcserve_http_responses_total{code="404"} 25
+tcserve_http_responses_total{code="405"} 27
+tcserve_http_responses_total{code="413"} 29
+tcserve_http_responses_total{code="429"} 31
+tcserve_http_responses_total{code="500"} 34
+tcserve_http_responses_total{code="503"} 35
+# HELP tcserve_reloads_total Segment hot-reloads completed without dropping sessions.
+# TYPE tcserve_reloads_total counter
+tcserve_reloads_total 113
+# HELP tcserve_reload_failures_total Hot-reload attempts rejected at validation (old segment kept).
+# TYPE tcserve_reload_failures_total counter
+tcserve_reload_failures_total 114
+# HELP tcserve_inflight_sessions Sessions admitted but not yet finished.
+# TYPE tcserve_inflight_sessions gauge
+tcserve_inflight_sessions 7
+# HELP tcserve_tree_nodes TC-Tree nodes in the currently served segment.
+# TYPE tcserve_tree_nodes gauge
+tcserve_tree_nodes 3
+# HELP tcserve_tree_materialized_nodes TC-Tree nodes currently resident in the node cache (falls on eviction).
+# TYPE tcserve_tree_materialized_nodes gauge
+tcserve_tree_materialized_nodes 1
+# HELP tcserve_tree_materialized_total Node materialisations since open (re-parses after eviction count again).
+# TYPE tcserve_tree_materialized_total counter
+tcserve_tree_materialized_total 6
+# HELP tcserve_cache_bytes_used Accounted bytes of resident truss decompositions.
+# TYPE tcserve_cache_bytes_used gauge
+tcserve_cache_bytes_used 120
+# HELP tcserve_cache_bytes_budget Configured node-cache byte budget (0 = unbounded).
+# TYPE tcserve_cache_bytes_budget gauge
+tcserve_cache_bytes_budget 1
+# HELP tcserve_cache_evictions_total Nodes evicted by the cache's clock sweep.
+# TYPE tcserve_cache_evictions_total counter
+tcserve_cache_evictions_total 5
+# HELP tcserve_cache_lookups_total Node-cache lookups, by outcome.
+# TYPE tcserve_cache_lookups_total counter
+tcserve_cache_lookups_total{outcome="hit"} 1
+tcserve_cache_lookups_total{outcome="miss"} 6
+# HELP tcserve_cache_hit_ratio Node-cache hit fraction in [0, 1] (1 before any lookup).
+# TYPE tcserve_cache_hit_ratio gauge
+tcserve_cache_hit_ratio 0.14285714285714285
+# HELP tcserve_request_latency_seconds Server-side request latency, by verb.
+# TYPE tcserve_request_latency_seconds histogram
+tcserve_request_latency_seconds_bucket{verb="qba",le="0.000025"} 1
+tcserve_request_latency_seconds_bucket{verb="qba",le="0.00005"} 1
+tcserve_request_latency_seconds_bucket{verb="qba",le="0.0001"} 1
+tcserve_request_latency_seconds_bucket{verb="qba",le="0.00025"} 1
+tcserve_request_latency_seconds_bucket{verb="qba",le="0.0005"} 1
+tcserve_request_latency_seconds_bucket{verb="qba",le="0.001"} 1
+tcserve_request_latency_seconds_bucket{verb="qba",le="0.0025"} 1
+tcserve_request_latency_seconds_bucket{verb="qba",le="0.005"} 1
+tcserve_request_latency_seconds_bucket{verb="qba",le="0.01"} 1
+tcserve_request_latency_seconds_bucket{verb="qba",le="0.05"} 1
+tcserve_request_latency_seconds_bucket{verb="qba",le="0.25"} 1
+tcserve_request_latency_seconds_bucket{verb="qba",le="1"} 1
+tcserve_request_latency_seconds_bucket{verb="qba",le="+Inf"} 1
+tcserve_request_latency_seconds_sum{verb="qba"} 0.00001
+tcserve_request_latency_seconds_count{verb="qba"} 1
+tcserve_request_latency_seconds_bucket{verb="qbp",le="0.000025"} 1
+tcserve_request_latency_seconds_bucket{verb="qbp",le="0.00005"} 1
+tcserve_request_latency_seconds_bucket{verb="qbp",le="0.0001"} 1
+tcserve_request_latency_seconds_bucket{verb="qbp",le="0.00025"} 1
+tcserve_request_latency_seconds_bucket{verb="qbp",le="0.0005"} 1
+tcserve_request_latency_seconds_bucket{verb="qbp",le="0.001"} 1
+tcserve_request_latency_seconds_bucket{verb="qbp",le="0.0025"} 1
+tcserve_request_latency_seconds_bucket{verb="qbp",le="0.005"} 2
+tcserve_request_latency_seconds_bucket{verb="qbp",le="0.01"} 2
+tcserve_request_latency_seconds_bucket{verb="qbp",le="0.05"} 2
+tcserve_request_latency_seconds_bucket{verb="qbp",le="0.25"} 2
+tcserve_request_latency_seconds_bucket{verb="qbp",le="1"} 2
+tcserve_request_latency_seconds_bucket{verb="qbp",le="+Inf"} 2
+tcserve_request_latency_seconds_sum{verb="qbp"} 0.00402
+tcserve_request_latency_seconds_count{verb="qbp"} 2
+tcserve_request_latency_seconds_bucket{verb="query",le="0.000025"} 0
+tcserve_request_latency_seconds_bucket{verb="query",le="0.00005"} 1
+tcserve_request_latency_seconds_bucket{verb="query",le="0.0001"} 1
+tcserve_request_latency_seconds_bucket{verb="query",le="0.00025"} 1
+tcserve_request_latency_seconds_bucket{verb="query",le="0.0005"} 1
+tcserve_request_latency_seconds_bucket{verb="query",le="0.001"} 1
+tcserve_request_latency_seconds_bucket{verb="query",le="0.0025"} 1
+tcserve_request_latency_seconds_bucket{verb="query",le="0.005"} 1
+tcserve_request_latency_seconds_bucket{verb="query",le="0.01"} 2
+tcserve_request_latency_seconds_bucket{verb="query",le="0.05"} 2
+tcserve_request_latency_seconds_bucket{verb="query",le="0.25"} 2
+tcserve_request_latency_seconds_bucket{verb="query",le="1"} 3
+tcserve_request_latency_seconds_bucket{verb="query",le="+Inf"} 3
+tcserve_request_latency_seconds_sum{verb="query"} 0.90603
+tcserve_request_latency_seconds_count{verb="query"} 3
+tcserve_request_latency_seconds_bucket{verb="batch",le="0.000025"} 0
+tcserve_request_latency_seconds_bucket{verb="batch",le="0.00005"} 1
+tcserve_request_latency_seconds_bucket{verb="batch",le="0.0001"} 1
+tcserve_request_latency_seconds_bucket{verb="batch",le="0.00025"} 1
+tcserve_request_latency_seconds_bucket{verb="batch",le="0.0005"} 1
+tcserve_request_latency_seconds_bucket{verb="batch",le="0.001"} 1
+tcserve_request_latency_seconds_bucket{verb="batch",le="0.0025"} 1
+tcserve_request_latency_seconds_bucket{verb="batch",le="0.005"} 1
+tcserve_request_latency_seconds_bucket{verb="batch",le="0.01"} 2
+tcserve_request_latency_seconds_bucket{verb="batch",le="0.05"} 2
+tcserve_request_latency_seconds_bucket{verb="batch",le="0.25"} 2
+tcserve_request_latency_seconds_bucket{verb="batch",le="1"} 2
+tcserve_request_latency_seconds_bucket{verb="batch",le="+Inf"} 4
+tcserve_request_latency_seconds_sum{verb="batch"} 121.20804
+tcserve_request_latency_seconds_count{verb="batch"} 4
+"#;
+    const STATS_GOLDEN: &str = "\
+OK\t27\n\
+protocol_version\t1\n\
+nodes\t3\n\
+materialized_nodes\t1\n\
+materialized_total\t6\n\
+cache_bytes_used\t120\n\
+cache_bytes_budget\t1\n\
+cache_evictions\t5\n\
+cache_hits\t1\n\
+cache_misses\t6\n\
+cache_hit_ratio_pct\t14\n\
+workers\t3\n\
+max_inflight\t5\n\
+inflight\t0\n\
+accepted\t101\n\
+admitted\t102\n\
+rejected_busy\t103\n\
+rate_limited\t104\n\
+qba\t105\n\
+qbp\t106\n\
+query\t107\n\
+stats\t108\n\
+batch\t109\n\
+protocol_errors\t110\n\
+query_failures\t111\n\
+timeouts\t112\n\
+reloads\t113\n\
+reload_failures\t114\n";
+    const STATS_JSON_GOLDEN: &str = concat!(
+        r#"{"status":"ok","stats":{"protocol_version":1,"nodes":3,"materialized_nodes":1,"materialized_total":6,"cache_bytes_used":120,"cache_bytes_budget":1,"cache_evictions":5,"cache_hits":1,"cache_misses":6,"cache_hit_ratio_pct":14,"workers":3,"max_inflight":5,"inflight":0,"accepted":101,"admitted":102,"rejected_busy":103,"rate_limited":104,"qba":105,"qbp":106,"query":107,"stats":108,"batch":109,"protocol_errors":110,"query_failures":111,"timeouts":112,"reloads":113,"reload_failures":114}}"#,
+        "\n"
+    );
+}
