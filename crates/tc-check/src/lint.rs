@@ -1,6 +1,6 @@
 //! The workspace invariant linter behind `tc-check lint`.
 //!
-//! Five rules, each encoding an invariant the workspace relies on but
+//! Four rules, each encoding an invariant the workspace relies on but
 //! the compiler cannot enforce:
 //!
 //! * **`panic-free-request-paths`** — no `.unwrap()`, `.expect(…)`,
@@ -18,10 +18,6 @@
 //!   `tc-serve::reload`) take their synchronization primitives from the
 //!   `tc_util::sync` facade only; a stray `std::sync::Mutex` or
 //!   `parking_lot` import would silently escape the model checker.
-//! * **`metric-name-parity`** — every Prometheus metric name in the
-//!   serve/router expositions appears in `docs/OPERATIONS.md` and vice
-//!   versa, so dashboards built from the docs never reference a metric
-//!   that does not exist.
 //! * **`no-sleep-polling`** — no `thread::sleep` (called or imported) in
 //!   `tc-serve`/`tc-router` non-test source: a daemon waits on the event
 //!   it needs — `poll(2)` on its sockets, a condvar, a socket timeout —
@@ -464,83 +460,11 @@ fn facade_rule(root: &Path, findings: &mut Vec<Finding>) -> std::io::Result<()> 
     Ok(())
 }
 
-/// Collects `<prefix>[a-z0-9_]*` metric names from `text`, normalising
-/// away the Prometheus histogram sub-series suffixes.
-fn metric_names(text: &str, prefix: &str) -> std::collections::BTreeSet<String> {
-    let mut names = std::collections::BTreeSet::new();
-    let bytes = text.as_bytes();
-    let mut from = 0;
-    while let Some(off) = text[from..].find(prefix) {
-        let start = from + off;
-        // Reject mid-identifier hits like `x_tcserve_foo`.
-        let boundary =
-            start == 0 || !(bytes[start - 1].is_ascii_alphanumeric() || bytes[start - 1] == b'_');
-        let mut end = start + prefix.len();
-        while end < bytes.len()
-            && (bytes[end].is_ascii_lowercase()
-                || bytes[end].is_ascii_digit()
-                || bytes[end] == b'_')
-        {
-            end += 1;
-        }
-        from = end;
-        if !boundary || end == start + prefix.len() {
-            continue; // bare prefix (e.g. in prose) is not a metric name
-        }
-        let mut name = &text[start..end];
-        for suffix in ["_bucket", "_sum", "_count"] {
-            if let Some(base) = name.strip_suffix(suffix) {
-                if base.ends_with("_seconds") {
-                    name = base;
-                }
-            }
-        }
-        names.insert(name.to_string());
-    }
-    names
-}
-
-/// Rule 4: exposition metric names and `docs/OPERATIONS.md` agree. The
-/// names live in each daemon's metric table (both render through
-/// tc-serve's one `Exposition` writer, which names nothing itself).
-fn metrics_rule(root: &Path, findings: &mut Vec<Finding>) -> std::io::Result<()> {
-    let docs_path = root.join("docs/OPERATIONS.md");
-    let docs = std::fs::read_to_string(&docs_path)?;
-    for (code_file, prefix) in [
-        ("crates/tc-serve/src/metrics.rs", "tcserve_"),
-        ("crates/tc-router/src/metrics.rs", "tcrouter_"),
-    ] {
-        let code_path = root.join(code_file);
-        let code = std::fs::read_to_string(&code_path)?;
-        let in_code = metric_names(&code, prefix);
-        let in_docs = metric_names(&docs, prefix);
-        for name in in_code.difference(&in_docs) {
-            findings.push(Finding {
-                file: rel(root, &code_path),
-                line: 1,
-                rule: "metric-name-parity",
-                message: format!(
-                    "metric `{name}` is exposed but undocumented in docs/OPERATIONS.md"
-                ),
-            });
-        }
-        for name in in_docs.difference(&in_code) {
-            findings.push(Finding {
-                file: rel(root, &docs_path),
-                line: 1,
-                rule: "metric-name-parity",
-                message: format!("metric `{name}` is documented but not exposed by {code_file}"),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// The one serving file outside rule 5's scope: the client's retry
+/// The one serving file outside rule 4's scope: the client's retry
 /// backoff is a deliberate client-side wait, not a daemon on a clock.
 const SLEEP_SCOPE_EXEMPT: &str = "crates/tc-serve/src/client.rs";
 
-/// Rule 5: serving daemons wait on events, never on a clock.
+/// Rule 4: serving daemons wait on events, never on a clock.
 fn sleep_rule(root: &Path, findings: &mut Vec<Finding>) -> std::io::Result<()> {
     for path in serving_files(root)? {
         let file = rel(root, &path);
@@ -569,7 +493,7 @@ fn sleep_rule(root: &Path, findings: &mut Vec<Finding>) -> std::io::Result<()> {
 }
 
 /// Runs every rule over the workspace at `root` (the directory holding
-/// `Cargo.toml`, `crates/` and `docs/`). Returns the findings sorted by
+/// `Cargo.toml` and `crates/`). Returns the findings sorted by
 /// file and line; an empty vector means the workspace is clean.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     if !root.join("crates").is_dir() {
@@ -582,7 +506,6 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     panic_rule(root, &mut findings)?;
     safety_rule(root, &mut findings)?;
     facade_rule(root, &mut findings)?;
-    metrics_rule(root, &mut findings)?;
     sleep_rule(root, &mut findings)?;
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(findings)
@@ -628,19 +551,8 @@ mod tests {
         assert!(find_word("unsafely()", "unsafe").is_none());
     }
 
-    #[test]
-    fn metric_names_normalise_histogram_suffixes() {
-        let names = metric_names(
-            "tcserve_request_latency_seconds_bucket tcserve_request_latency_seconds_count \
-             tcserve_requests_total the tcserve_ prefix alone",
-            "tcserve_",
-        );
-        let expect: Vec<&str> = vec!["tcserve_request_latency_seconds", "tcserve_requests_total"];
-        assert_eq!(names.iter().map(String::as_str).collect::<Vec<_>>(), expect);
-    }
-
-    /// Builds a throwaway workspace with one serve file and matching
-    /// docs, runs the linter, and returns the findings.
+    /// Builds a throwaway workspace with one serve file, runs the
+    /// linter, and returns the findings.
     fn lint_fixture(serve_src: &str) -> Vec<Finding> {
         lint_serve_files(&[("server.rs", serve_src)])
     }
@@ -659,21 +571,9 @@ mod tests {
         std::fs::create_dir_all(root.join("crates/tc-router/src")).unwrap();
         std::fs::create_dir_all(root.join("crates/tc-util/src")).unwrap();
         std::fs::create_dir_all(root.join("crates/tc-store/src/wal")).unwrap();
-        std::fs::create_dir_all(root.join("docs")).unwrap();
         for (name, src) in serve_files {
             std::fs::write(serve.join(name), src).unwrap();
         }
-        std::fs::write(serve.join("metrics.rs"), "\"tcserve_requests_total\"").unwrap();
-        std::fs::write(
-            root.join("crates/tc-router/src/metrics.rs"),
-            "\"tcrouter_requests_total\"",
-        )
-        .unwrap();
-        std::fs::write(
-            root.join("docs/OPERATIONS.md"),
-            "tcserve_requests_total tcrouter_requests_total",
-        )
-        .unwrap();
         for module in FACADE_MODULES {
             let path = root.join(module);
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -763,22 +663,6 @@ mod tests {
         }
         std::fs::create_dir_all(root.join("crates/tc-router/src")).unwrap();
         std::fs::write(
-            root.join("crates/tc-serve/src/metrics.rs"),
-            "\"tcserve_requests_total\"",
-        )
-        .unwrap();
-        std::fs::write(
-            root.join("crates/tc-router/src/metrics.rs"),
-            "\"tcrouter_requests_total\"",
-        )
-        .unwrap();
-        std::fs::create_dir_all(root.join("docs")).unwrap();
-        std::fs::write(
-            root.join("docs/OPERATIONS.md"),
-            "tcserve_requests_total tcrouter_requests_total",
-        )
-        .unwrap();
-        std::fs::write(
             root.join("crates/tc-store/src/cache.rs"),
             "use std::sync::Mutex; // escapes the model\n",
         )
@@ -788,44 +672,5 @@ mod tests {
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].rule, "facade-imports");
         assert!(findings[0].file.ends_with("cache.rs"));
-    }
-
-    #[test]
-    fn metric_divergence_is_flagged_both_ways() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static SEQ: AtomicUsize = AtomicUsize::new(0);
-        let root = std::env::temp_dir().join(format!(
-            "tc_check_metrics_{}_{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        for module in FACADE_MODULES {
-            let path = root.join(module);
-            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-            std::fs::write(&path, "").unwrap();
-        }
-        std::fs::create_dir_all(root.join("crates/tc-router/src")).unwrap();
-        std::fs::create_dir_all(root.join("docs")).unwrap();
-        std::fs::write(
-            root.join("crates/tc-serve/src/metrics.rs"),
-            "\"tcserve_only_in_code_total\"",
-        )
-        .unwrap();
-        std::fs::write(
-            root.join("crates/tc-router/src/metrics.rs"),
-            "\"tcrouter_requests_total\"",
-        )
-        .unwrap();
-        std::fs::write(
-            root.join("docs/OPERATIONS.md"),
-            "tcserve_only_in_docs_total tcrouter_requests_total",
-        )
-        .unwrap();
-        let findings = lint_workspace(&root).unwrap();
-        std::fs::remove_dir_all(&root).ok();
-        let rules: Vec<_> = findings.iter().map(|f| f.rule).collect();
-        assert_eq!(rules, vec!["metric-name-parity"; 2], "{findings:?}");
-        assert!(findings.iter().any(|f| f.message.contains("undocumented")));
-        assert!(findings.iter().any(|f| f.message.contains("not exposed")));
     }
 }

@@ -12,7 +12,7 @@
 use std::path::Path;
 use tc_core::{DatabaseNetwork, Miner, ParallelTcfiMiner, TcfaMiner, TcsMiner};
 use tc_index::{TcTree, TcTreeBuilder};
-use tc_serve::{QueryResponse, QuerySpec};
+use tc_serve::{Counter, QueryResponse, QuerySpec};
 use tc_store::{DetectedFormat, SegmentTcTree};
 use tc_txdb::Pattern;
 
@@ -800,13 +800,13 @@ pub fn serve(args: &[String]) -> i32 {
             println!(
                 "shutdown complete: {} sessions admitted, {} busy-rejected, {} queries served \
                  ({} QBA, {} QBP, {} QUERY), {} protocol errors",
-                stats.admitted,
-                stats.rejected_busy,
+                stats[Counter::Admitted],
+                stats[Counter::RejectedBusy],
                 stats.queries_served(),
-                stats.qba,
-                stats.qbp,
-                stats.query,
-                stats.protocol_errors
+                stats[Counter::Qba],
+                stats[Counter::Qbp],
+                stats[Counter::Query],
+                stats[Counter::ProtocolErrors]
             );
             0
         }

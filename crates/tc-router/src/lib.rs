@@ -116,8 +116,8 @@ use std::sync::Arc;
 use std::time::Duration;
 use tc_serve::protocol::{push_items, push_qbp, push_query};
 use tc_serve::{
-    Admission, Answer, Backend, ClientError, FrontEnd, Handle, Metrics, QueryResponse, QuerySpec,
-    RateLimit, Wire,
+    Admission, Answer, Backend, ClientError, Counter, Family, FrontEnd, Handle, QueryResponse,
+    QuerySpec, RateLimit, Wire,
 };
 use tc_store::ShardMap;
 use tc_util::sync::Mutex;
@@ -251,9 +251,7 @@ impl Backend for Scatter {
         )
     }
 
-    fn render_metrics(&self, shards: &Arc<Shards>, front: &Metrics, inflight: u64) -> String {
-        self.metrics.render_prometheus(front, inflight, shards)
-    }
+    const METRICS: &'static [Family<Self>] = metrics::TABLE;
 
     /// Validation happens before the swap: a corrupt or unreadable map
     /// leaves the old layout serving.
@@ -445,11 +443,11 @@ impl RouterHandle {
         let (fanout, shard_errors) = totals(&backend.snapshot().pools);
         let load = |a: &std::sync::atomic::AtomicU64| a.load(Ordering::Relaxed);
         RouterStats {
-            requests: front.queries_served() + front.batch,
+            requests: front.queries_served() + front[Counter::Batch],
             fanout: fanout + load(&backend.metrics.retired_fanout),
             shard_errors: shard_errors + load(&backend.metrics.retired_errors),
             partial_responses: load(&backend.metrics.partial_responses),
-            reloads: front.reloads,
+            reloads: front[Counter::Reloads],
         }
     }
 }

@@ -1,15 +1,15 @@
 //! The scatter backend's own counters and the `tcrouter_*` metric table.
 //!
 //! Request, response, rejection and reload counters are the shared front
-//! end's ([`tc_serve::Metrics`]); this module adds what only a router
-//! knows (degraded-mode gauges, per-shard fan-out) and names the whole
-//! table. It goes through tc-serve's [`Exposition`] writer and bucket
-//! grid, so shard daemons and the gateway can be graphed on one axis.
+//! end's ([`tc_serve::Counter`]); this module adds what only a router
+//! knows (degraded-mode gauges, per-shard fan-out) and declares the whole
+//! table. It renders through tc-serve's writer and bucket grid, so shard
+//! daemons and the gateway can be graphed on one axis.
 
 use crate::pool::{ShardPool, ShardTally};
-use crate::{totals, Shards};
+use crate::{totals, Scatter, Shards};
 use std::sync::atomic::{AtomicU64, Ordering};
-use tc_serve::{Exposition, Metrics};
+use tc_serve::{Counter, Family, Samples};
 
 /// What the scatter tracks beyond the front end's counters.
 #[derive(Default)]
@@ -32,117 +32,75 @@ impl ScatterMetrics {
         self.retired_fanout.fetch_add(fanout, Ordering::Relaxed);
         self.retired_errors.fetch_add(errors, Ordering::Relaxed);
     }
+}
 
-    /// Renders the Prometheus text exposition (`GET /metrics`).
-    /// (`/metrics` itself is deliberately uncounted: scraping must not
-    /// move what it measures.)
-    pub fn render_prometheus(&self, front: &Metrics, inflight: u64, shards: &Shards) -> String {
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let per_shard = |value: fn(&ShardTally) -> &AtomicU64| -> Vec<(String, u64)> {
-            shards
-                .pools
-                .iter()
-                .map(|p| (format!("{{shard=\"{}\"}}", p.id), load(value(&p.tally))))
-                .collect()
-        };
-        let mut out = Exposition::default();
-        out.family(
-            "tcrouter_requests_total",
-            "counter",
-            "Scatter-gather requests accepted, by verb.",
-            &[
-                ("{verb=\"qba\"}", load(&front.qba)),
-                ("{verb=\"qbp\"}", load(&front.qbp)),
-                ("{verb=\"query\"}", load(&front.query)),
-                ("{verb=\"batch\"}", load(&front.batch)),
-                ("{verb=\"healthz\"}", load(&front.stats)),
-            ],
-        );
-        out.family(
-            "tcrouter_http_responses_total",
-            "counter",
-            "Responses written, by status code.",
-            &front.http_response_series(),
-        );
-        out.family(
-            "tcrouter_requests_rejected_total",
-            "counter",
-            "Requests refused before fan-out, by reason.",
-            &[
-                ("{reason=\"rate_limited\"}", load(&front.rate_limited)),
-                ("{reason=\"protocol\"}", load(&front.protocol_errors)),
-            ],
-        );
-        out.family(
-            "tcrouter_partial_responses_total",
-            "counter",
-            "Responses served with one or more shards missing (--partial).",
-            &[("", load(&self.partial_responses))],
-        );
-        out.family(
-            "tcrouter_reloads_total",
-            "counter",
-            "Shard-map reloads, by outcome.",
-            &[
-                ("{outcome=\"ok\"}", load(&front.reloads)),
-                ("{outcome=\"error\"}", load(&front.reload_failures)),
-            ],
-        );
-        out.family(
-            "tcrouter_shards",
-            "gauge",
-            "Shards in the active map.",
-            &[("", shards.pools.len() as u64)],
-        );
-        out.family(
-            "tcrouter_shards_down",
-            "gauge",
-            "Shards that failed in the most recent scatter (degraded mode when > 0).",
-            &[("", load(&self.shards_down))],
-        );
-        out.family(
-            "tcrouter_inflight_sessions",
-            "gauge",
-            "HTTP sessions currently admitted.",
-            &[("", inflight)],
-        );
-        out.family(
-            "tcrouter_fanout_total",
-            "counter",
-            "Shard RPCs attempted, by shard.",
-            &per_shard(|t| &t.fanout),
-        );
-        out.family(
-            "tcrouter_shard_errors_total",
-            "counter",
-            "Shard RPCs that failed at the transport layer, by shard.",
-            &per_shard(|t| &t.errors),
-        );
-        out.histograms(
-            "tcrouter_shard_latency_seconds",
-            "Shard RPC round-trip latency, by shard.",
-            &shards
-                .pools
-                .iter()
-                .map(|p| (format!("shard=\"{}\"", p.id), &p.tally.latency))
-                .collect::<Vec<_>>(),
-        );
-        out.histograms(
-            "tcrouter_request_latency_seconds",
-            "End-to-end router latency (scatter + merge), by verb.",
-            &front.verb_latency_series(),
-        );
-        out.finish()
-    }
+/// `tc router`'s `/metrics` table. (`/metrics` itself is deliberately
+/// uncounted: scraping must not move what it measures.)
+#[rustfmt::skip]
+pub(crate) const TABLE: &[Family<Scatter>] = &[
+    Family { name: "tcrouter_requests_total", kind: "counter", label: "verb",
+        help: "Scatter-gather requests accepted, by verb.",
+        samples: Samples::Counters(&[("qba", Counter::Qba), ("qbp", Counter::Qbp),
+            ("query", Counter::Query), ("batch", Counter::Batch), ("healthz", Counter::Stats)]) },
+    Family { name: "tcrouter_http_responses_total", kind: "counter", label: "code",
+        help: "Responses written, by status code.",
+        samples: Samples::HttpResponses },
+    Family { name: "tcrouter_requests_rejected_total", kind: "counter", label: "reason",
+        help: "Requests refused before fan-out, by reason.",
+        samples: Samples::Counters(&[("rate_limited", Counter::RateLimited),
+            ("protocol", Counter::ProtocolErrors)]) },
+    Family { name: "tcrouter_partial_responses_total", kind: "counter", label: "",
+        help: "Responses served with one or more shards missing (--partial).",
+        samples: Samples::<Scatter>::Value(|s, _| load(&s.metrics.partial_responses)) },
+    Family { name: "tcrouter_reloads_total", kind: "counter", label: "outcome",
+        help: "Shard-map reloads, by outcome.",
+        samples: Samples::Counters(&[("ok", Counter::Reloads),
+            ("error", Counter::ReloadFailures)]) },
+    Family { name: "tcrouter_shards", kind: "gauge", label: "",
+        help: "Shards in the active map.",
+        samples: Samples::<Scatter>::Value(|_, shards| shards.pools.len().to_string()) },
+    Family { name: "tcrouter_shards_down", kind: "gauge", label: "",
+        help: "Shards that failed in the most recent scatter (degraded mode when > 0).",
+        samples: Samples::<Scatter>::Value(|s, _| load(&s.metrics.shards_down)) },
+    Family { name: "tcrouter_inflight_sessions", kind: "gauge", label: "",
+        help: "HTTP sessions currently admitted.",
+        samples: Samples::Inflight },
+    Family { name: "tcrouter_fanout_total", kind: "counter", label: "shard",
+        help: "Shard RPCs attempted, by shard.",
+        samples: Samples::<Scatter>::Series(|_, shards| per_shard(shards, |t| &t.fanout)) },
+    Family { name: "tcrouter_shard_errors_total", kind: "counter", label: "shard",
+        help: "Shard RPCs that failed at the transport layer, by shard.",
+        samples: Samples::<Scatter>::Series(|_, shards| per_shard(shards, |t| &t.errors)) },
+    Family { name: "tcrouter_shard_latency_seconds", kind: "histogram", label: "shard",
+        help: "Shard RPC round-trip latency, by shard.",
+        samples: Samples::<Scatter>::Histograms(|shards| {
+            shards.pools.iter().map(|p| (p.id.to_string(), &p.tally.latency)).collect()
+        }) },
+    Family { name: "tcrouter_request_latency_seconds", kind: "histogram", label: "verb",
+        help: "End-to-end router latency (scatter + merge), by verb.",
+        samples: Samples::VerbLatency },
+];
+
+/// A counter's value, as a sample.
+fn load(counter: &AtomicU64) -> String {
+    counter.load(Ordering::Relaxed).to_string()
+}
+
+/// One `(shard id, value)` series per pool of `shards`.
+fn per_shard(shards: &Shards, value: fn(&ShardTally) -> &AtomicU64) -> Vec<(String, u64)> {
+    let pools = shards.pools.iter();
+    pools
+        .map(|p| (p.id.to_string(), value(&p.tally).load(Ordering::Relaxed)))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use crate::{Scatter, Shards};
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::Ordering;
     use std::sync::Arc;
     use tc_serve::metrics::HTTP_CODES;
-    use tc_serve::{Backend, Metrics};
+    use tc_serve::{Backend, Counter, Family, LocalTree, Metrics, Samples};
     use tc_store::shardmap::{HashScheme, ShardEntry};
     use tc_store::ShardMap;
     use tc_util::sync::Mutex;
@@ -167,24 +125,11 @@ mod tests {
 
     /// Sets the front-end counter named by `STATS` key `key` to `n`.
     fn set_counter(m: &Metrics, key: &str, n: u64) {
-        let counter: &AtomicU64 = match key {
-            "accepted" => &m.accepted,
-            "admitted" => &m.admitted,
-            "rejected_busy" => &m.rejected_busy,
-            "rate_limited" => &m.rate_limited,
-            "qba" => &m.qba,
-            "qbp" => &m.qbp,
-            "query" => &m.query,
-            "stats" => &m.stats,
-            "batch" => &m.batch,
-            "protocol_errors" => &m.protocol_errors,
-            "query_failures" => &m.query_failures,
-            "timeouts" => &m.timeouts,
-            "reloads" => &m.reloads,
-            "reload_failures" => &m.reload_failures,
-            other => panic!("no counter {other}"),
-        };
-        counter.store(n, Ordering::Relaxed);
+        let counter = Counter::ALL.into_iter().find(|c| c.key() == key);
+        let counter = counter.unwrap_or_else(|| panic!("no counter {key}"));
+        for _ in 0..n {
+            m.bump(counter);
+        }
     }
 
     /// The router's exposition over two shards, with a distinct value in
@@ -237,6 +182,211 @@ mod tests {
         scatter.metrics.shards_down.store(1, Ordering::Relaxed);
         let text = scatter.render_metrics(&shards, &front, 7);
         assert_eq!(text, TCROUTER_GOLDEN);
+    }
+
+    /// The declared label values of `f`: `None` when they are known
+    /// only at render time, empty when `f` is unlabelled.
+    fn label_values<B: Backend>(f: &Family<B>) -> Option<Vec<String>> {
+        let values = match &f.samples {
+            _ if f.label.is_empty() => Vec::new(),
+            Samples::Counters(series) => series.iter().map(|(v, _)| v.to_string()).collect(),
+            Samples::HttpResponses => HTTP_CODES.iter().map(u16::to_string).collect(),
+            Samples::VerbLatency => {
+                let front = Metrics::default();
+                let verbs = front.verb_latency_series();
+                verbs.iter().map(|(v, _)| v.to_string()).collect()
+            }
+            Samples::Values(values, _) => values.iter().map(|v| v.to_string()).collect(),
+            Samples::Inflight | Samples::Value(_) => Vec::new(),
+            Samples::Series(_) | Samples::Histograms(_) => return None,
+        };
+        Some(values)
+    }
+
+    /// Where `doc` (docs/OPERATIONS.md) disagrees with `table`, one line
+    /// per disagreement; empty when they agree.
+    ///
+    /// * Every family has a table row — `` | `name` | type | labels | ``,
+    ///   and a row may name several families — with its type and label
+    ///   key. The labels cell reads `` `key` = v1 / v2 `` (a value's first
+    ///   word counts; the rest, and anything after ` — `, is commentary),
+    ///   or the key alone for label values known only at render time; an
+    ///   unlabelled family's cell names no key.
+    /// * Every `prefix` name anywhere in `doc` is a declared family, or a
+    ///   `_bucket` / `_sum` / `_count` series of a declared histogram.
+    fn doc_drift<B: Backend>(table: &[Family<B>], prefix: &str, doc: &str) -> Vec<String> {
+        let mut rows = std::collections::BTreeMap::new();
+        for line in doc.lines() {
+            let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+            if let ["", names, kind, labels, ""] = cells[..] {
+                for name in names.split('`').skip(1).step_by(2) {
+                    rows.insert(name, (kind, labels));
+                }
+            }
+        }
+        let mut drift = Vec::new();
+        for f in table {
+            let Some(&(kind, labels)) = rows.get(f.name) else {
+                drift.push(format!("{}: declared, but has no table row", f.name));
+                continue;
+            };
+            if kind != f.kind {
+                drift.push(format!(
+                    "{}: type `{kind}` in the doc, `{}` declared",
+                    f.name, f.kind
+                ));
+            }
+            let (key, values) = match labels.strip_prefix('`').and_then(|l| l.split_once('`')) {
+                Some((key, rest)) => (key, rest.trim_start().strip_prefix('=')),
+                None => ("", None),
+            };
+            let values: Vec<String> = values
+                .map(|v| v.split(" — ").next().unwrap())
+                .into_iter()
+                .flat_map(|v| v.split('/'))
+                .filter_map(|v| v.split_whitespace().next())
+                .map(str::to_string)
+                .collect();
+            let declared = label_values(f);
+            if key != f.label || declared.as_ref().is_some_and(|d| *d != values) {
+                let want = match (f.label, declared) {
+                    ("", _) => "no label".to_string(),
+                    (label, None) => format!("`{label}`"),
+                    (label, Some(d)) => format!("`{label}` = {}", d.join(" / ")),
+                };
+                drift.push(format!(
+                    "{}: labels [{labels}] in the doc, {want} declared",
+                    f.name
+                ));
+            }
+        }
+        for (at, _) in doc.match_indices(prefix) {
+            let tail = &doc[at..];
+            let end = tail
+                .find(|c: char| !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'))
+                .unwrap_or(tail.len());
+            let name = &tail[..end];
+            let before = doc[..at].chars().next_back();
+            let mid_word = before.is_some_and(|c| c.is_ascii_alphanumeric() || c == '_');
+            if name == prefix || mid_word {
+                continue; // a bare prefix, or no metric name at all
+            }
+            let declared = table.iter().any(|f| {
+                let sub = ["_bucket", "_sum", "_count"].map(|s| format!("{}{s}", f.name));
+                f.name == name || (f.kind == "histogram" && sub.iter().any(|s| s == name))
+            });
+            if !declared {
+                drift.push(format!("{name}: in the doc, but not declared"));
+            }
+        }
+        drift
+    }
+
+    const OPERATIONS_MD: &str = include_str!("../../../docs/OPERATIONS.md");
+
+    /// Both daemons' tables against docs/OPERATIONS.md — checked here,
+    /// the one crate that sees both.
+    #[test]
+    fn operations_md_matches_both_tables() {
+        for drift in [
+            doc_drift(LocalTree::METRICS, "tcserve_", OPERATIONS_MD),
+            doc_drift(super::TABLE, "tcrouter_", OPERATIONS_MD),
+        ] {
+            assert!(
+                drift.is_empty(),
+                "docs/OPERATIONS.md drifts:\n{}",
+                drift.join("\n")
+            );
+        }
+    }
+
+    /// A doc that agrees with `tc serve`'s table: one row per family.
+    fn agreeing_doc() -> String {
+        let mut doc = String::from("| metric | type | labels |\n|---|---|---|\n");
+        for f in LocalTree::METRICS {
+            let labels = match label_values(f) {
+                _ if f.label.is_empty() => "—".to_string(),
+                Some(values) => format!("`{}` = {}", f.label, values.join(" / ")),
+                None => format!("`{}`", f.label),
+            };
+            doc.push_str(&format!("| `{}` | {} | {labels} |\n", f.name, f.kind));
+        }
+        doc
+    }
+
+    /// Each kind of drift: a declared family with no row, an undeclared
+    /// name in a table or in prose, a wrong type, and a wrong label key
+    /// or value.
+    #[test]
+    fn doc_drift_reports_each_kind_of_drift() {
+        let table = LocalTree::METRICS;
+        let doc = agreeing_doc();
+        assert_eq!(doc_drift(table, "tcserve_", &doc), Vec::<String>::new());
+
+        // A declared family missing from the table.
+        let missing = doc.replace("| `tcserve_tree_nodes` | gauge | — |\n", "");
+        assert_eq!(
+            doc_drift(table, "tcserve_", &missing),
+            ["tcserve_tree_nodes: declared, but has no table row"]
+        );
+        // An undeclared name, in a table or in prose.
+        for extra in [
+            "| `tcserve_ghost_total` | counter | — |\n",
+            "Watch `tcserve_ghost_total` climb.\n",
+        ] {
+            let drift = doc_drift(table, "tcserve_", &format!("{doc}{extra}"));
+            assert_eq!(drift, ["tcserve_ghost_total: in the doc, but not declared"]);
+        }
+        // A wrong type.
+        let retyped = doc.replace(
+            "| `tcserve_tree_nodes` | gauge |",
+            "| `tcserve_tree_nodes` | counter |",
+        );
+        assert_eq!(
+            doc_drift(table, "tcserve_", &retyped),
+            ["tcserve_tree_nodes: type `counter` in the doc, `gauge` declared"]
+        );
+        // A wrong label key, a wrong label value, a missing one, and a
+        // label on an unlabelled family.
+        let row = "`outcome` = admitted / busy / rate_limited";
+        for wrong in [
+            "`state` = admitted / busy / rate_limited",
+            "`outcome` = admitted / rejected_busy / rate_limited",
+            "`outcome` = admitted / busy",
+        ] {
+            let drift = doc_drift(table, "tcserve_", &doc.replacen(row, wrong, 1));
+            assert_eq!(
+                drift,
+                [format!(
+                    "tcserve_connections_total: labels [{wrong}] in the doc, \
+                     `outcome` = admitted / busy / rate_limited declared"
+                )]
+            );
+        }
+        let labelled = doc.replace(
+            "| `tcserve_tree_nodes` | gauge | — |",
+            "| `tcserve_tree_nodes` | gauge | `shard` |",
+        );
+        assert_eq!(
+            doc_drift(table, "tcserve_", &labelled),
+            ["tcserve_tree_nodes: labels [`shard`] in the doc, no label declared"]
+        );
+    }
+
+    #[test]
+    fn doc_check_normalises_histogram_suffixes() {
+        let table = LocalTree::METRICS;
+        let doc = agreeing_doc();
+        // A histogram's sub-series are its own; a counter has none, and a
+        // bare prefix or a mid-identifier hit is no metric name.
+        let prose = "`tcserve_request_latency_seconds_bucket`, `…_sum`, \
+                     `tcserve_request_latency_seconds_count`; `tcserve_*`, x_tcserve_foo.\n";
+        assert!(doc_drift(table, "tcserve_", &format!("{doc}{prose}")).is_empty());
+        let counter_sum = format!("{doc}`tcserve_reloads_total_sum`\n");
+        assert_eq!(
+            doc_drift(table, "tcserve_", &counter_sum),
+            ["tcserve_reloads_total_sum: in the doc, but not declared"]
+        );
     }
 
     const TCROUTER_GOLDEN: &str = r#"# HELP tcrouter_requests_total Scatter-gather requests accepted, by verb.

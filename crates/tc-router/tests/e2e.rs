@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use tc_core::DatabaseNetworkBuilder;
 use tc_index::{TcTree, TcTreeBuilder};
 use tc_router::{Router, RouterConfig};
-use tc_serve::{QueryResponse, Request, ServeConfig, Server, ServerHandle};
+use tc_serve::{Counter, QueryResponse, Request, ServeConfig, Server, ServerHandle};
 use tc_store::shardmap::{level1_items, split_tree, HashScheme, ShardEntry, ShardMap};
 use tc_store::SegmentTcTree;
 
@@ -416,7 +416,10 @@ fn stale_pooled_connections_are_retried_not_surfaced() {
     let (status, _, body) = raw_get(&gateway.addr, "/qbp?items=-");
     assert_eq!(status, 200, "{body}");
     let deadline = Instant::now() + Duration::from_secs(10);
-    while daemons.iter().any(|d| d.handle.stats().timeouts == 0) {
+    while daemons
+        .iter()
+        .any(|d| d.handle.stats()[Counter::Timeouts] == 0)
+    {
         assert!(Instant::now() < deadline, "shards never idled the pool out");
         std::thread::sleep(Duration::from_millis(20));
     }

@@ -9,7 +9,7 @@
 //! daemons and merges what comes back. The front end calls into the
 //! backend once per request (per batch entry), never per byte or line.
 
-use crate::metrics::Metrics;
+use crate::metrics::{Family, Metrics};
 use crate::protocol::QueryResponse;
 use tc_util::LoadError;
 
@@ -38,7 +38,7 @@ pub enum Answer {
 
 /// What the front end serves from. Implemented exactly twice: by the
 /// local tree walk here and by `tc-router`'s scatter/merge.
-pub trait Backend: Send + Sync + 'static {
+pub trait Backend: Sized + Send + Sync + 'static {
     /// The daemon's name: prefixes worker-thread names and log lines.
     const NAME: &'static str;
 
@@ -59,9 +59,15 @@ pub trait Backend: Send + Sync + 'static {
     /// The `GET /healthz` body: one `\n`-terminated JSON object.
     fn healthz(&self, snapshot: &Self::Snapshot) -> String;
 
-    /// The `GET /metrics` body: this daemon's metric table, rendered from
-    /// the front end's counters plus whatever the backend itself tracks.
-    fn render_metrics(&self, snapshot: &Self::Snapshot, front: &Metrics, inflight: u64) -> String;
+    /// This daemon's `/metrics` table: every family it exposes, declared
+    /// once.
+    const METRICS: &'static [Family<Self>];
+
+    /// The `GET /metrics` body: [`Backend::METRICS`] rendered from the
+    /// front end's telemetry and `snapshot`.
+    fn render_metrics(&self, snapshot: &Self::Snapshot, front: &Metrics, inflight: u64) -> String {
+        crate::metrics::render(Self::METRICS, self, snapshot, front, inflight)
+    }
 
     /// Re-reads what is served from its configured path and swaps it in.
     /// Validation precedes the swap: on `Err` the previous snapshot keeps

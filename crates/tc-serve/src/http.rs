@@ -46,11 +46,11 @@
 //! idle timeout, exactly like the line protocol.
 
 use crate::backend::{Answer, Backend, QuerySpec};
+use crate::metrics::Counter;
 use crate::protocol::{encode_error, parse_alpha, parse_items};
 use crate::server::{idle_timeout_error, Core, ReadStop, Slot, TickReader, Wire};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 use tc_util::json::{parse as parse_json, JsonValue};
 
@@ -243,7 +243,7 @@ fn serve_session<B: Backend>(
 
         // ---- body ---------------------------------------------------------
         if content_length > MAX_BODY {
-            core.protocol_error();
+            core.metrics.bump(Counter::ProtocolErrors);
             let reply = Reply::error(413, &format!("body exceeds {MAX_BODY} bytes"));
             return respond(core, &mut stream, &reply, true);
         }
@@ -289,7 +289,7 @@ fn route<B: Backend>(core: &Core<B>, method: &str, target: &str, body: &[u8]) ->
     }
     match (method, path) {
         ("GET", "/healthz") => {
-            core.metrics.stats.fetch_add(1, Ordering::Relaxed);
+            core.metrics.bump(Counter::Stats);
             let body = core.backend.healthz(&core.backend.snapshot());
             Reply::new(200, CT_JSON, body)
         }
@@ -325,7 +325,7 @@ fn route<B: Backend>(core: &Core<B>, method: &str, target: &str, body: &[u8]) ->
 
 /// Counts a malformed request and words its `400`.
 fn param_error<B: Backend>(core: &Core<B>, msg: &str) -> Reply {
-    core.protocol_error();
+    core.metrics.bump(Counter::ProtocolErrors);
     Reply::error(400, msg)
 }
 
@@ -375,7 +375,7 @@ fn handle_batch<B: Backend>(core: &Core<B>, body: &[u8]) -> Reply {
         Ok(specs) => specs,
         Err(msg) => return param_error(core, &msg),
     };
-    core.metrics.batch.fetch_add(1, Ordering::Relaxed);
+    core.metrics.bump(Counter::Batch);
     // One snapshot for the whole batch: a hot reload landing mid-batch
     // never mixes segments (or shard layouts) inside one response.
     let snapshot = core.backend.snapshot();

@@ -23,8 +23,9 @@
 //! * [`http`] — the HTTP/1.1 + JSON gateway (`GET /qba`, `GET /qbp`,
 //!   `POST /query` batches, `GET /healthz`, `GET /metrics`), sharing the
 //!   same pool, admission bound, and counters;
-//! * [`metrics`] — the shared counters, per-verb latency histograms, and
-//!   the Prometheus text writer behind `GET /metrics`;
+//! * [`metrics`] — the shared counters (each declared once, in
+//!   [`Counter`]), per-verb latency histograms, and the renderer that
+//!   writes a daemon's declared [`Family`] table for `GET /metrics`;
 //! * [`limit`] — per-client token-bucket rate limiting layered on the
 //!   global inflight bound;
 //! * [`reload`] — `SIGHUP` / handle-driven segment hot-reload: open and
@@ -81,7 +82,7 @@ pub use client::{ClientError, RemoteResult, RetryPolicy, ServeClient};
 pub use http::{HttpClient, HttpResponse};
 pub use limit::{RateLimit, RateLimiter};
 pub use local::{answer, LocalTree, ServeConfig, Server, ServerHandle};
-pub use metrics::{Exposition, Histogram, Metrics};
+pub use metrics::{Counter, Family, Histogram, Metrics, Samples};
 pub use protocol::{Greeting, QueryResponse, Request, TrussSummary, PROTOCOL_VERSION};
 pub use reload::TreeSlot;
 pub use server::{install_signal_handlers, Admission, FrontEnd, Handle, StatsSnapshot, Wire};

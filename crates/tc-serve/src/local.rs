@@ -5,7 +5,7 @@
 
 use crate::backend::{Answer, Backend, QuerySpec};
 use crate::limit::RateLimit;
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, Family, Samples};
 use crate::protocol::{
     encode_error, encode_greeting_busy, encode_greeting_ok, encode_stats, QueryResponse, Request,
     TrussSummary,
@@ -17,7 +17,6 @@ use crate::server::{
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::Ordering;
 use std::time::Duration;
 use tc_store::{SegmentTcTree, StoreOptions};
 use tc_txdb::{Item, Pattern};
@@ -110,9 +109,68 @@ impl Backend for LocalTree {
         )
     }
 
-    fn render_metrics(&self, tree: &Arc<SegmentTcTree>, front: &Metrics, inflight: u64) -> String {
-        front.render_prometheus(inflight, tree.num_nodes() as u64, tree.cache_stats())
-    }
+    /// `tc serve`'s table: the front end's counters, then the served
+    /// tree's directory and node-cache gauges.
+    #[rustfmt::skip]
+    const METRICS: &'static [Family<Self>] = &[
+        Family { name: "tcserve_connections_total", kind: "counter", label: "outcome",
+            help: "Connections accepted, by admission outcome.",
+            samples: Samples::Counters(&[("admitted", Counter::Admitted),
+                ("busy", Counter::RejectedBusy), ("rate_limited", Counter::RateLimited)]) },
+        Family { name: "tcserve_requests_total", kind: "counter", label: "verb",
+            help: "Requests served, by verb (both front-ends).",
+            samples: Samples::Counters(&[("qba", Counter::Qba), ("qbp", Counter::Qbp),
+                ("query", Counter::Query), ("stats", Counter::Stats), ("batch", Counter::Batch)]) },
+        Family { name: "tcserve_errors_total", kind: "counter", label: "kind",
+            help: "Failed requests, by failure kind.",
+            samples: Samples::Counters(&[("protocol", Counter::ProtocolErrors),
+                ("query", Counter::QueryFailures), ("timeout", Counter::Timeouts)]) },
+        Family { name: "tcserve_http_responses_total", kind: "counter", label: "code",
+            help: "HTTP responses sent, by status code.",
+            samples: Samples::HttpResponses },
+        Family { name: "tcserve_reloads_total", kind: "counter", label: "",
+            help: "Segment hot-reloads completed without dropping sessions.",
+            samples: Samples::Counters(&[("", Counter::Reloads)]) },
+        Family { name: "tcserve_reload_failures_total", kind: "counter", label: "",
+            help: "Hot-reload attempts rejected at validation (old segment kept).",
+            samples: Samples::Counters(&[("", Counter::ReloadFailures)]) },
+        Family { name: "tcserve_inflight_sessions", kind: "gauge", label: "",
+            help: "Sessions admitted but not yet finished.",
+            samples: Samples::Inflight },
+        Family { name: "tcserve_tree_nodes", kind: "gauge", label: "",
+            help: "TC-Tree nodes in the currently served segment.",
+            samples: Samples::<Self>::Value(|_, t| t.num_nodes().to_string()) },
+        Family { name: "tcserve_tree_materialized_nodes", kind: "gauge", label: "",
+            help: "TC-Tree nodes currently resident in the node cache (falls on eviction).",
+            samples: Samples::<Self>::Value(|_, t| t.cache_stats().resident.to_string()) },
+        Family { name: "tcserve_tree_materialized_total", kind: "counter", label: "",
+            help: "Node materialisations since open (re-parses after eviction count again).",
+            samples: Samples::<Self>::Value(|_, t| {
+                t.cache_stats().materialized_total.to_string()
+            }) },
+        Family { name: "tcserve_cache_bytes_used", kind: "gauge", label: "",
+            help: "Accounted bytes of resident truss decompositions.",
+            samples: Samples::<Self>::Value(|_, t| t.cache_stats().bytes_used.to_string()) },
+        Family { name: "tcserve_cache_bytes_budget", kind: "gauge", label: "",
+            help: "Configured node-cache byte budget (0 = unbounded).",
+            samples: Samples::<Self>::Value(|_, t| {
+                t.cache_stats().budget.unwrap_or(0).to_string()
+            }) },
+        Family { name: "tcserve_cache_evictions_total", kind: "counter", label: "",
+            help: "Nodes evicted by the cache's clock sweep.",
+            samples: Samples::<Self>::Value(|_, t| t.cache_stats().evictions.to_string()) },
+        Family { name: "tcserve_cache_lookups_total", kind: "counter", label: "outcome",
+            help: "Node-cache lookups, by outcome.",
+            samples: Samples::<Self>::Values(&["hit", "miss"], |_, t| {
+                vec![t.cache_stats().hits, t.cache_stats().misses]
+            }) },
+        Family { name: "tcserve_cache_hit_ratio", kind: "gauge", label: "",
+            help: "Node-cache hit fraction in [0, 1] (1 before any lookup).",
+            samples: Samples::<Self>::Value(|_, t| t.cache_stats().hit_ratio().to_string()) },
+        Family { name: "tcserve_request_latency_seconds", kind: "histogram", label: "verb",
+            help: "Server-side request latency, by verb.",
+            samples: Samples::VerbLatency },
+    ];
 
     fn reload(&self) -> Result<usize, LoadError> {
         let Some(path) = &self.reload_path else {
@@ -200,7 +258,7 @@ impl ServerHandle {
     /// session is dropped.
     pub fn swap_tree(&self, tree: SegmentTcTree) {
         self.core.backend.tree.store_tree(tree);
-        self.core.metrics.reloads.fetch_add(1, Ordering::Relaxed);
+        self.core.metrics.bump(Counter::Reloads);
     }
 }
 
@@ -253,7 +311,7 @@ fn serve_session(
                 return Err(idle_timeout_error());
             }
             Err(ReadStop::TooLong) => {
-                core.protocol_error();
+                core.metrics.bump(Counter::ProtocolErrors);
                 // Framing is lost mid-line; answer and close.
                 let _ = stream.write_all(encode_error("request line too long", false).as_bytes());
                 return Ok(());
@@ -265,7 +323,7 @@ fn serve_session(
         let flow = match Request::parse(&line) {
             Ok(req) => handle_request(core, req, &mut stream, slot)?,
             Err(msg) => {
-                core.protocol_error();
+                core.metrics.bump(Counter::ProtocolErrors);
                 stream.write_all(encode_error(&msg, false).as_bytes())?;
                 SessionFlow::Continue
             }
@@ -288,7 +346,7 @@ fn handle_request(
         Request::Qbp { items, json } => (QuerySpec::Qbp(items), json),
         Request::Query { items, alpha, json } => (QuerySpec::Query(items, alpha), json),
         Request::Stats { json } => {
-            core.metrics.stats.fetch_add(1, Ordering::Relaxed);
+            core.metrics.bump(Counter::Stats);
             stream.write_all(encode_stats(&stats_rows(core, &tree), json).as_bytes())?;
             return Ok(SessionFlow::Continue);
         }
@@ -312,16 +370,16 @@ fn handle_request(
     Ok(SessionFlow::Continue)
 }
 
-/// The `STATS` table: directory and cache facts of `tree`, then the front
-/// end's bounds and counters.
-fn stats_rows(core: &Core<LocalTree>, tree: &SegmentTcTree) -> [(&'static str, u64); 27] {
+/// The `STATS` table: directory and cache facts of `tree`, the front
+/// end's bounds, then one row per [`Counter`].
+fn stats_rows(core: &Core<LocalTree>, tree: &SegmentTcTree) -> Vec<(&'static str, u64)> {
     let s = core.snapshot();
     let cache = tree.cache_stats();
     // The STATS table is integer-valued; the hit *ratio* is reported as a
     // percentage (floor), exact ratio in /metrics.
     let hit_total = cache.hits + cache.misses;
     let hit_pct = (cache.hits * 100).checked_div(hit_total).unwrap_or(100);
-    [
+    let mut rows = vec![
         ("protocol_version", u64::from(crate::PROTOCOL_VERSION)),
         ("nodes", tree.num_nodes() as u64),
         ("materialized_nodes", tree.materialized_nodes() as u64),
@@ -335,28 +393,15 @@ fn stats_rows(core: &Core<LocalTree>, tree: &SegmentTcTree) -> [(&'static str, u
         ("workers", core.workers as u64),
         ("max_inflight", core.max_inflight as u64),
         ("inflight", s.inflight),
-        ("accepted", s.accepted),
-        ("admitted", s.admitted),
-        ("rejected_busy", s.rejected_busy),
-        ("rate_limited", s.rate_limited),
-        ("qba", s.qba),
-        ("qbp", s.qbp),
-        ("query", s.query),
-        ("stats", s.stats),
-        ("batch", s.batch),
-        ("protocol_errors", s.protocol_errors),
-        ("query_failures", s.query_failures),
-        ("timeouts", s.timeouts),
-        ("reloads", s.reloads),
-        ("reload_failures", s.reload_failures),
-    ]
+    ];
+    rows.extend(Counter::ALL.map(|c| (c.key(), s[c])));
+    rows
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::HTTP_CODES;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use crate::metrics::{Metrics, HTTP_CODES};
     use tc_core::DatabaseNetworkBuilder;
     use tc_index::TcTreeBuilder;
 
@@ -380,24 +425,11 @@ mod tests {
 
     /// Sets the front-end counter named by `STATS` key `key` to `n`.
     fn set_counter(m: &Metrics, key: &str, n: u64) {
-        let counter: &AtomicU64 = match key {
-            "accepted" => &m.accepted,
-            "admitted" => &m.admitted,
-            "rejected_busy" => &m.rejected_busy,
-            "rate_limited" => &m.rate_limited,
-            "qba" => &m.qba,
-            "qbp" => &m.qbp,
-            "query" => &m.query,
-            "stats" => &m.stats,
-            "batch" => &m.batch,
-            "protocol_errors" => &m.protocol_errors,
-            "query_failures" => &m.query_failures,
-            "timeouts" => &m.timeouts,
-            "reloads" => &m.reloads,
-            "reload_failures" => &m.reload_failures,
-            other => panic!("no counter {other}"),
-        };
-        counter.store(n, Ordering::Relaxed);
+        let counter = Counter::ALL.into_iter().find(|c| c.key() == key);
+        let counter = counter.unwrap_or_else(|| panic!("no counter {key}"));
+        for _ in 0..n {
+            m.bump(counter);
+        }
     }
 
     /// Loads `m` with a distinct value in every counter, HTTP code and
@@ -486,6 +518,28 @@ mod tests {
         let rows = stats_rows(core, &core.backend.snapshot());
         assert_eq!(encode_stats(&rows, false), STATS_GOLDEN);
         assert_eq!(encode_stats(&rows, true), STATS_JSON_GOLDEN);
+    }
+
+    /// OPERATIONS.md's `STATS` reference names every `STATS` key — the
+    /// tree rows, the bounds and every [`Counter`] — and no other.
+    #[test]
+    fn stats_reference_matches_stats_rows() {
+        let doc = include_str!("../../../docs/OPERATIONS.md");
+        let (_, section) = doc.split_once("### STATS reference").unwrap();
+        let mut documented: Vec<&str> = section
+            .lines()
+            .skip_while(|l| !l.starts_with('|'))
+            .take_while(|l| l.starts_with('|'))
+            .filter_map(|l| l.split('|').nth(1))
+            .flat_map(|keys| keys.split('`').skip(1).step_by(2))
+            .collect();
+        let server = loaded_server();
+        let core = &server.handle().core;
+        let rows = stats_rows(core, &core.backend.snapshot());
+        let mut keys: Vec<&str> = rows.iter().map(|(k, _)| *k).collect();
+        documented.sort_unstable();
+        keys.sort_unstable();
+        assert_eq!(documented, keys);
     }
 
     const TCSERVE_GOLDEN: &str = r#"# HELP tcserve_connections_total Connections accepted, by admission outcome.

@@ -1,6 +1,13 @@
-//! Serving telemetry: the front end's monotonic counters, per-verb latency
-//! histograms, the [`Exposition`] writer behind every `GET /metrics`, and
-//! `tc serve`'s own `tcserve_*` metric table.
+//! Serving telemetry: the front end's counters, per-verb latency
+//! histograms, and the declared metric tables both daemons render
+//! `GET /metrics` from.
+//!
+//! Each front-end counter is declared once, in [`Counter`]: [`Metrics`]
+//! holds one `AtomicU64` per variant, and `STATS`, [`StatsSnapshot`] and
+//! every `/metrics` series index it. Each daemon declares its `/metrics`
+//! table once, as a list of [`Family`]s ([`Backend::METRICS`]), and
+//! [`render`] writes any such table; tests hold docs/OPERATIONS.md to the
+//! two tables.
 //!
 //! One [`Metrics`] instance is shared by every listener (the TCP line
 //! protocol and the HTTP/JSON gateway), so `STATS` and `/metrics` read
@@ -11,10 +18,13 @@
 //! buckets are `AtomicU64`, and the latency sum is accumulated in
 //! nanoseconds (a `u64` holds ~584 years of queries). Rendering takes a
 //! relaxed snapshot — `/metrics` under load never blocks a query.
+//!
+//! [`StatsSnapshot`]: crate::StatsSnapshot
 
+use crate::backend::Backend;
+use std::fmt::{Display, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-use tc_store::CacheStats;
 
 /// Histogram bucket upper bounds in seconds, chosen to straddle the
 /// observed serving range: warm directory-pruned queries sit in the tens
@@ -83,56 +93,97 @@ impl Histogram {
     }
 }
 
+/// Declares [`Counter`]: each variant with its doc and its `STATS` key,
+/// in `STATS` order.
+macro_rules! counters {
+    ($($(#[$doc:meta])+ $name:ident = $key:literal,)+) => {
+        /// One front-end counter. The variants are in `STATS` order, and
+        /// each indexes [`Metrics`] and [`StatsSnapshot`].
+        ///
+        /// [`StatsSnapshot`]: crate::StatsSnapshot
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Counter {
+            $($(#[$doc])+ $name,)+
+        }
+
+        impl Counter {
+            /// Every counter, in `STATS` order.
+            pub const ALL: [Counter; [$($key),+].len()] = [$(Counter::$name),+];
+
+            /// The counter's `STATS` key.
+            pub fn key(self) -> &'static str {
+                match self {
+                    $(Counter::$name => $key,)+
+                }
+            }
+        }
+    };
+}
+
+counters! {
+    /// Connections accepted (admitted + rejected), every listener.
+    Accepted = "accepted",
+    /// Sessions admitted past admission control.
+    Admitted = "admitted",
+    /// Connections rejected with a `BUSY` greeting or `503` (or drained
+    /// at shutdown before service).
+    RejectedBusy = "rejected_busy",
+    /// Requests or connections rejected by per-client rate limiting.
+    RateLimited = "rate_limited",
+    /// `QBA` requests served (both front ends).
+    Qba = "qba",
+    /// `QBP` requests served (both front ends).
+    Qbp = "qbp",
+    /// General `QUERY` requests served (both front ends).
+    Query = "query",
+    /// `STATS` / `/healthz` introspection requests served.
+    Stats = "stats",
+    /// `POST /query` batch requests served (each carrying many queries).
+    Batch = "batch",
+    /// Malformed requests answered with an error (both front ends).
+    ProtocolErrors = "protocol_errors",
+    /// Queries that failed server-side (segment corruption, shard down).
+    QueryFailures = "query_failures",
+    /// Sessions closed for sitting idle past the configured timeout.
+    Timeouts = "timeouts",
+    /// Hot-reloads completed (SIGHUP or handle-driven swaps).
+    Reloads = "reloads",
+    /// Hot-reload attempts that failed validation (old state kept).
+    ReloadFailures = "reload_failures",
+}
+
 /// HTTP response status codes the gateway can produce, in exposition
-/// order. Indexes into [`Metrics::http_responses`].
+/// order.
 pub const HTTP_CODES: [u16; 8] = [200, 400, 404, 405, 413, 429, 500, 503];
 
-/// The daemon's shared telemetry: admission, per-verb, error, reload, and
-/// HTTP-response counters plus per-verb latency histograms.
+/// The daemon's shared telemetry: one atomic per [`Counter`], the HTTP
+/// responses by status code, and per-verb latency histograms.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    /// Connections accepted (admitted + rejected), both front-ends.
-    pub accepted: AtomicU64,
-    /// Sessions admitted past admission control.
-    pub admitted: AtomicU64,
-    /// Connections rejected with a `BUSY` greeting (or drained at
-    /// shutdown before service).
-    pub rejected_busy: AtomicU64,
-    /// Requests or connections rejected by per-client rate limiting.
-    pub rate_limited: AtomicU64,
-    /// `QBA` requests served (both front-ends).
-    pub qba: AtomicU64,
-    /// `QBP` requests served (both front-ends).
-    pub qbp: AtomicU64,
-    /// General `QUERY` requests served (both front-ends).
-    pub query: AtomicU64,
-    /// `STATS` / `/healthz` introspection requests served.
-    pub stats: AtomicU64,
-    /// `POST /query` batch requests served (each carrying many queries).
-    pub batch: AtomicU64,
-    /// Malformed requests answered with an error (both front-ends).
-    pub protocol_errors: AtomicU64,
-    /// Queries that failed server-side (e.g. segment corruption).
-    pub query_failures: AtomicU64,
-    /// Sessions closed for sitting idle past the configured timeout.
-    pub timeouts: AtomicU64,
-    /// Segment hot-reloads completed (SIGHUP or handle-driven swaps).
-    pub reloads: AtomicU64,
-    /// Hot-reload attempts that failed validation (old segment kept).
-    pub reload_failures: AtomicU64,
-    /// HTTP responses by status code, indexed parallel to [`HTTP_CODES`].
-    pub http_responses: [AtomicU64; HTTP_CODES.len()],
+    counters: [AtomicU64; Counter::ALL.len()],
+    /// Indexed parallel to [`HTTP_CODES`].
+    http_responses: [AtomicU64; HTTP_CODES.len()],
     /// Server-side `QBA` latency.
-    pub qba_latency: Histogram,
+    pub(crate) qba_latency: Histogram,
     /// Server-side `QBP` latency.
-    pub qbp_latency: Histogram,
+    pub(crate) qbp_latency: Histogram,
     /// Server-side general-`QUERY` latency.
-    pub query_latency: Histogram,
+    pub(crate) query_latency: Histogram,
     /// Whole-request latency of `POST /query` batches.
-    pub batch_latency: Histogram,
+    pub(crate) batch_latency: Histogram,
 }
 
 impl Metrics {
+    /// Counts one event of `counter`.
+    pub fn bump(&self, counter: Counter) {
+        self.counters[counter as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Every counter's value, indexed by [`Counter`].
+    pub fn counters(&self) -> [u64; Counter::ALL.len()] {
+        self.counters.each_ref().map(|c| c.load(Ordering::Relaxed))
+    }
+
     /// Bumps the HTTP response counter for `code` (unknown codes count
     /// as 500 — the exposition set is closed).
     pub fn count_http_response(&self, code: u16) {
@@ -146,207 +197,151 @@ impl Metrics {
         self.http_responses[idx].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The `{code="…"}` series of an HTTP-responses counter family.
-    pub fn http_response_series(&self) -> Vec<(String, u64)> {
-        HTTP_CODES
-            .iter()
-            .zip(&self.http_responses)
-            .map(|(code, n)| (format!("{{code=\"{code}\"}}"), n.load(Ordering::Relaxed)))
-            .collect()
-    }
-
-    /// The `verb="…"` series of a request-latency histogram family.
+    /// The per-verb latency histograms, by `verb` label value.
     pub fn verb_latency_series(&self) -> [(&'static str, &Histogram); 4] {
         [
-            ("verb=\"qba\"", &self.qba_latency),
-            ("verb=\"qbp\"", &self.qbp_latency),
-            ("verb=\"query\"", &self.query_latency),
-            ("verb=\"batch\"", &self.batch_latency),
+            ("qba", &self.qba_latency),
+            ("qbp", &self.qbp_latency),
+            ("query", &self.query_latency),
+            ("batch", &self.batch_latency),
         ]
-    }
-
-    /// Renders the `tcserve_*` Prometheus text exposition.
-    ///
-    /// Gauges that live outside the counter set — inflight sessions, the
-    /// served segment's node count (excluding the root) and its node-cache
-    /// snapshot — are passed in by the caller holding the current tree (it
-    /// is swappable via hot-reload, so [`Metrics`] never holds it).
-    pub fn render_prometheus(&self, inflight: u64, tree_nodes: u64, cache: CacheStats) -> String {
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let mut out = Exposition::default();
-        out.family(
-            "tcserve_connections_total",
-            "counter",
-            "Connections accepted, by admission outcome.",
-            &[
-                ("{outcome=\"admitted\"}", load(&self.admitted)),
-                ("{outcome=\"busy\"}", load(&self.rejected_busy)),
-                ("{outcome=\"rate_limited\"}", load(&self.rate_limited)),
-            ],
-        );
-        out.family(
-            "tcserve_requests_total",
-            "counter",
-            "Requests served, by verb (both front-ends).",
-            &[
-                ("{verb=\"qba\"}", load(&self.qba)),
-                ("{verb=\"qbp\"}", load(&self.qbp)),
-                ("{verb=\"query\"}", load(&self.query)),
-                ("{verb=\"stats\"}", load(&self.stats)),
-                ("{verb=\"batch\"}", load(&self.batch)),
-            ],
-        );
-        out.family(
-            "tcserve_errors_total",
-            "counter",
-            "Failed requests, by failure kind.",
-            &[
-                ("{kind=\"protocol\"}", load(&self.protocol_errors)),
-                ("{kind=\"query\"}", load(&self.query_failures)),
-                ("{kind=\"timeout\"}", load(&self.timeouts)),
-            ],
-        );
-        out.family(
-            "tcserve_http_responses_total",
-            "counter",
-            "HTTP responses sent, by status code.",
-            &self.http_response_series(),
-        );
-        out.family(
-            "tcserve_reloads_total",
-            "counter",
-            "Segment hot-reloads completed without dropping sessions.",
-            &[("", load(&self.reloads))],
-        );
-        out.family(
-            "tcserve_reload_failures_total",
-            "counter",
-            "Hot-reload attempts rejected at validation (old segment kept).",
-            &[("", load(&self.reload_failures))],
-        );
-        out.family(
-            "tcserve_inflight_sessions",
-            "gauge",
-            "Sessions admitted but not yet finished.",
-            &[("", inflight)],
-        );
-        out.family(
-            "tcserve_tree_nodes",
-            "gauge",
-            "TC-Tree nodes in the currently served segment.",
-            &[("", tree_nodes)],
-        );
-        out.family(
-            "tcserve_tree_materialized_nodes",
-            "gauge",
-            "TC-Tree nodes currently resident in the node cache (falls on eviction).",
-            &[("", cache.resident as u64)],
-        );
-        out.family(
-            "tcserve_tree_materialized_total",
-            "counter",
-            "Node materialisations since open (re-parses after eviction count again).",
-            &[("", cache.materialized_total)],
-        );
-        out.family(
-            "tcserve_cache_bytes_used",
-            "gauge",
-            "Accounted bytes of resident truss decompositions.",
-            &[("", cache.bytes_used)],
-        );
-        out.family(
-            "tcserve_cache_bytes_budget",
-            "gauge",
-            "Configured node-cache byte budget (0 = unbounded).",
-            &[("", cache.budget.unwrap_or(0))],
-        );
-        out.family(
-            "tcserve_cache_evictions_total",
-            "counter",
-            "Nodes evicted by the cache's clock sweep.",
-            &[("", cache.evictions)],
-        );
-        out.family(
-            "tcserve_cache_lookups_total",
-            "counter",
-            "Node-cache lookups, by outcome.",
-            &[
-                ("{outcome=\"hit\"}", cache.hits),
-                ("{outcome=\"miss\"}", cache.misses),
-            ],
-        );
-        out.family(
-            "tcserve_cache_hit_ratio",
-            "gauge",
-            "Node-cache hit fraction in [0, 1] (1 before any lookup).",
-            &[("", cache.hit_ratio())],
-        );
-        out.histograms(
-            "tcserve_request_latency_seconds",
-            "Server-side request latency, by verb.",
-            &self.verb_latency_series(),
-        );
-        out.finish()
     }
 }
 
-/// A Prometheus text exposition (format version 0.0.4) under
-/// construction — the one writer both daemons' metric tables go through.
-#[derive(Debug, Default)]
-pub struct Exposition(String);
+/// One family of a daemon's `/metrics` table: its name, Prometheus type
+/// (`counter`, `gauge` or `histogram`), help text, label key (`""` for an
+/// unlabelled family), and where its samples come from.
+pub struct Family<B: Backend> {
+    pub name: &'static str,
+    pub kind: &'static str,
+    pub help: &'static str,
+    pub label: &'static str,
+    pub samples: Samples<B>,
+}
+
+/// How a backend reads samples it alone knows: from itself and the
+/// snapshot being served.
+pub type ReadFn<B, T> = fn(&B, &<B as Backend>::Snapshot) -> T;
+
+/// Where a [`Family`]'s samples come from: the front end's telemetry, or
+/// what only the backend knows.
+pub enum Samples<B: Backend> {
+    /// Front-end counters, one series per `(label value, counter)`.
+    Counters(&'static [(&'static str, Counter)]),
+    /// The front end's HTTP responses, one series per [`HTTP_CODES`] entry.
+    HttpResponses,
+    /// The front end's admitted-but-unfinished sessions.
+    Inflight,
+    /// The front end's per-verb latency histograms.
+    VerbLatency,
+    /// One backend value, unlabelled.
+    Value(ReadFn<B, String>),
+    /// Backend values, one per label value listed.
+    Values(&'static [&'static str], ReadFn<B, Vec<u64>>),
+    /// Backend series whose label values are known only at render time.
+    Series(ReadFn<B, Vec<(String, u64)>>),
+    /// Backend histograms whose label values are known only at render
+    /// time.
+    Histograms(fn(&B::Snapshot) -> Vec<(String, &Histogram)>),
+}
+
+/// Renders `table` as a Prometheus text exposition (format version
+/// 0.0.4): for each family its `HELP`/`TYPE` header, then its samples,
+/// read from `front`, `inflight` and the backend's `snapshot`.
+pub fn render<B: Backend>(
+    table: &[Family<B>],
+    backend: &B,
+    snapshot: &B::Snapshot,
+    front: &Metrics,
+    inflight: u64,
+) -> String {
+    let counters = front.counters();
+    let mut out = Exposition::default();
+    for f in table {
+        out.header(f);
+        match &f.samples {
+            Samples::Counters(series) => {
+                for (value, c) in *series {
+                    out.sample(f, value, counters[*c as usize]);
+                }
+            }
+            Samples::HttpResponses => {
+                for (code, n) in HTTP_CODES.iter().zip(&front.http_responses) {
+                    out.sample(f, code, n.load(Ordering::Relaxed));
+                }
+            }
+            Samples::Inflight => out.sample(f, "", inflight),
+            Samples::VerbLatency => {
+                for (verb, h) in front.verb_latency_series() {
+                    out.histogram(f, verb, h);
+                }
+            }
+            Samples::Value(read) => out.sample(f, "", read(backend, snapshot)),
+            Samples::Values(values, read) => {
+                for (value, sample) in values.iter().zip(read(backend, snapshot)) {
+                    out.sample(f, value, sample);
+                }
+            }
+            Samples::Series(read) => {
+                for (value, sample) in read(backend, snapshot) {
+                    out.sample(f, value, sample);
+                }
+            }
+            Samples::Histograms(read) => {
+                for (value, h) in read(snapshot) {
+                    out.histogram(f, value, h);
+                }
+            }
+        }
+    }
+    out.0
+}
+
+/// A Prometheus text exposition under construction — the one writer
+/// both daemons' tables go through.
+#[derive(Default)]
+struct Exposition(String);
 
 impl Exposition {
-    /// Appends one counter or gauge family: its `HELP`/`TYPE` header, then
-    /// one sample per `(labels, value)` — `labels` is the braced label set
-    /// (`{verb="qba"}`) or empty.
-    pub fn family<L: std::fmt::Display, V: std::fmt::Display>(
-        &mut self,
-        name: &str,
-        kind: &str,
-        help: &str,
-        series: &[(L, V)],
-    ) {
-        let out = &mut self.0;
-        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-        for (labels, value) in series {
-            out.push_str(&format!("{name}{labels} {value}\n"));
-        }
+    /// A family's `HELP`/`TYPE` header.
+    fn header<B: Backend>(&mut self, f: &Family<B>) {
+        let _ = write!(
+            self.0,
+            "# HELP {0} {1}\n# TYPE {0} {2}\n",
+            f.name, f.help, f.kind
+        );
     }
 
-    /// Appends one histogram family: its header, then for each
-    /// `(label, histogram)` the cumulative `le` buckets, sum, and count —
-    /// `label` is one bare pair (`verb="qba"`).
-    pub fn histograms<L: std::fmt::Display>(
-        &mut self,
-        name: &str,
-        help: &str,
-        series: &[(L, &Histogram)],
-    ) {
-        let out = &mut self.0;
-        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
-        for (label, h) in series {
-            let cumulative = h.cumulative_buckets();
-            for (bound, cum) in LATENCY_BUCKETS_SECS.iter().zip(&cumulative) {
-                out.push_str(&format!("{name}_bucket{{{label},le=\"{bound}\"}} {cum}\n"));
-            }
-            out.push_str(&format!(
-                "{name}_bucket{{{label},le=\"+Inf\"}} {}\n",
-                cumulative.last().copied().unwrap_or(0)
-            ));
-            out.push_str(&format!("{name}_sum{{{label}}} {}\n", h.sum_secs()));
-            out.push_str(&format!("{name}_count{{{label}}} {}\n", h.count()));
-        }
+    /// One counter or gauge sample: `name{label="value"} sample`, or
+    /// `name sample` for an unlabelled family.
+    fn sample<B: Backend>(&mut self, f: &Family<B>, value: impl Display, sample: impl Display) {
+        let _ = match f.label {
+            "" => writeln!(self.0, "{} {sample}", f.name),
+            label => writeln!(self.0, "{}{{{label}=\"{value}\"}} {sample}", f.name),
+        };
     }
 
-    /// The finished exposition text.
-    pub fn finish(self) -> String {
-        self.0
+    /// One labelled histogram: its cumulative `le` buckets, sum and count.
+    fn histogram<B: Backend>(&mut self, f: &Family<B>, value: impl Display, h: &Histogram) {
+        let (name, pair) = (f.name, format!("{}=\"{value}\"", f.label));
+        let cumulative = h.cumulative_buckets();
+        for (bound, cum) in LATENCY_BUCKETS_SECS.iter().zip(&cumulative) {
+            let _ = writeln!(self.0, "{name}_bucket{{{pair},le=\"{bound}\"}} {cum}");
+        }
+        let total = cumulative.last().copied().unwrap_or(0);
+        let _ = writeln!(self.0, "{name}_bucket{{{pair},le=\"+Inf\"}} {total}");
+        let _ = writeln!(self.0, "{name}_sum{{{pair}}} {}", h.sum_secs());
+        let _ = writeln!(self.0, "{name}_count{{{pair}}} {}", h.count());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ServeConfig, Server};
+    use tc_core::DatabaseNetworkBuilder;
+    use tc_index::TcTreeBuilder;
+    use tc_store::SegmentTcTree;
 
     #[test]
     fn histogram_buckets_are_cumulative_and_count_everything() {
@@ -367,35 +362,41 @@ mod tests {
         assert!((h.sum_secs() - (10e-6 + 30e-6 + 0.75 + 30.0)).abs() < 1e-9);
     }
 
+    /// A `tc serve` front end over a one-item triangle, not yet serving.
+    fn server() -> Server {
+        let mut b = DatabaseNetworkBuilder::new();
+        let beer = b.intern_item("beer");
+        for v in 0..3u32 {
+            for _ in 0..4 {
+                b.add_transaction(v, &[beer]);
+            }
+        }
+        b.add_edge(0, 1);
+        b.add_edge(1, 2);
+        b.add_edge(2, 0);
+        let tree = TcTreeBuilder::default().build(&b.build().unwrap());
+        let mut bytes = Vec::new();
+        tc_store::save_tree_segment(&tree, &mut bytes).unwrap();
+        let seg = SegmentTcTree::from_bytes(bytes).unwrap();
+        Server::bind(seg, "127.0.0.1:0", ServeConfig::default()).unwrap()
+    }
+
     #[test]
     fn exposition_is_valid_prometheus_text() {
-        let m = Metrics::default();
-        m.qba.fetch_add(3, Ordering::Relaxed);
+        let server = server();
+        let handle = server.handle();
+        let m = &handle.core.metrics;
+        for _ in 0..3 {
+            m.bump(Counter::Qba);
+        }
         m.qba_latency.observe(0.0001);
         m.count_http_response(200);
         m.count_http_response(418); // unknown → folds into 500
-        let text = m.render_prometheus(
-            2,
-            1469,
-            CacheStats {
-                bytes_used: 4096,
-                budget: Some(65536),
-                resident: 17,
-                materialized_total: 23,
-                evictions: 6,
-                hits: 40,
-                misses: 10,
-            },
-        );
+        let text = handle.prometheus();
         assert!(text.contains("tcserve_requests_total{verb=\"qba\"} 3\n"));
-        assert!(text.contains("tcserve_inflight_sessions 2\n"));
-        assert!(text.contains("tcserve_tree_materialized_nodes 17\n"));
-        assert!(text.contains("tcserve_tree_materialized_total 23\n"));
-        assert!(text.contains("tcserve_cache_bytes_used 4096\n"));
-        assert!(text.contains("tcserve_cache_bytes_budget 65536\n"));
-        assert!(text.contains("tcserve_cache_evictions_total 6\n"));
-        assert!(text.contains("tcserve_cache_lookups_total{outcome=\"hit\"} 40\n"));
-        assert!(text.contains("tcserve_cache_hit_ratio 0.8\n"));
+        assert!(text.contains("tcserve_inflight_sessions 0\n"));
+        assert!(text.contains("tcserve_tree_nodes 1\n"));
+        assert!(text.contains("tcserve_cache_hit_ratio 1\n"));
         assert!(text.contains("tcserve_http_responses_total{code=\"200\"} 1\n"));
         assert!(text.contains("tcserve_http_responses_total{code=\"500\"} 1\n"));
         assert!(text.contains("le=\"+Inf\"} 1\n"));
@@ -432,9 +433,10 @@ mod tests {
 
     #[test]
     fn histogram_family_counts_every_verb_series() {
-        let m = Metrics::default();
-        m.qbp_latency.observe(0.002);
-        let text = m.render_prometheus(0, 0, CacheStats::default());
+        let server = server();
+        let handle = server.handle();
+        handle.core.metrics.qbp_latency.observe(0.002);
+        let text = handle.prometheus();
         for verb in ["qba", "qbp", "query", "batch"] {
             assert!(
                 text.contains(&format!(

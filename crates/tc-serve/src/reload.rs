@@ -23,7 +23,7 @@
 //! ([`SegmentTcTree::open_with`] checks magic, header geometry, section
 //! lengths, and the node-directory checksum); a segment that fails
 //! validation leaves the old one serving and only bumps
-//! `tcserve_reload_failures_total`.
+//! [`Counter::ReloadFailures`](crate::Counter::ReloadFailures).
 //!
 //! Reloads reopen with the daemon's configured [`StoreOptions`], so a
 //! cache budget survives the swap. The old `Arc<SegmentTcTree>` (and its

@@ -36,13 +36,14 @@
 
 use crate::backend::{Answer, Backend, QuerySpec};
 use crate::limit::{RateLimit, RateLimiter};
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, Metrics};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
+use std::ops::Index;
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI32, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use tc_util::sync::{Condvar, Mutex};
@@ -72,45 +73,27 @@ pub struct Admission {
     pub rate_limit: Option<RateLimit>,
 }
 
-/// A point-in-time copy of the front end's counters.
+/// A point-in-time copy of the front end's counters, indexed by
+/// [`Counter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// Connections accepted (admitted + rejected), every listener.
-    pub accepted: u64,
-    /// Sessions admitted past admission control.
-    pub admitted: u64,
-    /// Connections rejected with a `BUSY` greeting or `503`.
-    pub rejected_busy: u64,
-    /// Requests/connections rejected by per-client rate limiting.
-    pub rate_limited: u64,
-    /// `QBA` requests served.
-    pub qba: u64,
-    /// `QBP` requests served.
-    pub qbp: u64,
-    /// `QUERY` requests served.
-    pub query: u64,
-    /// `STATS` / `/healthz` requests served.
-    pub stats: u64,
-    /// `POST /query` batch requests served.
-    pub batch: u64,
-    /// Requests rejected as malformed (`ERR` / `400` responses).
-    pub protocol_errors: u64,
-    /// Queries that failed server-side (segment corruption, shard down).
-    pub query_failures: u64,
-    /// Sessions closed for sitting idle past the configured timeout.
-    pub timeouts: u64,
-    /// Hot-reloads completed.
-    pub reloads: u64,
-    /// Hot-reload attempts that failed validation.
-    pub reload_failures: u64,
+    counters: [u64; Counter::ALL.len()],
     /// Sessions admitted but not yet finished, at snapshot time.
     pub inflight: u64,
+}
+
+impl Index<Counter> for StatsSnapshot {
+    type Output = u64;
+
+    fn index(&self, counter: Counter) -> &u64 {
+        &self.counters[counter as usize]
+    }
 }
 
 impl StatsSnapshot {
     /// Total query-verb requests served (`QBA` + `QBP` + `QUERY`).
     pub fn queries_served(&self) -> u64 {
-        self.qba + self.qbp + self.query
+        self[Counter::Qba] + self[Counter::Qbp] + self[Counter::Query]
     }
 }
 
@@ -181,23 +164,8 @@ impl<B: Backend> Core<B> {
     }
 
     pub(crate) fn snapshot(&self) -> StatsSnapshot {
-        let m = &self.metrics;
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         StatsSnapshot {
-            accepted: load(&m.accepted),
-            admitted: load(&m.admitted),
-            rejected_busy: load(&m.rejected_busy),
-            rate_limited: load(&m.rate_limited),
-            qba: load(&m.qba),
-            qbp: load(&m.qbp),
-            query: load(&m.query),
-            stats: load(&m.stats),
-            batch: load(&m.batch),
-            protocol_errors: load(&m.protocol_errors),
-            query_failures: load(&m.query_failures),
-            timeouts: load(&m.timeouts),
-            reloads: load(&m.reloads),
-            reload_failures: load(&m.reload_failures),
+            counters: self.metrics.counters(),
             inflight: self.inflight(),
         }
     }
@@ -209,7 +177,7 @@ impl<B: Backend> Core<B> {
             Some(l) => {
                 let ok = l.allow(client);
                 if !ok {
-                    self.metrics.rate_limited.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.bump(Counter::RateLimited);
                 }
                 ok
             }
@@ -223,11 +191,6 @@ impl<B: Backend> Core<B> {
             .render_metrics(&self.backend.snapshot(), &self.metrics, self.inflight())
     }
 
-    /// Counts a malformed request.
-    pub(crate) fn protocol_error(&self) {
-        self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Answers one query against `snapshot`, counting it. This is the one
     /// place a query verb is accounted: every `QBA`/`QBP`/`QUERY` —
     /// a line-protocol request, an HTTP `GET`, or one entry of a
@@ -235,17 +198,17 @@ impl<B: Backend> Core<B> {
     /// histogram here, and a failed one `query_failures`.
     pub(crate) fn execute(&self, snapshot: &B::Snapshot, spec: &QuerySpec) -> Answer {
         let m = &self.metrics;
-        let (count, latency) = match spec {
-            QuerySpec::Qba(_) => (&m.qba, &m.qba_latency),
-            QuerySpec::Qbp(_) => (&m.qbp, &m.qbp_latency),
-            QuerySpec::Query(..) => (&m.query, &m.query_latency),
+        let (counter, latency) = match spec {
+            QuerySpec::Qba(_) => (Counter::Qba, &m.qba_latency),
+            QuerySpec::Qbp(_) => (Counter::Qbp, &m.qbp_latency),
+            QuerySpec::Query(..) => (Counter::Query, &m.query_latency),
         };
-        count.fetch_add(1, Ordering::Relaxed);
+        m.bump(counter);
         let started = Instant::now();
         let answer = self.backend.answer(snapshot, spec);
         latency.observe(started.elapsed().as_secs_f64());
         if matches!(answer, Answer::Err(..)) {
-            m.query_failures.fetch_add(1, Ordering::Relaxed);
+            m.bump(Counter::QueryFailures);
         }
         answer
     }
@@ -253,11 +216,10 @@ impl<B: Backend> Core<B> {
     /// [`Backend::reload`], counted.
     fn reload(&self) -> Result<B::Reloaded, LoadError> {
         let result = self.backend.reload();
-        let counter = match result {
-            Ok(_) => &self.metrics.reloads,
-            Err(_) => &self.metrics.reload_failures,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        self.metrics.bump(match result {
+            Ok(_) => Counter::Reloads,
+            Err(_) => Counter::ReloadFailures,
+        });
         result
     }
 }
@@ -344,7 +306,7 @@ impl<B: Backend> Handle<B> {
             // loop down — the old state keeps serving, the latch clears so
             // a later SIGHUP can retry, and the failure is counted.
             eprintln!("{}: could not spawn reload thread: {e}", B::NAME);
-            core.metrics.reload_failures.fetch_add(1, Ordering::Relaxed);
+            core.metrics.bump(Counter::ReloadFailures);
             core.reload_in_progress.store(false, Ordering::SeqCst);
         }
     }
@@ -535,7 +497,7 @@ impl<B: Backend> FrontEnd<B> {
     /// refuse beyond them.
     fn admit(&self, mut stream: TcpStream, wire: &Wire<B>) {
         let core = &self.core;
-        core.metrics.accepted.fetch_add(1, Ordering::Relaxed);
+        core.metrics.bump(Counter::Accepted);
         if wire.rate_per_connection {
             if let Ok(peer) = stream.peer_addr() {
                 if !core.within_rate(peer.ip()) {
@@ -555,7 +517,7 @@ impl<B: Backend> FrontEnd<B> {
             })
             .is_ok();
         if !admitted {
-            core.metrics.rejected_busy.fetch_add(1, Ordering::Relaxed);
+            core.metrics.bump(Counter::RejectedBusy);
             let reason = format!(
                 "inflight limit ({}) reached, retry later",
                 core.max_inflight
@@ -574,11 +536,11 @@ impl<B: Backend> FrontEnd<B> {
         if core.is_shutting_down() {
             drop(queue);
             core.inflight.fetch_sub(1, Ordering::SeqCst);
-            core.metrics.rejected_busy.fetch_add(1, Ordering::Relaxed);
+            core.metrics.bump(Counter::RejectedBusy);
             let _ = (wire.refuse)(core, &mut stream, "server shutting down");
             return;
         }
-        core.metrics.admitted.fetch_add(1, Ordering::Relaxed);
+        core.metrics.bump(Counter::Admitted);
         queue.sessions.push_back(Session {
             stream,
             serve: wire.serve,
@@ -651,7 +613,7 @@ fn worker_loop<B: Backend>(core: &Core<B>) {
         // Socket errors end the session; the next connection is unaffected.
         if let Err(e) = (session.serve)(core, session.stream, &mut slot) {
             if matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock) {
-                core.metrics.timeouts.fetch_add(1, Ordering::Relaxed);
+                core.metrics.bump(Counter::Timeouts);
             }
         }
     }

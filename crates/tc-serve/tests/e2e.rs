@@ -6,7 +6,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use tc_data::{generate_coauthor, CoauthorConfig};
 use tc_index::{TcTree, TcTreeBuilder};
-use tc_serve::{ClientError, ServeClient, ServeConfig, Server, ServerHandle};
+use tc_serve::{ClientError, Counter, ServeClient, ServeConfig, Server, ServerHandle};
 use tc_store::SegmentTcTree;
 use tc_txdb::Pattern;
 
@@ -106,8 +106,8 @@ fn remote_answers_equal_local_queries() {
     client.quit().unwrap();
     handle.shutdown();
     let stats = join.join().unwrap();
-    assert_eq!(stats.rejected_busy, 0);
-    assert!(stats.qba >= 6 && stats.qbp >= 1 && stats.query >= 1);
+    assert_eq!(stats[Counter::RejectedBusy], 0);
+    assert!(stats[Counter::Qba] >= 6 && stats[Counter::Qbp] >= 1 && stats[Counter::Query] >= 1);
 }
 
 /// The split the router's scatter rests on: two different queries written
@@ -199,7 +199,7 @@ fn overload_yields_busy_and_slot_frees_on_disconnect() {
     client.quit().unwrap();
     handle.shutdown();
     let stats = join.join().unwrap();
-    assert!(stats.rejected_busy >= 1);
+    assert!(stats[Counter::RejectedBusy] >= 1);
 }
 
 #[test]
@@ -236,7 +236,7 @@ fn concurrent_clients_get_consistent_answers() {
     handle.shutdown();
     let stats = join.join().unwrap();
     assert_eq!(stats.queries_served(), 8 * 20);
-    assert_eq!(stats.admitted, 8);
+    assert_eq!(stats[Counter::Admitted], 8);
 }
 
 #[test]
@@ -287,7 +287,7 @@ fn protocol_errors_keep_the_session_alive() {
 
     handle.shutdown();
     let stats = join.join().unwrap();
-    assert_eq!(stats.protocol_errors, 4);
+    assert_eq!(stats[Counter::ProtocolErrors], 4);
 }
 
 #[test]
@@ -321,7 +321,10 @@ fn endless_unterminated_line_is_cut_off() {
 
     handle.shutdown();
     let stats = join.join().unwrap();
-    assert!(stats.protocol_errors >= 1, "cut-off was not counted");
+    assert!(
+        stats[Counter::ProtocolErrors] >= 1,
+        "cut-off was not counted"
+    );
 }
 
 #[test]
@@ -331,7 +334,7 @@ fn shutdown_verb_stops_the_daemon() {
     let client = ServeClient::connect(&addr).unwrap();
     client.shutdown_server().unwrap();
     let stats = join.join().unwrap();
-    assert_eq!(stats.admitted, 1);
+    assert_eq!(stats[Counter::Admitted], 1);
     // The port is closed: a fresh connect must fail (or be reset before a
     // greeting arrives).
     assert!(
@@ -406,7 +409,7 @@ fn stalled_sessions_time_out_and_free_their_slot() {
     client.quit().unwrap();
     handle.shutdown();
     let stats = join.join().unwrap();
-    assert!(stats.timeouts >= 1);
+    assert!(stats[Counter::Timeouts] >= 1);
     drop(staller);
 }
 
@@ -433,7 +436,7 @@ fn quit_frees_the_slot_before_bye() {
 
     handle.shutdown();
     let stats = join.join().unwrap();
-    assert_eq!(stats.rejected_busy, 0);
+    assert_eq!(stats[Counter::RejectedBusy], 0);
 }
 
 #[test]
@@ -478,8 +481,11 @@ fn busy_retry_succeeds_once_the_slot_frees() {
     client.quit().unwrap();
     handle.shutdown();
     let stats = join.join().unwrap();
-    assert!(stats.rejected_busy >= 2, "retries were never rejected");
-    assert_eq!(stats.admitted, 2);
+    assert!(
+        stats[Counter::RejectedBusy] >= 2,
+        "retries were never rejected"
+    );
+    assert_eq!(stats[Counter::Admitted], 2);
 }
 
 /// A peer that greets, answers the first request line with `header`, and
@@ -561,7 +567,10 @@ fn trickling_client_idles_out() {
 
     handle.shutdown();
     let stats = join.join().unwrap();
-    assert!(stats.timeouts >= 1, "timeout not counted: {stats:?}");
+    assert!(
+        stats[Counter::Timeouts] >= 1,
+        "timeout not counted: {stats:?}"
+    );
 }
 
 #[test]

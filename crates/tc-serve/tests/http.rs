@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use tc_data::{generate_coauthor, CoauthorConfig};
 use tc_index::{TcTree, TcTreeBuilder};
-use tc_serve::{HttpClient, RateLimit, ServeConfig, Server, ServerHandle};
+use tc_serve::{Counter, HttpClient, RateLimit, ServeConfig, Server, ServerHandle};
 use tc_store::SegmentTcTree;
 use tc_util::json::{parse as parse_json, JsonValue};
 
@@ -152,8 +152,8 @@ fn http_answers_match_local_queries() {
 
     handle.shutdown();
     let stats = join.join().unwrap();
-    assert!(stats.qba >= 6 && stats.qbp >= 1 && stats.query >= 1);
-    assert_eq!(stats.rejected_busy, 0);
+    assert!(stats[Counter::Qba] >= 6 && stats[Counter::Qbp] >= 1 && stats[Counter::Query] >= 1);
+    assert_eq!(stats[Counter::RejectedBusy], 0);
 }
 
 #[test]
@@ -201,7 +201,7 @@ fn batch_post_matches_sequential_queries() {
 
     handle.shutdown();
     let stats = join.join().unwrap();
-    assert_eq!(stats.batch, 2);
+    assert_eq!(stats[Counter::Batch], 2);
     assert!(stats.queries_served() >= 6);
 }
 
@@ -241,7 +241,7 @@ fn endless_unterminated_line_is_cut_off_not_buffered() {
 
     handle.shutdown();
     let stats = join.join().unwrap();
-    assert!(stats.protocol_errors >= 1);
+    assert!(stats[Counter::ProtocolErrors] >= 1);
 }
 
 #[test]
@@ -278,8 +278,8 @@ fn malformed_requests_get_json_400_and_never_hang_the_daemon() {
 
     handle.shutdown();
     let stats = join.join().unwrap();
-    assert!(stats.protocol_errors >= malformed as u64);
-    assert_eq!(stats.query_failures, 0);
+    assert!(stats[Counter::ProtocolErrors] >= malformed as u64);
+    assert_eq!(stats[Counter::QueryFailures], 0);
 }
 
 #[test]
@@ -341,8 +341,8 @@ fn hot_reload_never_drops_a_session_and_answers_are_snapshots() {
 
     handle.shutdown();
     let stats = join.join().unwrap();
-    assert_eq!(stats.reloads, 2);
-    assert_eq!(stats.reload_failures, 0);
+    assert_eq!(stats[Counter::Reloads], 2);
+    assert_eq!(stats[Counter::ReloadFailures], 0);
 }
 
 #[test]
@@ -386,8 +386,8 @@ fn path_reload_validates_and_survives_a_corrupt_replacement() {
 
     handle.shutdown();
     let stats = join.join().unwrap();
-    assert_eq!(stats.reloads, 1);
-    assert_eq!(stats.reload_failures, 1);
+    assert_eq!(stats[Counter::Reloads], 1);
+    assert_eq!(stats[Counter::ReloadFailures], 1);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -427,8 +427,8 @@ fn rate_limit_yields_429_and_exempts_introspection() {
 
     handle.shutdown();
     let stats = join.join().unwrap();
-    assert_eq!(stats.rate_limited, 1);
-    assert_eq!(stats.qba, 3);
+    assert_eq!(stats[Counter::RateLimited], 1);
+    assert_eq!(stats[Counter::Qba], 3);
 }
 
 #[test]
@@ -497,5 +497,8 @@ fn trickling_body_idles_out() {
 
     handle.shutdown();
     let stats = join.join().unwrap();
-    assert!(stats.timeouts >= 1, "timeout not counted: {stats:?}");
+    assert!(
+        stats[Counter::Timeouts] >= 1,
+        "timeout not counted: {stats:?}"
+    );
 }

@@ -10,7 +10,7 @@
 use std::time::{Duration, Instant};
 use tc_data::{generate_coauthor, CoauthorConfig};
 use tc_index::TcTreeBuilder;
-use tc_serve::{ServeConfig, Server};
+use tc_serve::{Counter, ServeConfig, Server};
 use tc_store::SegmentTcTree;
 
 #[test]
@@ -44,7 +44,7 @@ fn signals_wake_a_front_end_off_the_main_thread() {
     };
 
     let sent = signal("-HUP");
-    while handle.stats().reload_failures == 0 {
+    while handle.stats()[Counter::ReloadFailures] == 0 {
         assert!(
             sent.elapsed() < Duration::from_secs(1),
             "SIGHUP did not reach the idle accept loop within 1 s"
