@@ -1,5 +1,5 @@
 //! Golden pins for the pattern-lattice walk behind `TcTreeBuilder` and
-//! `ParallelTcfiMiner`: the segment bytes of two fixed TC-Trees, and the
+//! `ParallelTcfiMiner`: the segment bytes of three fixed TC-Trees, and the
 //! counters of building and mining them.
 //!
 //! `crates/tc-index/tests/parallel_equiv.rs` compares one build with
@@ -7,12 +7,18 @@
 //! arena numbered the same wrong way at every thread count passes there.
 //! These values were recorded from the level-synchronous builder and the
 //! registry-based miner the walk replaced, and hold the walk to them.
+//!
+//! The third network is triangle-dense: its edges close several triangles
+//! each, so the peel's cascade order decides every cohesion sum, every
+//! level's `α` and every segment byte. Its pins were recorded from the
+//! merge-based peeling kernel and hold any later kernel to it bit for bit.
 
 use theme_communities::core::{
     DatabaseNetwork, EdgeDatabaseNetwork, EdgeDatabaseNetworkBuilder, Miner, ParallelTcfiMiner,
     ThemeSource,
 };
-use theme_communities::data::{generate_planted, PlantedConfig};
+use theme_communities::data::{generate_coauthor, generate_planted, CoauthorConfig, PlantedConfig};
+use theme_communities::graph::count_triangles;
 use theme_communities::index::{TcTree, TcTreeBuilder};
 use theme_communities::store::save_tree_segment;
 use theme_communities::util::crc32::crc32;
@@ -61,6 +67,23 @@ fn edge_network() -> EdgeDatabaseNetwork {
     b.build().unwrap()
 }
 
+/// A reduced co-author network: four tight research groups whose theme
+/// networks close several triangles per edge.
+fn dense_network() -> DatabaseNetwork {
+    generate_coauthor(&CoauthorConfig {
+        groups: 4,
+        authors_per_group: 20,
+        interdisciplinary_authors: 6,
+        papers_per_author: 14,
+        keywords_per_paper: 4,
+        collab_prob: 0.7,
+        cross_group_edges: 20,
+        generic_keyword_prob: 0.4,
+        seed: 0xD5,
+    })
+    .network
+}
+
 /// `(segment length, segment CRC-32, candidates, decompositions,
 /// pruned_by_intersection)` of a build.
 fn tree_pin(tree: &TcTree) -> (usize, u32, usize, usize, usize) {
@@ -100,6 +123,44 @@ fn miner_pin<N: ThemeSource>(net: &N, alpha: f64) -> (usize, usize, usize, usize
     assert!(
         pins.iter().all(|p| *p == pins[0]),
         "miner counters by thread count: {pins:?}"
+    );
+    pins[0]
+}
+
+/// `(trusses, CRC-32 over every truss's pattern, edges and vertices)` of
+/// `ParallelTcfiMiner` at 1, 2 and 8 threads — one value, or the test
+/// fails naming the thread count.
+fn trusses_pin<N: ThemeSource>(net: &N, alpha: f64) -> (usize, u32) {
+    let pins: Vec<_> = [1, 2, 8]
+        .into_iter()
+        .map(|threads| {
+            let r = ParallelTcfiMiner {
+                max_len: usize::MAX,
+                threads,
+            }
+            .mine(net, alpha);
+            let mut bytes = Vec::new();
+            for t in &r.trusses {
+                bytes.extend((t.pattern.len() as u32).to_le_bytes());
+                for item in t.pattern.items() {
+                    bytes.extend(item.0.to_le_bytes());
+                }
+                bytes.extend((t.edges.len() as u32).to_le_bytes());
+                for &(u, v) in &t.edges {
+                    bytes.extend(u.to_le_bytes());
+                    bytes.extend(v.to_le_bytes());
+                }
+                bytes.extend((t.vertices.len() as u32).to_le_bytes());
+                for v in &t.vertices {
+                    bytes.extend(v.to_le_bytes());
+                }
+            }
+            (r.np(), crc32(&bytes))
+        })
+        .collect();
+    assert!(
+        pins.iter().all(|p| *p == pins[0]),
+        "mined trusses by thread count: {pins:?}"
     );
     pins[0]
 }
@@ -152,4 +213,32 @@ fn edge_network_mining_counters_are_pinned() {
     let net = edge_network();
     assert_eq!(miner_pin(&net, 0.0), (24, 37, 13, 24));
     assert_eq!(miner_pin(&net, 1.2), (21, 36, 15, 21));
+}
+
+#[test]
+fn dense_network_is_triangle_dense() {
+    let g = dense_network();
+    let g = g.graph();
+    let per_edge = 3.0 * count_triangles(g) as f64 / g.num_edges() as f64;
+    assert!(per_edge >= 8.0, "{per_edge:.2} triangles per edge");
+}
+
+#[test]
+fn dense_network_tree_is_pinned() {
+    let net = dense_network();
+    for threads in [1, 2, 8] {
+        let tree = build(&net, threads);
+        assert_eq!(
+            tree_pin(&tree),
+            (139264, 453064070, 4101, 2796, 1305),
+            "threads = {threads}"
+        );
+    }
+}
+
+#[test]
+fn dense_network_trusses_are_pinned() {
+    let net = dense_network();
+    assert_eq!(trusses_pin(&net, 0.1), (764, 3457256370));
+    assert_eq!(trusses_pin(&net, 0.0), (1231, 513820063));
 }
