@@ -60,17 +60,13 @@ impl TrussDecomposition {
             // |E*_p(0)| edges).
             state.peel(0.0, |_| {});
 
-            while state.alive_edges() > 0 {
-                let beta = state
-                    .min_alive_cohesion()
-                    .expect("alive edges have cohesions");
-                let mut removed = Vec::new();
-                state.peel(beta, |id| removed.push(globals[id as usize]));
+            let mut removed = Vec::new();
+            while let Some(beta) = state.peel_lowest(|id| removed.push(globals[id as usize])) {
                 removed.sort_unstable();
                 debug_assert!(!removed.is_empty(), "a level must remove the β edge");
                 levels.push(TrussLevel {
                     alpha: beta,
-                    edges: removed,
+                    edges: std::mem::take(&mut removed),
                 });
             }
         }

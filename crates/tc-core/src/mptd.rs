@@ -3,8 +3,10 @@
 //! Given a theme network `G_p` and a threshold `α`, MPTD removes
 //! *unqualified* edges (cohesion `≤ α`) until none remain; the surviving
 //! edges form the maximal pattern truss `C*_p(α)` (§4.1 proves this is
-//! exactly the union of all pattern trusses at `α`). Complexity
-//! `O(Σ_{v ∈ V_p} d²(v))`.
+//! exactly the union of all pattern trusses at `α`). Cost: one pass lists
+//! every edge's triangles (`O(Σ_{(u,v)} d(v))`, within the paper's
+//! `O(Σ_{v ∈ V_p} d²(v))`), then peeling is `O(Σ_e t(e))` over the
+//! `t(e)` triangles of each edge — see [`crate::peel`].
 
 use crate::peel::PeelState;
 use crate::result::MinerStats;

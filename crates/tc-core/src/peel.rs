@@ -12,8 +12,31 @@
 //! f_jk)` when they sit on edges (§8). The two loops that weigh triangles
 //! are generic over a `TriangleWeight` and monomorphised once per kind, so
 //! neither pays a per-triangle branch for the other.
+//!
+//! # The triangle index
+//!
+//! [`PeelState::new`] lists the theme network's triangles once, before any
+//! peeling: edge `(u, v)` gets the triples `(e_uw, e_vw, w)` of its
+//! triangles `△uvw`, ascending in `w`, in one flat array. The listing reads
+//! the theme's CSR neighbour lists, stamps `u`'s neighbours once per `u`
+//! and scans each upper neighbour `v`'s list, so it costs `O(Σ_{(u,v)}
+//! d(v))`. Initial cohesions are each list's sum, and removing an edge
+//! walks its list, skipping the triangles an earlier removal destroyed; no
+//! adjacency lists are merged after the listing. The index holds 12 B per
+//! (edge, triangle) pair — 36 B per triangle — and lives as long as the
+//! state.
+//!
+//! The ascending-`w` order is load-bearing. A cohesion is an f64 sum of
+//! triangle weights, and f64 addition is not associative: adding or
+//! subtracting the same weights in another order moves low bits. Those bits
+//! decide which edges fall within [`float::COHESION_EPS`] of `α`, hence the
+//! queue order, every decomposition level's `β`, and every TC-Tree segment
+//! byte. Ascending `w` is the order [`crate::oracle`] sums the definition
+//! in, and the order the pinned segments were written in.
 
 use crate::theme::{Frequencies, ThemeNetwork};
+use std::collections::VecDeque;
+use tc_graph::UGraph;
 use tc_util::float;
 
 /// The weight of a triangle, split so the part fixed by the edge being
@@ -60,60 +83,114 @@ impl TriangleWeight for EdgeHeld<'_> {
     }
 }
 
+/// Marks a vertex not adjacent to the one being stamped; never an edge id,
+/// since [`PeelState::new`] refuses `u32::MAX` edges or more.
+const UNMARKED: u32 = u32::MAX;
+
 /// Mutable peeling state over one theme network.
 pub struct PeelState<'a> {
     theme: &'a ThemeNetwork,
     /// Edge endpoints by edge id (local vertex ids, `u < v`), in
     /// `graph.edges()` order — the order [`Frequencies::Edge`] is held in.
     edge_ends: Vec<(u32, u32)>,
-    /// Per-vertex `(neighbor, edge_id)`, sorted by neighbor — lets a merge
-    /// over two adjacency lists yield both "other edge" ids of a triangle.
-    adj: Vec<Vec<(u32, u32)>>,
+    /// `triangles[tri_start[id]..tri_start[id + 1]]` are the triangles of
+    /// edge `id = (u, v)` as `[e_uw, e_vw, w]`, ascending in `w`.
+    tri_start: Vec<usize>,
+    triangles: Vec<[u32; 3]>,
     /// Current cohesion per edge (meaningful while not removed).
     cohesion: Vec<f64>,
     removed: Vec<bool>,
     queued: Vec<bool>,
+    /// Unqualified edges awaiting removal; empty between calls, kept for
+    /// its buffer.
+    queue: VecDeque<u32>,
     alive: usize,
 }
 
 impl<'a> PeelState<'a> {
-    /// Builds the edge structure and computes initial cohesions
+    /// Builds the triangle index and computes initial cohesions
     /// (Algorithm 1, lines 1-8): for each edge `(i, j)`, `eco_ij` is the
     /// summed weight of its triangles `△ijk` — `min(f_i, f_j, f_k)`, or
     /// `min(f_ij, f_ik, f_jk)` when the theme's frequencies sit on edges.
     pub fn new(theme: &'a ThemeNetwork) -> Self {
         let g = theme.graph();
-        let n = g.num_vertices();
         let m = g.num_edges();
-
-        let mut edge_ends = Vec::with_capacity(m);
-        let mut adj: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
-        for (u, v) in g.edges() {
-            let id = edge_ends.len() as u32;
-            edge_ends.push((u, v));
-            adj[u as usize].push((v, id));
-            adj[v as usize].push((u, id));
-        }
-        // `g.edges()` yields neighbors in sorted order per `u`, but the
-        // reverse insertions interleave; sort each list by neighbor id.
-        for list in &mut adj {
-            list.sort_unstable_by_key(|&(w, _)| w);
-        }
-
-        let cohesion = match theme.frequencies() {
-            Frequencies::Vertex(f) => initial_cohesions(&edge_ends, &adj, VertexHeld(f)),
-            Frequencies::Edge(f) => initial_cohesions(&edge_ends, &adj, EdgeHeld(f)),
-        };
-
-        PeelState {
+        assert!(
+            m < UNMARKED as usize,
+            "edge ids are u32: a theme network of {m} edges cannot be peeled"
+        );
+        let mut state = PeelState {
             theme,
-            edge_ends,
-            adj,
-            cohesion,
+            edge_ends: Vec::with_capacity(m),
+            tri_start: Vec::with_capacity(m + 1),
+            triangles: Vec::new(),
+            cohesion: Vec::with_capacity(m),
             removed: vec![false; m],
             queued: vec![false; m],
+            queue: VecDeque::new(),
             alive: m,
+        };
+        match theme.frequencies() {
+            Frequencies::Vertex(f) => state.list_triangles(g, VertexHeld(f)),
+            Frequencies::Edge(f) => state.list_triangles(g, EdgeHeld(f)),
         }
+        state
+    }
+
+    /// Numbers `g`'s edges in `g.edges()` order, lists every edge's
+    /// triangles ascending in `w`, and sums each list into the edge's
+    /// cohesion as it is written.
+    fn list_triangles<W: TriangleWeight>(&mut self, g: &UGraph, weight: W) {
+        let n = g.num_vertices();
+        // `ids[start[v] + i]` is the id of the edge to `g.neighbors(v)[i]`.
+        let mut start = Vec::with_capacity(n + 1);
+        start.push(0);
+        for v in 0..n as u32 {
+            start.push(start[v as usize] + g.degree(v));
+        }
+        let mut ids = vec![0u32; start[n]];
+        // `v`'s lower neighbours open its sorted list, and edges to them
+        // are numbered in that same order, so a cursor per vertex fills
+        // them as `u` ascends.
+        let mut cursor = start[..n].to_vec();
+        for u in 0..n as u32 {
+            let s = start[u as usize];
+            for (i, &v) in g.neighbors(u).iter().enumerate() {
+                if v > u {
+                    let id = self.edge_ends.len() as u32; // < m, asserted in `new`
+                    self.edge_ends.push((u, v));
+                    ids[s + i] = id;
+                    ids[cursor[v as usize]] = id;
+                    cursor[v as usize] += 1;
+                }
+            }
+        }
+        let ids_of = |v: u32| &ids[start[v as usize]..start[v as usize + 1]];
+        // While `u` is stamped, `mark[w]` is the id of edge `(u, w)`.
+        let mut mark = vec![UNMARKED; n];
+        for u in 0..n as u32 {
+            let ns = g.neighbors(u);
+            for (&w, &e_uw) in ns.iter().zip(ids_of(u)) {
+                mark[w as usize] = e_uw;
+            }
+            for (&v, &id) in ns.iter().zip(ids_of(u)).filter(|(&v, _)| v > u) {
+                self.tri_start.push(self.triangles.len());
+                let w_uv = weight.of_edge(id, (u, v));
+                let mut eco = 0.0;
+                for (&w, &e_vw) in g.neighbors(v).iter().zip(ids_of(v)) {
+                    let e_uw = mark[w as usize];
+                    if e_uw != UNMARKED {
+                        self.triangles.push([e_uw, e_vw, w]);
+                        eco += weight.of_triangle(w_uv, w, e_uw, e_vw);
+                    }
+                }
+                self.cohesion.push(eco);
+            }
+            for &w in ns {
+                mark[w as usize] = UNMARKED;
+            }
+        }
+        self.tri_start.push(self.triangles.len());
     }
 
     /// Total number of edges (alive or removed). Edge ids are `0..num_edges`
@@ -154,108 +231,109 @@ impl<'a> PeelState<'a> {
     /// lines 9-18. Calls `on_remove(edge_id)` for each removal, in removal
     /// order.
     pub fn peel(&mut self, alpha: f64, on_remove: impl FnMut(u32)) {
-        let theme = self.theme;
-        match theme.frequencies() {
-            Frequencies::Vertex(f) => self.cascade(VertexHeld(f), alpha, on_remove),
-            Frequencies::Edge(f) => self.cascade(EdgeHeld(f), alpha, on_remove),
-        }
-    }
-
-    fn cascade<W: TriangleWeight>(
-        &mut self,
-        weight: W,
-        alpha: f64,
-        mut on_remove: impl FnMut(u32),
-    ) {
-        let mut queue = std::collections::VecDeque::new();
         for id in 0..self.edge_ends.len() as u32 {
             if !self.removed[id as usize]
                 && !self.queued[id as usize]
                 && float::leq_eps(self.cohesion[id as usize], alpha)
             {
                 self.queued[id as usize] = true;
-                queue.push_back(id);
+                self.queue.push_back(id);
             }
         }
+        self.cascade(alpha, on_remove);
+    }
 
-        while let Some(id) = queue.pop_front() {
+    /// Peels at `β`, the minimum cohesion among alive edges (Theorem 6.1),
+    /// and returns it: one step of the §6.1 decomposition, equal to
+    /// `peel(β)` after [`PeelState::min_alive_cohesion`]. `None`, removing
+    /// nothing, when no edge is alive.
+    pub fn peel_lowest(&mut self, on_remove: impl FnMut(u32)) -> Option<f64> {
+        // One scan finds β and seeds the queue. An edge within eps of the
+        // running minimum is a candidate; filtering the candidates against
+        // the final β leaves exactly the alive edges `≤ β`, ascending in
+        // id — what `peel(β)`'s own scan would queue.
+        let mut beta: Option<f64> = None;
+        for id in 0..self.edge_ends.len() as u32 {
+            if self.removed[id as usize] {
+                continue;
+            }
+            let c = self.cohesion[id as usize];
+            let low = match beta {
+                Some(b) if b.total_cmp(&c).is_le() => b,
+                _ => *beta.insert(c),
+            };
+            if float::leq_eps(c, low) {
+                self.queue.push_back(id);
+            }
+        }
+        debug_assert_eq!(
+            beta.map(f64::to_bits),
+            self.min_alive_cohesion().map(f64::to_bits)
+        );
+        let beta = beta?;
+        let (cohesion, queued) = (&self.cohesion, &mut self.queued);
+        self.queue.retain(|&id| {
+            let seed = float::leq_eps(cohesion[id as usize], beta);
+            queued[id as usize] = seed;
+            seed
+        });
+        self.cascade(beta, on_remove);
+        Some(beta)
+    }
+
+    /// Pops the queue until it is empty: removes each edge, destroys its
+    /// surviving triangles and queues the edges they leave `≤ alpha`.
+    fn cascade(&mut self, alpha: f64, on_remove: impl FnMut(u32)) {
+        let theme = self.theme;
+        match theme.frequencies() {
+            Frequencies::Vertex(f) => self.cascade_by(VertexHeld(f), alpha, on_remove),
+            Frequencies::Edge(f) => self.cascade_by(EdgeHeld(f), alpha, on_remove),
+        }
+    }
+
+    fn cascade_by<W: TriangleWeight>(
+        &mut self,
+        weight: W,
+        alpha: f64,
+        mut on_remove: impl FnMut(u32),
+    ) {
+        while let Some(id) = self.queue.pop_front() {
             self.removed[id as usize] = true;
             self.alive -= 1;
             on_remove(id);
 
-            let (u, v) = self.edge_ends[id as usize];
-            let w_uv = weight.of_edge(id, (u, v));
-            // Split borrows: adjacency is immutable during the scan while
-            // cohesion/removed/queued mutate.
-            let (adj_u, adj_v) = (&self.adj[u as usize], &self.adj[v as usize]);
-            let removed = &mut self.removed;
-            let queued = &mut self.queued;
-            let cohesion = &mut self.cohesion;
-            let mut newly_unqualified = Vec::new();
-            merge_triangles(adj_u, adj_v, |e_uw, e_vw, w| {
+            let w_uv = weight.of_edge(id, self.edge_ends[id as usize]);
+            let list =
+                &self.triangles[self.tri_start[id as usize]..self.tri_start[id as usize + 1]];
+            for &[e_uw, e_vw, w] in list {
                 // Triangle (u,v,w) still exists only if neither other edge
                 // was removed before this pop.
-                if removed[e_uw as usize] || removed[e_vw as usize] {
-                    return;
+                if self.removed[e_uw as usize] || self.removed[e_vw as usize] {
+                    continue;
                 }
                 let t = weight.of_triangle(w_uv, w, e_uw, e_vw);
                 for other in [e_uw, e_vw] {
-                    cohesion[other as usize] -= t;
-                    if float::leq_eps(cohesion[other as usize], alpha) && !queued[other as usize] {
-                        queued[other as usize] = true;
-                        newly_unqualified.push(other);
+                    let other = other as usize;
+                    self.cohesion[other] -= t;
+                    if float::leq_eps(self.cohesion[other], alpha) && !self.queued[other] {
+                        self.queued[other] = true;
+                        self.queue.push_back(other as u32);
                     }
                 }
-            });
-            queue.extend(newly_unqualified);
+            }
         }
     }
 
     /// The alive edges as **global** canonical keys, sorted.
     pub fn alive_global_edges(&self) -> Vec<tc_graph::EdgeKey> {
-        let mut out: Vec<tc_graph::EdgeKey> = self
+        // Ids ascend in local `(u, v)` order and local → global ids is
+        // monotone, so the keys come out sorted.
+        let out: Vec<tc_graph::EdgeKey> = self
             .alive_edge_ids()
             .map(|id| self.theme.global_edge(self.edge_ends[id as usize]))
             .collect();
-        out.sort_unstable();
+        debug_assert!(out.windows(2).all(|w| w[0] < w[1]), "sorted, no repeats");
         out
-    }
-}
-
-/// The cohesion of every edge with all edges alive: the summed weight of
-/// the triangles it closes.
-fn initial_cohesions<W: TriangleWeight>(
-    edge_ends: &[(u32, u32)],
-    adj: &[Vec<(u32, u32)>],
-    weight: W,
-) -> Vec<f64> {
-    let mut cohesion = Vec::with_capacity(edge_ends.len());
-    for (id, &(u, v)) in edge_ends.iter().enumerate() {
-        let w_uv = weight.of_edge(id as u32, (u, v));
-        let mut eco = 0.0;
-        merge_triangles(&adj[u as usize], &adj[v as usize], |e_uw, e_vw, w| {
-            eco += weight.of_triangle(w_uv, w, e_uw, e_vw);
-        });
-        cohesion.push(eco);
-    }
-    cohesion
-}
-
-/// Merges two `(neighbor, edge_id)` adjacency lists sorted by neighbor,
-/// invoking `f(edge_a, edge_b, w)` for every common neighbor `w`.
-#[inline]
-fn merge_triangles(a: &[(u32, u32)], b: &[(u32, u32)], mut f: impl FnMut(u32, u32, u32)) {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                f(a[i].1, b[j].1, a[i].0);
-                i += 1;
-                j += 1;
-            }
-        }
     }
 }
 

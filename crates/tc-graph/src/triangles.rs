@@ -3,8 +3,8 @@
 //! Edge cohesion (Definition 3.1) sums a term per triangle containing the
 //! edge; a common neighbor `v_k` of `v_i, v_j` corresponds to exactly one
 //! triangle `△ijk`. With sorted adjacency lists a linear merge finds the
-//! common neighbors of an edge in `O(d(v_i) + d(v_j))`, which is what gives
-//! MPTD its `O(Σ d²(v))` bound (paper §4.1).
+//! common neighbors of an edge in `O(d(v_i) + d(v_j))`; the support,
+//! k-truss and clustering routines of this crate are built on it.
 
 use crate::graph::{UGraph, VertexId};
 
