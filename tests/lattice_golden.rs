@@ -12,13 +12,21 @@
 //! each, so the peel's cascade order decides every cohesion sum, every
 //! level's `α` and every segment byte. Its pins were recorded from the
 //! merge-based peeling kernel and hold any later kernel to it bit for bit.
+//!
+//! The last two are wide: some of their databases hold more than 64
+//! transactions (a tidset of several words, none a multiple of 64), and
+//! their theme networks close many triangles per edge. One holds its
+//! databases on vertices, the other on edges, so a frequency computed
+//! from a tidset that is cut short, or a cascade that runs in another
+//! order, moves their pins under either kind of network. Their pins were
+//! recorded from the walk that induced every candidate from scratch.
 
 use theme_communities::core::{
-    DatabaseNetwork, EdgeDatabaseNetwork, EdgeDatabaseNetworkBuilder, Miner, ParallelTcfiMiner,
-    ThemeSource,
+    DatabaseNetwork, DatabaseNetworkBuilder, EdgeDatabaseNetwork, EdgeDatabaseNetworkBuilder,
+    Miner, ParallelTcfiMiner, ThemeSource,
 };
 use theme_communities::data::{generate_coauthor, generate_planted, CoauthorConfig, PlantedConfig};
-use theme_communities::graph::count_triangles;
+use theme_communities::graph::{count_triangles, GraphBuilder, UGraph};
 use theme_communities::index::{TcTree, TcTreeBuilder};
 use theme_communities::store::save_tree_segment;
 use theme_communities::util::crc32::crc32;
@@ -82,6 +90,89 @@ fn dense_network() -> DatabaseNetwork {
         seed: 0xD5,
     })
     .network
+}
+
+/// A fixed LCG: `next(m)` draws from `0..m`.
+fn lcg(seed: u64) -> impl FnMut(u64) -> u64 {
+    let mut state = seed;
+    move |m| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % m
+    }
+}
+
+/// Three communities of fourteen vertices, dense inside, whose databases
+/// hold 100 to 200 transactions (a few hold 40): each transaction draws
+/// every item of its community's five-item window with its own odds, so
+/// patterns of up to five items have uneven, non-dyadic frequencies.
+fn wide_vertex_network() -> DatabaseNetwork {
+    let mut next = lcg(0x51DE);
+    let mut b = DatabaseNetworkBuilder::new();
+    let items: Vec<_> = (0..9).map(|i| b.intern_item(&format!("w{i}"))).collect();
+    for c in 0..3u32 {
+        let window: Vec<_> = (0..5).map(|j| items[(2 * c as usize + j) % 9]).collect();
+        for k in 0..14 {
+            let v = 14 * c + k;
+            let h = if k % 5 == 4 { 40 } else { 100 + next(101) };
+            for _ in 0..h {
+                let t: Vec<_> = window
+                    .iter()
+                    .enumerate()
+                    .filter(|&(j, _)| next(100) < 85 - 10 * j as u64)
+                    .map(|(_, &item)| item)
+                    .collect();
+                b.add_transaction(v, &t);
+            }
+            for u in 14 * c..v {
+                if next(100) < 92 {
+                    b.add_edge(u, v);
+                }
+            }
+        }
+    }
+    for _ in 0..10 {
+        let (u, v) = (next(42) as u32, next(42) as u32);
+        if u != v {
+            b.add_edge(u, v);
+        }
+    }
+    b.build().unwrap()
+}
+
+/// Three 12-cliques whose edges hold 20 to 150 transactions over a
+/// four-item window of eight items, each item drawn with its own odds,
+/// plus bridges with one noise transaction each: ten triangles per clique
+/// edge.
+fn wide_edge_network() -> EdgeDatabaseNetwork {
+    let mut next = lcg(0xED6E);
+    let mut b = EdgeDatabaseNetworkBuilder::new();
+    let items: Vec<_> = (0..8).map(|i| b.intern_item(&format!("x{i}"))).collect();
+    for c in 0..3u32 {
+        let window: Vec<_> = (0..4).map(|j| items[(3 * c as usize + j) % 8]).collect();
+        for u in 12 * c..12 * c + 12 {
+            for v in u + 1..12 * c + 12 {
+                let h = 20 + next(131);
+                for _ in 0..h {
+                    let t: Vec<_> = window
+                        .iter()
+                        .enumerate()
+                        .filter(|&(j, _)| next(100) < 90 - 12 * j as u64)
+                        .map(|(_, &item)| item)
+                        .collect();
+                    b.add_transaction(u, v, &t);
+                }
+            }
+        }
+    }
+    for _ in 0..6 {
+        let (u, v) = (next(36) as u32, next(36) as u32);
+        if u != v {
+            b.add_transaction(u, v, &[items[next(8) as usize]]);
+        }
+    }
+    b.build().unwrap()
 }
 
 /// `(segment length, segment CRC-32, candidates, decompositions,
@@ -241,4 +332,82 @@ fn dense_network_trusses_are_pinned() {
     let net = dense_network();
     assert_eq!(trusses_pin(&net, 0.1), (764, 3457256370));
     assert_eq!(trusses_pin(&net, 0.0), (1231, 513820063));
+}
+
+#[test]
+fn wide_networks_are_wide_and_triangle_dense() {
+    let net = wide_vertex_network();
+    let hs: Vec<usize> = (0..net.num_vertices() as u32)
+        .map(|v| net.database(v).num_transactions())
+        .collect();
+    assert!(hs.iter().any(|&h| h > 128 && h % 64 != 0), "{hs:?}");
+    assert!(hs.iter().any(|&h| h < 64), "{hs:?}");
+    let g = net.graph();
+    let per_edge = 3.0 * count_triangles(g) as f64 / g.num_edges() as f64;
+    assert!(per_edge >= 8.0, "{per_edge:.2} triangles per edge");
+
+    let net = wide_edge_network();
+    let hs: Vec<usize> = net
+        .edges()
+        .iter()
+        .map(|&(u, v)| net.database(u, v).unwrap().num_transactions())
+        .collect();
+    assert!(hs.iter().any(|&h| h > 128 && h % 64 != 0), "{hs:?}");
+    let g = graph_of(net.edges());
+    let per_edge = 3.0 * count_triangles(&g) as f64 / g.num_edges() as f64;
+    assert!(per_edge >= 8.0, "{per_edge:.2} triangles per edge");
+}
+
+fn graph_of(edges: &[(u32, u32)]) -> UGraph {
+    let mut gb = GraphBuilder::new();
+    for &(u, v) in edges {
+        gb.add_edge(u, v);
+    }
+    gb.build()
+}
+
+#[test]
+fn wide_vertex_network_tree_is_pinned() {
+    let net = wide_vertex_network();
+    for threads in [1, 2, 8] {
+        let tree = build(&net, threads);
+        assert!(tree.max_depth() >= 3, "depth {}", tree.max_depth());
+        assert_eq!(
+            tree_pin(&tree),
+            (28672, 1208808367, 91, 79, 12),
+            "threads = {threads}"
+        );
+    }
+}
+
+#[test]
+fn wide_vertex_network_mining_is_pinned() {
+    let net = wide_vertex_network();
+    assert_eq!(miner_pin(&net, 0.0), (79, 91, 12, 79));
+    assert_eq!(trusses_pin(&net, 0.0), (79, 263085884));
+    assert_eq!(miner_pin(&net, 2.0), (70, 82, 12, 45));
+    assert_eq!(trusses_pin(&net, 2.0), (45, 2412005534));
+}
+
+#[test]
+fn wide_edge_network_tree_is_pinned() {
+    let net = wide_edge_network();
+    for threads in [1, 2, 8] {
+        let tree = build(&net, threads);
+        assert!(tree.max_depth() >= 3, "depth {}", tree.max_depth());
+        assert_eq!(
+            tree_pin(&tree),
+            (16384, 1812359069, 63, 40, 23),
+            "threads = {threads}"
+        );
+    }
+}
+
+#[test]
+fn wide_edge_network_mining_is_pinned() {
+    let net = wide_edge_network();
+    assert_eq!(miner_pin(&net, 0.0), (40, 63, 23, 40));
+    assert_eq!(trusses_pin(&net, 0.0), (40, 2427256027));
+    assert_eq!(miner_pin(&net, 3.0), (34, 53, 19, 25));
+    assert_eq!(trusses_pin(&net, 3.0), (25, 3816204687));
 }
