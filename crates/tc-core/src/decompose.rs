@@ -46,34 +46,38 @@ impl TrussDecomposition {
     /// Returns an empty decomposition when `C*_p(0) = ∅` (the pattern is
     /// unqualified and, per Proposition 5.2, so is every super-pattern).
     pub fn decompose(theme: &ThemeNetwork) -> TrussDecomposition {
+        if theme.is_trivial() {
+            return TrussDecomposition {
+                pattern: theme.pattern().clone(),
+                levels: Vec::new(),
+            };
+        }
+        Self::decompose_state(theme.pattern().clone(), PeelState::new(theme)).0
+    }
+
+    /// Decomposes `state`, the unpeeled theme network of `pattern`, and
+    /// returns the decomposition with the sorted index ids of `E*_p(0)`
+    /// ([`PeelState::alive_index_ids`]) — what the lattice walk joins a
+    /// TC-Tree node's children on.
+    pub fn decompose_state(
+        pattern: Pattern,
+        mut state: PeelState,
+    ) -> (TrussDecomposition, Vec<u32>) {
+        // Establish C*_p(0): peel at α = 0, discarding those edges — they
+        // are not part of the decomposition (L_p stores exactly |E*_p(0)|
+        // edges).
+        state.peel(0.0, |_| {});
+        let core = state.alive_index_ids();
+
         let mut levels = Vec::new();
-        if !theme.is_trivial() {
-            let mut state = PeelState::new(theme);
-            // Edge ids are stable; precompute their global keys so the
-            // peel closure needs no access to `state`.
-            let globals: Vec<EdgeKey> = (0..state.num_edges() as u32)
-                .map(|id| theme.global_edge(state.endpoints(id)))
-                .collect();
-
-            // Establish C*_p(0): peel at α = 0, discarding those edges —
-            // they are not part of the decomposition (L_p stores exactly
-            // |E*_p(0)| edges).
-            state.peel(0.0, |_| {});
-
-            let mut removed = Vec::new();
-            while let Some(beta) = state.peel_lowest(|id| removed.push(globals[id as usize])) {
-                removed.sort_unstable();
-                debug_assert!(!removed.is_empty(), "a level must remove the β edge");
-                levels.push(TrussLevel {
-                    alpha: beta,
-                    edges: std::mem::take(&mut removed),
-                });
-            }
+        let mut removed = Vec::new();
+        while let Some(beta) = state.peel_lowest(|id| removed.push(id)) {
+            debug_assert!(!removed.is_empty(), "a level must remove the β edge");
+            let mut edges: Vec<EdgeKey> = removed.drain(..).map(|id| state.edge(id)).collect();
+            edges.sort_unstable();
+            levels.push(TrussLevel { alpha: beta, edges });
         }
-        TrussDecomposition {
-            pattern: theme.pattern().clone(),
-            levels,
-        }
+        (TrussDecomposition { pattern, levels }, core)
     }
 
     /// `true` when `C*_p(0) = ∅`.

@@ -28,9 +28,8 @@
 //! [`crate::TcfiMiner`], [`crate::ParallelTcfiMiner`] and `tc-index`'s
 //! `TcTreeBuilder` — is the code that serves vertex database networks.
 
-use crate::theme::{ThemeNetwork, ThemeSource};
+use crate::theme::{Frame, Held, ThemeNetwork, ThemeSource};
 use crate::truss::PatternTruss;
-use std::sync::Arc;
 use tc_graph::{EdgeKey, VertexId};
 use tc_txdb::database::TransactionDbBuilder;
 use tc_txdb::{Item, ItemSpace, Pattern, TransactionDb};
@@ -106,21 +105,23 @@ impl EdgeDatabaseNetworkBuilder {
         self.edges.sort_unstable();
         self.edges.dedup();
         let num_items = self.items.len() as u32;
-        let mut databases: FxHashMap<EdgeKey, Arc<TransactionDb>> =
-            tc_util::hash::fx_map_with_capacity(self.edges.len());
-        for (key, builder) in self.databases.drain() {
-            let db = builder.build();
+        let mut databases = Vec::with_capacity(self.edges.len());
+        for key in &self.edges {
+            let db = self
+                .databases
+                .remove(key)
+                .expect("a builder per edge")
+                .build();
             for item in db.items() {
                 if item.0 >= num_items {
                     return Err(EdgeBuildError::UnknownItem(item));
                 }
             }
-            databases.insert(key, Arc::new(db));
+            databases.push(db);
         }
         // Inverted index: item -> edges with positive frequency.
         let mut item_index: FxHashMap<Item, Vec<EdgeKey>> = FxHashMap::default();
-        for &key in &self.edges {
-            let db = &databases[&key];
+        for (&key, db) in self.edges.iter().zip(&databases) {
             for item in db.items() {
                 if db.item_frequency(item) > 0.0 {
                     item_index.entry(item).or_default().push(key);
@@ -144,7 +145,8 @@ impl EdgeDatabaseNetworkBuilder {
 pub struct EdgeDatabaseNetwork {
     /// All edges, canonical and sorted.
     edges: Vec<EdgeKey>,
-    databases: FxHashMap<EdgeKey, Arc<TransactionDb>>,
+    /// The database of each edge, in `edges` order.
+    databases: Vec<TransactionDb>,
     items: ItemSpace,
     item_index: FxHashMap<Item, Vec<EdgeKey>>,
 }
@@ -172,9 +174,13 @@ impl EdgeDatabaseNetwork {
 
     /// The database of edge `{u, v}` if the edge exists.
     pub fn database(&self, u: VertexId, v: VertexId) -> Option<&TransactionDb> {
-        self.databases
-            .get(&tc_graph::edge_key(u, v))
-            .map(Arc::as_ref)
+        let i = self.edges.binary_search(&tc_graph::edge_key(u, v)).ok()?;
+        Some(&self.databases[i])
+    }
+
+    /// The database of the `id`th edge of [`EdgeDatabaseNetwork::edges`].
+    pub(crate) fn database_at(&self, id: u32) -> &TransactionDb {
+        &self.databases[id as usize]
     }
 
     /// `f_e(p)` — frequency of `pattern` on edge `{u, v}` (0 if absent).
@@ -247,6 +253,13 @@ impl ThemeSource for EdgeDatabaseNetwork {
 
     fn theme_within(&self, pattern: &Pattern, edges: &[EdgeKey]) -> ThemeNetwork {
         self.theme_over(pattern, edges)
+    }
+
+    fn frame(&self) -> Frame<'_> {
+        // The graph's edges, numbered in `(u, v)` order, are `self.edges`.
+        let graph = tc_graph::UGraph::from_edges(self.edges.iter().copied());
+        debug_assert!(graph.edges().eq(self.edges.iter().copied()));
+        Frame::new(&graph, Held::Edge(self))
     }
 }
 

@@ -12,18 +12,25 @@
 //! barrier, after level 1. From there a task is one member of a sibling
 //! group: it joins that member with each later sibling and spawns the
 //! qualified results as the next group at once, so one worker can be deep
-//! in one branch while another is near the root of a different one. A
-//! group's join edges are freed when its last task ends.
+//! in one branch while another is near the root of a different one.
+//!
+//! No candidate's theme network is materialised. The walk asks the network
+//! for its [`Frame`](crate::theme::Frame) — the whole network's triangles,
+//! listed once — and builds each candidate's [`PeelState`] as a mask of it
+//! (see [`crate::theme`]). A group holds its prefix and, per member, the
+//! member's join edges as sorted index edge ids and the tidsets of the
+//! databases on them. When the group's last task ends, all of it is freed.
+//! Each worker keeps its own per-edge and per-vertex scratch.
 //!
 //! Each sibling pair is joined exactly once, so the counters depend on the
 //! qualified patterns alone, not on the thread count. The order nodes are
 //! found in does: callers sort by something intrinsic.
 
+use crate::peel::PeelState;
 use crate::result::MinerStats;
-use crate::theme::{ThemeNetwork, ThemeSource};
+use crate::theme::{Carry, Scratch, ThemeSource};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use tc_graph::EdgeKey;
 use tc_txdb::{Item, Pattern};
 use tc_util::steal::Executor;
 
@@ -32,13 +39,17 @@ pub trait Evaluator: Sync {
     /// A qualified candidate's result.
     type Value: Send;
 
-    /// Evaluates a candidate's theme network: `None` when the candidate is
-    /// unqualified. Counters of the evaluation itself go to `stats`.
-    fn evaluate(&self, theme: &ThemeNetwork, stats: &mut MinerStats) -> Option<Self::Value>;
-
-    /// The sorted edge set the children of `value`'s pattern join on. Asked
-    /// once per node that has a sibling to join, by the task that found it.
-    fn join_edges(&self, value: &Self::Value) -> Vec<EdgeKey>;
+    /// Evaluates `pattern`, whose theme network `state` holds unpeeled (it
+    /// may have no edge): `None` when the candidate is unqualified, else its
+    /// value and the sorted index ids of the edges its children join on
+    /// ([`PeelState::alive_index_ids`] at the step that defines them).
+    /// Counters of the evaluation itself go to `stats`.
+    fn evaluate(
+        &self,
+        pattern: Pattern,
+        state: PeelState,
+        stats: &mut MinerStats,
+    ) -> Option<(Self::Value, Vec<u32>)>;
 }
 
 /// A qualified pattern found by [`walk`].
@@ -54,17 +65,20 @@ pub struct Node<V> {
 }
 
 /// Qualified patterns `prefix ∪ {a}` sharing a parent, ascending by `a`:
-/// `(node id, a, join edges)`.
+/// `(node id, a, what its children join on)`.
 struct Group {
     prefix: Pattern,
-    members: Vec<(u32, Item, Vec<EdgeKey>)>,
+    members: Vec<(u32, Item, Carry)>,
 }
 
 /// Join member `.1` of the group with each later member.
 type Task = (Arc<Group>, usize);
 
-/// One worker's nodes and its share of the counters.
-type Share<V> = (Vec<Node<V>>, MinerStats);
+/// A qualified candidate: its last item, value and carry.
+type Found<V> = (Item, V, Carry);
+
+/// One worker's nodes, its share of the counters, and its scratch.
+type Share<V> = (Vec<Node<V>>, MinerStats, Scratch);
 
 /// Walks the pattern lattice of `network` on `threads` workers (1 runs
 /// inline on the caller), evaluating every candidate of at most `max_len`
@@ -83,20 +97,27 @@ where
     N: ThemeSource + ?Sized,
     E: Evaluator,
 {
+    let frame = network.frame();
     let next_id = AtomicU32::new(1);
+    // Evaluates `pattern`, ending in `item`, over `state`, and carries what
+    // its children join on out of `scratch`, where the state was built.
+    let evaluate = |item, pattern, state, stats: &mut _, scratch: &mut Scratch| {
+        eval.evaluate(pattern, state, stats)
+            .map(|(value, join)| (item, value, frame.carry(join, scratch)))
+    };
     // Numbers `children`, the qualified extensions of node `parent` (whose
-    // pattern is `prefix`) in ascending order, into `share`, and returns
+    // pattern is `prefix`) in ascending order, into `nodes`, and returns
     // their sibling group when two of them may join.
-    let adopt = |parent, prefix: Pattern, children: Vec<_>, share: &mut Share<E::Value>| {
+    let adopt = |parent, prefix: Pattern, children: Vec<Found<E::Value>>, nodes: &mut Vec<_>| {
         let joins = children.len() > 1 && prefix.len() + 1 < max_len;
         let mut members = Vec::new();
-        for (item, value) in children {
+        for (item, value, carry) in children {
             // Relaxed: an id only has to be unique; it publishes nothing.
             let id = next_id.fetch_add(1, Ordering::Relaxed);
             if joins {
-                members.push((id, item, eval.join_edges(&value)));
+                members.push((id, item, carry));
             }
-            share.0.push(Node {
+            nodes.push(Node {
                 id,
                 parent,
                 item,
@@ -108,61 +129,58 @@ where
     let ex = Executor::new(threads);
 
     // Level 1, the only barrier: every item over the whole network.
-    let mut out = Share::default();
+    let (mut nodes, mut stats) = (Vec::new(), MinerStats::default());
     let mut level1 = Vec::new();
     let seeded = ex.run(
         network.items_in_use(),
-        |_| (Vec::new(), MinerStats::default()),
-        |(found, stats), item, _| {
+        |_| (Vec::new(), MinerStats::default(), frame.scratch()),
+        |(found, stats, scratch), item, _| {
             stats.candidates_generated += 1;
-            let theme = network.theme(&Pattern::singleton(item));
-            found.extend(eval.evaluate(&theme, stats).map(|value| (item, value)));
+            let (pattern, state) = (Pattern::singleton(item), frame.seed(item, scratch));
+            found.extend(evaluate(item, pattern, state, stats, scratch));
         },
     );
-    for (found, stats) in seeded {
+    for (found, part, _) in seeded {
         level1.extend(found);
-        add(&mut out.1, &stats);
+        add(&mut stats, &part);
     }
-    level1.sort_unstable_by_key(|&(item, _)| item);
-    let seeds = adopt(0, Pattern::empty(), level1, &mut out);
+    level1.sort_unstable_by_key(|&(item, _, _)| item);
+    let seeds = adopt(0, Pattern::empty(), level1, &mut nodes);
 
     // Below it, a task joins member `i` of a group with each later member
     // and spawns the tasks of the qualified results' group.
     let shares = ex.run(
         seeds.into_iter().flat_map(tasks).collect(),
-        |_| Share::default(),
-        |share, (group, i): Task, worker| {
-            let (id, item, ref join) = group.members[i];
+        |_| (Vec::new(), MinerStats::default(), frame.scratch()),
+        |(nodes, stats, scratch): &mut Share<E::Value>, (group, i): Task, worker| {
+            let (id, item, ref carry) = group.members[i];
             let pattern = group.prefix.with_item(item);
             let mut children = Vec::new();
-            for &(_, sibling, ref sibling_join) in &group.members[i + 1..] {
-                share.1.candidates_generated += 1;
-                let within = tc_util::sorted::intersect(join, sibling_join);
-                if within.is_empty() {
-                    share.1.pruned_by_intersection += 1;
+            for &(_, sibling, ref sibling_carry) in &group.members[i + 1..] {
+                stats.candidates_generated += 1;
+                let Some(state) = frame.join(carry, sibling_carry, scratch) else {
+                    stats.pruned_by_intersection += 1;
                     continue;
-                }
-                let theme = network.theme_within(&pattern.with_item(sibling), &within);
-                if let Some(value) = eval.evaluate(&theme, &mut share.1) {
-                    children.push((sibling, value));
-                }
+                };
+                let child = pattern.with_item(sibling);
+                children.extend(evaluate(sibling, child, state, stats, scratch));
             }
-            if let Some(group) = adopt(id, pattern, children, share) {
+            if let Some(group) = adopt(id, pattern, children, nodes) {
                 tasks(group).for_each(|task| worker.spawn(task));
             }
         },
     );
-    for (mut nodes, stats) in shares {
+    for (mut part, counts, _) in shares {
         // Keep the largest buffer: at one thread, the walk's whole output
         // is never copied.
-        if nodes.len() > out.0.len() {
-            std::mem::swap(&mut nodes, &mut out.0);
+        if part.len() > nodes.len() {
+            std::mem::swap(&mut part, &mut nodes);
         }
-        out.0.append(&mut nodes);
-        add(&mut out.1, &stats);
+        nodes.append(&mut part);
+        add(&mut stats, &counts);
     }
-    out.0.shrink_to_fit();
-    out
+    nodes.shrink_to_fit();
+    (nodes, stats)
 }
 
 /// The tasks of a group: every member but the last has a later sibling.

@@ -3,7 +3,9 @@
 //!
 //! * [`network`] — the database network `G = (V, E, D, S)` (§3.1);
 //! * [`theme`] — theme networks `G_p` induced by patterns, and
-//!   [`ThemeSource`], what the enumeration code asks of a network;
+//!   [`ThemeSource`], what the enumeration code asks of a network —
+//!   including its [`theme::Frame`], the triangle index the lattice walk
+//!   masks for every candidate;
 //! * [`peel`] / [`mptd`] — the Maximal Pattern Truss Detector
 //!   (Algorithm 1) and its shared edge-peeling engine, generic over what a
 //!   triangle weighs;

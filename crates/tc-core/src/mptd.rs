@@ -6,23 +6,29 @@
 //! exactly the union of all pattern trusses at `α`). Cost: one pass lists
 //! every edge's triangles (`O(Σ_{(u,v)} d(v))`, within the paper's
 //! `O(Σ_{v ∈ V_p} d²(v))`), then peeling is `O(Σ_e t(e))` over the
-//! `t(e)` triangles of each edge — see [`crate::peel`].
+//! `t(e)` triangles of each edge — see [`crate::peel`]. Inside the lattice
+//! walk the listing is the whole network's, done once, and a candidate's
+//! state is a mask of it. Both paths peel through the same private step.
 
 use crate::peel::PeelState;
 use crate::result::MinerStats;
 use crate::theme::ThemeNetwork;
 use crate::truss::PatternTruss;
+use tc_txdb::Pattern;
 
 /// Runs MPTD on a theme network, returning `C*_p(α)` (possibly empty).
 pub fn maximal_pattern_truss(theme: &ThemeNetwork, alpha: f64) -> PatternTruss {
     if theme.is_trivial() {
         return PatternTruss::empty(theme.pattern().clone(), alpha);
     }
-    let mut state = PeelState::new(theme);
+    peel_truss(theme.pattern().clone(), &mut PeelState::new(theme), alpha)
+}
+
+/// Peels `state`, the theme network of `pattern`, at `alpha` and returns
+/// what survives: `C*_p(α)`.
+fn peel_truss(pattern: Pattern, state: &mut PeelState, alpha: f64) -> PatternTruss {
     state.peel(alpha, |_| {});
-    let edges = state.alive_global_edges();
-    debug_assert!(edges.windows(2).all(|w| w[0] < w[1]), "sorted, no repeats");
-    PatternTruss::from_canonical_edges(theme.pattern().clone(), alpha, edges)
+    PatternTruss::from_canonical_edges(pattern, alpha, state.alive_global_edges())
 }
 
 /// Runs MPTD on a candidate's theme network and counts it, unless the
@@ -35,8 +41,23 @@ pub(crate) fn qualified_truss(
     if theme.is_trivial() {
         return None;
     }
+    let mut state = PeelState::new(theme);
+    qualified_peel(theme.pattern().clone(), &mut state, alpha, stats)
+}
+
+/// [`qualified_truss`] over `state`, the unpeeled theme network of
+/// `pattern`, which it leaves peeled at `alpha`.
+pub(crate) fn qualified_peel(
+    pattern: Pattern,
+    state: &mut PeelState,
+    alpha: f64,
+    stats: &mut MinerStats,
+) -> Option<PatternTruss> {
+    if state.num_edges() == 0 {
+        return None;
+    }
     stats.mptd_calls += 1;
-    let truss = maximal_pattern_truss(theme, alpha);
+    let truss = peel_truss(pattern, state, alpha);
     (!truss.is_empty()).then_some(truss)
 }
 
@@ -46,7 +67,6 @@ mod tests {
     use crate::network::{DatabaseNetwork, DatabaseNetworkBuilder};
     use crate::oracle;
     use tc_graph::EdgeKey;
-    use tc_txdb::Pattern;
 
     /// Build a network where item "p" has chosen per-vertex frequencies
     /// (as tenths) and an explicit edge list.
@@ -134,7 +154,7 @@ mod tests {
             state.peel(alpha, |_| {});
             let cohesions: Vec<(EdgeKey, f64)> = state
                 .alive_edge_ids()
-                .map(|id| (theme.global_edge(state.endpoints(id)), state.cohesion(id)))
+                .map(|id| (state.edge(id), state.cohesion(id)))
                 .collect();
             assert_eq!(cohesions.len(), truss.num_edges());
             for &(e, eco) in &cohesions {

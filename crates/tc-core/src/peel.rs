@@ -9,51 +9,184 @@
 //!
 //! What a triangle weighs is the engine's single point of variation:
 //! `min(f_i, f_j, f_k)` when the databases sit on vertices, `min(f_ij, f_ik,
-//! f_jk)` when they sit on edges (§8). The two loops that weigh triangles
-//! are generic over a `TriangleWeight` and monomorphised once per kind, so
-//! neither pays a per-triangle branch for the other.
+//! f_jk)` when they sit on edges (§8). Triangles are weighed once, when a
+//! state is built — that loop is generic over a `TriangleWeight` and
+//! monomorphised once per kind — and the cascade subtracts the weights it
+//! stored.
 //!
-//! # The triangle index
+//! # One triangle index, many masks
 //!
-//! [`PeelState::new`] lists the theme network's triangles once, before any
-//! peeling: edge `(u, v)` gets the triples `(e_uw, e_vw, w)` of its
-//! triangles `△uvw`, ascending in `w`, in one flat array. The listing reads
-//! the theme's CSR neighbour lists, stamps `u`'s neighbours once per `u`
-//! and scans each upper neighbour `v`'s list, so it costs `O(Σ_{(u,v)}
-//! d(v))`. Initial cohesions are each list's sum, and removing an edge
-//! walks its list, skipping the triangles an earlier removal destroyed; no
-//! adjacency lists are merged after the listing. The index holds 12 B per
-//! (edge, triangle) pair — 36 B per triangle — and lives as long as the
-//! state.
+//! A [`TriangleIndex`] lists a graph's triangles once: edge `(u, v)` gets
+//! the triples `(e_uw, e_vw, w)` of its triangles `△uvw`, ascending in `w`,
+//! in one flat array. The listing reads the graph's CSR neighbour lists,
+//! stamps `u`'s neighbours once per `u` and scans each upper neighbour
+//! `v`'s list, so it costs `O(Σ_{(u,v)} d(v))`. It holds 12 B per (edge,
+//! triangle) pair — 36 B per triangle.
 //!
-//! The ascending-`w` order is load-bearing. A cohesion is an f64 sum of
-//! triangle weights, and f64 addition is not associative: adding or
-//! subtracting the same weights in another order moves low bits. Those bits
-//! decide which edges fall within [`float::COHESION_EPS`] of `α`, hence the
-//! queue order, every decomposition level's `β`, and every TC-Tree segment
-//! byte. Ascending `w` is the order [`crate::oracle`] sums the definition
-//! in, and the order the pinned segments were written in.
+//! A [`PeelState`] is a *mask* over an index: a sorted list of its edge
+//! ids. Building one keeps, from each masked edge's list, the
+//! triangles whose other two edges are masked too, renumbers them into
+//! the state's own ids, weighs each triangle once and sums each kept list
+//! into the edge's initial cohesion as it is written: 16 B per kept
+//! (edge, triangle) pair. Removing an edge then walks its kept list,
+//! skipping the triangles an earlier removal destroyed; no adjacency
+//! lists are merged after the listing.
+//!
+//! The lattice walk ([`crate::lattice`]) lists the whole network's index
+//! once and masks it for every candidate pattern, whose theme network is
+//! a subgraph of the network. [`PeelState::new`] runs the same two steps
+//! on one theme network: it lists the theme's own index, then masks all
+//! of its edges. There is one listing routine and one cascade.
+//!
+//! # Why the orders are load-bearing
+//!
+//! A cohesion is an f64 sum of triangle weights, and f64 addition is not
+//! associative: adding or subtracting the same weights in another order
+//! moves low bits. Those bits decide which edges fall within
+//! [`float::COHESION_EPS`] of `α`, hence the queue order, every
+//! decomposition level's `β`, and every TC-Tree segment byte. Two orders
+//! keep a masked state bit-identical to its theme network's own:
+//!
+//! * *Each list ascends in `w`.* Masking filters a list without reordering
+//!   it, and a theme's local ids ascend with the network's ids, so a kept
+//!   list is the theme's own list in the theme's own order — the order
+//!   [`crate::oracle`] sums the definition in, and the order the pinned
+//!   segments were written in.
+//! * *Edge ids ascend in canonical `(u, v)` order.* A mask is sorted, so
+//!   the state's ids ascend as the theme's `graph.edges()` ids do: the
+//!   queue is seeded in the same order and ties at `β` fall the same way.
 
 use crate::theme::{Frequencies, ThemeNetwork};
 use std::collections::VecDeque;
-use tc_graph::UGraph;
+use tc_graph::{EdgeKey, UGraph};
 use tc_util::float;
 
-/// The weight of a triangle, split so the part fixed by the edge being
-/// scanned is computed once per scan rather than once per triangle.
-trait TriangleWeight: Copy {
-    /// The share of the weight fixed by edge `id = (u, v)` alone.
-    fn of_edge(self, id: u32, ends: (u32, u32)) -> f64;
+/// Marks an edge or vertex outside the current mask or stamp; never an
+/// edge id, since [`TriangleIndex::new`] refuses `u32::MAX` edges or more.
+pub(crate) const UNMARKED: u32 = u32::MAX;
 
-    /// The weight of the triangle that closes that edge (`edge` is its
-    /// [`TriangleWeight::of_edge`]) through vertex `w` over edges `e_uw`
-    /// and `e_vw`.
-    fn of_triangle(self, edge: f64, w: u32, e_uw: u32, e_vw: u32) -> f64;
+/// Every triangle of one graph, listed once per edge.
+#[derive(Debug, Clone)]
+pub struct TriangleIndex {
+    /// Edge endpoints by edge id (`u < v`); ids ascend in `(u, v)` order.
+    ends: Vec<(u32, u32)>,
+    /// `ids[start[v] + i]` is the id of the edge to `g.neighbors(v)[i]`.
+    start: Vec<usize>,
+    ids: Vec<u32>,
+    /// `triangles[tri_start[id]..tri_start[id + 1]]` are the triangles of
+    /// edge `id = (u, v)` as `[e_uw, e_vw, w]`, ascending in `w`.
+    tri_start: Vec<usize>,
+    triangles: Vec<[u32; 3]>,
 }
 
-/// `min(f_i, f_j, f_k)` over per-vertex frequencies.
+impl TriangleIndex {
+    /// Numbers `g`'s edges in `g.edges()` order and lists every edge's
+    /// triangles ascending in `w`.
+    pub fn new(g: &UGraph) -> TriangleIndex {
+        let n = g.num_vertices();
+        let m = g.num_edges();
+        assert!(
+            m < UNMARKED as usize,
+            "edge ids are u32: a graph of {m} edges cannot be indexed"
+        );
+        let mut start = Vec::with_capacity(n + 1);
+        start.push(0);
+        for v in 0..n as u32 {
+            start.push(start[v as usize] + g.degree(v));
+        }
+        let mut ends = Vec::with_capacity(m);
+        let mut ids = vec![0u32; start[n]];
+        // `v`'s lower neighbours open its sorted list, and edges to them
+        // are numbered in that same order, so a cursor per vertex fills
+        // them as `u` ascends.
+        let mut cursor = start[..n].to_vec();
+        for u in 0..n as u32 {
+            let s = start[u as usize];
+            for (i, &v) in g.neighbors(u).iter().enumerate() {
+                if v > u {
+                    let id = ends.len() as u32; // < m, asserted above
+                    ends.push((u, v));
+                    ids[s + i] = id;
+                    ids[cursor[v as usize]] = id;
+                    cursor[v as usize] += 1;
+                }
+            }
+        }
+        let ids_of = |v: u32| &ids[start[v as usize]..start[v as usize + 1]];
+        let mut tri_start = Vec::with_capacity(m + 1);
+        let mut triangles = Vec::new();
+        // While `u` is stamped, `mark[w]` is the id of edge `(u, w)`.
+        let mut mark = vec![UNMARKED; n];
+        for u in 0..n as u32 {
+            let ns = g.neighbors(u);
+            for (&w, &e_uw) in ns.iter().zip(ids_of(u)) {
+                mark[w as usize] = e_uw;
+            }
+            for (&v, &e_uv) in ns.iter().zip(ids_of(u)).filter(|(&v, _)| v > u) {
+                debug_assert_eq!(e_uv as usize, tri_start.len());
+                tri_start.push(triangles.len());
+                for (&w, &e_vw) in g.neighbors(v).iter().zip(ids_of(v)) {
+                    let e_uw = mark[w as usize];
+                    if e_uw != UNMARKED {
+                        triangles.push([e_uw, e_vw, w]);
+                    }
+                }
+            }
+            for &w in ns {
+                mark[w as usize] = UNMARKED;
+            }
+        }
+        tri_start.push(triangles.len());
+        TriangleIndex {
+            ends,
+            start,
+            ids,
+            tri_start,
+            triangles,
+        }
+    }
+
+    /// Number of edges; their ids are `0..num_edges`.
+    pub fn num_edges(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Endpoints of edge `id`, `u < v`.
+    #[inline]
+    pub fn ends(&self, id: u32) -> (u32, u32) {
+        self.ends[id as usize]
+    }
+
+    /// The ids of the edges to `g.neighbors(v)`, in that order.
+    #[inline]
+    pub(crate) fn neighbor_ids(&self, v: u32) -> &[u32] {
+        &self.ids[self.start[v as usize]..self.start[v as usize + 1]]
+    }
+
+    /// The triangles of edge `id` as `[e_uw, e_vw, w]`, ascending in `w`.
+    #[inline]
+    fn triangles(&self, id: u32) -> &[[u32; 3]] {
+        &self.triangles[self.tri_start[id as usize]..self.tri_start[id as usize + 1]]
+    }
+}
+
+/// What a triangle weighs, split so the part fixed by the edge being
+/// scanned is computed once per scan rather than once per triangle.
+pub(crate) trait TriangleWeight: Copy {
+    /// The share of the weight fixed by edge `(u, v)` alone, the `local`th
+    /// edge of the mask.
+    fn of_edge(self, local: u32, ends: (u32, u32)) -> f64;
+
+    /// The weight of the triangle that closes that edge (`edge` is its
+    /// [`TriangleWeight::of_edge`]) through vertex `w` over the mask's
+    /// `l_uw`th and `l_vw`th edges.
+    fn of_triangle(self, edge: f64, w: u32, l_uw: u32, l_vw: u32) -> f64;
+}
+
+/// `min(f_i, f_j, f_k)` over per-vertex frequencies, indexed by the
+/// index's vertex ids.
 #[derive(Clone, Copy)]
-struct VertexHeld<'a>(&'a [f64]);
+pub(crate) struct VertexHeld<'a>(pub(crate) &'a [f64]);
 
 impl TriangleWeight for VertexHeld<'_> {
     #[inline]
@@ -67,36 +200,42 @@ impl TriangleWeight for VertexHeld<'_> {
     }
 }
 
-/// `min(f_ij, f_ik, f_jk)` over per-edge frequencies.
+/// `min(f_ij, f_ik, f_jk)` over per-edge frequencies, indexed by position
+/// in the mask.
 #[derive(Clone, Copy)]
-struct EdgeHeld<'a>(&'a [f64]);
+pub(crate) struct EdgeHeld<'a>(pub(crate) &'a [f64]);
 
 impl TriangleWeight for EdgeHeld<'_> {
     #[inline]
-    fn of_edge(self, id: u32, _: (u32, u32)) -> f64 {
-        self.0[id as usize]
+    fn of_edge(self, local: u32, _: (u32, u32)) -> f64 {
+        self.0[local as usize]
     }
 
     #[inline]
-    fn of_triangle(self, edge: f64, _: u32, e_uw: u32, e_vw: u32) -> f64 {
-        edge.min(self.0[e_uw as usize]).min(self.0[e_vw as usize])
+    fn of_triangle(self, edge: f64, _: u32, l_uw: u32, l_vw: u32) -> f64 {
+        edge.min(self.0[l_uw as usize]).min(self.0[l_vw as usize])
     }
 }
 
-/// Marks a vertex not adjacent to the one being stamped; never an edge id,
-/// since [`PeelState::new`] refuses `u32::MAX` edges or more.
-const UNMARKED: u32 = u32::MAX;
+/// A kept triangle of one edge: the state's ids of its other two edges,
+/// and its weight.
+#[derive(Clone, Copy)]
+struct Triangle {
+    e_uw: u32,
+    e_vw: u32,
+    weight: f64,
+}
 
-/// Mutable peeling state over one theme network.
-pub struct PeelState<'a> {
-    theme: &'a ThemeNetwork,
-    /// Edge endpoints by edge id (local vertex ids, `u < v`), in
-    /// `graph.edges()` order — the order [`Frequencies::Edge`] is held in.
-    edge_ends: Vec<(u32, u32)>,
-    /// `triangles[tri_start[id]..tri_start[id + 1]]` are the triangles of
-    /// edge `id = (u, v)` as `[e_uw, e_vw, w]`, ascending in `w`.
+/// Mutable peeling state over a mask of one [`TriangleIndex`].
+pub struct PeelState {
+    /// The index id of each edge, ascending: the mask.
+    ids: Vec<u32>,
+    /// Each edge's canonical global key.
+    keys: Vec<EdgeKey>,
+    /// `triangles[tri_start[id]..tri_start[id + 1]]` are the surviving
+    /// triangles of edge `id`, ascending in their third vertex.
     tri_start: Vec<usize>,
-    triangles: Vec<[u32; 3]>,
+    triangles: Vec<Triangle>,
     /// Current cohesion per edge (meaningful while not removed).
     cohesion: Vec<f64>,
     removed: Vec<bool>,
@@ -107,96 +246,88 @@ pub struct PeelState<'a> {
     alive: usize,
 }
 
-impl<'a> PeelState<'a> {
-    /// Builds the triangle index and computes initial cohesions
+impl PeelState {
+    /// Lists the theme network's triangles and computes initial cohesions
     /// (Algorithm 1, lines 1-8): for each edge `(i, j)`, `eco_ij` is the
     /// summed weight of its triangles `△ijk` — `min(f_i, f_j, f_k)`, or
     /// `min(f_ij, f_ik, f_jk)` when the theme's frequencies sit on edges.
-    pub fn new(theme: &'a ThemeNetwork) -> Self {
-        let g = theme.graph();
-        let m = g.num_edges();
-        assert!(
-            m < UNMARKED as usize,
-            "edge ids are u32: a theme network of {m} edges cannot be peeled"
-        );
-        let mut state = PeelState {
-            theme,
-            edge_ends: Vec::with_capacity(m),
-            tri_start: Vec::with_capacity(m + 1),
-            triangles: Vec::new(),
-            cohesion: Vec::with_capacity(m),
+    ///
+    /// This is the theme's own [`TriangleIndex`] with every edge masked.
+    pub fn new(theme: &ThemeNetwork) -> Self {
+        let index = TriangleIndex::new(theme.graph());
+        let mask: Vec<u32> = (0..index.num_edges() as u32).collect();
+        let mut local = vec![UNMARKED; index.num_edges()];
+        let key = |e| theme.global_edge(e);
+        match theme.frequencies() {
+            Frequencies::Vertex(f) => Self::masked(&index, mask, VertexHeld(f), &mut local, key),
+            Frequencies::Edge(f) => Self::masked(&index, mask, EdgeHeld(f), &mut local, key),
+        }
+    }
+
+    /// The state of the subgraph of `index` made of the edges in `mask`
+    /// (sorted ids), with triangles weighed by `weight`; `key` maps an
+    /// index edge's endpoints to its global key.
+    ///
+    /// `local` is scratch of one entry per index edge, all [`UNMARKED`],
+    /// and is left so.
+    pub(crate) fn masked<W: TriangleWeight>(
+        index: &TriangleIndex,
+        mask: Vec<u32>,
+        weight: W,
+        local: &mut [u32],
+        key: impl Fn((u32, u32)) -> EdgeKey,
+    ) -> Self {
+        debug_assert!(mask.windows(2).all(|w| w[0] < w[1]), "sorted mask");
+        let m = mask.len();
+        for (l, &id) in mask.iter().enumerate() {
+            local[id as usize] = l as u32;
+        }
+        let mut tri_start = Vec::with_capacity(m + 1);
+        let listed = mask.iter().map(|&id| index.triangles(id).len()).sum();
+        let mut triangles = Vec::with_capacity(listed);
+        let mut cohesion = Vec::with_capacity(m);
+        let mut keys = Vec::with_capacity(m);
+        for (l, &id) in mask.iter().enumerate() {
+            tri_start.push(triangles.len());
+            let ends = index.ends(id);
+            keys.push(key(ends));
+            let w_uv = weight.of_edge(l as u32, ends);
+            let mut eco = 0.0;
+            for &[e_uw, e_vw, w] in index.triangles(id) {
+                let (e_uw, e_vw) = (local[e_uw as usize], local[e_vw as usize]);
+                if e_uw != UNMARKED && e_vw != UNMARKED {
+                    let t = weight.of_triangle(w_uv, w, e_uw, e_vw);
+                    triangles.push(Triangle {
+                        e_uw,
+                        e_vw,
+                        weight: t,
+                    });
+                    eco += t;
+                }
+            }
+            cohesion.push(eco);
+        }
+        tri_start.push(triangles.len());
+        for &id in &mask {
+            local[id as usize] = UNMARKED;
+        }
+        PeelState {
+            ids: mask,
+            keys,
+            tri_start,
+            triangles,
+            cohesion,
             removed: vec![false; m],
             queued: vec![false; m],
             queue: VecDeque::new(),
             alive: m,
-        };
-        match theme.frequencies() {
-            Frequencies::Vertex(f) => state.list_triangles(g, VertexHeld(f)),
-            Frequencies::Edge(f) => state.list_triangles(g, EdgeHeld(f)),
         }
-        state
-    }
-
-    /// Numbers `g`'s edges in `g.edges()` order, lists every edge's
-    /// triangles ascending in `w`, and sums each list into the edge's
-    /// cohesion as it is written.
-    fn list_triangles<W: TriangleWeight>(&mut self, g: &UGraph, weight: W) {
-        let n = g.num_vertices();
-        // `ids[start[v] + i]` is the id of the edge to `g.neighbors(v)[i]`.
-        let mut start = Vec::with_capacity(n + 1);
-        start.push(0);
-        for v in 0..n as u32 {
-            start.push(start[v as usize] + g.degree(v));
-        }
-        let mut ids = vec![0u32; start[n]];
-        // `v`'s lower neighbours open its sorted list, and edges to them
-        // are numbered in that same order, so a cursor per vertex fills
-        // them as `u` ascends.
-        let mut cursor = start[..n].to_vec();
-        for u in 0..n as u32 {
-            let s = start[u as usize];
-            for (i, &v) in g.neighbors(u).iter().enumerate() {
-                if v > u {
-                    let id = self.edge_ends.len() as u32; // < m, asserted in `new`
-                    self.edge_ends.push((u, v));
-                    ids[s + i] = id;
-                    ids[cursor[v as usize]] = id;
-                    cursor[v as usize] += 1;
-                }
-            }
-        }
-        let ids_of = |v: u32| &ids[start[v as usize]..start[v as usize + 1]];
-        // While `u` is stamped, `mark[w]` is the id of edge `(u, w)`.
-        let mut mark = vec![UNMARKED; n];
-        for u in 0..n as u32 {
-            let ns = g.neighbors(u);
-            for (&w, &e_uw) in ns.iter().zip(ids_of(u)) {
-                mark[w as usize] = e_uw;
-            }
-            for (&v, &id) in ns.iter().zip(ids_of(u)).filter(|(&v, _)| v > u) {
-                self.tri_start.push(self.triangles.len());
-                let w_uv = weight.of_edge(id, (u, v));
-                let mut eco = 0.0;
-                for (&w, &e_vw) in g.neighbors(v).iter().zip(ids_of(v)) {
-                    let e_uw = mark[w as usize];
-                    if e_uw != UNMARKED {
-                        self.triangles.push([e_uw, e_vw, w]);
-                        eco += weight.of_triangle(w_uv, w, e_uw, e_vw);
-                    }
-                }
-                self.cohesion.push(eco);
-            }
-            for &w in ns {
-                mark[w as usize] = UNMARKED;
-            }
-        }
-        self.tri_start.push(self.triangles.len());
     }
 
     /// Total number of edges (alive or removed). Edge ids are `0..num_edges`
     /// and stay stable across [`PeelState::peel`] calls.
     pub fn num_edges(&self) -> usize {
-        self.edge_ends.len()
+        self.ids.len()
     }
 
     /// Number of edges not yet removed.
@@ -209,14 +340,14 @@ impl<'a> PeelState<'a> {
         self.cohesion[id as usize]
     }
 
-    /// Local endpoints of edge `id`.
-    pub fn endpoints(&self, id: u32) -> (u32, u32) {
-        self.edge_ends[id as usize]
+    /// The canonical global key of edge `id`.
+    pub fn edge(&self, id: u32) -> EdgeKey {
+        self.keys[id as usize]
     }
 
     /// Iterates over the ids of alive edges.
     pub fn alive_edge_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.edge_ends.len() as u32).filter(move |&id| !self.removed[id as usize])
+        (0..self.ids.len() as u32).filter(move |&id| !self.removed[id as usize])
     }
 
     /// Minimum cohesion among alive edges (`β` of Theorem 6.1), if any.
@@ -231,7 +362,7 @@ impl<'a> PeelState<'a> {
     /// lines 9-18. Calls `on_remove(edge_id)` for each removal, in removal
     /// order.
     pub fn peel(&mut self, alpha: f64, on_remove: impl FnMut(u32)) {
-        for id in 0..self.edge_ends.len() as u32 {
+        for id in 0..self.ids.len() as u32 {
             if !self.removed[id as usize]
                 && !self.queued[id as usize]
                 && float::leq_eps(self.cohesion[id as usize], alpha)
@@ -253,7 +384,7 @@ impl<'a> PeelState<'a> {
         // the final β leaves exactly the alive edges `≤ β`, ascending in
         // id — what `peel(β)`'s own scan would queue.
         let mut beta: Option<f64> = None;
-        for id in 0..self.edge_ends.len() as u32 {
+        for id in 0..self.ids.len() as u32 {
             if self.removed[id as usize] {
                 continue;
             }
@@ -283,38 +414,23 @@ impl<'a> PeelState<'a> {
 
     /// Pops the queue until it is empty: removes each edge, destroys its
     /// surviving triangles and queues the edges they leave `≤ alpha`.
-    fn cascade(&mut self, alpha: f64, on_remove: impl FnMut(u32)) {
-        let theme = self.theme;
-        match theme.frequencies() {
-            Frequencies::Vertex(f) => self.cascade_by(VertexHeld(f), alpha, on_remove),
-            Frequencies::Edge(f) => self.cascade_by(EdgeHeld(f), alpha, on_remove),
-        }
-    }
-
-    fn cascade_by<W: TriangleWeight>(
-        &mut self,
-        weight: W,
-        alpha: f64,
-        mut on_remove: impl FnMut(u32),
-    ) {
+    fn cascade(&mut self, alpha: f64, mut on_remove: impl FnMut(u32)) {
         while let Some(id) = self.queue.pop_front() {
             self.removed[id as usize] = true;
             self.alive -= 1;
             on_remove(id);
 
-            let w_uv = weight.of_edge(id, self.edge_ends[id as usize]);
             let list =
                 &self.triangles[self.tri_start[id as usize]..self.tri_start[id as usize + 1]];
-            for &[e_uw, e_vw, w] in list {
+            for &Triangle { e_uw, e_vw, weight } in list {
                 // Triangle (u,v,w) still exists only if neither other edge
                 // was removed before this pop.
                 if self.removed[e_uw as usize] || self.removed[e_vw as usize] {
                     continue;
                 }
-                let t = weight.of_triangle(w_uv, w, e_uw, e_vw);
                 for other in [e_uw, e_vw] {
                     let other = other as usize;
-                    self.cohesion[other] -= t;
+                    self.cohesion[other] -= weight;
                     if float::leq_eps(self.cohesion[other], alpha) && !self.queued[other] {
                         self.queued[other] = true;
                         self.queue.push_back(other as u32);
@@ -325,15 +441,22 @@ impl<'a> PeelState<'a> {
     }
 
     /// The alive edges as **global** canonical keys, sorted.
-    pub fn alive_global_edges(&self) -> Vec<tc_graph::EdgeKey> {
-        // Ids ascend in local `(u, v)` order and local → global ids is
+    pub fn alive_global_edges(&self) -> Vec<EdgeKey> {
+        // Ids ascend in `(u, v)` order and the index's ids → global ids is
         // monotone, so the keys come out sorted.
-        let out: Vec<tc_graph::EdgeKey> = self
+        let out: Vec<EdgeKey> = self
             .alive_edge_ids()
-            .map(|id| self.theme.global_edge(self.edge_ends[id as usize]))
+            .map(|id| self.keys[id as usize])
             .collect();
         debug_assert!(out.windows(2).all(|w| w[0] < w[1]), "sorted, no repeats");
         out
+    }
+
+    /// The alive edges as ids of the index this state masks, sorted.
+    pub fn alive_index_ids(&self) -> Vec<u32> {
+        self.alive_edge_ids()
+            .map(|id| self.ids[id as usize])
+            .collect()
     }
 }
 
@@ -436,6 +559,35 @@ mod tests {
         let mut b = PeelState::new(&theme);
         b.peel(0.5, |_| {});
         assert_eq!(a.alive_edges(), b.alive_edges());
+    }
+
+    #[test]
+    fn index_numbers_edges_in_canonical_order() {
+        let theme = uniform_triangle(1, 2);
+        let index = TriangleIndex::new(theme.graph());
+        let ends: Vec<_> = (0..index.num_edges() as u32)
+            .map(|id| index.ends(id))
+            .collect();
+        assert_eq!(ends, theme.graph().edges().collect::<Vec<_>>());
+        // Edge (0, 1) closes one triangle, through w = 2 over (0, 2), (1, 2).
+        assert_eq!(index.triangles(0), &[[1, 2, 2]]);
+        assert_eq!(index.neighbor_ids(2), &[1, 2]);
+    }
+
+    #[test]
+    fn a_mask_keeps_only_triangles_inside_it() {
+        // Masking out (0, 2) leaves (0, 1) and (1, 2) with no triangle.
+        let theme = uniform_triangle(1, 2);
+        let index = TriangleIndex::new(theme.graph());
+        let Frequencies::Vertex(f) = theme.frequencies() else {
+            panic!("a vertex theme");
+        };
+        let mut local = vec![UNMARKED; 3];
+        let state = PeelState::masked(&index, vec![0, 2], VertexHeld(f), &mut local, |e| e);
+        assert_eq!(state.num_edges(), 2);
+        assert_eq!((state.cohesion(0), state.cohesion(1)), (0.0, 0.0));
+        assert_eq!(state.alive_index_ids(), vec![0, 2]);
+        assert!(local.iter().all(|&l| l == UNMARKED), "scratch left clean");
     }
 
     #[test]

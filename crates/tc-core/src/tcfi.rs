@@ -10,20 +10,25 @@
 //! of the work.
 //!
 //! [`TcfiMiner`] is the serial reference, level by level as Algorithm 3
-//! reads. [`ParallelTcfiMiner`] is the one the tools run: the
-//! [`lattice`] walk that also builds the TC-Tree, with MPTD at `α` as its
-//! evaluator. Both take any [`ThemeSource`]: the paper's vertex database
-//! networks, and the §8 edge database networks, whose only difference — the
-//! weight of a triangle — is settled inside the theme networks they induce.
+//! reads: it materialises each candidate's theme network inside its
+//! parents' truss intersection ([`ThemeSource::theme_within`]).
+//! [`ParallelTcfiMiner`] is the one the tools run: the [`lattice`] walk
+//! that also builds the TC-Tree, with MPTD at `α` as its evaluator. It
+//! evaluates each candidate as a mask of the whole network's triangle
+//! index, from its parents' truss edges and carried tidsets, and finds
+//! the same trusses bit for bit. Both take any [`ThemeSource`]: the
+//! paper's vertex database networks, and the §8 edge database networks,
+//! whose only difference — the weight of a triangle — is settled where a
+//! peeling state weighs its triangles.
 
 use crate::lattice::{self, Evaluator};
 use crate::miner::Miner;
-use crate::mptd::qualified_truss;
+use crate::mptd::{qualified_peel, qualified_truss};
+use crate::peel::PeelState;
 use crate::result::{MinerStats, MiningResult};
 use crate::tcfa::mine_level_one;
-use crate::theme::{ThemeNetwork, ThemeSource};
+use crate::theme::ThemeSource;
 use crate::truss::PatternTruss;
-use tc_graph::EdgeKey;
 use tc_txdb::{apriori, Pattern};
 use tc_util::{FxHashMap, Stopwatch};
 
@@ -144,12 +149,14 @@ struct AtAlpha(f64);
 impl Evaluator for AtAlpha {
     type Value = PatternTruss;
 
-    fn evaluate(&self, theme: &ThemeNetwork, stats: &mut MinerStats) -> Option<PatternTruss> {
-        qualified_truss(theme, self.0, stats)
-    }
-
-    fn join_edges(&self, truss: &PatternTruss) -> Vec<EdgeKey> {
-        truss.edges.clone()
+    fn evaluate(
+        &self,
+        pattern: Pattern,
+        mut state: PeelState,
+        stats: &mut MinerStats,
+    ) -> Option<(PatternTruss, Vec<u32>)> {
+        let truss = qualified_peel(pattern, &mut state, self.0, stats)?;
+        Some((truss, state.alive_index_ids()))
     }
 }
 

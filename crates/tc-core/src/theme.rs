@@ -11,10 +11,43 @@
 //! [`ThemeNetwork`] therefore holds either kind of [`Frequencies`], and
 //! [`ThemeSource`] is all the enumeration code (TCFI, the TC-Tree builder)
 //! asks of a network of either kind.
+//!
+//! # Two ways to a theme network
+//!
+//! [`ThemeSource::theme`] and [`ThemeSource::theme_within`] materialise a
+//! candidate's theme network from scratch: one frequency probe per span
+//! vertex (or edge), then a CSR of its own. They are the serial reference
+//! ([`crate::TcfiMiner`]) and the induction cost model of the TCS and
+//! TCFA baselines.
+//!
+//! The [`crate::lattice`] walk never materialises one. It asks the
+//! network for its [`Frame`] — the whole network's [`TriangleIndex`],
+//! listed once — and evaluates each candidate as a mask of it, the way
+//! Eclat mines itemsets from carried tidsets:
+//!
+//! * a qualified pattern carries its *join edges* (the edges its children
+//!   are induced within) as sorted index edge ids, and the tidset of each
+//!   database on them — each span vertex's, or each edge's;
+//! * a child `p ∪ {a, b}` is induced within `join(a) ∩ join(b)`
+//!   (Proposition 5.3), and a database's tidset for it is
+//!   `tidset(p ∪ {a}) ∩ tidset(p ∪ {b})`: its frequency is that set's
+//!   popcount over the database's `h`, the integer support
+//!   [`tc_txdb::TransactionDb::support`] would count, divided the same
+//!   way;
+//! * the child's theme network is the intersection's edges whose
+//!   databases (both endpoints', or the edge's own) kept a positive
+//!   frequency, and the [`PeelState`] filters the index's triangle
+//!   lists down to it.
+//!
+//! Both ways yield the same edges, the same frequency bits and the same
+//! triangle lists in the same order, so every cohesion is bit-identical
+//! (see [`crate::peel`]).
 
+use crate::edge::EdgeDatabaseNetwork;
 use crate::network::DatabaseNetwork;
+use crate::peel::{EdgeHeld, PeelState, TriangleIndex, VertexHeld, UNMARKED};
 use tc_graph::{EdgeKey, GraphBuilder, UGraph, VertexId};
-use tc_txdb::{Item, Pattern};
+use tc_txdb::{Item, Pattern, TransactionDb};
 
 /// The pattern frequencies of a theme network, by what holds the
 /// transaction databases.
@@ -30,7 +63,8 @@ pub enum Frequencies {
 
 /// What set enumeration over patterns needs from a network: the level-1
 /// items, and the theme network of a candidate pattern — over the whole
-/// network, or inside the intersection of its parents' trusses (§5.3).
+/// network, or inside the intersection of its parents' trusses (§5.3) —
+/// either materialised, or as masks of the network's [`Frame`].
 pub trait ThemeSource: Sync {
     /// The items occurring in at least one database, ascending.
     fn items_in_use(&self) -> Vec<Item>;
@@ -40,6 +74,10 @@ pub trait ThemeSource: Sync {
 
     /// `G_p` restricted to `edges` (canonical global keys, sorted).
     fn theme_within(&self, pattern: &Pattern, edges: &[EdgeKey]) -> ThemeNetwork;
+
+    /// The whole network as the frame the lattice walk masks: its
+    /// triangles listed once.
+    fn frame(&self) -> Frame<'_>;
 }
 
 impl ThemeSource for DatabaseNetwork {
@@ -53,6 +91,347 @@ impl ThemeSource for DatabaseNetwork {
 
     fn theme_within(&self, pattern: &Pattern, edges: &[EdgeKey]) -> ThemeNetwork {
         ThemeNetwork::induce_from_edges(self, pattern, edges)
+    }
+
+    fn frame(&self) -> Frame<'_> {
+        Frame::new(self.graph(), Held::Vertex(self))
+    }
+}
+
+/// Where a network holds its databases.
+#[derive(Clone, Copy)]
+pub(crate) enum Held<'a> {
+    /// On vertices: a database's id is its vertex id.
+    Vertex(&'a DatabaseNetwork),
+    /// On edges: a database's id is its edge's index id, the edge's
+    /// position in [`EdgeDatabaseNetwork::edges`].
+    Edge(&'a EdgeDatabaseNetwork),
+}
+
+impl<'a> Held<'a> {
+    /// Database `id`.
+    fn db(self, id: u32) -> &'a TransactionDb {
+        match self {
+            Held::Vertex(net) => net.database(id),
+            Held::Edge(net) => net.database_at(id),
+        }
+    }
+}
+
+/// A whole network prepared for the lattice walk: its [`TriangleIndex`],
+/// listed once, and each database's transaction count. Shared read-only
+/// by every worker of a walk.
+///
+/// A worker builds a candidate's [`PeelState`] into its own [`Scratch`]
+/// with [`Frame::seed`] (one item) or [`Frame::join`] (two qualified
+/// siblings), peels it, and — when it qualifies — makes what its children
+/// join on with [`Frame::carry`] from that same scratch, before building
+/// the next candidate.
+pub struct Frame<'a> {
+    index: TriangleIndex,
+    held: Held<'a>,
+    /// `h` of each database, by database id.
+    h: Vec<usize>,
+}
+
+/// What a qualified pattern `p ∪ {a}` hands its children: the edges they
+/// join on, and the tidsets of the databases on those edges.
+pub struct Carry {
+    /// Sorted index edge ids.
+    join: Vec<u32>,
+    /// The databases' ids, ascending: the span of `join` when they sit on
+    /// vertices; empty when they sit on edges, whose ids are `join`.
+    dbs: Vec<u32>,
+    /// Each database's tidset for `p ∪ {a}`, `⌈h / 64⌉` words, in `dbs`
+    /// (or `join`) order.
+    words: Vec<u64>,
+}
+
+/// One worker's scratch for building candidates from a [`Frame`]. Between
+/// calls every per-edge and per-vertex entry is back at its rest value.
+pub struct Scratch {
+    /// Per index edge: its position in the mask being built, else
+    /// [`UNMARKED`].
+    local: Vec<u32>,
+    /// Per vertex (databases on vertices): its frequency for the
+    /// candidate being built, else 0.
+    freq: Vec<f64>,
+    /// Per vertex: stamped while a span is collected.
+    mark: Vec<bool>,
+    span: Vec<u32>,
+    /// The last candidate's databases of positive frequency, ascending,
+    /// and their tidsets' words, concatenated.
+    dbs: Vec<u32>,
+    words: Vec<u64>,
+    /// Per mask position (databases on edges): the edge's frequency.
+    edge_freq: Vec<f64>,
+}
+
+impl<'a> Frame<'a> {
+    /// The frame of a network over `graph`, whose edges, numbered in
+    /// `(u, v)` order, are the network's.
+    pub(crate) fn new(graph: &UGraph, held: Held<'a>) -> Frame<'a> {
+        let dbs = match held {
+            Held::Vertex(net) => net.num_vertices(),
+            Held::Edge(net) => net.num_edges(),
+        };
+        Frame {
+            index: TriangleIndex::new(graph),
+            held,
+            h: (0..dbs as u32)
+                .map(|id| held.db(id).num_transactions())
+                .collect(),
+        }
+    }
+
+    /// Fresh scratch for one worker.
+    pub fn scratch(&self) -> Scratch {
+        let vertices = match self.held {
+            Held::Vertex(_) => self.h.len(),
+            Held::Edge(_) => 0,
+        };
+        Scratch {
+            local: vec![UNMARKED; self.index.num_edges()],
+            freq: vec![0.0; vertices],
+            mark: vec![false; vertices],
+            span: Vec::new(),
+            dbs: Vec::new(),
+            words: Vec::new(),
+            edge_freq: Vec::new(),
+        }
+    }
+
+    /// Words in database `id`'s tidsets.
+    #[inline]
+    fn width(&self, id: u32) -> usize {
+        self.h[id as usize].div_ceil(64)
+    }
+
+    /// The theme network of the pattern `{item}` over the whole network,
+    /// unpeeled; `s` keeps its databases for [`Frame::carry`].
+    pub fn seed(&self, item: Item, s: &mut Scratch) -> PeelState {
+        s.dbs.clear();
+        s.words.clear();
+        let tidset = |id| self.held.db(id).tidset(item).expect("an item in its index");
+        match self.held {
+            Held::Vertex(net) => {
+                let holders = net.vertices_with_item(item);
+                for &(v, f) in holders {
+                    s.freq[v as usize] = f;
+                    s.dbs.push(v);
+                    s.words.extend_from_slice(tidset(v).words());
+                }
+                // Ascending `u`, then ascending upper neighbours `v`: the
+                // ids come out ascending.
+                let g = net.graph();
+                let mut mask = Vec::new();
+                for &(u, _) in holders {
+                    for (&v, &id) in g.neighbors(u).iter().zip(self.index.neighbor_ids(u)) {
+                        if v > u && s.freq[v as usize] > 0.0 {
+                            mask.push(id);
+                        }
+                    }
+                }
+                let state =
+                    PeelState::masked(&self.index, mask, VertexHeld(&s.freq), &mut s.local, |e| e);
+                for &v in &s.dbs {
+                    s.freq[v as usize] = 0.0;
+                }
+                state
+            }
+            Held::Edge(net) => {
+                s.edge_freq.clear();
+                for key in net.edges_with_item(item) {
+                    let id = net.edges().binary_search(key).expect("an indexed edge") as u32;
+                    s.dbs.push(id);
+                    s.edge_freq.push(net.database_at(id).item_frequency(item));
+                    s.words.extend_from_slice(tidset(id).words());
+                }
+                let mask = s.dbs.clone();
+                PeelState::masked(
+                    &self.index,
+                    mask,
+                    EdgeHeld(&s.edge_freq),
+                    &mut s.local,
+                    |e| e,
+                )
+            }
+        }
+    }
+
+    /// The theme network of `p ∪ {a, b}` from its parents' carries, inside
+    /// `join(a) ∩ join(b)`, unpeeled; `None` when those join edges are
+    /// disjoint. `s` keeps its databases for [`Frame::carry`].
+    pub fn join(&self, a: &Carry, b: &Carry, s: &mut Scratch) -> Option<PeelState> {
+        s.dbs.clear();
+        s.words.clear();
+        match self.held {
+            Held::Vertex(_) => {
+                let mut mask = tc_util::sorted::intersect(&a.join, &b.join);
+                if mask.is_empty() {
+                    return None;
+                }
+                s.span.clear();
+                for &id in &mask {
+                    let (u, v) = self.index.ends(id);
+                    for x in [u, v] {
+                        if !s.mark[x as usize] {
+                            s.mark[x as usize] = true;
+                            s.span.push(x);
+                        }
+                    }
+                }
+                s.span.sort_unstable();
+                // Both parents' spans hold the child's: walk them along it.
+                let (mut ia, mut oa, mut ib, mut ob) = (0, 0, 0, 0);
+                for &x in &s.span {
+                    s.mark[x as usize] = false;
+                    while a.dbs[ia] < x {
+                        oa += self.width(a.dbs[ia]);
+                        ia += 1;
+                    }
+                    while b.dbs[ib] < x {
+                        ob += self.width(b.dbs[ib]);
+                        ib += 1;
+                    }
+                    debug_assert!(a.dbs[ia] == x && b.dbs[ib] == x, "span within parents'");
+                    if let Some(f) = self.and(x, &a.words[oa..], &b.words[ob..], &mut s.words) {
+                        s.freq[x as usize] = f;
+                        s.dbs.push(x);
+                    }
+                }
+                let freq = &s.freq;
+                mask.retain(|&id| {
+                    let (u, v) = self.index.ends(id);
+                    freq[u as usize] > 0.0 && freq[v as usize] > 0.0
+                });
+                let state =
+                    PeelState::masked(&self.index, mask, VertexHeld(&s.freq), &mut s.local, |e| e);
+                for &x in &s.dbs {
+                    s.freq[x as usize] = 0.0;
+                }
+                Some(state)
+            }
+            Held::Edge(_) => {
+                s.edge_freq.clear();
+                let mut met = false;
+                let (mut ia, mut oa, mut ib, mut ob) = (0, 0, 0, 0);
+                while ia < a.join.len() && ib < b.join.len() {
+                    let (x, y) = (a.join[ia], b.join[ib]);
+                    if x < y {
+                        oa += self.width(x);
+                        ia += 1;
+                    } else if y < x {
+                        ob += self.width(y);
+                        ib += 1;
+                    } else {
+                        met = true;
+                        if let Some(f) = self.and(x, &a.words[oa..], &b.words[ob..], &mut s.words) {
+                            s.edge_freq.push(f);
+                            s.dbs.push(x);
+                        }
+                        oa += self.width(x);
+                        ob += self.width(x);
+                        ia += 1;
+                        ib += 1;
+                    }
+                }
+                if !met {
+                    return None;
+                }
+                let mask = s.dbs.clone();
+                Some(PeelState::masked(
+                    &self.index,
+                    mask,
+                    EdgeHeld(&s.edge_freq),
+                    &mut s.local,
+                    |e| e,
+                ))
+            }
+        }
+    }
+
+    /// The databases of positive frequency of the candidate last built in
+    /// `s`, ascending by id — a vertex id, or an edge's index id — with
+    /// those frequencies: the theme network's vertex or edge frequencies.
+    pub fn frequencies(&self, s: &Scratch) -> Vec<(u32, f64)> {
+        let mut off = 0;
+        s.dbs
+            .iter()
+            .map(|&id| {
+                let width = self.width(id);
+                let support: u32 = s.words[off..off + width]
+                    .iter()
+                    .map(|w| w.count_ones())
+                    .sum();
+                off += width;
+                (id, support as f64 / self.h[id as usize] as f64)
+            })
+            .collect()
+    }
+
+    /// Appends to `words` the AND of database `id`'s two tidsets opening
+    /// `a` and `b`, and returns its frequency; `None`, appending nothing,
+    /// when the AND is empty.
+    #[inline]
+    fn and(&self, id: u32, a: &[u64], b: &[u64], words: &mut Vec<u64>) -> Option<f64> {
+        let width = self.width(id);
+        let mut support = 0usize;
+        for (x, y) in a[..width].iter().zip(&b[..width]) {
+            let w = x & y;
+            support += w.count_ones() as usize;
+            words.push(w);
+        }
+        if support == 0 {
+            words.truncate(words.len() - width);
+            return None;
+        }
+        Some(support as f64 / self.h[id as usize] as f64)
+    }
+
+    /// What the candidate last built in `s` hands its children when they
+    /// join on `join` (sorted index ids within its mask): `join`, and the
+    /// tidsets of the databases on it.
+    pub fn carry(&self, join: Vec<u32>, s: &mut Scratch) -> Carry {
+        let mut words = Vec::new();
+        match self.held {
+            Held::Vertex(_) => {
+                for &id in &join {
+                    let (u, v) = self.index.ends(id);
+                    s.mark[u as usize] = true;
+                    s.mark[v as usize] = true;
+                }
+                let mut dbs = Vec::new();
+                let mut off = 0;
+                for &x in &s.dbs {
+                    let width = self.width(x);
+                    if s.mark[x as usize] {
+                        s.mark[x as usize] = false;
+                        dbs.push(x);
+                        words.extend_from_slice(&s.words[off..off + width]);
+                    }
+                    off += width;
+                }
+                Carry { join, dbs, words }
+            }
+            Held::Edge(_) => {
+                let mut off = 0;
+                let mut next = join.iter().peekable();
+                for &x in &s.dbs {
+                    let width = self.width(x);
+                    if next.next_if_eq(&&x).is_some() {
+                        words.extend_from_slice(&s.words[off..off + width]);
+                    }
+                    off += width;
+                }
+                debug_assert!(next.peek().is_none(), "join within the mask");
+                Carry {
+                    join,
+                    dbs: Vec::new(),
+                    words,
+                }
+            }
+        }
     }
 }
 

@@ -32,7 +32,7 @@ pub use kcore::{core_numbers, k_core};
 pub use ktruss::{k_truss, truss_numbers};
 pub use metrics::{average_clustering, degree_histogram, mean_degree, transitivity};
 pub use sample::bfs_edge_sample;
-pub use triangles::{common_neighbors, count_triangles, edge_support};
+pub use triangles::{count_triangles, edge_support};
 pub use unionfind::UnionFind;
 
 /// Normalises an edge to its canonical `(min, max)` key.

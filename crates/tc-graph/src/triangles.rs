@@ -8,13 +8,6 @@
 
 use crate::graph::{UGraph, VertexId};
 
-/// Returns the sorted common neighbors of `u` and `v`.
-pub fn common_neighbors(g: &UGraph, u: VertexId, v: VertexId) -> Vec<VertexId> {
-    let mut out = Vec::new();
-    merge_common(g.neighbors(u), g.neighbors(v), |w| out.push(w));
-    out
-}
-
 /// Calls `f` for every common neighbor of two sorted slices.
 #[inline]
 pub fn merge_common(a: &[VertexId], b: &[VertexId], mut f: impl FnMut(VertexId)) {
@@ -80,14 +73,12 @@ mod tests {
     #[test]
     fn common_neighbors_of_k4_edge() {
         let g = k4();
-        assert_eq!(common_neighbors(&g, 0, 1), vec![2, 3]);
         assert_eq!(edge_support(&g, 0, 1), 2);
     }
 
     #[test]
     fn no_common_neighbors_on_path() {
         let g = UGraph::from_edges([(0, 1), (1, 2)]);
-        assert!(common_neighbors(&g, 0, 1).is_empty());
         assert_eq!(edge_support(&g, 0, 1), 0);
     }
 

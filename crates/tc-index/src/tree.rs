@@ -14,15 +14,20 @@
 //! Construction is the [`tc_core::lattice`] walk TCFI runs too, with the
 //! decomposition as its evaluator: barrier-free on the work-stealing
 //! executor past level 1, each node's `E*_p(0)` computed once as what its
-//! children join on. The walk finds nodes in scheduling order; the builder
+//! children join on. The walk lists the network's triangles once and
+//! hands the evaluator each candidate as a mask of them
+//! ([`TrussDecomposition::decompose_state`] peels it), so no node's theme
+//! network is materialised; the levels are those
+//! [`TrussDecomposition::decompose`] finds on the materialised network,
+//! bit for bit. The walk finds nodes in scheduling order; the builder
 //! then numbers them level by level by `(parent's id, item)`, which is the
 //! breadth-first order of Algorithm 4 — so the node arena (and therefore
 //! every serialized form of the tree) is byte-identical at any thread
 //! count.
 
 use tc_core::lattice::{self, Evaluator};
-use tc_core::{MinerStats, ThemeNetwork, ThemeSource, TrussDecomposition};
-use tc_graph::EdgeKey;
+use tc_core::peel::PeelState;
+use tc_core::{MinerStats, ThemeSource, TrussDecomposition};
 use tc_txdb::{Item, Pattern};
 use tc_util::{HeapSize, Stopwatch};
 
@@ -84,13 +89,14 @@ struct Decompose;
 impl Evaluator for Decompose {
     type Value = TrussDecomposition;
 
-    fn evaluate(&self, theme: &ThemeNetwork, _: &mut MinerStats) -> Option<TrussDecomposition> {
-        let truss = TrussDecomposition::decompose(theme);
-        (!truss.is_empty()).then_some(truss)
-    }
-
-    fn join_edges(&self, truss: &TrussDecomposition) -> Vec<EdgeKey> {
-        truss.edges_at(0.0)
+    fn evaluate(
+        &self,
+        pattern: Pattern,
+        state: PeelState,
+        _: &mut MinerStats,
+    ) -> Option<(TrussDecomposition, Vec<u32>)> {
+        let (truss, core) = TrussDecomposition::decompose_state(pattern, state);
+        (!truss.is_empty()).then_some((truss, core))
     }
 }
 

@@ -120,23 +120,26 @@ impl TransactionDb {
                 }
             }
             _ => {
-                // Start from the rarest tidset to keep the working set small.
-                let mut sets = Vec::with_capacity(pattern.len());
-                for item in pattern.iter() {
-                    match self.tidsets.get(&item) {
-                        Some(s) => sets.push(s),
-                        None => return 0,
+                // A k-way AND-popcount over the tidsets' words, a chunk of
+                // words at a time on the stack: no tidset is copied.
+                const CHUNK: usize = 8;
+                let words = self.num_transactions.div_ceil(64);
+                let mut support = 0;
+                for start in (0..words).step_by(CHUNK) {
+                    let end = (start + CHUNK).min(words);
+                    let mut acc = [u64::MAX; CHUNK];
+                    let acc = &mut acc[..end - start];
+                    for item in pattern.iter() {
+                        let Some(set) = self.tidsets.get(&item) else {
+                            return 0;
+                        };
+                        for (a, w) in acc.iter_mut().zip(&set.words()[start..end]) {
+                            *a &= w;
+                        }
                     }
+                    support += acc.iter().map(|w| w.count_ones() as usize).sum::<usize>();
                 }
-                sets.sort_by_key(|s| s.count());
-                let mut acc = sets[0].clone();
-                for s in &sets[1..] {
-                    acc.intersect_with(s);
-                    if acc.is_empty() {
-                        return 0;
-                    }
-                }
-                acc.count()
+                support
             }
         }
     }
@@ -275,6 +278,25 @@ mod tests {
         let db = sample_db();
         assert_eq!(db.support(&pat(&[0, 1, 2])), 2);
         assert!((db.frequency(&pat(&[0, 1, 2])) - 0.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn long_pattern_support_over_many_words() {
+        // 1 100 transactions (18 words: two full chunks and a short one);
+        // transaction t holds item i when t is divisible by i + 2.
+        let db = TransactionDb::from_transactions((0..1100u32).map(|t| {
+            (0..5)
+                .filter(|i| t % (i + 2) == 0)
+                .map(Item)
+                .collect::<Vec<_>>()
+        }));
+        for ids in [&[0, 1, 2][..], &[0, 2, 4], &[1, 2, 3, 4], &[0, 1, 2, 3, 4]] {
+            let want = (0..1100u32)
+                .filter(|t| ids.iter().all(|i| t % (i + 2) == 0))
+                .count();
+            assert_eq!(db.support(&pat(ids)), want, "{ids:?}");
+        }
+        assert_eq!(db.support(&pat(&[0, 1, 99])), 0);
     }
 
     #[test]

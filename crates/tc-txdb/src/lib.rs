@@ -9,20 +9,16 @@
 //!   bitsets) so that pattern frequency is a word-parallel intersection;
 //! * [`eclat`] — depth-first frequent-itemset mining over a single vertex
 //!   database, used by the TCS baseline's `ε` pre-filter;
-//! * [`apriori`] — the level-wise candidate generation of Algorithm 2;
-//! * [`fpc`] — Frequent Pattern Counting, the #P-complete problem the
-//!   paper reduces from (Appendix A.1).
+//! * [`apriori`] — the level-wise candidate generation of Algorithm 2.
 
 pub mod apriori;
 pub mod database;
 pub mod eclat;
-pub mod fpc;
 pub mod item;
 pub mod pattern;
 
 pub use apriori::{generate_candidates, JoinCandidate};
 pub use database::TransactionDb;
 pub use eclat::frequent_patterns;
-pub use fpc::count_frequent_patterns;
 pub use item::{Item, ItemSpace};
 pub use pattern::Pattern;

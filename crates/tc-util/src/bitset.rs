@@ -61,6 +61,13 @@ impl BitSet {
         self.len
     }
 
+    /// The backing words, `universe().div_ceil(64)` of them: id `i` is bit
+    /// `i % 64` of word `i / 64`, and bits at or past the universe are zero.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Zeroes any bits beyond `len` in the last word (invariant restorer).
     fn clear_tail(&mut self) {
         let tail = self.len % BITS;

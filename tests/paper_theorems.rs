@@ -10,7 +10,7 @@ use theme_communities::core::{
     maximal_pattern_truss, DatabaseNetwork, DatabaseNetworkBuilder, Miner, TcfiMiner, ThemeNetwork,
     TrussDecomposition,
 };
-use theme_communities::txdb::{count_frequent_patterns, Item, Pattern, TransactionDb};
+use theme_communities::txdb::{frequent_patterns, Item, Pattern, TransactionDb};
 
 /// A moderately rich fixture: 10 vertices, three overlapping item groups.
 fn fixture() -> DatabaseNetwork {
@@ -77,8 +77,8 @@ fn theorem_3_8_reduction_from_fpc() {
     let d = TransactionDb::from_transactions(transactions.iter().cloned());
 
     for alpha in [0.0, 0.2, 0.25, 0.5, 0.6, 0.75] {
-        // FPC oracle side.
-        let fpc = count_frequent_patterns(&d, alpha);
+        // FPC oracle side: the patterns of `d` with `f(p) > alpha`.
+        let fpc = frequent_patterns(&d, alpha, usize::MAX).len() as u64;
 
         // Reduction side: triangle network, every vertex holds a copy of d.
         let mut b = DatabaseNetworkBuilder::new();
