@@ -52,23 +52,31 @@ impl TrussDecomposition {
                 levels: Vec::new(),
             };
         }
-        Self::decompose_state(theme.pattern().clone(), PeelState::new(theme)).0
-    }
-
-    /// Decomposes `state`, the unpeeled theme network of `pattern`, and
-    /// returns the decomposition with the sorted index ids of `E*_p(0)`
-    /// ([`PeelState::alive_index_ids`]) — what the lattice walk joins a
-    /// TC-Tree node's children on.
-    pub fn decompose_state(
-        pattern: Pattern,
-        mut state: PeelState,
-    ) -> (TrussDecomposition, Vec<u32>) {
+        let mut state = PeelState::new(theme);
         // Establish C*_p(0): peel at α = 0, discarding those edges — they
         // are not part of the decomposition (L_p stores exactly |E*_p(0)|
         // edges).
         state.peel(0.0, |_| {});
-        let core = state.alive_index_ids();
+        Self::levels(theme.pattern().clone(), &mut state)
+    }
 
+    /// Decomposes `state`, the unpeeled theme network of `pattern`, which
+    /// it leaves with no edge alive, and appends to `core` the sorted index
+    /// ids of `E*_p(0)` ([`PeelState::extend_alive_index_ids`]) — what the
+    /// lattice walk joins a TC-Tree node's children on.
+    pub fn decompose_state(
+        pattern: Pattern,
+        state: &mut PeelState,
+        core: &mut Vec<u32>,
+    ) -> TrussDecomposition {
+        state.peel(0.0, |_| {});
+        state.extend_alive_index_ids(core);
+        Self::levels(pattern, state)
+    }
+
+    /// The levels of `state`, peeled to `C*_p(0)`: peels it at each `β`
+    /// until no edge is left.
+    fn levels(pattern: Pattern, state: &mut PeelState) -> TrussDecomposition {
         let mut levels = Vec::new();
         let mut removed = Vec::new();
         while let Some(beta) = state.peel_lowest(|id| removed.push(id)) {
@@ -77,7 +85,7 @@ impl TrussDecomposition {
             edges.sort_unstable();
             levels.push(TrussLevel { alpha: beta, edges });
         }
-        (TrussDecomposition { pattern, levels }, core)
+        TrussDecomposition { pattern, levels }
     }
 
     /// `true` when `C*_p(0) = ∅`.

@@ -38,6 +38,17 @@
 //! on one theme network: it lists the theme's own index, then masks all
 //! of its edges. There is one listing routine and one cascade.
 //!
+//! # Refilled in place
+//!
+//! A walk worker keeps one state and refills it with every candidate it
+//! evaluates, so its buffers grow to the worker's largest candidate and
+//! are then reused. A refill rebuilds every per-edge array from the new
+//! mask — ids, keys, triangle offsets and lists, cohesions — and resets
+//! what peeling leaves behind: every `removed` and `queued` flag back to
+//! `false`, the queue emptied, every edge alive. A refilled state is a
+//! fresh one bit for bit; only the buffers' capacity remembers what came
+//! before. [`PeelState::new`] fills a new state through the same routine.
+//!
 //! # Why the orders are load-bearing
 //!
 //! A cohesion is an f64 sum of triangle weights, and f64 addition is not
@@ -227,6 +238,9 @@ struct Triangle {
 }
 
 /// Mutable peeling state over a mask of one [`TriangleIndex`].
+///
+/// The default state has no edge; the lattice walk refills one per worker.
+#[derive(Default)]
 pub struct PeelState {
     /// The index id of each edge, ascending: the mask.
     ids: Vec<u32>,
@@ -255,38 +269,64 @@ impl PeelState {
     /// This is the theme's own [`TriangleIndex`] with every edge masked.
     pub fn new(theme: &ThemeNetwork) -> Self {
         let index = TriangleIndex::new(theme.graph());
-        let mask: Vec<u32> = (0..index.num_edges() as u32).collect();
+        let mut state = PeelState {
+            ids: (0..index.num_edges() as u32).collect(),
+            ..PeelState::default()
+        };
         let mut local = vec![UNMARKED; index.num_edges()];
         let key = |e| theme.global_edge(e);
         match theme.frequencies() {
-            Frequencies::Vertex(f) => Self::masked(&index, mask, VertexHeld(f), &mut local, key),
-            Frequencies::Edge(f) => Self::masked(&index, mask, EdgeHeld(f), &mut local, key),
+            Frequencies::Vertex(f) => state.fill(&index, VertexHeld(f), &mut local, key),
+            Frequencies::Edge(f) => state.fill(&index, EdgeHeld(f), &mut local, key),
         }
+        state
     }
 
-    /// The state of the subgraph of `index` made of the edges in `mask`
-    /// (sorted ids), with triangles weighed by `weight`; `key` maps an
-    /// index edge's endpoints to its global key.
+    /// Refills this state, in place, with the subgraph of `index` made of
+    /// the edges in `mask` (sorted ids), with triangles weighed by
+    /// `weight`; `key` maps an index edge's endpoints to its global key.
+    /// What it held before leaves no trace but the buffers' capacity.
     ///
     /// `local` is scratch of one entry per index edge, all [`UNMARKED`],
     /// and is left so.
-    pub(crate) fn masked<W: TriangleWeight>(
+    pub(crate) fn refill<W: TriangleWeight>(
+        &mut self,
         index: &TriangleIndex,
-        mask: Vec<u32>,
+        mask: &[u32],
         weight: W,
         local: &mut [u32],
         key: impl Fn((u32, u32)) -> EdgeKey,
-    ) -> Self {
+    ) {
+        self.ids.clear();
+        self.ids.extend_from_slice(mask);
+        self.fill(index, weight, local, key);
+    }
+
+    /// Builds every per-edge array over the mask in `ids`, which is all a
+    /// fill keeps of what the state held.
+    fn fill<W: TriangleWeight>(
+        &mut self,
+        index: &TriangleIndex,
+        weight: W,
+        local: &mut [u32],
+        key: impl Fn((u32, u32)) -> EdgeKey,
+    ) {
+        let mask = &self.ids;
         debug_assert!(mask.windows(2).all(|w| w[0] < w[1]), "sorted mask");
         let m = mask.len();
         for (l, &id) in mask.iter().enumerate() {
             local[id as usize] = l as u32;
         }
-        let mut tri_start = Vec::with_capacity(m + 1);
-        let listed = mask.iter().map(|&id| index.triangles(id).len()).sum();
-        let mut triangles = Vec::with_capacity(listed);
-        let mut cohesion = Vec::with_capacity(m);
-        let mut keys = Vec::with_capacity(m);
+        let (tri_start, triangles) = (&mut self.tri_start, &mut self.triangles);
+        let (cohesion, keys) = (&mut self.cohesion, &mut self.keys);
+        tri_start.clear();
+        tri_start.reserve_exact(m + 1);
+        triangles.clear();
+        triangles.reserve_exact(mask.iter().map(|&id| index.triangles(id).len()).sum());
+        cohesion.clear();
+        cohesion.reserve_exact(m);
+        keys.clear();
+        keys.reserve_exact(m);
         for (l, &id) in mask.iter().enumerate() {
             tri_start.push(triangles.len());
             let ends = index.ends(id);
@@ -308,20 +348,15 @@ impl PeelState {
             cohesion.push(eco);
         }
         tri_start.push(triangles.len());
-        for &id in &mask {
+        for &id in mask {
             local[id as usize] = UNMARKED;
         }
-        PeelState {
-            ids: mask,
-            keys,
-            tri_start,
-            triangles,
-            cohesion,
-            removed: vec![false; m],
-            queued: vec![false; m],
-            queue: VecDeque::new(),
-            alive: m,
-        }
+        self.removed.clear();
+        self.removed.resize(m, false);
+        self.queued.clear();
+        self.queued.resize(m, false);
+        self.queue.clear();
+        self.alive = m;
     }
 
     /// Total number of edges (alive or removed). Edge ids are `0..num_edges`
@@ -444,19 +479,22 @@ impl PeelState {
     pub fn alive_global_edges(&self) -> Vec<EdgeKey> {
         // Ids ascend in `(u, v)` order and the index's ids → global ids is
         // monotone, so the keys come out sorted.
-        let out: Vec<EdgeKey> = self
-            .alive_edge_ids()
-            .map(|id| self.keys[id as usize])
-            .collect();
+        let mut out = Vec::with_capacity(self.alive);
+        out.extend(self.alive_edge_ids().map(|id| self.keys[id as usize]));
         debug_assert!(out.windows(2).all(|w| w[0] < w[1]), "sorted, no repeats");
         out
     }
 
     /// The alive edges as ids of the index this state masks, sorted.
     pub fn alive_index_ids(&self) -> Vec<u32> {
-        self.alive_edge_ids()
-            .map(|id| self.ids[id as usize])
-            .collect()
+        let mut out = Vec::with_capacity(self.alive);
+        self.extend_alive_index_ids(&mut out);
+        out
+    }
+
+    /// Appends [`PeelState::alive_index_ids`] to `out`.
+    pub fn extend_alive_index_ids(&self, out: &mut Vec<u32>) {
+        out.extend(self.alive_edge_ids().map(|id| self.ids[id as usize]));
     }
 }
 
@@ -583,7 +621,8 @@ mod tests {
             panic!("a vertex theme");
         };
         let mut local = vec![UNMARKED; 3];
-        let state = PeelState::masked(&index, vec![0, 2], VertexHeld(f), &mut local, |e| e);
+        let mut state = PeelState::default();
+        state.refill(&index, &[0, 2], VertexHeld(f), &mut local, |e| e);
         assert_eq!(state.num_edges(), 2);
         assert_eq!((state.cohesion(0), state.cohesion(1)), (0.0, 0.0));
         assert_eq!(state.alive_index_ids(), vec![0, 2]);

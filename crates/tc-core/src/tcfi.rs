@@ -152,11 +152,13 @@ impl Evaluator for AtAlpha {
     fn evaluate(
         &self,
         pattern: Pattern,
-        mut state: PeelState,
+        state: &mut PeelState,
+        join: &mut Vec<u32>,
         stats: &mut MinerStats,
-    ) -> Option<(PatternTruss, Vec<u32>)> {
-        let truss = qualified_peel(pattern, &mut state, self.0, stats)?;
-        Some((truss, state.alive_index_ids()))
+    ) -> Option<PatternTruss> {
+        let truss = qualified_peel(pattern, state, self.0, stats)?;
+        state.extend_alive_index_ids(join);
+        Some(truss)
     }
 }
 

@@ -42,6 +42,22 @@
 //! Both ways yield the same edges, the same frequency bits and the same
 //! triangle lists in the same order, so every cohesion is bit-identical
 //! (see [`crate::peel`]).
+//!
+//! # Frame, scratch and carries
+//!
+//! * A [`Frame`] is the network's part, read-only and shared by every
+//!   worker: the triangle index and each database's `h`.
+//! * A [`Scratch`] is one worker's: per-vertex frequencies and stamps,
+//!   per-edge mask positions — all back at rest between candidates — and
+//!   the mask, databases and tidset words of the candidate last built.
+//!   [`Frame::seed`] and [`Frame::join`] build a candidate there and
+//!   refill the worker's one [`PeelState`] with it; neither allocates once
+//!   the buffers have grown to the worker's largest candidate.
+//! * A [`Carry`] is what one qualified pattern hands its children, as
+//!   borrowed slices; [`Carries`] holds several, concatenated in three flat
+//!   arrays. [`Frame::carry`] appends the last-built candidate's to a
+//!   worker's `Carries`, and a sibling group keeps an exact-size clone of
+//!   its members' (see [`crate::lattice`]).
 
 use crate::edge::EdgeDatabaseNetwork;
 use crate::network::DatabaseNetwork;
@@ -122,11 +138,11 @@ impl<'a> Held<'a> {
 /// listed once, and each database's transaction count. Shared read-only
 /// by every worker of a walk.
 ///
-/// A worker builds a candidate's [`PeelState`] into its own [`Scratch`]
-/// with [`Frame::seed`] (one item) or [`Frame::join`] (two qualified
-/// siblings), peels it, and — when it qualifies — makes what its children
-/// join on with [`Frame::carry`] from that same scratch, before building
-/// the next candidate.
+/// A worker refills its one [`PeelState`] with a candidate, in its own
+/// [`Scratch`], by [`Frame::seed`] (one item) or [`Frame::join`] (two
+/// qualified siblings), peels it, and — when it qualifies — appends what
+/// its children join on to its [`Carries`] with [`Frame::carry`] from
+/// that same scratch, before building the next candidate.
 pub struct Frame<'a> {
     index: TriangleIndex,
     held: Held<'a>,
@@ -135,16 +151,75 @@ pub struct Frame<'a> {
 }
 
 /// What a qualified pattern `p ∪ {a}` hands its children: the edges they
-/// join on, and the tidsets of the databases on those edges.
-pub struct Carry {
+/// join on, and the tidsets of the databases on those edges. One entry of
+/// a [`Carries`].
+#[derive(Clone, Copy)]
+pub struct Carry<'a> {
     /// Sorted index edge ids.
-    join: Vec<u32>,
+    join: &'a [u32],
     /// The databases' ids, ascending: the span of `join` when they sit on
     /// vertices; empty when they sit on edges, whose ids are `join`.
-    dbs: Vec<u32>,
+    dbs: &'a [u32],
     /// Each database's tidset for `p ∪ {a}`, `⌈h / 64⌉` words, in `dbs`
     /// (or `join`) order.
+    words: &'a [u64],
+}
+
+/// The [`Carry`]s of qualified siblings, in the order [`Frame::carry`]
+/// appended them, in three flat arrays. A worker appends to one and
+/// clears it between tasks; a sibling group keeps an exact-size clone.
+#[derive(Clone, Default)]
+pub struct Carries {
+    join: Vec<u32>,
+    dbs: Vec<u32>,
     words: Vec<u64>,
+    /// Per carry: where its `join`, `dbs` and `words` end.
+    ends: Vec<[usize; 3]>,
+}
+
+impl Carries {
+    /// Number of carries.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// `true` when there is no carry.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The `i`th carry.
+    pub fn get(&self, i: usize) -> Carry<'_> {
+        let [j, d, w] = i.checked_sub(1).map_or([0; 3], |p| self.ends[p]);
+        let [j_end, d_end, w_end] = self.ends[i];
+        Carry {
+            join: &self.join[j..j_end],
+            dbs: &self.dbs[d..d_end],
+            words: &self.words[w..w_end],
+        }
+    }
+
+    /// Appends a copy of `carry`.
+    pub fn push(&mut self, carry: Carry<'_>) {
+        self.join.extend_from_slice(carry.join);
+        self.dbs.extend_from_slice(carry.dbs);
+        self.words.extend_from_slice(carry.words);
+        self.seal();
+    }
+
+    /// Drops every carry, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.join.clear();
+        self.dbs.clear();
+        self.words.clear();
+        self.ends.clear();
+    }
+
+    /// Ends the carry whose parts were appended since the last one ended.
+    fn seal(&mut self) {
+        self.ends
+            .push([self.join.len(), self.dbs.len(), self.words.len()]);
+    }
 }
 
 /// One worker's scratch for building candidates from a [`Frame`]. Between
@@ -159,6 +234,8 @@ pub struct Scratch {
     /// Per vertex: stamped while a span is collected.
     mark: Vec<bool>,
     span: Vec<u32>,
+    /// The mask being built (databases on vertices).
+    mask: Vec<u32>,
     /// The last candidate's databases of positive frequency, ascending,
     /// and their tidsets' words, concatenated.
     dbs: Vec<u32>,
@@ -195,6 +272,7 @@ impl<'a> Frame<'a> {
             freq: vec![0.0; vertices],
             mark: vec![false; vertices],
             span: Vec::new(),
+            mask: Vec::new(),
             dbs: Vec::new(),
             words: Vec::new(),
             edge_freq: Vec::new(),
@@ -207,9 +285,10 @@ impl<'a> Frame<'a> {
         self.h[id as usize].div_ceil(64)
     }
 
-    /// The theme network of the pattern `{item}` over the whole network,
-    /// unpeeled; `s` keeps its databases for [`Frame::carry`].
-    pub fn seed(&self, item: Item, s: &mut Scratch) -> PeelState {
+    /// Refills `state` with the theme network of the pattern `{item}` over
+    /// the whole network, unpeeled; `s` keeps its databases for
+    /// [`Frame::carry`].
+    pub fn seed(&self, item: Item, s: &mut Scratch, state: &mut PeelState) {
         s.dbs.clear();
         s.words.clear();
         let tidset = |id| self.held.db(id).tidset(item).expect("an item in its index");
@@ -224,20 +303,19 @@ impl<'a> Frame<'a> {
                 // Ascending `u`, then ascending upper neighbours `v`: the
                 // ids come out ascending.
                 let g = net.graph();
-                let mut mask = Vec::new();
+                s.mask.clear();
                 for &(u, _) in holders {
                     for (&v, &id) in g.neighbors(u).iter().zip(self.index.neighbor_ids(u)) {
                         if v > u && s.freq[v as usize] > 0.0 {
-                            mask.push(id);
+                            s.mask.push(id);
                         }
                     }
                 }
-                let state =
-                    PeelState::masked(&self.index, mask, VertexHeld(&s.freq), &mut s.local, |e| e);
+                let weight = VertexHeld(&s.freq);
+                state.refill(&self.index, &s.mask, weight, &mut s.local, |e| e);
                 for &v in &s.dbs {
                     s.freq[v as usize] = 0.0;
                 }
-                state
             }
             Held::Edge(net) => {
                 s.edge_freq.clear();
@@ -247,32 +325,28 @@ impl<'a> Frame<'a> {
                     s.edge_freq.push(net.database_at(id).item_frequency(item));
                     s.words.extend_from_slice(tidset(id).words());
                 }
-                let mask = s.dbs.clone();
-                PeelState::masked(
-                    &self.index,
-                    mask,
-                    EdgeHeld(&s.edge_freq),
-                    &mut s.local,
-                    |e| e,
-                )
+                let weight = EdgeHeld(&s.edge_freq);
+                state.refill(&self.index, &s.dbs, weight, &mut s.local, |e| e);
             }
         }
     }
 
-    /// The theme network of `p ∪ {a, b}` from its parents' carries, inside
-    /// `join(a) ∩ join(b)`, unpeeled; `None` when those join edges are
-    /// disjoint. `s` keeps its databases for [`Frame::carry`].
-    pub fn join(&self, a: &Carry, b: &Carry, s: &mut Scratch) -> Option<PeelState> {
+    /// Refills `state` with the theme network of `p ∪ {a, b}` from its
+    /// parents' carries, inside `join(a) ∩ join(b)`, unpeeled; `false`,
+    /// leaving `state` as it was, when those join edges are disjoint. `s`
+    /// keeps its databases for [`Frame::carry`].
+    pub fn join(&self, a: Carry<'_>, b: Carry<'_>, s: &mut Scratch, state: &mut PeelState) -> bool {
         s.dbs.clear();
         s.words.clear();
         match self.held {
             Held::Vertex(_) => {
-                let mut mask = tc_util::sorted::intersect(&a.join, &b.join);
-                if mask.is_empty() {
-                    return None;
+                s.mask.clear();
+                tc_util::sorted::intersect_into(a.join, b.join, &mut s.mask);
+                if s.mask.is_empty() {
+                    return false;
                 }
                 s.span.clear();
-                for &id in &mask {
+                for &id in &s.mask {
                     let (u, v) = self.index.ends(id);
                     for x in [u, v] {
                         if !s.mark[x as usize] {
@@ -301,16 +375,16 @@ impl<'a> Frame<'a> {
                     }
                 }
                 let freq = &s.freq;
-                mask.retain(|&id| {
+                s.mask.retain(|&id| {
                     let (u, v) = self.index.ends(id);
                     freq[u as usize] > 0.0 && freq[v as usize] > 0.0
                 });
-                let state =
-                    PeelState::masked(&self.index, mask, VertexHeld(&s.freq), &mut s.local, |e| e);
+                let weight = VertexHeld(&s.freq);
+                state.refill(&self.index, &s.mask, weight, &mut s.local, |e| e);
                 for &x in &s.dbs {
                     s.freq[x as usize] = 0.0;
                 }
-                Some(state)
+                true
             }
             Held::Edge(_) => {
                 s.edge_freq.clear();
@@ -337,16 +411,11 @@ impl<'a> Frame<'a> {
                     }
                 }
                 if !met {
-                    return None;
+                    return false;
                 }
-                let mask = s.dbs.clone();
-                Some(PeelState::masked(
-                    &self.index,
-                    mask,
-                    EdgeHeld(&s.edge_freq),
-                    &mut s.local,
-                    |e| e,
-                ))
+                let weight = EdgeHeld(&s.edge_freq);
+                state.refill(&self.index, &s.dbs, weight, &mut s.local, |e| e);
+                true
             }
         }
     }
@@ -389,49 +458,42 @@ impl<'a> Frame<'a> {
         Some(support as f64 / self.h[id as usize] as f64)
     }
 
-    /// What the candidate last built in `s` hands its children when they
-    /// join on `join` (sorted index ids within its mask): `join`, and the
-    /// tidsets of the databases on it.
-    pub fn carry(&self, join: Vec<u32>, s: &mut Scratch) -> Carry {
-        let mut words = Vec::new();
+    /// Appends to `out` what the candidate last built in `s` hands its
+    /// children when they join on `join` (sorted index ids within its
+    /// mask): `join`, and the tidsets of the databases on it.
+    pub fn carry(&self, join: &[u32], s: &mut Scratch, out: &mut Carries) {
+        out.join.extend_from_slice(join);
+        let mut off = 0;
         match self.held {
             Held::Vertex(_) => {
-                for &id in &join {
+                for &id in join {
                     let (u, v) = self.index.ends(id);
                     s.mark[u as usize] = true;
                     s.mark[v as usize] = true;
                 }
-                let mut dbs = Vec::new();
-                let mut off = 0;
                 for &x in &s.dbs {
                     let width = self.width(x);
                     if s.mark[x as usize] {
                         s.mark[x as usize] = false;
-                        dbs.push(x);
-                        words.extend_from_slice(&s.words[off..off + width]);
+                        out.dbs.push(x);
+                        out.words.extend_from_slice(&s.words[off..off + width]);
                     }
                     off += width;
                 }
-                Carry { join, dbs, words }
             }
             Held::Edge(_) => {
-                let mut off = 0;
                 let mut next = join.iter().peekable();
                 for &x in &s.dbs {
                     let width = self.width(x);
                     if next.next_if_eq(&&x).is_some() {
-                        words.extend_from_slice(&s.words[off..off + width]);
+                        out.words.extend_from_slice(&s.words[off..off + width]);
                     }
                     off += width;
                 }
                 debug_assert!(next.peek().is_none(), "join within the mask");
-                Carry {
-                    join,
-                    dbs: Vec::new(),
-                    words,
-                }
             }
         }
+        out.seal();
     }
 }
 

@@ -10,19 +10,25 @@
 //!
 //! The lattice walk builds each candidate as a mask of the whole
 //! network's triangle index, from its parents' join edges and carried
-//! tidsets ([`tc_core::theme::Frame`]). The last two properties walk the
-//! lattice of random vertex and edge database networks that way — dense,
-//! with `h` from 0 to 200 transactions per database, so tidsets of up to
-//! four words and frequencies with no short binary form — and hold every
-//! candidate to the theme network [`ThemeSource::theme_within`]
+//! tidsets ([`tc_core::theme::Frame`]), into one [`PeelState`] per worker
+//! that every candidate refills in place. The last three properties walk
+//! the lattice of random vertex and edge database networks that way —
+//! dense, with `h` from 0 to 200 transactions per database, so tidsets of
+//! up to four words and frequencies with no short binary form — and hold
+//! every candidate to the theme network [`ThemeSource::theme_within`]
 //! materialises from scratch: the same databases with the same frequency
-//! bits, the same edges with the same initial cohesion bits — the
-//! definition's, summed ascending in the third vertex — the same `C*_p(α)`
-//! and the same decomposition levels.
+//! bits, the same state as a fresh [`PeelState::new`] — the same edges
+//! with the same initial cohesion bits, the definition's, summed
+//! ascending in the third vertex — the same `C*_p(α)` and the same
+//! decomposition levels. The last one then evaluates every candidate
+//! again through the same state, largest first down to the smallest and
+//! back up, so a refill that leaves anything of the candidate before it
+//! behind — a stale `removed` or `queued` flag, a triangle, a cohesion —
+//! fails by name.
 
 use proptest::prelude::*;
 use tc_core::peel::PeelState;
-use tc_core::theme::{Carry, Frequencies, Scratch};
+use tc_core::theme::{Carries, Frame, Frequencies, Scratch};
 use tc_core::{
     maximal_pattern_truss, oracle, DatabaseNetwork, DatabaseNetworkBuilder, EdgeDatabaseNetwork,
     EdgeDatabaseNetworkBuilder, ThemeNetwork, ThemeSource, TrussDecomposition,
@@ -156,113 +162,266 @@ fn random_edge_network(n: u32, density: u64, seed: u64) -> EdgeDatabaseNetwork {
 /// children join on, and those join edges as global keys.
 struct Qualified {
     pattern: Pattern,
-    carry: Carry,
+    carry: Carries,
     join: Vec<EdgeKey>,
 }
 
-/// Walks the lattice of `net` the way `tc_core::lattice::walk` does, one
-/// candidate at a time, joining on `E*_p(0)` as the TC-Tree builder does.
-/// Holds every candidate, built as a mask of the network's frame, to the
-/// theme network `theme_within` materialises, and returns how many it
-/// compared. `expected` lists a theme network's databases and frequency
-/// bits as `Frame::frequencies` does.
-fn walk_against_materialised<N: ThemeSource>(
-    net: &N,
-    alpha: f64,
-    expected: impl Fn(&ThemeNetwork) -> Vec<(u32, u64)>,
-) -> usize {
-    let frame = net.frame();
-    let mut scratch = frame.scratch();
-    let mut compared = 0;
-    // Evaluates one candidate, built by `build` into `scratch`: compares,
-    // then carries what its children join on.
-    let mut evaluate = |pattern: Pattern,
-                        theme: ThemeNetwork,
-                        scratch: &mut Scratch,
-                        build: &dyn Fn(&mut Scratch) -> PeelState|
-     -> Option<Qualified> {
-        compared += 1;
-        let masked = build(scratch);
+/// How the walk builds a candidate: from one item, or by joining two
+/// qualified members of a level, `(level, i, j)`.
+enum Build {
+    Seed(Item),
+    Join(usize, usize, usize),
+}
+
+/// A candidate of the walk below and the theme network `theme_within`
+/// materialises for it from scratch.
+struct Candidate {
+    pattern: Pattern,
+    theme: ThemeNetwork,
+    build: Build,
+}
+
+/// What the walk below met: the qualified candidates, level by level,
+/// and every candidate it compared, in the order it compared them.
+struct Walked {
+    levels: Vec<Vec<Qualified>>,
+    candidates: Vec<Candidate>,
+}
+
+/// One candidate at a time through one scratch and one state, the way a
+/// worker of `tc_core::lattice::walk` builds them.
+struct Worker<'f, 'n> {
+    frame: &'f Frame<'n>,
+    scratch: Scratch,
+    state: PeelState,
+}
+
+impl Worker<'_, '_> {
+    /// Refills the state with `c`; `false` when its parents' join edges
+    /// are disjoint.
+    fn build(&mut self, levels: &[Vec<Qualified>], c: &Candidate) -> bool {
+        match c.build {
+            Build::Seed(item) => {
+                self.frame.seed(item, &mut self.scratch, &mut self.state);
+                true
+            }
+            Build::Join(k, i, j) => {
+                let (a, b) = (levels[k][i].carry.get(0), levels[k][j].carry.get(0));
+                self.frame.join(a, b, &mut self.scratch, &mut self.state)
+            }
+        }
+    }
+
+    /// Builds `c` as a mask of the frame and holds it to its materialised
+    /// theme network: the same databases with the same frequency bits, the
+    /// same state as a fresh [`PeelState::new`], the definition's
+    /// cohesions, the same decomposition levels and the same `C*_p(α)`.
+    /// Returns what its children join on when it qualifies at `α = 0`.
+    fn check(
+        &mut self,
+        levels: &[Vec<Qualified>],
+        c: &Candidate,
+        alpha: f64,
+        expected: &impl Fn(&ThemeNetwork) -> Vec<(u32, u64)>,
+    ) -> Option<Qualified> {
+        let (pattern, theme) = (&c.pattern, &c.theme);
+        assert!(self.build(levels, c), "{} met its sibling", pattern);
         assert_eq!(
-            bits(&frame.frequencies(scratch)),
-            expected(&theme),
+            bits(&self.frame.frequencies(&self.scratch)),
+            expected(theme),
             "databases of {}",
-            &pattern
+            pattern
         );
-        same_state(&masked, &PeelState::new(&theme), &pattern);
-        for (id, want) in definition(&theme).into_iter().enumerate() {
-            let got = masked.cohesion(id as u32);
-            assert_eq!(got.to_bits(), want.to_bits(), "definition of {}", &pattern);
+        same_state(&self.state, &PeelState::new(theme), pattern);
+        for (id, want) in definition(theme).into_iter().enumerate() {
+            let got = self.state.cohesion(id as u32);
+            assert_eq!(got.to_bits(), want.to_bits(), "definition of {}", pattern);
         }
 
-        let (levels, core) = TrussDecomposition::decompose_state(pattern.clone(), masked);
-        let want = TrussDecomposition::decompose(&theme);
+        let mut core = Vec::new();
+        let levels_got =
+            TrussDecomposition::decompose_state(pattern.clone(), &mut self.state, &mut core);
+        let want = TrussDecomposition::decompose(theme);
         assert_eq!(
-            levels.levels.len(),
+            levels_got.levels.len(),
             want.levels.len(),
             "levels of {}",
-            &pattern
+            pattern
         );
-        for (got, want) in levels.levels.iter().zip(&want.levels) {
+        for (got, want) in levels_got.levels.iter().zip(&want.levels) {
             assert_eq!(
                 got.alpha.to_bits(),
                 want.alpha.to_bits(),
                 "β of {}",
-                &pattern
+                pattern
             );
-            assert_eq!(&got.edges, &want.edges, "a level of {}", &pattern);
+            assert_eq!(&got.edges, &want.edges, "a level of {}", pattern);
         }
 
-        let mut masked = build(scratch);
-        masked.peel(alpha, |_| {});
-        let truss = maximal_pattern_truss(&theme, alpha);
+        self.build(levels, c);
+        self.state.peel(alpha, |_| {});
+        let truss = maximal_pattern_truss(theme, alpha);
         assert_eq!(
-            masked.alive_global_edges(),
+            self.state.alive_global_edges(),
             truss.edges,
             "C* of {}",
-            &pattern
+            pattern
         );
 
         if core.is_empty() {
             return None;
         }
+        let mut carry = Carries::default();
+        self.frame.carry(&core, &mut self.scratch, &mut carry);
+        assert_eq!(carry.len(), 1);
         Some(Qualified {
-            pattern,
-            carry: frame.carry(core, scratch),
+            pattern: pattern.clone(),
+            carry,
             join: want.edges_at(0.0),
         })
-    };
+    }
+}
 
+/// Walks the lattice of `net` the way `tc_core::lattice::walk` does, one
+/// candidate at a time through one scratch and one state, joining on
+/// `E*_p(0)` as the TC-Tree builder does. Holds every candidate, built as
+/// a mask of the network's frame, to the theme network `theme_within`
+/// materialises from scratch ([`Worker::check`]). `expected` lists a theme
+/// network's databases and frequency bits as `Frame::frequencies` does.
+fn walk_against_materialised<N: ThemeSource>(
+    net: &N,
+    worker: &mut Worker<'_, '_>,
+    alpha: f64,
+    expected: &impl Fn(&ThemeNetwork) -> Vec<(u32, u64)>,
+) -> Walked {
+    let mut walked = Walked {
+        levels: Vec::new(),
+        candidates: Vec::new(),
+    };
     let mut level = Vec::new();
     for item in net.items_in_use() {
         let pattern = Pattern::singleton(item);
-        let theme = net.theme(&pattern);
-        let build = |s: &mut Scratch| frame.seed(item, s);
-        level.extend(evaluate(pattern, theme, &mut scratch, &build));
+        let c = Candidate {
+            theme: net.theme(&pattern),
+            pattern,
+            build: Build::Seed(item),
+        };
+        level.extend(worker.check(&walked.levels, &c, alpha, expected));
+        walked.candidates.push(c);
     }
     while !level.is_empty() {
+        walked.levels.push(level);
+        let k = walked.levels.len() - 1;
         let mut next = Vec::new();
-        for (i, a) in level.iter().enumerate() {
-            for b in &level[i + 1..] {
+        let members = &walked.levels[k];
+        for (i, a) in members.iter().enumerate() {
+            for (j, b) in members.iter().enumerate().skip(i + 1) {
                 let (pa, pb) = (a.pattern.items(), b.pattern.items());
                 if pa[..pa.len() - 1] != pb[..pb.len() - 1] {
                     continue;
                 }
                 let within = tc_util::sorted::intersect(&a.join, &b.join);
-                let probe = frame.join(&a.carry, &b.carry, &mut scratch);
-                assert_eq!(probe.is_none(), within.is_empty());
+                let (a_carry, b_carry) = (a.carry.get(0), b.carry.get(0));
+                let met =
+                    worker
+                        .frame
+                        .join(a_carry, b_carry, &mut worker.scratch, &mut worker.state);
+                assert_eq!(met, !within.is_empty());
                 if within.is_empty() {
                     continue;
                 }
                 let pattern = a.pattern.with_item(pb[pb.len() - 1]);
-                let theme = net.theme_within(&pattern, &within);
-                let build = |s: &mut Scratch| frame.join(&a.carry, &b.carry, s).expect("met");
-                next.extend(evaluate(pattern, theme, &mut scratch, &build));
+                let c = Candidate {
+                    theme: net.theme_within(&pattern, &within),
+                    pattern,
+                    build: Build::Join(k, i, j),
+                };
+                next.extend(worker.check(&walked.levels, &c, alpha, expected));
+                walked.candidates.push(c);
             }
         }
         level = next;
     }
-    compared
+    walked
+}
+
+/// Walks the lattice of `net`, then evaluates every candidate again
+/// through the same worker, largest theme network first down to the
+/// smallest and back up, so every buffer of the state and the scratch
+/// shrinks and regrows: each refill must still be a fresh state, bit for
+/// bit. Returns how many candidates the walk compared.
+fn refill_by_size<N: ThemeSource>(
+    net: &N,
+    alpha: f64,
+    expected: impl Fn(&ThemeNetwork) -> Vec<(u32, u64)>,
+) -> usize {
+    let frame = net.frame();
+    let mut worker = Worker {
+        frame: &frame,
+        scratch: frame.scratch(),
+        state: PeelState::default(),
+    };
+    let walked = walk_against_materialised(net, &mut worker, alpha, &expected);
+    let mut order: Vec<&Candidate> = walked.candidates.iter().collect();
+    order.sort_by_key(|c| std::cmp::Reverse((c.theme.num_edges(), c.theme.num_vertices())));
+    let back_up = order.iter().rev();
+    for &c in order.iter().chain(back_up) {
+        worker.check(&walked.levels, c, alpha, &expected);
+    }
+    walked.candidates.len()
+}
+
+/// A vertex database network's expected databases: each theme vertex's
+/// global id and frequency bits.
+fn vertex_frequencies(theme: &ThemeNetwork) -> Vec<(u32, u64)> {
+    let Frequencies::Vertex(f) = theme.frequencies() else {
+        panic!("a vertex network's theme carries vertex frequencies");
+    };
+    theme
+        .global_vertices()
+        .iter()
+        .zip(f)
+        .map(|(&v, f)| (v, f.to_bits()))
+        .collect()
+}
+
+/// An edge database network's expected databases: each theme edge's index
+/// id in `net` and frequency bits.
+fn edge_frequencies(net: &EdgeDatabaseNetwork) -> impl Fn(&ThemeNetwork) -> Vec<(u32, u64)> + '_ {
+    move |theme| {
+        let Frequencies::Edge(f) = theme.frequencies() else {
+            panic!("an edge network's theme carries edge frequencies");
+        };
+        theme
+            .graph()
+            .edges()
+            .zip(f)
+            .map(|(e, f)| {
+                let id = net
+                    .edges()
+                    .binary_search(&theme.global_edge(e))
+                    .expect("an edge");
+                (id as u32, f.to_bits())
+            })
+            .collect()
+    }
+}
+
+/// Walks the lattice of `net` once, through one fresh worker.
+fn walk_once<N: ThemeSource>(
+    net: &N,
+    alpha: f64,
+    expected: impl Fn(&ThemeNetwork) -> Vec<(u32, u64)>,
+) -> usize {
+    let frame = net.frame();
+    let mut worker = Worker {
+        frame: &frame,
+        scratch: frame.scratch(),
+        state: PeelState::default(),
+    };
+    walk_against_materialised(net, &mut worker, alpha, &expected)
+        .candidates
+        .len()
 }
 
 /// Each edge's cohesion in `theme` by the definition, in `graph.edges()`
@@ -372,12 +531,7 @@ proptest! {
     ) {
         let (n, density, seed, a) = case;
         let net = random_vertex_network(n, density, seed);
-        let compared = walk_against_materialised(&net, [0.0, 0.5, 1.5, 3.0][a], |theme| {
-            let Frequencies::Vertex(f) = theme.frequencies() else {
-                panic!("a vertex network's theme carries vertex frequencies");
-            };
-            theme.global_vertices().iter().zip(f).map(|(&v, f)| (v, f.to_bits())).collect()
-        });
+        let compared = walk_once(&net, [0.0, 0.5, 1.5, 3.0][a], vertex_frequencies);
         prop_assert!(compared > 0);
     }
 
@@ -387,20 +541,23 @@ proptest! {
     ) {
         let (n, density, seed, a) = case;
         let net = random_edge_network(n, density, seed);
-        let compared = walk_against_materialised(&net, [0.0, 0.5, 1.5, 3.0][a], |theme| {
-            let Frequencies::Edge(f) = theme.frequencies() else {
-                panic!("an edge network's theme carries edge frequencies");
-            };
-            theme
-                .graph()
-                .edges()
-                .zip(f)
-                .map(|(e, f)| {
-                    let id = net.edges().binary_search(&theme.global_edge(e)).expect("an edge");
-                    (id as u32, f.to_bits())
-                })
-                .collect()
-        });
+        let compared = walk_once(&net, [0.0, 0.5, 1.5, 3.0][a], edge_frequencies(&net));
         prop_assert!(compared > 0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn a_refilled_state_is_a_fresh_one(
+        case in (8..15u32, 45..95u64, 0..u64::MAX, 0..4usize)
+    ) {
+        let (n, density, seed, a) = case;
+        let alpha = [0.0, 0.5, 1.5, 3.0][a];
+        let net = random_vertex_network(n, density, seed);
+        prop_assert!(refill_by_size(&net, alpha, vertex_frequencies) > 1);
+        let net = random_edge_network(n, density, seed ^ 0x9E37_79B9);
+        prop_assert!(refill_by_size(&net, alpha, edge_frequencies(&net)) > 1);
     }
 }

@@ -127,7 +127,8 @@ pub fn truss_numbers(g: &UGraph) -> FxHashMap<EdgeKey, usize> {
 
 /// Vertices spanned by an edge set (sorted, deduplicated).
 pub fn edge_set_vertices(edges: &[EdgeKey]) -> Vec<VertexId> {
-    let mut vs: Vec<VertexId> = edges.iter().flat_map(|&(u, v)| [u, v]).collect();
+    let mut vs = Vec::with_capacity(2 * edges.len());
+    vs.extend(edges.iter().flat_map(|&(u, v)| [u, v]));
     vs.sort_unstable();
     vs.dedup();
     vs

@@ -92,11 +92,12 @@ impl Evaluator for Decompose {
     fn evaluate(
         &self,
         pattern: Pattern,
-        state: PeelState,
+        state: &mut PeelState,
+        core: &mut Vec<u32>,
         _: &mut MinerStats,
-    ) -> Option<(TrussDecomposition, Vec<u32>)> {
-        let (truss, core) = TrussDecomposition::decompose_state(pattern, state);
-        (!truss.is_empty()).then_some((truss, core))
+    ) -> Option<TrussDecomposition> {
+        let truss = TrussDecomposition::decompose_state(pattern, state, core);
+        (!truss.is_empty()).then_some(truss)
     }
 }
 

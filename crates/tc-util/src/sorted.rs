@@ -28,8 +28,13 @@ fn for_each_common<T: Ord + Copy>(a: &[T], b: &[T], mut f: impl FnMut(T)) {
 /// The elements common to two ascending slices, ascending.
 pub fn intersect<T: Ord + Copy>(a: &[T], b: &[T]) -> Vec<T> {
     let mut out = Vec::with_capacity(a.len().min(b.len()));
-    for_each_common(a, b, |x| out.push(x));
+    intersect_into(a, b, &mut out);
     out
+}
+
+/// Appends [`intersect`]`(a, b)` to `out`.
+pub fn intersect_into<T: Ord + Copy>(a: &[T], b: &[T], out: &mut Vec<T>) {
+    for_each_common(a, b, |x| out.push(x));
 }
 
 /// How many elements two ascending slices have in common.
@@ -49,6 +54,9 @@ mod tests {
         let b = [(0u32, 2u32), (1, 2), (2, 3), (3, 4), (5, 6)];
         assert_eq!(intersect(&a, &b), vec![(0, 2), (1, 2), (3, 4)]);
         assert_eq!(intersect(&b, &a), intersect(&a, &b));
+        let mut out = vec![(9, 9)];
+        intersect_into(&a, &b, &mut out);
+        assert_eq!(out, [&[(9, 9)][..], &intersect(&a, &b)].concat());
         assert_eq!(common_count(&a, &b), 3);
         assert_eq!(common_count(&a, &a), a.len());
     }
