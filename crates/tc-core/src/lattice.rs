@@ -101,8 +101,9 @@ struct Share<V> {
     state: PeelState,
     /// What the evaluator says the candidate's children join on.
     join: Vec<u32>,
-    /// The qualified candidates since the last [`Share::clear`]: last item
-    /// and value, and their carries in the same order.
+    /// The qualified candidates of the current task (at level 1, all of
+    /// the worker's): last item and value, and their carries in the same
+    /// order.
     found: Vec<(Item, V)>,
     carries: Carries,
 }
@@ -218,6 +219,7 @@ where
         .map(|(item, .., value)| (item, value))
         .collect();
     let seeds = adopt(0, Pattern::empty(), &mut found, &carries, &mut nodes);
+    // The seeds' group holds its own copy.
     drop((parts, carries));
 
     // Below it, a task joins member `i` of a group with each later member

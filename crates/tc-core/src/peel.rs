@@ -485,14 +485,8 @@ impl PeelState {
         out
     }
 
-    /// The alive edges as ids of the index this state masks, sorted.
-    pub fn alive_index_ids(&self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.alive);
-        self.extend_alive_index_ids(&mut out);
-        out
-    }
-
-    /// Appends [`PeelState::alive_index_ids`] to `out`.
+    /// Appends the alive edges to `out` as ids of the index this state
+    /// masks, ascending.
     pub fn extend_alive_index_ids(&self, out: &mut Vec<u32>) {
         out.extend(self.alive_edge_ids().map(|id| self.ids[id as usize]));
     }
@@ -625,7 +619,9 @@ mod tests {
         state.refill(&index, &[0, 2], VertexHeld(f), &mut local, |e| e);
         assert_eq!(state.num_edges(), 2);
         assert_eq!((state.cohesion(0), state.cohesion(1)), (0.0, 0.0));
-        assert_eq!(state.alive_index_ids(), vec![0, 2]);
+        let mut ids = Vec::new();
+        state.extend_alive_index_ids(&mut ids);
+        assert_eq!(ids, vec![0, 2]);
         assert!(local.iter().all(|&l| l == UNMARKED), "scratch left clean");
     }
 

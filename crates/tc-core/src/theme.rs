@@ -178,16 +178,6 @@ pub struct Carries {
 }
 
 impl Carries {
-    /// Number of carries.
-    pub fn len(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// `true` when there is no carry.
-    pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
-    }
-
     /// The `i`th carry.
     pub fn get(&self, i: usize) -> Carry<'_> {
         let [j, d, w] = i.checked_sub(1).map_or([0; 3], |p| self.ends[p]);

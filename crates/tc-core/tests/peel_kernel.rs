@@ -273,7 +273,6 @@ impl Worker<'_, '_> {
         }
         let mut carry = Carries::default();
         self.frame.carry(&core, &mut self.scratch, &mut carry);
-        assert_eq!(carry.len(), 1);
         Some(Qualified {
             pattern: pattern.clone(),
             carry,
