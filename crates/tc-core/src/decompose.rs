@@ -8,6 +8,24 @@
 //! `L_p = (α_1, R_p(α_1)), …, (α_h, R_p(α_h))` stores exactly the edges of
 //! `C*_p(0)` once each, and reconstructs any threshold via Equation 1:
 //! `E*_p(α) = ∪_{α_k > α} R_p(α_k)`.
+//!
+//! # Equation 1 from sorted runs
+//!
+//! The levels ascend strictly in `α_k`, so the levels Equation 1 unions at
+//! `α` are a suffix of `L_p`, found by one binary search. Each level's
+//! edges are stored sorted, and the levels are disjoint (Theorem 6.1), so
+//! `E*_p(α)` is a merge of the suffix's sorted runs:
+//! [`TrussDecomposition::edges_at`] sizes its output once, copies the runs
+//! in and lets a stable sort, which finds runs already in order and merges
+//! them, finish the list in `O(|E| log h)` for `h` surviving levels — not a
+//! comparison sort of the whole concatenation.
+//! [`TrussDecomposition::truss_at`] then reads the vertices off the sorted
+//! edges with [`tc_graph::ktruss::edge_set_vertices`], which marks them in
+//! a bitmap over their id range when that range is dense enough.
+//!
+//! A decomposition is peeled by `PeelState::peel_levels`, which hands
+//! each removed edge's key to a buffer the peeling state keeps: building
+//! `L_p` allocates its `h` edge lists and the list of them.
 
 use crate::peel::PeelState;
 use crate::theme::ThemeNetwork;
@@ -57,7 +75,10 @@ impl TrussDecomposition {
         // are not part of the decomposition (L_p stores exactly |E*_p(0)|
         // edges).
         state.peel(0.0, |_| {});
-        Self::levels(theme.pattern().clone(), &mut state)
+        TrussDecomposition {
+            pattern: theme.pattern().clone(),
+            levels: state.peel_levels(),
+        }
     }
 
     /// Decomposes `state`, the unpeeled theme network of `pattern`, which
@@ -71,21 +92,10 @@ impl TrussDecomposition {
     ) -> TrussDecomposition {
         state.peel(0.0, |_| {});
         state.extend_alive_index_ids(core);
-        Self::levels(pattern, state)
-    }
-
-    /// The levels of `state`, peeled to `C*_p(0)`: peels it at each `β`
-    /// until no edge is left.
-    fn levels(pattern: Pattern, state: &mut PeelState) -> TrussDecomposition {
-        let mut levels = Vec::new();
-        let mut removed = Vec::new();
-        while let Some(beta) = state.peel_lowest(|id| removed.push(id)) {
-            debug_assert!(!removed.is_empty(), "a level must remove the β edge");
-            let mut edges: Vec<EdgeKey> = removed.drain(..).map(|id| state.edge(id)).collect();
-            edges.sort_unstable();
-            levels.push(TrussLevel { alpha: beta, edges });
+        TrussDecomposition {
+            pattern,
+            levels: state.peel_levels(),
         }
-        TrussDecomposition { pattern, levels }
     }
 
     /// `true` when `C*_p(0) = ∅`.
@@ -110,26 +120,34 @@ impl TrussDecomposition {
     }
 
     /// The levels Equation 1 unions at `alpha`: those with `α_k > α`.
-    fn levels_above(&self, alpha: f64) -> impl Iterator<Item = &TrussLevel> {
-        self.levels
-            .iter()
-            .filter(move |l| float::gt_eps(l.alpha, alpha))
+    /// Levels ascend strictly, so they are a suffix, found by binary
+    /// search.
+    fn levels_above(&self, alpha: f64) -> &[TrussLevel] {
+        let start = self
+            .levels
+            .partition_point(|l| !float::gt_eps(l.alpha, alpha));
+        &self.levels[start..]
     }
 
     /// Equation 1: reconstructs `E*_p(α) = ∪_{α_k > α} R_p(α_k)`, sorted.
+    ///
+    /// Copies the surviving levels' sorted runs into one list sized once
+    /// and merges them with a stable sort, which detects runs already in
+    /// order: `O(|E| log h)` over `h` surviving levels.
     pub fn edges_at(&self, alpha: f64) -> Vec<EdgeKey> {
-        let mut out = Vec::new();
-        for level in self.levels_above(alpha) {
+        let levels = self.levels_above(alpha);
+        let mut out = Vec::with_capacity(levels.iter().map(|l| l.edges.len()).sum());
+        for level in levels {
             out.extend_from_slice(&level.edges);
         }
-        out.sort_unstable();
+        out.sort();
         out
     }
 
     /// Reconstructs the full [`PatternTruss`] at `alpha` (possibly empty).
     pub fn truss_at(&self, alpha: f64) -> PatternTruss {
         // `edges_at` is already canonical: the levels are disjoint
-        // (Theorem 6.1) and it sorts their concatenation.
+        // (Theorem 6.1) and it merges their sorted runs.
         PatternTruss::from_canonical_edges(self.pattern.clone(), alpha, self.edges_at(alpha))
     }
 }

@@ -67,6 +67,7 @@
 //!   the state's ids ascend as the theme's `graph.edges()` ids do: the
 //!   queue is seeded in the same order and ties at `β` fall the same way.
 
+use crate::decompose::TrussLevel;
 use crate::theme::{Frequencies, ThemeNetwork};
 use std::collections::VecDeque;
 use tc_graph::{EdgeKey, UGraph};
@@ -258,6 +259,11 @@ pub struct PeelState {
     /// its buffer.
     queue: VecDeque<u32>,
     alive: usize,
+    /// [`PeelState::peel_levels`]' scratch, kept for its buffers: the keys
+    /// each level removed, level after level, and each level's `β` with
+    /// its end in them.
+    spill: Vec<EdgeKey>,
+    spill_ends: Vec<(f64, usize)>,
 }
 
 impl PeelState {
@@ -396,7 +402,7 @@ impl PeelState {
     /// [`float::COHESION_EPS`] tolerance), cascading updates — Algorithm 1,
     /// lines 9-18. Calls `on_remove(edge_id)` for each removal, in removal
     /// order.
-    pub fn peel(&mut self, alpha: f64, on_remove: impl FnMut(u32)) {
+    pub fn peel(&mut self, alpha: f64, mut on_remove: impl FnMut(u32)) {
         for id in 0..self.ids.len() as u32 {
             if !self.removed[id as usize]
                 && !self.queued[id as usize]
@@ -406,14 +412,58 @@ impl PeelState {
                 self.queue.push_back(id);
             }
         }
-        self.cascade(alpha, on_remove);
+        self.cascade(alpha, |id, _| on_remove(id));
     }
 
     /// Peels at `β`, the minimum cohesion among alive edges (Theorem 6.1),
     /// and returns it: one step of the §6.1 decomposition, equal to
     /// `peel(β)` after [`PeelState::min_alive_cohesion`]. `None`, removing
     /// nothing, when no edge is alive.
-    pub fn peel_lowest(&mut self, on_remove: impl FnMut(u32)) -> Option<f64> {
+    pub fn peel_lowest(&mut self, mut on_remove: impl FnMut(u32)) -> Option<f64> {
+        self.lowest(|id, _| on_remove(id))
+    }
+
+    /// The §6.1 decomposition of this state, already peeled to `C*_p(0)`:
+    /// peels at each `β` ([`PeelState::peel_lowest`]) until no edge is
+    /// left, and returns each step's `β` with the keys it removed, sorted
+    /// — `L_p`. The cascade hands each removed key straight to a buffer
+    /// the state keeps, level after level; the levels are then copied out
+    /// at their exact sizes, so a decomposition allocates its `h` edge
+    /// lists and the list of them, and nothing else once the state's
+    /// buffers have grown.
+    pub(crate) fn peel_levels(&mut self) -> Vec<TrussLevel> {
+        let mut keys = std::mem::take(&mut self.spill);
+        let mut ends = std::mem::take(&mut self.spill_ends);
+        keys.clear();
+        ends.clear();
+        while let Some(beta) = self.lowest(|_, key| keys.push(key)) {
+            debug_assert!(
+                keys.len() > ends.last().map_or(0, |&(_, end)| end),
+                "a level must remove the β edge"
+            );
+            ends.push((beta, keys.len()));
+        }
+        let mut start = 0;
+        let levels = ends
+            .iter()
+            .map(|&(alpha, end)| {
+                let edges = &mut keys[start..end];
+                start = end;
+                edges.sort_unstable();
+                TrussLevel {
+                    alpha,
+                    edges: edges.to_vec(),
+                }
+            })
+            .collect();
+        self.spill = keys;
+        self.spill_ends = ends;
+        levels
+    }
+
+    /// [`PeelState::peel_lowest`], reporting each removed edge's id and
+    /// key.
+    fn lowest(&mut self, on_remove: impl FnMut(u32, EdgeKey)) -> Option<f64> {
         // One scan finds β and seeds the queue. An edge within eps of the
         // running minimum is a candidate; filtering the candidates against
         // the final β leaves exactly the alive edges `≤ β`, ascending in
@@ -449,11 +499,11 @@ impl PeelState {
 
     /// Pops the queue until it is empty: removes each edge, destroys its
     /// surviving triangles and queues the edges they leave `≤ alpha`.
-    fn cascade(&mut self, alpha: f64, mut on_remove: impl FnMut(u32)) {
+    fn cascade(&mut self, alpha: f64, mut on_remove: impl FnMut(u32, EdgeKey)) {
         while let Some(id) = self.queue.pop_front() {
             self.removed[id as usize] = true;
             self.alive -= 1;
-            on_remove(id);
+            on_remove(id, self.keys[id as usize]);
 
             let list =
                 &self.triangles[self.tri_start[id as usize]..self.tri_start[id as usize + 1]];

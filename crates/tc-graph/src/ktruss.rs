@@ -125,12 +125,60 @@ pub fn truss_numbers(g: &UGraph) -> FxHashMap<EdgeKey, usize> {
     truss
 }
 
+/// Words of the bitmap [`edge_set_vertices`] keeps on the stack: ranges of
+/// up to 4 096 ids mark vertices without a heap allocation.
+const STACK_WORDS: usize = 64;
+
 /// Vertices spanned by an edge set (sorted, deduplicated).
+///
+/// Two regimes, chosen by the input alone. When the endpoints' id range
+/// `[lo, hi]` fits in at most `|E|` 64-bit words, each endpoint sets its
+/// bit in a bitmap over the range and the set bits are read back in
+/// ascending order into a list of exactly their count: O(|E| + range /
+/// 64), no comparison sort. That bitmap takes at most `8·|E|` bytes — no
+/// more than the `2·|E|` `u32` endpoint buffer the other regime sorts — so
+/// marking never costs more memory than sorting would; up to 64 words
+/// (4 096 ids) it lives on the stack, so the list is the only allocation,
+/// as in the other regime. A wider range (few edges over
+/// far-apart ids) takes the other regime: collect the `2·|E|` endpoints,
+/// sort and deduplicate. Both return the same list.
 pub fn edge_set_vertices(edges: &[EdgeKey]) -> Vec<VertexId> {
-    let mut vs = Vec::with_capacity(2 * edges.len());
-    vs.extend(edges.iter().flat_map(|&(u, v)| [u, v]));
-    vs.sort_unstable();
-    vs.dedup();
+    let Some(&(first, _)) = edges.first() else {
+        return Vec::new();
+    };
+    let (mut lo, mut hi) = (first, first);
+    for &(u, v) in edges {
+        lo = lo.min(u).min(v);
+        hi = hi.max(u).max(v);
+    }
+    let words = ((hi - lo) as usize >> 6) + 1;
+    if words > edges.len() {
+        let mut vs = Vec::with_capacity(2 * edges.len());
+        vs.extend(edges.iter().flat_map(|&(u, v)| [u, v]));
+        vs.sort_unstable();
+        vs.dedup();
+        return vs;
+    }
+    let (mut stack, mut heap) = ([0u64; STACK_WORDS], Vec::new());
+    let bits = if words <= STACK_WORDS {
+        &mut stack[..words]
+    } else {
+        heap.resize(words, 0u64);
+        &mut heap[..]
+    };
+    for &(u, v) in edges {
+        for x in [u - lo, v - lo] {
+            bits[x as usize >> 6] |= 1 << (x & 63);
+        }
+    }
+    let mut vs = Vec::with_capacity(bits.iter().map(|w| w.count_ones() as usize).sum());
+    for (i, &word) in bits.iter().enumerate() {
+        let mut word = word;
+        while word != 0 {
+            vs.push(lo + (i as u32) * 64 + word.trailing_zeros());
+            word &= word - 1;
+        }
+    }
     vs
 }
 

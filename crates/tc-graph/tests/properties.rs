@@ -1,9 +1,10 @@
 //! Property-based tests for the graph substrate.
 
 use proptest::prelude::*;
+use tc_graph::ktruss::edge_set_vertices;
 use tc_graph::{
     bfs_edge_sample, connected_components, core_numbers, count_triangles, edge_support, k_truss,
-    truss_numbers, GraphBuilder, UGraph,
+    truss_numbers, EdgeKey, GraphBuilder, UGraph, VertexId,
 };
 
 /// Strategy: a random simple graph with up to `n` vertices and `m` candidate
@@ -208,4 +209,107 @@ proptest! {
             prop_assert!((got - expect).abs() < 1e-12, "v={v}: {got} vs {expect}");
         }
     }
+}
+
+/// `edge_set_vertices`' definition: the `2·|E|` endpoints, sorted and
+/// deduplicated — the sort the bitmap regime replaces, kept as its oracle.
+fn sorted_endpoints(edges: &[EdgeKey]) -> Vec<VertexId> {
+    let mut vs: Vec<VertexId> = edges.iter().flat_map(|&(u, v)| [u, v]).collect();
+    vs.sort_unstable();
+    vs.dedup();
+    vs
+}
+
+/// A canonical, sorted, duplicate-free edge set: each pair of offsets
+/// becomes `(base + min, base + max)`, self-loops dropped.
+fn canonical(base: u32, pairs: &[(u32, u32)]) -> Vec<EdgeKey> {
+    let set: std::collections::BTreeSet<EdgeKey> = pairs
+        .iter()
+        .filter(|(a, b)| a != b)
+        .map(|&(a, b)| (base + a.min(b), base + a.max(b)))
+        .collect();
+    set.into_iter().collect()
+}
+
+/// Checks `edge_set_vertices` against its definition on `edges` and on
+/// the same edges reversed (no caller may rely on the input order).
+fn vertices_match(edges: &[EdgeKey]) {
+    let want = sorted_endpoints(edges);
+    assert_eq!(edge_set_vertices(edges), want, "edges {edges:?}");
+    let reversed: Vec<EdgeKey> = edges.iter().rev().copied().collect();
+    assert_eq!(edge_set_vertices(&reversed), want, "reversed {edges:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Ids from a narrow range at any base up to the top of `u32`: the
+    /// range fits in `|E|` words for all but the thinnest draws, so the
+    /// bitmap regime runs.
+    #[test]
+    fn edge_set_vertices_is_the_sorted_endpoints_over_a_narrow_range(
+        base in 0..=u32::MAX - 300,
+        pairs in prop::collection::vec((0..300u32, 0..300u32), 0..120)
+    ) {
+        vertices_match(&canonical(base, &pairs));
+    }
+
+    /// Ids spread up to `u32::MAX`: the range dwarfs `|E|` words, so the
+    /// sort regime runs.
+    #[test]
+    fn edge_set_vertices_is_the_sorted_endpoints_over_spread_ids(
+        pairs in prop::collection::vec((0..=u32::MAX, 0..=u32::MAX), 0..40)
+    ) {
+        vertices_match(&canonical(0, &pairs));
+    }
+
+    /// `m` edges whose ids span `64·m − 2` to `64·m + 1`: the range needs
+    /// `m` words on the lower two spans (bitmap) and `m + 1` on the upper
+    /// two (sort), so every draw sits on one side of the switch or the
+    /// other, a bit away. `m` runs past 64, where the bitmap leaves the
+    /// stack for the heap.
+    #[test]
+    fn edge_set_vertices_is_the_sorted_endpoints_either_side_of_the_switch(
+        m in 1..160u32,
+        step in 0..4u32,
+        base in 0..=u32::MAX - 64 * 161,
+        inner in prop::collection::vec((0..=u32::MAX, 0..=u32::MAX), 240)
+    ) {
+        let span = 64 * m - 2 + step;
+        // One edge pins the range; the rest fall inside it, and more are
+        // drawn than kept so that duplicates cannot leave fewer than `m`.
+        let mut pairs = vec![(0, span)];
+        pairs.extend(inner.iter().map(|&(a, b)| (a % (span + 1), b % (span + 1))));
+        let mut edges = canonical(base, &pairs);
+        let first = edges.iter().position(|&e| e == (base, base + span)).unwrap();
+        let pinned = edges.remove(first);
+        edges.truncate(m as usize - 1);
+        edges.push(pinned);
+        edges.sort_unstable();
+        if edges.len() == m as usize {
+            let words = (span as usize >> 6) + 1;
+            prop_assert_eq!(words <= edges.len(), step < 2, "span {} over {} edges", span, m);
+        }
+        vertices_match(&edges);
+    }
+}
+
+#[test]
+fn edge_set_vertices_at_the_edges_of_its_domain() {
+    let top = u32::MAX;
+    vertices_match(&[]);
+    vertices_match(&[(7, 8)]);
+    vertices_match(&[(0, top)]);
+    vertices_match(&[(top - 1, top)]);
+    vertices_match(&[(0, 1), (top - 1, top)]);
+    // Every pair of the top six ids: one word, ending at `u32::MAX`.
+    let mut clique = Vec::new();
+    for u in top - 5..top {
+        for v in u + 1..=top {
+            clique.push((u, v));
+        }
+    }
+    vertices_match(&clique);
+    // A word boundary just below the top.
+    vertices_match(&[(top - 64, top - 63), (top - 63, top), (top - 1, top)]);
 }

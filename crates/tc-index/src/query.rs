@@ -4,12 +4,13 @@
 //! `C*_p(α_q) ≠ ∅` with `p ⊆ q`. The answer is collected by a breadth-first
 //! walk that prunes (a) subtrees whose branching item is not in `q` (no
 //! descendant pattern can be a sub-pattern of `q`) and (b) subtrees whose
-//! node truss is already empty at `α_q` (Proposition 5.2).
+//! node truss is already empty at `α_q` (Proposition 5.2) — read off the
+//! node's `α*_p` before its truss is rebuilt, as the segment walk prunes.
 
 use crate::tree::TcTree;
 use tc_core::{extract_communities, PatternTruss, ThemeCommunity};
 use tc_txdb::Pattern;
-use tc_util::Stopwatch;
+use tc_util::{float, Stopwatch};
 
 /// The answer to a TC-Tree query.
 #[derive(Debug, Clone)]
@@ -51,9 +52,18 @@ impl TcTree {
                 if !q.contains(node.item) {
                     continue;
                 }
+                // Line 6 before line 5: C*_pc(α_q) = ∅ for α_q ≥ α*_pc, which
+                // prunes the subtree (Proposition 5.2) without rebuilding it —
+                // the bound the segment walk reads off its directory.
+                if !node
+                    .truss
+                    .max_alpha()
+                    .is_some_and(|a| float::gt_eps(a, alpha_q))
+                {
+                    continue;
+                }
                 // Line 5: reconstruct C*_pc(α_q) from L_pc (Equation 1).
                 let truss = node.truss.truss_at(alpha_q);
-                // Line 6: empty ⇒ prune the subtree (Proposition 5.2).
                 if truss.is_empty() {
                     continue;
                 }
