@@ -90,7 +90,7 @@ fn qbp(tree: &TcTree, name: &str, runs: usize) {
         let mut total_rn = 0usize;
         let sw = Stopwatch::start();
         for &node in &sampled {
-            let q = tree.node(node).pattern.clone();
+            let q = tree.node(node).pattern().clone();
             let r = tree.query_by_pattern(&q);
             total_rn += r.retrieved_nodes;
         }

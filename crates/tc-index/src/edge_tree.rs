@@ -96,8 +96,8 @@ mod tests {
         }
         .build(&net);
         assert_eq!(t1.num_nodes(), t4.num_nodes());
-        let p1: Vec<_> = t1.nodes().iter().map(|n| n.pattern.clone()).collect();
-        let p4: Vec<_> = t4.nodes().iter().map(|n| n.pattern.clone()).collect();
+        let p1: Vec<_> = t1.nodes().iter().map(|n| n.pattern().clone()).collect();
+        let p4: Vec<_> = t4.nodes().iter().map(|n| n.pattern().clone()).collect();
         assert_eq!(p1, p4);
         let saved = |tree: &TcTree| {
             let mut buf = Vec::new();
@@ -114,8 +114,8 @@ mod tests {
         for node in tree.nodes().iter().skip(1) {
             for alpha in [0.0, 0.3, 0.8, 1.2] {
                 let reconstructed = node.truss.edges_at(alpha);
-                let direct = net.maximal_edge_pattern_truss(&node.pattern, alpha, None);
-                assert_eq!(reconstructed, direct.edges, "{} at {alpha}", node.pattern);
+                let direct = net.maximal_edge_pattern_truss(node.pattern(), alpha, None);
+                assert_eq!(reconstructed, direct.edges, "{} at {alpha}", node.pattern());
             }
         }
     }

@@ -104,7 +104,9 @@ impl TcTree {
     ///
     /// Prunes whole subtrees once `vertex` leaves a node's truss — sound by
     /// Theorem 5.1 (`C*_{p'}(α) ⊆ C*_p(α)` for `p ⊆ p'`, so a vertex absent
-    /// from `C*_p` is absent from every descendant's truss).
+    /// from `C*_p` is absent from every descendant's truss) — and, as
+    /// [`TcTree::query`] does, reads `α*_p` first, so a node whose truss is
+    /// empty at `α_q` is pruned without rebuilding it.
     pub fn query_vertex(
         &self,
         vertex: tc_graph::VertexId,
@@ -115,6 +117,13 @@ impl TcTree {
         while let Some(nf) = queue.pop_front() {
             for &nc in &self.node(nf).children {
                 let node = self.node(nc);
+                if !node
+                    .truss
+                    .max_alpha()
+                    .is_some_and(|a| float::gt_eps(a, alpha_q))
+                {
+                    continue;
+                }
                 let truss = node.truss.truss_at(alpha_q);
                 if !truss.contains_vertex(vertex) {
                     continue; // prunes the subtree (Theorem 5.1)
@@ -123,7 +132,7 @@ impl TcTree {
                     .into_iter()
                     .find(|c| c.vertices.binary_search(&vertex).is_ok())
                 {
-                    out.push((node.pattern.clone(), c));
+                    out.push((node.pattern().clone(), c));
                 }
                 queue.push_back(nc);
             }
@@ -284,17 +293,47 @@ mod tests {
                 // contains v is reported.
                 for node in tree.nodes().iter().skip(1) {
                     if let Some(direct) =
-                        tc_core::community_of_vertex(&net, v, &node.pattern, alpha)
+                        tc_core::community_of_vertex(&net, v, node.pattern(), alpha)
                     {
                         assert!(
                             via_tree
                                 .iter()
-                                .any(|(p, c)| p == &node.pattern && c == &direct),
+                                .any(|(p, c)| p == node.pattern() && c == &direct),
                             "missing ({}, v={v})",
-                            node.pattern
+                            node.pattern()
                         );
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn vertex_query_is_unchanged_by_the_alpha_bound_prune() {
+        // Every node's community holding v, in arena (= BFS) order, with
+        // no pruning at all: what the walk must still answer.
+        let net = network();
+        let tree = TcTreeBuilder::default().build(&net);
+        let scan = |v, alpha| -> Vec<_> {
+            tree.nodes()[1..]
+                .iter()
+                .flat_map(|node| {
+                    extract_communities(&node.truss.truss_at(alpha))
+                        .into_iter()
+                        .filter(|c| c.vertices.binary_search(&v).is_ok())
+                        .map(|c| (node.pattern().clone(), c))
+                })
+                .collect()
+        };
+        let mut alphas = vec![0.0, tree.alpha_upper_bound() + 1.0];
+        alphas.extend(tree.nodes()[1..].iter().filter_map(|n| n.truss.max_alpha()));
+        for alpha in alphas {
+            for v in 0..net.num_vertices() as u32 {
+                assert_eq!(
+                    tree.query_vertex(v, alpha),
+                    scan(v, alpha),
+                    "v={v}, α={alpha}"
+                );
             }
         }
     }

@@ -187,18 +187,13 @@ impl TcTree {
             let pattern = if id == 0 {
                 Pattern::empty()
             } else {
-                nodes[parent as usize].pattern.with_item(item)
-            };
-            let truss = TrussDecomposition {
-                pattern: pattern.clone(),
-                levels,
+                nodes[parent as usize].pattern().with_item(item)
             };
             nodes.push(TcNode {
                 item,
-                pattern,
                 parent,
                 children: Vec::new(),
-                truss,
+                truss: TrussDecomposition { pattern, levels },
             });
             if id > 0 {
                 nodes[parent as usize].children.push(id as u32);
@@ -246,7 +241,7 @@ mod tests {
         assert_eq!(loaded.num_nodes(), tree.num_nodes());
         assert_eq!(loaded.max_depth(), tree.max_depth());
         for (a, b) in tree.nodes().iter().zip(loaded.nodes()) {
-            assert_eq!(a.pattern, b.pattern);
+            assert_eq!(a.pattern(), b.pattern());
             assert_eq!(a.parent, b.parent);
             assert_eq!(a.children, b.children);
             assert_eq!(a.truss.levels, b.truss.levels);

@@ -36,14 +36,20 @@ use tc_util::{HeapSize, Stopwatch};
 pub struct TcNode {
     /// `s_n` — the item appended by this node (meaningless for the root).
     pub item: Item,
-    /// The full pattern spelled by the root path (the root holds `∅`).
-    pub pattern: Pattern,
     /// Parent node id (`0` for the root; the root points to itself).
     pub parent: u32,
     /// Child node ids, ascending by item.
     pub children: Vec<u32>,
-    /// `L_p` — the decomposed maximal pattern truss (empty at the root).
+    /// `L_p` — the decomposed maximal pattern truss (empty at the root),
+    /// which also holds `p`.
     pub truss: TrussDecomposition,
+}
+
+impl TcNode {
+    /// The full pattern spelled by the root path (the root holds `∅`).
+    pub fn pattern(&self) -> &Pattern {
+        &self.truss.pattern
+    }
 }
 
 /// Build-time counters.
@@ -129,7 +135,6 @@ impl TcTreeBuilder {
         let mut nodes = Vec::with_capacity(found.len() + 1);
         nodes.push(TcNode {
             item: Item(0),
-            pattern: Pattern::empty(),
             parent: 0,
             children: Vec::new(),
             truss: TrussDecomposition::default(),
@@ -140,7 +145,6 @@ impl TcTreeBuilder {
             nodes[parent as usize].children.push(id);
             nodes.push(TcNode {
                 item: n.item,
-                pattern: n.value.pattern.clone(),
                 parent,
                 children: Vec::new(),
                 truss: n.value,
@@ -209,7 +213,7 @@ impl TcTree {
     pub fn max_depth(&self) -> usize {
         self.nodes
             .iter()
-            .map(|n| n.pattern.len())
+            .map(|n| n.pattern().len())
             .max()
             .unwrap_or(0)
     }
@@ -217,7 +221,7 @@ impl TcTree {
     /// Node ids whose pattern has exactly `len` items (QBP sampling pool).
     pub fn nodes_at_depth(&self, len: usize) -> Vec<u32> {
         (0..self.nodes.len() as u32)
-            .filter(|&id| self.nodes[id as usize].pattern.len() == len)
+            .filter(|&id| self.nodes[id as usize].pattern().len() == len)
             .collect()
     }
 
@@ -240,11 +244,7 @@ impl HeapSize for TcTree {
     fn heap_size(&self) -> usize {
         self.nodes
             .iter()
-            .map(|n| {
-                n.pattern.heap_size()
-                    + n.children.capacity() * std::mem::size_of::<u32>()
-                    + n.truss.heap_size()
-            })
+            .map(|n| n.children.capacity() * std::mem::size_of::<u32>() + n.truss.heap_size())
             .sum::<usize>()
             + self.nodes.capacity() * std::mem::size_of::<TcNode>()
     }
@@ -305,7 +305,7 @@ mod tests {
                 items.push(tree.node(cur).item);
                 cur = tree.node(cur).parent;
             }
-            assert_eq!(Pattern::new(items), node.pattern);
+            assert_eq!(&Pattern::new(items), node.pattern());
         }
     }
 
@@ -318,7 +318,7 @@ mod tests {
                 assert!(tree.node(w[0]).item < tree.node(w[1]).item);
             }
             for &c in &node.children {
-                if !node.pattern.is_empty() {
+                if !node.pattern().is_empty() {
                     assert!(tree.node(c).item > node.item, "SE-tree item order");
                 }
             }
@@ -331,13 +331,13 @@ mod tests {
         let tree = TcTree::build(&net);
         for id in 1..tree.nodes().len() as u32 {
             let node = tree.node(id);
-            let theme = ThemeNetwork::induce(&net, &node.pattern);
+            let theme = ThemeNetwork::induce(&net, node.pattern());
             let direct = TrussDecomposition::decompose(&theme);
             assert_eq!(
                 node.truss.edges_at(0.0),
                 direct.edges_at(0.0),
                 "{}",
-                node.pattern
+                node.pattern()
             );
             assert_eq!(node.truss.num_levels(), direct.num_levels());
         }
@@ -348,7 +348,7 @@ mod tests {
         // No pattern {a,b,c} node exists (no vertex carries all three).
         let net = network();
         let tree = TcTree::build(&net);
-        assert!(tree.nodes().iter().all(|n| n.pattern.len() <= 2));
+        assert!(tree.nodes().iter().all(|n| n.pattern().len() <= 2));
         assert_eq!(tree.max_depth(), 2);
     }
 
@@ -366,8 +366,8 @@ mod tests {
         }
         .build(&net);
         assert_eq!(t1.num_nodes(), t4.num_nodes());
-        let pats1: Vec<_> = t1.nodes().iter().map(|n| n.pattern.clone()).collect();
-        let pats4: Vec<_> = t4.nodes().iter().map(|n| n.pattern.clone()).collect();
+        let pats1: Vec<_> = t1.nodes().iter().map(|n| n.pattern().clone()).collect();
+        let pats4: Vec<_> = t4.nodes().iter().map(|n| n.pattern().clone()).collect();
         assert_eq!(pats1, pats4);
     }
 

@@ -54,7 +54,7 @@ fn build_network(n: u32, raw_edges: &[(u32, u32)], raw_txs: &[(u32, Vec<u32>)]) 
 /// definition rather than against another build.
 fn check_characterisation(net: &DatabaseNetwork, tree: &TcTree, max_len: usize) {
     let nodes = tree.nodes();
-    let key = |id: usize| (nodes[id].pattern.len(), &nodes[id].pattern);
+    let key = |id: usize| (nodes[id].pattern().len(), nodes[id].pattern());
     for id in 1..nodes.len() {
         prop_assert!(
             key(id - 1) < key(id),
@@ -63,8 +63,8 @@ fn check_characterisation(net: &DatabaseNetwork, tree: &TcTree, max_len: usize) 
         );
         let node = &nodes[id];
         prop_assert_eq!(
-            nodes[node.parent as usize].pattern.items(),
-            node.pattern.prefix()
+            nodes[node.parent as usize].pattern().items(),
+            node.pattern().prefix()
         );
     }
     for node in nodes {
@@ -73,23 +73,27 @@ fn check_characterisation(net: &DatabaseNetwork, tree: &TcTree, max_len: usize) 
         }
     }
 
-    let indexed: Vec<&Pattern> = nodes[1..].iter().map(|n| &n.pattern).collect();
+    let indexed: Vec<&Pattern> = nodes[1..].iter().map(|n| n.pattern()).collect();
     let mined = TcfiMiner { max_len }.mine(net, 0.0);
     let mut mined: Vec<&Pattern> = mined.trusses.iter().map(|t| &t.pattern).collect();
     mined.sort_by_key(|p| (p.len(), *p));
     prop_assert_eq!(indexed, mined);
 
     for node in &nodes[1..] {
-        let direct = TrussDecomposition::decompose(&net.theme(&node.pattern));
+        let direct = TrussDecomposition::decompose(&net.theme(node.pattern()));
         prop_assert_eq!(
             node.truss.num_levels(),
             direct.num_levels(),
             "{}",
-            node.pattern
+            node.pattern()
         );
         for (stored, want) in node.truss.levels.iter().zip(&direct.levels) {
-            prop_assert_eq!(&stored.edges, &want.edges, "{}", node.pattern);
-            prop_assert!((stored.alpha - want.alpha).abs() < 1e-9, "{}", node.pattern);
+            prop_assert_eq!(&stored.edges, &want.edges, "{}", node.pattern());
+            prop_assert!(
+                (stored.alpha - want.alpha).abs() < 1e-9,
+                "{}",
+                node.pattern()
+            );
         }
     }
 }

@@ -88,7 +88,7 @@ fn remote_answers_equal_local_queries() {
 
     // QBP and QUERY on every node pattern of the tree.
     for id in 1..=tree.num_nodes() as u32 {
-        let q = tree.node(id).pattern.clone();
+        let q = tree.node(id).pattern().clone();
         let ids: Vec<u32> = q.iter().map(|i| i.0).collect();
         let remote = client.qbp(&ids).unwrap();
         let local = tree.query_by_pattern(&q);
@@ -122,7 +122,7 @@ fn pipelined_queries_are_answered_in_order() {
         r.elapsed_secs = 0.0;
         r
     };
-    let ids: Vec<u32> = tree.node(1).pattern.iter().map(|i| i.0).collect();
+    let ids: Vec<u32> = tree.node(1).pattern().iter().map(|i| i.0).collect();
     let qba = timeless(client.qba(0.0).unwrap());
     let qbp = timeless(client.qbp(&ids).unwrap());
     assert_ne!(qba, qbp, "the two answers must be tellable apart");

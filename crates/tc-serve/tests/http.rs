@@ -119,7 +119,7 @@ fn http_answers_match_local_queries() {
 
     // QBP and QUERY on every node pattern.
     for id in 1..=tree.num_nodes() as u32 {
-        let q = tree.node(id).pattern.clone();
+        let q = tree.node(id).pattern().clone();
         let ids = q
             .iter()
             .map(|i| i.0.to_string())
@@ -162,7 +162,7 @@ fn batch_post_matches_sequential_queries() {
     let (addr, handle, join) = spawn_http_server(&tree, ServeConfig::default());
     let mut client = HttpClient::connect(&addr).unwrap();
 
-    let q = tree.node(1).pattern.clone();
+    let q = tree.node(1).pattern().clone();
     let ids = q.iter().map(|i| i.0).collect::<Vec<_>>();
     let ids_json = ids.iter().map(u32::to_string).collect::<Vec<_>>().join(",");
     let body = format!(

@@ -23,7 +23,15 @@
 //! - **Unbounded is the default and exactly the old behaviour**: with
 //!   `budget = None` nothing is ever evicted.
 //!
-//! Concurrency: each node has its own slot mutex; the sweep uses
+//! Per node the cache holds 17 bytes whatever its budget: a 16-byte slot
+//! (a mutex over an optional `Arc`, nothing else) and a one-byte
+//! second-chance bit in an array beside the slots. An entry's accounted
+//! bytes are not stored: the decomposition behind the `Arc` is immutable,
+//! so the sweep recomputes them from the entry it evicts and the ledger
+//! balances exactly.
+//!
+//! Concurrency: each node has its own slot mutex, and its second-chance
+//! bit is only read or written under that lock; the sweep uses
 //! `try_lock` so it never blocks behind a reader, and the clock hand is a
 //! single atomic. Two threads materialising the same node parse identical
 //! bytes — the loser of the insert race adopts the winner's entry and
@@ -77,13 +85,14 @@ fn entry_bytes(truss: &TrussDecomposition) -> u64 {
     (std::mem::size_of::<TrussDecomposition>() + truss.heap_size()) as u64
 }
 
-struct Entry {
-    truss: Arc<TrussDecomposition>,
-    bytes: u64,
-    /// The clock's second-chance bit: set on every hit, cleared by a
-    /// passing sweep; an entry is evicted only when found clear.
-    referenced: AtomicBool,
-}
+/// One node's slot: the resident decomposition, if any. Its accounted
+/// bytes are not stored — the entry is immutable behind its `Arc`, so the
+/// sweep recomputes them from the entry it evicts.
+type Slot = Mutex<Option<Arc<TrussDecomposition>>>;
+
+// A field creeping back into the slot fails the build here, by name.
+#[cfg(not(tc_check_model))]
+const _: () = assert!(std::mem::size_of::<Slot>() == 16);
 
 /// A fixed-slot (one per tree node) cache with a byte budget and
 /// clock/second-chance eviction.
@@ -94,7 +103,11 @@ struct Entry {
 #[doc(hidden)]
 pub struct NodeCache {
     budget: Option<u64>,
-    slots: Box<[Mutex<Option<Entry>>]>,
+    slots: Box<[Slot]>,
+    /// The clock's second-chance bits, one per slot: set on every hit and
+    /// insert, swapped clear by a passing sweep (under the slot's lock);
+    /// an entry is evicted only when found clear.
+    referenced: Box<[AtomicBool]>,
     hand: AtomicUsize,
     bytes_used: AtomicU64,
     resident: AtomicUsize,
@@ -120,6 +133,7 @@ impl NodeCache {
         NodeCache {
             budget,
             slots: (0..slots).map(|_| Mutex::new(None)).collect(),
+            referenced: (0..slots).map(|_| AtomicBool::new(false)).collect(),
             hand: AtomicUsize::new(0),
             bytes_used: AtomicU64::new(0),
             resident: AtomicUsize::new(0),
@@ -136,10 +150,10 @@ impl NodeCache {
     pub fn get(&self, id: u32) -> Option<Arc<TrussDecomposition>> {
         let slot = self.slots[id as usize].lock();
         match &*slot {
-            Some(e) => {
-                e.referenced.store(true, Ordering::Relaxed);
+            Some(truss) => {
+                self.referenced[id as usize].store(true, Ordering::Relaxed);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(e.truss.clone())
+                Some(truss.clone())
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -157,14 +171,11 @@ impl NodeCache {
         let bytes = entry_bytes(&arc);
         {
             let mut slot = self.slots[id as usize].lock();
-            if let Some(e) = &*slot {
-                return e.truss.clone();
+            if let Some(truss) = &*slot {
+                return truss.clone();
             }
-            *slot = Some(Entry {
-                truss: arc.clone(),
-                bytes,
-                referenced: AtomicBool::new(true),
-            });
+            *slot = Some(arc.clone());
+            self.referenced[id as usize].store(true, Ordering::Relaxed);
         }
         self.bytes_used.fetch_add(bytes, Ordering::Relaxed);
         self.resident.fetch_add(1, Ordering::Relaxed);
@@ -196,14 +207,14 @@ impl NodeCache {
             let Some(mut slot) = self.slots[i].try_lock() else {
                 continue;
             };
-            let Some(e) = &*slot else { continue };
-            if e.referenced.swap(false, Ordering::Relaxed) {
+            let Some(truss) = &*slot else { continue };
+            if self.referenced[i].swap(false, Ordering::Relaxed) {
                 continue;
             }
-            if Arc::strong_count(&e.truss) > 1 {
+            if Arc::strong_count(truss) > 1 {
                 continue;
             }
-            let bytes = e.bytes;
+            let bytes = entry_bytes(truss);
             *slot = None;
             drop(slot);
             self.bytes_used.fetch_sub(bytes, Ordering::Relaxed);
@@ -304,6 +315,41 @@ mod tests {
         let again = c.get(0).expect("pinned entry must not be evicted");
         assert_eq!(*again, *pin);
         assert!(c.stats().evictions > 0, "others were evicted");
+    }
+
+    #[test]
+    fn a_hit_since_the_hand_passed_buys_one_more_revolution() {
+        // Distinct sizes, so the byte ledger names the resident set; the
+        // budget holds the three largest, so each fourth entry evicts one.
+        let sizes = [8, 16, 24, 32];
+        let bytes = |id: usize| entry_bytes(&truss(id as u32, sizes[id]));
+        let c = NodeCache::new(4, Some(bytes(1) + bytes(2) + bytes(3)));
+        let insert = |id: usize| drop(c.insert(id as u32, truss(id as u32, sizes[id])));
+        let check = |resident: &[usize], step: &str| {
+            let s = c.stats();
+            assert_eq!(s.resident, resident.len(), "{step}: {s:?}");
+            let want: u64 = resident.iter().map(|&id| bytes(id)).sum();
+            assert_eq!(s.bytes_used, want, "{step}: resident {resident:?}");
+        };
+        for id in 0..3 {
+            insert(id);
+            check(&(0..=id).collect::<Vec<_>>(), "filling");
+        }
+        // The hand clears 0, 1 and 2, skips the new 3, and comes round to
+        // find 0 clear.
+        insert(3);
+        check(&[1, 2, 3], "first sweep");
+        // 1 is hit after the hand cleared it; 2 is not. The hand reaches 1
+        // first, clears it again, and evicts 2.
+        assert!(c.get(1).is_some());
+        insert(0);
+        check(&[0, 1, 3], "second sweep");
+        // 1 has not been hit since; its second chance is spent. The hand
+        // clears 3 (set since its insert) and 0, then evicts 1.
+        insert(2);
+        check(&[0, 2, 3], "third sweep");
+        assert!(c.get(1).is_none() && c.get(0).is_some());
+        assert_eq!(c.stats().evictions, 3);
     }
 
     #[test]

@@ -292,7 +292,6 @@ pub fn split_tree(tree: &TcTree, scheme: HashScheme, shard_count: u32) -> Vec<Tc
             remap[0] = 0;
             let mut out = vec![TcNode {
                 item: nodes[0].item,
-                pattern: nodes[0].pattern.clone(),
                 parent: 0,
                 children: Vec::new(),
                 truss: nodes[0].truss.clone(),
@@ -307,7 +306,6 @@ pub fn split_tree(tree: &TcTree, scheme: HashScheme, shard_count: u32) -> Vec<Tc
                 debug_assert_ne!(new_parent, u32::MAX, "parents precede children");
                 out.push(TcNode {
                     item: node.item,
-                    pattern: node.pattern.clone(),
                     parent: new_parent,
                     children: Vec::new(),
                     truss: node.truss.clone(),

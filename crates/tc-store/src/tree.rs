@@ -10,9 +10,10 @@
 //! | 2  | LEVELS | per node, in directory order, per level: `alpha f64` (omitted for the last level, whose alpha is `max_alpha`) `· edge_count varint`, then the first edge as `u · v−u−1` and each next one as `du = u−u' · (du = 0 ? v−v'−1 : v−u−1)`, all varints |
 //!
 //! [`SegmentTcTree::open`] streams only the NODES directory — parents,
-//! items, per-node `α*` bounds, and byte ranges into the LEVELS blob —
-//! into flat records plus CSR children; patterns come from the parent
-//! chain. That is enough to run Algorithm 5's pruning walk; the truss
+//! items, per-node `α*` bounds, level counts and blob offsets into the
+//! LEVELS blob — into flat records, a level-count array and CSR children;
+//! a blob runs to the next node's offset, and patterns come from the
+//! parent chain. That is enough to run Algorithm 5's pruning walk; the truss
 //! decompositions themselves (the bulk of the data) are materialised per
 //! node on first touch, from exactly the pages that overlap the node's
 //! byte range, the last page a walk verified serving every node on it. A
@@ -81,7 +82,7 @@ pub fn save_tree_segment<W: Write>(tree: &TcTree, w: &mut W) -> std::io::Result<
             if !level.alpha.is_finite() || level.alpha < 0.0 || level.alpha <= prev_alpha {
                 let msg = format!(
                     "{}: level alphas must be finite, ≥ 0 and ascend",
-                    node.pattern
+                    node.pattern()
                 );
                 return Err(invalid(msg));
             }
@@ -98,7 +99,10 @@ pub fn save_tree_segment<W: Write>(tree: &TcTree, w: &mut W) -> std::io::Result<
                 let base = if du == 0 { prev.1 } else { u };
                 let dv = v.wrapping_sub(base).wrapping_sub(1);
                 if edge_from(prev, du, dv) != Some((u, v)) {
-                    let msg = format!("{}: level edges must be canonical and ascend", node.pattern);
+                    let msg = format!(
+                        "{}: level edges must be canonical and ascend",
+                        node.pattern()
+                    );
                     return Err(invalid(msg));
                 }
                 put_varint(&mut levels, du.into());
@@ -131,15 +135,19 @@ pub fn save_tree_segment_to_path(tree: &TcTree, path: &Path) -> std::io::Result<
 
 /// One NODES directory record, decoded: everything Algorithm 5 needs to
 /// walk and prune a node, but no truss edges and nothing on the heap.
+/// A blob's length is not kept: it runs to the next record's `blob_off`
+/// (the last to the end of LEVELS). Level counts, which only
+/// materialisation reads, sit in an array of their own.
 #[derive(Debug, Clone, Copy)]
 struct NodeRec {
     parent: u32,
     item: Item,
-    level_count: u32,
     max_alpha: f64,
     blob_off: u64,
-    blob_len: u64,
 }
+
+// A field creeping back into the record fails the build here, by name.
+const _: () = assert!(std::mem::size_of::<NodeRec>() == 24);
 
 /// How to open a [`SegmentTcTree`]: whether materialised nodes are
 /// byte-budgeted. The default (unbounded cache) is exactly the pre-cache
@@ -157,13 +165,16 @@ pub struct StoreOptions {
 /// and held in the node cache, so repeated queries touch the file once
 /// per node — until the cache's byte budget (if any) evicts cold nodes,
 /// after which a re-touch re-parses the identical bytes. Per node, an open
-/// tree holds its directory record, its CSR children entries and its
-/// cache slot — a fixed size, and no allocation of its own.
+/// tree holds a 24-byte directory record, a 4-byte level count, 8 bytes
+/// of CSR children, and the cache's 16-byte slot and 1-byte second-chance
+/// bit — 53 bytes whatever the budget, and no allocation of its own.
 #[derive(Debug)]
 pub struct SegmentTcTree {
     pages: PageFile,
     levels: SectionInfo,
     nodes: Box<[NodeRec]>,
+    /// Node `id`'s level count, read only to materialise it.
+    level_counts: Box<[u32]>,
     /// Node `id`'s children: `child_ids[first_child[id]..first_child[id + 1]]`.
     first_child: Box<[u32]>,
     child_ids: Box<[u32]>,
@@ -260,6 +271,7 @@ impl SegmentTcTree {
             return Err(corrupt("node count exceeds directory size"));
         }
         let mut nodes = Vec::with_capacity(count as usize);
+        let mut level_counts = Vec::with_capacity(count as usize);
         // Children as CSR by a counting pass: children are counted into
         // their parent's slot as records arrive, prefix sums leave each slot
         // at its range's end, and placing ids from the highest down fills
@@ -293,11 +305,10 @@ impl SegmentTcTree {
             nodes.push(NodeRec {
                 parent: parent as u32,
                 item,
-                level_count,
                 max_alpha,
                 blob_off,
-                blob_len,
             });
+            level_counts.push(level_count);
             blob_off = blob_off.saturating_add(blob_len);
         }
         fill(&mut window, &mut at, 1)?;
@@ -308,6 +319,7 @@ impl SegmentTcTree {
             return Err(corrupt("node blobs do not sum to the LEVELS length"));
         }
         let nodes = nodes.into_boxed_slice();
+        let level_counts = level_counts.into_boxed_slice();
         for i in 1..first_child.len() {
             first_child[i] += first_child[i - 1];
         }
@@ -326,6 +338,7 @@ impl SegmentTcTree {
             pages,
             levels,
             nodes,
+            level_counts,
             first_child,
             child_ids,
             all_items,
@@ -406,12 +419,18 @@ impl SegmentTcTree {
         if let Some(t) = self.cache.get(id) {
             return Ok(t);
         }
-        let n = &self.nodes[id as usize];
+        let i = id as usize;
+        let n = &self.nodes[i];
+        // Open checked that the offsets ascend to the LEVELS length.
+        let end = self
+            .nodes
+            .get(i + 1)
+            .map_or(self.levels.byte_len, |next| next.blob_off);
         let blob = self
             .pages
-            .read_range(&self.levels, n.blob_off, n.blob_len, cursor)?;
-        let levels =
-            decode_levels(&blob, n).map_err(|what| corrupt(format!("node {id} {what}")))?;
+            .read_range(&self.levels, n.blob_off, end - n.blob_off, cursor)?;
+        let levels = decode_levels(&blob, self.level_counts[i], n.max_alpha)
+            .map_err(|what| corrupt(format!("node {id} {what}")))?;
         let pattern = self.pattern(id);
         // A concurrent materialisation of the same node parses identical
         // bytes, so losing the insert race is harmless — `insert` adopts
@@ -521,7 +540,6 @@ impl SegmentTcTree {
             let n = &self.nodes[id as usize];
             nodes.push(TcNode {
                 item: n.item,
-                pattern: self.pattern(id),
                 parent: n.parent,
                 children: self.children(id).to_vec(),
                 truss: self.truss_via(id, &mut cursor)?.as_ref().clone(),
@@ -531,19 +549,24 @@ impl SegmentTcTree {
     }
 }
 
-/// Decodes node `n`'s LEVELS blob, or names what is wrong with it.
-fn decode_levels(blob: &[u8], n: &NodeRec) -> Result<Vec<TrussLevel>, &'static str> {
+/// Decodes a node's LEVELS blob of `level_count` levels, the last at
+/// `max_alpha`, or names what is wrong with it.
+fn decode_levels(
+    blob: &[u8],
+    level_count: u32,
+    max_alpha: f64,
+) -> Result<Vec<TrussLevel>, &'static str> {
     const EOF: &str = "levels truncated or malformed";
     let mut r = ByteReader::new(blob);
     // Reserve by the bytes present (a level takes one at least, an edge
     // two): crafted counts hit EOF below instead of a huge reservation.
-    let mut levels = Vec::with_capacity((n.level_count as usize).min(blob.len()));
+    let mut levels = Vec::with_capacity((level_count as usize).min(blob.len()));
     let mut prev_alpha = f64::NEG_INFINITY;
-    for i in 1..=n.level_count {
-        let alpha = if i < n.level_count {
+    for i in 1..=level_count {
+        let alpha = if i < level_count {
             r.f64().ok_or(EOF)?
         } else {
-            n.max_alpha
+            max_alpha
         };
         if !alpha.is_finite() || alpha < 0.0 || alpha <= prev_alpha {
             return Err("level alphas must ascend");
@@ -608,7 +631,7 @@ mod tests {
         let loaded = seg.to_tree().unwrap();
         assert_eq!(loaded.num_nodes(), tree.num_nodes());
         for (a, b) in tree.nodes().iter().zip(loaded.nodes()) {
-            assert_eq!(a.pattern, b.pattern);
+            assert_eq!(a.pattern(), b.pattern());
             assert_eq!(a.parent, b.parent);
             assert_eq!(a.children, b.children);
             assert_eq!(a.truss.levels, b.truss.levels);
@@ -638,7 +661,7 @@ mod tests {
             assert_eq!(got, want, "α = {alpha}");
         }
         for id in 1..tree.nodes().len() as u32 {
-            let q = tree.node(id).pattern.clone();
+            let q = tree.node(id).pattern().clone();
             let a = tree.query_by_pattern(&q);
             let b = seg.query_by_pattern(&q).unwrap();
             assert_eq!(a.retrieved_nodes, b.retrieved_nodes, "q = {q}");
@@ -747,9 +770,8 @@ mod tests {
 
     /// A root plus one child on item 7 whose decomposition is `levels`.
     fn one_node_tree(levels: &[(f64, &[(u32, u32)])]) -> TcTree {
-        let node = |item, pattern: Pattern, children, levels| TcNode {
+        let node = |item, pattern, children, levels| TcNode {
             item: Item(item),
-            pattern: pattern.clone(),
             parent: 0,
             children,
             truss: TrussDecomposition { pattern, levels },
@@ -862,7 +884,6 @@ mod tests {
             };
             TcNode {
                 item: Item(item),
-                pattern: pattern.clone(),
                 parent,
                 children,
                 truss: TrussDecomposition { pattern, levels },
@@ -882,7 +903,7 @@ mod tests {
             let (want, got) = (tree.node(id), loaded.node(id));
             assert_eq!(got.children, want.children, "node {id}");
             assert_eq!(got.parent, want.parent, "node {id}");
-            assert_eq!(seg.pattern(id), want.pattern, "node {id}");
+            assert_eq!(&seg.pattern(id), want.pattern(), "node {id}");
             assert_eq!(got.truss, want.truss, "node {id}");
         }
         let key = |r: &QueryResult| {
@@ -902,7 +923,7 @@ mod tests {
             );
         }
         for id in 1..tree.nodes().len() as u32 {
-            let q = tree.node(id).pattern.clone();
+            let q = tree.node(id).pattern().clone();
             let want = tree.query_by_pattern(&q);
             assert_eq!(
                 key(&seg.query_by_pattern(&q).unwrap()),
@@ -924,7 +945,6 @@ mod tests {
             }];
             TcNode {
                 item: Item(item),
-                pattern: pattern.clone(),
                 parent: 0,
                 children: Vec::new(),
                 truss: TrussDecomposition { pattern, levels },
@@ -932,7 +952,6 @@ mod tests {
         };
         let root = TcNode {
             item: Item(0),
-            pattern: Pattern::empty(),
             parent: 0,
             children: (1..=1500).collect(),
             truss: TrussDecomposition {

@@ -160,7 +160,7 @@ proptest! {
                     "QBA {} under budget {:?}", alpha, budget
                 );
                 for id in 1..=tree.num_nodes() as u32 {
-                    let q = &tree.node(id).pattern;
+                    let q = tree.node(id).pattern();
                     prop_assert_eq!(
                         wire_of_summary(&seg, &seg.summarize(q, alpha).unwrap()),
                         wire_of_result(&reference.query(q, alpha).unwrap()),
@@ -196,7 +196,7 @@ proptest! {
                 assert_same_answer(&a, &b);
             } else {
                 let id = 1 + sel % tree.num_nodes() as u32;
-                let q = tree.node(id).pattern.clone();
+                let q = tree.node(id).pattern().clone();
                 let a = unbounded.query_by_pattern(&q).unwrap();
                 let b = budgeted.query_by_pattern(&q).unwrap();
                 assert_same_answer(&a, &b);

@@ -143,7 +143,7 @@ proptest! {
         let seg = SegmentTcTree::from_bytes(tree_segment(&tree)).unwrap();
         // Patterns are spelled from the parent chain, not stored.
         for id in 0..tree.nodes().len() as u32 {
-            prop_assert_eq!(seg.pattern(id), tree.node(id).pattern.clone());
+            prop_assert_eq!(seg.pattern(id), tree.node(id).pattern().clone());
         }
         let a = tree.query_by_alpha(alpha);
         let b = seg.query_by_alpha(alpha).unwrap();

@@ -57,7 +57,7 @@ fn concurrent_queries_match_the_in_memory_tree() {
         .map(|&a| answer_key(&tree.query_by_alpha(a).trusses))
         .collect();
     let patterns: Vec<Pattern> = (1..=tree.num_nodes() as u32)
-        .map(|id| tree.node(id).pattern.clone())
+        .map(|id| tree.node(id).pattern().clone())
         .collect();
     let qbp_expected: Vec<_> = patterns
         .iter()
@@ -166,7 +166,7 @@ fn concurrent_budgeted_queries_match_and_the_ledger_balances() {
         .map(|&a| answer_key(&tree.query_by_alpha(a).trusses))
         .collect();
     let patterns: Vec<Pattern> = (1..=tree.num_nodes() as u32)
-        .map(|id| tree.node(id).pattern.clone())
+        .map(|id| tree.node(id).pattern().clone())
         .collect();
     let qbp_expected: Vec<_> = patterns
         .iter()

@@ -65,8 +65,8 @@ fn main() {
     let q: Pattern = tree
         .nodes()
         .iter()
-        .filter(|n| n.pattern.len() == 2 && n.pattern.contains(busiest))
-        .map(|n| n.pattern.clone())
+        .filter(|n| n.pattern().len() == 2 && n.pattern().contains(busiest))
+        .map(|n| n.pattern().clone())
         .next()
         .unwrap_or_else(|| Pattern::singleton(busiest));
     println!(
