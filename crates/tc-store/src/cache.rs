@@ -85,9 +85,8 @@ fn entry_bytes(truss: &TrussDecomposition) -> u64 {
     (std::mem::size_of::<TrussDecomposition>() + truss.heap_size()) as u64
 }
 
-/// One node's slot: the resident decomposition, if any. Its accounted
-/// bytes are not stored — the entry is immutable behind its `Arc`, so the
-/// sweep recomputes them from the entry it evicts.
+/// One node's slot: the resident decomposition, if any (see the module
+/// docs for why its accounted bytes are not stored beside it).
 type Slot = Mutex<Option<Arc<TrussDecomposition>>>;
 
 // A field creeping back into the slot fails the build here, by name.
