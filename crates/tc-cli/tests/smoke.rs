@@ -4,7 +4,9 @@
 //! this test covers the *binary path* — argument splitting, exit codes,
 //! stdout/stderr wiring — by spawning the compiled executable the way CI
 //! and users do: generate a tiny network, inspect it, mine it, index it,
-//! and query the index.
+//! and query the index. It also pins `tc --help` (`help.txt`) and every
+//! subcommand's error paths byte for byte: each failure is one `error: …`
+//! line on stderr, nothing on stdout, and exit code 2.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -573,31 +575,279 @@ fn daemons_wake_on_signals() {
     }
 }
 
-#[test]
-fn unknown_flags_fail_with_a_suggestion() {
-    let out = tc(&["mine", "net.dbnet", "--thread", "8"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(
-        stderr(&out).contains("did you mean --threads"),
-        "typo diagnostic:\n{}",
-        stderr(&out)
+/// `tc --help`, byte for byte: what `tc`, `tc --help` and `tc -h` print
+/// on stderr, and what follows an unknown subcommand's error line.
+const HELP: &str = include_str!("help.txt");
+
+/// Runs `tc args` and checks that it exits 2, prints nothing on stdout and
+/// exactly `error: {message}` and a newline on stderr.
+fn assert_error(args: &[&str], message: &str) {
+    let out = tc(args);
+    assert_eq!(out.status.code(), Some(2), "tc {args:?}: exit code");
+    assert_eq!(stdout(&out), "", "tc {args:?}: stdout");
+    assert_eq!(
+        stderr(&out),
+        format!("error: {message}\n"),
+        "tc {args:?}: stderr"
     );
 }
 
 #[test]
+fn unknown_flags_fail_with_a_suggestion() {
+    // Each subcommand's unknown flag, with a "did you mean" when a known
+    // flag is close and the full list when none is.
+    for (args, message) in [
+        (&["generate", "--kin", "planted"][..], "unknown flag --kin (did you mean --kind?)"),
+        (&["generate", "--frobnicate", "1"], "unknown flag --frobnicate (expected one of: --kind, --out, --scale, --seed, --format)"),
+        (&["stats", "net.dbnet", "--verbose", "1"], "unknown flag --verbose (this subcommand takes no flags)"),
+        (&["mine", "net.dbnet", "--thread", "8"], "unknown flag --thread (did you mean --threads?)"),
+        (&["mine", "net.dbnet", "--frobnicate", "1"], "unknown flag --frobnicate (expected one of: --alpha, --miner, --threads, --epsilon, --top)"),
+        (&["index", "net.dbnet", "--ot", "x.tct"], "unknown flag --ot (did you mean --out?)"),
+        (&["index", "net.dbnet", "--frobnicate", "1"], "unknown flag --frobnicate (expected one of: --out, --threads, --format)"),
+        (&["query", "t.tct", "--pattren", "0,1"], "unknown flag --pattren (did you mean --pattern?)"),
+        (&["query", "t.tct", "--frobnicate", "1"], "unknown flag --frobnicate (expected one of: --alpha, --pattern, --network, --remote, --retries, --retry-max-delay, --json)"),
+        (&["serve", "t.seg", "--worker", "2"], "unknown flag --worker (did you mean --workers?)"),
+        (&["serve", "t.seg", "--frobnicate", "1"], "unknown flag --frobnicate (expected one of: --addr, --http-addr, --workers, --max-inflight, --session-timeout, --rate-limit, --cache-bytes)"),
+        (&["shard", "t.seg", "--shard", "2"], "unknown flag --shard (did you mean --shards?)"),
+        (&["shard", "t.seg", "--frobnicate", "1"], "unknown flag --frobnicate (expected one of: --shards, --out-dir, --host, --port-base, --addrs)"),
+        (&["router", "s.tcmap", "--partail"], "unknown flag --partail (did you mean --partial?)"),
+        (&["router", "s.tcmap", "--frobnicate", "1"], "unknown flag --frobnicate (expected one of: --http-addr, --max-inflight, --session-timeout, --rate-limit, --partial)"),
+        (&["ingest", "n.wal", "--op", "x"], "unknown flag --op (did you mean --ops?)"),
+        (&["ingest", "n.wal", "--frobnicate", "1"], "unknown flag --frobnicate (expected one of: --base, --ops, --durability, --batch-records, --batch-delay-ms)"),
+        (&["checkpoint", "n.wal", "--ot", "x"], "unknown flag --ot (did you mean --out?)"),
+        (&["checkpoint", "n.wal", "--frobnicate", "1"], "unknown flag --frobnicate (expected one of: --base, --out)"),
+        (&["convert", "a", "b", "--too", "seg"], "unknown flag --too (did you mean --to?)"),
+        (&["convert", "a", "b", "--frobnicate", "1"], "unknown flag --frobnicate (expected one of: --to)"),
+        (&["query", "t.tct", "--alpha"], "flag --alpha needs a value"),
+    ] {
+        assert_error(args, message);
+    }
+}
+
+#[test]
 fn help_and_error_paths() {
-    // --help prints usage and succeeds.
-    let out = tc(&["--help"]);
-    assert_success(&out, "tc --help");
-    assert!(stderr(&out).contains("USAGE"), "help text goes to stderr");
+    // Help goes to stderr and succeeds.
+    for args in [&[][..], &["--help"], &["-h"]] {
+        let out = tc(args);
+        assert_eq!(out.status.code(), Some(0), "tc {args:?}");
+        assert_eq!(stdout(&out), "", "tc {args:?}: stdout");
+        assert_eq!(stderr(&out), HELP, "tc {args:?}: help text");
+    }
+    // An unknown subcommand is a usage error followed by the help.
+    assert_error(
+        &["frobnicate"],
+        &format!(
+            "unknown command 'frobnicate'\n\n{}",
+            HELP.trim_end_matches('\n')
+        ),
+    );
 
-    // Unknown subcommands are a usage error (exit 2), not a crash.
-    let out = tc(&["frobnicate"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("unknown command"));
+    // Every subcommand run bare: its usage line, or the first required flag.
+    for (args, message) in [
+        (&["generate"][..], "--kind is required (checkin|coauthor|syn|planted)"),
+        (&["stats"], "usage: tc stats <net>"),
+        (&["mine"], "usage: tc mine <net> --alpha <F> [--miner tcfi|tcfa|tcs] [--threads N] [--epsilon F] [--top N]"),
+        (&["index"], "usage: tc index <net> --out <tree.tct|tree.seg> [--threads N] [--format auto|text|seg]"),
+        (&["query"], "usage: tc query <tree> [--alpha F] [--pattern items] [--network net] [--json]\n       \
+                      tc query --remote <host:port> [--alpha F] [--pattern items] [--network net] [--json]\n                \
+                      [--retries N] [--retry-max-delay MS]"),
+        (&["serve"], "usage: tc serve <tree.seg> [--addr host:port] [--http-addr host:port] [--workers N] [--max-inflight N]\n                \
+                      [--session-timeout secs] [--rate-limit per-sec] [--cache-bytes N[K|M|G]]"),
+        (&["shard"], "usage: tc shard <tree> --shards N [--out-dir DIR] [--addrs a1,a2,…] [--host HOST] [--port-base PORT]"),
+        (&["router"], "usage: tc router <shards.tcmap> [--http-addr host:port] [--max-inflight N] [--session-timeout secs]\n                 \
+                       [--rate-limit per-sec] [--partial]"),
+        (&["ingest"], "usage: tc ingest <net.wal> --ops <file|-> [--base base.seg] [--durability always|batch]\n                 \
+                       [--batch-records N] [--batch-delay-ms N]"),
+        (&["checkpoint"], "usage: tc checkpoint <net.wal> --out <net.seg> [--base base.seg]"),
+        (&["convert"], "usage: tc convert <in> <out> [--to auto|text|seg]"),
+        (&["convert", "a"], "usage: tc convert <in> <out> [--to auto|text|seg]"),
+    ] {
+        assert_error(args, message);
+    }
 
-    // Missing files fail cleanly with a diagnostic.
-    let out = tc(&["stats", "/nonexistent/net.dbnet"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("error"));
+    // Bad values, required flags and contradictions, each refused before
+    // any file is read or written.
+    let x = "/nonexistent/x.dbnet";
+    for (args, message) in [
+        (&["generate", "--kind", "planted"][..], "--out is required"),
+        (
+            &["generate", "--kind", "nope", "--out", x],
+            "unknown kind 'nope'",
+        ),
+        (
+            &[
+                "generate", "--kind", "planted", "--out", x, "--scale", "abc",
+            ],
+            "bad --scale value 'abc'",
+        ),
+        (
+            &["generate", "--kind", "planted", "--out", x, "--seed", "abc"],
+            "bad --seed value 'abc'",
+        ),
+        (
+            &["mine", "net.dbnet", "--alpha", "abc"],
+            "bad --alpha value 'abc'",
+        ),
+        (
+            &["mine", "net.dbnet", "--epsilon", "abc"],
+            "bad --epsilon value 'abc'",
+        ),
+        (
+            &["mine", "net.dbnet", "--top", "abc"],
+            "bad --top value 'abc'",
+        ),
+        (
+            &["mine", "net.dbnet", "--threads", "abc"],
+            "bad --threads value 'abc'",
+        ),
+        (&["index", "net.dbnet"], "--out is required"),
+        (
+            &["index", "net.dbnet", "--out", "x.tct", "--threads", "abc"],
+            "bad --threads value 'abc'",
+        ),
+        (
+            &["query", "t.tct", "--alpha", "abc"],
+            "bad --alpha value 'abc'",
+        ),
+        (
+            &["query", "--pattern", "abc", "t.tct"],
+            "item 'abc' is not numeric; pass --network to resolve names",
+        ),
+        (
+            &["query", "t.tct", "--remote", "127.0.0.1:1"],
+            "--remote takes no tree path (the daemon already holds one)",
+        ),
+        (
+            &["query", "--remote", "127.0.0.1:1", "--retries", "abc"],
+            "bad --retries value 'abc'",
+        ),
+        (
+            &[
+                "query",
+                "--remote",
+                "127.0.0.1:1",
+                "--retry-max-delay",
+                "abc",
+            ],
+            "bad --retry-max-delay value 'abc'",
+        ),
+        (
+            &["query", "t.tct", "--retries", "3"],
+            "--retries/--retry-max-delay apply to --remote queries only",
+        ),
+        (
+            &["serve", "t.seg", "--workers", "abc"],
+            "bad --workers value 'abc'",
+        ),
+        (
+            &["serve", "t.seg", "--max-inflight", "abc"],
+            "bad --max-inflight value 'abc'",
+        ),
+        (
+            &["serve", "t.seg", "--session-timeout", "abc"],
+            "bad --session-timeout value 'abc'",
+        ),
+        (
+            &["serve", "t.seg", "--rate-limit", "abc"],
+            "bad --rate-limit value 'abc'",
+        ),
+        (
+            &["serve", "t.seg", "--cache-bytes", "12T"],
+            "bad byte size '12T' (expected N, NK, NM, or NG)",
+        ),
+        (
+            &["shard", "t.seg", "--shards", "abc"],
+            "bad --shards value 'abc'",
+        ),
+        (
+            &["shard", "t.seg", "--shards", "0"],
+            "--shards 0 outside 1..=4096",
+        ),
+        (
+            &["shard", "t.seg", "--port-base", "abc"],
+            "bad --port-base value 'abc'",
+        ),
+        (
+            &["shard", "t.seg", "--port-base", "65535"],
+            "--port-base 65535 overflows ports for 2 shards",
+        ),
+        (
+            &["shard", "t.seg", "--shards", "3", "--addrs", "a:1"],
+            "--addrs names 1 daemons but --shards is 3",
+        ),
+        (
+            &["router", "s.tcmap", "--max-inflight", "abc"],
+            "bad --max-inflight value 'abc'",
+        ),
+        (
+            &["router", "s.tcmap", "--session-timeout", "abc"],
+            "bad --session-timeout value 'abc'",
+        ),
+        (
+            &["router", "s.tcmap", "--rate-limit", "abc"],
+            "bad --rate-limit value 'abc'",
+        ),
+        (
+            &["ingest", "n.wal"],
+            "--ops is required (a file of mutation lines, or - for stdin)",
+        ),
+        (
+            &["ingest", "n.wal", "--ops", "x", "--durability", "sometimes"],
+            "unknown --durability 'sometimes' (always|batch)",
+        ),
+        (
+            &[
+                "ingest",
+                "n.wal",
+                "--ops",
+                "x",
+                "--durability",
+                "batch",
+                "--batch-records",
+                "abc",
+            ],
+            "bad --batch-records value 'abc'",
+        ),
+        (
+            &[
+                "ingest",
+                "n.wal",
+                "--ops",
+                "x",
+                "--durability",
+                "batch",
+                "--batch-delay-ms",
+                "abc",
+            ],
+            "bad --batch-delay-ms value 'abc'",
+        ),
+        (&["checkpoint", "n.wal"], "--out is required"),
+    ] {
+        assert_error(args, message);
+    }
+
+    // Missing files fail cleanly with the reader's diagnostic.
+    let enoent = "No such file or directory (os error 2)";
+    for args in [
+        &["stats", "/nonexistent/net.dbnet"][..],
+        &["mine", "/nonexistent/net.dbnet"],
+        &["index", "/nonexistent/net.dbnet", "--out", "x.tct"],
+        &["query", "/nonexistent/tree.tct"],
+        &["query", "t.tct", "--network", "/nonexistent/net.dbnet"],
+        &["serve", "/nonexistent/tree.seg"],
+        &["shard", "/nonexistent/tree.seg"],
+        &["convert", "/nonexistent/net.dbnet", "x.seg"],
+    ] {
+        assert_error(args, &format!("i/o error: {enoent}"));
+    }
+    assert_error(
+        &["router", "/nonexistent/s.tcmap"],
+        &format!(
+            "/nonexistent/s.tcmap: corrupt file: shardmap: read /nonexistent/s.tcmap: {enoent}"
+        ),
+    );
+    assert_error(
+        &["ingest", "n.wal", "--ops", "/nonexistent/ops.txt"],
+        &format!("/nonexistent/ops.txt: {enoent}"),
+    );
 }
