@@ -1,5 +1,11 @@
 //! Subcommand implementations for the `tc` binary.
 //!
+//! [`COMMANDS`] is the one list of subcommands: each [`Command`] declares
+//! its name, usage, flags and the function that runs it. `main` parses a
+//! command's flags through [`Command::parse`] and calls `run`; a command
+//! reports any failure by returning `Err(message)`, which `main` prints as
+//! one `error: …` line before exiting 2.
+//!
 //! Networks and TC-Trees exist in two formats — the line-oriented text
 //! formats (`dbnet v1` / `tctree v1`) and the binary segment format of
 //! `tc-store`. Each value type has one loader (`load_net`, `load_tree`),
@@ -10,20 +16,19 @@
 //! `tc_serve::answer`, so a local answer is the served one.
 
 use std::path::Path;
+use std::time::Duration;
 use tc_core::{DatabaseNetwork, Miner, ParallelTcfiMiner, TcfaMiner, TcsMiner};
 use tc_index::{TcTree, TcTreeBuilder};
 use tc_serve::{Counter, QueryResponse, QuerySpec};
 use tc_store::{DetectedFormat, SegmentTcTree};
 use tc_txdb::Pattern;
 
-/// Minimal flag parser: `--key value` pairs plus positional arguments.
-///
-/// Every subcommand declares its known flags in its [`Command`]; an
-/// unrecognised `--flag` is rejected up front (with a "did you mean"
-/// suggestion when a known flag is close) instead of being silently
-/// swallowed as an unread key.
+/// A subcommand's parsed command line: `--key value` pairs plus
+/// positional arguments, checked against the flags its [`Command`]
+/// declares.
 #[derive(Debug)]
-struct Flags {
+pub struct Flags {
+    usage: &'static str,
     positional: Vec<String>,
     options: Vec<(String, String)>,
 }
@@ -44,21 +49,96 @@ fn edit_distance(a: &str, b: &str) -> usize {
 }
 
 impl Flags {
-    /// Parses `args` against the subcommand's `known` flag names. Flags
-    /// named in `switches` take no value — their presence alone is the
-    /// signal (read with [`Flags::has`]).
-    fn parse(args: &[String], known: &[&str], switches: &[&str]) -> Result<Flags, String> {
+    /// Whether a switch flag was present.
+    fn has(&self, key: &str) -> bool {
+        self.options.iter().any(|(k, _)| k == key)
+    }
+
+    fn get(&self, key: &str) -> Option<&str> {
+        self.options
+            .iter()
+            .rev()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+    }
+
+    fn get_f64(&self, key: &str, default: f64) -> Result<f64, String> {
+        match self.get(key) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|_| format!("bad --{key} value '{v}'")),
+        }
+    }
+
+    fn get_usize(&self, key: &str, default: usize) -> Result<usize, String> {
+        match self.get(key) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|_| format!("bad --{key} value '{v}'")),
+        }
+    }
+
+    /// A count flag (`--threads`, `--workers`, `--max-inflight`, …): at
+    /// least 1, whatever the command line says.
+    fn get_count(&self, key: &str, default: usize) -> Result<usize, String> {
+        Ok(self.get_usize(key, default)?.max(1))
+    }
+
+    /// The `i`th positional argument, or the command's usage error.
+    fn arg(&self, i: usize) -> Result<&str, String> {
+        self.positional
+            .get(i)
+            .map(String::as_str)
+            .ok_or_else(|| format!("usage: {}", self.usage.replace('\n', "\n       ")))
+    }
+
+    /// The `--out` path a command requires.
+    fn out(&self) -> Result<&str, String> {
+        self.get("out").ok_or_else(|| "--out is required".into())
+    }
+
+    /// A daemon's `--session-timeout` in seconds; 0 disables it.
+    fn session_timeout(&self, default_secs: usize) -> Result<Option<Duration>, String> {
+        let secs = self.get_usize("session-timeout", default_secs)?;
+        Ok((secs > 0).then(|| Duration::from_secs(secs as u64)))
+    }
+
+    /// A daemon's per-client-IP `--rate-limit` in requests a second; 0,
+    /// the default, disables it.
+    fn rate_limit(&self) -> Result<Option<tc_serve::RateLimit>, String> {
+        let per_sec = self.get_usize("rate-limit", 0)?;
+        Ok((per_sec > 0).then(|| tc_serve::RateLimit::per_second(per_sec as f64)))
+    }
+}
+
+/// One subcommand, declared once: its name, the usage lines that both
+/// `tc --help` and the command's own usage error print, the flags that
+/// take a value, the switches that take none, and the function that runs
+/// it on its parsed flags.
+pub struct Command {
+    pub name: &'static str,
+    pub usage: &'static str,
+    flags: &'static [&'static str],
+    switches: &'static [&'static str],
+    pub run: fn(&Flags) -> Result<(), String>,
+}
+
+impl Command {
+    /// Parses `args` against this command's flags. An unrecognised
+    /// `--flag` is rejected up front (with a "did you mean" suggestion
+    /// when a known flag is close) instead of being silently swallowed as
+    /// an unread key; switches take no value — their presence alone is
+    /// the signal (read with [`Flags::has`]).
+    pub fn parse(&self, args: &[String]) -> Result<Flags, String> {
         let mut positional = Vec::new();
         let mut options = Vec::new();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
             if let Some(key) = arg.strip_prefix("--") {
-                if switches.contains(&key) {
+                if self.switches.contains(&key) {
                     options.push((key.to_string(), String::new()));
                     continue;
                 }
-                if !known.contains(&key) {
-                    let all: Vec<&str> = known.iter().chain(switches).copied().collect();
+                if !self.flags.contains(&key) {
+                    let all: Vec<&str> = self.flags.iter().chain(self.switches).copied().collect();
                     let suggestion = all
                         .iter()
                         .map(|k| (edit_distance(key, k), k))
@@ -88,60 +168,10 @@ impl Flags {
             }
         }
         Ok(Flags {
+            usage: self.usage,
             positional,
             options,
         })
-    }
-
-    /// Whether a switch flag was present.
-    fn has(&self, key: &str) -> bool {
-        self.options.iter().any(|(k, _)| k == key)
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.options
-            .iter()
-            .rev()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn get_f64(&self, key: &str, default: f64) -> Result<f64, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("bad --{key} value '{v}'")),
-        }
-    }
-
-    fn get_usize(&self, key: &str, default: usize) -> Result<usize, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("bad --{key} value '{v}'")),
-        }
-    }
-}
-
-fn fail(msg: impl std::fmt::Display) -> i32 {
-    eprintln!("error: {msg}");
-    2
-}
-
-/// One subcommand's command line, declared once: the usage lines that
-/// both `tc --help` and the command's own usage error print, the flags
-/// that take a value, and the switches that take none.
-pub struct Command {
-    pub usage: &'static str,
-    flags: &'static [&'static str],
-    switches: &'static [&'static str],
-}
-
-impl Command {
-    fn parse(&self, args: &[String]) -> Result<Flags, String> {
-        Flags::parse(args, self.flags, self.switches)
-    }
-
-    fn usage_error(&self) -> i32 {
-        fail(format!("usage: {}", self.usage.replace('\n', "\n       ")))
     }
 }
 
@@ -182,10 +212,10 @@ fn parse_byte_size(s: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("byte size '{s}' overflows"))
 }
 
-/// The shared `--threads` default for `mine` and `index`: every core the
-/// host offers. Results are identical at any thread count (the parallel
-/// miner and builders are exact), so defaulting to full parallelism only
-/// changes wall-clock, never output.
+/// The shared `--threads` default for `mine` and `index` (and `serve`'s
+/// `--workers`): every core the host offers. Results are identical at any
+/// thread count (the parallel miner and builders are exact), so
+/// defaulting to full parallelism only changes wall-clock, never output.
 fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
@@ -277,32 +307,22 @@ fn open_tree(path: &str) -> Result<SegmentTcTree, String> {
 }
 
 const GENERATE: Command = Command {
+    name: "generate",
     usage: "tc generate --kind <checkin|coauthor|syn|planted> --out <net> [--scale F] [--seed N] \
             [--format auto|text|seg]",
     flags: &["kind", "out", "scale", "seed", "format"],
     switches: &[],
+    run: generate,
 };
 
 /// `tc generate`: writes one of the generated dataset analogs.
-pub fn generate(args: &[String]) -> i32 {
-    let flags = match GENERATE.parse(args) {
-        Ok(f) => f,
-        Err(e) => return fail(e),
-    };
-    let Some(kind) = flags.get("kind") else {
-        return fail("--kind is required (checkin|coauthor|syn|planted)");
-    };
-    let Some(out) = flags.get("out") else {
-        return fail("--out is required");
-    };
-    let scale = match flags.get_f64("scale", 1.0) {
-        Ok(s) => s,
-        Err(e) => return fail(e),
-    };
-    let seed = match flags.get_usize("seed", 42) {
-        Ok(s) => s as u64,
-        Err(e) => return fail(e),
-    };
+fn generate(flags: &Flags) -> Result<(), String> {
+    let kind = flags
+        .get("kind")
+        .ok_or("--kind is required (checkin|coauthor|syn|planted)")?;
+    let out = flags.out()?;
+    let scale = flags.get_f64("scale", 1.0)?;
+    let seed = flags.get_usize("seed", 42)? as u64;
 
     let network = match kind {
         "checkin" => {
@@ -339,39 +359,29 @@ pub fn generate(args: &[String]) -> i32 {
             };
             tc_data::generate_planted(&cfg).network
         }
-        other => return fail(format!("unknown kind '{other}'")),
+        other => return Err(format!("unknown kind '{other}'")),
     };
 
-    if let Err(e) = save_net(&network, out, flags.get("format")) {
-        return fail(e);
-    }
+    save_net(&network, out, flags.get("format"))?;
     let s = network.stats();
     println!(
         "wrote {out}: {} vertices, {} edges, {} transactions, {} unique items",
         s.vertices, s.edges, s.transactions, s.items_unique
     );
-    0
+    Ok(())
 }
 
 const STATS: Command = Command {
+    name: "stats",
     usage: "tc stats <net>",
     flags: &[],
     switches: &[],
+    run: stats,
 };
 
 /// `tc stats`: prints a network's size and clustering statistics.
-pub fn stats(args: &[String]) -> i32 {
-    let flags = match STATS.parse(args) {
-        Ok(f) => f,
-        Err(e) => return fail(e),
-    };
-    let Some(path) = flags.positional.first() else {
-        return STATS.usage_error();
-    };
-    let net = match load_net(path) {
-        Ok(n) => n,
-        Err(e) => return fail(e),
-    };
+fn stats(flags: &Flags) -> Result<(), String> {
+    let net = load_net(flags.arg(0)?)?;
     let s = net.stats();
     println!("vertices:       {}", s.vertices);
     println!("edges:          {}", s.edges);
@@ -386,45 +396,26 @@ pub fn stats(args: &[String]) -> i32 {
         tc_graph::average_clustering(net.graph())
     );
     println!("transitivity:   {:.4}", tc_graph::transitivity(net.graph()));
-    0
+    Ok(())
 }
 
 const MINE: Command = Command {
+    name: "mine",
     usage:
         "tc mine <net> --alpha <F> [--miner tcfi|tcfa|tcs] [--threads N] [--epsilon F] [--top N]",
     flags: &["alpha", "miner", "threads", "epsilon", "top"],
     switches: &[],
+    run: mine,
 };
 
 /// `tc mine`: finds the theme communities of a network at one `α`.
-pub fn mine(args: &[String]) -> i32 {
-    let flags = match MINE.parse(args) {
-        Ok(f) => f,
-        Err(e) => return fail(e),
-    };
-    let Some(path) = flags.positional.first() else {
-        return MINE.usage_error();
-    };
-    let alpha = match flags.get_f64("alpha", 0.1) {
-        Ok(a) => a,
-        Err(e) => return fail(e),
-    };
-    let epsilon = match flags.get_f64("epsilon", 0.1) {
-        Ok(a) => a,
-        Err(e) => return fail(e),
-    };
-    let top = match flags.get_usize("top", 20) {
-        Ok(t) => t,
-        Err(e) => return fail(e),
-    };
-    let threads = match flags.get_usize("threads", default_threads()) {
-        Ok(t) => t.max(1),
-        Err(e) => return fail(e),
-    };
-    let net = match load_net(path) {
-        Ok(n) => n,
-        Err(e) => return fail(e),
-    };
+fn mine(flags: &Flags) -> Result<(), String> {
+    let path = flags.arg(0)?;
+    let alpha = flags.get_f64("alpha", 0.1)?;
+    let epsilon = flags.get_f64("epsilon", 0.1)?;
+    let top = flags.get_usize("top", 20)?;
+    let threads = flags.get_count("threads", default_threads())?;
+    let net = load_net(path)?;
     let miner_name = flags.get("miner").unwrap_or("tcfi");
     // Warn only on an *explicit* --threads: the default is whatever the
     // host offers, which non-tcfi miners legitimately ignore.
@@ -438,7 +429,7 @@ pub fn mine(args: &[String]) -> i32 {
         }),
         "tcfa" => Box::new(TcfaMiner::default()),
         "tcs" => Box::new(TcsMiner::with_epsilon(epsilon)),
-        other => return fail(format!("unknown miner '{other}'")),
+        other => return Err(format!("unknown miner '{other}'")),
     };
 
     let result = miner.mine(&net, alpha);
@@ -462,43 +453,29 @@ pub fn mine(args: &[String]) -> i32 {
             c.num_edges()
         );
     }
-    0
+    Ok(())
 }
 
 const INDEX: Command = Command {
+    name: "index",
     usage: "tc index <net> --out <tree.tct|tree.seg> [--threads N] [--format auto|text|seg]",
     flags: &["out", "threads", "format"],
     switches: &[],
+    run: index,
 };
 
 /// `tc index`: builds the TC-Tree of a network and writes it out.
-pub fn index(args: &[String]) -> i32 {
-    let flags = match INDEX.parse(args) {
-        Ok(f) => f,
-        Err(e) => return fail(e),
-    };
-    let Some(path) = flags.positional.first() else {
-        return INDEX.usage_error();
-    };
-    let Some(out) = flags.get("out") else {
-        return fail("--out is required");
-    };
-    let threads = match flags.get_usize("threads", default_threads()) {
-        Ok(t) => t.max(1),
-        Err(e) => return fail(e),
-    };
-    let net = match load_net(path) {
-        Ok(n) => n,
-        Err(e) => return fail(e),
-    };
+fn index(flags: &Flags) -> Result<(), String> {
+    let path = flags.arg(0)?;
+    let out = flags.out()?;
+    let threads = flags.get_count("threads", default_threads())?;
+    let net = load_net(path)?;
     let tree = TcTreeBuilder {
         threads,
         max_len: usize::MAX,
     }
     .build(&net);
-    if let Err(e) = save_tree(&tree, out, flags.get("format")) {
-        return fail(e);
-    }
+    save_tree(&tree, out, flags.get("format"))?;
     println!(
         "wrote {out}: {} nodes, max depth {}, alpha* = {:.4}, built in {:.3}s",
         tree.num_nodes(),
@@ -506,7 +483,7 @@ pub fn index(args: &[String]) -> i32 {
         tree.alpha_upper_bound(),
         tree.stats().build_secs
     );
-    0
+    Ok(())
 }
 
 /// Resolves a `--pattern` spec (comma-separated numeric ids or, with a
@@ -557,6 +534,7 @@ fn print_answer(answer: &QueryResponse, backend: &str, net: Option<&DatabaseNetw
 }
 
 const QUERY: Command = Command {
+    name: "query",
     usage: "tc query <tree> [--alpha F] [--pattern items] [--network net] [--json]\n\
             tc query --remote <host:port> [--alpha F] [--pattern items] [--network net] [--json]\n         \
             [--retries N] [--retry-max-delay MS]",
@@ -569,6 +547,7 @@ const QUERY: Command = Command {
         "retry-max-delay",
     ],
     switches: &["json"],
+    run: query,
 };
 
 /// `tc query`: answers QBA/QBP from a local tree file or, with
@@ -580,76 +559,45 @@ const QUERY: Command = Command {
 /// and HTTP bodies carry — and local and remote answers are
 /// byte-comparable (CI's `http-smoke` job diffs exactly this against
 /// `curl`).
-pub fn query(args: &[String]) -> i32 {
-    let flags = match QUERY.parse(args) {
-        Ok(f) => f,
-        Err(e) => return fail(e),
-    };
-    let alpha = match flags.get_f64("alpha", 0.0) {
-        Ok(a) => a,
-        Err(e) => return fail(e),
-    };
+fn query(flags: &Flags) -> Result<(), String> {
+    let alpha = flags.get_f64("alpha", 0.0)?;
     // Optional network for item-name resolution and pretty printing.
-    let net = match flags.get("network") {
-        Some(p) => match load_net(p) {
-            Ok(n) => Some(n),
-            Err(e) => return fail(e),
-        },
-        None => None,
-    };
-    let spec = match flags
-        .get("pattern")
-        .map(|spec| parse_pattern(spec, net.as_ref()))
-    {
+    let net = flags.get("network").map(load_net).transpose()?;
+    let spec = match flags.get("pattern") {
         None => QuerySpec::Qba(alpha),
-        Some(Ok(p)) => QuerySpec::Query(p.iter().map(|i| i.0).collect(), alpha),
-        Some(Err(e)) => return fail(e),
+        Some(spec) => {
+            let pattern = parse_pattern(spec, net.as_ref())?;
+            QuerySpec::Query(pattern.iter().map(|i| i.0).collect(), alpha)
+        }
     };
 
-    let answer = if let Some(addr) = flags.get("remote") {
+    let (answer, backend) = if let Some(addr) = flags.get("remote") {
         if !flags.positional.is_empty() {
-            return fail("--remote takes no tree path (the daemon already holds one)");
+            return Err("--remote takes no tree path (the daemon already holds one)".into());
         }
         // BUSY rejections are the retryable failure: back off and try
         // again, up to --retries times. Everything else fails fast.
-        let retries = match flags.get_usize("retries", 0) {
-            Ok(r) => r as u32,
-            Err(e) => return fail(e),
-        };
-        let retry_max_delay = match flags.get_usize("retry-max-delay", 2000) {
-            Ok(ms) => std::time::Duration::from_millis(ms as u64),
-            Err(e) => return fail(e),
-        };
         let policy = tc_serve::RetryPolicy {
-            retries,
-            max_delay: retry_max_delay,
+            retries: flags.get_usize("retries", 0)? as u32,
+            max_delay: Duration::from_millis(flags.get_usize("retry-max-delay", 2000)? as u64),
             ..tc_serve::RetryPolicy::default()
         };
-        query_remote(addr, &policy, &spec)
+        query_remote(addr, &policy, &spec)?
     } else {
         if flags.get("retries").is_some() || flags.get("retry-max-delay").is_some() {
-            return fail("--retries/--retry-max-delay apply to --remote queries only");
+            return Err("--retries/--retry-max-delay apply to --remote queries only".into());
         }
-        let Some(path) = flags.positional.first() else {
-            return QUERY.usage_error();
-        };
-        open_tree(path).and_then(|tree| {
-            let answer = tc_serve::answer(&tree, &spec).map_err(|e| e.to_string())?;
-            let backend = format!(
-                "segment backend: materialized {} of {} nodes on demand",
-                tree.materialized_nodes(),
-                tree.num_nodes()
-            );
-            Ok((answer, backend))
-        })
+        let tree = open_tree(flags.arg(0)?)?;
+        let answer = tc_serve::answer(&tree, &spec).map_err(|e| e.to_string())?;
+        let backend = format!(
+            "segment backend: materialized {} of {} nodes on demand",
+            tree.materialized_nodes(),
+            tree.num_nodes()
+        );
+        (answer, backend)
     };
-    match answer {
-        Ok((answer, backend)) => {
-            print_answer(&answer, &backend, net.as_ref(), flags.has("json"));
-            0
-        }
-        Err(e) => fail(e),
-    }
+    print_answer(&answer, &backend, net.as_ref(), flags.has("json"));
+    Ok(())
 }
 
 /// The `--remote` arm of `tc query`: the answer from a `tc serve` daemon
@@ -677,6 +625,7 @@ fn query_remote(
 }
 
 const SERVE: Command = Command {
+    name: "serve",
     usage: "tc serve <tree.seg> [--addr host:port] [--http-addr host:port] [--workers N] \
             [--max-inflight N]\n         \
             [--session-timeout secs] [--rate-limit per-sec] [--cache-bytes N[K|M|G]]",
@@ -690,6 +639,7 @@ const SERVE: Command = Command {
         "cache-bytes",
     ],
     switches: &[],
+    run: serve,
 };
 
 /// `tc serve`: the query daemon.
@@ -708,60 +658,32 @@ const SERVE: Command = Command {
 /// Memory envelope: `--cache-bytes N[K|M|G]` bounds the bytes of
 /// materialised truss decompositions (0, the default, is unbounded); it
 /// applies to `SIGHUP` reloads as well.
-pub fn serve(args: &[String]) -> i32 {
-    let flags = match SERVE.parse(args) {
-        Ok(f) => f,
-        Err(e) => return fail(e),
-    };
-    let Some(path) = flags.positional.first() else {
-        return SERVE.usage_error();
-    };
+fn serve(flags: &Flags) -> Result<(), String> {
+    let path = flags.arg(0)?;
     let addr = flags.get("addr").unwrap_or("127.0.0.1:7641");
-    let workers = match flags.get_usize("workers", default_threads()) {
-        Ok(w) => w.max(1),
-        Err(e) => return fail(e),
-    };
-    let max_inflight = match flags.get_usize("max-inflight", workers.saturating_mul(16).max(1)) {
-        Ok(m) => m.max(1),
-        Err(e) => return fail(e),
-    };
-    let idle_timeout = match flags.get_usize("session-timeout", 300) {
-        Ok(0) => None,
-        Ok(secs) => Some(std::time::Duration::from_secs(secs as u64)),
-        Err(e) => return fail(e),
-    };
+    let workers = flags.get_count("workers", default_threads())?;
+    let max_inflight = flags.get_count("max-inflight", workers.saturating_mul(16))?;
+    let idle_timeout = flags.session_timeout(300)?;
     let http_addr = flags.get("http-addr").map(str::to_string);
-    let rate_limit = match flags.get_usize("rate-limit", 0) {
-        Ok(0) => None,
-        Ok(per_sec) => Some(tc_serve::RateLimit::per_second(per_sec as f64)),
-        Err(e) => return fail(e),
-    };
-    let cache_bytes = match flags.get("cache-bytes").map(parse_byte_size) {
-        None | Some(Ok(0)) => None,
-        Some(Ok(n)) => Some(n),
-        Some(Err(e)) => return fail(e),
-    };
+    let rate_limit = flags.rate_limit()?;
+    let cache_bytes = flags
+        .get("cache-bytes")
+        .map(parse_byte_size)
+        .transpose()?
+        .filter(|&n| n > 0);
     let store = tc_store::StoreOptions { cache_bytes };
 
     // The daemon serves the lazy segment reader only: a text tree would
     // mean re-parsing the whole index up front — convert it once instead.
-    let tree = match sniff(path, "TC-Tree") {
-        Ok(true) => match SegmentTcTree::open_with(Path::new(path), store) {
-            Ok(t) => t,
-            Err(e) => return fail(e),
-        },
-        Ok(false) => {
-            return fail(format!(
-                "{path} is a text tree; convert it first: tc convert {path} tree.seg"
-            ))
-        }
-        Err(e) => return fail(e),
-    };
-
-    if let Err(e) = tc_serve::install_signal_handlers() {
-        return fail(format!("signal handlers: {e}"));
+    if !sniff(path, "TC-Tree")? {
+        return Err(format!(
+            "{path} is a text tree; convert it first: tc convert {path} tree.seg"
+        ));
     }
-    let server = match tc_serve::Server::bind(
+    let tree = SegmentTcTree::open_with(Path::new(path), store).map_err(|e| e.to_string())?;
+
+    tc_serve::install_signal_handlers().map_err(|e| format!("signal handlers: {e}"))?;
+    let server = tc_serve::Server::bind(
         tree,
         addr,
         tc_serve::ServeConfig {
@@ -773,52 +695,43 @@ pub fn serve(args: &[String]) -> i32 {
             reload_path: Some(std::path::PathBuf::from(path)),
             store,
         },
-    ) {
-        Ok(s) => s,
-        Err(e) => return fail(format!("{addr}: {e}")),
-    };
-    let local = match server.local_addr() {
-        Ok(a) => a.to_string(),
-        Err(e) => return fail(e),
-    };
+    )
+    .map_err(|e| format!("{addr}: {e}"))?;
+    let local = server.local_addr().map_err(|e| e.to_string())?;
     println!(
         "tc-serve listening on {local} ({path}, workers={workers}, max-inflight={max_inflight}, \
          cache-bytes={})",
         cache_bytes.map_or_else(|| "unbounded".to_string(), |n| n.to_string())
     );
     if let Some(http) = server.local_http_addr() {
-        match http {
-            Ok(a) => println!("tc-serve http gateway on {a} (GET /healthz, /metrics, /qba, /qbp, /query; POST /query)"),
-            Err(e) => return fail(e),
-        }
+        let http = http.map_err(|e| e.to_string())?;
+        println!("tc-serve http gateway on {http} (GET /healthz, /metrics, /qba, /qbp, /query; POST /query)");
     }
     // Piped stdout is block-buffered: flush so supervisors (and the smoke
     // test) can read the resolved address before the first connection.
     let _ = std::io::Write::flush(&mut std::io::stdout());
-    match server.run() {
-        Ok(stats) => {
-            println!(
-                "shutdown complete: {} sessions admitted, {} busy-rejected, {} queries served \
-                 ({} QBA, {} QBP, {} QUERY), {} protocol errors",
-                stats[Counter::Admitted],
-                stats[Counter::RejectedBusy],
-                stats.queries_served(),
-                stats[Counter::Qba],
-                stats[Counter::Qbp],
-                stats[Counter::Query],
-                stats[Counter::ProtocolErrors]
-            );
-            0
-        }
-        Err(e) => fail(e),
-    }
+    let stats = server.run().map_err(|e| e.to_string())?;
+    println!(
+        "shutdown complete: {} sessions admitted, {} busy-rejected, {} queries served \
+         ({} QBA, {} QBP, {} QUERY), {} protocol errors",
+        stats[Counter::Admitted],
+        stats[Counter::RejectedBusy],
+        stats.queries_served(),
+        stats[Counter::Qba],
+        stats[Counter::Qbp],
+        stats[Counter::Query],
+        stats[Counter::ProtocolErrors]
+    );
+    Ok(())
 }
 
 const SHARD: Command = Command {
+    name: "shard",
     usage: "tc shard <tree> --shards N [--out-dir DIR] [--addrs a1,a2,…] [--host HOST] \
             [--port-base PORT]",
     flags: &["shards", "out-dir", "host", "port-base", "addrs"],
     switches: &[],
+    run: shard,
 };
 
 /// `tc shard`: hash-partitions a TC-Tree into N self-contained segment
@@ -828,73 +741,52 @@ const SHARD: Command = Command {
 /// (root + the level-1 subtrees the shard owns); `tc router` scatters
 /// queries across them and merges. Addresses come from `--addrs a,b,…`
 /// verbatim, or are synthesised as `HOST:PORT_BASE+i`.
-pub fn shard(args: &[String]) -> i32 {
-    let flags = match SHARD.parse(args) {
-        Ok(f) => f,
-        Err(e) => return fail(e),
-    };
-    let Some(path) = flags.positional.first() else {
-        return SHARD.usage_error();
-    };
-    let shard_count = match flags.get_usize("shards", 2) {
-        Ok(n) if (1..=tc_store::shardmap::MAX_SHARDS).contains(&n) => n,
-        Ok(n) => {
-            return fail(format!(
-                "--shards {n} outside 1..={}",
-                tc_store::shardmap::MAX_SHARDS
-            ))
-        }
-        Err(e) => return fail(e),
-    };
+fn shard(flags: &Flags) -> Result<(), String> {
+    let path = flags.arg(0)?;
+    let shard_count = flags.get_usize("shards", 2)?;
+    if !(1..=tc_store::shardmap::MAX_SHARDS).contains(&shard_count) {
+        return Err(format!(
+            "--shards {shard_count} outside 1..={}",
+            tc_store::shardmap::MAX_SHARDS
+        ));
+    }
     let out_dir = Path::new(flags.get("out-dir").unwrap_or("shards"));
     let host = flags.get("host").unwrap_or("127.0.0.1");
-    let port_base = match flags.get_usize("port-base", 7701) {
-        Ok(p) if p + shard_count <= 65536 => p,
-        Ok(p) => {
-            return fail(format!(
-                "--port-base {p} overflows ports for {shard_count} shards"
-            ))
-        }
-        Err(e) => return fail(e),
-    };
+    let port_base = flags.get_usize("port-base", 7701)?;
+    if port_base + shard_count > 65536 {
+        return Err(format!(
+            "--port-base {port_base} overflows ports for {shard_count} shards"
+        ));
+    }
     let addrs: Vec<String> = match flags.get("addrs") {
-        Some(list) => {
-            let addrs: Vec<String> = list
-                .split(',')
-                .map(str::trim)
-                .filter(|a| !a.is_empty())
-                .map(str::to_string)
-                .collect();
-            if addrs.len() != shard_count {
-                return fail(format!(
-                    "--addrs names {} daemons but --shards is {shard_count}",
-                    addrs.len()
-                ));
-            }
-            addrs
-        }
+        Some(list) => list
+            .split(',')
+            .map(str::trim)
+            .filter(|a| !a.is_empty())
+            .map(str::to_string)
+            .collect(),
         None => (0..shard_count)
             .map(|i| format!("{host}:{}", port_base + i))
             .collect(),
     };
+    if addrs.len() != shard_count {
+        return Err(format!(
+            "--addrs names {} daemons but --shards is {shard_count}",
+            addrs.len()
+        ));
+    }
 
     // Any tree format works as input: the shards are always segments.
-    let tree = match load_tree(path) {
-        Ok(t) => t,
-        Err(e) => return fail(e),
-    };
+    let tree = load_tree(path)?;
 
-    if let Err(e) = std::fs::create_dir_all(out_dir) {
-        return fail(format!("{}: {e}", out_dir.display()));
-    }
+    std::fs::create_dir_all(out_dir).map_err(|e| format!("{}: {e}", out_dir.display()))?;
     let scheme = tc_store::HashScheme::Crc32Item;
     let shards = tc_store::split_tree(&tree, scheme, shard_count as u32);
     let mut entries = Vec::with_capacity(shard_count);
     for (i, (shard, addr)) in shards.iter().zip(&addrs).enumerate() {
         let file = out_dir.join(format!("shard-{i:03}.seg"));
-        if let Err(e) = tc_store::save_tree_segment_to_path(shard, &file) {
-            return fail(format!("{}: {e}", file.display()));
-        }
+        tc_store::save_tree_segment_to_path(shard, &file)
+            .map_err(|e| format!("{}: {e}", file.display()))?;
         println!(
             "shard {i}: {} ({} nodes, serve at {addr})",
             file.display(),
@@ -911,68 +803,49 @@ pub fn shard(args: &[String]) -> i32 {
         shards: entries,
     };
     let map_path = out_dir.join("shards.tcmap");
-    if let Err(e) = map.save_to_path(&map_path) {
-        return fail(format!("{}: {e}", map_path.display()));
-    }
+    map.save_to_path(&map_path)
+        .map_err(|e| format!("{}: {e}", map_path.display()))?;
     println!(
         "shard map: {} ({shard_count} shards, scheme {}, {} level-1 items)",
         map_path.display(),
         scheme.name(),
         map.items.len()
     );
-    0
+    Ok(())
 }
 
 const ROUTER: Command = Command {
+    name: "router",
     usage: "tc router <shards.tcmap> [--http-addr host:port] [--max-inflight N] \
             [--session-timeout secs]\n          \
             [--rate-limit per-sec] [--partial]",
     flags: &["http-addr", "max-inflight", "session-timeout", "rate-limit"],
     switches: &["partial"],
+    run: router,
 };
 
 /// `tc router`: the scatter-gather HTTP gateway over a `tc shard` layout.
 ///
-/// Loads a `TCMAP01` map, pools one HTTP client set per shard daemon,
-/// and serves the same surface as `tc serve`'s gateway (`/qba`, `/qbp`,
-/// `/query`, `POST /query`, `/healthz`, `/metrics`) with answers merged
-/// to be byte-identical to the unsharded segment (modulo `secs`).
-/// SIGHUP re-reads the map; SIGTERM drains and exits.
-pub fn router(args: &[String]) -> i32 {
-    let flags = match ROUTER.parse(args) {
-        Ok(f) => f,
-        Err(e) => return fail(e),
-    };
-    let Some(path) = flags.positional.first() else {
-        return ROUTER.usage_error();
-    };
+/// Loads a `TCMAP01` map, pools line-protocol `ServeClient` connections
+/// to each shard daemon, and serves the same surface as `tc serve`'s
+/// gateway (`/qba`, `/qbp`, `/query`, `POST /query`, `/healthz`,
+/// `/metrics`) with answers merged to be byte-identical to the unsharded
+/// segment (modulo `secs`). SIGHUP re-reads the map; SIGTERM drains and
+/// exits.
+fn router(flags: &Flags) -> Result<(), String> {
+    let path = flags.arg(0)?;
     let http_addr = flags.get("http-addr").unwrap_or("127.0.0.1:7642");
-    let max_inflight = match flags.get_usize("max-inflight", 64) {
-        Ok(m) => m.max(1),
-        Err(e) => return fail(e),
-    };
-    let idle_timeout = match flags.get_usize("session-timeout", 30) {
-        Ok(0) => None,
-        Ok(secs) => Some(std::time::Duration::from_secs(secs as u64)),
-        Err(e) => return fail(e),
-    };
-    let rate_limit = match flags.get_usize("rate-limit", 0) {
-        Ok(0) => None,
-        Ok(per_sec) => Some(tc_serve::RateLimit::per_second(per_sec as f64)),
-        Err(e) => return fail(e),
-    };
+    let max_inflight = flags.get_count("max-inflight", 64)?;
+    let idle_timeout = flags.session_timeout(30)?;
+    let rate_limit = flags.rate_limit()?;
     let partial = flags.has("partial");
 
-    let map = match tc_store::ShardMap::load_from_path(Path::new(path)) {
-        Ok(m) => m,
-        Err(e) => return fail(format!("{path}: {e}")),
-    };
+    let map =
+        tc_store::ShardMap::load_from_path(Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
     let (shard_count, universe) = (map.shards.len(), map.items.len());
 
-    if let Err(e) = tc_serve::install_signal_handlers() {
-        return fail(format!("signal handlers: {e}"));
-    }
-    let router = match tc_router::Router::bind(
+    tc_serve::install_signal_handlers().map_err(|e| format!("signal handlers: {e}"))?;
+    let router = tc_router::Router::bind(
         map,
         http_addr,
         tc_router::RouterConfig {
@@ -982,14 +855,9 @@ pub fn router(args: &[String]) -> i32 {
             partial,
             map_path: Some(std::path::PathBuf::from(path)),
         },
-    ) {
-        Ok(r) => r,
-        Err(e) => return fail(format!("{http_addr}: {e}")),
-    };
-    let local = match router.local_addr() {
-        Ok(a) => a.to_string(),
-        Err(e) => return fail(e),
-    };
+    )
+    .map_err(|e| format!("{http_addr}: {e}"))?;
+    let local = router.local_addr().map_err(|e| e.to_string())?;
     println!(
         "tc-router listening on {local} ({path}, shards={shard_count}, \
          universe={universe} items, max-inflight={max_inflight}, \
@@ -999,48 +867,35 @@ pub fn router(args: &[String]) -> i32 {
     // Piped stdout is block-buffered: flush so supervisors (and the smoke
     // test) can read the resolved address before the first connection.
     let _ = std::io::Write::flush(&mut std::io::stdout());
-    match router.run() {
-        Ok(stats) => {
-            println!(
-                "router shutdown complete: {} requests, {} shard RPCs \
-                 ({} transport errors), {} partial responses, {} reloads",
-                stats.requests,
-                stats.fanout,
-                stats.shard_errors,
-                stats.partial_responses,
-                stats.reloads
-            );
-            0
-        }
-        Err(e) => fail(e),
-    }
+    let stats = router.run().map_err(|e| e.to_string())?;
+    println!(
+        "router shutdown complete: {} requests, {} shard RPCs \
+         ({} transport errors), {} partial responses, {} reloads",
+        stats.requests, stats.fanout, stats.shard_errors, stats.partial_responses, stats.reloads
+    );
+    Ok(())
 }
 
 const CONVERT: Command = Command {
+    name: "convert",
     usage: "tc convert <in> <out> [--to auto|text|seg]",
     flags: &["to"],
     switches: &[],
+    run: convert,
 };
 
 /// `tc convert`: converts networks and TC-Trees between the text and segment formats.
 /// The input kind is auto-detected; `--to auto` (the default) targets the
 /// `.seg` extension or, absent that, the opposite of the input's format.
-pub fn convert(args: &[String]) -> i32 {
-    let flags = match CONVERT.parse(args) {
-        Ok(f) => f,
-        Err(e) => return fail(e),
-    };
-    let (Some(input), Some(output)) = (flags.positional.first(), flags.positional.get(1)) else {
-        return CONVERT.usage_error();
-    };
-    let detected = match tc_store::detect_format(Path::new(input)) {
-        Ok(DetectedFormat::Unknown) => {
-            return fail(format!(
+fn convert(flags: &Flags) -> Result<(), String> {
+    let (input, output) = (flags.arg(0)?, flags.arg(1)?);
+    let detected = match tc_store::detect_format(Path::new(input)).map_err(|e| e.to_string())? {
+        DetectedFormat::Unknown => {
+            return Err(format!(
                 "{input} is not a recognised network or tree format"
             ))
         }
-        Ok(d) => d,
-        Err(e) => return fail(e),
+        d => d,
     };
     let from_segment = matches!(
         detected,
@@ -1051,29 +906,23 @@ pub fn convert(args: &[String]) -> i32 {
         None | Some("auto") if Path::new(output).extension().is_none_or(|e| e != "seg") => {
             !from_segment
         }
-        other => match wants_segment(other, output) {
-            Ok(seg) => seg,
-            Err(e) => return fail(e),
-        },
+        other => wants_segment(other, output)?,
     };
     if to_segment == from_segment {
-        return fail("input is already in the requested format");
+        return Err("input is already in the requested format".into());
     }
     let format = Some(if to_segment { "seg" } else { "text" });
-    let converted = match detected {
+    match detected {
         DetectedFormat::SegmentNetwork | DetectedFormat::TextNetwork => {
-            load_net(input).and_then(|net| save_net(&net, output, format))
+            save_net(&load_net(input)?, output, format)?
         }
-        _ => load_tree(input).and_then(|tree| save_tree(&tree, output, format)),
-    };
-    if let Err(e) = converted {
-        return fail(e);
+        _ => save_tree(&load_tree(input)?, output, format)?,
     }
     println!(
         "converted {input} -> {output} ({})",
         if to_segment { "segment" } else { "text" }
     );
-    0
+    Ok(())
 }
 
 /// Parses one line of the `tc ingest` ops grammar into WAL records.
@@ -1160,6 +1009,7 @@ fn parse_ingest_op(
 }
 
 const INGEST: Command = Command {
+    name: "ingest",
     usage: "tc ingest <net.wal> --ops <file|-> [--base base.seg] [--durability always|batch]\n          \
             [--batch-records N] [--batch-delay-ms N]",
     flags: &[
@@ -1170,6 +1020,7 @@ const INGEST: Command = Command {
         "batch-delay-ms",
     ],
     switches: &[],
+    run: ingest,
 };
 
 /// `tc ingest`: appends mutations to a write-ahead log.
@@ -1178,50 +1029,30 @@ const INGEST: Command = Command {
 /// previous run, then appends one mutation per ops line. Lines stream:
 /// with `--durability always` every acked record is already fsynced, so
 /// killing the process mid-stream loses at most the line in flight.
-pub fn ingest(args: &[String]) -> i32 {
+fn ingest(flags: &Flags) -> Result<(), String> {
     use std::io::BufRead;
-    let flags = match INGEST.parse(args) {
-        Ok(f) => f,
-        Err(e) => return fail(e),
-    };
-    let Some(wal_path) = flags.positional.first() else {
-        return INGEST.usage_error();
-    };
-    let Some(ops_path) = flags.get("ops") else {
-        return fail("--ops is required (a file of mutation lines, or - for stdin)");
-    };
+    let wal_path = flags.arg(0)?;
+    let ops_path = flags
+        .get("ops")
+        .ok_or("--ops is required (a file of mutation lines, or - for stdin)")?;
     let durability = match flags.get("durability").unwrap_or("always") {
         "always" => tc_store::Durability::Always,
-        "batch" => {
-            let max_records = match flags.get_usize("batch-records", 64) {
-                Ok(n) => n.max(1),
-                Err(e) => return fail(e),
-            };
-            let max_delay = match flags.get_usize("batch-delay-ms", 50) {
-                Ok(ms) => std::time::Duration::from_millis(ms as u64),
-                Err(e) => return fail(e),
-            };
-            tc_store::Durability::Batch {
-                max_records,
-                max_delay,
-            }
-        }
-        other => return fail(format!("unknown --durability '{other}' (always|batch)")),
+        "batch" => tc_store::Durability::Batch {
+            max_records: flags.get_count("batch-records", 64)?,
+            max_delay: Duration::from_millis(flags.get_usize("batch-delay-ms", 50)? as u64),
+        },
+        other => return Err(format!("unknown --durability '{other}' (always|batch)")),
     };
     let reader: Box<dyn BufRead> = if ops_path == "-" {
         Box::new(std::io::stdin().lock())
     } else {
-        match std::fs::File::open(ops_path) {
-            Ok(f) => Box::new(std::io::BufReader::new(f)),
-            Err(e) => return fail(format!("{ops_path}: {e}")),
-        }
+        let file = std::fs::File::open(ops_path).map_err(|e| format!("{ops_path}: {e}"))?;
+        Box::new(std::io::BufReader::new(file))
     };
 
     let base = flags.get("base").map(Path::new);
-    let store = match tc_store::WalStore::open(base, Path::new(wal_path), durability) {
-        Ok(s) => s,
-        Err(e) => return fail(format!("{wal_path}: {e}")),
-    };
+    let store = tc_store::WalStore::open(base, Path::new(wal_path), durability)
+        .map_err(|e| format!("{wal_path}: {e}"))?;
     print!(
         "recovered {} records from {wal_path}",
         store.recovered_records()
@@ -1234,61 +1065,48 @@ pub fn ingest(args: &[String]) -> i32 {
     let mut space = store.network().item_space().clone();
     let mut appended = 0u64;
     for (no, line) in reader.lines().enumerate() {
-        let line = match line {
-            Ok(l) => l,
-            Err(e) => return fail(format!("{ops_path}: {e}")),
-        };
+        let line = line.map_err(|e| format!("{ops_path}: {e}"))?;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        let records = match parse_ingest_op(trimmed, &mut space) {
-            Ok(r) => r,
-            Err(e) => return fail(format!("{ops_path}:{}: {e}", no + 1)),
-        };
+        let records = parse_ingest_op(trimmed, &mut space)
+            .map_err(|e| format!("{ops_path}:{}: {e}", no + 1))?;
         for record in &records {
-            if let Err(e) = store.append(record) {
-                return fail(format!("{wal_path}: append failed: {e}"));
-            }
+            store
+                .append(record)
+                .map_err(|e| format!("{wal_path}: append failed: {e}"))?;
             appended += 1;
         }
     }
-    if let Err(e) = store.flush() {
-        return fail(format!("{wal_path}: flush failed: {e}"));
-    }
+    store
+        .flush()
+        .map_err(|e| format!("{wal_path}: flush failed: {e}"))?;
     println!(
         "appended {appended} records to {wal_path} (durable through seqno {})",
         store.wal().durable_seqno()
     );
-    0
+    Ok(())
 }
 
 const CHECKPOINT: Command = Command {
+    name: "checkpoint",
     usage: "tc checkpoint <net.wal> --out <net.seg> [--base base.seg]",
     flags: &["base", "out"],
     switches: &[],
+    run: checkpoint,
 };
 
 /// `tc checkpoint`: folds the base segment plus the log into a fresh segment at `--out`,
 /// then resets the log to a single checkpoint marker. Crash-safe by
 /// write ordering: the segment is fsynced and renamed into place before
 /// the log is touched.
-pub fn checkpoint(args: &[String]) -> i32 {
-    let flags = match CHECKPOINT.parse(args) {
-        Ok(f) => f,
-        Err(e) => return fail(e),
-    };
-    let Some(wal_path) = flags.positional.first() else {
-        return CHECKPOINT.usage_error();
-    };
-    let Some(out) = flags.get("out") else {
-        return fail("--out is required");
-    };
+fn checkpoint(flags: &Flags) -> Result<(), String> {
+    let wal_path = flags.arg(0)?;
+    let out = flags.out()?;
     let base = flags.get("base").map(Path::new);
-    let report = match tc_store::wal::checkpoint(base, Path::new(wal_path), Path::new(out)) {
-        Ok(r) => r,
-        Err(e) => return fail(format!("{wal_path}: {e}")),
-    };
+    let report = tc_store::wal::checkpoint(base, Path::new(wal_path), Path::new(out))
+        .map_err(|e| format!("{wal_path}: {e}"))?;
     if report.truncated_bytes > 0 {
         println!(
             "torn tail: {} bytes truncated while opening {wal_path}",
@@ -1303,7 +1121,7 @@ pub fn checkpoint(args: &[String]) -> i32 {
         report.stats.transactions,
         report.stats.items_unique
     );
-    0
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1314,14 +1132,17 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Runs `tc args` through the dispatcher `main` uses; returns the
+    /// exit code.
+    fn tc(args: &[&str]) -> i32 {
+        crate::dispatch(&strs(args))
+    }
+
     #[test]
     fn flags_parse_positional_and_options() {
-        let f = Flags::parse(
-            &strs(&["net.dbnet", "--alpha", "0.5", "--top", "3"]),
-            &["alpha", "top"],
-            &[],
-        )
-        .unwrap();
+        let f = MINE
+            .parse(&strs(&["net.dbnet", "--alpha", "0.5", "--top", "3"]))
+            .unwrap();
         assert_eq!(f.positional, vec!["net.dbnet"]);
         assert_eq!(f.get("alpha"), Some("0.5"));
         assert_eq!(f.get_f64("alpha", 0.0).unwrap(), 0.5);
@@ -1331,7 +1152,7 @@ mod tests {
 
     #[test]
     fn flags_missing_value_is_error() {
-        assert!(Flags::parse(&strs(&["--alpha"]), &["alpha"], &[]).is_err());
+        assert!(MINE.parse(&strs(&["--alpha"])).is_err());
     }
 
     #[test]
@@ -1356,28 +1177,25 @@ mod tests {
 
     #[test]
     fn flags_bad_numeric_is_error() {
-        let f = Flags::parse(&strs(&["--alpha", "abc"]), &["alpha"], &[]).unwrap();
+        let f = MINE.parse(&strs(&["--alpha", "abc"])).unwrap();
         assert!(f.get_f64("alpha", 0.0).is_err());
         assert!(f.get_usize("alpha", 0).is_err());
     }
 
     #[test]
     fn flags_last_occurrence_wins() {
-        let f = Flags::parse(
-            &strs(&["--alpha", "0.1", "--alpha", "0.9"]),
-            &["alpha"],
-            &[],
-        )
-        .unwrap();
+        let f = MINE
+            .parse(&strs(&["--alpha", "0.1", "--alpha", "0.9"]))
+            .unwrap();
         assert_eq!(f.get("alpha"), Some("0.9"));
     }
 
     #[test]
     fn generate_requires_kind_and_out() {
-        assert_eq!(generate(&strs(&["--out", "/tmp/x.dbnet"])), 2);
-        assert_eq!(generate(&strs(&["--kind", "checkin"])), 2);
+        assert_eq!(tc(&["generate", "--out", "/tmp/x.dbnet"]), 2);
+        assert_eq!(tc(&["generate", "--kind", "checkin"]), 2);
         assert_eq!(
-            generate(&strs(&["--kind", "nope", "--out", "/tmp/x.dbnet"])),
+            tc(&["generate", "--kind", "nope", "--out", "/tmp/x.dbnet"]),
             2
         );
     }
@@ -1392,19 +1210,20 @@ mod tests {
         let tree_s = tree.to_string_lossy().to_string();
 
         assert_eq!(
-            generate(&strs(&[
-                "--kind", "coauthor", "--out", &net_s, "--scale", "0.5", "--seed", "3"
-            ])),
+            tc(&[
+                "generate", "--kind", "coauthor", "--out", &net_s, "--scale", "0.5", "--seed", "3"
+            ]),
             0
         );
-        assert_eq!(stats(std::slice::from_ref(&net_s)), 0);
-        assert_eq!(mine(&strs(&[&net_s, "--alpha", "0.1", "--top", "3"])), 0);
+        assert_eq!(tc(&["stats", &net_s]), 0);
+        assert_eq!(tc(&["mine", &net_s, "--alpha", "0.1", "--top", "3"]), 0);
         assert_eq!(
-            mine(&strs(&[&net_s, "--alpha", "0.1", "--miner", "tcfa"])),
+            tc(&["mine", &net_s, "--alpha", "0.1", "--miner", "tcfa"]),
             0
         );
         assert_eq!(
-            mine(&strs(&[
+            tc(&[
+                "mine",
                 &net_s,
                 "--alpha",
                 "0.1",
@@ -1412,16 +1231,17 @@ mod tests {
                 "tcs",
                 "--epsilon",
                 "0.2"
-            ])),
+            ]),
             0
         );
         assert_eq!(
-            index(&strs(&[&net_s, "--out", &tree_s, "--threads", "2"])),
+            tc(&["index", &net_s, "--out", &tree_s, "--threads", "2"]),
             0
         );
-        assert_eq!(query(&strs(&[&tree_s, "--alpha", "0.2"])), 0);
+        assert_eq!(tc(&["query", &tree_s, "--alpha", "0.2"]), 0);
         assert_eq!(
-            query(&strs(&[
+            tc(&[
+                "query",
                 &tree_s,
                 "--alpha",
                 "0.0",
@@ -1429,24 +1249,25 @@ mod tests {
                 "0,1",
                 "--network",
                 &net_s
-            ])),
+            ]),
             0
         );
         // Named pattern resolution needs --network.
         assert_eq!(
-            query(&strs(&[
+            tc(&[
+                "query",
                 &tree_s,
                 "--pattern",
                 "data mining",
                 "--network",
                 &net_s
-            ])),
+            ]),
             0
         );
-        assert_eq!(query(&strs(&[&tree_s, "--pattern", "data mining"])), 2);
+        assert_eq!(tc(&["query", &tree_s, "--pattern", "data mining"]), 2);
         // Unknown item name.
         assert_eq!(
-            query(&strs(&[&tree_s, "--pattern", "zzz", "--network", &net_s])),
+            tc(&["query", &tree_s, "--pattern", "zzz", "--network", &net_s]),
             2
         );
 
@@ -1466,56 +1287,59 @@ mod tests {
 
         // generate directly to a segment (extension-driven).
         assert_eq!(
-            generate(&strs(&[
+            tc(&[
+                "generate",
                 "--kind",
                 "planted",
                 "--out",
                 &s(&net_seg),
                 "--seed",
                 "5"
-            ])),
+            ]),
             0
         );
         // stats and mine auto-detect the segment network.
-        assert_eq!(stats(&strs(&[&s(&net_seg)])), 0);
+        assert_eq!(tc(&["stats", &s(&net_seg)]), 0);
         assert_eq!(
-            mine(&strs(&[&s(&net_seg), "--alpha", "0.1", "--top", "2"])),
+            tc(&["mine", &s(&net_seg), "--alpha", "0.1", "--top", "2"]),
             0
         );
         // index a segment network into a segment tree, query it.
         assert_eq!(
-            index(&strs(&[
+            tc(&[
+                "index",
                 &s(&net_seg),
                 "--out",
                 &s(&tree_seg),
                 "--format",
                 "seg"
-            ])),
+            ]),
             0
         );
-        assert_eq!(query(&strs(&[&s(&tree_seg), "--alpha", "0.1"])), 0);
+        assert_eq!(tc(&["query", &s(&tree_seg), "--alpha", "0.1"]), 0);
         assert_eq!(
-            query(&strs(&[
+            tc(&[
+                "query",
                 &s(&tree_seg),
                 "--pattern",
                 "0,1",
                 "--network",
                 &s(&net_seg)
-            ])),
+            ]),
             0
         );
         // convert both ways; querying a network file fails cleanly.
-        assert_eq!(convert(&strs(&[&s(&net_seg), &s(&net_txt)])), 0);
+        assert_eq!(tc(&["convert", &s(&net_seg), &s(&net_txt)]), 0);
         assert_eq!(
-            convert(&strs(&[&s(&tree_seg), &s(&tree_txt), "--to", "text"])),
+            tc(&["convert", &s(&tree_seg), &s(&tree_txt), "--to", "text"]),
             0
         );
-        assert_eq!(query(&strs(&[&s(&tree_txt), "--alpha", "0.1"])), 0);
-        assert_eq!(query(&strs(&[&s(&net_seg)])), 2);
-        assert_eq!(stats(&strs(&[&s(&tree_seg)])), 2);
+        assert_eq!(tc(&["query", &s(&tree_txt), "--alpha", "0.1"]), 0);
+        assert_eq!(tc(&["query", &s(&net_seg)]), 2);
+        assert_eq!(tc(&["stats", &s(&tree_seg)]), 2);
         // Re-converting to the same format is rejected.
         assert_eq!(
-            convert(&strs(&[&s(&net_seg), &s(&net_txt), "--to", "seg"])),
+            tc(&["convert", &s(&net_seg), &s(&net_txt), "--to", "seg"]),
             2
         );
 
@@ -1526,33 +1350,33 @@ mod tests {
 
     #[test]
     fn missing_files_fail_cleanly() {
-        assert_eq!(stats(&strs(&["/nonexistent/net.dbnet"])), 2);
-        assert_eq!(mine(&strs(&["/nonexistent/net.dbnet"])), 2);
+        assert_eq!(tc(&["stats", "/nonexistent/net.dbnet"]), 2);
+        assert_eq!(tc(&["mine", "/nonexistent/net.dbnet"]), 2);
         assert_eq!(
-            index(&strs(&["/nonexistent/net.dbnet", "--out", "/tmp/t.tct"])),
+            tc(&["index", "/nonexistent/net.dbnet", "--out", "/tmp/t.tct"]),
             2
         );
-        assert_eq!(query(&strs(&["/nonexistent/tree.tct"])), 2);
-        assert_eq!(mine(&strs(&[])), 2);
+        assert_eq!(tc(&["query", "/nonexistent/tree.tct"]), 2);
+        assert_eq!(tc(&["mine"]), 2);
     }
 
     #[test]
     fn unknown_flags_are_rejected_with_suggestions() {
         // Typo'd flags must fail loudly, not be silently ignored.
-        let err = Flags::parse(&strs(&["--thread", "8"]), &["alpha", "threads"], &[]).unwrap_err();
+        let err = MINE.parse(&strs(&["--thread", "8"])).unwrap_err();
         assert!(err.contains("did you mean --threads"), "{err}");
-        let err = Flags::parse(&strs(&["--frobnicate", "1"]), &["alpha", "top"], &[]).unwrap_err();
+        let err = MINE.parse(&strs(&["--frobnicate", "1"])).unwrap_err();
         assert!(err.contains("unknown flag --frobnicate"), "{err}");
         assert!(!err.contains("did you mean"), "{err}");
-        let err = Flags::parse(&strs(&["--x", "1"]), &[], &[]).unwrap_err();
+        let err = STATS.parse(&strs(&["--x", "1"])).unwrap_err();
         assert!(err.contains("takes no flags"), "{err}");
 
         // End to end through the subcommands (exit code 2, file untouched).
-        assert_eq!(mine(&strs(&["net.dbnet", "--thread", "8"])), 2);
-        assert_eq!(index(&strs(&["net.dbnet", "--ot", "x.tct"])), 2);
-        assert_eq!(stats(&strs(&["net.dbnet", "--verbose", "1"])), 2);
+        assert_eq!(tc(&["mine", "net.dbnet", "--thread", "8"]), 2);
+        assert_eq!(tc(&["index", "net.dbnet", "--ot", "x.tct"]), 2);
+        assert_eq!(tc(&["stats", "net.dbnet", "--verbose", "1"]), 2);
         assert_eq!(
-            query(&strs(&["t.tct", "--pattren", "0,1", "--alpha", "0.1"])),
+            tc(&["query", "t.tct", "--pattren", "0,1", "--alpha", "0.1"]),
             2
         );
     }
@@ -1562,6 +1386,9 @@ mod tests {
         let help = crate::help_text();
         for cmd in COMMANDS {
             assert!(cmd.usage.lines().all(|l| help.contains(l)), "{}", cmd.usage);
+            assert!(cmd.usage.starts_with(&format!("tc {} ", cmd.name)));
+            // Dispatched by name: run bare, every command is a usage error.
+            assert_eq!(tc(&[cmd.name]), 2, "{}", cmd.name);
             let mut named: Vec<&str> = cmd
                 .usage
                 .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
@@ -1586,16 +1413,13 @@ mod tests {
 
     #[test]
     fn switch_flags_take_no_value_and_get_suggestions() {
-        let f = Flags::parse(
-            &strs(&["tree.seg", "--json", "--alpha", "0.2"]),
-            &["alpha"],
-            &["json"],
-        )
-        .unwrap();
+        let f = QUERY
+            .parse(&strs(&["tree.seg", "--json", "--alpha", "0.2"]))
+            .unwrap();
         assert!(f.has("json"));
         assert_eq!(f.get("alpha"), Some("0.2"));
         assert_eq!(f.positional, vec!["tree.seg".to_string()]);
-        let err = Flags::parse(&strs(&["--jsno"]), &[], &["json"]).unwrap_err();
+        let err = QUERY.parse(&strs(&["--jsno"])).unwrap_err();
         assert!(err.contains("--json"), "{err}");
     }
 
@@ -1607,18 +1431,19 @@ mod tests {
         let tree = dir.join("remote.seg");
         let s = |p: &std::path::Path| p.to_string_lossy().to_string();
         assert_eq!(
-            generate(&strs(&[
+            tc(&[
+                "generate",
                 "--kind",
                 "planted",
                 "--out",
                 &s(&net),
                 "--seed",
                 "9"
-            ])),
+            ]),
             0
         );
         assert_eq!(
-            index(&strs(&[&s(&net), "--out", &s(&tree), "--format", "seg"])),
+            tc(&["index", &s(&net), "--out", &s(&tree), "--format", "seg"]),
             0
         );
 
@@ -1636,27 +1461,28 @@ mod tests {
         let addr = server.local_addr().unwrap().to_string();
         let daemon = std::thread::spawn(move || server.run().unwrap());
 
-        assert_eq!(query(&strs(&["--remote", &addr, "--alpha", "0.1"])), 0);
+        assert_eq!(tc(&["query", "--remote", &addr, "--alpha", "0.1"]), 0);
         assert_eq!(
-            query(&strs(&[
+            tc(&[
+                "query",
                 "--remote",
                 &addr,
                 "--pattern",
                 "0,1",
                 "--network",
                 &s(&net)
-            ])),
+            ]),
             0
         );
         // --json prints the wire object for both arms; same exit paths.
         assert_eq!(
-            query(&strs(&["--remote", &addr, "--alpha", "0.1", "--json"])),
+            tc(&["query", "--remote", &addr, "--alpha", "0.1", "--json"]),
             0
         );
-        assert_eq!(query(&strs(&[&s(&tree), "--alpha", "0.1", "--json"])), 0);
+        assert_eq!(tc(&["query", &s(&tree), "--alpha", "0.1", "--json"]), 0);
         // A tree path alongside --remote is contradictory.
         assert_eq!(
-            query(&strs(&[&s(&tree), "--remote", &addr, "--alpha", "0.1"])),
+            tc(&["query", &s(&tree), "--remote", &addr, "--alpha", "0.1"]),
             2
         );
 
@@ -1666,7 +1492,7 @@ mod tests {
             .unwrap();
         daemon.join().unwrap();
         // Daemon gone: remote queries fail cleanly.
-        assert_eq!(query(&strs(&["--remote", &addr, "--alpha", "0.1"])), 2);
+        assert_eq!(tc(&["query", "--remote", &addr, "--alpha", "0.1"]), 2);
 
         for p in [&net, &tree] {
             std::fs::remove_file(p).ok();
@@ -1680,16 +1506,13 @@ mod tests {
         let net = dir.join("sr.dbnet");
         let tree_txt = dir.join("sr.tct");
         let s = |p: &std::path::Path| p.to_string_lossy().to_string();
-        assert_eq!(
-            generate(&strs(&["--kind", "planted", "--out", &s(&net)])),
-            0
-        );
-        assert_eq!(index(&strs(&[&s(&net), "--out", &s(&tree_txt)])), 0);
+        assert_eq!(tc(&["generate", "--kind", "planted", "--out", &s(&net)]), 0);
+        assert_eq!(tc(&["index", &s(&net), "--out", &s(&tree_txt)]), 0);
         // Text tree, network file, missing file: all refused up front.
-        assert_eq!(serve(&strs(&[&s(&tree_txt)])), 2);
-        assert_eq!(serve(&strs(&[&s(&net)])), 2);
-        assert_eq!(serve(&strs(&["/nonexistent/tree.seg"])), 2);
-        assert_eq!(serve(&strs(&[])), 2);
+        assert_eq!(tc(&["serve", &s(&tree_txt)]), 2);
+        assert_eq!(tc(&["serve", &s(&net)]), 2);
+        assert_eq!(tc(&["serve", "/nonexistent/tree.seg"]), 2);
+        assert_eq!(tc(&["serve"]), 2);
         for p in [&net, &tree_txt] {
             std::fs::remove_file(p).ok();
         }
@@ -1718,16 +1541,17 @@ mod tests {
              db 3\n",
         )
         .unwrap();
-        assert_eq!(ingest(&strs(&[&s(&wal), "--ops", &s(&ops)])), 0);
-        assert_eq!(checkpoint(&strs(&[&s(&wal), "--out", &s(&seg)])), 0);
+        assert_eq!(tc(&["ingest", &s(&wal), "--ops", &s(&ops)]), 0);
+        assert_eq!(tc(&["checkpoint", &s(&wal), "--out", &s(&seg)]), 0);
         // The fold is a real segment network: stats auto-detects it.
-        assert_eq!(stats(&strs(&[&s(&seg)])), 0);
+        assert_eq!(tc(&["stats", &s(&seg)]), 0);
 
         // Phase two over the checkpointed base: a tx resolving an item
         // name interned in phase one, plus a brand-new auto-interned one.
         std::fs::write(&ops, "tx 2 beer,nuts\nedge 0 3\n").unwrap();
         assert_eq!(
-            ingest(&strs(&[
+            tc(&[
+                "ingest",
                 &s(&wal),
                 "--ops",
                 &s(&ops),
@@ -1737,11 +1561,18 @@ mod tests {
                 "batch",
                 "--batch-records",
                 "2",
-            ])),
+            ]),
             0
         );
         assert_eq!(
-            checkpoint(&strs(&[&s(&wal), "--base", &s(&seg), "--out", &s(&seg2)])),
+            tc(&[
+                "checkpoint",
+                &s(&wal),
+                "--base",
+                &s(&seg),
+                "--out",
+                &s(&seg2)
+            ]),
             0
         );
         let full = tc_store::load_network_segment_from_path(&seg2).unwrap();
@@ -1761,9 +1592,9 @@ mod tests {
         let ops = dir.join("bad_ops.txt");
         let s = |p: &std::path::Path| p.to_string_lossy().to_string();
 
-        assert_eq!(ingest(&strs(&[&s(&wal)])), 2, "--ops is required");
-        assert_eq!(ingest(&strs(&[])), 2, "wal path is required");
-        assert_eq!(checkpoint(&strs(&[&s(&wal)])), 2, "--out is required");
+        assert_eq!(tc(&["ingest", &s(&wal)]), 2, "--ops is required");
+        assert_eq!(tc(&["ingest"]), 2, "wal path is required");
+        assert_eq!(tc(&["checkpoint", &s(&wal)]), 2, "--out is required");
 
         for bad in [
             "edge 3 3\n",       // self-loop
@@ -1776,19 +1607,20 @@ mod tests {
         ] {
             std::fs::write(&ops, bad).unwrap();
             assert_eq!(
-                ingest(&strs(&[&s(&wal), "--ops", &s(&ops)])),
+                tc(&["ingest", &s(&wal), "--ops", &s(&ops)]),
                 2,
                 "op {bad:?} must be rejected"
             );
         }
         assert_eq!(
-            ingest(&strs(&[
+            tc(&[
+                "ingest",
                 &s(&wal),
                 "--ops",
                 &s(&ops),
                 "--durability",
                 "sometimes"
-            ])),
+            ]),
             2
         );
 
@@ -1803,18 +1635,19 @@ mod tests {
         let tree = dir.join("retry.seg");
         let s = |p: &std::path::Path| p.to_string_lossy().to_string();
         assert_eq!(
-            generate(&strs(&[
+            tc(&[
+                "generate",
                 "--kind",
                 "planted",
                 "--out",
                 &s(&net),
                 "--seed",
                 "7"
-            ])),
+            ]),
             0
         );
         assert_eq!(
-            index(&strs(&[&s(&net), "--out", &s(&tree), "--format", "seg"])),
+            tc(&["index", &s(&net), "--out", &s(&tree), "--format", "seg"]),
             0
         );
 
@@ -1834,14 +1667,15 @@ mod tests {
 
         // Hold the only slot; without retries the query is turned away.
         let holder = tc_serve::ServeClient::connect(&addr).unwrap();
-        assert_eq!(query(&strs(&["--remote", &addr, "--alpha", "0.1"])), 2);
+        assert_eq!(tc(&["query", "--remote", &addr, "--alpha", "0.1"]), 2);
         // Release the slot shortly; a retrying query must get through.
         let releaser = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(200));
             holder.quit().unwrap();
         });
         assert_eq!(
-            query(&strs(&[
+            tc(&[
+                "query",
                 "--remote",
                 &addr,
                 "--alpha",
@@ -1850,12 +1684,12 @@ mod tests {
                 "40",
                 "--retry-max-delay",
                 "200",
-            ])),
+            ]),
             0
         );
         releaser.join().unwrap();
         // Retry flags without --remote are contradictory.
-        assert_eq!(query(&strs(&[&s(&tree), "--retries", "3"])), 2);
+        assert_eq!(tc(&["query", &s(&tree), "--retries", "3"]), 2);
 
         tc_serve::ServeClient::connect(&addr)
             .unwrap()
@@ -1877,24 +1711,26 @@ mod tests {
         let s = |p: &std::path::Path| p.to_string_lossy().to_string();
 
         assert_eq!(
-            generate(&strs(&[
+            tc(&[
+                "generate",
                 "--kind",
                 "planted",
                 "--out",
                 &s(&net),
                 "--seed",
                 "9"
-            ])),
+            ]),
             0
         );
         assert_eq!(
-            index(&strs(&[&s(&net), "--out", &s(&tree), "--format", "seg"])),
+            tc(&["index", &s(&net), "--out", &s(&tree), "--format", "seg"]),
             0
         );
 
         // A 3-way split: three segments plus the map, all loadable.
         assert_eq!(
-            shard(&strs(&[
+            tc(&[
+                "shard",
                 &s(&tree),
                 "--shards",
                 "3",
@@ -1902,7 +1738,7 @@ mod tests {
                 &s(&out),
                 "--port-base",
                 "7801",
-            ])),
+            ]),
             0
         );
         let map = tc_store::ShardMap::load_from_path(&out.join("shards.tcmap")).unwrap();
@@ -1920,23 +1756,23 @@ mod tests {
         assert_eq!(total_nodes, full.num_nodes());
 
         // Bad inputs are refused up front.
-        assert_eq!(shard(&strs(&[&s(&tree), "--shards", "0"])), 2);
+        assert_eq!(tc(&["shard", &s(&tree), "--shards", "0"]), 2);
         assert_eq!(
-            shard(&strs(&[&s(&tree), "--shards", "3", "--addrs", "a:1,b:2"])),
+            tc(&["shard", &s(&tree), "--shards", "3", "--addrs", "a:1,b:2"]),
             2,
             "--addrs arity must match --shards"
         );
         assert_eq!(
-            shard(&strs(&[&s(&net), "--shards", "2"])),
+            tc(&["shard", &s(&net), "--shards", "2"]),
             2,
             "networks are not trees"
         );
         assert_eq!(
-            router(&strs(&[&s(&tree)])),
+            tc(&["router", &s(&tree)]),
             2,
             "a segment is not a shard map"
         );
-        assert_eq!(router(&strs(&["/nonexistent.tcmap"])), 2);
+        assert_eq!(tc(&["router", "/nonexistent.tcmap"]), 2);
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1947,8 +1783,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let net = dir.join("m.dbnet");
         let net_s = net.to_string_lossy().to_string();
-        assert_eq!(generate(&strs(&["--kind", "planted", "--out", &net_s])), 0);
-        assert_eq!(mine(&strs(&[&net_s, "--miner", "bogus"])), 2);
+        assert_eq!(tc(&["generate", "--kind", "planted", "--out", &net_s]), 0);
+        assert_eq!(tc(&["mine", &net_s, "--miner", "bogus"]), 2);
         std::fs::remove_file(&net).ok();
     }
 }

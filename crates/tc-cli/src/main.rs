@@ -2,6 +2,7 @@
 //!
 //! `tc --help` lists every subcommand with the flags it accepts (each
 //! usage line is declared once, beside the command, in `commands.rs`).
+//! Every failure is one `error: …` line on stderr and exit code 2.
 //!
 //! Network and tree arguments accept both the text formats and the binary
 //! segment format; readers auto-detect by magic bytes. `tc serve` opens a
@@ -14,29 +15,36 @@ mod commands;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
-        Some("generate") => commands::generate(&args[1..]),
-        Some("stats") => commands::stats(&args[1..]),
-        Some("mine") => commands::mine(&args[1..]),
-        Some("index") => commands::index(&args[1..]),
-        Some("query") => commands::query(&args[1..]),
-        Some("serve") => commands::serve(&args[1..]),
-        Some("shard") => commands::shard(&args[1..]),
-        Some("router") => commands::router(&args[1..]),
-        Some("ingest") => commands::ingest(&args[1..]),
-        Some("checkpoint") => commands::checkpoint(&args[1..]),
-        Some("convert") => commands::convert(&args[1..]),
-        Some("--help") | Some("-h") | None => {
-            print_usage();
-            0
-        }
-        Some(other) => {
-            eprintln!("error: unknown command '{other}'\n");
-            print_usage();
+    std::process::exit(dispatch(&args));
+}
+
+/// Runs `tc args` and returns the exit code: 0, or 2 after the one
+/// `error: …` line that reports whatever failed.
+fn dispatch(args: &[String]) -> i32 {
+    match run(args) {
+        Ok(()) => 0,
+        Err(msg) => {
+            eprintln!("error: {msg}");
             2
         }
+    }
+}
+
+/// Looks the subcommand up in [`commands::COMMANDS`], parses its flags and
+/// runs it; with no subcommand (or `--help`) prints the help.
+fn run(args: &[String]) -> Result<(), String> {
+    let name = match args.first().map(String::as_str) {
+        None | Some("--help" | "-h") => {
+            eprintln!("{}", help_text());
+            return Ok(());
+        }
+        Some(name) => name,
     };
-    std::process::exit(code);
+    let command = commands::COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown command '{name}'\n\n{}", help_text()))?;
+    (command.run)(&command.parse(&args[1..])?)
 }
 
 fn help_text() -> String {
@@ -90,8 +98,4 @@ EXAMPLES:
   tc convert aminer.dbnet aminer.seg",
         usage.join("\n")
     )
-}
-
-fn print_usage() {
-    eprintln!("{}", help_text());
 }
