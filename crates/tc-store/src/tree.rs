@@ -419,6 +419,15 @@ impl SegmentTcTree {
         if let Some(t) = self.cache.get(id) {
             return Ok(t);
         }
+        // A concurrent materialisation of the same node parses identical
+        // bytes, so losing the insert race is harmless — `insert` adopts
+        // the winner's entry.
+        Ok(self.cache.insert(id, self.decode(id, cursor)?))
+    }
+
+    /// Reads and decodes node `id`'s LEVELS blob through `cursor`'s page,
+    /// leaving the cache alone.
+    fn decode(&self, id: u32, cursor: &mut PageCursor) -> Result<TrussDecomposition, LoadError> {
         let i = id as usize;
         let n = &self.nodes[i];
         // Open checked that the offsets ascend to the LEVELS length.
@@ -431,13 +440,10 @@ impl SegmentTcTree {
             .read_range(&self.levels, n.blob_off, end - n.blob_off, cursor)?;
         let levels = decode_levels(&blob, self.level_counts[i], n.max_alpha)
             .map_err(|what| corrupt(format!("node {id} {what}")))?;
-        let pattern = self.pattern(id);
-        // A concurrent materialisation of the same node parses identical
-        // bytes, so losing the insert race is harmless — `insert` adopts
-        // the winner's entry.
-        Ok(self
-            .cache
-            .insert(id, TrussDecomposition { pattern, levels }))
+        Ok(TrussDecomposition {
+            pattern: self.pattern(id),
+            levels,
+        })
     }
 
     /// Algorithm 5 over the segment, written once for both answers: walks
@@ -531,8 +537,9 @@ impl SegmentTcTree {
         self.query(q, 0.0)
     }
 
-    /// Materialises every node into an in-memory [`TcTree`] (the eager
-    /// conversion path).
+    /// Decodes every node into an in-memory [`TcTree`] (the eager
+    /// conversion path). Each truss goes straight into its [`TcNode`]; the
+    /// cache is never filled, so no truss is held twice.
     pub fn to_tree(&self) -> Result<TcTree, LoadError> {
         let mut nodes = Vec::with_capacity(self.nodes.len());
         let mut cursor = PageCursor::new();
@@ -542,7 +549,7 @@ impl SegmentTcTree {
                 item: n.item,
                 parent: n.parent,
                 children: self.children(id).to_vec(),
-                truss: self.truss_via(id, &mut cursor)?.as_ref().clone(),
+                truss: self.decode(id, &mut cursor)?,
             });
         }
         Ok(TcTree::from_nodes(nodes))
@@ -698,6 +705,18 @@ mod tests {
             before,
             "pruned walk reads no pages"
         );
+    }
+
+    #[test]
+    fn to_tree_leaves_the_cache_empty() {
+        let tree = sample_tree();
+        let seg = SegmentTcTree::from_bytes(segment_bytes(&tree)).unwrap();
+        let loaded = seg.to_tree().unwrap();
+        assert_eq!(loaded.num_nodes(), tree.num_nodes());
+        assert_eq!(seg.materialized_nodes(), 0);
+        assert_eq!(seg.materialized_total(), 0);
+        assert_eq!(seg.cache_stats().bytes_used, 0);
+        assert_eq!(seg.cache_stats().misses, 0);
     }
 
     #[test]
