@@ -56,11 +56,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Number of (possibly duplicated) edges staged so far.
-    pub fn staged_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Freezes into an immutable [`UGraph`], deduplicating edges.
     pub fn build(mut self) -> UGraph {
         self.edges.sort_unstable();

@@ -233,11 +233,6 @@ impl TcTree {
             .filter_map(|n| n.truss.max_alpha())
             .fold(0.0, f64::max)
     }
-
-    /// Total edges stored across all decompositions.
-    pub fn stored_edges(&self) -> usize {
-        self.nodes.iter().map(|n| n.truss.num_edges()).sum()
-    }
 }
 
 impl HeapSize for TcTree {
