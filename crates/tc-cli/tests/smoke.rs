@@ -772,6 +772,10 @@ fn help_and_error_paths() {
             "--port-base 65535 overflows ports for 2 shards",
         ),
         (
+            &["shard", "t.seg", "--port-base", "18446744073709551615"],
+            "--port-base 18446744073709551615 overflows ports for 2 shards",
+        ),
+        (
             &["shard", "t.seg", "--shards", "3", "--addrs", "a:1"],
             "--addrs names 1 daemons but --shards is 3",
         ),
