@@ -1,6 +1,8 @@
 //! Golden pins for the pattern-lattice walk behind `TcTreeBuilder` and
-//! `ParallelTcfiMiner`: the segment bytes of three fixed TC-Trees, and the
-//! counters of building and mining them.
+//! `ParallelTcfiMiner`: the segment bytes of five fixed TC-Trees, a CRC of
+//! what each tree holds apart from any segment format, and the counters
+//! of building and mining them. A segment format change moves only the
+//! segment length and CRC; the tree CRC and the counters stay.
 //!
 //! `crates/tc-index/tests/parallel_equiv.rs` compares one build with
 //! another at a different thread count; both run the same engine, so an
@@ -175,15 +177,37 @@ fn wide_edge_network() -> EdgeDatabaseNetwork {
     b.build().unwrap()
 }
 
-/// `(segment length, segment CRC-32, candidates, decompositions,
-/// pruned_by_intersection)` of a build.
-fn tree_pin(tree: &TcTree) -> (usize, u32, usize, usize, usize) {
+/// CRC-32 over every node's parent, item, level alphas (as bits) and
+/// level edges, little-endian, in id order: what a tree holds, whatever
+/// the segment format that stores it.
+fn tree_crc(tree: &TcTree) -> u32 {
+    let mut bytes = Vec::new();
+    for node in tree.nodes() {
+        bytes.extend(node.parent.to_le_bytes());
+        bytes.extend(node.item.0.to_le_bytes());
+        bytes.extend((node.truss.levels.len() as u32).to_le_bytes());
+        for level in &node.truss.levels {
+            bytes.extend(level.alpha.to_bits().to_le_bytes());
+            bytes.extend((level.edges.len() as u32).to_le_bytes());
+            for &(u, v) in &level.edges {
+                bytes.extend(u.to_le_bytes());
+                bytes.extend(v.to_le_bytes());
+            }
+        }
+    }
+    crc32(&bytes)
+}
+
+/// `(segment length, segment CRC-32, tree CRC-32, candidates,
+/// decompositions, pruned_by_intersection)` of a build.
+fn tree_pin(tree: &TcTree) -> (usize, u32, u32, usize, usize, usize) {
     let mut seg = Vec::new();
     save_tree_segment(tree, &mut seg).unwrap();
     let s = tree.stats();
     (
         seg.len(),
         crc32(&seg),
+        tree_crc(tree),
         s.candidates,
         s.decompositions,
         s.pruned_by_intersection,
@@ -272,7 +296,7 @@ fn vertex_network_tree_is_pinned() {
         assert!(tree.max_depth() >= 3, "depth {}", tree.max_depth());
         assert_eq!(
             tree_pin(&tree),
-            (28672, 360651931, 11364, 5512, 5852),
+            (28672, 360651931, 1559214054, 11364, 5512, 5852),
             "threads = {threads}"
         );
     }
@@ -286,7 +310,7 @@ fn edge_network_tree_is_pinned() {
         assert!(tree.max_depth() >= 3, "depth {}", tree.max_depth());
         assert_eq!(
             tree_pin(&tree),
-            (12288, 2728479953, 37, 24, 13),
+            (12288, 2728479953, 1406199485, 37, 24, 13),
             "threads = {threads}"
         );
     }
@@ -321,7 +345,7 @@ fn dense_network_tree_is_pinned() {
         let tree = build(&net, threads);
         assert_eq!(
             tree_pin(&tree),
-            (139264, 453064070, 4101, 2796, 1305),
+            (139264, 453064070, 3162035220, 4101, 2796, 1305),
             "threads = {threads}"
         );
     }
@@ -374,7 +398,7 @@ fn wide_vertex_network_tree_is_pinned() {
         assert!(tree.max_depth() >= 3, "depth {}", tree.max_depth());
         assert_eq!(
             tree_pin(&tree),
-            (28672, 1208808367, 91, 79, 12),
+            (28672, 1208808367, 1638059684, 91, 79, 12),
             "threads = {threads}"
         );
     }
@@ -397,7 +421,7 @@ fn wide_edge_network_tree_is_pinned() {
         assert!(tree.max_depth() >= 3, "depth {}", tree.max_depth());
         assert_eq!(
             tree_pin(&tree),
-            (16384, 1812359069, 63, 40, 23),
+            (16384, 1812359069, 2542263276, 63, 40, 23),
             "threads = {threads}"
         );
     }
