@@ -62,18 +62,21 @@ impl Flags {
             .map(|(_, v)| v.as_str())
     }
 
-    fn get_f64(&self, key: &str, default: f64) -> Result<f64, String> {
+    /// `--key`'s value parsed as a `T`, refusing one that does not fit it
+    /// (so `--retries 4294967296` is an error, not 0 retries).
+    fn get_num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         match self.get(key) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("bad --{key} value '{v}'")),
         }
     }
 
+    fn get_f64(&self, key: &str, default: f64) -> Result<f64, String> {
+        self.get_num(key, default)
+    }
+
     fn get_usize(&self, key: &str, default: usize) -> Result<usize, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("bad --{key} value '{v}'")),
-        }
+        self.get_num(key, default)
     }
 
     /// A count flag (`--threads`, `--workers`, `--max-inflight`, …): at
@@ -415,7 +418,6 @@ fn mine(flags: &Flags) -> Result<(), String> {
     let epsilon = flags.get_f64("epsilon", 0.1)?;
     let top = flags.get_usize("top", 20)?;
     let threads = flags.get_count("threads", default_threads())?;
-    let net = load_net(path)?;
     let miner_name = flags.get("miner").unwrap_or("tcfi");
     // Warn only on an *explicit* --threads: the default is whatever the
     // host offers, which non-tcfi miners legitimately ignore.
@@ -431,6 +433,7 @@ fn mine(flags: &Flags) -> Result<(), String> {
         "tcs" => Box::new(TcsMiner::with_epsilon(epsilon)),
         other => return Err(format!("unknown miner '{other}'")),
     };
+    let net = load_net(path)?;
 
     let result = miner.mine(&net, alpha);
     println!(
@@ -578,7 +581,7 @@ fn query(flags: &Flags) -> Result<(), String> {
         // BUSY rejections are the retryable failure: back off and try
         // again, up to --retries times. Everything else fails fast.
         let policy = tc_serve::RetryPolicy {
-            retries: flags.get_usize("retries", 0)? as u32,
+            retries: flags.get_num("retries", 0)?,
             max_delay: Duration::from_millis(flags.get_usize("retry-max-delay", 2000)? as u64),
             ..tc_serve::RetryPolicy::default()
         };

@@ -700,6 +700,10 @@ fn help_and_error_paths() {
             &["mine", "net.dbnet", "--threads", "abc"],
             "bad --threads value 'abc'",
         ),
+        (
+            &["mine", "missing.dbnet", "--miner", "bogus"],
+            "unknown miner 'bogus'",
+        ),
         (&["index", "net.dbnet"], "--out is required"),
         (
             &["index", "net.dbnet", "--out", "x.tct", "--threads", "abc"],
@@ -720,6 +724,16 @@ fn help_and_error_paths() {
         (
             &["query", "--remote", "127.0.0.1:1", "--retries", "abc"],
             "bad --retries value 'abc'",
+        ),
+        (
+            &[
+                "query",
+                "--remote",
+                "127.0.0.1:1",
+                "--retries",
+                "4294967296",
+            ],
+            "bad --retries value '4294967296'",
         ),
         (
             &[
