@@ -586,7 +586,7 @@ tcserve_tree_nodes 3
 tcserve_tree_materialized_nodes 1
 # HELP tcserve_tree_materialized_total Node materialisations since open (re-parses after eviction count again).
 # TYPE tcserve_tree_materialized_total counter
-tcserve_tree_materialized_total 6
+tcserve_tree_materialized_total 8
 # HELP tcserve_cache_bytes_used Accounted bytes of resident truss decompositions.
 # TYPE tcserve_cache_bytes_used gauge
 tcserve_cache_bytes_used 120
@@ -595,14 +595,14 @@ tcserve_cache_bytes_used 120
 tcserve_cache_bytes_budget 1
 # HELP tcserve_cache_evictions_total Nodes evicted by the cache's clock sweep.
 # TYPE tcserve_cache_evictions_total counter
-tcserve_cache_evictions_total 5
+tcserve_cache_evictions_total 7
 # HELP tcserve_cache_lookups_total Node-cache lookups, by outcome.
 # TYPE tcserve_cache_lookups_total counter
 tcserve_cache_lookups_total{outcome="hit"} 1
-tcserve_cache_lookups_total{outcome="miss"} 6
+tcserve_cache_lookups_total{outcome="miss"} 8
 # HELP tcserve_cache_hit_ratio Node-cache hit fraction in [0, 1] (1 before any lookup).
 # TYPE tcserve_cache_hit_ratio gauge
-tcserve_cache_hit_ratio 0.14285714285714285
+tcserve_cache_hit_ratio 0.1111111111111111
 # HELP tcserve_request_latency_seconds Server-side request latency, by verb.
 # TYPE tcserve_request_latency_seconds histogram
 tcserve_request_latency_seconds_bucket{verb="qba",le="0.000025"} 1
@@ -671,13 +671,13 @@ OK\t27\n\
 protocol_version\t1\n\
 nodes\t3\n\
 materialized_nodes\t1\n\
-materialized_total\t6\n\
+materialized_total\t8\n\
 cache_bytes_used\t120\n\
 cache_bytes_budget\t1\n\
-cache_evictions\t5\n\
+cache_evictions\t7\n\
 cache_hits\t1\n\
-cache_misses\t6\n\
-cache_hit_ratio_pct\t14\n\
+cache_misses\t8\n\
+cache_hit_ratio_pct\t11\n\
 workers\t3\n\
 max_inflight\t5\n\
 inflight\t0\n\
@@ -696,7 +696,7 @@ timeouts\t112\n\
 reloads\t113\n\
 reload_failures\t114\n";
     const STATS_JSON_GOLDEN: &str = concat!(
-        r#"{"status":"ok","stats":{"protocol_version":1,"nodes":3,"materialized_nodes":1,"materialized_total":6,"cache_bytes_used":120,"cache_bytes_budget":1,"cache_evictions":5,"cache_hits":1,"cache_misses":6,"cache_hit_ratio_pct":14,"workers":3,"max_inflight":5,"inflight":0,"accepted":101,"admitted":102,"rejected_busy":103,"rate_limited":104,"qba":105,"qbp":106,"query":107,"stats":108,"batch":109,"protocol_errors":110,"query_failures":111,"timeouts":112,"reloads":113,"reload_failures":114}}"#,
+        r#"{"status":"ok","stats":{"protocol_version":1,"nodes":3,"materialized_nodes":1,"materialized_total":8,"cache_bytes_used":120,"cache_bytes_budget":1,"cache_evictions":7,"cache_hits":1,"cache_misses":8,"cache_hit_ratio_pct":11,"workers":3,"max_inflight":5,"inflight":0,"accepted":101,"admitted":102,"rejected_busy":103,"rate_limited":104,"qba":105,"qbp":106,"query":107,"stats":108,"batch":109,"protocol_errors":110,"query_failures":111,"timeouts":112,"reloads":113,"reload_failures":114}}"#,
         "\n"
     );
 }

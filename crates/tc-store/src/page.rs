@@ -72,7 +72,7 @@ impl SegmentKind {
     fn version(self) -> u16 {
         match self {
             SegmentKind::Network => 1,
-            SegmentKind::TcTree => 2,
+            SegmentKind::TcTree => 3,
         }
     }
 

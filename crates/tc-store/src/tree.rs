@@ -1,13 +1,25 @@
 //! Binary segment persistence for [`TcTree`] (segment kind 2), with a
 //! **lazy** reader that serves QBA / QBP queries straight off the file.
 //!
-//! Format version 2 (version 1 is refused at open), two sections, every
-//! `varint` an unsigned LEB128, canonical and range-checked for its field:
+//! Format version 3 (versions 1 and 2 are refused at open), two sections,
+//! every `varint` an unsigned LEB128, canonical and range-checked for its
+//! field:
 //!
 //! | id | name   | stream layout |
 //! |----|--------|---------------|
-//! | 1  | NODES  | `count varint`, then per node (root first) `parent varint` (zigzag of the difference from the previous record's parent; the root's is 0) `· item varint · levels varint · max_alpha f64 · blob_len varint`; a blob's offset is the sum of the `blob_len`s before it |
-//! | 2  | LEVELS | per node, in directory order, per level: `alpha f64` (omitted for the last level, whose alpha is `max_alpha`) `· edge_count varint`, then the first edge as `u · v−u−1` and each next one as `du = u−u' · (du = 0 ? v−v'−1 : v−u−1)`, all varints |
+//! | 1  | NODES  | `count varint`, then per node (root first) `parent varint` (zigzag of the difference from the previous record's parent; the root's is 0) `· item varint · levels varint` (`level count << 1 \| relative`) `· max_alpha f64 · blob_len varint`; a blob's offset is the sum of the `blob_len`s before it |
+//! | 2  | LEVELS | per node, in directory order, per level: `alpha f64` (omitted for the last level, whose alpha is `max_alpha`) `· edge_count varint`, then the edges: an *absolute* blob codes the first as `u · v−u−1` and each next one as `du = u−u' · (du = 0 ? v−v'−1 : v−u−1)`; a *relative* blob codes each as its index into the parent's edge set, the first as is and each next one as `idx−idx'−1`; all varints |
+//!
+//! A node's *edge set* is the sorted, deduplicated union of its levels. A
+//! blob is relative exactly when its parent is a *base* — not the root,
+//! with a blob of 1 to 512 bytes — and every edge it holds lies in the
+//! parent's edge set (by Theorem 5.1, true of every node a builder makes
+//! below depth 1); it is absolute otherwise. The reader refuses either
+//! bit where the other belongs, so a segment that decodes re-saves
+//! byte-identically. Depth-1 blobs are always absolute, so a root-child
+//! subtree is self-contained. A walk builds a base's edge set once, on
+//! the first of its children that misses the cache, and holds that set —
+//! never a decomposition — until the base's children are done.
 //!
 //! [`SegmentTcTree::open`] streams only the NODES directory — parents,
 //! items, per-node `α*` bounds, level counts and blob offsets into the
@@ -65,6 +77,76 @@ fn edge_from((pu, pv): (u32, u32), du: u32, dv: u32) -> Option<(u32, u32)> {
     Some((u as u32, v))
 }
 
+/// The high bit of a [`SegmentTcTree`] level-count entry: the node's blob
+/// is coded against its parent's edge set.
+const RELATIVE: u32 = 1 << 31;
+
+/// The largest blob a node may have and still be a base for its children.
+/// A child decodes against its parent's edge set, the sorted union of the
+/// parent's levels, which a reader merges afresh for each parent a walk
+/// decodes children under — a cost in the parent's edges, which its blob
+/// bounds (an edge takes one byte at least). Against larger parents that
+/// merge costs more than the child's decode saves: with no bound, a
+/// `coauthor-dense` QBP of two or three items under a tenth-of-working-set
+/// budget first merged parents of thousands of edges and took twice as
+/// long; at 512 bytes it takes as long as with absolute blobs.
+const MAX_BASE_BLOB: u64 = 512;
+
+/// Whether a node whose blob is `blob_len` bytes is a base.
+fn is_base(blob_len: u64) -> bool {
+    (1..=MAX_BASE_BLOB).contains(&blob_len)
+}
+
+/// Replaces `out` with `truss`'s edge set: the sorted, deduplicated union
+/// of its levels, which a child's relative blob indexes into.
+fn edge_set(truss: &TrussDecomposition, out: &mut Vec<(u32, u32)>) {
+    out.clear();
+    for level in &truss.levels {
+        out.extend_from_slice(&level.edges);
+    }
+    // The levels are sorted runs, which the stable sort detects and
+    // merges.
+    out.sort();
+    out.dedup();
+}
+
+/// The first `j ≥ from` with `set[j] ≥ e`: an exponential search from
+/// `from`, then a binary one, so merging a short run into a long set
+/// costs the logarithm of each step rather than the step.
+fn gallop(set: &[(u32, u32)], from: usize, e: (u32, u32)) -> usize {
+    let rest = &set[from..];
+    let mut bound = 1;
+    while bound <= rest.len() && rest[bound - 1] < e {
+        bound *= 2;
+    }
+    let lo = bound / 2;
+    from + lo + rest[lo..bound.min(rest.len())].partition_point(|&x| x < e)
+}
+
+/// Appends to `out` the index in `set` (strictly ascending) of each of
+/// `edges`; `false` if an edge is missing or `edges` does not strictly
+/// ascend.
+fn indices_in(set: &[(u32, u32)], edges: &[(u32, u32)], out: &mut Vec<u32>) -> bool {
+    let mut j = 0;
+    for &e in edges {
+        j = gallop(set, j, e);
+        if set.get(j) != Some(&e) {
+            return false;
+        }
+        out.push(j as u32);
+        j += 1;
+    }
+    true
+}
+
+/// Whether every edge of `levels` lies in `set`, a parent's edge set: the
+/// condition for a relative blob. `out` is left holding each level's
+/// indices, level after level.
+fn nested(levels: &[TrussLevel], set: &[(u32, u32)], out: &mut Vec<u32>) -> bool {
+    out.clear();
+    levels.iter().all(|l| indices_in(set, &l.edges, out))
+}
+
 /// Writes `tree` to `w` as a segment file; `InvalidInput` unless level
 /// alphas are finite, ≥ 0 and ascend and level edges are canonical and
 /// ascend, as every builder emits them and as the reader demands.
@@ -74,9 +156,30 @@ pub fn save_tree_segment<W: Write>(tree: &TcTree, w: &mut W) -> std::io::Result<
     let mut levels = Vec::new();
     put_varint(&mut nodes, tree.nodes().len() as u64);
     let mut prev_parent = 0;
-    for node in tree.nodes() {
+    // Each node's blob length so far, and the edge set of node `base_of`
+    // (0: none yet): builders number siblings contiguously, so it is built
+    // once per parent.
+    let mut blob_lens = Vec::with_capacity(tree.nodes().len());
+    let (mut base, mut base_of) = (Vec::new(), 0);
+    // A relative node's edge indices, all levels in order.
+    let mut indices = Vec::new();
+    for (id, node) in tree.nodes().iter().enumerate() {
         let blob_off = levels.len();
         let truss = &node.truss.levels;
+        // A parent written before this node, and a base.
+        let parent = blob_lens
+            .get(node.parent as usize)
+            .filter(|&&len| node.parent != 0 && is_base(len))
+            .map(|_| tree.node(node.parent));
+        let relative = id != 0
+            && parent.is_some_and(|p| {
+                if base_of != node.parent {
+                    edge_set(&p.truss, &mut base);
+                    base_of = node.parent;
+                }
+                nested(truss, &base, &mut indices)
+            });
+        let mut relative_indices = indices.iter();
         let mut prev_alpha = f64::NEG_INFINITY;
         for (i, level) in truss.iter().enumerate() {
             if !level.alpha.is_finite() || level.alpha < 0.0 || level.alpha <= prev_alpha {
@@ -92,6 +195,14 @@ pub fn save_tree_segment<W: Write>(tree: &TcTree, w: &mut W) -> std::io::Result<
             }
             let m = checked_len_u32(level.edges.len(), "level edge count")?;
             put_varint(&mut levels, m.into());
+            if relative {
+                let mut next = 0;
+                for &at in relative_indices.by_ref().take(level.edges.len()) {
+                    put_varint(&mut levels, (at - next).into());
+                    next = at + 1;
+                }
+                continue;
+            }
             let mut prev = (0, 0);
             for &(u, v) in &level.edges {
                 // A non-ascending edge wraps a delta, and fails to decode.
@@ -113,12 +224,12 @@ pub fn save_tree_segment<W: Write>(tree: &TcTree, w: &mut W) -> std::io::Result<
         put_varint(&mut nodes, zigzag(i64::from(node.parent) - prev_parent));
         prev_parent = node.parent.into();
         put_varint(&mut nodes, node.item.0.into());
-        put_varint(
-            &mut nodes,
-            checked_len_u32(truss.len(), "level count")?.into(),
-        );
+        let field = checked_len_u32(2 * truss.len() + usize::from(relative), "level count")?;
+        put_varint(&mut nodes, field.into());
         put_f64(&mut nodes, node.truss.max_alpha().unwrap_or(0.0));
-        put_varint(&mut nodes, (levels.len() - blob_off) as u64);
+        let blob_len = (levels.len() - blob_off) as u64;
+        put_varint(&mut nodes, blob_len);
+        blob_lens.push(blob_len);
     }
     write_segment(
         w,
@@ -173,7 +284,8 @@ pub struct SegmentTcTree {
     pages: PageFile,
     levels: SectionInfo,
     nodes: Box<[NodeRec]>,
-    /// Node `id`'s level count, read only to materialise it.
+    /// Node `id`'s level count, read only to materialise it, with
+    /// [`RELATIVE`] set if its blob is coded against its parent's edges.
     level_counts: Box<[u32]>,
     /// Node `id`'s children: `child_ids[first_child[id]..first_child[id + 1]]`.
     first_child: Box<[u32]>,
@@ -284,7 +396,7 @@ impl SegmentTcTree {
             let mut r = ByteReader::new(&window[at..]);
             let delta = r.varint(u64::MAX).map(unzigzag).ok_or_else(bad)?;
             let item = Item(r.varint(u32::MAX.into()).ok_or_else(bad)? as u32);
-            let level_count = r.varint(u32::MAX.into()).ok_or_else(bad)? as u32;
+            let levels_field = r.varint(u32::MAX.into()).ok_or_else(bad)? as u32;
             let max_alpha = r.f64().ok_or_else(bad)?;
             let blob_len = r.varint(u64::MAX).ok_or_else(bad)?;
             at = window.len() - r.remaining();
@@ -292,6 +404,23 @@ impl SegmentTcTree {
             parent = parent.checked_add(delta).unwrap_or(-1);
             if !(0..(id as i64).max(1)).contains(&parent) {
                 return Err(corrupt("parent must precede child"));
+            }
+            let (level_count, relative) = (levels_field >> 1, levels_field & 1 == 1);
+            if relative && parent == 0 {
+                return Err(corrupt(format!("node {id} is coded against the root")));
+            }
+            if relative {
+                // The parent's blob runs to the next record's, maybe this one's.
+                let p = parent as usize;
+                let end = nodes
+                    .get(p + 1)
+                    .map_or(blob_off, |next: &NodeRec| next.blob_off);
+                if !is_base(end - nodes[p].blob_off) {
+                    return Err(corrupt(format!(
+                        "node {id} is coded against a parent whose blob is empty or over \
+                         {MAX_BASE_BLOB} bytes"
+                    )));
+                }
             }
             // Without levels there is no last alpha to be the bound: +0.0.
             let unbound = level_count == 0 && max_alpha.to_bits() != 0;
@@ -308,7 +437,7 @@ impl SegmentTcTree {
                 max_alpha,
                 blob_off,
             });
-            level_counts.push(level_count);
+            level_counts.push(level_count | if relative { RELATIVE } else { 0 });
             blob_off = blob_off.saturating_add(blob_len);
         }
         fill(&mut window, &mut at, 1)?;
@@ -407,11 +536,14 @@ impl SegmentTcTree {
     /// touch (or again after eviction). The returned `Arc` pins the data
     /// for the caller — eviction can never invalidate it mid-query.
     pub fn truss(&self, id: u32) -> Result<Arc<TrussDecomposition>, LoadError> {
-        self.truss_via(id, &mut PageCursor::new())
+        self.resolve(id, &mut PageCursor::new())
     }
 
-    /// [`SegmentTcTree::truss`], reading through `cursor`'s page.
-    fn truss_via(
+    /// [`SegmentTcTree::truss`], reading through `cursor`'s page: a miss
+    /// climbs to the nearest ancestor that is resident or needs no parent
+    /// to decode, and materialises the chain back down, each node against
+    /// its parent's edge set.
+    fn resolve(
         &self,
         id: u32,
         cursor: &mut PageCursor,
@@ -419,27 +551,89 @@ impl SegmentTcTree {
         if let Some(t) = self.cache.get(id) {
             return Ok(t);
         }
-        // A concurrent materialisation of the same node parses identical
-        // bytes, so losing the insert race is harmless — `insert` adopts
-        // the winner's entry.
-        Ok(self.cache.insert(id, self.decode(id, cursor)?))
+        let mut chain = vec![id];
+        let mut base = Vec::new();
+        while let Some(up) = self.base_of(*chain.last().unwrap()) {
+            if let Some(parent) = self.cache.get(up) {
+                edge_set(&parent, &mut base);
+                break;
+            }
+            chain.push(up);
+        }
+        let mut truss = None;
+        for &at in chain.iter().rev() {
+            let set = self.base_of(at).map(|_| &base[..]);
+            let t = self.materialize(at, cursor, set)?;
+            if at != id {
+                edge_set(&t, &mut base);
+            }
+            truss = Some(t);
+        }
+        Ok(truss.expect("the chain holds `id`"))
     }
 
-    /// Reads and decodes node `id`'s LEVELS blob through `cursor`'s page,
-    /// leaving the cache alone.
-    fn decode(&self, id: u32, cursor: &mut PageCursor) -> Result<TrussDecomposition, LoadError> {
+    /// The parent node `id` decodes against: its parent, unless that is
+    /// the root or not a base (see [`MAX_BASE_BLOB`]).
+    fn base_of(&self, id: u32) -> Option<u32> {
+        let parent = self.nodes[id as usize].parent;
+        (parent != 0 && is_base(self.blob_range(parent).1)).then_some(parent)
+    }
+
+    /// Node `id`'s blob as `(offset, length)` in LEVELS; open checked that
+    /// the offsets ascend to the LEVELS length.
+    fn blob_range(&self, id: u32) -> (u64, u64) {
         let i = id as usize;
-        let n = &self.nodes[i];
-        // Open checked that the offsets ascend to the LEVELS length.
         let end = self
             .nodes
             .get(i + 1)
             .map_or(self.levels.byte_len, |next| next.blob_off);
-        let blob = self
-            .pages
-            .read_range(&self.levels, n.blob_off, end - n.blob_off, cursor)?;
-        let levels = decode_levels(&blob, self.level_counts[i], n.max_alpha)
+        (self.nodes[i].blob_off, end - self.nodes[i].blob_off)
+    }
+
+    /// Decodes node `id` (see [`SegmentTcTree::decode`]) into the cache.
+    fn materialize(
+        &self,
+        id: u32,
+        cursor: &mut PageCursor,
+        parent_set: Option<&[(u32, u32)]>,
+    ) -> Result<Arc<TrussDecomposition>, LoadError> {
+        let truss = self.decode(id, cursor, parent_set)?;
+        // A concurrent materialisation of the same node parses identical
+        // bytes, so losing the insert race is harmless — `insert` adopts
+        // the winner's entry.
+        Ok(self.cache.insert(id, truss))
+    }
+
+    /// Reads and decodes node `id`'s LEVELS blob through `cursor`'s page,
+    /// leaving the cache alone. `parent_set` is the edge set of
+    /// [`SegmentTcTree::base_of`]`(id)`, if any: a relative blob indexes
+    /// into it, and an absolute one must not fit inside it.
+    fn decode(
+        &self,
+        id: u32,
+        cursor: &mut PageCursor,
+        parent_set: Option<&[(u32, u32)]>,
+    ) -> Result<TrussDecomposition, LoadError> {
+        let i = id as usize;
+        debug_assert_eq!(
+            parent_set.is_some(),
+            self.base_of(id).is_some(),
+            "node {id}"
+        );
+        let (off, len) = self.blob_range(id);
+        let blob = self.pages.read_range(&self.levels, off, len, cursor)?;
+        let relative = self.level_counts[i] & RELATIVE != 0;
+        let level_count = self.level_counts[i] & !RELATIVE;
+        let base = parent_set.filter(|_| relative);
+        let levels = decode_levels(&blob, level_count, self.nodes[i].max_alpha, base)
             .map_err(|what| corrupt(format!("node {id} {what}")))?;
+        if let Some(set) = parent_set.filter(|_| !relative) {
+            if nested(&levels, set, &mut Vec::new()) {
+                return Err(corrupt(format!(
+                    "node {id} lies in its parent's edges but is coded absolute"
+                )));
+            }
+        }
         Ok(TrussDecomposition {
             pattern: self.pattern(id),
             levels,
@@ -462,7 +656,11 @@ impl SegmentTcTree {
         let mut visited = 0usize;
         let mut cursor = PageCursor::new();
         let mut queue = std::collections::VecDeque::from([0u32]);
+        // `nf`'s edge set once a child of it misses: the queue holds ids,
+        // never a truss, and the walk holds one parent's set at a time.
+        let mut base = Vec::new();
         while let Some(nf) = queue.pop_front() {
+            let mut have_base = false;
             for &nc in self.children(nf) {
                 let node = &self.nodes[nc as usize];
                 visited += 1;
@@ -475,8 +673,19 @@ impl SegmentTcTree {
                 if !float::gt_eps(node.max_alpha, alpha_q) {
                     continue;
                 }
+                let truss = match self.cache.get(nc) {
+                    Some(t) => t,
+                    None => {
+                        let based = self.base_of(nc).is_some();
+                        if based && !have_base {
+                            edge_set(&*self.resolve(nf, &mut cursor)?, &mut base);
+                            have_base = true;
+                        }
+                        self.materialize(nc, &mut cursor, based.then_some(&base[..]))?
+                    }
+                };
                 // The pin lasts for this one reduction only.
-                let Some(k) = keep(nc, &*self.truss_via(nc, &mut cursor)?) else {
+                let Some(k) = keep(nc, &truss) else {
                     continue;
                 };
                 kept.push(k);
@@ -541,15 +750,26 @@ impl SegmentTcTree {
     /// conversion path). Each truss goes straight into its [`TcNode`]; the
     /// cache is never filled, so no truss is held twice.
     pub fn to_tree(&self) -> Result<TcTree, LoadError> {
-        let mut nodes = Vec::with_capacity(self.nodes.len());
+        let mut nodes: Vec<TcNode> = Vec::with_capacity(self.nodes.len());
         let mut cursor = PageCursor::new();
+        // Parents precede children, so a parent is already decoded; its
+        // edge set is built once per run of siblings.
+        let (mut base, mut base_of) = (Vec::new(), 0);
         for id in 0..self.nodes.len() as u32 {
             let n = &self.nodes[id as usize];
+            let parent_set = self.base_of(id).map(|p| {
+                if p != base_of {
+                    edge_set(&nodes[p as usize].truss, &mut base);
+                    base_of = p;
+                }
+                &base[..]
+            });
+            let truss = self.decode(id, &mut cursor, parent_set)?;
             nodes.push(TcNode {
                 item: n.item,
                 parent: n.parent,
                 children: self.children(id).to_vec(),
-                truss: self.decode(id, &mut cursor)?,
+                truss,
             });
         }
         Ok(TcTree::from_nodes(nodes))
@@ -557,11 +777,13 @@ impl SegmentTcTree {
 }
 
 /// Decodes a node's LEVELS blob of `level_count` levels, the last at
-/// `max_alpha`, or names what is wrong with it.
+/// `max_alpha` — relative to `base`, its parent's edge set, if given, and
+/// absolute otherwise — or names what is wrong with it.
 fn decode_levels(
     blob: &[u8],
     level_count: u32,
     max_alpha: f64,
+    base: Option<&[(u32, u32)]>,
 ) -> Result<Vec<TrussLevel>, &'static str> {
     const EOF: &str = "levels truncated or malformed";
     let mut r = ByteReader::new(blob);
@@ -581,13 +803,26 @@ fn decode_levels(
         prev_alpha = alpha;
         let m = r.varint(u32::MAX.into()).ok_or(EOF)? as usize;
         // Each edge follows the last by construction: sorted, no repeats.
-        let mut edges = Vec::with_capacity(m.min(r.remaining() / 2));
-        let mut e = (0, 0);
-        for _ in 0..m {
-            let du = r.varint(u32::MAX.into()).ok_or(EOF)? as u32;
-            let dv = r.varint(u32::MAX.into()).ok_or(EOF)? as u32;
-            e = edge_from(e, du, dv).ok_or("edge delta overflows u32")?;
-            edges.push(e);
+        // An absolute edge takes two bytes at least, a relative one one.
+        let per_edge = if base.is_some() { 1 } else { 2 };
+        let mut edges = Vec::with_capacity(m.min(r.remaining() / per_edge));
+        if let Some(base) = base {
+            // Indices ascend into a sorted set: so do the edges.
+            let mut next = 0u64;
+            for _ in 0..m {
+                let at = next + r.varint(u32::MAX.into()).ok_or(EOF)?;
+                let e = usize::try_from(at).ok().and_then(|at| base.get(at));
+                edges.push(*e.ok_or("edge index past its parent's edges")?);
+                next = at + 1;
+            }
+        } else {
+            let mut e = (0, 0);
+            for _ in 0..m {
+                let du = r.varint(u32::MAX.into()).ok_or(EOF)? as u32;
+                let dv = r.varint(u32::MAX.into()).ok_or(EOF)? as u32;
+                e = edge_from(e, du, dv).ok_or("edge delta overflows u32")?;
+                edges.push(e);
+            }
         }
         levels.push(TrussLevel { alpha, edges });
     }
@@ -745,12 +980,12 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Appends one NODES record, `parent` as its difference from the
-    /// previous record's.
+    /// Appends one NODES record of an absolute blob, `parent` as its
+    /// difference from the previous record's.
     fn put_record(dir: &mut Vec<u8>, parent: i64, item: u32, levels: u32, alpha: f64, len: u64) {
         put_varint(dir, zigzag(parent));
         put_varint(dir, item.into());
-        put_varint(dir, levels.into());
+        put_varint(dir, u64::from(levels) << 1);
         put_f64(dir, alpha);
         put_varint(dir, len);
     }
@@ -770,16 +1005,16 @@ mod tests {
         let err = SegmentTcTree::from_bytes(buf).unwrap_err();
         assert!(err.is_corruption(), "{err}");
 
-        // Valid checksums, but a node blob claiming u32::MAX levels and
-        // edges: materialisation must report corruption, not abort trying
-        // to reserve gigabytes.
+        // Valid checksums, but a node blob claiming the most levels the
+        // directory can count and u32::MAX edges: materialisation must
+        // report corruption, not abort trying to reserve gigabytes.
         let mut blob = Vec::new();
         put_f64(&mut blob, 0.25);
         put_varint(&mut blob, u32::MAX.into());
         let mut nodes = Vec::new();
         put_varint(&mut nodes, 2);
         put_record(&mut nodes, 0, 0, 0, 0.0, 0);
-        put_record(&mut nodes, 0, 7, u32::MAX, 0.5, blob.len() as u64);
+        put_record(&mut nodes, 0, 7, u32::MAX >> 1, 0.5, blob.len() as u64);
         let mut buf = Vec::new();
         write_segment(&mut buf, SegmentKind::TcTree, &[(1, nodes), (2, blob)]).unwrap();
         let seg = SegmentTcTree::from_bytes(buf).unwrap();
@@ -949,6 +1184,66 @@ mod tests {
                 key(&want),
                 "q = {q}"
             );
+        }
+    }
+
+    #[test]
+    fn nested_and_non_nested_siblings_round_trip() {
+        // Node 1's children: node 2's edges lie inside node 1's, across
+        // two levels, so its blob is relative; node 3 holds (2, 3), outside
+        // them, so its blob stays absolute. Node 4's edge lies in node 2's
+        // second level, so it is coded against node 2's two.
+        let level = |alpha, edges: &[(u32, u32)]| TrussLevel {
+            alpha,
+            edges: edges.to_vec(),
+        };
+        let node = |items: &[u32], parent, children, levels| TcNode {
+            item: Item(items.last().copied().unwrap_or(0)),
+            parent,
+            children,
+            truss: TrussDecomposition {
+                pattern: items.iter().map(|&i| Item(i)).collect(),
+                levels,
+            },
+        };
+        let tree = TcTree::from_nodes(vec![
+            node(&[], 0, vec![1], Vec::new()),
+            node(
+                &[1],
+                0,
+                vec![2, 3],
+                vec![level(0.5, &[(0, 1), (0, 2), (0, 3), (1, 2)])],
+            ),
+            node(
+                &[1, 2],
+                1,
+                vec![4],
+                vec![level(0.25, &[(0, 1), (0, 3)]), level(0.5, &[(1, 2)])],
+            ),
+            node(&[1, 3], 1, Vec::new(), vec![level(0.5, &[(0, 1), (2, 3)])]),
+            node(&[1, 2, 4], 2, Vec::new(), vec![level(0.25, &[(1, 2)])]),
+        ]);
+        let bytes = segment_bytes(&tree);
+        let seg = SegmentTcTree::from_bytes(bytes.clone()).unwrap();
+        let relative: Vec<bool> = seg.level_counts.iter().map(|c| c & RELATIVE != 0).collect();
+        assert_eq!(relative, [false, false, true, false, true]);
+        for id in 1..5 {
+            assert_eq!(*seg.truss(id).unwrap(), tree.node(id).truss, "node {id}");
+        }
+        let loaded = seg.to_tree().unwrap();
+        for id in 0..5 {
+            assert_eq!(loaded.node(id).truss, tree.node(id).truss, "node {id}");
+        }
+        assert_eq!(segment_bytes(&loaded), bytes);
+        for alpha in [0.0, 0.3] {
+            let (want, got) = (
+                tree.query_by_alpha(alpha),
+                seg.query_by_alpha(alpha).unwrap(),
+            );
+            assert_eq!(got.retrieved_nodes, want.retrieved_nodes, "α = {alpha}");
+            for (g, w) in got.trusses.iter().zip(&want.trusses) {
+                assert_eq!(g.edges, w.edges, "α = {alpha}");
+            }
         }
     }
 

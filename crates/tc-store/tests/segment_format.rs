@@ -1,14 +1,19 @@
-//! The TC-Tree segment format guard: the version 2 encoding decodes
+//! The TC-Tree segment format guard: the version 3 encoding decodes
 //! exactly what was written, and nothing else gets past the decoder.
 //!
 //! * a deterministic mutation sweep over a small tree — every truncation
 //!   of the NODES and LEVELS streams and a one-byte XOR at every offset,
 //!   resealed with valid page CRCs — where each input either opens and
 //!   materialises every node (and then re-saves byte-identically, which
-//!   the canonical varints guarantee) or is a typed `Corrupt`, and none
-//!   panics or allocates more than its streams could describe;
-//! * crafted streams for each decoder check, a hand-built version 1 tree
-//!   segment, and pinned network segment bytes (networks stay version 1).
+//!   the canonical varints and the canonical choice of relative or
+//!   absolute blob guarantee) or is a typed `Corrupt`, and none panics or
+//!   allocates more than its streams could describe;
+//! * crafted streams for each decoder check, hand-built version 1 and 2
+//!   tree segments, and pinned network segment bytes (networks stay
+//!   version 1);
+//! * the nesting guard: every node a builder makes below depth 1 under a
+//!   parent whose blob is 1 to 512 bytes is coded against the parent's
+//!   edges (Theorem 5.1), on a co-author network.
 //!
 //! CI re-runs this suite by name (see `.github/workflows/ci.yml`, the
 //! segment-format step); locally it runs with `cargo test`.
@@ -19,7 +24,7 @@ use tc_core::{DatabaseNetwork, DatabaseNetworkBuilder};
 use tc_index::{TcTree, TcTreeBuilder};
 use tc_store::page::{write_segment, PageFile};
 use tc_store::{LoadError, SegmentKind, SegmentTcTree, PAGE_SIZE};
-use tc_util::bytes::{put_f64, put_u32, put_u64, put_varint, zigzag};
+use tc_util::bytes::{put_f64, put_u32, put_u64, put_varint, unzigzag, zigzag, ByteReader};
 
 thread_local! {
     /// The largest single allocation this thread has asked for.
@@ -115,6 +120,27 @@ fn streams(segment: &[u8]) -> (Vec<u8>, Vec<u8>) {
     (section(1).unwrap(), section(2).unwrap())
 }
 
+/// `(parent, blob length, relative)` of each NODES record of a tree
+/// segment, parsed by the grammar of `docs/SEGMENT_FORMAT.md`.
+fn directory(segment: &[u8]) -> Vec<(u32, u64, bool)> {
+    let (nodes, _) = streams(segment);
+    let mut r = ByteReader::new(&nodes);
+    let count = r.varint(u64::MAX).unwrap();
+    let mut parent = 0i64;
+    let records = (0..count)
+        .map(|_| {
+            parent += unzigzag(r.varint(u64::MAX).unwrap());
+            r.varint(u32::MAX.into()).unwrap(); // item
+            let levels = r.varint(u32::MAX.into()).unwrap();
+            r.f64().unwrap(); // max_alpha
+            let blob_len = r.varint(u64::MAX).unwrap();
+            (parent as u32, blob_len, levels & 1 == 1)
+        })
+        .collect();
+    assert!(r.is_empty(), "trailing NODES bytes");
+    records
+}
+
 /// Opens `bytes` and materialises every node; the rebuilt tree's segment
 /// on success.
 fn decode(bytes: Vec<u8>) -> Result<Vec<u8>, LoadError> {
@@ -124,7 +150,7 @@ fn decode(bytes: Vec<u8>) -> Result<Vec<u8>, LoadError> {
 }
 
 #[test]
-fn streams_round_trip_and_carry_version_2() {
+fn streams_round_trip_and_carry_version_3() {
     let tree = TcTreeBuilder {
         threads: 1,
         max_len: usize::MAX,
@@ -132,8 +158,43 @@ fn streams_round_trip_and_carry_version_2() {
     .build(&sample_network());
     let bytes = tree_bytes(&tree);
     // Page 0's payload (at byte 8): the magic, then the version.
-    assert_eq!(bytes[16..18], 2u16.to_le_bytes());
+    assert_eq!(bytes[16..18], 3u16.to_le_bytes());
     assert_eq!(decode(bytes.clone()).unwrap(), bytes);
+}
+
+#[test]
+fn every_node_under_a_base_parent_is_coded_against_it() {
+    // Theorem 5.1: a node's truss lies inside its parent's, so a builder
+    // tree codes every node below depth 1 whose parent's blob is 1 to
+    // 512 bytes relative, and only those. A builder change that breaks the
+    // theorem, or a writer that silently falls back to absolute blobs,
+    // fails here by name.
+    let net = tc_data::generate_coauthor(&tc_data::CoauthorConfig {
+        groups: 3,
+        authors_per_group: 16,
+        interdisciplinary_authors: 4,
+        papers_per_author: 10,
+        keywords_per_paper: 4,
+        collab_prob: 0.7,
+        cross_group_edges: 12,
+        generic_keyword_prob: 0.4,
+        seed: 0xD5,
+    })
+    .network;
+    let tree = TcTreeBuilder {
+        threads: 1,
+        max_len: usize::MAX,
+    }
+    .build(&net);
+    let records = directory(&tree_bytes(&tree));
+    assert!(tree.max_depth() >= 3, "depth {}", tree.max_depth());
+    let mut relative_count = 0;
+    for (id, &(parent, _, relative)) in records.iter().enumerate() {
+        let based = parent != 0 && (1..=512).contains(&records[parent as usize].1);
+        assert_eq!(relative, based, "node {id} (parent {parent})");
+        relative_count += usize::from(relative);
+    }
+    assert!(relative_count >= 400, "{relative_count} relative blobs");
 }
 
 #[test]
@@ -149,6 +210,8 @@ fn every_truncation_and_byte_flip_is_typed_or_decodes_canonically() {
         tree.num_nodes() > 8 && levels.len() > 64,
         "a tree worth sweeping"
     );
+    let relative = directory(&clean).iter().filter(|r| r.2).count();
+    assert!(relative >= 2, "{relative} relative blobs to damage");
     let mut inputs: Vec<(String, Vec<u8>, Vec<u8>)> = Vec::new();
     for cut in 0..nodes.len() {
         inputs.push((
@@ -208,11 +271,11 @@ fn every_truncation_and_byte_flip_is_typed_or_decodes_canonically() {
 }
 
 /// Appends one NODES record, `parent` as its difference from the previous
-/// record's.
-fn put_record(dir: &mut Vec<u8>, parent: i64, item: u32, levels: u32, alpha: f64, len: u64) {
+/// record's and `levels` as the raw field, `level count << 1 | relative`.
+fn put_record(dir: &mut Vec<u8>, parent: i64, item: u32, levels: u64, alpha: f64, len: u64) {
     put_varint(dir, zigzag(parent));
     put_varint(dir, item.into());
-    put_varint(dir, levels.into());
+    put_varint(dir, levels);
     put_f64(dir, alpha);
     put_varint(dir, len);
 }
@@ -224,8 +287,39 @@ fn one_child(parent: i64, blob_len: u64, levels: &[u8]) -> Result<SegmentTcTree,
     let mut nodes = Vec::new();
     put_varint(&mut nodes, 2);
     put_record(&mut nodes, 0, 0, 0, 0.0, 0);
-    put_record(&mut nodes, parent, 7, 1, 0.5, blob_len);
+    put_record(&mut nodes, parent, 7, 1 << 1, 0.5, blob_len);
     SegmentTcTree::from_bytes(sealed(&nodes, levels))
+}
+
+/// A root, node 1 on item 7 with the one level [`level`]`(&[(1, 0), (0,
+/// 1)])` — edges (1, 2) and (1, 4) at α = 0.5 — and its child node 2 on
+/// item 8 at α = 0.25, whose levels field is `child_levels` and whose
+/// blob is `child_blob`.
+fn parent_and_child(child_levels: u64, child_blob: &[u8]) -> Result<SegmentTcTree, LoadError> {
+    let parent_blob = level(&[(1, 0), (0, 1)]);
+    let mut nodes = Vec::new();
+    put_varint(&mut nodes, 3);
+    put_record(&mut nodes, 0, 0, 0, 0.0, 0);
+    put_record(&mut nodes, 0, 7, 1 << 1, 0.5, parent_blob.len() as u64);
+    put_record(
+        &mut nodes,
+        1,
+        8,
+        child_levels,
+        0.25,
+        child_blob.len() as u64,
+    );
+    SegmentTcTree::from_bytes(sealed(&nodes, &[parent_blob, child_blob.to_vec()].concat()))
+}
+
+/// One relative level's LEVELS bytes: the edge count, then index gaps.
+fn relative_level(gaps: &[u64]) -> Vec<u8> {
+    let mut blob = Vec::new();
+    put_varint(&mut blob, gaps.len() as u64);
+    for &gap in gaps {
+        put_varint(&mut blob, gap);
+    }
+    blob
 }
 
 /// One level's LEVELS bytes: the edge count, then `(du, dv)` pairs.
@@ -257,7 +351,7 @@ fn crafted_streams_fail_each_check_as_corrupt() {
     // An overlong varint: the node count, then an edge delta.
     let mut nodes = vec![0x82, 0x00];
     put_record(&mut nodes, 0, 0, 0, 0.0, 0);
-    put_record(&mut nodes, 0, 7, 1, 0.5, good.len() as u64);
+    put_record(&mut nodes, 0, 7, 1 << 1, 0.5, good.len() as u64);
     let r = SegmentTcTree::from_bytes(sealed(&nodes, &good));
     assert_corrupt("overlong count", r, "malformed");
     let overlong = [0x02, 0x81, 0x00, 0x00, 0x00, 0x01];
@@ -302,6 +396,100 @@ fn crafted_streams_fail_each_check_as_corrupt() {
 }
 
 #[test]
+fn crafted_relative_streams_fail_each_check_as_corrupt() {
+    // The well-formed baseline: node 2 holds its parent's edge 1, (1, 4),
+    // and re-saves byte-identically.
+    let good = relative_level(&[1]);
+    let bytes = {
+        let seg = parent_and_child(1 << 1 | 1, &good).unwrap();
+        assert_eq!(seg.truss(2).unwrap().levels[0].edges, [(1, 4)]);
+        seg.to_tree().map(|tree| tree_bytes(&tree)).unwrap()
+    };
+    assert_eq!(decode(bytes.clone()).unwrap(), bytes);
+
+    // An index past the parent's two edges, first or after a gap; and a
+    // gap that carries the index past u32::MAX.
+    let max = u64::from(u32::MAX);
+    for gaps in [&[2][..], &[0, 1], &[0, max]] {
+        let seg = parent_and_child(2 + 1, &relative_level(gaps)).unwrap();
+        assert_corrupt(
+            &format!("gaps {gaps:?}"),
+            seg.truss(2),
+            "past its parent's edges",
+        );
+    }
+    // A gap too wide for u32 at all is a malformed varint.
+    let seg = parent_and_child(2 + 1, &relative_level(&[max + 1])).unwrap();
+    assert_corrupt("gap = 2^32", seg.truss(2), "malformed");
+
+    // The relative bit on a depth-1 node: it has no parent's edges.
+    let mut nodes = Vec::new();
+    put_varint(&mut nodes, 2);
+    put_record(&mut nodes, 0, 0, 0, 0.0, 0);
+    put_record(&mut nodes, 0, 7, 1 << 1 | 1, 0.5, good.len() as u64);
+    let r = SegmentTcTree::from_bytes(sealed(&nodes, &good));
+    assert_corrupt("relative depth-1 node", r, "coded against the root");
+
+    // The relative bit under a parent whose blob is 514 bytes — one level
+    // of 256 edges (0, 1) … (0, 256), two bytes each after the edge
+    // count's two — is no base.
+    let parent_blob = level(&[(0, 0); 256]);
+    assert_eq!(parent_blob.len(), 514);
+    let mut nodes = Vec::new();
+    put_varint(&mut nodes, 3);
+    put_record(&mut nodes, 0, 0, 0, 0.0, 0);
+    put_record(&mut nodes, 0, 7, 1 << 1, 0.75, parent_blob.len() as u64);
+    put_record(&mut nodes, 1, 8, 1 << 1 | 1, 0.25, good.len() as u64);
+    let seg = SegmentTcTree::from_bytes(sealed(&nodes, &[parent_blob, good.clone()].concat()));
+    assert_corrupt("relative under a large parent", seg, "over 512 bytes");
+
+    // A node inside its parent's edges coded absolute: the writer codes it
+    // relative, so accepting it would break re-save identity.
+    let absolute = level(&[(1, 2)]);
+    let seg = parent_and_child(1 << 1, &absolute).unwrap();
+    assert_corrupt("absolute nested node", seg.truss(2), "coded absolute");
+    // Outside them, it is the absolute blob the writer makes.
+    let outside = level(&[(2, 0)]);
+    let seg = parent_and_child(1 << 1, &outside).unwrap();
+    assert_eq!(seg.truss(2).unwrap().levels[0].edges, [(2, 3)]);
+}
+
+/// `bytes` with `version` stamped into the header, page 0's CRC resealed
+/// over the length field and everything after the CRC field.
+fn stamped(mut bytes: Vec<u8>, version: u16) -> Vec<u8> {
+    bytes[16..18].copy_from_slice(&version.to_le_bytes());
+    let mut crc = tc_util::Crc32::new();
+    crc.update(&bytes[..4]);
+    crc.update(&bytes[8..PAGE_SIZE]);
+    bytes[4..8].copy_from_slice(&crc.finish().to_le_bytes());
+    bytes
+}
+
+/// Opens `bytes` as an image and as a file, and requires each to be
+/// refused with the version skew error naming `version`.
+fn assert_refused_as(version: u16, bytes: Vec<u8>) {
+    let path = std::env::temp_dir().join(format!("tc_store_v{version}_{}.seg", std::process::id()));
+    std::fs::write(&path, &bytes).unwrap();
+    for (source, r) in [
+        ("image", SegmentTcTree::from_bytes(bytes)),
+        ("file", SegmentTcTree::open(&path)),
+    ] {
+        let Err(LoadError::Corrupt(msg)) = r else {
+            panic!("{source}: a v{version} tree segment was not refused as Corrupt");
+        };
+        assert_eq!(
+            msg,
+            format!(
+                "segment: version skew: TC-Tree segment is v{version}, this build reads v3; \
+                 re-index from text with `tc index`"
+            ),
+            "{source}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn a_version_1_tree_segment_is_refused_with_the_skew_error() {
     // The version 1 layout of a root and one child: 36-byte records with
     // explicit blob offsets, and one level of fixed-width (u, v) pairs.
@@ -320,32 +508,21 @@ fn a_version_1_tree_segment_is_refused_with_the_skew_error() {
         put_u64(&mut nodes, 0);
         put_u64(&mut nodes, len);
     }
-    let mut bytes = sealed(&nodes, &levels);
-    // Stamp version 1 into the header and reseal page 0's CRC, which
-    // covers the length field and everything after the CRC field.
-    bytes[16..18].copy_from_slice(&1u16.to_le_bytes());
-    let mut crc = tc_util::Crc32::new();
-    crc.update(&bytes[..4]);
-    crc.update(&bytes[8..PAGE_SIZE]);
-    bytes[4..8].copy_from_slice(&crc.finish().to_le_bytes());
+    assert_refused_as(1, stamped(sealed(&nodes, &levels), 1));
+}
 
-    let path = std::env::temp_dir().join(format!("tc_store_v1_{}.seg", std::process::id()));
-    std::fs::write(&path, &bytes).unwrap();
-    for (source, r) in [
-        ("image", SegmentTcTree::from_bytes(bytes)),
-        ("file", SegmentTcTree::open(&path)),
-    ] {
-        let Err(LoadError::Corrupt(msg)) = r else {
-            panic!("{source}: a v1 tree segment was not refused as Corrupt");
-        };
-        assert_eq!(
-            msg,
-            "segment: version skew: TC-Tree segment is v1, this build reads v2; \
-             re-index from text with `tc index`",
-            "{source}"
-        );
-    }
-    std::fs::remove_file(&path).ok();
+#[test]
+fn a_version_2_tree_segment_is_refused_with_the_skew_error() {
+    // The version 2 layout of a root, a child and a grandchild: the level
+    // count unshifted, and every blob absolute — the grandchild's too,
+    // though its one edge lies in its parent's.
+    let (parent, child) = (level(&[(1, 0), (0, 1)]), level(&[(1, 2)]));
+    let mut nodes = Vec::new();
+    put_varint(&mut nodes, 3);
+    put_record(&mut nodes, 0, 0, 0, 0.0, 0);
+    put_record(&mut nodes, 0, 7, 1, 0.5, parent.len() as u64);
+    put_record(&mut nodes, 1, 8, 1, 0.25, child.len() as u64);
+    assert_refused_as(2, stamped(sealed(&nodes, &[parent, child].concat()), 2));
 }
 
 #[test]

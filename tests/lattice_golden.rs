@@ -296,7 +296,7 @@ fn vertex_network_tree_is_pinned() {
         assert!(tree.max_depth() >= 3, "depth {}", tree.max_depth());
         assert_eq!(
             tree_pin(&tree),
-            (28672, 360651931, 1559214054, 11364, 5512, 5852),
+            (24576, 3056333612, 1559214054, 11364, 5512, 5852),
             "threads = {threads}"
         );
     }
@@ -310,7 +310,7 @@ fn edge_network_tree_is_pinned() {
         assert!(tree.max_depth() >= 3, "depth {}", tree.max_depth());
         assert_eq!(
             tree_pin(&tree),
-            (12288, 2728479953, 1406199485, 37, 24, 13),
+            (12288, 3551052123, 1406199485, 37, 24, 13),
             "threads = {threads}"
         );
     }
@@ -345,7 +345,7 @@ fn dense_network_tree_is_pinned() {
         let tree = build(&net, threads);
         assert_eq!(
             tree_pin(&tree),
-            (139264, 453064070, 3162035220, 4101, 2796, 1305),
+            (102400, 677547603, 3162035220, 4101, 2796, 1305),
             "threads = {threads}"
         );
     }
@@ -398,7 +398,7 @@ fn wide_vertex_network_tree_is_pinned() {
         assert!(tree.max_depth() >= 3, "depth {}", tree.max_depth());
         assert_eq!(
             tree_pin(&tree),
-            (28672, 1208808367, 1638059684, 91, 79, 12),
+            (20480, 2052259255, 1638059684, 91, 79, 12),
             "threads = {threads}"
         );
     }
@@ -421,7 +421,7 @@ fn wide_edge_network_tree_is_pinned() {
         assert!(tree.max_depth() >= 3, "depth {}", tree.max_depth());
         assert_eq!(
             tree_pin(&tree),
-            (16384, 1812359069, 2542263276, 63, 40, 23),
+            (16384, 1394354926, 2542263276, 63, 40, 23),
             "threads = {threads}"
         );
     }
