@@ -71,18 +71,10 @@ impl Flags {
         }
     }
 
-    fn get_f64(&self, key: &str, default: f64) -> Result<f64, String> {
-        self.get_num(key, default)
-    }
-
-    fn get_usize(&self, key: &str, default: usize) -> Result<usize, String> {
-        self.get_num(key, default)
-    }
-
     /// A count flag (`--threads`, `--workers`, `--max-inflight`, …): at
     /// least 1, whatever the command line says.
     fn get_count(&self, key: &str, default: usize) -> Result<usize, String> {
-        Ok(self.get_usize(key, default)?.max(1))
+        Ok(self.get_num(key, default)?.max(1))
     }
 
     /// The `i`th positional argument, or the command's usage error.
@@ -100,14 +92,14 @@ impl Flags {
 
     /// A daemon's `--session-timeout` in seconds; 0 disables it.
     fn session_timeout(&self, default_secs: usize) -> Result<Option<Duration>, String> {
-        let secs = self.get_usize("session-timeout", default_secs)?;
+        let secs = self.get_num("session-timeout", default_secs)?;
         Ok((secs > 0).then(|| Duration::from_secs(secs as u64)))
     }
 
     /// A daemon's per-client-IP `--rate-limit` in requests a second; 0,
     /// the default, disables it.
     fn rate_limit(&self) -> Result<Option<tc_serve::RateLimit>, String> {
-        let per_sec = self.get_usize("rate-limit", 0)?;
+        let per_sec = self.get_num::<usize>("rate-limit", 0)?;
         Ok((per_sec > 0).then(|| tc_serve::RateLimit::per_second(per_sec as f64)))
     }
 }
@@ -324,8 +316,8 @@ fn generate(flags: &Flags) -> Result<(), String> {
         .get("kind")
         .ok_or("--kind is required (checkin|coauthor|syn|planted)")?;
     let out = flags.out()?;
-    let scale = flags.get_f64("scale", 1.0)?;
-    let seed = flags.get_usize("seed", 42)? as u64;
+    let scale = flags.get_num::<f64>("scale", 1.0)?;
+    let seed = flags.get_num::<u64>("seed", 42)?;
 
     let network = match kind {
         "checkin" => {
@@ -414,9 +406,9 @@ const MINE: Command = Command {
 /// `tc mine`: finds the theme communities of a network at one `α`.
 fn mine(flags: &Flags) -> Result<(), String> {
     let path = flags.arg(0)?;
-    let alpha = flags.get_f64("alpha", 0.1)?;
-    let epsilon = flags.get_f64("epsilon", 0.1)?;
-    let top = flags.get_usize("top", 20)?;
+    let alpha = flags.get_num::<f64>("alpha", 0.1)?;
+    let epsilon = flags.get_num::<f64>("epsilon", 0.1)?;
+    let top = flags.get_num::<usize>("top", 20)?;
     let threads = flags.get_count("threads", default_threads())?;
     let miner_name = flags.get("miner").unwrap_or("tcfi");
     // Warn only on an *explicit* --threads: the default is whatever the
@@ -563,7 +555,7 @@ const QUERY: Command = Command {
 /// byte-comparable (CI's `http-smoke` job diffs exactly this against
 /// `curl`).
 fn query(flags: &Flags) -> Result<(), String> {
-    let alpha = flags.get_f64("alpha", 0.0)?;
+    let alpha = flags.get_num::<f64>("alpha", 0.0)?;
     // Optional network for item-name resolution and pretty printing.
     let net = flags.get("network").map(load_net).transpose()?;
     let spec = match flags.get("pattern") {
@@ -582,7 +574,7 @@ fn query(flags: &Flags) -> Result<(), String> {
         // again, up to --retries times. Everything else fails fast.
         let policy = tc_serve::RetryPolicy {
             retries: flags.get_num("retries", 0)?,
-            max_delay: Duration::from_millis(flags.get_usize("retry-max-delay", 2000)? as u64),
+            max_delay: Duration::from_millis(flags.get_num("retry-max-delay", 2000)?),
             ..tc_serve::RetryPolicy::default()
         };
         query_remote(addr, &policy, &spec)?
@@ -746,7 +738,7 @@ const SHARD: Command = Command {
 /// verbatim, or are synthesised as `HOST:PORT_BASE+i`.
 fn shard(flags: &Flags) -> Result<(), String> {
     let path = flags.arg(0)?;
-    let shard_count = flags.get_usize("shards", 2)?;
+    let shard_count = flags.get_num::<usize>("shards", 2)?;
     if !(1..=tc_store::shardmap::MAX_SHARDS).contains(&shard_count) {
         return Err(format!(
             "--shards {shard_count} outside 1..={}",
@@ -755,7 +747,7 @@ fn shard(flags: &Flags) -> Result<(), String> {
     }
     let out_dir = Path::new(flags.get("out-dir").unwrap_or("shards"));
     let host = flags.get("host").unwrap_or("127.0.0.1");
-    let port_base = flags.get_usize("port-base", 7701)?;
+    let port_base = flags.get_num::<usize>("port-base", 7701)?;
     if port_base.saturating_add(shard_count) > 65536 {
         return Err(format!(
             "--port-base {port_base} overflows ports for {shard_count} shards"
@@ -1042,7 +1034,7 @@ fn ingest(flags: &Flags) -> Result<(), String> {
         "always" => tc_store::Durability::Always,
         "batch" => tc_store::Durability::Batch {
             max_records: flags.get_count("batch-records", 64)?,
-            max_delay: Duration::from_millis(flags.get_usize("batch-delay-ms", 50)? as u64),
+            max_delay: Duration::from_millis(flags.get_num("batch-delay-ms", 50)?),
         },
         other => return Err(format!("unknown --durability '{other}' (always|batch)")),
     };
@@ -1148,9 +1140,9 @@ mod tests {
             .unwrap();
         assert_eq!(f.positional, vec!["net.dbnet"]);
         assert_eq!(f.get("alpha"), Some("0.5"));
-        assert_eq!(f.get_f64("alpha", 0.0).unwrap(), 0.5);
-        assert_eq!(f.get_usize("top", 20).unwrap(), 3);
-        assert_eq!(f.get_f64("missing", 1.5).unwrap(), 1.5);
+        assert_eq!(f.get_num::<f64>("alpha", 0.0).unwrap(), 0.5);
+        assert_eq!(f.get_num::<usize>("top", 20).unwrap(), 3);
+        assert_eq!(f.get_num::<f64>("missing", 1.5).unwrap(), 1.5);
     }
 
     #[test]
@@ -1181,8 +1173,8 @@ mod tests {
     #[test]
     fn flags_bad_numeric_is_error() {
         let f = MINE.parse(&strs(&["--alpha", "abc"])).unwrap();
-        assert!(f.get_f64("alpha", 0.0).is_err());
-        assert!(f.get_usize("alpha", 0).is_err());
+        assert!(f.get_num::<f64>("alpha", 0.0).is_err());
+        assert!(f.get_num::<usize>("alpha", 0).is_err());
     }
 
     #[test]

@@ -89,7 +89,8 @@ const RELATIVE: u32 = 1 << 31;
 /// merge costs more than the child's decode saves: with no bound, a
 /// `coauthor-dense` QBP of two or three items under a tenth-of-working-set
 /// budget first merged parents of thousands of edges and took twice as
-/// long; at 512 bytes it takes as long as with absolute blobs.
+/// long. The bound is part of the format: open refuses a relative blob
+/// under a larger parent, so changing it changes the version.
 const MAX_BASE_BLOB: u64 = 512;
 
 /// Whether a node whose blob is `blob_len` bytes is a base.
@@ -101,126 +102,142 @@ fn is_base(blob_len: u64) -> bool {
 /// of its levels, which a child's relative blob indexes into.
 fn edge_set(truss: &TrussDecomposition, out: &mut Vec<(u32, u32)>) {
     out.clear();
-    for level in &truss.levels {
-        out.extend_from_slice(&level.edges);
+    out.reserve(truss.num_edges());
+    let mut levels = truss.levels.iter();
+    if let Some(first) = levels.next() {
+        out.extend_from_slice(&first.edges);
     }
-    // The levels are sorted runs, which the stable sort detects and
-    // merges.
-    out.sort();
+    // Each further level is a sorted run: merge it into `out` from the
+    // back, in place. Only a base's set is built, and a base's blob bounds
+    // its levels and edges, so a pass per level costs less than a sort.
+    for level in levels {
+        let (mut i, mut j) = (out.len(), level.edges.len());
+        out.resize(i + j, (0, 0));
+        for k in (0..out.len()).rev() {
+            if j == 0 {
+                break;
+            }
+            if i > 0 && out[i - 1] > level.edges[j - 1] {
+                i -= 1;
+                out[k] = out[i];
+            } else {
+                j -= 1;
+                out[k] = level.edges[j];
+            }
+        }
+    }
     out.dedup();
 }
 
-/// The first `j ≥ from` with `set[j] ≥ e`: an exponential search from
-/// `from`, then a binary one, so merging a short run into a long set
-/// costs the logarithm of each step rather than the step.
-fn gallop(set: &[(u32, u32)], from: usize, e: (u32, u32)) -> usize {
-    let rest = &set[from..];
-    let mut bound = 1;
-    while bound <= rest.len() && rest[bound - 1] < e {
-        bound *= 2;
-    }
-    let lo = bound / 2;
-    from + lo + rest[lo..bound.min(rest.len())].partition_point(|&x| x < e)
-}
-
-/// Appends to `out` the index in `set` (strictly ascending) of each of
-/// `edges`; `false` if an edge is missing or `edges` does not strictly
-/// ascend.
-fn indices_in(set: &[(u32, u32)], edges: &[(u32, u32)], out: &mut Vec<u32>) -> bool {
-    let mut j = 0;
-    for &e in edges {
-        j = gallop(set, j, e);
-        if set.get(j) != Some(&e) {
-            return false;
-        }
-        out.push(j as u32);
-        j += 1;
-    }
-    true
+/// The index of `e` in `set` (strictly ascending) at or after `from`,
+/// found by a forward scan.
+fn index_from(set: &[(u32, u32)], from: usize, e: (u32, u32)) -> Option<usize> {
+    let at = from + set[from..].iter().take_while(|&&x| x < e).count();
+    (set.get(at) == Some(&e)).then_some(at)
 }
 
 /// Whether every edge of `levels` lies in `set`, a parent's edge set: the
-/// condition for a relative blob. `out` is left holding each level's
-/// indices, level after level.
-fn nested(levels: &[TrussLevel], set: &[(u32, u32)], out: &mut Vec<u32>) -> bool {
-    out.clear();
-    levels.iter().all(|l| indices_in(set, &l.edges, out))
+/// condition for a relative blob.
+fn nested(levels: &[TrussLevel], set: &[(u32, u32)]) -> bool {
+    levels.iter().all(|level| {
+        let mut from = 0;
+        level
+            .edges
+            .iter()
+            .all(|&e| index_from(set, from, e).map(|at| from = at + 1).is_some())
+    })
+}
+
+/// Appends `node`'s LEVELS blob to `out`, relative to `set` (its parent's
+/// edge set) if given and absolute otherwise. `Ok(false)`, with part of a
+/// blob appended, if an edge lies outside `set`; `InvalidInput` unless
+/// level alphas are finite, ≥ 0 and ascend and level edges are canonical
+/// and ascend.
+fn put_blob(out: &mut Vec<u8>, node: &TcNode, set: Option<&[(u32, u32)]>) -> std::io::Result<bool> {
+    let invalid = |what| {
+        let msg = format!("{}: level {what}", node.pattern());
+        Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg))
+    };
+    let truss = &node.truss.levels;
+    let mut prev_alpha = f64::NEG_INFINITY;
+    for (i, level) in truss.iter().enumerate() {
+        if !level.alpha.is_finite() || level.alpha < 0.0 || level.alpha <= prev_alpha {
+            return invalid("alphas must be finite, ≥ 0 and ascend");
+        }
+        prev_alpha = level.alpha;
+        if i + 1 < truss.len() {
+            put_f64(out, level.alpha);
+        }
+        let m = checked_len_u32(level.edges.len(), "level edge count")?;
+        put_varint(out, m.into());
+        if let Some(set) = set {
+            // A repeated or descending edge is not found past its
+            // predecessor, and is coded absolute, where it fails below.
+            let mut from = 0;
+            for &e in &level.edges {
+                let Some(at) = index_from(set, from, e) else {
+                    return Ok(false);
+                };
+                put_varint(out, (at - from) as u64);
+                from = at + 1;
+            }
+            continue;
+        }
+        let mut prev = (0, 0);
+        for &(u, v) in &level.edges {
+            // A non-ascending edge wraps a delta, and fails to decode.
+            let du = u.wrapping_sub(prev.0);
+            let base = if du == 0 { prev.1 } else { u };
+            let dv = v.wrapping_sub(base).wrapping_sub(1);
+            if edge_from(prev, du, dv) != Some((u, v)) {
+                return invalid("edges must be canonical and ascend");
+            }
+            put_varint(out, du.into());
+            put_varint(out, dv.into());
+            prev = (u, v);
+        }
+    }
+    Ok(true)
 }
 
 /// Writes `tree` to `w` as a segment file; `InvalidInput` unless level
 /// alphas are finite, ≥ 0 and ascend and level edges are canonical and
 /// ascend, as every builder emits them and as the reader demands.
 pub fn save_tree_segment<W: Write>(tree: &TcTree, w: &mut W) -> std::io::Result<()> {
-    let invalid = |msg| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg);
     let mut nodes = Vec::new();
     let mut levels = Vec::new();
     put_varint(&mut nodes, tree.nodes().len() as u64);
     let mut prev_parent = 0;
-    // Each node's blob length so far, and the edge set of node `base_of`
-    // (0: none yet): builders number siblings contiguously, so it is built
-    // once per parent.
+    // Each node's blob length so far, and the merged levels of node
+    // `base_of` (0: none yet): builders number siblings contiguously, so a
+    // base of several levels is merged once for all its children.
     let mut blob_lens = Vec::with_capacity(tree.nodes().len());
     let (mut base, mut base_of) = (Vec::new(), 0);
-    // A relative node's edge indices, all levels in order.
-    let mut indices = Vec::new();
-    for (id, node) in tree.nodes().iter().enumerate() {
+    for node in tree.nodes() {
         let blob_off = levels.len();
-        let truss = &node.truss.levels;
-        // A parent written before this node, and a base.
-        let parent = blob_lens
-            .get(node.parent as usize)
-            .filter(|&&len| node.parent != 0 && is_base(len))
-            .map(|_| tree.node(node.parent));
-        let relative = id != 0
-            && parent.is_some_and(|p| {
-                if base_of != node.parent {
-                    edge_set(&p.truss, &mut base);
-                    base_of = node.parent;
-                }
-                nested(truss, &base, &mut indices)
-            });
-        let mut relative_indices = indices.iter();
-        let mut prev_alpha = f64::NEG_INFINITY;
-        for (i, level) in truss.iter().enumerate() {
-            if !level.alpha.is_finite() || level.alpha < 0.0 || level.alpha <= prev_alpha {
-                let msg = format!(
-                    "{}: level alphas must be finite, ≥ 0 and ascend",
-                    node.pattern()
-                );
-                return Err(invalid(msg));
+        // The edge set of a parent written before this node, if a base.
+        let set = match blob_lens.get(node.parent as usize) {
+            Some(&len) if node.parent != 0 && is_base(len) => {
+                let parent = &tree.node(node.parent).truss;
+                Some(match &parent.levels[..] {
+                    [level] => &level.edges[..],
+                    _ => {
+                        if base_of != node.parent {
+                            edge_set(parent, &mut base);
+                            base_of = node.parent;
+                        }
+                        &base[..]
+                    }
+                })
             }
-            prev_alpha = level.alpha;
-            if i + 1 < truss.len() {
-                put_f64(&mut levels, level.alpha);
-            }
-            let m = checked_len_u32(level.edges.len(), "level edge count")?;
-            put_varint(&mut levels, m.into());
-            if relative {
-                let mut next = 0;
-                for &at in relative_indices.by_ref().take(level.edges.len()) {
-                    put_varint(&mut levels, (at - next).into());
-                    next = at + 1;
-                }
-                continue;
-            }
-            let mut prev = (0, 0);
-            for &(u, v) in &level.edges {
-                // A non-ascending edge wraps a delta, and fails to decode.
-                let du = u.wrapping_sub(prev.0);
-                let base = if du == 0 { prev.1 } else { u };
-                let dv = v.wrapping_sub(base).wrapping_sub(1);
-                if edge_from(prev, du, dv) != Some((u, v)) {
-                    let msg = format!(
-                        "{}: level edges must be canonical and ascend",
-                        node.pattern()
-                    );
-                    return Err(invalid(msg));
-                }
-                put_varint(&mut levels, du.into());
-                put_varint(&mut levels, dv.into());
-                prev = (u, v);
-            }
+            _ => None,
+        };
+        let relative = set.is_some() && put_blob(&mut levels, node, set)?;
+        if !relative {
+            levels.truncate(blob_off);
+            put_blob(&mut levels, node, None)?;
         }
+        let truss = &node.truss.levels;
         put_varint(&mut nodes, zigzag(i64::from(node.parent) - prev_parent));
         prev_parent = node.parent.into();
         put_varint(&mut nodes, node.item.0.into());
@@ -551,6 +568,8 @@ impl SegmentTcTree {
         if let Some(t) = self.cache.get(id) {
             return Ok(t);
         }
+        // The set is copied out and the parent unpinned before its child
+        // is inserted, so the sweep may evict the parent to make room.
         let mut chain = vec![id];
         let mut base = Vec::new();
         while let Some(up) = self.base_of(*chain.last().unwrap()) {
@@ -560,16 +579,11 @@ impl SegmentTcTree {
             }
             chain.push(up);
         }
-        let mut truss = None;
-        for &at in chain.iter().rev() {
+        for &at in chain[1..].iter().rev() {
             let set = self.base_of(at).map(|_| &base[..]);
-            let t = self.materialize(at, cursor, set)?;
-            if at != id {
-                edge_set(&t, &mut base);
-            }
-            truss = Some(t);
+            edge_set(&*self.materialize(at, cursor, set)?, &mut base);
         }
-        Ok(truss.expect("the chain holds `id`"))
+        self.materialize(id, cursor, self.base_of(id).map(|_| &base[..]))
     }
 
     /// The parent node `id` decodes against: its parent, unless that is
@@ -628,7 +642,7 @@ impl SegmentTcTree {
         let levels = decode_levels(&blob, level_count, self.nodes[i].max_alpha, base)
             .map_err(|what| corrupt(format!("node {id} {what}")))?;
         if let Some(set) = parent_set.filter(|_| !relative) {
-            if nested(&levels, set, &mut Vec::new()) {
+            if nested(&levels, set) {
                 return Err(corrupt(format!(
                     "node {id} lies in its parent's edges but is coded absolute"
                 )));
