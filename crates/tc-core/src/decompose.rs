@@ -23,6 +23,13 @@
 //! edges with [`tc_graph::ktruss::edge_set_vertices`], which marks them in
 //! a bitmap over their id range when that range is dense enough.
 //!
+//! # Counts without edges
+//!
+//! A served answer carries `(|V*_p(α)|, |E*_p(α)|)`, not the truss. A
+//! [`CountLadder`] holds both for every suffix of `L_p` — 16 bytes a
+//! level, built once — so [`CountLadder::at`] answers any `α` by the same
+//! binary search `edges_at` starts with, and touches no edge.
+//!
 //! A decomposition is peeled by `PeelState::peel_levels`, which hands
 //! each removed edge's key to a buffer the peeling state keeps: building
 //! `L_p` allocates its `h` edge lists and the list of them.
@@ -30,7 +37,7 @@
 use crate::peel::PeelState;
 use crate::theme::ThemeNetwork;
 use crate::truss::PatternTruss;
-use tc_graph::{EdgeKey, VertexId};
+use tc_graph::EdgeKey;
 use tc_txdb::Pattern;
 use tc_util::{float, HeapSize};
 
@@ -152,80 +159,119 @@ impl TrussDecomposition {
     }
 }
 
-/// Counts `(|V*_p(α)|, |E*_p(α)|)` straight off a decomposition — what
-/// [`TrussDecomposition::truss_at`] would report as `num_vertices` /
-/// `num_edges`, without building the truss.
-///
-/// Equation 1's union is disjoint (Theorem 6.1), so `|E*_p(α)|` is the sum
-/// of the surviving levels' lengths and `|V*_p(α)|` the number of distinct
-/// endpoints in them: no edge is copied and no edge list sorted. One
-/// counter serves a whole query walk. Endpoints below
-/// [`TrussCounter::TABLE_IDS`] are marked in a table indexed by vertex id
-/// and stamped with the current count's epoch, so starting the next count
-/// costs nothing; the table grows to the largest such id seen and no
-/// further. Endpoints at or past the bound are listed, and the list is
-/// sorted and deduplicated when the count is taken — so what a counter
-/// holds follows the vertices it counted, never the size of a vertex id.
-#[derive(Debug, Default)]
-pub struct TrussCounter {
-    /// `stamps[v] == epoch` iff `v` is already counted for this truss.
-    stamps: Vec<u32>,
-    epoch: u32,
-    overflow: Vec<VertexId>,
+/// One rung of a [`CountLadder`]: level `k`'s `α_k`, and the sizes of
+/// Equation 1's union of levels `k..` — `C*_p(α)` for every `α` from the
+/// level below's `α_{k-1}` up to `α_k`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Rung {
+    /// `α_k`.
+    alpha: f64,
+    /// `|V|` of levels `k..`.
+    vertices: u32,
+    /// `|E|` of levels `k..`.
+    edges: u32,
 }
 
-impl TrussCounter {
-    /// Vertex ids the table may cover: 4 MiB of stamps at most.
-    pub const TABLE_IDS: usize = 1 << 20;
+/// Equation 1's counts at every threshold of a decomposition: what
+/// [`TrussDecomposition::truss_at`] would report as `num_vertices` /
+/// `num_edges`, for any `α`, in 16 bytes a level and one allocation.
+///
+/// Built once from `L_p` ([`CountLadder::of`]); [`CountLadder::at`] is
+/// then one binary search, with no edge touched. A node whose answers are
+/// only ever counted keeps its ladder and can drop its edges.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct CountLadder {
+    /// One rung per level, `α` ascending; counts are of the level's suffix
+    /// and so descend.
+    rungs: Box<[Rung]>,
+}
 
-    /// An empty counter; allocates on first use.
-    pub fn new() -> Self {
-        TrussCounter::default()
-    }
-
-    /// `(|V*_p(α)|, |E*_p(α)|)` of `truss`; `(0, 0)` exactly when
-    /// `truss.truss_at(alpha)` is empty.
-    pub fn count(&mut self, truss: &TrussDecomposition, alpha: f64) -> (usize, usize) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Stamps of 2^32 counts ago would read as current.
-            self.stamps.fill(0);
-            self.epoch = 1;
+impl CountLadder {
+    /// The ladder of `truss`, in one pass over its levels from the top
+    /// down: a level's rung adds its edges, and the endpoints no level
+    /// above it holds, to the rung above.
+    ///
+    /// Endpoints are marked in a bitmap over their id range when that fits
+    /// in `2·|E|` words; a wider range sorts the `2·|E|` endpoints, each
+    /// tagged with its level, and credits each vertex to the highest level
+    /// that holds it. Either way memory follows the edges, never the size
+    /// of a vertex id. Counts saturate at `u32::MAX` (a truss that large
+    /// would hold 32 GiB of edges).
+    pub fn of(truss: &TrussDecomposition) -> CountLadder {
+        let levels = &truss.levels;
+        // `fresh[k]`: vertices whose highest level is `k`.
+        let mut fresh = vec![0u32; levels.len()];
+        let edges = truss.num_edges();
+        let (mut lo, mut hi) = (u32::MAX, 0);
+        for &(u, v) in levels.iter().flat_map(|l| &l.edges) {
+            lo = lo.min(u).min(v);
+            hi = hi.max(u).max(v);
         }
-        self.overflow.clear();
-        let (mut vertices, mut edges) = (0, 0);
-        for level in truss.levels_above(alpha) {
-            edges += level.edges.len();
-            for &(u, v) in &level.edges {
-                vertices += usize::from(self.mark(u)) + usize::from(self.mark(v));
+        if lo <= hi && ((hi - lo) as usize >> 6) < 2 * edges {
+            let mut bits = vec![0u64; ((hi - lo) as usize >> 6) + 1];
+            for (k, level) in levels.iter().enumerate().rev() {
+                for &(u, v) in &level.edges {
+                    for x in [u - lo, v - lo] {
+                        let (word, bit) = (x as usize >> 6, 1u64 << (x & 63));
+                        fresh[k] += u32::from(bits[word] & bit == 0);
+                        bits[word] |= bit;
+                    }
+                }
+            }
+        } else if edges > 0 {
+            let mut tagged = Vec::with_capacity(2 * edges);
+            for (k, level) in levels.iter().enumerate() {
+                let k = k as u64;
+                tagged.extend(
+                    (level.edges.iter())
+                        .flat_map(|&(u, v)| [u64::from(u) << 32 | k, u64::from(v) << 32 | k]),
+                );
+            }
+            tagged.sort_unstable();
+            // The last of a vertex's run carries its highest level.
+            for run in tagged.chunk_by(|a, b| a >> 32 == b >> 32) {
+                fresh[run[run.len() - 1] as u32 as usize] += 1;
             }
         }
-        self.overflow.sort_unstable();
-        self.overflow.dedup();
-        (vertices + self.overflow.len(), edges)
+        let (mut vertices, mut edges) = (0u32, 0u32);
+        let mut rungs = vec![
+            Rung {
+                alpha: 0.0,
+                vertices: 0,
+                edges: 0
+            };
+            levels.len()
+        ];
+        for (k, level) in levels.iter().enumerate().rev() {
+            vertices = vertices.saturating_add(fresh[k]);
+            edges = edges.saturating_add(u32::try_from(level.edges.len()).unwrap_or(u32::MAX));
+            rungs[k] = Rung {
+                alpha: level.alpha,
+                vertices,
+                edges,
+            };
+        }
+        CountLadder {
+            rungs: rungs.into_boxed_slice(),
+        }
     }
 
-    /// Marks `v` for the current epoch; `true` when the table saw it for
-    /// the first time. Ids the table may not cover go to the overflow
-    /// list and are counted from there.
-    #[inline]
-    fn mark(&mut self, v: VertexId) -> bool {
-        let i = v as usize;
-        if i >= self.stamps.len() {
-            if i >= Self::TABLE_IDS {
-                self.overflow.push(v);
-                return false;
-            }
-            // A fresh zeroed allocation, not `resize`: the allocator hands
-            // out large zeroed blocks without touching them, so a high id
-            // costs the pages it lands on, not the whole table.
-            let mut grown = vec![0u32; (i + 1).next_power_of_two()];
-            grown[..self.stamps.len()].copy_from_slice(&self.stamps);
-            self.stamps = grown;
-        }
-        let first = self.stamps[i] != self.epoch;
-        self.stamps[i] = self.epoch;
-        first
+    /// `(|V*_p(α)|, |E*_p(α)|)`: the rung of the lowest level with
+    /// `α_k > α` (the suffix [`TrussDecomposition::edges_at`] unions), or
+    /// `(0, 0)` — exactly when `truss_at(α)` is empty — if there is none.
+    pub fn at(&self, alpha: f64) -> (usize, usize) {
+        let k = self
+            .rungs
+            .partition_point(|r| !float::gt_eps(r.alpha, alpha));
+        self.rungs
+            .get(k)
+            .map_or((0, 0), |r| (r.vertices as usize, r.edges as usize))
+    }
+}
+
+impl HeapSize for CountLadder {
+    fn heap_size(&self) -> usize {
+        std::mem::size_of_val(&*self.rungs)
     }
 }
 
@@ -380,22 +426,20 @@ mod tests {
     }
 
     #[test]
-    fn counter_equals_truss_at_around_every_level_boundary() {
+    fn ladder_equals_truss_at_around_every_level_boundary() {
         let (net, pat) = tiered();
         let theme = ThemeNetwork::induce(&net, &pat);
         let d = TrussDecomposition::decompose(&theme);
         assert!(d.num_levels() >= 3, "the fixture has three cohesion tiers");
+        let ladder = CountLadder::of(&d);
+        assert_eq!(ladder.rungs.len(), d.num_levels());
         let mut probes = vec![0.0, d.max_alpha().unwrap() + 1.0];
         for level in &d.levels {
             probes.extend([level.alpha - 1e-4, level.alpha, level.alpha + 1e-4]);
         }
-        // One counter for all probes, descending and ascending, so a count
-        // never depends on what the counter held before.
-        let mut counter = TrussCounter::new();
-        let reversed: Vec<f64> = probes.iter().rev().copied().collect();
-        for alpha in probes.into_iter().chain(reversed) {
+        for alpha in probes {
             let truss = d.truss_at(alpha);
-            let got = counter.count(&d, alpha);
+            let got = ladder.at(alpha);
             assert_eq!(
                 got,
                 (truss.num_vertices(), truss.num_edges()),
@@ -403,7 +447,8 @@ mod tests {
             );
             assert_eq!(got == (0, 0), truss.is_empty(), "alpha = {alpha}");
         }
-        assert_eq!(counter.count(&TrussDecomposition::default(), 0.0), (0, 0));
+        let empty = CountLadder::of(&TrussDecomposition::default());
+        assert_eq!((empty.at(0.0), empty.heap_size()), ((0, 0), 0));
     }
 
     fn one_level(edges: Vec<EdgeKey>) -> TrussDecomposition {
@@ -414,46 +459,26 @@ mod tests {
     }
 
     #[test]
-    fn counter_table_is_bounded_and_ids_past_it_are_counted_once() {
-        let bound = TrussCounter::TABLE_IDS as u32;
-        let mut counter = TrussCounter::new();
-        // The largest ids there are: listed, not indexed.
-        assert_eq!(
-            counter.count(&one_level(vec![(0, u32::MAX - 1)]), 0.0),
-            (2, 1)
-        );
-        assert!(counter.stamps.len() <= 1, "{}", counter.stamps.len());
-        // Either side of the bound, with every endpoint repeated: the last
-        // id the table covers, the first it does not, and far past it.
+    fn ladder_memory_follows_the_edges_not_the_ids() {
+        // The largest ids there are, and ids either side of 2^20 with every
+        // endpoint repeated: the sort regime, counted once each.
+        let top = CountLadder::of(&one_level(vec![(0, u32::MAX - 1)]));
+        assert_eq!(top.at(0.0), (2, 1));
+        let b = 1 << 20;
         let straddling = one_level(vec![
-            (3, bound - 1),
-            (3, bound),
-            (bound - 1, bound),
-            (bound - 1, u32::MAX),
-            (bound, bound + 7),
-            (bound, u32::MAX),
-            (bound + 7, u32::MAX),
+            (3, b - 1),
+            (3, b),
+            (b - 1, b),
+            (b - 1, u32::MAX),
+            (b, b + 7),
+            (b, u32::MAX),
+            (b + 7, u32::MAX),
         ]);
-        let want = straddling.truss_at(0.0);
-        assert_eq!(want.num_vertices(), 5);
-        for _ in 0..2 {
-            assert_eq!(counter.count(&straddling, 0.0), (5, 7));
-        }
-        assert_eq!(counter.stamps.len(), TrussCounter::TABLE_IDS);
-        // A thin truss after a wide one is not counted into its leftovers.
-        assert_eq!(counter.count(&one_level(vec![(3, 4)]), 0.0), (2, 1));
-    }
-
-    #[test]
-    fn counter_survives_its_epoch_wrapping() {
-        let d = one_level(vec![(0, 1), (1, 2)]);
-        let mut counter = TrussCounter::new();
-        assert_eq!(counter.count(&d, 0.0), (3, 2));
-        // Stamps written at epoch 1 must not read as current when the
-        // epoch comes round to 1 again.
-        counter.epoch = u32::MAX;
-        assert_eq!(counter.count(&d, 0.0), (3, 2));
-        assert_eq!(counter.epoch, 1);
+        assert_eq!(straddling.truss_at(0.0).num_vertices(), 5);
+        let ladder = CountLadder::of(&straddling);
+        assert_eq!(ladder.at(0.0), (5, 7));
+        assert_eq!(ladder.heap_size(), std::mem::size_of::<Rung>());
+        assert_eq!(std::mem::size_of::<Rung>(), 16);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub mod theme;
 pub mod truss;
 
 pub use community::{extract_communities, ThemeCommunity};
-pub use decompose::{TrussCounter, TrussDecomposition, TrussLevel};
+pub use decompose::{CountLadder, TrussDecomposition, TrussLevel};
 pub use edge::{EdgeDatabaseNetwork, EdgeDatabaseNetworkBuilder};
 pub use miner::Miner;
 pub use mptd::maximal_pattern_truss;

@@ -5,18 +5,22 @@
 //! and sorts them. [`TrussDecomposition::edges_at`] instead takes the
 //! levels above `α` as a suffix found by binary search and merges their
 //! sorted runs; [`TrussDecomposition::truss_at`] then reads the vertices
-//! off the merged list, through a bitmap when the ids are dense. Here both,
-//! and [`TrussCounter`], are held to the definition on random
-//! decompositions of 1 to 12 levels — ids packed into a small range or
-//! spread over all of `u32` — at `α = 0`, at each level's `α_k` and
-//! `α_k ± 1e-4`, and above `α*`, so a suffix that starts one level early
-//! or late fails by name.
+//! off the merged list, through a bitmap when the ids are dense. Here both
+//! are held to the definition on random decompositions of 1 to 12 levels —
+//! ids packed into a small range or spread over all of `u32` — at `α = 0`,
+//! at each level's `α_k` and `α_k ± 1e-4`, and above `α*`, so a suffix
+//! that starts one level early or late fails by name.
+//!
+//! [`CountLadder::at`], which answers every served request, is held to
+//! `truss_at(α)`'s `(num_vertices, num_edges)` the same way, on
+//! decompositions of 0 to 12 levels and at `α_k ± COHESION_EPS` besides,
+//! where `gt_eps` itself decides.
 //!
 //! CI re-runs this suite by name in release (see
 //! `.github/workflows/ci.yml`, the Equation 1 guard).
 
 use proptest::prelude::*;
-use tc_core::{TrussCounter, TrussDecomposition, TrussLevel};
+use tc_core::{CountLadder, TrussDecomposition, TrussLevel};
 use tc_graph::{EdgeKey, VertexId};
 use tc_txdb::Pattern;
 use tc_util::float;
@@ -60,7 +64,11 @@ fn decomposition(
         .map(|&(a, b)| (a.min(b) * scale, a.max(b) * scale))
         .collect();
     let mut runs = vec![Vec::new(); levels];
-    for (i, e) in edges.into_iter().enumerate() {
+    // No level holds no edge.
+    let edges = edges
+        .into_iter()
+        .take(if levels == 0 { 0 } else { usize::MAX });
+    for (i, e) in edges.enumerate() {
         // The first `levels` edges open one level each; the rest land at
         // random, so levels differ in length.
         let level = if i < levels {
@@ -106,7 +114,6 @@ proptest! {
         steps in prop::collection::vec(1e-6..0.3, 12)
     ) {
         let d = decomposition(&pairs, wide == 1, levels, &picks, &steps);
-        let mut counter = TrussCounter::new();
         for alpha in probes(&d) {
             let want = edges_by_definition(&d, alpha);
             prop_assert_eq!(d.edges_at(alpha), want.clone(), "edges at {}", alpha);
@@ -114,10 +121,30 @@ proptest! {
             prop_assert_eq!(&truss.edges, &want, "truss edges at {}", alpha);
             let vertices = vertices_by_definition(&want);
             prop_assert_eq!(&truss.vertices, &vertices, "vertices at {}", alpha);
+        }
+    }
+
+    #[test]
+    fn count_ladder_is_equation_1_at_every_threshold(
+        pairs in prop::collection::vec((0..48u32, 0..48u32), 0..300),
+        wide in 0..2u32,
+        levels in 0..=12usize,
+        picks in prop::collection::vec(0..12usize, 1..40),
+        steps in prop::collection::vec(1e-6..0.3, 12)
+    ) {
+        // `wide` puts ids up to 89 000 000 · 47, past any 2^20-entry table.
+        let d = decomposition(&pairs, wide == 1, levels, &picks, &steps);
+        let ladder = CountLadder::of(&d);
+        let mut at = probes(&d);
+        for level in &d.levels {
+            at.extend([level.alpha - float::COHESION_EPS, level.alpha + float::COHESION_EPS]);
+        }
+        for alpha in at {
+            let truss = d.truss_at(alpha);
             prop_assert_eq!(
-                counter.count(&d, alpha),
-                (vertices.len(), want.len()),
-                "count at {}",
+                ladder.at(alpha),
+                (truss.num_vertices(), truss.num_edges()),
+                "counts at {}",
                 alpha
             );
         }

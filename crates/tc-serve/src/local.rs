@@ -149,7 +149,7 @@ impl Backend for LocalTree {
                 t.cache_stats().materialized_total.to_string()
             }) },
         Family { name: "tcserve_cache_bytes_used", kind: "gauge", label: "",
-            help: "Accounted bytes of resident truss decompositions.",
+            help: "Accounted bytes of resident node-cache entries (count ladders, and decompositions once edges were read).",
             samples: Samples::<Self>::Value(|_, t| t.cache_stats().bytes_used.to_string()) },
         Family { name: "tcserve_cache_bytes_budget", kind: "gauge", label: "",
             help: "Configured node-cache byte budget (0 = unbounded).",
@@ -477,6 +477,9 @@ mod tests {
             QuerySpec::Qba(0.0),
             QuerySpec::Qbp(vec![0]),
             QuerySpec::Qba(0.1),
+            // A walk under no base parent ends on the entry it inserted,
+            // which its own sweep spares.
+            QuerySpec::Qbp(vec![1]),
         ] {
             answer(&seg, &spec).unwrap();
         }
@@ -586,23 +589,23 @@ tcserve_tree_nodes 3
 tcserve_tree_materialized_nodes 1
 # HELP tcserve_tree_materialized_total Node materialisations since open (re-parses after eviction count again).
 # TYPE tcserve_tree_materialized_total counter
-tcserve_tree_materialized_total 8
-# HELP tcserve_cache_bytes_used Accounted bytes of resident truss decompositions.
+tcserve_tree_materialized_total 7
+# HELP tcserve_cache_bytes_used Accounted bytes of resident node-cache entries (count ladders, and decompositions once edges were read).
 # TYPE tcserve_cache_bytes_used gauge
-tcserve_cache_bytes_used 120
+tcserve_cache_bytes_used 32
 # HELP tcserve_cache_bytes_budget Configured node-cache byte budget (0 = unbounded).
 # TYPE tcserve_cache_bytes_budget gauge
 tcserve_cache_bytes_budget 1
 # HELP tcserve_cache_evictions_total Nodes evicted by the cache's clock sweep.
 # TYPE tcserve_cache_evictions_total counter
-tcserve_cache_evictions_total 7
+tcserve_cache_evictions_total 6
 # HELP tcserve_cache_lookups_total Node-cache lookups, by outcome.
 # TYPE tcserve_cache_lookups_total counter
 tcserve_cache_lookups_total{outcome="hit"} 1
-tcserve_cache_lookups_total{outcome="miss"} 8
+tcserve_cache_lookups_total{outcome="miss"} 9
 # HELP tcserve_cache_hit_ratio Node-cache hit fraction in [0, 1] (1 before any lookup).
 # TYPE tcserve_cache_hit_ratio gauge
-tcserve_cache_hit_ratio 0.1111111111111111
+tcserve_cache_hit_ratio 0.1
 # HELP tcserve_request_latency_seconds Server-side request latency, by verb.
 # TYPE tcserve_request_latency_seconds histogram
 tcserve_request_latency_seconds_bucket{verb="qba",le="0.000025"} 1
@@ -671,13 +674,13 @@ OK\t27\n\
 protocol_version\t1\n\
 nodes\t3\n\
 materialized_nodes\t1\n\
-materialized_total\t8\n\
-cache_bytes_used\t120\n\
+materialized_total\t7\n\
+cache_bytes_used\t32\n\
 cache_bytes_budget\t1\n\
-cache_evictions\t7\n\
+cache_evictions\t6\n\
 cache_hits\t1\n\
-cache_misses\t8\n\
-cache_hit_ratio_pct\t11\n\
+cache_misses\t9\n\
+cache_hit_ratio_pct\t10\n\
 workers\t3\n\
 max_inflight\t5\n\
 inflight\t0\n\
@@ -696,7 +699,7 @@ timeouts\t112\n\
 reloads\t113\n\
 reload_failures\t114\n";
     const STATS_JSON_GOLDEN: &str = concat!(
-        r#"{"status":"ok","stats":{"protocol_version":1,"nodes":3,"materialized_nodes":1,"materialized_total":8,"cache_bytes_used":120,"cache_bytes_budget":1,"cache_evictions":7,"cache_hits":1,"cache_misses":8,"cache_hit_ratio_pct":11,"workers":3,"max_inflight":5,"inflight":0,"accepted":101,"admitted":102,"rejected_busy":103,"rate_limited":104,"qba":105,"qbp":106,"query":107,"stats":108,"batch":109,"protocol_errors":110,"query_failures":111,"timeouts":112,"reloads":113,"reload_failures":114}}"#,
+        r#"{"status":"ok","stats":{"protocol_version":1,"nodes":3,"materialized_nodes":1,"materialized_total":7,"cache_bytes_used":32,"cache_bytes_budget":1,"cache_evictions":6,"cache_hits":1,"cache_misses":9,"cache_hit_ratio_pct":10,"workers":3,"max_inflight":5,"inflight":0,"accepted":101,"admitted":102,"rejected_busy":103,"rate_limited":104,"qba":105,"qbp":106,"query":107,"stats":108,"batch":109,"protocol_errors":110,"query_failures":111,"timeouts":112,"reloads":113,"reload_failures":114}}"#,
         "\n"
     );
 }

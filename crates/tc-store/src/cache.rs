@@ -1,22 +1,33 @@
 //! The byte-budgeted node cache: bounded materialisation for
 //! [`crate::tree::SegmentTcTree`].
 //!
-//! The lazy reader used to materialise truss decompositions into a
-//! grow-only `OnceLock` table, so a long-lived daemon's footprint was
-//! monotone in *query diversity*, not in working-set size. `NodeCache`
-//! replaces that table: every cached [`TrussDecomposition`] is charged an
-//! accounted byte size (via [`tc_util::HeapSize`]) against an optional
-//! budget, and when the ledger exceeds the budget a **clock /
-//! second-chance** sweep evicts cold entries.
+//! Each cached node is one [`NodeEntry`] of up to two parts: the node's
+//! [`CountLadder`] (Equation 1's `(|V|, |E|)` at every threshold, 16 bytes
+//! a level) once a counting caller — the daemon's `summarize` walk — has
+//! asked for it, and its [`TrussDecomposition`] once an edge caller
+//! (`truss`, `query`) has. Every entry is charged an accounted byte size
+//! (via [`tc_util::HeapSize`]) against one optional budget, and when the
+//! ledger exceeds the budget a **clock / second-chance** sweep evicts cold
+//! entries, both parts together.
+//!
+//! A counting lookup ([`NodeCache::get`] with `edges = false`) hits on any
+//! entry; one holding edges alone is counted off them, no decode. An edge
+//! lookup hits only an entry that holds the decomposition; on a
+//! ladder-only entry it is a miss. Either way the caller's
+//! [`NodeCache::insert`] of the missing part *upgrades* the resident
+//! entry: replaces it in its slot by an entry of both parts and charges
+//! the size difference, once. An upgrade makes no entry resident, so it
+//! moves neither `materialized_total` nor `resident` nor `evictions`, and
+//! `materialized_total − resident == evictions` holds throughout.
 //!
 //! Three invariants the tests and proptests pin down:
 //!
 //! - **Eviction never breaks an in-flight query.** Entries are handed out
-//!   as `Arc<TrussDecomposition>` — a per-request pin. Eviction drops the
-//!   cache's reference only; a query holding the `Arc` keeps the data
-//!   alive. The sweep additionally *skips* pinned entries
-//!   (`Arc::strong_count > 1`), so the byte ledger tracks memory that is
-//!   actually reclaimable.
+//!   as `Arc`s — a per-request pin, of the entry or of its decomposition.
+//!   Eviction drops the cache's reference only; a query holding the `Arc`
+//!   keeps the data alive. The sweep additionally *skips* pinned entries
+//!   (either `Arc::strong_count > 1`), so the byte ledger tracks memory
+//!   that is actually reclaimable.
 //! - **Correctness is budget-independent.** A re-materialised node is
 //!   parsed from the same checksummed pages, so answers under any budget
 //!   are byte-identical to the unbounded tree (`tests/cache_properties.rs`).
@@ -26,21 +37,21 @@
 //! Per node the cache holds 17 bytes whatever its budget: a 16-byte slot
 //! (a mutex over an optional `Arc`, nothing else) and a one-byte
 //! second-chance bit in an array beside the slots. An entry's accounted
-//! bytes are not stored: the decomposition behind the `Arc` is immutable,
-//! so the sweep recomputes them from the entry it evicts and the ledger
-//! balances exactly.
+//! bytes are not stored: an entry behind the `Arc` is immutable (an
+//! upgrade swaps in a new one), so the sweep recomputes them from the
+//! entry it evicts and the ledger balances exactly.
 //!
 //! Concurrency: each node has its own slot mutex, and its second-chance
 //! bit is only read or written under that lock; the sweep uses
 //! `try_lock` so it never blocks behind a reader, and the clock hand is a
 //! single atomic. Two threads materialising the same node parse identical
 //! bytes — the loser of the insert race adopts the winner's entry and
-//! charges nothing. All primitives come through the [`tc_util::sync`]
-//! facade, so `tc-check` model-checks the insert/evict ledger (balance
-//! and budget envelope) across bounded interleavings under
-//! `--cfg tc_check_model`.
+//! charges nothing, unless it brings a part the winner lacks. All
+//! primitives come through the [`tc_util::sync`] facade, so `tc-check`
+//! model-checks the insert/upgrade/evict ledger (balance and budget
+//! envelope) across bounded interleavings under `--cfg tc_check_model`.
 
-use tc_core::TrussDecomposition;
+use tc_core::{CountLadder, TrussDecomposition};
 use tc_util::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use tc_util::sync::{Arc, Mutex};
 use tc_util::HeapSize;
@@ -56,14 +67,15 @@ pub struct CacheStats {
     pub budget: Option<u64>,
     /// Entries currently resident (the `materialized_nodes` gauge).
     pub resident: usize,
-    /// Materialisations since open, cumulative — re-materialising an
-    /// evicted node counts again.
+    /// Entries made resident since open, cumulative — re-materialising an
+    /// evicted node counts again; upgrading a resident entry does not.
     pub materialized_total: u64,
     /// Entries evicted by the clock sweep.
     pub evictions: u64,
     /// Lookups that found a resident entry.
     pub hits: u64,
-    /// Lookups that had to materialise.
+    /// Lookups that had to materialise (an edge lookup of a ladder-only
+    /// entry included).
     pub misses: u64,
 }
 
@@ -79,15 +91,74 @@ impl CacheStats {
     }
 }
 
-/// The accounted size of one cached decomposition: the struct itself plus
-/// everything it owns on the heap.
-fn entry_bytes(truss: &TrussDecomposition) -> u64 {
-    (std::mem::size_of::<TrussDecomposition>() + truss.heap_size()) as u64
+/// What the cache holds for one node: its count ladder once a counting
+/// caller has asked for it, and its decomposition once an edge caller has
+/// — never neither.
+#[derive(Debug)]
+pub struct NodeEntry {
+    ladder: Option<CountLadder>,
+    truss: Option<Arc<TrussDecomposition>>,
 }
 
-/// One node's slot: the resident decomposition, if any (see the module
-/// docs for why its accounted bytes are not stored beside it).
-type Slot = Mutex<Option<Arc<TrussDecomposition>>>;
+impl NodeEntry {
+    /// An entry of `truss`'s counts alone.
+    pub fn counts(truss: &TrussDecomposition) -> NodeEntry {
+        NodeEntry {
+            ladder: Some(CountLadder::of(truss)),
+            truss: None,
+        }
+    }
+
+    /// An entry of `truss` alone.
+    pub fn edges(truss: TrussDecomposition) -> NodeEntry {
+        NodeEntry {
+            ladder: None,
+            truss: Some(Arc::new(truss)),
+        }
+    }
+
+    /// Equation 1's counts at every threshold, if this entry holds them.
+    pub fn ladder(&self) -> Option<&CountLadder> {
+        self.ladder.as_ref()
+    }
+
+    /// The decomposition, if this entry holds it.
+    pub fn truss(&self) -> Option<&Arc<TrussDecomposition>> {
+        self.truss.as_ref()
+    }
+
+    /// The accounted size: each part the entry holds, plus everything it
+    /// owns on the heap. An entry of edges alone is charged what a cached
+    /// decomposition always was.
+    pub fn accounted_bytes(&self) -> u64 {
+        let ladder = (self.ladder.as_ref())
+            .map_or(0, |l| std::mem::size_of::<CountLadder>() + l.heap_size());
+        let truss = (self.truss.as_ref()).map_or(0, |t| {
+            std::mem::size_of::<TrussDecomposition>() + t.heap_size()
+        });
+        (ladder + truss) as u64
+    }
+
+    /// Whether this entry holds every part `other` does.
+    fn holds(&self, other: &NodeEntry) -> bool {
+        (self.ladder.is_some() || other.ladder.is_none())
+            && (self.truss.is_some() || other.truss.is_none())
+    }
+
+    /// Whether anyone besides the cache holds this entry or its
+    /// decomposition.
+    fn pinned(entry: &Arc<NodeEntry>) -> bool {
+        Arc::strong_count(entry) > 1
+            || entry
+                .truss
+                .as_ref()
+                .is_some_and(|t| Arc::strong_count(t) > 1)
+    }
+}
+
+/// One node's slot: the resident entry, if any (see the module docs for
+/// why its accounted bytes are not stored beside it).
+type Slot = Mutex<Option<Arc<NodeEntry>>>;
 
 // A field creeping back into the slot fails the build here, by name.
 #[cfg(not(tc_check_model))]
@@ -144,51 +215,75 @@ impl NodeCache {
     }
 
     /// Looks up node `id`, pinning the entry for the caller and marking it
-    /// recently used. A miss is counted; the caller is expected to parse
-    /// and [`NodeCache::insert`].
-    pub fn get(&self, id: u32) -> Option<Arc<TrussDecomposition>> {
+    /// recently used: any entry when `edges` is false (an entry of edges
+    /// alone gives its counts by [`NodeCache::insert`]ing them), one
+    /// holding the decomposition when it is true. A miss is counted; the
+    /// caller is expected to parse and [`NodeCache::insert`].
+    pub fn get(&self, id: u32, edges: bool) -> Option<Arc<NodeEntry>> {
         let slot = self.slots[id as usize].lock();
         match &*slot {
-            Some(truss) => {
+            Some(entry) if !edges || entry.truss.is_some() => {
                 self.referenced[id as usize].store(true, Ordering::Relaxed);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(truss.clone())
+                Some(entry.clone())
             }
-            None => {
+            _ => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
     }
 
-    /// Caches a freshly parsed decomposition, charges its bytes, and runs
-    /// the eviction sweep if the ledger now exceeds the budget. The
-    /// returned `Arc` is the caller's pin. If another thread won the
-    /// insert race, its (byte-identical) entry is adopted unchanged.
-    pub fn insert(&self, id: u32, truss: TrussDecomposition) -> Arc<TrussDecomposition> {
-        let arc = Arc::new(truss);
-        let bytes = entry_bytes(&arc);
-        {
-            let mut slot = self.slots[id as usize].lock();
-            if let Some(truss) = &*slot {
-                return truss.clone();
+    /// Caches a freshly parsed entry, charges its bytes, and runs the
+    /// eviction sweep if the ledger now exceeds the budget. The returned
+    /// `Arc` is the caller's pin. A resident entry that holds every part
+    /// `entry` does (another thread won the insert race) is adopted
+    /// unchanged; one that lacks a part `entry` brings is *upgraded*:
+    /// replaced by an entry of both's parts, and charged the difference.
+    pub fn insert(&self, id: u32, mut entry: NodeEntry) -> Arc<NodeEntry> {
+        let mut slot = self.slots[id as usize].lock();
+        let upgraded = match &*slot {
+            Some(resident) if resident.holds(&entry) => return resident.clone(),
+            Some(resident) => {
+                entry.ladder = entry.ladder.or_else(|| resident.ladder.clone());
+                entry.truss = entry.truss.or_else(|| resident.truss.clone());
+                Some(resident.accounted_bytes())
             }
-            *slot = Some(arc.clone());
-            self.referenced[id as usize].store(true, Ordering::Relaxed);
+            None => None,
+        };
+        let arc = Arc::new(entry);
+        let bytes = arc.accounted_bytes();
+        *slot = Some(arc.clone());
+        self.referenced[id as usize].store(true, Ordering::Relaxed);
+        drop(slot);
+        match upgraded {
+            Some(was) => {
+                self.bytes_used.fetch_add(bytes - was, Ordering::Relaxed);
+            }
+            None => {
+                self.bytes_used.fetch_add(bytes, Ordering::Relaxed);
+                self.resident.fetch_add(1, Ordering::Relaxed);
+                self.materialized_total.fetch_add(1, Ordering::Relaxed);
+            }
         }
-        self.bytes_used.fetch_add(bytes, Ordering::Relaxed);
-        self.resident.fetch_add(1, Ordering::Relaxed);
-        self.materialized_total.fetch_add(1, Ordering::Relaxed);
-        self.enforce_budget(id);
+        self.enforce_budget(Some(id));
         arc
+    }
+
+    /// Runs the sweep with no entry protected: for a caller that held pins
+    /// through inserts, which the sweep had to pass over, and has dropped
+    /// them.
+    pub fn trim(&self) {
+        self.enforce_budget(None);
     }
 
     /// The clock sweep: while over budget, advance the hand; clear a set
     /// reference bit (second chance), evict an entry found clear and
     /// unpinned. Bounded to two revolutions so a cache whose pinned
     /// entries alone exceed the budget degrades to a transient overshoot
-    /// instead of a livelock. The just-inserted node is never evicted.
-    fn enforce_budget(&self, protect: u32) {
+    /// instead of a livelock. The just-inserted node, `protect`, is never
+    /// evicted.
+    fn enforce_budget(&self, protect: Option<u32>) {
         let Some(budget) = self.budget else { return };
         let n = self.slots.len();
         if n == 0 {
@@ -198,7 +293,7 @@ impl NodeCache {
         while self.bytes_used.load(Ordering::Relaxed) > budget && steps < 2 * n {
             steps += 1;
             let i = self.hand.fetch_add(1, Ordering::Relaxed) % n;
-            if i == protect as usize {
+            if protect == Some(i as u32) {
                 continue;
             }
             // try_lock: a reader holding the slot is by definition using
@@ -206,14 +301,14 @@ impl NodeCache {
             let Some(mut slot) = self.slots[i].try_lock() else {
                 continue;
             };
-            let Some(truss) = &*slot else { continue };
+            let Some(entry) = &*slot else { continue };
             if self.referenced[i].swap(false, Ordering::Relaxed) {
                 continue;
             }
-            if Arc::strong_count(truss) > 1 {
+            if NodeEntry::pinned(entry) {
                 continue;
             }
-            let bytes = entry_bytes(truss);
+            let bytes = entry.accounted_bytes();
             *slot = None;
             drop(slot);
             self.bytes_used.fetch_sub(bytes, Ordering::Relaxed);
@@ -222,17 +317,17 @@ impl NodeCache {
         }
     }
 
+    /// Node `id`'s resident entry, touching no counter and no
+    /// second-chance bit: for tests that hold the ledger to what is
+    /// resident.
+    #[doc(hidden)]
+    pub fn peek(&self, id: u32) -> Option<Arc<NodeEntry>> {
+        self.slots[id as usize].lock().clone()
+    }
+
     /// Entries currently resident.
     pub fn resident(&self) -> usize {
         self.resident.load(Ordering::Relaxed)
-    }
-
-    /// The accounted byte size an entry for `truss` would be charged —
-    /// exposed so the model tests can reason about the budget envelope
-    /// in the same units the ledger uses.
-    #[doc(hidden)]
-    pub fn accounted_bytes(truss: &TrussDecomposition) -> u64 {
-        entry_bytes(truss)
     }
 
     /// Snapshot of every counter.
@@ -265,11 +360,21 @@ mod tests {
         }
     }
 
+    /// An entry of [`truss`]`(item, edges)`'s decomposition alone.
+    fn edges(item: u32, edges: usize) -> NodeEntry {
+        NodeEntry::edges(truss(item, edges))
+    }
+
+    /// An entry of [`truss`]`(item, edges)`'s counts alone.
+    fn counts(item: u32, edges: usize) -> NodeEntry {
+        NodeEntry::counts(&truss(item, edges))
+    }
+
     #[test]
     fn unbounded_cache_never_evicts() {
         let c = NodeCache::new(100, None);
         for id in 0..100u32 {
-            c.insert(id, truss(id, 64));
+            c.insert(id, edges(id, 64));
         }
         let s = c.stats();
         assert_eq!(s.resident, 100);
@@ -280,11 +385,11 @@ mod tests {
 
     #[test]
     fn budget_is_enforced_and_ledger_balances() {
-        let one = entry_bytes(&truss(0, 64));
+        let one = edges(0, 64).accounted_bytes();
         // Room for about three entries.
         let c = NodeCache::new(100, Some(3 * one));
         for id in 0..50u32 {
-            let pin = c.insert(id, truss(id, 64));
+            let pin = c.insert(id, edges(id, 64));
             drop(pin); // release the per-request pin
             assert!(
                 c.stats().bytes_used <= 3 * one,
@@ -304,15 +409,15 @@ mod tests {
 
     #[test]
     fn pinned_entries_survive_eviction() {
-        let one = entry_bytes(&truss(0, 64));
+        let one = edges(0, 64).accounted_bytes();
         let c = NodeCache::new(10, Some(2 * one));
-        let pin = c.insert(0, truss(0, 64)); // hold the Arc across inserts
+        let pin = c.insert(0, edges(0, 64)); // hold the Arc across inserts
         for id in 1..10u32 {
-            drop(c.insert(id, truss(id, 64)));
+            drop(c.insert(id, edges(id, 64)));
         }
         // Node 0 was pinned the whole time: still resident, data intact.
-        let again = c.get(0).expect("pinned entry must not be evicted");
-        assert_eq!(*again, *pin);
+        let again = c.get(0, true).expect("pinned entry must not be evicted");
+        assert!(Arc::ptr_eq(&again, &pin));
         assert!(c.stats().evictions > 0, "others were evicted");
     }
 
@@ -321,9 +426,9 @@ mod tests {
         // Distinct sizes, so the byte ledger names the resident set; the
         // budget holds the three largest, so each fourth entry evicts one.
         let sizes = [8, 16, 24, 32];
-        let bytes = |id: usize| entry_bytes(&truss(id as u32, sizes[id]));
+        let bytes = |id: usize| edges(id as u32, sizes[id]).accounted_bytes();
         let c = NodeCache::new(4, Some(bytes(1) + bytes(2) + bytes(3)));
-        let insert = |id: usize| drop(c.insert(id as u32, truss(id as u32, sizes[id])));
+        let insert = |id: usize| drop(c.insert(id as u32, edges(id as u32, sizes[id])));
         let check = |resident: &[usize], step: &str| {
             let s = c.stats();
             assert_eq!(s.resident, resident.len(), "{step}: {s:?}");
@@ -340,24 +445,24 @@ mod tests {
         check(&[1, 2, 3], "first sweep");
         // 1 is hit after the hand cleared it; 2 is not. The hand reaches 1
         // first, clears it again, and evicts 2.
-        assert!(c.get(1).is_some());
+        assert!(c.get(1, true).is_some());
         insert(0);
         check(&[0, 1, 3], "second sweep");
         // 1 has not been hit since; its second chance is spent. The hand
         // clears 3 (set since its insert) and 0, then evicts 1.
         insert(2);
         check(&[0, 2, 3], "third sweep");
-        assert!(c.get(1).is_none() && c.get(0).is_some());
+        assert!(c.get(1, true).is_none() && c.get(0, true).is_some());
         assert_eq!(c.stats().evictions, 3);
     }
 
     #[test]
     fn hits_and_misses_count() {
         let c = NodeCache::new(4, None);
-        assert!(c.get(1).is_none());
-        c.insert(1, truss(1, 4));
-        assert!(c.get(1).is_some());
-        assert!(c.get(2).is_none());
+        assert!(c.get(1, true).is_none());
+        c.insert(1, edges(1, 4));
+        assert!(c.get(1, true).is_some());
+        assert!(c.get(2, true).is_none());
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (1, 2));
         assert!((s.hit_ratio() - 1.0 / 3.0).abs() < 1e-12);
@@ -366,14 +471,86 @@ mod tests {
     #[test]
     fn losing_the_insert_race_adopts_without_double_charge() {
         let c = NodeCache::new(4, None);
-        let first = c.insert(1, truss(1, 8));
+        let first = c.insert(1, edges(1, 8));
         let used = c.stats().bytes_used;
-        let second = c.insert(1, truss(1, 8));
-        assert_eq!(*first, *second);
+        let second = c.insert(1, edges(1, 8));
+        assert!(Arc::ptr_eq(&first, &second));
         let s = c.stats();
         assert_eq!(s.bytes_used, used, "no double charge");
         assert_eq!(s.materialized_total, 1);
         assert_eq!(s.resident, 1);
+    }
+
+    #[test]
+    fn a_count_lookup_hits_any_entry_and_an_edge_lookup_one_with_edges() {
+        let c = NodeCache::new(2, None);
+        c.insert(0, counts(0, 8));
+        c.insert(1, edges(1, 8));
+        let ladder = c.get(0, false).unwrap();
+        assert_eq!(ladder.ladder().unwrap().at(0.0), (9, 8));
+        assert!(c.get(0, true).is_none(), "no edges yet");
+        assert!(c.get(1, false).is_some() && c.get(1, true).is_some());
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses), (3, 1));
+        // An entry of edges alone is charged what a decomposition was.
+        let t = truss(1, 8);
+        assert_eq!(
+            edges(1, 8).accounted_bytes(),
+            (std::mem::size_of::<TrussDecomposition>() + t.heap_size()) as u64
+        );
+    }
+
+    #[test]
+    fn an_upgrade_unites_both_parts_and_charges_the_difference_once() {
+        let both = counts(0, 64).accounted_bytes() + edges(0, 64).accounted_bytes();
+        // Counts first, then edges; and edges first, then counts.
+        for (first, then) in [
+            (
+                counts as fn(u32, usize) -> NodeEntry,
+                edges as fn(u32, usize) -> NodeEntry,
+            ),
+            (edges, counts),
+        ] {
+            let c = NodeCache::new(2, None);
+            let resident = c.insert(0, first(0, 64));
+            assert_eq!(c.stats().bytes_used, resident.accounted_bytes());
+            // The same part again adopts what is resident.
+            assert!(Arc::ptr_eq(&resident, &c.insert(0, first(0, 64))));
+            let upgraded = c.insert(0, then(0, 64));
+            assert!(!Arc::ptr_eq(&resident, &upgraded));
+            assert!(upgraded.ladder().is_some() && upgraded.truss().is_some());
+            // Either part again adopts the united entry.
+            assert!(Arc::ptr_eq(&upgraded, &c.insert(0, first(0, 64))));
+            assert!(Arc::ptr_eq(&upgraded, &c.insert(0, then(0, 64))));
+            // An upgrade makes no entry resident: one materialisation, and
+            // the ledger holds both parts, each charged once.
+            let s = c.stats();
+            assert_eq!((s.resident, s.materialized_total, s.evictions), (1, 1, 0));
+            assert_eq!(s.bytes_used, both);
+            // The reader of the replaced entry still holds it, intact.
+            assert!(resident.ladder().is_some() != resident.truss().is_some());
+        }
+    }
+
+    #[test]
+    fn an_evicted_upgrade_returns_its_whole_charge() {
+        let c = NodeCache::new(2, Some(1));
+        drop(c.insert(0, counts(0, 64)));
+        let upgraded = c.insert(0, edges(0, 64));
+        // A pinned decomposition pins its entry.
+        let held = upgraded.truss().unwrap().clone();
+        let whole = upgraded.accounted_bytes();
+        drop(upgraded);
+        drop(c.insert(1, counts(1, 4)));
+        assert_eq!(c.stats().bytes_used, whole + counts(1, 4).accounted_bytes());
+        assert!(c.get(0, true).is_some(), "pinned through its decomposition");
+        drop(held);
+        // Nothing pinned or just inserted: a trim empties a 1-byte cache,
+        // and each eviction returns what its entry was charged.
+        c.trim();
+        let s = c.stats();
+        assert_eq!((s.bytes_used, s.resident, s.evictions), (0, 0, 2), "{s:?}");
+        assert_eq!(s.materialized_total, 2);
     }
 
     #[test]

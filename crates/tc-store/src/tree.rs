@@ -17,9 +17,10 @@
 //! below depth 1); it is absolute otherwise. The reader refuses either
 //! bit where the other belongs, so a segment that decodes re-saves
 //! byte-identically. Depth-1 blobs are always absolute, so a root-child
-//! subtree is self-contained. A walk builds a base's edge set once, on
-//! the first of its children that misses the cache, and holds that set —
-//! never a decomposition — until the base's children are done.
+//! subtree is self-contained. A walk fetches a base's decomposition once,
+//! on the first of its children that misses the cache, and holds it until
+//! the base's children are done; a one-level base's only level is its
+//! edge set as it lies, and a larger base's levels are merged once.
 //!
 //! [`SegmentTcTree::open`] streams only the NODES directory — parents,
 //! items, per-node `α*` bounds, level counts and blob offsets into the
@@ -33,22 +34,28 @@
 //!
 //! The walk is written once and reduced two ways:
 //! [`SegmentTcTree::query`] rebuilds every retrieved truss (the library
-//! answer), [`SegmentTcTree::summarize`] counts its vertices and edges
-//! off the decomposition — all a served response carries — without
-//! copying an edge.
+//! answer), [`SegmentTcTree::summarize`] reads its vertex and edge counts
+//! — all a served response carries — off the node's count ladder, one
+//! binary search and no edge.
 //!
-//! Materialised nodes live in a byte-budgeted node cache: unbounded by
-//! default (every touched node stays resident, the original behaviour),
-//! or byte-budgeted via [`StoreOptions::cache_bytes`] so a daemon can
-//! serve a segment much larger than its memory envelope. Page reads go
+//! Materialised nodes live in a byte-budgeted node cache
+//! ([`crate::cache`]): each as its count ladder once a counting walk has
+//! reached it, and its decomposition once a caller asked for edges
+//! (`truss`, `query`). Unbounded by default
+//! (every touched node stays resident, the original behaviour), or
+//! byte-budgeted via [`StoreOptions::cache_bytes`] so a daemon can serve a
+//! segment much larger than its memory envelope. A counting walk caches
+//! ladders alone: a miss decodes the node and keeps its ladder, and a
+//! base whose edges a missed child needs is decoded for the walk and not
+//! kept, so a served working set costs tens of bytes a node. Page reads go
 //! through a [`crate::source::PageSource`] (a file, or an in-memory image).
 //! See `docs/SEGMENT_FORMAT.md` for the byte-level format specification.
 
-use crate::cache::{CacheStats, NodeCache};
+use crate::cache::{CacheStats, NodeCache, NodeEntry};
 use crate::page::{write_segment, PageCursor, PageFile, SectionInfo, SegmentKind, PAGE_CAP};
 use std::io::Write;
 use std::path::Path;
-use tc_core::{TrussCounter, TrussDecomposition, TrussLevel};
+use tc_core::{TrussDecomposition, TrussLevel};
 use tc_index::{QueryResult, TcNode, TcTree};
 use tc_txdb::{Item, Pattern};
 use tc_util::bytes::{checked_len_u32, put_f64, put_varint, unzigzag, zigzag, ByteReader};
@@ -98,9 +105,8 @@ fn is_base(blob_len: u64) -> bool {
     (1..=MAX_BASE_BLOB).contains(&blob_len)
 }
 
-/// Replaces `out` with `truss`'s edge set: the sorted, deduplicated union
-/// of its levels, which a child's relative blob indexes into.
-fn edge_set(truss: &TrussDecomposition, out: &mut Vec<(u32, u32)>) {
+/// Replaces `out` with the sorted, deduplicated union of `truss`'s levels.
+fn merge_levels(truss: &TrussDecomposition, out: &mut Vec<(u32, u32)>) {
     out.clear();
     out.reserve(truss.num_edges());
     let mut levels = truss.levels.iter();
@@ -127,6 +133,31 @@ fn edge_set(truss: &TrussDecomposition, out: &mut Vec<(u32, u32)>) {
         }
     }
     out.dedup();
+}
+
+/// A base's edge set, which a child's relative blob indexes into: a
+/// one-level base's only level as it lies (already sorted and free of
+/// repeats), or the levels of a larger one merged once for a run of its
+/// children.
+#[derive(Debug, Default)]
+struct BaseSet {
+    /// The base whose levels `merged` holds (0, the root: none).
+    merged_of: u32,
+    merged: Vec<(u32, u32)>,
+}
+
+impl BaseSet {
+    /// The edge set of node `id`, whose decomposition is `truss`.
+    fn of<'a>(&'a mut self, id: u32, truss: &'a TrussDecomposition) -> &'a [(u32, u32)] {
+        if let [level] = &truss.levels[..] {
+            return &level.edges;
+        }
+        if self.merged_of != id {
+            merge_levels(truss, &mut self.merged);
+            self.merged_of = id;
+        }
+        &self.merged
+    }
 }
 
 /// The index of `e` in `set` (strictly ascending) at or after `from`,
@@ -208,27 +239,17 @@ pub fn save_tree_segment<W: Write>(tree: &TcTree, w: &mut W) -> std::io::Result<
     let mut levels = Vec::new();
     put_varint(&mut nodes, tree.nodes().len() as u64);
     let mut prev_parent = 0;
-    // Each node's blob length so far, and the merged levels of node
-    // `base_of` (0: none yet): builders number siblings contiguously, so a
-    // base of several levels is merged once for all its children.
+    // Each node's blob length so far. Builders number siblings
+    // contiguously, so a base of several levels is merged once for all its
+    // children.
     let mut blob_lens = Vec::with_capacity(tree.nodes().len());
-    let (mut base, mut base_of) = (Vec::new(), 0);
+    let mut base = BaseSet::default();
     for node in tree.nodes() {
         let blob_off = levels.len();
         // The edge set of a parent written before this node, if a base.
         let set = match blob_lens.get(node.parent as usize) {
             Some(&len) if node.parent != 0 && is_base(len) => {
-                let parent = &tree.node(node.parent).truss;
-                Some(match &parent.levels[..] {
-                    [level] => &level.edges[..],
-                    _ => {
-                        if base_of != node.parent {
-                            edge_set(parent, &mut base);
-                            base_of = node.parent;
-                        }
-                        &base[..]
-                    }
-                })
+                Some(base.of(node.parent, &tree.node(node.parent).truss))
             }
             _ => None,
         };
@@ -282,7 +303,8 @@ const _: () = assert!(std::mem::size_of::<NodeRec>() == 24);
 /// behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreOptions {
-    /// Byte budget for resident truss decompositions; `None` = unbounded.
+    /// Byte budget for resident node-cache entries (count ladders, and
+    /// decompositions once edges were read); `None` = unbounded.
     pub cache_bytes: Option<u64>,
 }
 
@@ -290,8 +312,9 @@ pub struct StoreOptions {
 ///
 /// Opening validates the header, the file length, and the NODES directory;
 /// truss decompositions are parsed on demand (checksum-verified per page)
-/// and held in the node cache, so repeated queries touch the file once
-/// per node — until the cache's byte budget (if any) evicts cold nodes,
+/// and held in the node cache — as count ladders for counting callers and
+/// decompositions for edge callers — so repeated queries touch the file
+/// once per node — until the cache's byte budget (if any) evicts cold nodes,
 /// after which a re-touch re-parses the identical bytes. Per node, an open
 /// tree holds a 24-byte directory record, a 4-byte level count, 8 bytes
 /// of CSR children, and the cache's 16-byte slot and 1-byte second-chance
@@ -549,41 +572,58 @@ impl SegmentTcTree {
         self.cache.stats()
     }
 
+    /// The node cache itself, for tests that inspect its entries.
+    #[doc(hidden)]
+    pub fn cache(&self) -> &NodeCache {
+        &self.cache
+    }
+
     /// The decomposition of node `id`, reading it from the file on first
-    /// touch (or again after eviction). The returned `Arc` pins the data
-    /// for the caller — eviction can never invalidate it mid-query.
+    /// touch (or again after eviction, or when only its counts are
+    /// resident). The returned `Arc` pins the data for the caller —
+    /// eviction can never invalidate it mid-query.
     pub fn truss(&self, id: u32) -> Result<Arc<TrussDecomposition>, LoadError> {
-        self.resolve(id, &mut PageCursor::new())
+        self.resolve(id, &mut PageCursor::new(), true)
     }
 
     /// [`SegmentTcTree::truss`], reading through `cursor`'s page: a miss
-    /// climbs to the nearest ancestor that is resident or needs no parent
-    /// to decode, and materialises the chain back down, each node against
-    /// its parent's edge set.
+    /// climbs to the nearest ancestor whose edges are resident or that
+    /// needs no parent to decode, and decodes the chain back down, each
+    /// node against its parent's edge set — caching each with its edges if
+    /// `cache_edges` is set, and none of them otherwise.
     fn resolve(
         &self,
         id: u32,
         cursor: &mut PageCursor,
+        cache_edges: bool,
     ) -> Result<Arc<TrussDecomposition>, LoadError> {
-        if let Some(t) = self.cache.get(id) {
-            return Ok(t);
+        if let Some(entry) = self.cache.get(id, true) {
+            return Ok(edges_of(&entry).clone());
         }
-        // The set is copied out and the parent unpinned before its child
-        // is inserted, so the sweep may evict the parent to make room.
         let mut chain = vec![id];
-        let mut base = Vec::new();
+        let mut parent = None;
         while let Some(up) = self.base_of(*chain.last().unwrap()) {
-            if let Some(parent) = self.cache.get(up) {
-                edge_set(&parent, &mut base);
+            if let Some(entry) = self.cache.get(up, true) {
+                parent = Some((up, edges_of(&entry).clone()));
                 break;
             }
             chain.push(up);
         }
-        for &at in chain[1..].iter().rev() {
-            let set = self.base_of(at).map(|_| &base[..]);
-            edge_set(&*self.materialize(at, cursor, set)?, &mut base);
+        let mut base = BaseSet::default();
+        for &at in chain.iter().rev() {
+            let set = parent.as_ref().map(|(p, truss)| base.of(*p, truss));
+            let truss = self.decode(at, cursor, set)?;
+            // The parent is unpinned before its child is inserted, so the
+            // sweep may evict it to make room.
+            drop(parent.take());
+            let truss = if cache_edges {
+                edges_of(&self.cache.insert(at, NodeEntry::edges(truss))).clone()
+            } else {
+                Arc::new(truss)
+            };
+            parent = Some((at, truss));
         }
-        self.materialize(id, cursor, self.base_of(id).map(|_| &base[..]))
+        Ok(parent.expect("the chain holds at least `id`").1)
     }
 
     /// The parent node `id` decodes against: its parent, unless that is
@@ -602,20 +642,6 @@ impl SegmentTcTree {
             .get(i + 1)
             .map_or(self.levels.byte_len, |next| next.blob_off);
         (self.nodes[i].blob_off, end - self.nodes[i].blob_off)
-    }
-
-    /// Decodes node `id` (see [`SegmentTcTree::decode`]) into the cache.
-    fn materialize(
-        &self,
-        id: u32,
-        cursor: &mut PageCursor,
-        parent_set: Option<&[(u32, u32)]>,
-    ) -> Result<Arc<TrussDecomposition>, LoadError> {
-        let truss = self.decode(id, cursor, parent_set)?;
-        // A concurrent materialisation of the same node parses identical
-        // bytes, so losing the insert race is harmless — `insert` adopts
-        // the winner's entry.
-        Ok(self.cache.insert(id, truss))
     }
 
     /// Reads and decodes node `id`'s LEVELS blob through `cursor`'s page,
@@ -656,25 +682,28 @@ impl SegmentTcTree {
 
     /// Algorithm 5 over the segment, written once for both answers: walks
     /// the directory skeleton for `(q, α_q)`, materialising only the nodes
-    /// the pruned walk retrieves, and collects what `keep` makes of each
-    /// node's `L_p` — `None` meaning `C*_p(α_q) = ∅`, which prunes the
-    /// subtree (Proposition 5.2). Returns the kept values in BFS order and
-    /// the number of nodes visited.
+    /// the pruned walk retrieves — with their edges if `edges`, else their
+    /// counts alone — and collects what `keep` makes of each node's cache
+    /// entry, `None` meaning `C*_p(α_q) = ∅`, which prunes the subtree
+    /// (Proposition 5.2). Returns the kept values in BFS order and the
+    /// number of nodes visited.
     fn walk<T>(
         &self,
         q: &Pattern,
         alpha_q: f64,
-        mut keep: impl FnMut(u32, &TrussDecomposition) -> Option<T>,
+        edges: bool,
+        mut keep: impl FnMut(u32, &NodeEntry) -> Option<T>,
     ) -> Result<(Vec<T>, usize), LoadError> {
         let mut kept = Vec::new();
         let mut visited = 0usize;
         let mut cursor = PageCursor::new();
         let mut queue = std::collections::VecDeque::from([0u32]);
-        // `nf`'s edge set once a child of it misses: the queue holds ids,
-        // never a truss, and the walk holds one parent's set at a time.
-        let mut base = Vec::new();
+        // `nf`'s decomposition once a child of it misses, pinned until its
+        // children are done: the queue holds ids, never an entry, and the
+        // walk pins one base at a time.
+        let mut base = BaseSet::default();
         while let Some(nf) = queue.pop_front() {
-            let mut have_base = false;
+            let mut parent = None;
             for &nc in self.children(nf) {
                 let node = &self.nodes[nc as usize];
                 visited += 1;
@@ -687,34 +716,57 @@ impl SegmentTcTree {
                 if !float::gt_eps(node.max_alpha, alpha_q) {
                     continue;
                 }
-                let truss = match self.cache.get(nc) {
-                    Some(t) => t,
+                let entry = match self.cache.get(nc, edges) {
+                    Some(entry) if edges || entry.ladder().is_some() => entry,
+                    // A counting walk that finds only edges counts them once.
+                    Some(entry) => self.cache.insert(nc, NodeEntry::counts(edges_of(&entry))),
                     None => {
-                        let based = self.base_of(nc).is_some();
-                        if based && !have_base {
-                            edge_set(&*self.resolve(nf, &mut cursor)?, &mut base);
-                            have_base = true;
-                        }
-                        self.materialize(nc, &mut cursor, based.then_some(&base[..]))?
+                        let set = match self.base_of(nc) {
+                            Some(_) => {
+                                // A counting walk decodes the base's edges
+                                // for itself: cached, they would crowd out
+                                // the ladders they serve.
+                                if parent.is_none() {
+                                    parent = Some(self.resolve(nf, &mut cursor, edges)?);
+                                }
+                                parent.as_ref().map(|truss| base.of(nf, truss))
+                            }
+                            None => None,
+                        };
+                        let truss = self.decode(nc, &mut cursor, set)?;
+                        let entry = if edges {
+                            NodeEntry::edges(truss)
+                        } else {
+                            NodeEntry::counts(&truss)
+                        };
+                        // A concurrent materialisation of the same node
+                        // parses identical bytes, so losing the insert race
+                        // is harmless — `insert` adopts the winner's entry.
+                        self.cache.insert(nc, entry)
                     }
                 };
                 // The pin lasts for this one reduction only.
-                let Some(k) = keep(nc, &truss) else {
+                let Some(k) = keep(nc, &entry) else {
                     continue;
                 };
                 kept.push(k);
                 queue.push_back(nc);
+            }
+            // The sweeps of `nf`'s children passed over its pin.
+            if parent.take().is_some() {
+                self.cache.trim();
             }
         }
         Ok((kept, visited))
     }
 
     /// Answers `(q, α_q)` with every retrieved truss rebuilt in full
-    /// (Equation 1, [`TrussDecomposition::truss_at`]).
+    /// (Equation 1, [`TrussDecomposition::truss_at`]); every node it
+    /// retrieves is cached with its edges.
     pub fn query(&self, q: &Pattern, alpha_q: f64) -> Result<QueryResult, LoadError> {
         let sw = Stopwatch::start();
-        let (trusses, visited) = self.walk(q, alpha_q, |_, levels| {
-            Some(levels.truss_at(alpha_q)).filter(|t| !t.is_empty())
+        let (trusses, visited) = self.walk(q, alpha_q, true, |_, entry| {
+            Some(edges_of(entry).truss_at(alpha_q)).filter(|t| !t.is_empty())
         })?;
         Ok(QueryResult {
             query: q.clone(),
@@ -728,15 +780,21 @@ impl SegmentTcTree {
 
     /// Answers `(q, α_q)` with every retrieved truss *counted* instead of
     /// rebuilt: the same walk, nodes and order as [`SegmentTcTree::query`],
-    /// but `(|V|, |E|)` are read off `L_p` by a [`TrussCounter`] — no edge
-    /// is copied or sorted, and the request holds no truss. This is what
-    /// the daemon answers with; a QBA passes [`SegmentTcTree::all_items`]
-    /// as `q`, a QBP `α_q = 0`.
+    /// but `(|V|, |E|)` are read off each node's
+    /// [`CountLadder`](tc_core::CountLadder) by one binary search — no
+    /// edge is touched on a hit, and the request holds no truss. Any
+    /// resident entry serves (one that holds only edges is counted once
+    /// and gains its ladder); a miss decodes the node and caches its
+    /// ladder alone, tens of bytes where its edges take kilobytes. This is
+    /// what the daemon answers with; a QBA passes
+    /// [`SegmentTcTree::all_items`] as `q`, a QBP `α_q = 0`.
     pub fn summarize(&self, q: &Pattern, alpha_q: f64) -> Result<QuerySummary, LoadError> {
         let sw = Stopwatch::start();
-        let mut counter = TrussCounter::new();
-        let (trusses, visited_nodes) = self.walk(q, alpha_q, |node, levels| {
-            let (vertices, edges) = counter.count(levels, alpha_q);
+        let (trusses, visited_nodes) = self.walk(q, alpha_q, false, |node, entry| {
+            let ladder = entry
+                .ladder()
+                .expect("a counting walk yields entries with counts");
+            let (vertices, edges) = ladder.at(alpha_q);
             (edges > 0).then_some(TrussCount {
                 node,
                 vertices,
@@ -766,18 +824,13 @@ impl SegmentTcTree {
     pub fn to_tree(&self) -> Result<TcTree, LoadError> {
         let mut nodes: Vec<TcNode> = Vec::with_capacity(self.nodes.len());
         let mut cursor = PageCursor::new();
-        // Parents precede children, so a parent is already decoded; its
-        // edge set is built once per run of siblings.
-        let (mut base, mut base_of) = (Vec::new(), 0);
+        // Parents precede children, so a parent is already decoded.
+        let mut base = BaseSet::default();
         for id in 0..self.nodes.len() as u32 {
             let n = &self.nodes[id as usize];
-            let parent_set = self.base_of(id).map(|p| {
-                if p != base_of {
-                    edge_set(&nodes[p as usize].truss, &mut base);
-                    base_of = p;
-                }
-                &base[..]
-            });
+            let parent_set = self
+                .base_of(id)
+                .map(|p| base.of(p, &nodes[p as usize].truss));
             let truss = self.decode(id, &mut cursor, parent_set)?;
             nodes.push(TcNode {
                 item: n.item,
@@ -788,6 +841,13 @@ impl SegmentTcTree {
         }
         Ok(TcTree::from_nodes(nodes))
     }
+}
+
+/// The decomposition of an entry an edge lookup or a full insert returned.
+fn edges_of(entry: &NodeEntry) -> &Arc<TrussDecomposition> {
+    entry
+        .truss()
+        .expect("an edge lookup yields an entry with edges")
 }
 
 /// Decodes a node's LEVELS blob of `level_count` levels, the last at

@@ -11,7 +11,11 @@
 //!   canonical, so value equality is byte identity;
 //! * the ledger balances: `materialized_total - resident == evictions`;
 //! * the counting walk the daemon answers with (`summarize`) reports what
-//!   the full-truss walk (`query`) reduces to on the wire, node for node.
+//!   the full-truss walk (`query`) reduces to on the wire, node for node;
+//! * counting, `truss` and `query` callers share one ledger: interleaved
+//!   under any budget, `bytes_used` is the accounted bytes of exactly the
+//!   resident entries, and an upgrade of a counts-only entry to one with
+//!   edges charges its difference once and makes no entry resident.
 
 use proptest::prelude::*;
 use tc_core::{DatabaseNetwork, DatabaseNetworkBuilder, TrussDecomposition};
@@ -225,6 +229,60 @@ proptest! {
     }
 
     #[test]
+    fn one_ledger_under_mixed_callers(
+        n in 3u32..MAX_V,
+        raw_edges in prop::collection::vec((0u32..64, 0u32..64), 4..28),
+        raw_txs in prop::collection::vec((0u32..64, prop::collection::vec(0u32..64, 1..4)), 4..40),
+        steps in prop::collection::vec((0u32..3, 0u32..64, 0.0f64..1.2), 1..32),
+    ) {
+        let (tree, bytes) = tree_and_segment(n, &raw_edges, &raw_txs);
+        let nodes = tree.num_nodes() as u32;
+        if nodes == 0 {
+            return Ok(());
+        }
+        let (_, total) = probe_entry_sizes(&bytes);
+        let reference = SegmentTcTree::from_bytes(bytes.clone()).unwrap();
+        for budget in [Some(1), Some(total / 10), None] {
+            let seg = SegmentTcTree::from_bytes_with(
+                bytes.clone(),
+                StoreOptions { cache_bytes: budget },
+            ).unwrap();
+            for &(verb, sel, alpha) in &steps {
+                let id = 1 + sel % nodes;
+                let q = if sel % 3 == 0 { reference.all_items() } else { tree.node(id).pattern() };
+                match verb {
+                    0 => prop_assert_eq!(
+                        wire_of_summary(&seg, &seg.summarize(q, alpha).unwrap()),
+                        wire_of_result(&reference.query(q, alpha).unwrap()),
+                        "summarize {} {} under {:?}", q, alpha, budget
+                    ),
+                    1 => prop_assert_eq!(
+                        &*seg.truss(id).unwrap(),
+                        &*reference.truss(id).unwrap(),
+                        "truss {} under {:?}", id, budget
+                    ),
+                    _ => assert_same_answer(
+                        &seg.query(q, alpha).unwrap(),
+                        &reference.query(q, alpha).unwrap(),
+                    ),
+                }
+                let s = seg.cache_stats();
+                let resident: Vec<_> = (0..=nodes).filter_map(|id| seg.cache().peek(id)).collect();
+                let held: u64 = resident.iter().map(|e| e.accounted_bytes()).sum();
+                prop_assert_eq!(s.bytes_used, held, "ledger vs entries under {:?}: {:?}", budget, s);
+                prop_assert_eq!(s.resident, resident.len());
+                prop_assert_eq!(s.materialized_total - s.resident as u64, s.evictions);
+                if budget.is_none() {
+                    // Nothing is evicted, so every entry made resident is
+                    // still there: an upgrade counted as a materialisation
+                    // would show here, a double charge above.
+                    prop_assert_eq!(s.materialized_total, s.resident as u64);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn rematerialized_nodes_are_identical_to_first_materialisation(
         n in 3u32..MAX_V,
         raw_edges in prop::collection::vec((0u32..64, 0u32..64), 4..28),
@@ -259,4 +317,76 @@ proptest! {
             }
         }
     }
+}
+
+/// The counting walk's whole working set fits where a tenth of the
+/// full-truss one does: on a co-author tree under a budget of a tenth of
+/// what `query` keeps resident for a mixed QBA / QBP stream, a second
+/// pass of that stream through `summarize` misses no node, and the ledger
+/// stays inside the budget after every request.
+#[test]
+fn summaries_fit_a_tenth_of_the_query_working_set() {
+    let net = tc_data::generate_coauthor(&tc_data::CoauthorConfig {
+        groups: 3,
+        authors_per_group: 30,
+        interdisciplinary_authors: 6,
+        papers_per_author: 22,
+        keywords_per_paper: 4,
+        collab_prob: 0.6,
+        cross_group_edges: 30,
+        generic_keyword_prob: 0.4,
+        seed: 0xD5,
+    })
+    .network;
+    let tree = TcTreeBuilder {
+        threads: 1,
+        max_len: usize::MAX,
+    }
+    .build(&net);
+    let mut bytes = Vec::new();
+    tc_store::save_tree_segment(&tree, &mut bytes).unwrap();
+    let reference = SegmentTcTree::from_bytes(bytes.clone()).unwrap();
+    // Every node's own pattern, and QBAs across the cohesion range.
+    let alphas = [0.0, 0.05, 0.1, 0.2, 0.4];
+    let mut stream: Vec<(tc_txdb::Pattern, f64)> = (1..=tree.num_nodes() as u32)
+        .map(|id| (tree.node(id).pattern().clone(), 0.0))
+        .collect();
+    for (i, &alpha) in alphas.iter().enumerate() {
+        stream.insert(
+            i * stream.len() / alphas.len(),
+            (reference.all_items().clone(), alpha),
+        );
+    }
+    let want: Vec<Wire> = stream
+        .iter()
+        .map(|(q, alpha)| wire_of_result(&reference.query(q, *alpha).unwrap()))
+        .collect();
+    let working_set = reference.cache_stats().bytes_used;
+    let budget = working_set / 10;
+    let seg = SegmentTcTree::from_bytes_with(
+        bytes,
+        StoreOptions {
+            cache_bytes: Some(budget),
+        },
+    )
+    .unwrap();
+    let mut misses = Vec::new();
+    for pass in 0..2 {
+        for ((q, alpha), want) in stream.iter().zip(&want) {
+            let got = wire_of_summary(&seg, &seg.summarize(q, *alpha).unwrap());
+            assert_eq!(&got, want, "{q} at {alpha}, pass {pass}");
+            let s = seg.cache_stats();
+            assert!(s.bytes_used <= budget, "pass {pass}: {s:?}");
+        }
+        misses.push(seg.cache_stats().misses);
+    }
+    let s = seg.cache_stats();
+    println!(
+        "{} nodes, query working set {working_set} B, budget {budget} B, \
+         counts resident {} B in {} entries, misses {misses:?}",
+        tree.num_nodes(),
+        s.bytes_used,
+        s.resident
+    );
+    assert_eq!(misses[1], misses[0], "the second pass missed");
 }
