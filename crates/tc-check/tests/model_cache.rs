@@ -1,7 +1,7 @@
 //! Model check: the `tc-store` node cache's byte ledger.
 //!
 //! Invariants, under every interleaving of two concurrent inserts into
-//! a budgeted cache, and of a ladder-only entry's upgrade to a full one
+//! a budgeted cache, and of an entry of counts' upgrade to one of edges
 //! racing another insert's clock sweep:
 //!
 //! * the ledger balances — `materialized_total − resident == evictions`;
@@ -34,7 +34,7 @@ fn truss(item: u32, edges: usize) -> TrussDecomposition {
 #[test]
 fn ledger_balances_and_stays_inside_the_transient_envelope() {
     // Both entries are the same size, and the budget admits exactly one.
-    let entry = NodeEntry::edges(truss(0, 4)).accounted_bytes();
+    let entry = NodeEntry::edges(&truss(0, 4)).accounted_bytes();
     let report = try_check_with(Config::default(), move || {
         let cache = Arc::new(NodeCache::new(2, Some(entry)));
         let writers: Vec<_> = (0..2u32)
@@ -43,9 +43,9 @@ fn ledger_balances_and_stays_inside_the_transient_envelope() {
                 thread::spawn(move || {
                     // The returned pin drops before the thread exits, so
                     // the final sweep below is not blocked by this reader.
-                    let pinned = cache.insert(id, NodeEntry::edges(truss(id, 4)));
-                    let edges = pinned.truss().expect("a full entry holds its edges");
-                    assert_eq!(edges.pattern, Pattern::singleton(Item(id)));
+                    let pinned = cache.insert(id, NodeEntry::edges(&truss(id, 4)));
+                    let edges = pinned.flat().expect("an entry of edges holds them");
+                    assert_eq!(edges.pattern(), &Pattern::singleton(Item(id)));
                 })
             })
             .collect();
@@ -78,21 +78,20 @@ fn ledger_balances_and_stays_inside_the_transient_envelope() {
 fn an_upgrade_racing_the_sweep_charges_once_and_balances() {
     // Node 0 is inserted counts-only and then upgraded to its edges while
     // node 1's insert sweeps; the budget admits one entry of edges.
-    let full = NodeEntry::edges(truss(0, 4)).accounted_bytes();
-    let both = full + NodeEntry::counts(&truss(0, 4)).accounted_bytes();
+    let full = NodeEntry::edges(&truss(0, 4)).accounted_bytes();
     let report = try_check_with(Config::default(), move || {
         let cache = Arc::new(NodeCache::new(2, Some(full)));
         let upgrader = {
             let cache = Arc::clone(&cache);
             thread::spawn(move || {
                 drop(cache.insert(0, NodeEntry::counts(&truss(0, 4))));
-                let upgraded = cache.insert(0, NodeEntry::edges(truss(0, 4)));
-                assert!(upgraded.truss().is_some(), "an edge insert yields edges");
+                let upgraded = cache.insert(0, NodeEntry::edges(&truss(0, 4)));
+                assert!(upgraded.flat().is_some(), "an edge insert yields edges");
             })
         };
         let sweeper = {
             let cache = Arc::clone(&cache);
-            thread::spawn(move || drop(cache.insert(1, NodeEntry::edges(truss(1, 4)))))
+            thread::spawn(move || drop(cache.insert(1, NodeEntry::edges(&truss(1, 4)))))
         };
         upgrader.join().expect("upgrader panicked");
         sweeper.join().expect("sweeper panicked");
@@ -102,7 +101,7 @@ fn an_upgrade_racing_the_sweep_charges_once_and_balances() {
             stats.evictions,
             "ledger out of balance: {stats:?}"
         );
-        // Every resident entry's accounted bytes, of one part or both, and
+        // Every resident entry's accounted bytes, of counts or edges, and
         // nothing else: an upgrade charged its difference exactly once.
         let resident: Vec<_> = (0..2).filter_map(|id| cache.peek(id)).collect();
         assert_eq!(resident.len(), stats.resident, "{stats:?}");
@@ -112,8 +111,8 @@ fn an_upgrade_racing_the_sweep_charges_once_and_balances() {
             "bytes_used does not match resident entries: {stats:?}"
         );
         assert!(
-            stats.bytes_used <= full + both,
-            "budget envelope exceeded (budget {full} + the largest entry {both}): {stats:?}"
+            stats.bytes_used <= full + full,
+            "budget envelope exceeded (budget {full} + the largest entry {full}): {stats:?}"
         );
     })
     .unwrap_or_else(|failure| panic!("cache upgrade model check failed: {failure}"));

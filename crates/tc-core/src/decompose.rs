@@ -23,6 +23,19 @@
 //! edges with [`tc_graph::ktruss::edge_set_vertices`], which marks them in
 //! a bitmap over their id range when that range is dense enough.
 //!
+//! # Equation 1 as one filter
+//!
+//! A node that answers many thresholds does that merge once.
+//! [`FlatDecomposition`] holds `L_p` in edge-set order: the sorted
+//! `E*_p(0)` with each edge's level as a tag, and the sorted `V*_p(0)`
+//! with each vertex's highest level. A vertex of `V*_p(α)` is exactly one
+//! whose highest level survives, so [`FlatDecomposition::truss_at`] keeps
+//! the edges and vertices tagged `k` or above, for the `k` the binary
+//! search finds: one pass over each array, into lists sized exactly, with
+//! no sort and no bitmap — and a plain copy at `k = 0`. The `TC-Tree`
+//! builds, writes and ships the level-order `TrussDecomposition`; the
+//! segment reader keeps the flat form for the nodes whose edges it holds.
+//!
 //! # Counts without edges
 //!
 //! A served answer carries `(|V*_p(α)|, |E*_p(α)|)`, not the truss. A
@@ -37,7 +50,7 @@
 use crate::peel::PeelState;
 use crate::theme::ThemeNetwork;
 use crate::truss::PatternTruss;
-use tc_graph::EdgeKey;
+use tc_graph::{EdgeKey, VertexId};
 use tc_txdb::Pattern;
 use tc_util::{float, HeapSize};
 
@@ -233,6 +246,12 @@ impl CountLadder {
                 fresh[run[run.len() - 1] as u32 as usize] += 1;
             }
         }
+        CountLadder::from_fresh(levels, &fresh)
+    }
+
+    /// The ladder of `levels`, given `fresh[k]`, the number of vertices
+    /// whose highest level is `k`: suffix sums from the top level down.
+    fn from_fresh(levels: &[TrussLevel], fresh: &[u32]) -> CountLadder {
         let (mut vertices, mut edges) = (0u32, 0u32);
         let mut rungs = vec![
             Rung {
@@ -256,16 +275,248 @@ impl CountLadder {
         }
     }
 
+    /// The index of the lowest level with `α_k > α` — where the suffix
+    /// Equation 1 unions starts — or the level count if there is none.
+    fn suffix(&self, alpha: f64) -> usize {
+        self.rungs
+            .partition_point(|r| !float::gt_eps(r.alpha, alpha))
+    }
+
     /// `(|V*_p(α)|, |E*_p(α)|)`: the rung of the lowest level with
     /// `α_k > α` (the suffix [`TrussDecomposition::edges_at`] unions), or
     /// `(0, 0)` — exactly when `truss_at(α)` is empty — if there is none.
     pub fn at(&self, alpha: f64) -> (usize, usize) {
-        let k = self
-            .rungs
-            .partition_point(|r| !float::gt_eps(r.alpha, alpha));
         self.rungs
-            .get(k)
+            .get(self.suffix(alpha))
             .map_or((0, 0), |r| (r.vertices as usize, r.edges as usize))
+    }
+}
+
+/// Level tags, one per edge and then one per vertex of a
+/// [`FlatDecomposition`]: a byte each while the levels fit in one, four
+/// past 256 levels, so a tag is exact at any level count.
+#[derive(Debug, Clone, PartialEq)]
+enum Tags {
+    Byte(Box<[u8]>),
+    Word(Box<[u32]>),
+}
+
+/// `L_p` in edge-set order: what a node keeps to answer Equation 1 at any
+/// threshold by one filter (see the module docs).
+///
+/// Built from a [`TrussDecomposition`] by [`FlatDecomposition::of`]; its
+/// [`FlatDecomposition::truss_at`] equals the decomposition's, and its
+/// [`FlatDecomposition::ladder`] is the decomposition's [`CountLadder`].
+/// Per edge it holds 8 bytes and a tag, per vertex 4 bytes and a tag (a
+/// tag is one byte up to 256 levels), and 16 bytes a level.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FlatDecomposition {
+    pattern: Pattern,
+    /// `E*_p(0)`, sorted.
+    edges: Box<[EdgeKey]>,
+    /// `V*_p(0)`, sorted.
+    vertices: Box<[VertexId]>,
+    /// Each edge's level, then each vertex's highest level.
+    tags: Tags,
+    ladder: CountLadder,
+}
+
+impl FlatDecomposition {
+    /// The flat form of `truss`, in one pass: the levels' sorted runs
+    /// merged by a stable sort that carries each edge's level, then each
+    /// vertex tagged with the highest level of its edges — over an id array
+    /// when the ids span at most `16·|E|`, else by sorting the `2·|E|`
+    /// endpoints, each tagged with its edge's level — and the ladder counted
+    /// off the vertex tags. Each array it keeps is allocated once, at its
+    /// exact length.
+    pub fn of(truss: &TrussDecomposition) -> FlatDecomposition {
+        let levels = &truss.levels;
+        let mut edges: Vec<(EdgeKey, u32)> = Vec::with_capacity(truss.num_edges());
+        for (k, level) in levels.iter().enumerate() {
+            edges.extend(level.edges.iter().map(|&e| (e, k as u32)));
+        }
+        // The levels are disjoint (Theorem 6.1), so only the edge orders.
+        edges.sort_by_key(|&(e, _)| e);
+        let vertices = vertex_levels(&edges);
+        let mut fresh = vec![0u32; levels.len()];
+        for &(_, k) in &vertices {
+            fresh[k as usize] += 1;
+        }
+        let all = || (edges.iter().map(|&(_, k)| k)).chain(vertices.iter().map(|&(_, k)| k));
+        let tags = if levels.len() <= 256 {
+            Tags::Byte(all().map(|k| k as u8).collect())
+        } else {
+            Tags::Word(all().collect())
+        };
+        FlatDecomposition {
+            pattern: truss.pattern.clone(),
+            edges: edges.iter().map(|&(e, _)| e).collect(),
+            vertices: vertices.iter().map(|&(x, _)| x).collect(),
+            tags,
+            ladder: CountLadder::from_fresh(levels, &fresh),
+        }
+    }
+
+    /// The pattern `p`.
+    pub fn pattern(&self) -> &Pattern {
+        &self.pattern
+    }
+
+    /// `E*_p(0)`, sorted: the edge set a child's relative blob indexes into.
+    pub fn edges(&self) -> &[EdgeKey] {
+        &self.edges
+    }
+
+    /// Equation 1's counts at every threshold.
+    pub fn ladder(&self) -> &CountLadder {
+        &self.ladder
+    }
+
+    /// Number of decomposition levels `h`.
+    pub fn num_levels(&self) -> usize {
+        self.ladder.rungs.len()
+    }
+
+    /// Total edges stored — equals `|E*_p(0)|`.
+    pub fn num_edges(&self) -> usize {
+        self.edges.len()
+    }
+
+    /// `α*_p`, as [`TrussDecomposition::max_alpha`].
+    pub fn max_alpha(&self) -> Option<f64> {
+        self.ladder.rungs.last().map(|r| r.alpha)
+    }
+
+    /// Equation 1: `C*_p(α)`, equal to [`TrussDecomposition::truss_at`].
+    /// The edges and vertices tagged with the suffix's first level or
+    /// above, each list allocated once at its exact length.
+    pub fn truss_at(&self, alpha: f64) -> PatternTruss {
+        let k = self.ladder.suffix(alpha);
+        let Some(rung) = self.ladder.rungs.get(k) else {
+            return PatternTruss::empty(self.pattern.clone(), alpha);
+        };
+        let (edges, vertices) = if k == 0 {
+            (self.edges.to_vec(), self.vertices.to_vec())
+        } else {
+            let m = self.edges.len();
+            let (e, v) = (rung.edges as usize, rung.vertices as usize);
+            match &self.tags {
+                Tags::Byte(t) => {
+                    let k = k as u8;
+                    (
+                        keep(&self.edges, &t[..m], k, e),
+                        keep(&self.vertices, &t[m..], k, v),
+                    )
+                }
+                Tags::Word(t) => {
+                    let k = k as u32;
+                    (
+                        keep(&self.edges, &t[..m], k, e),
+                        keep(&self.vertices, &t[m..], k, v),
+                    )
+                }
+            }
+        };
+        PatternTruss {
+            pattern: self.pattern.clone(),
+            alpha,
+            edges,
+            vertices,
+        }
+    }
+
+    /// The level-order decomposition this was built from:
+    /// `FlatDecomposition::of(&d).to_decomposition() == d`.
+    pub fn to_decomposition(&self) -> TrussDecomposition {
+        let m = self.edges.len();
+        let level_of = |i: usize| match &self.tags {
+            Tags::Byte(t) => usize::from(t[i]),
+            Tags::Word(t) => t[i] as usize,
+        };
+        let levels = (self.ladder.rungs.iter().enumerate())
+            .map(|(k, rung)| TrussLevel {
+                alpha: rung.alpha,
+                edges: (0..m)
+                    .filter(|&i| level_of(i) == k)
+                    .map(|i| self.edges[i])
+                    .collect(),
+            })
+            .collect();
+        TrussDecomposition {
+            pattern: self.pattern.clone(),
+            levels,
+        }
+    }
+}
+
+/// The endpoints of `edges` (each tagged with its level), sorted, each
+/// tagged with the highest level of its edges.
+fn vertex_levels(edges: &[(EdgeKey, u32)]) -> Vec<(VertexId, u32)> {
+    let (mut lo, mut hi) = (u32::MAX, 0);
+    for &((u, v), _) in edges {
+        lo = lo.min(u).min(v);
+        hi = hi.max(u).max(v);
+    }
+    if lo > hi {
+        return Vec::new();
+    }
+    let span = (hi - lo) as usize;
+    if span < 16 * edges.len() {
+        // `top[x - lo]`: one past the highest level of vertex `x`.
+        let mut top = vec![0u32; span + 1];
+        for &((u, v), k) in edges {
+            for x in [u - lo, v - lo] {
+                top[x as usize] = top[x as usize].max(k + 1);
+            }
+        }
+        let mut out = Vec::with_capacity(top.iter().filter(|&&t| t > 0).count());
+        out.extend(
+            (top.iter().enumerate())
+                .filter(|(_, &t)| t > 0)
+                .map(|(x, &t)| (lo + x as u32, t - 1)),
+        );
+        return out;
+    }
+    let mut ends = Vec::with_capacity(2 * edges.len());
+    ends.extend(edges.iter().flat_map(|&((u, v), k)| {
+        [
+            u64::from(u) << 32 | u64::from(k),
+            u64::from(v) << 32 | u64::from(k),
+        ]
+    }));
+    ends.sort_unstable();
+    // The last of a vertex's run carries its highest level.
+    (ends.chunk_by(|a, b| a >> 32 == b >> 32))
+        .map(|run| {
+            let last = run[run.len() - 1];
+            ((last >> 32) as u32, last as u32)
+        })
+        .collect()
+}
+
+/// The `items` whose tag is `k` or above, in order, into a list of
+/// capacity `len`, the number of them.
+fn keep<T: Copy, G: Copy + PartialOrd>(items: &[T], tags: &[G], k: G, len: usize) -> Vec<T> {
+    let mut out = Vec::with_capacity(len);
+    out.extend(
+        (items.iter().zip(tags))
+            .filter(|&(_, &t)| t >= k)
+            .map(|(&x, _)| x),
+    );
+    out
+}
+
+impl HeapSize for FlatDecomposition {
+    fn heap_size(&self) -> usize {
+        let tags = match &self.tags {
+            Tags::Byte(t) => std::mem::size_of_val(&**t),
+            Tags::Word(t) => std::mem::size_of_val(&**t),
+        };
+        self.pattern.heap_size()
+            + std::mem::size_of_val(&*self.edges)
+            + std::mem::size_of_val(&*self.vertices)
+            + tags
+            + self.ladder.heap_size()
     }
 }
 

@@ -16,14 +16,21 @@
 //! decompositions of 0 to 12 levels and at `α_k ± COHESION_EPS` besides,
 //! where `gt_eps` itself decides.
 //!
+//! [`FlatDecomposition`], the form a segment reader keeps for a node whose
+//! edges it holds, is held to `truss_at` (edges, vertices, pattern and
+//! `α`) and to `CountLadder` at the same thresholds, on 0 to 12 levels in
+//! both vertex regimes and on decompositions of 257 to 296 levels, whose
+//! tags no longer fit a byte; its heap size pins a tag to one byte up to
+//! 256 levels and four past them.
+//!
 //! CI re-runs this suite by name in release (see
 //! `.github/workflows/ci.yml`, the Equation 1 guard).
 
 use proptest::prelude::*;
-use tc_core::{CountLadder, TrussDecomposition, TrussLevel};
+use tc_core::{CountLadder, FlatDecomposition, TrussDecomposition, TrussLevel};
 use tc_graph::{EdgeKey, VertexId};
-use tc_txdb::Pattern;
-use tc_util::float;
+use tc_txdb::{Item, Pattern};
+use tc_util::{float, HeapSize};
 
 /// The definition: the levels with `α_k > α`, concatenated and sorted.
 fn edges_by_definition(d: &TrussDecomposition, alpha: f64) -> Vec<EdgeKey> {
@@ -93,6 +100,27 @@ fn decomposition(
     }
 }
 
+/// A decomposition of `levels` levels, level `k` holding the one edge
+/// `(k·scale, (k + 1)·scale)`, so vertex `k + 1`'s highest level is `k + 1`
+/// (the last, `k`) and tags run as high as the levels do. A `scale` of 1
+/// packs the ids (vertex array), a large one spreads them (sort).
+fn deep_decomposition(levels: u32, scale: u32, steps: &[f64]) -> TrussDecomposition {
+    let mut alpha = 0.0;
+    let levels = (0..levels)
+        .map(|k| {
+            alpha += steps[k as usize % steps.len()];
+            TrussLevel {
+                alpha,
+                edges: vec![(k * scale, (k + 1) * scale)],
+            }
+        })
+        .collect();
+    TrussDecomposition {
+        pattern: Pattern::singleton(Item(3)),
+        levels,
+    }
+}
+
 /// `0`, each `α_k` and `α_k ± 1e-4`, and past `α*`.
 fn probes(d: &TrussDecomposition) -> Vec<f64> {
     let mut probes = vec![0.0, d.max_alpha().unwrap_or(0.0) + 1.0];
@@ -148,5 +176,73 @@ proptest! {
                 alpha
             );
         }
+    }
+}
+
+/// Holds `FlatDecomposition::of(d)` to `d` at `0`, each `α_k`,
+/// `α_k ± 1e-4`, `α_k ± COHESION_EPS`, `α*` and above it, and its heap to
+/// 8 bytes an edge, 4 a vertex, a tag each (1 byte up to 256 levels, else
+/// 4) and 16 bytes a level: `Err` names the first difference.
+fn flat_is_equation_1(d: &TrussDecomposition) -> Result<(), String> {
+    let flat = FlatDecomposition::of(d);
+    let ladder = CountLadder::of(d);
+    if flat.ladder() != &ladder {
+        return Err("the ladder differs from CountLadder::of".into());
+    }
+    if flat.to_decomposition() != *d {
+        return Err("to_decomposition is not the decomposition".into());
+    }
+    let mut at = probes(d);
+    for level in &d.levels {
+        at.extend([
+            level.alpha - float::COHESION_EPS,
+            level.alpha + float::COHESION_EPS,
+        ]);
+    }
+    for alpha in at {
+        let (got, want) = (flat.truss_at(alpha), d.truss_at(alpha));
+        if got != want {
+            return Err(format!("truss at {alpha}: {got:?} != {want:?}"));
+        }
+        if got.edges.capacity() != got.edges.len() || got.vertices.capacity() != got.vertices.len()
+        {
+            return Err(format!("truss at {alpha} is not sized exactly"));
+        }
+        if flat.ladder().at(alpha) != ladder.at(alpha) {
+            return Err(format!("counts at {alpha}"));
+        }
+    }
+    let (edges, vertices) = (d.num_edges(), d.truss_at(0.0).num_vertices());
+    let tag = if d.num_levels() <= 256 { 1 } else { 4 };
+    let heap = d.pattern.heap_size()
+        + 8 * edges
+        + 4 * vertices
+        + tag * (edges + vertices)
+        + 16 * d.num_levels();
+    if flat.heap_size() != heap {
+        return Err(format!("heap {} B, want {heap} B", flat.heap_size()));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn flat_decomposition_is_equation_1_at_every_threshold(
+        pairs in prop::collection::vec((0..48u32, 0..48u32), 0..300),
+        wide in 0..2u32,
+        levels in 0..=13usize,
+        picks in prop::collection::vec(0..12usize, 1..40),
+        steps in prop::collection::vec(1e-6..0.3, 12)
+    ) {
+        // 13 draws a deep decomposition, of 257 to 296 levels.
+        let d = if levels == 13 {
+            let scale = if wide == 1 { 14_000_000 } else { 1 };
+            deep_decomposition(256 + picks.len() as u32, scale, &steps)
+        } else {
+            decomposition(&pairs, wide == 1, levels, &picks, &steps)
+        };
+        prop_assert_eq!(flat_is_equation_1(&d), Ok(()), "{} levels", d.num_levels());
     }
 }

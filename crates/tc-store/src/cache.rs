@@ -1,23 +1,23 @@
 //! The byte-budgeted node cache: bounded materialisation for
 //! [`crate::tree::SegmentTcTree`].
 //!
-//! Each cached node is one [`NodeEntry`] of up to two parts: the node's
-//! [`CountLadder`] (Equation 1's `(|V|, |E|)` at every threshold, 16 bytes
-//! a level) once a counting caller — the daemon's `summarize` walk — has
-//! asked for it, and its [`TrussDecomposition`] once an edge caller
-//! (`truss`, `query`) has. Every entry is charged an accounted byte size
+//! Each cached node is one [`NodeEntry`], of its counts or of its edges:
+//! the node's [`CountLadder`] (Equation 1's `(|V|, |E|)` at every
+//! threshold, 16 bytes a level) when a counting caller — the daemon's
+//! `summarize` walk — made it, or its [`FlatDecomposition`] (`L_p` in
+//! edge-set order, which carries its own ladder) when an edge caller
+//! (`truss`, `query`) did. Every entry is charged an accounted byte size
 //! (via [`tc_util::HeapSize`]) against one optional budget, and when the
 //! ledger exceeds the budget a **clock / second-chance** sweep evicts cold
-//! entries, both parts together.
+//! entries.
 //!
 //! A counting lookup ([`NodeCache::get`] with `edges = false`) hits on any
-//! entry; one holding edges alone is counted off them, no decode. An edge
-//! lookup hits only an entry that holds the decomposition; on a
-//! ladder-only entry it is a miss. Either way the caller's
-//! [`NodeCache::insert`] of the missing part *upgrades* the resident
-//! entry: replaces it in its slot by an entry of both parts and charges
-//! the size difference, once. An upgrade makes no entry resident, so it
-//! moves neither `materialized_total` nor `resident` nor `evictions`, and
+//! entry, since an entry of edges holds the ladder too. An edge lookup
+//! hits only an entry of edges; on one of counts it is a miss, and the
+//! caller's [`NodeCache::insert`] of the node's edges *upgrades* the
+//! resident entry: replaces it in its slot and charges the size
+//! difference, once. An upgrade makes no entry resident, so it moves
+//! neither `materialized_total` nor `resident` nor `evictions`, and
 //! `materialized_total − resident == evictions` holds throughout.
 //!
 //! Three invariants the tests and proptests pin down:
@@ -46,12 +46,12 @@
 //! `try_lock` so it never blocks behind a reader, and the clock hand is a
 //! single atomic. Two threads materialising the same node parse identical
 //! bytes — the loser of the insert race adopts the winner's entry and
-//! charges nothing, unless it brings a part the winner lacks. All
+//! charges nothing, unless it brings edges to the winner's counts. All
 //! primitives come through the [`tc_util::sync`] facade, so `tc-check`
 //! model-checks the insert/upgrade/evict ledger (balance and budget
 //! envelope) across bounded interleavings under `--cfg tc_check_model`.
 
-use tc_core::{CountLadder, TrussDecomposition};
+use tc_core::{CountLadder, FlatDecomposition, TrussDecomposition};
 use tc_util::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use tc_util::sync::{Arc, Mutex};
 use tc_util::HeapSize;
@@ -91,68 +91,62 @@ impl CacheStats {
     }
 }
 
-/// What the cache holds for one node: its count ladder once a counting
-/// caller has asked for it, and its decomposition once an edge caller has
-/// — never neither.
+/// What the cache holds for one node: its count ladder, or its flat
+/// decomposition, which holds the ladder too.
 #[derive(Debug)]
-pub struct NodeEntry {
-    ladder: Option<CountLadder>,
-    truss: Option<Arc<TrussDecomposition>>,
+pub enum NodeEntry {
+    /// Equation 1's counts alone: what a counting walk keeps.
+    Counts(CountLadder),
+    /// `L_p` in edge-set order: what an edge caller keeps.
+    Edges(Arc<FlatDecomposition>),
 }
 
 impl NodeEntry {
     /// An entry of `truss`'s counts alone.
     pub fn counts(truss: &TrussDecomposition) -> NodeEntry {
-        NodeEntry {
-            ladder: Some(CountLadder::of(truss)),
-            truss: None,
+        NodeEntry::Counts(CountLadder::of(truss))
+    }
+
+    /// An entry of `truss`'s edges, in edge-set order.
+    pub fn edges(truss: &TrussDecomposition) -> NodeEntry {
+        NodeEntry::Edges(Arc::new(FlatDecomposition::of(truss)))
+    }
+
+    /// Equation 1's counts at every threshold.
+    pub fn ladder(&self) -> &CountLadder {
+        match self {
+            NodeEntry::Counts(ladder) => ladder,
+            NodeEntry::Edges(flat) => flat.ladder(),
         }
     }
 
-    /// An entry of `truss` alone.
-    pub fn edges(truss: TrussDecomposition) -> NodeEntry {
-        NodeEntry {
-            ladder: None,
-            truss: Some(Arc::new(truss)),
+    /// The flat decomposition, if this is an entry of edges.
+    pub fn flat(&self) -> Option<&Arc<FlatDecomposition>> {
+        match self {
+            NodeEntry::Counts(_) => None,
+            NodeEntry::Edges(flat) => Some(flat),
         }
     }
 
-    /// Equation 1's counts at every threshold, if this entry holds them.
-    pub fn ladder(&self) -> Option<&CountLadder> {
-        self.ladder.as_ref()
-    }
-
-    /// The decomposition, if this entry holds it.
-    pub fn truss(&self) -> Option<&Arc<TrussDecomposition>> {
-        self.truss.as_ref()
-    }
-
-    /// The accounted size: each part the entry holds, plus everything it
-    /// owns on the heap. An entry of edges alone is charged what a cached
-    /// decomposition always was.
+    /// The accounted size: the value the entry holds, plus everything it
+    /// owns on the heap.
     pub fn accounted_bytes(&self) -> u64 {
-        let ladder = (self.ladder.as_ref())
-            .map_or(0, |l| std::mem::size_of::<CountLadder>() + l.heap_size());
-        let truss = (self.truss.as_ref()).map_or(0, |t| {
-            std::mem::size_of::<TrussDecomposition>() + t.heap_size()
-        });
-        (ladder + truss) as u64
+        let bytes = match self {
+            NodeEntry::Counts(l) => std::mem::size_of::<CountLadder>() + l.heap_size(),
+            NodeEntry::Edges(f) => std::mem::size_of::<FlatDecomposition>() + f.heap_size(),
+        };
+        bytes as u64
     }
 
-    /// Whether this entry holds every part `other` does.
+    /// Whether this entry answers every lookup `other` does.
     fn holds(&self, other: &NodeEntry) -> bool {
-        (self.ladder.is_some() || other.ladder.is_none())
-            && (self.truss.is_some() || other.truss.is_none())
+        matches!(self, NodeEntry::Edges(_)) || matches!(other, NodeEntry::Counts(_))
     }
 
     /// Whether anyone besides the cache holds this entry or its
     /// decomposition.
     fn pinned(entry: &Arc<NodeEntry>) -> bool {
-        Arc::strong_count(entry) > 1
-            || entry
-                .truss
-                .as_ref()
-                .is_some_and(|t| Arc::strong_count(t) > 1)
+        Arc::strong_count(entry) > 1 || entry.flat().is_some_and(|f| Arc::strong_count(f) > 1)
     }
 }
 
@@ -215,14 +209,13 @@ impl NodeCache {
     }
 
     /// Looks up node `id`, pinning the entry for the caller and marking it
-    /// recently used: any entry when `edges` is false (an entry of edges
-    /// alone gives its counts by [`NodeCache::insert`]ing them), one
-    /// holding the decomposition when it is true. A miss is counted; the
-    /// caller is expected to parse and [`NodeCache::insert`].
+    /// recently used: any entry when `edges` is false, an entry of edges
+    /// when it is true. A miss is counted; the caller is expected to parse
+    /// and [`NodeCache::insert`].
     pub fn get(&self, id: u32, edges: bool) -> Option<Arc<NodeEntry>> {
         let slot = self.slots[id as usize].lock();
         match &*slot {
-            Some(entry) if !edges || entry.truss.is_some() => {
+            Some(entry) if !edges || entry.flat().is_some() => {
                 self.referenced[id as usize].store(true, Ordering::Relaxed);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(entry.clone())
@@ -236,19 +229,15 @@ impl NodeCache {
 
     /// Caches a freshly parsed entry, charges its bytes, and runs the
     /// eviction sweep if the ledger now exceeds the budget. The returned
-    /// `Arc` is the caller's pin. A resident entry that holds every part
-    /// `entry` does (another thread won the insert race) is adopted
-    /// unchanged; one that lacks a part `entry` brings is *upgraded*:
-    /// replaced by an entry of both's parts, and charged the difference.
-    pub fn insert(&self, id: u32, mut entry: NodeEntry) -> Arc<NodeEntry> {
+    /// `Arc` is the caller's pin. A resident entry that answers every
+    /// lookup `entry` does (another thread won the insert race, or it
+    /// holds edges) is adopted unchanged; a resident entry of counts that
+    /// `entry`'s edges replace is *upgraded*, and charged the difference.
+    pub fn insert(&self, id: u32, entry: NodeEntry) -> Arc<NodeEntry> {
         let mut slot = self.slots[id as usize].lock();
         let upgraded = match &*slot {
             Some(resident) if resident.holds(&entry) => return resident.clone(),
-            Some(resident) => {
-                entry.ladder = entry.ladder.or_else(|| resident.ladder.clone());
-                entry.truss = entry.truss.or_else(|| resident.truss.clone());
-                Some(resident.accounted_bytes())
-            }
+            Some(resident) => Some(resident.accounted_bytes()),
             None => None,
         };
         let arc = Arc::new(entry);
@@ -360,9 +349,9 @@ mod tests {
         }
     }
 
-    /// An entry of [`truss`]`(item, edges)`'s decomposition alone.
+    /// An entry of [`truss`]`(item, edges)`'s edges.
     fn edges(item: u32, edges: usize) -> NodeEntry {
-        NodeEntry::edges(truss(item, edges))
+        NodeEntry::edges(&truss(item, edges))
     }
 
     /// An entry of [`truss`]`(item, edges)`'s counts alone.
@@ -487,49 +476,52 @@ mod tests {
         c.insert(0, counts(0, 8));
         c.insert(1, edges(1, 8));
         let ladder = c.get(0, false).unwrap();
-        assert_eq!(ladder.ladder().unwrap().at(0.0), (9, 8));
+        assert_eq!(ladder.ladder().at(0.0), (9, 8));
         assert!(c.get(0, true).is_none(), "no edges yet");
-        assert!(c.get(1, false).is_some() && c.get(1, true).is_some());
+        // An entry of edges answers counting lookups off its own ladder.
+        assert_eq!(c.get(1, false).unwrap().ladder().at(0.0), (9, 8));
+        assert!(c.get(1, true).is_some());
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (3, 1));
-        // An entry of edges alone is charged what a decomposition was.
-        let t = truss(1, 8);
+        // An entry of edges is charged its flat decomposition.
+        let flat = FlatDecomposition::of(&truss(1, 8));
         assert_eq!(
             edges(1, 8).accounted_bytes(),
-            (std::mem::size_of::<TrussDecomposition>() + t.heap_size()) as u64
+            (std::mem::size_of::<FlatDecomposition>() + flat.heap_size()) as u64
         );
     }
 
     #[test]
-    fn an_upgrade_unites_both_parts_and_charges_the_difference_once() {
-        let both = counts(0, 64).accounted_bytes() + edges(0, 64).accounted_bytes();
-        // Counts first, then edges; and edges first, then counts.
-        for (first, then) in [
-            (
-                counts as fn(u32, usize) -> NodeEntry,
-                edges as fn(u32, usize) -> NodeEntry,
-            ),
-            (edges, counts),
-        ] {
-            let c = NodeCache::new(2, None);
-            let resident = c.insert(0, first(0, 64));
-            assert_eq!(c.stats().bytes_used, resident.accounted_bytes());
-            // The same part again adopts what is resident.
-            assert!(Arc::ptr_eq(&resident, &c.insert(0, first(0, 64))));
-            let upgraded = c.insert(0, then(0, 64));
-            assert!(!Arc::ptr_eq(&resident, &upgraded));
-            assert!(upgraded.ladder().is_some() && upgraded.truss().is_some());
-            // Either part again adopts the united entry.
-            assert!(Arc::ptr_eq(&upgraded, &c.insert(0, first(0, 64))));
-            assert!(Arc::ptr_eq(&upgraded, &c.insert(0, then(0, 64))));
-            // An upgrade makes no entry resident: one materialisation, and
-            // the ledger holds both parts, each charged once.
-            let s = c.stats();
-            assert_eq!((s.resident, s.materialized_total, s.evictions), (1, 1, 0));
-            assert_eq!(s.bytes_used, both);
-            // The reader of the replaced entry still holds it, intact.
-            assert!(resident.ladder().is_some() != resident.truss().is_some());
-        }
+    fn an_upgrade_replaces_counts_by_edges_and_charges_the_difference_once() {
+        let c = NodeCache::new(2, None);
+        let resident = c.insert(0, counts(0, 64));
+        assert_eq!(c.stats().bytes_used, resident.accounted_bytes());
+        // The same part again adopts what is resident.
+        assert!(Arc::ptr_eq(&resident, &c.insert(0, counts(0, 64))));
+        let upgraded = c.insert(0, edges(0, 64));
+        assert!(!Arc::ptr_eq(&resident, &upgraded));
+        assert!(upgraded.flat().is_some());
+        // Either entry again adopts the entry of edges.
+        assert!(Arc::ptr_eq(&upgraded, &c.insert(0, counts(0, 64))));
+        assert!(Arc::ptr_eq(&upgraded, &c.insert(0, edges(0, 64))));
+        // An upgrade makes no entry resident: one materialisation, and the
+        // ledger holds the entry of edges alone.
+        let s = c.stats();
+        assert_eq!((s.resident, s.materialized_total, s.evictions), (1, 1, 0));
+        assert_eq!(s.bytes_used, edges(0, 64).accounted_bytes());
+        // The reader of the replaced entry still holds it, intact.
+        assert!(resident.flat().is_none());
+        assert_eq!(resident.ladder().at(0.0), upgraded.ladder().at(0.0));
+    }
+
+    #[test]
+    fn counts_never_replace_edges() {
+        let c = NodeCache::new(1, None);
+        let resident = c.insert(0, edges(0, 64));
+        let used = c.stats().bytes_used;
+        assert!(Arc::ptr_eq(&resident, &c.insert(0, counts(0, 64))));
+        let s = c.stats();
+        assert_eq!((s.bytes_used, s.resident, s.materialized_total), (used, 1, 1));
     }
 
     #[test]
@@ -538,7 +530,7 @@ mod tests {
         drop(c.insert(0, counts(0, 64)));
         let upgraded = c.insert(0, edges(0, 64));
         // A pinned decomposition pins its entry.
-        let held = upgraded.truss().unwrap().clone();
+        let held = upgraded.flat().unwrap().clone();
         let whole = upgraded.accounted_bytes();
         drop(upgraded);
         drop(c.insert(1, counts(1, 4)));

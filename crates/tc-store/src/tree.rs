@@ -17,10 +17,11 @@
 //! below depth 1); it is absolute otherwise. The reader refuses either
 //! bit where the other belongs, so a segment that decodes re-saves
 //! byte-identically. Depth-1 blobs are always absolute, so a root-child
-//! subtree is self-contained. A walk fetches a base's decomposition once,
-//! on the first of its children that misses the cache, and holds it until
-//! the base's children are done; a one-level base's only level is its
-//! edge set as it lies, and a larger base's levels are merged once.
+//! subtree is self-contained. A walk fetches a base's edge set once, on
+//! the first of its children that misses the cache, and holds it until
+//! the base's children are done: a resident base's flat decomposition
+//! holds it sorted as it lies; a base a counting walk decodes for itself
+//! gives its one level as it lies, or its levels merged once.
 //!
 //! [`SegmentTcTree::open`] streams only the NODES directory — parents,
 //! items, per-node `α*` bounds, level counts and blob offsets into the
@@ -34,14 +35,16 @@
 //!
 //! The walk is written once and reduced two ways:
 //! [`SegmentTcTree::query`] rebuilds every retrieved truss (the library
-//! answer), [`SegmentTcTree::summarize`] reads its vertex and edge counts
-//! — all a served response carries — off the node's count ladder, one
-//! binary search and no edge.
+//! answer) by Equation 1 as one filter of the node's
+//! [`FlatDecomposition`], [`SegmentTcTree::summarize`] reads its vertex
+//! and edge counts — all a served response carries — off the node's count
+//! ladder, one binary search and no edge.
 //!
 //! Materialised nodes live in a byte-budgeted node cache
-//! ([`crate::cache`]): each as its count ladder once a counting walk has
-//! reached it, and its decomposition once a caller asked for edges
-//! (`truss`, `query`). Unbounded by default
+//! ([`crate::cache`]): each as its count ladder when a counting walk
+//! reached it, or as its flat decomposition — `L_p` in edge-set order,
+//! with its ladder — once a caller asked for edges (`truss`, `query`).
+//! Unbounded by default
 //! (every touched node stays resident, the original behaviour), or
 //! byte-budgeted via [`StoreOptions::cache_bytes`] so a daemon can serve a
 //! segment much larger than its memory envelope. A counting walk caches
@@ -55,7 +58,7 @@ use crate::cache::{CacheStats, NodeCache, NodeEntry};
 use crate::page::{write_segment, PageCursor, PageFile, SectionInfo, SegmentKind, PAGE_CAP};
 use std::io::Write;
 use std::path::Path;
-use tc_core::{TrussDecomposition, TrussLevel};
+use tc_core::{FlatDecomposition, TrussDecomposition, TrussLevel};
 use tc_index::{QueryResult, TcNode, TcTree};
 use tc_txdb::{Item, Pattern};
 use tc_util::bytes::{checked_len_u32, put_f64, put_varint, unzigzag, zigzag, ByteReader};
@@ -90,10 +93,12 @@ const RELATIVE: u32 = 1 << 31;
 
 /// The largest blob a node may have and still be a base for its children.
 /// A child decodes against its parent's edge set, the sorted union of the
-/// parent's levels, which a reader merges afresh for each parent a walk
-/// decodes children under — a cost in the parent's edges, which its blob
-/// bounds (an edge takes one byte at least). Against larger parents that
-/// merge costs more than the child's decode saves: with no bound, a
+/// parent's levels. A parent resident with its edges holds that set as it
+/// lies (its [`FlatDecomposition`]), but a parent a counting walk decodes
+/// for itself must merge its levels first, and the writer merges each
+/// base's once — a cost in the parent's edges, which its blob bounds (an
+/// edge takes one byte at least). When every parent merged afresh, larger
+/// ones cost more than the child's decode saved: with no bound, a
 /// `coauthor-dense` QBP of two or three items under a tenth-of-working-set
 /// budget first merged parents of thousands of edges and took twice as
 /// long. The bound is part of the format: open refuses a relative blob
@@ -135,10 +140,11 @@ fn merge_levels(truss: &TrussDecomposition, out: &mut Vec<(u32, u32)>) {
     out.dedup();
 }
 
-/// A base's edge set, which a child's relative blob indexes into: a
-/// one-level base's only level as it lies (already sorted and free of
-/// repeats), or the levels of a larger one merged once for a run of its
-/// children.
+/// A base's edge set, as the writer and [`SegmentTcTree::to_tree`] code
+/// and decode a child's relative blob against it from the base's
+/// level-order decomposition: a one-level base's only level as it lies
+/// (already sorted and free of repeats), or the levels of a larger one
+/// merged once for a run of its children.
 #[derive(Debug, Default)]
 struct BaseSet {
     /// The base whose levels `merged` holds (0, the root: none).
@@ -157,6 +163,36 @@ impl BaseSet {
             self.merged_of = id;
         }
         &self.merged
+    }
+}
+
+/// A base's edge set, which its children's relative blobs index into, held
+/// for as long as a walk decodes them.
+enum EdgeSet {
+    /// A base resident with its edges: its flat decomposition's, as they
+    /// lie.
+    Flat(Arc<FlatDecomposition>),
+    /// A base a counting walk decoded for itself and does not keep: its
+    /// one level's edges, or its levels merged.
+    Merged(Vec<(u32, u32)>),
+}
+
+impl EdgeSet {
+    /// The edge set of `truss`, which is not kept.
+    fn merged(mut truss: TrussDecomposition) -> EdgeSet {
+        if let [_] = &truss.levels[..] {
+            return EdgeSet::Merged(truss.levels.pop().map(|l| l.edges).unwrap_or_default());
+        }
+        let mut merged = Vec::new();
+        merge_levels(&truss, &mut merged);
+        EdgeSet::Merged(merged)
+    }
+
+    fn edges(&self) -> &[(u32, u32)] {
+        match self {
+            EdgeSet::Flat(flat) => flat.edges(),
+            EdgeSet::Merged(edges) => edges,
+        }
     }
 }
 
@@ -304,7 +340,7 @@ const _: () = assert!(std::mem::size_of::<NodeRec>() == 24);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreOptions {
     /// Byte budget for resident node-cache entries (count ladders, and
-    /// decompositions once edges were read); `None` = unbounded.
+    /// flat decompositions once edges were read); `None` = unbounded.
     pub cache_bytes: Option<u64>,
 }
 
@@ -313,7 +349,7 @@ pub struct StoreOptions {
 /// Opening validates the header, the file length, and the NODES directory;
 /// truss decompositions are parsed on demand (checksum-verified per page)
 /// and held in the node cache — as count ladders for counting callers and
-/// decompositions for edge callers — so repeated queries touch the file
+/// flat decompositions for edge callers — so repeated queries touch the file
 /// once per node — until the cache's byte budget (if any) evicts cold nodes,
 /// after which a re-touch re-parses the identical bytes. Per node, an open
 /// tree holds a 24-byte directory record, a 4-byte level count, 8 bytes
@@ -578,15 +614,18 @@ impl SegmentTcTree {
         &self.cache
     }
 
-    /// The decomposition of node `id`, reading it from the file on first
-    /// touch (or again after eviction, or when only its counts are
-    /// resident). The returned `Arc` pins the data for the caller —
-    /// eviction can never invalidate it mid-query.
-    pub fn truss(&self, id: u32) -> Result<Arc<TrussDecomposition>, LoadError> {
-        self.resolve(id, &mut PageCursor::new(), true)
+    /// The decomposition of node `id` in edge-set order, reading it from
+    /// the file on first touch (or again after eviction, or when only its
+    /// counts are resident). The returned `Arc` pins the data for the
+    /// caller — eviction can never invalidate it mid-query.
+    pub fn truss(&self, id: u32) -> Result<Arc<FlatDecomposition>, LoadError> {
+        match self.resolve(id, &mut PageCursor::new(), true)? {
+            EdgeSet::Flat(flat) => Ok(flat),
+            EdgeSet::Merged(_) => unreachable!("a resolve that caches edges yields them flat"),
+        }
     }
 
-    /// [`SegmentTcTree::truss`], reading through `cursor`'s page: a miss
+    /// Node `id`'s edge set, reading through `cursor`'s page: a miss
     /// climbs to the nearest ancestor whose edges are resident or that
     /// needs no parent to decode, and decodes the chain back down, each
     /// node against its parent's edge set — caching each with its edges if
@@ -596,34 +635,31 @@ impl SegmentTcTree {
         id: u32,
         cursor: &mut PageCursor,
         cache_edges: bool,
-    ) -> Result<Arc<TrussDecomposition>, LoadError> {
+    ) -> Result<EdgeSet, LoadError> {
         if let Some(entry) = self.cache.get(id, true) {
-            return Ok(edges_of(&entry).clone());
+            return Ok(EdgeSet::Flat(flat_of(&entry).clone()));
         }
         let mut chain = vec![id];
         let mut parent = None;
         while let Some(up) = self.base_of(*chain.last().unwrap()) {
             if let Some(entry) = self.cache.get(up, true) {
-                parent = Some((up, edges_of(&entry).clone()));
+                parent = Some(EdgeSet::Flat(flat_of(&entry).clone()));
                 break;
             }
             chain.push(up);
         }
-        let mut base = BaseSet::default();
         for &at in chain.iter().rev() {
-            let set = parent.as_ref().map(|(p, truss)| base.of(*p, truss));
-            let truss = self.decode(at, cursor, set)?;
+            let truss = self.decode(at, cursor, parent.as_ref().map(EdgeSet::edges))?;
             // The parent is unpinned before its child is inserted, so the
             // sweep may evict it to make room.
             drop(parent.take());
-            let truss = if cache_edges {
-                edges_of(&self.cache.insert(at, NodeEntry::edges(truss))).clone()
+            parent = Some(if cache_edges {
+                EdgeSet::Flat(flat_of(&self.cache.insert(at, NodeEntry::edges(&truss))).clone())
             } else {
-                Arc::new(truss)
-            };
-            parent = Some((at, truss));
+                EdgeSet::merged(truss)
+            });
         }
-        Ok(parent.expect("the chain holds at least `id`").1)
+        Ok(parent.expect("the chain holds at least `id`"))
     }
 
     /// The parent node `id` decodes against: its parent, unless that is
@@ -698,11 +734,10 @@ impl SegmentTcTree {
         let mut visited = 0usize;
         let mut cursor = PageCursor::new();
         let mut queue = std::collections::VecDeque::from([0u32]);
-        // `nf`'s decomposition once a child of it misses, pinned until its
-        // children are done: the queue holds ids, never an entry, and the
-        // walk pins one base at a time.
-        let mut base = BaseSet::default();
         while let Some(nf) = queue.pop_front() {
+            // `nf`'s edge set once a child of it misses, pinned until its
+            // children are done: the queue holds ids, never an entry, and
+            // the walk pins one base at a time.
             let mut parent = None;
             for &nc in self.children(nf) {
                 let node = &self.nodes[nc as usize];
@@ -717,9 +752,7 @@ impl SegmentTcTree {
                     continue;
                 }
                 let entry = match self.cache.get(nc, edges) {
-                    Some(entry) if edges || entry.ladder().is_some() => entry,
-                    // A counting walk that finds only edges counts them once.
-                    Some(entry) => self.cache.insert(nc, NodeEntry::counts(edges_of(&entry))),
+                    Some(entry) => entry,
                     None => {
                         let set = match self.base_of(nc) {
                             Some(_) => {
@@ -729,13 +762,13 @@ impl SegmentTcTree {
                                 if parent.is_none() {
                                     parent = Some(self.resolve(nf, &mut cursor, edges)?);
                                 }
-                                parent.as_ref().map(|truss| base.of(nf, truss))
+                                parent.as_ref().map(EdgeSet::edges)
                             }
                             None => None,
                         };
                         let truss = self.decode(nc, &mut cursor, set)?;
                         let entry = if edges {
-                            NodeEntry::edges(truss)
+                            NodeEntry::edges(&truss)
                         } else {
                             NodeEntry::counts(&truss)
                         };
@@ -761,12 +794,13 @@ impl SegmentTcTree {
     }
 
     /// Answers `(q, α_q)` with every retrieved truss rebuilt in full
-    /// (Equation 1, [`TrussDecomposition::truss_at`]); every node it
+    /// (Equation 1, [`FlatDecomposition::truss_at`]); every node it
     /// retrieves is cached with its edges.
     pub fn query(&self, q: &Pattern, alpha_q: f64) -> Result<QueryResult, LoadError> {
         let sw = Stopwatch::start();
         let (trusses, visited) = self.walk(q, alpha_q, true, |_, entry| {
-            Some(edges_of(entry).truss_at(alpha_q)).filter(|t| !t.is_empty())
+            let flat = flat_of(entry);
+            (flat.ladder().at(alpha_q).1 > 0).then(|| flat.truss_at(alpha_q))
         })?;
         Ok(QueryResult {
             query: q.clone(),
@@ -783,18 +817,15 @@ impl SegmentTcTree {
     /// but `(|V|, |E|)` are read off each node's
     /// [`CountLadder`](tc_core::CountLadder) by one binary search — no
     /// edge is touched on a hit, and the request holds no truss. Any
-    /// resident entry serves (one that holds only edges is counted once
-    /// and gains its ladder); a miss decodes the node and caches its
-    /// ladder alone, tens of bytes where its edges take kilobytes. This is
+    /// resident entry serves (one of edges carries its ladder); a miss
+    /// decodes the node and caches its ladder alone, tens of bytes where
+    /// its edges take kilobytes. This is
     /// what the daemon answers with; a QBA passes
     /// [`SegmentTcTree::all_items`] as `q`, a QBP `α_q = 0`.
     pub fn summarize(&self, q: &Pattern, alpha_q: f64) -> Result<QuerySummary, LoadError> {
         let sw = Stopwatch::start();
         let (trusses, visited_nodes) = self.walk(q, alpha_q, false, |node, entry| {
-            let ladder = entry
-                .ladder()
-                .expect("a counting walk yields entries with counts");
-            let (vertices, edges) = ladder.at(alpha_q);
+            let (vertices, edges) = entry.ladder().at(alpha_q);
             (edges > 0).then_some(TrussCount {
                 node,
                 vertices,
@@ -843,10 +874,10 @@ impl SegmentTcTree {
     }
 }
 
-/// The decomposition of an entry an edge lookup or a full insert returned.
-fn edges_of(entry: &NodeEntry) -> &Arc<TrussDecomposition> {
+/// The flat decomposition of an entry an edge lookup or insert returned.
+fn flat_of(entry: &NodeEntry) -> &Arc<FlatDecomposition> {
     entry
-        .truss()
+        .flat()
         .expect("an edge lookup yields an entry with edges")
 }
 
@@ -1302,7 +1333,8 @@ mod tests {
         let relative: Vec<bool> = seg.level_counts.iter().map(|c| c & RELATIVE != 0).collect();
         assert_eq!(relative, [false, false, true, false, true]);
         for id in 1..5 {
-            assert_eq!(*seg.truss(id).unwrap(), tree.node(id).truss, "node {id}");
+            let flat = seg.truss(id).unwrap();
+            assert_eq!(flat.to_decomposition(), tree.node(id).truss, "node {id}");
         }
         let loaded = seg.to_tree().unwrap();
         for id in 0..5 {

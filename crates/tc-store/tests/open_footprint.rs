@@ -9,11 +9,20 @@
 //! count, 8 bytes of children CSR, the node cache's 16-byte slot and its
 //! 1-byte second-chance bit come to 53) plus 64 KiB.
 //!
+//! The same allocator pins what a warm `query` allocates: three lists per
+//! retrieved truss — its edges, its vertices and its pattern — beyond what
+//! the counting walk over the same nodes makes, plus the query pattern the
+//! answer carries. A sort buffer, a bitmap or a per-level `Vec` creeping
+//! back into Equation 1's rebuild shows up there by name.
+//!
 //! CI re-runs this suite by name (see `.github/workflows/ci.yml`, the
 //! open-footprint step); locally it runs with `cargo test`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+use tc_index::TcTreeBuilder;
 use tc_store::page::write_segment;
 use tc_store::{SegmentKind, SegmentTcTree};
 use tc_util::bytes::{put_f64, put_varint, zigzag};
@@ -21,6 +30,13 @@ use tc_util::bytes::{put_f64, put_varint, zigzag};
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// Held by each test while it measures, so the tests' counts never mix.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+thread_local! {
+    /// Allocations made by this thread.
+    static THREAD_ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
 
 /// The system allocator, counting allocations and live / peak bytes.
 struct CountingAlloc;
@@ -28,6 +44,8 @@ struct CountingAlloc;
 impl CountingAlloc {
     fn grew(size: usize) {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // A thread being torn down has no counter left to bump.
+        let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
         let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
         PEAK.fetch_max(live, Ordering::Relaxed);
     }
@@ -127,6 +145,7 @@ fn open_cost(path: &std::path::Path, n: usize) -> (usize, usize) {
 
 #[test]
 fn open_allocates_a_fixed_count_and_a_flat_footprint_per_node() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join(format!("tc_store_open_footprint_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let mut counts = Vec::new();
@@ -151,4 +170,76 @@ fn open_allocates_a_fixed_count_and_a_flat_footprint_per_node() {
         "allocations during open grew with the node count: {counts:?}"
     );
     std::fs::remove_dir(&dir).ok();
+}
+
+/// What `f` returns, and the allocations this thread made running it.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = THREAD_ALLOCS.with(Cell::get);
+    let out = f();
+    (out, THREAD_ALLOCS.with(Cell::get) - before)
+}
+
+#[test]
+fn a_warm_query_allocates_three_lists_per_retrieved_truss() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let net = tc_data::generate_coauthor(&tc_data::CoauthorConfig {
+        groups: 3,
+        authors_per_group: 30,
+        interdisciplinary_authors: 6,
+        papers_per_author: 22,
+        keywords_per_paper: 4,
+        collab_prob: 0.6,
+        cross_group_edges: 30,
+        generic_keyword_prob: 0.4,
+        seed: 0xD5,
+    })
+    .network;
+    let tree = TcTreeBuilder {
+        threads: 1,
+        max_len: usize::MAX,
+    }
+    .build(&net);
+    let mut bytes = Vec::new();
+    tc_store::save_tree_segment(&tree, &mut bytes).unwrap();
+    let seg = SegmentTcTree::from_bytes(bytes).unwrap();
+    // QBAs across the cohesion range, and every node's own pattern.
+    let mut stream: Vec<(tc_txdb::Pattern, f64)> = [0.0, 0.05, 0.1, 0.2, 0.4]
+        .iter()
+        .map(|&alpha| (seg.all_items().clone(), alpha))
+        .collect();
+    stream.extend((1..=tree.num_nodes() as u32).map(|id| (seg.pattern(id), 0.0)));
+    for (q, alpha) in &stream {
+        seg.query(q, *alpha).unwrap();
+    }
+    let warm = seg.cache_stats();
+    let (mut retrieved, mut edges, mut levels) = (0, 0, 0);
+    for (q, alpha) in &stream {
+        let (counted, counting) = allocations(|| seg.summarize(q, *alpha).unwrap());
+        let (answer, querying) = allocations(|| seg.query(q, *alpha).unwrap());
+        let r = answer.retrieved_nodes;
+        assert_eq!(r, counted.trusses.len(), "{q} at {alpha}");
+        // The walk, its queue and the kept list grow alike in both.
+        assert_eq!(
+            querying - counting,
+            3 * r + 1,
+            "{q} at {alpha}: {querying} allocations querying, {counting} counting, \
+             {r} trusses retrieved"
+        );
+        retrieved += r;
+        edges += answer.trusses.iter().map(|t| t.num_edges()).sum::<usize>();
+        levels += counted
+            .trusses
+            .iter()
+            .map(|t| seg.truss(t.node).unwrap().num_levels())
+            .sum::<usize>();
+    }
+    // Warm means warm: no lookup above missed.
+    assert_eq!(seg.cache_stats().misses, warm.misses);
+    eprintln!(
+        "{} queries, {retrieved} trusses retrieved ({:.1} edges, {:.1} levels each): \
+         3 allocations a truss",
+        stream.len(),
+        edges as f64 / retrieved as f64,
+        levels as f64 / retrieved as f64
+    );
 }
