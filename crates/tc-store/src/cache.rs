@@ -521,7 +521,10 @@ mod tests {
         let used = c.stats().bytes_used;
         assert!(Arc::ptr_eq(&resident, &c.insert(0, counts(0, 64))));
         let s = c.stats();
-        assert_eq!((s.bytes_used, s.resident, s.materialized_total), (used, 1, 1));
+        assert_eq!(
+            (s.bytes_used, s.resident, s.materialized_total),
+            (used, 1, 1)
+        );
     }
 
     #[test]

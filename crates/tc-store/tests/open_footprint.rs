@@ -27,14 +27,15 @@ use tc_store::page::write_segment;
 use tc_store::{SegmentKind, SegmentTcTree};
 use tc_util::bytes::{put_f64, put_varint, zigzag};
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
-/// Held by each test while it measures, so the tests' counts never mix.
+/// Held by each test while it measures, so one test's heap never shows in
+/// the other's peak.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 thread_local! {
-    /// Allocations made by this thread.
+    /// Allocations made by this thread: what each test counts, so the test
+    /// harness's own threads never show in a count.
     static THREAD_ALLOCS: Cell<usize> = const { Cell::new(0) };
 }
 
@@ -43,7 +44,6 @@ struct CountingAlloc;
 
 impl CountingAlloc {
     fn grew(size: usize) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
         // A thread being torn down has no counter left to bump.
         let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
         let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
@@ -128,15 +128,15 @@ fn crafted_segment(n: u32) -> Vec<u8> {
     buf
 }
 
-/// What opening the `n`-node segment at `path` cost: allocations made,
+/// What opening the `n`-node segment at `path` cost: allocations this thread made,
 /// and peak live heap bytes above what was live before.
 fn open_cost(path: &std::path::Path, n: usize) -> (usize, usize) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = THREAD_ALLOCS.with(Cell::get);
     let base = LIVE.load(Ordering::Relaxed);
     PEAK.store(base, Ordering::Relaxed);
     let seg = SegmentTcTree::open(path).unwrap();
     let cost = (
-        ALLOCS.load(Ordering::Relaxed) - before,
+        THREAD_ALLOCS.with(Cell::get) - before,
         PEAK.load(Ordering::Relaxed) - base,
     );
     assert_eq!(seg.num_nodes(), n - 1);

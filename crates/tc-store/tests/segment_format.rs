@@ -346,7 +346,10 @@ fn crafted_streams_fail_each_check_as_corrupt() {
     // The well-formed baseline: edges (1, 2) and (1, 4).
     let good = level(&[(1, 0), (0, 1)]);
     let seg = one_child(0, good.len() as u64, &good).unwrap();
-    assert_eq!(seg.truss(1).unwrap().to_decomposition().levels[0].edges, [(1, 2), (1, 4)]);
+    assert_eq!(
+        seg.truss(1).unwrap().to_decomposition().levels[0].edges,
+        [(1, 2), (1, 4)]
+    );
 
     // An overlong varint: the node count, then an edge delta.
     let mut nodes = vec![0x82, 0x00];
@@ -402,7 +405,10 @@ fn crafted_relative_streams_fail_each_check_as_corrupt() {
     let good = relative_level(&[1]);
     let bytes = {
         let seg = parent_and_child(1 << 1 | 1, &good).unwrap();
-        assert_eq!(seg.truss(2).unwrap().to_decomposition().levels[0].edges, [(1, 4)]);
+        assert_eq!(
+            seg.truss(2).unwrap().to_decomposition().levels[0].edges,
+            [(1, 4)]
+        );
         seg.to_tree().map(|tree| tree_bytes(&tree)).unwrap()
     };
     assert_eq!(decode(bytes.clone()).unwrap(), bytes);
@@ -451,7 +457,10 @@ fn crafted_relative_streams_fail_each_check_as_corrupt() {
     // Outside them, it is the absolute blob the writer makes.
     let outside = level(&[(2, 0)]);
     let seg = parent_and_child(1 << 1, &outside).unwrap();
-    assert_eq!(seg.truss(2).unwrap().to_decomposition().levels[0].edges, [(2, 3)]);
+    assert_eq!(
+        seg.truss(2).unwrap().to_decomposition().levels[0].edges,
+        [(2, 3)]
+    );
 }
 
 /// `bytes` with `version` stamped into the header, page 0's CRC resealed
