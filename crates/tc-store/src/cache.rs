@@ -34,26 +34,34 @@
 //! - **Unbounded is the default and exactly the old behaviour**: with
 //!   `budget = None` nothing is ever evicted.
 //!
-//! Per node the cache holds 17 bytes whatever its budget: a 16-byte slot
-//! (a mutex over an optional `Arc`, nothing else) and a one-byte
-//! second-chance bit in an array beside the slots. An entry's accounted
+//! Slots are committed a **block** of [`BLOCK`] consecutive node ids at a
+//! time, when an insert first lands in the block: 16 bytes a slot (a
+//! mutex over an optional `Arc`, nothing else) and a one-byte
+//! second-chance bit beside it, 4 352 bytes a block. Until then a block
+//! costs one empty cell of a fixed table, 16 bytes a block (1/16 of a
+//! byte a node), whatever the budget: a lookup there is a miss that
+//! allocates nothing, and the sweep steps over it. An entry's accounted
 //! bytes are not stored: an entry behind the `Arc` is immutable (an
 //! upgrade swaps in a new one), so the sweep recomputes them from the
-//! entry it evicts and the ledger balances exactly.
+//! entry it evicts and the ledger balances exactly. The ledger charges
+//! entries only, never blocks.
 //!
 //! Concurrency: each node has its own slot mutex, and its second-chance
 //! bit is only read or written under that lock; the sweep uses
 //! `try_lock` so it never blocks behind a reader, and the clock hand is a
-//! single atomic. Two threads materialising the same node parse identical
-//! bytes — the loser of the insert race adopts the winner's entry and
-//! charges nothing, unless it brings edges to the winner's counts. All
-//! primitives come through the [`tc_util::sync`] facade, so `tc-check`
-//! model-checks the insert/upgrade/evict ledger (balance and budget
-//! envelope) across bounded interleavings under `--cfg tc_check_model`.
+//! single atomic. A block is published through a once-cell: racing first
+//! inserts into one block wait for the one that commits it, and a lookup
+//! in any other block never waits on them. Two threads materialising the
+//! same node parse identical bytes — the loser of the insert race adopts
+//! the winner's entry and charges nothing, unless it brings edges to the
+//! winner's counts. All primitives come through the [`tc_util::sync`]
+//! facade, so `tc-check` model-checks the insert/upgrade/evict ledger
+//! (balance and budget envelope) and the publication of blocks across
+//! bounded interleavings under `--cfg tc_check_model`.
 
 use tc_core::{CountLadder, FlatDecomposition, TrussDecomposition};
 use tc_util::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use tc_util::sync::{Arc, Mutex};
+use tc_util::sync::{Arc, Mutex, OnceLock};
 use tc_util::HeapSize;
 
 /// A point-in-time snapshot of the cache counters, as exposed by
@@ -158,8 +166,39 @@ type Slot = Mutex<Option<Arc<NodeEntry>>>;
 #[cfg(not(tc_check_model))]
 const _: () = assert!(std::mem::size_of::<Slot>() == 16);
 
+/// Consecutive node ids whose slots are committed together. The model
+/// checker explores every step of a sweep, so under it a block is four
+/// slots and a model case crosses blocks in a handful of nodes; the
+/// protocol is the same.
+#[cfg(not(tc_check_model))]
+pub const BLOCK: usize = 256;
+/// Consecutive node ids whose slots are committed together.
+#[cfg(tc_check_model)]
+pub const BLOCK: usize = 4;
+
+/// [`BLOCK`] nodes' slots and second-chance bits.
+struct Block {
+    slots: [Slot; BLOCK],
+    /// The clock's second-chance bits, one per slot: set on every hit and
+    /// insert, swapped clear by a passing sweep (under the slot's lock);
+    /// an entry is evicted only when found clear.
+    referenced: [AtomicBool; BLOCK],
+}
+
+#[cfg(not(tc_check_model))]
+const _: () = assert!(std::mem::size_of::<Block>() == BLOCK * 17);
+
+impl Block {
+    fn new() -> Box<Block> {
+        Box::new(Block {
+            slots: std::array::from_fn(|_| Mutex::new(None)),
+            referenced: std::array::from_fn(|_| AtomicBool::new(false)),
+        })
+    }
+}
+
 /// A fixed-slot (one per tree node) cache with a byte budget and
-/// clock/second-chance eviction.
+/// clock/second-chance eviction, its slots committed a block at a time.
 ///
 /// Public (but `doc(hidden)`) so `tc-check`'s model tests can drive the
 /// insert/evict protocol directly; everything else reaches it through
@@ -167,11 +206,10 @@ const _: () = assert!(std::mem::size_of::<Slot>() == 16);
 #[doc(hidden)]
 pub struct NodeCache {
     budget: Option<u64>,
-    slots: Box<[Slot]>,
-    /// The clock's second-chance bits, one per slot: set on every hit and
-    /// insert, swapped clear by a passing sweep (under the slot's lock);
-    /// an entry is evicted only when found clear.
-    referenced: Box<[AtomicBool]>,
+    /// Node ids `0..len` have a slot.
+    len: usize,
+    /// Block `b` holds nodes `b·BLOCK ..`, once an insert reached it.
+    blocks: Box<[OnceLock<Box<Block>>]>,
     hand: AtomicUsize,
     bytes_used: AtomicU64,
     resident: AtomicUsize,
@@ -184,7 +222,7 @@ pub struct NodeCache {
 impl std::fmt::Debug for NodeCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NodeCache")
-            .field("slots", &self.slots.len())
+            .field("slots", &self.len)
             .field("budget", &self.budget)
             .field("stats", &self.stats())
             .finish()
@@ -192,12 +230,15 @@ impl std::fmt::Debug for NodeCache {
 }
 
 impl NodeCache {
-    /// One slot per node; `budget = None` disables eviction entirely.
+    /// One slot per node, none committed yet; `budget = None` disables
+    /// eviction entirely.
     pub fn new(slots: usize, budget: Option<u64>) -> NodeCache {
         NodeCache {
             budget,
-            slots: (0..slots).map(|_| Mutex::new(None)).collect(),
-            referenced: (0..slots).map(|_| AtomicBool::new(false)).collect(),
+            len: slots,
+            blocks: (0..slots.div_ceil(BLOCK))
+                .map(|_| OnceLock::new())
+                .collect(),
             hand: AtomicUsize::new(0),
             bytes_used: AtomicU64::new(0),
             resident: AtomicUsize::new(0),
@@ -211,12 +252,18 @@ impl NodeCache {
     /// Looks up node `id`, pinning the entry for the caller and marking it
     /// recently used: any entry when `edges` is false, an entry of edges
     /// when it is true. A miss is counted; the caller is expected to parse
-    /// and [`NodeCache::insert`].
+    /// and [`NodeCache::insert`]. A lookup in a block no insert reached is
+    /// a miss that takes no lock.
     pub fn get(&self, id: u32, edges: bool) -> Option<Arc<NodeEntry>> {
-        let slot = self.slots[id as usize].lock();
+        let (b, j) = (id as usize / BLOCK, id as usize % BLOCK);
+        let Some(block) = self.blocks[b].get() else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return None;
+        };
+        let slot = block.slots[j].lock();
         match &*slot {
             Some(entry) if !edges || entry.flat().is_some() => {
-                self.referenced[id as usize].store(true, Ordering::Relaxed);
+                block.referenced[j].store(true, Ordering::Relaxed);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(entry.clone())
             }
@@ -233,8 +280,14 @@ impl NodeCache {
     /// lookup `entry` does (another thread won the insert race, or it
     /// holds edges) is adopted unchanged; a resident entry of counts that
     /// `entry`'s edges replace is *upgraded*, and charged the difference.
+    /// The first insert into a block commits the block's slots.
     pub fn insert(&self, id: u32, entry: NodeEntry) -> Arc<NodeEntry> {
-        let mut slot = self.slots[id as usize].lock();
+        // The sweep visits ids below `len` only: an entry past them could
+        // never be evicted.
+        assert!((id as usize) < self.len, "node {id} has no cache slot");
+        let (b, j) = (id as usize / BLOCK, id as usize % BLOCK);
+        let block = self.blocks[b].get_or_init(Block::new);
+        let mut slot = block.slots[j].lock();
         let upgraded = match &*slot {
             Some(resident) if resident.holds(&entry) => return resident.clone(),
             Some(resident) => Some(resident.accounted_bytes()),
@@ -243,7 +296,7 @@ impl NodeCache {
         let arc = Arc::new(entry);
         let bytes = arc.accounted_bytes();
         *slot = Some(arc.clone());
-        self.referenced[id as usize].store(true, Ordering::Relaxed);
+        block.referenced[j].store(true, Ordering::Relaxed);
         drop(slot);
         match upgraded {
             Some(was) => {
@@ -268,30 +321,46 @@ impl NodeCache {
 
     /// The clock sweep: while over budget, advance the hand; clear a set
     /// reference bit (second chance), evict an entry found clear and
-    /// unpinned. Bounded to two revolutions so a cache whose pinned
-    /// entries alone exceed the budget degrades to a transient overshoot
-    /// instead of a livelock. The just-inserted node, `protect`, is never
-    /// evicted.
+    /// unpinned. The hand moves past a block no insert reached in one
+    /// step, counting its slots as passed. Bounded to two revolutions so a
+    /// cache whose pinned entries alone exceed the budget degrades to a
+    /// transient overshoot instead of a livelock. The just-inserted node,
+    /// `protect`, is never evicted.
     fn enforce_budget(&self, protect: Option<u32>) {
         let Some(budget) = self.budget else { return };
-        let n = self.slots.len();
+        let n = self.len;
         if n == 0 {
             return;
         }
         let mut steps = 0usize;
         while self.bytes_used.load(Ordering::Relaxed) > budget && steps < 2 * n {
+            let h = self.hand.fetch_add(1, Ordering::Relaxed);
+            let i = h % n;
+            let (b, j) = (i / BLOCK, i % BLOCK);
+            let Some(block) = self.blocks[b].get() else {
+                // Nothing to evict before the block's end. If another
+                // sweep moved the hand meanwhile, leave it where it is.
+                let rest = ((b + 1) * BLOCK).min(n) - i;
+                let _ = self.hand.compare_exchange(
+                    h + 1,
+                    h + rest,
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                );
+                steps += rest;
+                continue;
+            };
             steps += 1;
-            let i = self.hand.fetch_add(1, Ordering::Relaxed) % n;
             if protect == Some(i as u32) {
                 continue;
             }
             // try_lock: a reader holding the slot is by definition using
             // it — skip rather than stall the sweep.
-            let Some(mut slot) = self.slots[i].try_lock() else {
+            let Some(mut slot) = block.slots[j].try_lock() else {
                 continue;
             };
             let Some(entry) = &*slot else { continue };
-            if self.referenced[i].swap(false, Ordering::Relaxed) {
+            if block.referenced[j].swap(false, Ordering::Relaxed) {
                 continue;
             }
             if NodeEntry::pinned(entry) {
@@ -311,7 +380,14 @@ impl NodeCache {
     /// resident.
     #[doc(hidden)]
     pub fn peek(&self, id: u32) -> Option<Arc<NodeEntry>> {
-        self.slots[id as usize].lock().clone()
+        let block = self.blocks[id as usize / BLOCK].get()?;
+        block.slots[id as usize % BLOCK].lock().clone()
+    }
+
+    /// Blocks whose slots an insert has committed.
+    #[doc(hidden)]
+    pub fn committed_blocks(&self) -> usize {
+        self.blocks.iter().filter(|b| b.get().is_some()).count()
     }
 
     /// Entries currently resident.

@@ -352,9 +352,11 @@ pub struct StoreOptions {
 /// flat decompositions for edge callers — so repeated queries touch the file
 /// once per node — until the cache's byte budget (if any) evicts cold nodes,
 /// after which a re-touch re-parses the identical bytes. Per node, an open
-/// tree holds a 24-byte directory record, a 4-byte level count, 8 bytes
-/// of CSR children, and the cache's 16-byte slot and 1-byte second-chance
-/// bit — 53 bytes whatever the budget, and no allocation of its own.
+/// tree holds a 24-byte directory record, a 4-byte level count and 8
+/// bytes of CSR children — 36 bytes whatever the budget, and no
+/// allocation of its own. The cache adds a 16-byte slot and a 1-byte
+/// second-chance bit a node only in the blocks of
+/// [`crate::cache::BLOCK`] nodes a lookup has cached a node in.
 #[derive(Debug)]
 pub struct SegmentTcTree {
     pages: PageFile,

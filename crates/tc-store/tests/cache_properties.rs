@@ -15,13 +15,23 @@
 //! * counting, `truss` and `query` callers share one ledger: interleaved
 //!   under any budget, `bytes_used` is the accounted bytes of exactly the
 //!   resident entries, and an upgrade of an entry of counts to one of
-//!   edges charges its difference once and makes no entry resident.
+//!   edges charges its difference once and makes no entry resident;
+//! * the node cache alone, on node counts that straddle its block
+//!   boundaries and under budgets that send the sweep past blocks no
+//!   insert reached, agrees with a model of its resident entries after
+//!   every get, insert, upgrade and trim: the ledger, each entry's charge,
+//!   hits and misses, pinned entries kept, and the blocks committed.
 
 use proptest::prelude::*;
-use tc_core::{DatabaseNetwork, DatabaseNetworkBuilder, FlatDecomposition};
+use std::collections::{BTreeMap, BTreeSet};
+use tc_core::{
+    DatabaseNetwork, DatabaseNetworkBuilder, FlatDecomposition, TrussDecomposition, TrussLevel,
+};
 use tc_index::{TcTree, TcTreeBuilder};
+use tc_store::cache::{NodeCache, NodeEntry, BLOCK};
 use tc_store::{SegmentTcTree, StoreOptions};
-use tc_txdb::Item;
+use tc_txdb::{Item, Pattern};
+use tc_util::sync::Arc;
 
 const MAX_V: u32 = 7;
 const MAX_ITEMS: u32 = 5;
@@ -402,4 +412,171 @@ fn summaries_fit_a_tenth_of_the_query_working_set() {
         s.resident
     );
     assert_eq!(misses[1], misses[0], "the second pass missed");
+}
+
+/// One step of a [`NodeCache`] sequence, on `id % n` of an `n`-slot cache.
+#[derive(Debug, Clone)]
+enum CacheOp {
+    /// A lookup, of edges or of counts; `pin` keeps the hit.
+    Get { id: u32, edges: bool, pin: bool },
+    /// An entry of `size` edges, or of their counts; `pin` keeps it.
+    Insert {
+        id: u32,
+        edges: bool,
+        size: u8,
+        pin: bool,
+    },
+    /// Drops every pin held.
+    Release,
+    /// A sweep with no entry protected.
+    Trim,
+}
+
+/// A [`CacheOp`] from raw draws: weighted 4 : 6 : 1 : 1 among lookups,
+/// inserts, releases and trims, one in eight lookups or inserts pinned.
+fn cache_op((kind, id, flags, size): (u8, u32, u8, u8)) -> CacheOp {
+    let (edges, pin) = (flags & 1 == 1, flags >> 1 == 0);
+    match kind {
+        0..=3 => CacheOp::Get { id, edges, pin },
+        4..=9 => CacheOp::Insert {
+            id,
+            edges,
+            size,
+            pin,
+        },
+        10 => CacheOp::Release,
+        _ => CacheOp::Trim,
+    }
+}
+
+fn cache_entry(id: u32, edges: bool, size: u8) -> NodeEntry {
+    let truss = TrussDecomposition {
+        pattern: Pattern::singleton(Item(id)),
+        levels: vec![TrussLevel {
+            alpha: 1.0,
+            edges: (0..u32::from(size)).map(|i| (i, i + 1)).collect(),
+        }],
+    };
+    if edges {
+        NodeEntry::edges(&truss)
+    } else {
+        NodeEntry::counts(&truss)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn node_cache_agrees_with_a_model_across_block_boundaries(
+        n in (0usize..4).prop_map(|i| [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + BLOCK / 3][i]),
+        reached in prop::collection::btree_set(0usize..4, 1..4),
+        budget in (0u8..10, 1u64..2_000).prop_map(|(k, b)| (k > 0).then_some(b)),
+        ops in prop::collection::vec((0u8..12, 0u32..1 << 20, 0u8..16, 0u8..24), 1..120),
+    ) {
+        // Ids land only in the chosen blocks that exist, so the others
+        // stay unreached and a sweep has to step over them.
+        let blocks = n.div_ceil(BLOCK);
+        let reached: Vec<usize> = reached.into_iter().filter(|&b| b < blocks).collect();
+        let reached = if reached.is_empty() { vec![blocks - 1] } else { reached };
+        let place = |raw: u32| -> u32 {
+            let b = reached[raw as usize % reached.len()];
+            let width = (n - b * BLOCK).min(BLOCK);
+            (b * BLOCK + (raw as usize / reached.len()) % width) as u32
+        };
+        let cache = NodeCache::new(n, budget);
+        // The model: each resident node's kind (edges or not) and charge.
+        let mut model: BTreeMap<u32, (bool, u64)> = BTreeMap::new();
+        let mut committed = BTreeSet::new();
+        let (mut hits, mut misses, mut materialized, mut evictions) = (0u64, 0u64, 0u64, 0u64);
+        let mut pins: Vec<(u32, Arc<NodeEntry>)> = Vec::new();
+        for op in ops {
+            match cache_op(op) {
+                CacheOp::Get { id, edges, pin } => {
+                    let id = place(id);
+                    let want = model.get(&id).is_some_and(|&(e, _)| e || !edges);
+                    let got = cache.get(id, edges);
+                    prop_assert_eq!(got.is_some(), want, "get {} edges={}", id, edges);
+                    if want { hits += 1 } else { misses += 1 }
+                    if let (Some(entry), true) = (got, pin) {
+                        pins.push((id, entry));
+                    }
+                }
+                CacheOp::Insert { id, edges, size, pin } => {
+                    let id = place(id);
+                    let entry = cache_entry(id, edges, size);
+                    let bytes = entry.accounted_bytes();
+                    match model.get(&id) {
+                        // Resident and answering what this entry does:
+                        // adopted, nothing charged.
+                        Some(&(e, _)) if e || !edges => {}
+                        Some(_) => {
+                            model.insert(id, (true, bytes));
+                        }
+                        None => {
+                            model.insert(id, (edges, bytes));
+                            materialized += 1;
+                        }
+                    }
+                    committed.insert(id as usize / BLOCK);
+                    let held = cache.insert(id, entry);
+                    if pin {
+                        pins.push((id, held));
+                    }
+                    if pins.is_empty() {
+                        let s = cache.stats();
+                        prop_assert!(
+                            budget.is_none_or(|b| s.bytes_used <= b) || s.resident == 1,
+                            "an insert left {:?} over its budget", s
+                        );
+                    }
+                }
+                CacheOp::Release => pins.clear(),
+                CacheOp::Trim => {
+                    cache.trim();
+                    if pins.is_empty() {
+                        let s = cache.stats();
+                        prop_assert!(budget.is_none_or(|b| s.bytes_used <= b), "{:?}", s);
+                    }
+                }
+            }
+            // Reconcile: a node the model holds but the cache does not was
+            // evicted; the cache may hold nothing the model does not.
+            let mut resident = 0;
+            for id in 0..n as u32 {
+                match (cache.peek(id), model.get(&id)) {
+                    (Some(entry), Some(&(edges, bytes))) => {
+                        prop_assert_eq!(entry.flat().is_some(), edges, "node {}", id);
+                        prop_assert_eq!(entry.accounted_bytes(), bytes, "node {}", id);
+                        resident += 1;
+                    }
+                    (Some(_), None) => prop_assert!(false, "node {} resident unasked", id),
+                    (None, Some(_)) => {
+                        model.remove(&id);
+                        evictions += 1;
+                    }
+                    (None, None) => {}
+                }
+            }
+            // A pin on a node's current entry keeps it resident.
+            for (id, pin) in &pins {
+                if model.get(id).is_some_and(|&(edges, _)| edges == pin.flat().is_some()) {
+                    let now = cache.peek(*id);
+                    prop_assert!(now.is_some_and(|e| Arc::ptr_eq(&e, pin)), "pinned {} lost", id);
+                }
+            }
+            let s = cache.stats();
+            prop_assert_eq!(s.resident, resident);
+            prop_assert_eq!(s.materialized_total - s.resident as u64, s.evictions);
+            prop_assert_eq!(
+                (s.materialized_total, s.evictions, s.hits, s.misses),
+                (materialized, evictions, hits, misses)
+            );
+            prop_assert_eq!(s.bytes_used, model.values().map(|&(_, b)| b).sum::<u64>());
+            prop_assert_eq!(cache.committed_blocks(), committed.len());
+            if budget.is_none() {
+                prop_assert_eq!(s.evictions, 0);
+            }
+        }
+    }
 }

@@ -5,9 +5,11 @@
 //! directories of two sizes. The number of allocations must not depend on
 //! the node count — a per-node `Pattern`, `Vec` or `Box` creeping back into
 //! the directory shows up here by name — and the peak live heap must stay
-//! within 60 bytes a node (a 24-byte directory record, a 4-byte level
-//! count, 8 bytes of children CSR, the node cache's 16-byte slot and its
-//! 1-byte second-chance bit come to 53) plus 64 KiB.
+//! within 38 bytes a node (a 24-byte directory record, a 4-byte level
+//! count and 8 bytes of children CSR come to 36, and the node cache's
+//! block table to 1/16 of a byte; it commits no slot at open) plus 64 KiB.
+//! A walk that reaches the nodes of one block of the cache commits that
+//! block's slots and second-chance bits, 17 bytes a slot, and no other.
 //!
 //! The same allocator pins what a warm `query` allocates: three lists per
 //! retrieved truss — its edges, its vertices and its pattern — beyond what
@@ -23,6 +25,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use tc_index::TcTreeBuilder;
+use tc_store::cache::BLOCK;
 use tc_store::page::write_segment;
 use tc_store::{SegmentKind, SegmentTcTree};
 use tc_util::bytes::{put_f64, put_varint, zigzag};
@@ -37,6 +40,8 @@ thread_local! {
     /// Allocations made by this thread: what each test counts, so the test
     /// harness's own threads never show in a count.
     static THREAD_ALLOCS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes this thread allocated less those it freed.
+    static THREAD_LIVE: Cell<isize> = const { Cell::new(0) };
 }
 
 /// The system allocator, counting allocations and live / peak bytes.
@@ -46,8 +51,14 @@ impl CountingAlloc {
     fn grew(size: usize) {
         // A thread being torn down has no counter left to bump.
         let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+        let _ = THREAD_LIVE.try_with(|b| b.set(b.get() + size as isize));
         let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
         PEAK.fetch_max(live, Ordering::Relaxed);
+    }
+
+    fn shrank(size: usize) {
+        let _ = THREAD_LIVE.try_with(|b| b.set(b.get() - size as isize));
+        LIVE.fetch_sub(size, Ordering::Relaxed);
     }
 }
 
@@ -79,7 +90,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // this `layout`; we allocate through `System` only, so the pair is
         // valid for `System.dealloc`.
         unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        Self::shrank(layout.size());
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
@@ -88,7 +99,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // `layout.align()`.
         let p = unsafe { System.realloc(ptr, layout, new_size) };
         if !p.is_null() {
-            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+            Self::shrank(layout.size());
             Self::grew(new_size);
         }
         p
@@ -157,7 +168,7 @@ fn open_allocates_a_fixed_count_and_a_flat_footprint_per_node() {
             "open of {n} nodes: {allocs} allocations, peak {peak} B ({:.1} B/node)",
             peak as f64 / n as f64
         );
-        let bound = 60 * n + 64 * 1024;
+        let bound = 38 * n + 64 * 1024;
         assert!(
             peak <= bound,
             "open of {n} nodes peaked at {peak} B, over the {bound} B bound"
@@ -170,6 +181,46 @@ fn open_allocates_a_fixed_count_and_a_flat_footprint_per_node() {
         "allocations during open grew with the node count: {counts:?}"
     );
     std::fs::remove_dir(&dir).ok();
+}
+
+#[test]
+fn a_walk_in_one_block_commits_that_block_of_slots_alone() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let n = 20_000u32;
+    let seg = SegmentTcTree::from_bytes(crafted_segment(n)).unwrap();
+    let held = || THREAD_LIVE.with(Cell::get);
+    let opened = held();
+    let block = (BLOCK * 17) as isize;
+    // The root's children are the crafted ids divisible by 4, each with a
+    // one-item pattern, so each one's entry is the same size. Node 4's
+    // entry commits block 0; node 8's lands in it and adds its entry alone.
+    let children = (4..BLOCK as u32).step_by(4);
+    drop(seg.truss(4).unwrap());
+    let first = held() - opened;
+    drop(seg.truss(8).unwrap());
+    let entry = held() - opened - first;
+    assert_eq!(
+        first - entry,
+        block,
+        "the first touch in block 0 allocated {first} B, the second {entry} B"
+    );
+    // The rest of block 0 commits nothing more.
+    for id in children.clone().skip(2) {
+        drop(seg.truss(id).unwrap());
+    }
+    let walked = held() - opened;
+    assert_eq!(walked, block + children.len() as isize * entry);
+    assert_eq!(seg.cache().committed_blocks(), 1);
+    // The next block's first node, another child of the root, commits the
+    // next block.
+    drop(seg.truss(BLOCK as u32).unwrap());
+    assert_eq!(held() - opened, walked + block + entry);
+    assert_eq!(seg.cache().committed_blocks(), 2);
+    eprintln!(
+        "a walk over the root's {} children in block 0 held {walked} B beyond \
+         open: one {block}-byte block and {entry} B an entry",
+        children.len()
+    );
 }
 
 /// What `f` returns, and the allocations this thread made running it.

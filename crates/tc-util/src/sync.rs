@@ -23,8 +23,8 @@
 //! the checked invariants.
 //!
 //! The facade deliberately exposes only the surface those subsystems
-//! use: `Mutex`, `Condvar`, `Arc`, the `atomic` module, and a `thread`
-//! module with `spawn`/`scope`/`yield_now`. Code outside the
+//! use: `Mutex`, `Condvar`, `Arc`, `OnceLock`, the `atomic` module, and
+//! a `thread` module with `spawn`/`scope`/`yield_now`. Code outside the
 //! concurrency core is free to keep using `std::sync`.
 
 /// Atomic integer/bool types plus [`atomic::Ordering`].
@@ -50,6 +50,15 @@ pub use std::sync::Arc;
 
 #[cfg(tc_check_model)]
 pub use tc_model::sync::Arc;
+
+/// A cell written once, by whichever of racing initialisers comes first:
+/// [`std::sync::OnceLock`], whose `get` and `get_or_init` the model
+/// checker sees as the publication they are.
+#[cfg(not(tc_check_model))]
+pub use std::sync::OnceLock;
+
+#[cfg(tc_check_model)]
+pub use tc_model::sync::OnceLock;
 
 #[cfg(tc_check_model)]
 pub use tc_model::sync::{Condvar, Mutex, MutexGuard};
@@ -146,7 +155,7 @@ impl Condvar {
 #[cfg(test)]
 mod tests {
     use super::atomic::{AtomicUsize, Ordering};
-    use super::{Arc, Condvar, Mutex};
+    use super::{Arc, Condvar, Mutex, OnceLock};
     use std::time::Duration;
 
     #[test]
@@ -179,6 +188,15 @@ mod tests {
         // A wait with no notifier reports its timeout.
         let (_g, timed_out) = pair.1.wait_timeout(pair.0.lock(), Duration::from_millis(1));
         assert!(timed_out);
+    }
+
+    #[test]
+    fn once_lock_initialises_once() {
+        let cell = OnceLock::new();
+        assert_eq!(cell.get(), None);
+        assert_eq!(*cell.get_or_init(|| 1u32), 1);
+        assert_eq!(*cell.get_or_init(|| 2), 1);
+        assert_eq!(cell.get(), Some(&1));
     }
 
     #[test]
